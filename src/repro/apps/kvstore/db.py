@@ -179,11 +179,20 @@ class MiniRocks:
         """Merge every table of this level plus the next level's tables
         into one table at the next level (size-tiered)."""
         sources = self.levels[level_number + 1] + self.levels[level_number]
+        # Each level is scanned oldest table first, so newer tables
+        # overwrite within it. This level is scanned before the next one
+        # (a read order the simulated clocks pin) but is the newer of the
+        # two, so its entries are laid back over the next level's at the
+        # end.
+        upper = len(self.levels[level_number])
         merged: Dict[bytes, Optional[bytes]] = {}
-        # Oldest first so newer tables overwrite.
-        for table in reversed(sources):
+        newer: Dict[bytes, Optional[bytes]] = {}
+        for position, table in enumerate(reversed(sources)):
             items = yield from table.scan_all()
             merged.update(items)
+            if position < upper:
+                newer.update(items)
+        merged.update(newer)
         is_bottom = level_number + 1 == self.options.max_levels - 1
         items = sorted(
             (key, value) for key, value in merged.items()

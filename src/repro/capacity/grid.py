@@ -37,7 +37,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
+
+from ..core import CACHE_MODES
 
 #: Every axis/base key a grid may sweep or pin.
 KNOBS = frozenset({
@@ -196,7 +198,7 @@ def explore_grid(seed: int = 0) -> GridSpec:
         axes=[
             Axis("tenants", (4, 8, 16, 32)),
             Axis("log_kib", (64, 128, 256)),
-            Axis("cache_mode", ("logging", "paging", "nvlog-lite")),
+            Axis("cache_mode", tuple(CACHE_MODES)),
         ],
         base={
             "seed": seed,

@@ -1,7 +1,7 @@
 """NVCache core: the paper's primary contribution."""
 
-from .cleanup import CleanupThread
-from .config import DEFAULT_CONFIG, NvcacheConfig
+from .cleanup import CleanupThread, DrainThread
+from .config import CACHE_MODES, DEFAULT_CONFIG, NvcacheConfig, cache_mode_row
 from .files import FileTables, NvFile, NvOpenFile
 from .inspect import EntrySummary, LogReport, format_report, inspect_log
 from .log import (
@@ -11,7 +11,7 @@ from .log import (
     HEADER_SIZE,
     NvmmLog,
 )
-from .nvcache import Nvcache
+from .nvcache import CacheFacade, Nvcache
 from .nvlog import NvlogLite
 from .paging import PagingCache, PagingStats, PagingStore, WritebackThread, recover_paging
 from .policies import (
@@ -29,6 +29,8 @@ from .recovery import RecoveryReport, recover
 from .stats import NvcacheStats
 
 __all__ = [
+    "CacheFacade",
+    "DrainThread",
     "Nvcache",
     "NvlogLite",
     "PagingCache",
@@ -44,6 +46,8 @@ __all__ = [
     "POLICY_NAMES",
     "NvcacheConfig",
     "DEFAULT_CONFIG",
+    "CACHE_MODES",
+    "cache_mode_row",
     "NvcacheStats",
     "NvmmLog",
     "COMMIT_FREE",

@@ -1,6 +1,10 @@
 """The cleanup thread: asynchronous propagation from the NVMM log to the
 mass storage through legacy syscalls (paper §II-A, §III).
 
+:class:`DrainThread` is what every mode's background thread shares;
+:class:`CleanupThread`, described below, is the logging modes' subclass
+(paging's ``WritebackThread`` is the other).
+
 Batching (paper §IV-C): the thread waits until at least ``batch_min``
 entries are pending (or an idle/drain deadline passes), consumes up to
 ``batch_max`` entries with plain ``pwrite``s — letting the kernel page
@@ -18,7 +22,7 @@ The thread is also the wake-up source for two kinds of parked waiters
 once the volatile tail passes the head observed at request time) and
 *close-headroom* waiters (``request_close_headroom`` — fired when the
 deferred-close backlog shrinks below the caller's threshold; this is
-``Nvcache.close``'s backpressure valve against fd-table exhaustion).
+``CacheFacade.close``'s backpressure valve against fd-table exhaustion).
 Only the thread itself polls, at ``_TICK`` while idle, which is the
 paper's design and keeps the batching timing model untouched.
 
@@ -43,13 +47,18 @@ from .stats import NvcacheStats
 _TICK = 1e-3  # poll interval while idle (simulated seconds)
 
 
-class CleanupThread:
-    """The background propagation thread of one NVCache instance."""
+class DrainThread:
+    """What every mode's background drain thread shares: the lifecycle
+    (start/stop/park around a cancellable tick), the close-headroom
+    waiters, and kernel-closing deferred fds once nothing pending
+    references them. A subclass supplies ``_run`` (its batching loop)
+    and ``request_drain`` (what "drained" means for its NVMM layout)."""
 
-    def __init__(self, env: Environment, log: NvmmLog, kernel, tables: FileTables,
-                 config: NvcacheConfig, stats: NvcacheStats):
+    process_name = "drain"  # simulated process name; the tracer's track
+
+    def __init__(self, env: Environment, kernel, tables: FileTables,
+                 config: NvcacheConfig, stats):
         self.env = env
-        self.log = log
         self.kernel = kernel
         self.tables = tables
         self.config = config
@@ -60,20 +69,11 @@ class CleanupThread:
         # between batches; park() cancels it so a quiescent checkpoint
         # can be taken (see repro.faults.snapshot).
         self._tick = None
-        # Set by Nvcache: generator performing the kernel-level close of
-        # a deferred fd (close + path-slot clear + cache release).
+        # Set by the cache: generator performing the kernel-level close
+        # of a deferred fd (CacheFacade._finalize_fd).
         self.finalize_fd = None
-        # Set by Nvcache.register_metrics when observability is on.
-        self._m_batch_size = None
-        self._drain_waiters: List[Tuple[int, Waitable]] = []
         self._close_waiters: List[Tuple[int, Waitable]] = []
         self._last_progress = 0.0
-        # Entries whose pwrite + index bookkeeping succeeded in a batch
-        # that later aborted on an I/O error (before clear_entries). The
-        # retry must fsync them again but must not re-run the
-        # bookkeeping: the per-descriptor pending queues were already
-        # popped. Cleared when the batch finally retires.
-        self._propagated: set = set()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -82,7 +82,7 @@ class CleanupThread:
             return
         self.running = True
         self._last_progress = self.env.now
-        self._process = self.env.spawn(self._run(), name="nvcache-cleanup")
+        self._process = self.env.spawn(self._run(), name=self.process_name)
 
     def stop(self) -> None:
         self.running = False
@@ -97,7 +97,8 @@ class CleanupThread:
         the continuation the parked one would have run."""
         process = self._process
         if process is not None and process.alive and self._tick is None:
-            raise ValueError("cleanup thread is mid-batch; drain before parking")
+            raise ValueError(
+                f"{self.process_name} thread is mid-batch; drain before parking")
         self.running = False
         self._process = None
         if process is not None and process.alive:
@@ -112,6 +113,60 @@ class CleanupThread:
         self._tick = self.env.timeout(delay)
         yield self._tick
         self._tick = None
+
+    # -- close back-pressure ---------------------------------------------------
+
+    def request_close_headroom(self, threshold: int) -> Waitable:
+        """A waitable that fires once the deferred-close backlog is at or
+        below ``threshold``. Used by ``CacheFacade.close`` as its
+        backpressure valve instead of polling the backlog on a timer."""
+        waiter = Waitable(self.env)
+        if len(self.tables.deferred_close) <= threshold:
+            waiter._fire(None)
+        else:
+            self._close_waiters.append((threshold, waiter))
+        return waiter
+
+    def _fire_close_waiters(self) -> None:
+        if not self._close_waiters:
+            return
+        backlog = len(self.tables.deferred_close)
+        still_waiting = []
+        for threshold, waiter in self._close_waiters:
+            if backlog <= threshold:
+                waiter._fire(None)
+            else:
+                still_waiting.append((threshold, waiter))
+        self._close_waiters = still_waiting
+
+    def _finalize_deferred(self) -> Generator:
+        """Kernel-close application-closed fds whose pending work is all
+        retired, then wake the closes parked on the backlog."""
+        if self.finalize_fd is not None:
+            for fd in sorted(self.tables.deferred_close):
+                if self.tables.pending_by_fd.get(fd, 0) == 0:
+                    yield from self.finalize_fd(fd)
+        self._fire_close_waiters()
+
+
+class CleanupThread(DrainThread):
+    """The background propagation thread of one NVCache instance."""
+
+    process_name = "nvcache-cleanup"
+
+    def __init__(self, env: Environment, log: NvmmLog, kernel, tables: FileTables,
+                 config: NvcacheConfig, stats: NvcacheStats):
+        super().__init__(env, kernel, tables, config, stats)
+        self.log = log
+        # Set by Nvcache.register_metrics when observability is on.
+        self._m_batch_size = None
+        self._drain_waiters: List[Tuple[int, Waitable]] = []
+        # Entries whose pwrite + index bookkeeping succeeded in a batch
+        # that later aborted on an I/O error (before clear_entries). The
+        # retry must fsync them again but must not re-run the
+        # bookkeeping: the per-descriptor pending queues were already
+        # popped. Cleared when the batch finally retires.
+        self._propagated: set = set()
 
     def request_drain(self) -> Waitable:
         """A waitable that fires once everything logged *so far* has been
@@ -132,29 +187,6 @@ class CleanupThread:
             else:
                 still_waiting.append((target, waiter))
         self._drain_waiters = still_waiting
-
-    def request_close_headroom(self, threshold: int) -> Waitable:
-        """A waitable that fires once the deferred-close backlog is at or
-        below ``threshold``. Used by ``Nvcache.close`` as its backpressure
-        valve instead of polling the backlog on a timer."""
-        waiter = Waitable(self.env)
-        if len(self.tables.deferred_close) <= threshold:
-            waiter._fire(None)
-        else:
-            self._close_waiters.append((threshold, waiter))
-        return waiter
-
-    def _fire_close_waiters(self) -> None:
-        if not self._close_waiters:
-            return
-        backlog = len(self.tables.deferred_close)
-        still_waiting = []
-        for threshold, waiter in self._close_waiters:
-            if backlog <= threshold:
-                waiter._fire(None)
-            else:
-                still_waiting.append((threshold, waiter))
-        self._close_waiters = still_waiting
 
     # -- the thread body ---------------------------------------------------------
 
@@ -321,10 +353,5 @@ class CleanupThread:
             tracer.end(self.env, batch_token, status="retired",
                        log_used=self.log.used())
             batch_token = None
-        # Kernel-close application-closed fds whose entries are all retired.
-        if self.finalize_fd is not None:
-            for fd in sorted(self.tables.deferred_close):
-                if self.tables.pending_by_fd.get(fd, 0) == 0:
-                    yield from self.finalize_fd(fd)
-        self._fire_close_waiters()
+        yield from self._finalize_deferred()
         return len(batch)

@@ -8,8 +8,32 @@ these down; every experiment records the scale it used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
+from operator import attrgetter
 
 from ..units import KIB, MS, US
+
+#: The cache design points, one row each: name -> (cache class, NVMM
+#: sizing function, recover function) — docs/POLICIES.md "Cache modes".
+#: Everything that selects, validates or enumerates modes reads this
+#: table, so adding a mode is adding a row. Rows are "module:attribute"
+#: specs (resolved by :func:`cache_mode_row`) because every module they
+#: name imports this one.
+CACHE_MODES = {
+    "logging": ("nvcache:Nvcache", "log:NvmmLog.required_size",
+                "recovery:recover_log"),
+    "paging": ("paging:PagingCache", "paging:PagingStore.required_size",
+               "paging:recover_paging"),
+    "nvlog-lite": ("nvlog:NvlogLite", "log:NvmmLog.required_size",
+                   "recovery:recover_log"),
+}
+
+
+def cache_mode_row(name: str) -> tuple:
+    """The (cache class, sizing function, recover function) of a mode."""
+    specs = (spec.partition(":") for spec in CACHE_MODES[name])
+    return tuple(attrgetter(attrs)(import_module(f".{module}", __package__))
+                 for module, _, attrs in specs)
 
 
 @dataclass(frozen=True)
@@ -30,10 +54,10 @@ class NvcacheConfig:
     write_op_overhead: float = 3.2 * US
     read_hit_overhead: float = 0.7 * US
     read_miss_overhead: float = 1.5 * US
-    # Cache design point (docs/POLICIES.md): "logging" is the paper's
-    # NVMM log + DRAM read cache; "paging" is the page-grained NVMM
-    # cache (page table + dirty-page writeback); "nvlog-lite" is the
-    # NVLog-style WAL-only variant (no DRAM read cache).
+    # Cache design point, a CACHE_MODES name (docs/POLICIES.md): logging
+    # is the paper's NVMM log + DRAM read cache; paging is the
+    # page-grained NVMM cache (page table + dirty-page writeback);
+    # nvlog-lite is the NVLog-style WAL-only variant (no DRAM read cache).
     cache_mode: str = "logging"
     # Eviction/promotion policy: "" = mode default (CLOCK for the
     # logging read cache, LRU for paging), else clock|lru|alru|nhit.
@@ -53,9 +77,9 @@ class NvcacheConfig:
             raise ValueError("log geometry must be positive")
         if self.batch_max < 1 or self.batch_min < 1:
             raise ValueError("batch sizes must be >= 1")
-        if self.cache_mode not in ("logging", "paging", "nvlog-lite"):
+        if self.cache_mode not in CACHE_MODES:
             raise ValueError(
-                "cache_mode must be logging, paging, or nvlog-lite")
+                f"cache_mode must be one of {', '.join(CACHE_MODES)}")
         if self.policy not in ("", "clock", "lru", "alru", "nhit"):
             raise ValueError(
                 "policy must be one of '', clock, lru, alru, nhit")

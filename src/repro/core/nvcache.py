@@ -1,16 +1,21 @@
 """The NVCache facade: the intercepted I/O functions (paper Table III).
 
-This object stands in for the patched musl libc: applications call
+This module stands in for the patched musl libc: applications call
 ``open``/``read``/``write``/``pread``/``pwrite``/``lseek``/``fsync``/
-``stat``/``close`` on it instead of on the kernel, and get:
+``stat``/``close`` on a cache object instead of on the kernel, and get:
 
-- synchronous durability — a write is durable in the NVMM log when the
-  call returns, with **no syscall on the write path**;
+- synchronous durability — a write is durable in NVMM when the call
+  returns, with **no syscall on the write path**;
 - durable linearizability — the commit word is psync'd before the page
   locks are released, so a racing reader can only observe durable data;
-- fsync as a no-op — the log already made every write durable;
+- fsync as a no-op — the write path already made every write durable;
 - NVCache-maintained file sizes and cursors — the kernel's are stale
-  while entries are in flight.
+  while writes are in flight.
+
+:class:`CacheFacade` is the one implementation of everything on that
+surface that does not depend on *how* a mode persists data;
+:class:`Nvcache` is the paper's mode (NVMM log + DRAM read cache +
+cleanup thread) on top of it.
 """
 
 from __future__ import annotations
@@ -19,12 +24,16 @@ from typing import Generator
 
 from ..kernel.errno import EBADF, EINVAL, ENOENT, KernelError
 from ..kernel.fd_table import (
+    LOCK_EX,
+    LOCK_SH,
+    LOCK_UN,
     O_ACCMODE,
     O_APPEND,
     O_CREAT,
     O_DIRECT,
     O_RDONLY,
     O_TRUNC,
+    O_WRONLY,
     SEEK_CUR,
     SEEK_END,
     SEEK_SET,
@@ -35,32 +44,254 @@ from ..sim import Environment
 from .cleanup import CleanupThread
 from .config import DEFAULT_CONFIG, NvcacheConfig
 from .files import FileTables, NvOpenFile
-from .log import NvmmLog
+from .log import OP_CREATE, OP_RENAME, OP_TRUNCATE, OP_UNLINK, NvmmLog
 from .policies import make_policy
 from .radix import RadixTree
 from .read_cache import PageDescriptor, ReadCache
 from .stats import NvcacheStats
 
 
-class Nvcache:
-    """One NVCache instance: log + read cache + cleanup thread."""
+_DENIED_ACCESS = {"writing": O_RDONLY, "reading": O_WRONLY}
+
+
+class CacheFacade:
+    """The intercepted-libc surface every cache mode shares: fd/handle
+    tables, cursors and cache-maintained sizes, the already-durable
+    ``fsync`` family, deferred close with its back-pressure valve, the
+    ``flock`` coherence point, the metrics all modes report.
+
+    A mode (a subclass named by a ``CACHE_MODES`` row, see
+    :mod:`repro.core.config`) supplies what depends on its NVMM layout:
+    ``open``, ``pwrite``, ``pread``, ``ftruncate``, ``unlink``,
+    ``rename``, ``_finalize_fd``, ``_drop_clean``, ``register_metrics``,
+    ``self.stats`` and ``self.cleanup`` (a
+    :class:`~repro.core.cleanup.DrainThread`).
+    """
 
     def __init__(self, env: Environment, kernel, nvmm: NvmmDevice,
-                 config: NvcacheConfig = DEFAULT_CONFIG, name: str = "nvcache",
-                 start_cleanup: bool = True):
-        required = NvmmLog.required_size(config)
+                 config: NvcacheConfig, name: str, required: int, layout: str):
         if nvmm.size < required:
             raise ValueError(
-                f"NVMM device of {nvmm.size} bytes too small for log "
+                f"NVMM device of {nvmm.size} bytes too small for {layout} "
                 f"geometry needing {required} bytes")
         self.env = env
         self.kernel = kernel
         self.nvmm = nvmm
         self.config = config
         self.name = name
+        self.tables = FileTables()
+        self._m_write_latency = None
+        self._m_read_latency = None
+
+    def _start(self, start_cleanup: bool) -> None:
+        """Last step of a mode's ``__init__``, once ``self.cleanup`` exists."""
+        self.cleanup.finalize_fd = self._finalize_fd
+        if self.env.metrics is not None:
+            self.register_metrics(self.env.metrics)
+        if start_cleanup:
+            self.cleanup.start()
+
+    def _register_shared_metrics(self, m, hits: str) -> None:
+        """The metrics every mode reports under its own scope ``m``;
+        ``hits`` names the mode's hit/miss counters (read/page)."""
+        stats = self.stats
+        m.counter("writes", unit="ops", help="intercepted write/pwrite calls",
+                  fn=lambda: stats.writes)
+        m.counter("reads", unit="ops", help="intercepted read/pread calls",
+                  fn=lambda: stats.reads)
+        m.counter("bytes_written", unit="bytes", fn=lambda: stats.bytes_written)
+        m.counter("bytes_read", unit="bytes", fn=lambda: stats.bytes_read)
+        m.counter("fsyncs_ignored", unit="ops",
+                  help="fsync/fdatasync calls satisfied for free",
+                  fn=lambda: stats.fsyncs_ignored)
+        m.gauge("hit_ratio", unit="ratio",
+                help=f"{hits}_hits / ({hits}_hits + {hits}_misses)",
+                fn=stats.hit_rate)
+        self._m_write_latency = m.histogram(
+            "write_latency", unit="s",
+            help="app-visible pwrite latency (durable at return)")
+        self._m_read_latency = m.histogram(
+            "read_latency", unit="s", help="app-visible pread latency")
+
+    # -- helpers ---------------------------------------------------------------
+
+    def _handle(self, fd: int, access: str = "", offset: int = 0,
+                nbytes: int = 0) -> NvOpenFile:
+        """The open-file record of a managed fd. ``pwrite``/``pread``
+        pass the access they need ("writing"/"reading") and their
+        offset/length: all their argument checks, in one frame per op."""
+        handle = self.tables.get(fd)
+        if handle is None:
+            raise KernelError(EBADF, f"fd {fd} not managed by NVCache")
+        if access and (handle.flags & O_ACCMODE) == _DENIED_ACCESS[access]:
+            raise KernelError(EBADF, f"fd {fd} not open for {access}")
+        if offset < 0 or nbytes < 0:
+            raise KernelError(EINVAL, f"offset {offset} nbytes {nbytes}")
+        return handle
+
+    def _observe_latency(self, histogram, began: float) -> None:
+        """Record one app-visible latency with the current trace as its
+        exemplar. Callers guard on the histogram being registered, which
+        keeps this frame off the detached hot path."""
+        tracer = self.env.tracer
+        histogram.observe(
+            self.env.now - began,
+            trace_id=tracer.current_trace_id(self.env)
+            if tracer is not None else None)
+
+    def _account_read(self, nbytes: int, began: float) -> None:
+        """Epilogue of every ``pread`` variant: byte/QoS tallies and the
+        app-visible latency."""
+        self.stats.bytes_read += nbytes
+        if self.env.qos is not None:
+            self.env.qos.tally_read(nbytes)
+        if self._m_read_latency is not None:
+            self._observe_latency(self._m_read_latency, began)
+
+    def drain(self) -> Generator:
+        """Wait until everything acknowledged so far has reached the
+        backend (log entries retired / dirty pages written back)."""
+        yield self.cleanup.request_drain()
+
+    def shutdown(self) -> Generator:
+        """Drain, then stop the background thread (clean unmount)."""
+        yield self.cleanup.request_drain()
+        self.cleanup.stop()
+
+    def close(self, fd: int) -> Generator:
+        """Application close. Never blocks on the disk: if pending work
+        (log entries / dirty pages) still references this fd, the
+        *kernel* close is deferred until the drain thread retires it
+        (which also expedites propagation — the paper's
+        close-as-coherence-point, made asynchronous). The fd and any
+        NVMM state naming it stay reserved meanwhile, so recovery can
+        always resolve what is pending."""
+        self._handle(fd)
+        self.tables.unregister(fd)
+        if self.tables.pending_by_fd.get(fd, 0) == 0:
+            yield from self._finalize_fd(fd)
+        else:
+            self.tables.deferred_close.add(fd)
+            # Backpressure safety valve: an application that churns
+            # through descriptors faster than the disk drains would
+            # exhaust the NVMM path table; block this close until the
+            # drain thread reduces the backlog (sustained saturation
+            # only — the table holds fd_max bindings). The thread fires
+            # the waiter the moment a batch shrinks the backlog, so no
+            # wakeups are burnt on polling it.
+            threshold = self.config.fd_max * 3 // 4
+            if len(self.tables.deferred_close) > threshold:
+                yield self.cleanup.request_close_headroom(threshold)
+            yield self.env.timeout(0.0)
+        return 0
+
+    # -- cursor I/O (on top of the mode's pwrite/pread) -------------------------
+
+    def write(self, fd: int, data: bytes) -> Generator:
+        handle = self._handle(fd)
+        if handle.flags & O_APPEND:
+            handle.cursor = handle.file.size
+        written = yield from self.pwrite(fd, data, handle.cursor)
+        handle.cursor += written
+        return written
+
+    def read(self, fd: int, nbytes: int) -> Generator:
+        handle = self._handle(fd)
+        data = yield from self.pread(fd, nbytes, handle.cursor)
+        handle.cursor += len(data)
+        return data
+
+    # -- metadata (served from the cache's fresh view) -------------------------
+
+    def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> Generator:
+        handle = self._handle(fd)
+        if whence == SEEK_SET:
+            new = offset
+        elif whence == SEEK_CUR:
+            new = handle.cursor + offset
+        elif whence == SEEK_END:
+            new = handle.file.size + offset
+        else:
+            raise KernelError(EINVAL, f"whence {whence}")
+        if new < 0:
+            raise KernelError(EINVAL, f"offset {new}")
+        handle.cursor = new
+        yield self.env.timeout(0.0)
+        return new
+
+    def ftell(self, fd: int) -> int:
+        return self._handle(fd).cursor
+
+    def stat(self, path: str) -> Generator:
+        st = yield from self.kernel.stat(path)
+        nv_file = self.tables.files.get((st.st_dev, st.st_ino))
+        if nv_file is not None and nv_file.size != st.st_size:
+            st = Stat(st.st_dev, st.st_ino, st.st_mode, nv_file.size, st.st_nlink)
+        return st
+
+    def fstat(self, fd: int) -> Generator:
+        handle = self._handle(fd)
+        st = yield from self.kernel.fstat(fd)
+        if handle.file.size != st.st_size:
+            st = Stat(st.st_dev, st.st_ino, st.st_mode, handle.file.size, st.st_nlink)
+        return st
+
+    # -- durability calls: already durable, so no-ops (paper Table III) --------
+
+    def fsync(self, fd: int) -> Generator:
+        self._handle(fd)
+        self.stats.fsyncs_ignored += 1
+        yield self.env.timeout(0.0)
+        return 0
+
+    def sync(self) -> Generator:
+        self.stats.fsyncs_ignored += 1
+        yield self.env.timeout(0.0)
+        return 0
+
+    fdatasync = syncfs = fsync  # data and metadata were durable alike
+
+    # -- passthrough and the multi-process coherence point ---------------------
+
+    def mkdir(self, path: str) -> Generator:
+        result = yield from self.kernel.mkdir(path)
+        return result
+
+    def flock(self, fd: int, operation: int) -> Generator:
+        """flock is the coherence point for multi-process sharing
+        (paper §I): releasing a lock flushes this instance's user-space
+        writes down to the kernel; acquiring one discards this instance's
+        (possibly stale) clean cached pages (``_drop_clean``) and
+        refreshes the file size, so reads under the lock see the other
+        process's flushed writes."""
+        handle = self._handle(fd)
+        nv_file = handle.file
+        if operation & LOCK_UN:
+            # Unlock: everything we wrote must be visible through the
+            # kernel to whoever locks next.
+            if nv_file.pending_entries:
+                yield self.cleanup.request_drain()
+        elif operation & (LOCK_SH | LOCK_EX):
+            # Acquire: another NVCache instance may have updated the file
+            # through the kernel; drop our cached pages and re-stat.
+            self._drop_clean(nv_file)
+            st = yield from self.kernel.fstat(fd)
+            if nv_file.pending_entries == 0:
+                nv_file.size = st.st_size
+        result = yield from self.kernel.flock(fd, operation)
+        return result
+
+
+class Nvcache(CacheFacade):
+    """One NVCache instance: log + read cache + cleanup thread."""
+
+    def __init__(self, env: Environment, kernel, nvmm: NvmmDevice,
+                 config: NvcacheConfig = DEFAULT_CONFIG, name: str = "nvcache",
+                 start_cleanup: bool = True):
+        super().__init__(env, kernel, nvmm, config, name,
+                         NvmmLog.required_size(config), "log")
         self.stats = NvcacheStats()
         self.log = NvmmLog(env, nvmm, config, self.stats)
-        self.tables = FileTables()
         self.read_cache = ReadCache(
             env, config.read_cache_pages, config.page_size, self.stats,
             policy=make_policy(config.policy,
@@ -68,13 +299,7 @@ class Nvcache:
                                alru_staleness=config.alru_staleness))
         self.cleanup = CleanupThread(env, self.log, kernel, self.tables,
                                      config, self.stats)
-        self.cleanup.finalize_fd = self._finalize_fd
-        self._m_write_latency = None
-        self._m_read_latency = None
-        if env.metrics is not None:
-            self.register_metrics(env.metrics)
-        if start_cleanup:
-            self.cleanup.start()
+        self._start(start_cleanup)
 
     def register_metrics(self, registry) -> None:
         """Expose the instance under ``core.nvcache.*`` plus the log
@@ -84,12 +309,7 @@ class Nvcache:
         log = self.log
 
         m = registry.scope("core.nvcache")
-        m.counter("writes", unit="ops", help="intercepted write/pwrite calls",
-                  fn=lambda: stats.writes)
-        m.counter("reads", unit="ops", help="intercepted read/pread calls",
-                  fn=lambda: stats.reads)
-        m.counter("bytes_written", unit="bytes", fn=lambda: stats.bytes_written)
-        m.counter("bytes_read", unit="bytes", fn=lambda: stats.bytes_read)
+        self._register_shared_metrics(m, "read")
         m.counter("read_hits", unit="ops", help="reads served from the "
                   "user-space read cache", fn=lambda: stats.read_hits)
         m.counter("read_misses", unit="ops", fn=lambda: stats.read_misses)
@@ -97,9 +317,6 @@ class Nvcache:
                   help="misses reconstructed from pending log entries "
                        "(paper §II-C dirty-miss procedure)",
                   fn=lambda: stats.dirty_misses)
-        m.counter("fsyncs_ignored", unit="ops",
-                  help="fsync/fdatasync calls satisfied for free",
-                  fn=lambda: stats.fsyncs_ignored)
         m.counter("evictions", unit="pages", help="read-cache CLOCK evictions",
                   fn=lambda: stats.evictions)
         m.counter("promotions_skipped", unit="pages",
@@ -109,14 +326,6 @@ class Nvcache:
         m.counter("group_writes", unit="ops",
                   help="writes needing more than one log entry",
                   fn=lambda: stats.group_writes)
-        m.gauge("hit_ratio", unit="ratio",
-                help="read_hits / (read_hits + read_misses)",
-                fn=stats.hit_rate)
-        self._m_write_latency = m.histogram(
-            "write_latency", unit="s",
-            help="app-visible pwrite latency (durable at return)")
-        self._m_read_latency = m.histogram(
-            "read_latency", unit="s", help="app-visible pread latency")
 
         m = registry.scope("core.log")
         m.gauge("entries_used", unit="entries", help="head - volatile tail",
@@ -154,24 +363,7 @@ class Nvcache:
             "batch_size", unit="entries", help="entries per retired batch",
             start=1.0, factor=2.0, buckets=24)
 
-    # -- helpers ---------------------------------------------------------------
-
-    def _handle(self, fd: int) -> NvOpenFile:
-        handle = self.tables.get(fd)
-        if handle is None:
-            raise KernelError(EBADF, f"fd {fd} not managed by NVCache")
-        return handle
-
-    def drain(self) -> Generator:
-        """Wait until every logged write has been propagated and retired."""
-        yield self.cleanup.request_drain()
-
-    def shutdown(self) -> Generator:
-        """Drain the log and stop the cleanup thread (clean unmount)."""
-        yield self.cleanup.request_drain()
-        self.cleanup.stop()
-
-    # -- open / close ---------------------------------------------------------------
+    # -- open / close (the kernel-level half; CacheFacade.close defers it) ---------
 
     def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> Generator:
         # O_DIRECT is meaningless behind a durable user-space cache, and
@@ -196,7 +388,6 @@ class Nvcache:
             # A creation with no pending removal needs no entry: replay
             # recreates such files lazily (O_CREAT) when applying their
             # writes.
-            from .log import OP_CREATE
             yield from self._log_namespace_op(
                 OP_CREATE, 0, path.encode("utf-8"))
         st = yield from self.kernel.fstat(fd)
@@ -204,7 +395,6 @@ class Nvcache:
         nv_file = self.tables.file_for(key, path, st.st_size, self.env)
         writable = (flags & O_ACCMODE) != O_RDONLY
         if flags & O_TRUNC and writable and nv_file.size:
-            from .log import OP_TRUNCATE
             if nv_file.pending_entries:
                 # Same stale-resurrection hazard as ftruncate; see there.
                 yield self.cleanup.request_drain()
@@ -218,32 +408,6 @@ class Nvcache:
         self.tables.register(fd, nv_file, flags, cursor)
         yield from self.log.set_path(fd, path)
         return fd
-
-    def close(self, fd: int) -> Generator:
-        """Application close. Never blocks on the disk: if log entries
-        still reference this fd, the *kernel* close is deferred until the
-        cleanup thread retires them (which also expedites propagation —
-        the paper's close-as-coherence-point, made asynchronous). The fd
-        and its NVMM path slot stay reserved meanwhile, so recovery can
-        always resolve pending entries."""
-        self._handle(fd)
-        self.tables.unregister(fd)
-        if self.tables.pending_by_fd.get(fd, 0) == 0:
-            yield from self._finalize_fd(fd)
-        else:
-            self.tables.deferred_close.add(fd)
-            # Backpressure safety valve: an application that churns
-            # through descriptors faster than the disk drains would
-            # exhaust the NVMM path table; block this close until the
-            # cleanup thread reduces the backlog (sustained saturation
-            # only — the table holds fd_max bindings). The cleanup
-            # thread fires the waiter the moment a batch shrinks the
-            # backlog, so no wakeups are burnt on polling it.
-            threshold = self.config.fd_max * 3 // 4
-            if len(self.tables.deferred_close) > threshold:
-                yield self.cleanup.request_close_headroom(threshold)
-            yield self.env.timeout(0.0)
-        return 0
 
     def _finalize_fd(self, fd: int) -> Generator:
         """Kernel-level close once no log entry references the fd."""
@@ -261,11 +425,7 @@ class Nvcache:
     # -- write path (paper Algorithm 1) ------------------------------------------------
 
     def pwrite(self, fd: int, data: bytes, offset: int) -> Generator:
-        handle = self._handle(fd)
-        if (handle.flags & O_ACCMODE) == O_RDONLY:
-            raise KernelError(EBADF, f"fd {fd} not open for writing")
-        if offset < 0:
-            raise KernelError(EINVAL, f"offset {offset}")
+        handle = self._handle(fd, "writing", offset)
         if not data:
             yield self.env.timeout(0.0)
             return 0
@@ -360,10 +520,7 @@ class Nvcache:
             if append_token is not None:
                 tracer.end(self.env, append_token)
         if self._m_write_latency is not None:
-            self._m_write_latency.observe(
-                self.env.now - began,
-                trace_id=tracer.current_trace_id(self.env)
-                if tracer is not None else None)
+            self._observe_latency(self._m_write_latency, began)
         if tracer is not None:
             tracer.add(self.env.now, 0.0, self.name, "pwrite",
                        "app", fd=fd, offset=offset,
@@ -381,22 +538,10 @@ class Nvcache:
         descriptor.content.data[overlap_start - page_start:overlap_end - page_start] = \
             data[overlap_start - offset:overlap_end - offset]
 
-    def write(self, fd: int, data: bytes) -> Generator:
-        handle = self._handle(fd)
-        if handle.flags & O_APPEND:
-            handle.cursor = handle.file.size
-        written = yield from self.pwrite(fd, data, handle.cursor)
-        handle.cursor += written
-        return written
-
     # -- read path -------------------------------------------------------------------------
 
     def pread(self, fd: int, nbytes: int, offset: int) -> Generator:
-        handle = self._handle(fd)
-        if not self._readable(handle):
-            raise KernelError(EBADF, f"fd {fd} not open for reading")
-        if offset < 0 or nbytes < 0:
-            raise KernelError(EINVAL, f"offset {offset} nbytes {nbytes}")
+        handle = self._handle(fd, "reading", offset, nbytes)
         nv_file = handle.file
         self.stats.reads += 1
         if offset >= nv_file.size:
@@ -410,14 +555,7 @@ class Nvcache:
             # NVCache stays entirely out of the way (paper §II-A).
             self.stats.read_only_bypass += 1
             data = yield from self.kernel.pread(fd, nbytes, offset)
-            self.stats.bytes_read += len(data)
-            if self.env.qos is not None:
-                self.env.qos.tally_read(len(data))
-            if self._m_read_latency is not None:
-                self._m_read_latency.observe(
-                    self.env.now - began,
-                    trace_id=tracer.current_trace_id(self.env)
-                    if tracer is not None else None)
+            self._account_read(len(data), began)
             return data
 
         page_size = self.config.page_size
@@ -435,36 +573,28 @@ class Nvcache:
                     tracer.charge(self.env, "core", "lock_wait",
                                   self.env.now - lock_began)
                 uncached = None
-                if descriptor.content is None:
-                    token = None
-                    if tracer is not None:
-                        token = tracer.begin(self.env, "core", "read_miss",
-                                             fd=fd, page=page)
-                    try:
-                        uncached = yield from self._load_page(handle, descriptor)
-                        if tracer is not None:
-                            tracer.charge(self.env, "core", "read_overhead",
-                                          self.config.read_miss_overhead)
-                        yield self.env.timeout(self.config.read_miss_overhead)
-                    finally:
-                        if token is not None:
-                            tracer.end(self.env, token)
+                missed = descriptor.content is None
+                if missed:
+                    span, overhead = "read_miss", self.config.read_miss_overhead
                 else:
+                    span, overhead = "read_hit", self.config.read_hit_overhead
                     self.stats.read_hits += 1
                     if self.env.qos is not None:
                         self.env.qos.tally_hit()
-                    token = None
+                token = None
+                if tracer is not None:
+                    token = tracer.begin(self.env, "core", span,
+                                         fd=fd, page=page)
+                try:
+                    if missed:
+                        uncached = yield from self._load_page(handle, descriptor)
                     if tracer is not None:
-                        token = tracer.begin(self.env, "core", "read_hit",
-                                             fd=fd, page=page)
-                    try:
-                        if tracer is not None:
-                            tracer.charge(self.env, "core", "read_overhead",
-                                          self.config.read_hit_overhead)
-                        yield self.env.timeout(self.config.read_hit_overhead)
-                    finally:
-                        if token is not None:
-                            tracer.end(self.env, token)
+                        tracer.charge(self.env, "core", "read_overhead",
+                                      overhead)
+                    yield self.env.timeout(overhead)
+                finally:
+                    if token is not None:
+                        tracer.end(self.env, token)
                 if uncached is not None:
                     # Policy declined promotion: serve straight from the
                     # freshly-read buffer, leaving the cache untouched.
@@ -475,14 +605,7 @@ class Nvcache:
             finally:
                 descriptor.atomic_lock.release()
             position += chunk
-        self.stats.bytes_read += len(out)
-        if self.env.qos is not None:
-            self.env.qos.tally_read(len(out))
-        if self._m_read_latency is not None:
-            self._m_read_latency.observe(
-                self.env.now - began,
-                trace_id=tracer.current_trace_id(self.env)
-                if tracer is not None else None)
+        self._account_read(len(out), began)
         return bytes(out)
 
     def _load_page(self, handle: NvOpenFile, descriptor: PageDescriptor) -> Generator:
@@ -531,50 +654,7 @@ class Nvcache:
             descriptor.cleanup_lock.release()
         return buffer
 
-    @staticmethod
-    def _readable(handle: NvOpenFile) -> bool:
-        return (handle.flags & O_ACCMODE) != 1  # not O_WRONLY
-
-    def read(self, fd: int, nbytes: int) -> Generator:
-        handle = self._handle(fd)
-        data = yield from self.pread(fd, nbytes, handle.cursor)
-        handle.cursor += len(data)
-        return data
-
-    # -- metadata (served from NVCache's fresh view) ------------------------------------------
-
-    def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> Generator:
-        handle = self._handle(fd)
-        if whence == SEEK_SET:
-            new = offset
-        elif whence == SEEK_CUR:
-            new = handle.cursor + offset
-        elif whence == SEEK_END:
-            new = handle.file.size + offset
-        else:
-            raise KernelError(EINVAL, f"whence {whence}")
-        if new < 0:
-            raise KernelError(EINVAL, f"offset {new}")
-        handle.cursor = new
-        yield self.env.timeout(0.0)
-        return new
-
-    def ftell(self, fd: int) -> int:
-        return self._handle(fd).cursor
-
-    def stat(self, path: str) -> Generator:
-        st = yield from self.kernel.stat(path)
-        nv_file = self.tables.files.get((st.st_dev, st.st_ino))
-        if nv_file is not None and nv_file.size != st.st_size:
-            st = Stat(st.st_dev, st.st_ino, st.st_mode, nv_file.size, st.st_nlink)
-        return st
-
-    def fstat(self, fd: int) -> Generator:
-        handle = self._handle(fd)
-        st = yield from self.kernel.fstat(fd)
-        if handle.file.size != st.st_size:
-            st = Stat(st.st_dev, st.st_ino, st.st_mode, handle.file.size, st.st_nlink)
-        return st
+    # -- namespace operations (logged for ordered replay, executed write-through) ------------------
 
     def ftruncate(self, fd: int, size: int) -> Generator:
         """Drain the file's pending entries first: a pending pre-truncate
@@ -583,7 +663,6 @@ class Nvcache:
         path of the paper's workloads (SQLite journal_mode=DELETE unlinks
         instead), so the drain is cheap in practice. The op is also
         logged so crash recovery repeats it in order."""
-        from .log import OP_TRUNCATE
         handle = self._handle(fd)
         nv_file = handle.file
         if nv_file.pending_entries:
@@ -604,29 +683,6 @@ class Nvcache:
                         descriptor.content.data[in_page:] = b"\x00" * (page_size - in_page)
         return 0
 
-    # -- durability calls: already durable, so no-ops (paper Table III) --------------------------
-
-    def fsync(self, fd: int) -> Generator:
-        self._handle(fd)
-        self.stats.fsyncs_ignored += 1
-        yield self.env.timeout(0.0)
-        return 0
-
-    def fdatasync(self, fd: int) -> Generator:
-        result = yield from self.fsync(fd)
-        return result
-
-    def sync(self) -> Generator:
-        self.stats.fsyncs_ignored += 1
-        yield self.env.timeout(0.0)
-        return 0
-
-    def syncfs(self, fd: int) -> Generator:
-        result = yield from self.fsync(fd)
-        return result
-
-    # -- passthroughs (namespace operations are not cached) ----------------------------------------
-
     def _log_namespace_op(self, op: int, offset: int, payload: bytes) -> Generator:
         """Durably log a namespace operation so recovery replays it in
         order with the data writes (extension over the paper — see
@@ -637,48 +693,23 @@ class Nvcache:
         yield from self.log.commit_leader(seq)
 
     def unlink(self, path: str) -> Generator:
-        from .log import OP_UNLINK
         yield from self._log_namespace_op(OP_UNLINK, 0, path.encode("utf-8"))
         result = yield from self.kernel.unlink(path)
         return result
 
     def rename(self, old: str, new: str) -> Generator:
-        from .log import OP_RENAME
         yield from self._log_namespace_op(
             OP_RENAME, 0, old.encode("utf-8") + b"\x00" + new.encode("utf-8"))
         result = yield from self.kernel.rename(old, new)
         return result
 
-    def mkdir(self, path: str) -> Generator:
-        result = yield from self.kernel.mkdir(path)
-        return result
-
-    def flock(self, fd: int, operation: int) -> Generator:
-        """flock is the coherence point for multi-process sharing
-        (paper §I): releasing a lock flushes this instance's user-space
-        writes down to the kernel; acquiring one discards this instance's
-        (possibly stale) read cache and refreshes the file size, so reads
-        under the lock see the other process's flushed writes."""
-        from ..kernel.fd_table import LOCK_EX, LOCK_SH, LOCK_UN
-        handle = self._handle(fd)
-        nv_file = handle.file
-        if operation & LOCK_UN:
-            # Unlock: everything we wrote must be visible through the
-            # kernel to whoever locks next.
-            if nv_file.pending_entries:
-                yield self.cleanup.request_drain()
-        elif operation & (LOCK_SH | LOCK_EX):
-            # Acquire: another NVCache instance may have updated the file
-            # through the kernel; drop our cached pages and re-stat.
-            if nv_file.radix is not None:
-                for _index, descriptor in nv_file.radix.items():
-                    if descriptor.content is not None and not descriptor.pending:
-                        self.read_cache.release(descriptor.content)
-            st = yield from self.kernel.fstat(fd)
-            if nv_file.pending_entries == 0:
-                nv_file.size = st.st_size
-        result = yield from self.kernel.flock(fd, operation)
-        return result
+    def _drop_clean(self, nv_file) -> None:
+        """flock acquire: release the file's loaded pages that have no
+        pending entries (those are the only copy of unpropagated data)."""
+        if nv_file.radix is not None:
+            for _index, descriptor in nv_file.radix.items():
+                if descriptor.content is not None and not descriptor.pending:
+                    self.read_cache.release(descriptor.content)
 
     # -- introspection -------------------------------------------------------------------------------
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..kernel.errno import EBADF, EINVAL, KernelError
 from .nvcache import Nvcache
 
 
@@ -33,11 +32,7 @@ class NvlogLite(Nvcache):
     """
 
     def pread(self, fd: int, nbytes: int, offset: int) -> Generator:
-        handle = self._handle(fd)
-        if not self._readable(handle):
-            raise KernelError(EBADF, f"fd {fd} not open for reading")
-        if offset < 0 or nbytes < 0:
-            raise KernelError(EINVAL, f"offset {offset} nbytes {nbytes}")
+        handle = self._handle(fd, "reading", offset, nbytes)
         nv_file = handle.file
         self.stats.reads += 1
         if offset >= nv_file.size:
@@ -65,12 +60,5 @@ class NvlogLite(Nvcache):
         finally:
             if token is not None:
                 tracer.end(self.env, token)
-        self.stats.bytes_read += len(data)
-        if self.env.qos is not None:
-            self.env.qos.tally_read(len(data))
-        if self._m_read_latency is not None:
-            self._m_read_latency.observe(
-                self.env.now - began,
-                trace_id=tracer.current_trace_id(self.env)
-                if tracer is not None else None)
+        self._account_read(len(data), began)
         return data

@@ -4,11 +4,13 @@ Where :class:`~repro.core.nvcache.Nvcache` commits every write into a
 circular NVMM *log* (and serves reads from a DRAM page cache), this
 module keeps a page-grained NVMM cache — an NVMM-resident page table
 with per-page dirty/valid state and a write-back drain to the SSD/ext4
-backend, like dm-writecache but entirely in user space. It implements
-the exact same facade contract as ``Nvcache`` (open/read/write/fsync
-with durability-after-ack), so ``repro.libc.NvcacheLibc``, the crash
-explorer, and the harness slot it in unchanged via
-``build_stack(cache_mode="paging")``.
+backend, like dm-writecache but entirely in user space. It is one
+``CACHE_MODES`` row: :class:`PagingCache` on the shared
+:class:`~repro.core.nvcache.CacheFacade`, :class:`WritebackThread` on
+the shared :class:`~repro.core.cleanup.DrainThread`, the
+:class:`PagingStore` layout and :func:`recover_paging` — so
+``repro.libc.NvcacheLibc``, the crash explorer, and the harness slot it
+in unchanged via ``build_stack(cache_mode="paging")``.
 
 On-media layout (all offsets fixed, so recovery finds everything)::
 
@@ -57,7 +59,7 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
-from ..kernel.errno import EBADF, EINVAL, ENOENT, KernelError
+from ..kernel.errno import EINVAL, ENOENT, KernelError
 from ..kernel.fd_table import (
     O_ACCMODE,
     O_APPEND,
@@ -66,17 +68,16 @@ from ..kernel.fd_table import (
     O_RDONLY,
     O_RDWR,
     O_TRUNC,
-    SEEK_CUR,
-    SEEK_END,
-    SEEK_SET,
 )
-from ..kernel.inode import Stat
 from ..nvmm import NvmmDevice, RegionAllocator, read_cstring, write_cstring
 from ..sim import Environment, Lock, Waitable
 from ..units import CACHE_LINE_SIZE
+from .cleanup import _TICK, DrainThread
 from .config import DEFAULT_CONFIG, NvcacheConfig
-from .files import FileTables, NvFile, NvOpenFile
+from .files import NvFile
+from .nvcache import CacheFacade
 from .policies import CachePolicy, LruPolicy, make_policy
+from .recovery import RecoveryReport
 
 _META = struct.Struct("<QQQQQ")
 META_SIZE = _META.size            # 40 bytes used of a 64-byte record
@@ -85,9 +86,6 @@ META_STRIDE = CACHE_LINE_SIZE     # one cache line per record
 SLOT_FREE = 0
 SLOT_DIRTY = 1
 SLOT_CLEAN = 2
-
-_TICK = 1e-3  # writeback poll interval while idle (simulated seconds)
-
 
 def _align(value: int, alignment: int = CACHE_LINE_SIZE) -> int:
     return (value + alignment - 1) & ~(alignment - 1)
@@ -222,6 +220,11 @@ class PageSlot:
 
     def __init__(self, index: int):
         self.index = index
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to FREE: the volatile half of freeing a slot (callers
+        settle the media meta and the free list themselves)."""
         self.state = SLOT_FREE
         self.txn = 0
         self.key: Optional[Tuple[int, int]] = None  # (file_id, page)
@@ -229,29 +232,21 @@ class PageSlot:
         self.nv_file: Optional[NvFile] = None
 
 
-class PagingCache:
+class PagingCache(CacheFacade):
     """One paging-mode cache instance: page table + writeback thread.
 
-    Facade-compatible with :class:`~repro.core.nvcache.Nvcache`: the
-    same libc wrapper, oracle, crash explorer, and harness drive it.
+    Shares :class:`~repro.core.nvcache.CacheFacade` with the logging
+    modes, so the same libc wrapper, oracle, crash explorer, and
+    harness drive it.
     """
 
     def __init__(self, env: Environment, kernel, nvmm: NvmmDevice,
                  config: NvcacheConfig = DEFAULT_CONFIG, name: str = "paging",
                  start_cleanup: bool = True):
-        required = PagingStore.required_size(config)
-        if nvmm.size < required:
-            raise ValueError(
-                f"NVMM device of {nvmm.size} bytes too small for paging "
-                f"geometry needing {required} bytes")
-        self.env = env
-        self.kernel = kernel
-        self.nvmm = nvmm
-        self.config = config
-        self.name = name
+        super().__init__(env, kernel, nvmm, config, name,
+                         PagingStore.required_size(config), "paging")
         self.stats = PagingStats()
         self.store = PagingStore(env, nvmm, config)
-        self.tables = FileTables()
         self.policy: CachePolicy = (
             make_policy(config.policy,
                         nhit_threshold=config.nhit_threshold,
@@ -281,26 +276,15 @@ class PagingCache:
         self.txn_lock = Lock(env, name=f"{name}.txn")
         self._slot_waiters: List[Waitable] = []
         self.cleanup = WritebackThread(env, self, kernel, config, self.stats)
-        self.cleanup.finalize_fd = self._finalize_fd
-        self._m_write_latency = None
-        self._m_read_latency = None
         self._m_batch_size = None
-        if env.metrics is not None:
-            self.register_metrics(env.metrics)
-        if start_cleanup:
-            self.cleanup.start()
+        self._start(start_cleanup)
 
     def register_metrics(self, registry) -> None:
         """Expose the instance under ``core.paging.*`` (the paging-mode
         mirror of ``core.nvcache.*``/``core.log.*`` — docs/POLICIES.md)."""
         stats = self.stats
         m = registry.scope("core.paging")
-        m.counter("writes", unit="ops", help="intercepted write/pwrite calls",
-                  fn=lambda: stats.writes)
-        m.counter("reads", unit="ops", help="intercepted read/pread calls",
-                  fn=lambda: stats.reads)
-        m.counter("bytes_written", unit="bytes", fn=lambda: stats.bytes_written)
-        m.counter("bytes_read", unit="bytes", fn=lambda: stats.bytes_read)
+        self._register_shared_metrics(m, "page")
         m.counter("page_hits", unit="ops",
                   help="reads served from resident NVMM pages",
                   fn=lambda: stats.page_hits)
@@ -339,9 +323,6 @@ class PagingCache:
         m.counter("invalidations", unit="pages",
                   help="slots durably dropped by namespace operations",
                   fn=lambda: stats.invalidations)
-        m.counter("fsyncs_ignored", unit="ops",
-                  help="fsync/fdatasync calls satisfied for free",
-                  fn=lambda: stats.fsyncs_ignored)
         m.gauge("dirty_pages", unit="pages",
                 help="committed dirty slots awaiting writeback",
                 fn=lambda: self._dirty_count)
@@ -350,33 +331,11 @@ class PagingCache:
         m.gauge("occupancy", unit="ratio",
                 help="resident / total slots",
                 fn=lambda: len(self._map) / self.config.paging_slots)
-        m.gauge("hit_ratio", unit="ratio",
-                help="page_hits / (page_hits + page_misses)",
-                fn=stats.hit_rate)
-        self._m_write_latency = m.histogram(
-            "write_latency", unit="s",
-            help="app-visible pwrite latency (durable at return)")
-        self._m_read_latency = m.histogram(
-            "read_latency", unit="s", help="app-visible pread latency")
         self._m_batch_size = m.histogram(
             "writeback_batch_pages", unit="pages",
             help="dirty pages flushed per writeback batch")
 
     # -- helpers -----------------------------------------------------------
-
-    def _handle(self, fd: int) -> NvOpenFile:
-        handle = self.tables.get(fd)
-        if handle is None:
-            raise KernelError(EBADF, f"fd {fd} not managed by NVCache")
-        return handle
-
-    def drain(self) -> Generator:
-        """Wait until every committed dirty page is on the backend."""
-        yield self.cleanup.request_drain()
-
-    def shutdown(self) -> Generator:
-        yield self.cleanup.request_drain()
-        self.cleanup.stop()
 
     def _fid_for(self, nv_file: NvFile) -> Generator:
         """Assign (or look up) the file's durable file id. The path is
@@ -406,7 +365,7 @@ class PagingCache:
         for waiter in waiters:
             waiter._fire(None)
 
-    # -- open / close ------------------------------------------------------
+    # -- open / kernel-level close -----------------------------------------
 
     def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> Generator:
         # O_DIRECT is stripped for the same reason Nvcache strips it:
@@ -419,15 +378,7 @@ class PagingCache:
             # must not survive the cut. Drain + durably invalidate
             # BEFORE the kernel open wipes the backend file (namespace
             # ops are synchronous on the backend; see docs/POLICIES.md).
-            try:
-                st = yield from self.kernel.stat(path)
-            except KernelError as exc:
-                if exc.errno != ENOENT:
-                    raise
-                st = None
-            if st is not None and st.st_size:
-                nv_file = self.tables.files.get((st.st_dev, st.st_ino))
-                yield from self._invalidate_file(nv_file, (st.st_dev, st.st_ino))
+            yield from self._invalidate_path(path, only_nonempty=True)
         fd = yield from self.kernel.open(path, flags, mode)
         st = yield from self.kernel.fstat(fd)
         key = (st.st_dev, st.st_ino)
@@ -438,21 +389,6 @@ class PagingCache:
         self.tables.register(fd, nv_file, flags, cursor)
         return fd
 
-    def close(self, fd: int) -> Generator:
-        """Application close; the kernel close is deferred while dirty
-        pages still flush through this fd (same contract as Nvcache)."""
-        self._handle(fd)
-        self.tables.unregister(fd)
-        if self.tables.pending_by_fd.get(fd, 0) == 0:
-            yield from self._finalize_fd(fd)
-        else:
-            self.tables.deferred_close.add(fd)
-            threshold = self.config.fd_max * 3 // 4
-            if len(self.tables.deferred_close) > threshold:
-                yield self.cleanup.request_close_headroom(threshold)
-            yield self.env.timeout(0.0)
-        return 0
-
     def _finalize_fd(self, fd: int) -> Generator:
         yield from self.kernel.close(fd)
         self.tables.retire_fd(fd)
@@ -461,11 +397,7 @@ class PagingCache:
     # -- write path --------------------------------------------------------
 
     def pwrite(self, fd: int, data: bytes, offset: int) -> Generator:
-        handle = self._handle(fd)
-        if (handle.flags & O_ACCMODE) == O_RDONLY:
-            raise KernelError(EBADF, f"fd {fd} not open for writing")
-        if offset < 0:
-            raise KernelError(EINVAL, f"offset {offset}")
+        handle = self._handle(fd, "writing", offset)
         if not data:
             yield self.env.timeout(0.0)
             return 0
@@ -561,10 +493,7 @@ class PagingCache:
                 tracer.end(self.env, token)
         self.cleanup.nudge()
         if self._m_write_latency is not None:
-            self._m_write_latency.observe(
-                self.env.now - began,
-                trace_id=tracer.current_trace_id(self.env)
-                if tracer is not None else None)
+            self._observe_latency(self._m_write_latency, began)
         if tracer is not None:
             tracer.add(self.env.now, 0.0, self.name, "pwrite", "app",
                        fd=fd, offset=offset, nbytes=len(data),
@@ -640,11 +569,7 @@ class PagingCache:
                 slot.nv_file.pending_entries -= 1
             remaining = self.tables.pending_by_fd.get(slot.fd, 0) - 1
             self.tables.pending_by_fd[slot.fd] = max(0, remaining)
-        slot.state = SLOT_FREE
-        slot.key = None
-        slot.txn = 0
-        slot.fd = -1
-        slot.nv_file = None
+        slot.reset()
         self.store.clear_meta(slot.index)
         self._media_fid.pop(slot.index, None)
         self._lazy_clears += 1
@@ -691,33 +616,17 @@ class PagingCache:
                 self._fid_pages[fid] -= 1
             self.policy.record_evict(key)
             self.stats.evictions += 1
-            slot.state = SLOT_FREE
-            slot.key = None
-            slot.txn = 0
-            slot.fd = -1
-            slot.nv_file = None
+            slot.reset()
             # No durable clear needed: recovery skips CLEAN records,
             # and the slot's next meta store overwrites this one.
             self._media_fid.pop(slot.index, None)
             return slot
         return None
 
-    def write(self, fd: int, data: bytes) -> Generator:
-        handle = self._handle(fd)
-        if handle.flags & O_APPEND:
-            handle.cursor = handle.file.size
-        written = yield from self.pwrite(fd, data, handle.cursor)
-        handle.cursor += written
-        return written
-
     # -- read path ---------------------------------------------------------
 
     def pread(self, fd: int, nbytes: int, offset: int) -> Generator:
-        handle = self._handle(fd)
-        if not self._readable(handle):
-            raise KernelError(EBADF, f"fd {fd} not open for reading")
-        if offset < 0 or nbytes < 0:
-            raise KernelError(EINVAL, f"offset {offset} nbytes {nbytes}")
+        handle = self._handle(fd, "reading", offset, nbytes)
         nv_file = handle.file
         self.stats.reads += 1
         if offset >= nv_file.size:
@@ -782,14 +691,7 @@ class PagingCache:
                 yield from self._maybe_promote(nv_file, page, buffer)
                 out += buffer[in_page:in_page + chunk]
             position += chunk
-        self.stats.bytes_read += len(out)
-        if self.env.qos is not None:
-            self.env.qos.tally_read(len(out))
-        if self._m_read_latency is not None:
-            self._m_read_latency.observe(
-                self.env.now - began,
-                trace_id=tracer.current_trace_id(self.env)
-                if tracer is not None else None)
+        self._account_read(len(out), began)
         return bytes(out)
 
     def _maybe_promote(self, nv_file: NvFile, page: int,
@@ -843,50 +745,7 @@ class PagingCache:
         self.policy.record_insert(key)
         self.stats.promotions += 1
 
-    @staticmethod
-    def _readable(handle: NvOpenFile) -> bool:
-        return (handle.flags & O_ACCMODE) != 1  # not O_WRONLY
-
-    def read(self, fd: int, nbytes: int) -> Generator:
-        handle = self._handle(fd)
-        data = yield from self.pread(fd, nbytes, handle.cursor)
-        handle.cursor += len(data)
-        return data
-
-    # -- metadata (served from the cache's fresh view) ---------------------
-
-    def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> Generator:
-        handle = self._handle(fd)
-        if whence == SEEK_SET:
-            new = offset
-        elif whence == SEEK_CUR:
-            new = handle.cursor + offset
-        elif whence == SEEK_END:
-            new = handle.file.size + offset
-        else:
-            raise KernelError(EINVAL, f"whence {whence}")
-        if new < 0:
-            raise KernelError(EINVAL, f"offset {new}")
-        handle.cursor = new
-        yield self.env.timeout(0.0)
-        return new
-
-    def ftell(self, fd: int) -> int:
-        return self._handle(fd).cursor
-
-    def stat(self, path: str) -> Generator:
-        st = yield from self.kernel.stat(path)
-        nv_file = self.tables.files.get((st.st_dev, st.st_ino))
-        if nv_file is not None and nv_file.size != st.st_size:
-            st = Stat(st.st_dev, st.st_ino, st.st_mode, nv_file.size, st.st_nlink)
-        return st
-
-    def fstat(self, fd: int) -> Generator:
-        handle = self._handle(fd)
-        st = yield from self.kernel.fstat(fd)
-        if handle.file.size != st.st_size:
-            st = Stat(st.st_dev, st.st_ino, st.st_mode, handle.file.size, st.st_nlink)
-        return st
+    # -- namespace operations ----------------------------------------------
 
     def ftruncate(self, fd: int, size: int) -> Generator:
         """Drain + durably invalidate the file's resident pages, then cut
@@ -897,44 +756,33 @@ class PagingCache:
         nv_file = handle.file
         yield self.txn_lock.acquire()
         try:
-            yield from self._invalidate_file(nv_file, nv_file.key)
+            yield from self._invalidate_file(nv_file.key)
             yield from self.kernel.ftruncate(fd, size)
             nv_file.size = size
         finally:
             self.txn_lock.release()
         return 0
 
-    # -- durability calls: already durable, so no-ops ----------------------
+    def _invalidate_path(self, path: str,
+                         only_nonempty: bool = False) -> Generator:
+        """Drain-then-invalidate whatever file ``path`` names, if any."""
+        try:
+            st = yield from self.kernel.stat(path)
+        except KernelError as exc:
+            if exc.errno != ENOENT:
+                raise
+            return
+        if st.st_size or not only_nonempty:
+            yield from self._invalidate_file((st.st_dev, st.st_ino))
 
-    def fsync(self, fd: int) -> Generator:
-        self._handle(fd)
-        self.stats.fsyncs_ignored += 1
-        yield self.env.timeout(0.0)
-        return 0
-
-    def fdatasync(self, fd: int) -> Generator:
-        result = yield from self.fsync(fd)
-        return result
-
-    def sync(self) -> Generator:
-        self.stats.fsyncs_ignored += 1
-        yield self.env.timeout(0.0)
-        return 0
-
-    def syncfs(self, fd: int) -> Generator:
-        result = yield from self.fsync(fd)
-        return result
-
-    # -- namespace operations ----------------------------------------------
-
-    def _invalidate_file(self, nv_file: Optional[NvFile],
-                         key: Tuple[int, int]) -> Generator:
+    def _invalidate_file(self, key: Tuple[int, int]) -> Generator:
         """Drain-then-invalidate, the paging namespace protocol: flush
         every acked dirty page to the backend (so the before-state
         survives a crash anywhere in here), then durably drop every slot
         whose MEDIA meta still names this file id — including freed
         superseded slots whose stale records a reused fid could otherwise
         resurrect — and free the fid."""
+        nv_file = self.tables.files.get(key)
         fid = self._fid_by_key.get(key)
         if fid is None:
             yield self.env.timeout(0.0)
@@ -951,11 +799,7 @@ class PagingCache:
             if slot.key is not None and slot.key[0] == fid:
                 self._map.pop(slot.key, None)
                 self.policy.record_evict(slot.key)
-                slot.state = SLOT_FREE
-                slot.key = None
-                slot.txn = 0
-                slot.fd = -1
-                slot.nv_file = None
+                slot.reset()
                 self._free.append(slot_index)
         self.store.clear_fid_path(fid)
         recorder = self.env.crash_points
@@ -977,16 +821,7 @@ class PagingCache:
     def unlink(self, path: str) -> Generator:
         yield self.txn_lock.acquire()
         try:
-            try:
-                st = yield from self.kernel.stat(path)
-            except KernelError as exc:
-                if exc.errno != ENOENT:
-                    raise
-                st = None
-            if st is not None:
-                nv_file = self.tables.files.get((st.st_dev, st.st_ino))
-                yield from self._invalidate_file(
-                    nv_file, (st.st_dev, st.st_ino))
+            yield from self._invalidate_path(path)
             result = yield from self.kernel.unlink(path)
         finally:
             self.txn_lock.release()
@@ -996,15 +831,7 @@ class PagingCache:
         yield self.txn_lock.acquire()
         try:
             for candidate in (old, new):
-                try:
-                    st = yield from self.kernel.stat(candidate)
-                except KernelError as exc:
-                    if exc.errno != ENOENT:
-                        raise
-                    continue
-                nv_file = self.tables.files.get((st.st_dev, st.st_ino))
-                yield from self._invalidate_file(
-                    nv_file, (st.st_dev, st.st_ino))
+                yield from self._invalidate_path(candidate)
             result = yield from self.kernel.rename(old, new)
             # Live handles on the moved file must carry the new name, or
             # a later write would durably bind a fid to the dead path.
@@ -1015,39 +842,19 @@ class PagingCache:
             self.txn_lock.release()
         return result
 
-    def mkdir(self, path: str) -> Generator:
-        result = yield from self.kernel.mkdir(path)
-        return result
-
-    def flock(self, fd: int, operation: int) -> Generator:
-        """Coherence point for multi-process sharing, mirroring Nvcache:
-        unlock flushes this instance's pages to the kernel; acquiring
-        drops the (possibly stale) clean residents and re-stats."""
-        from ..kernel.fd_table import LOCK_EX, LOCK_SH, LOCK_UN
-        handle = self._handle(fd)
-        nv_file = handle.file
-        if operation & LOCK_UN:
-            if nv_file.pending_entries:
-                yield self.cleanup.request_drain()
-        elif operation & (LOCK_SH | LOCK_EX):
-            fid = self._fid_by_key.get(nv_file.key)
-            if fid is not None:
-                for key, slot in list(self._map.items()):
-                    if key[0] == fid and slot.state == SLOT_CLEAN:
-                        del self._map[key]
-                        self._fid_pages[fid] -= 1
-                        self.policy.record_evict(key)
-                        slot.state = SLOT_FREE
-                        slot.key = None
-                        slot.txn = 0
-                        slot.nv_file = None
-                        self._media_fid.pop(slot.index, None)
-                        self._free.append(slot.index)
-            st = yield from self.kernel.fstat(fd)
-            if nv_file.pending_entries == 0:
-                nv_file.size = st.st_size
-        result = yield from self.kernel.flock(fd, operation)
-        return result
+    def _drop_clean(self, nv_file: NvFile) -> None:
+        """flock acquire: recycle the file's CLEAN residents (DIRTY ones
+        are the only copy of unwritten-back data)."""
+        fid = self._fid_by_key.get(nv_file.key)
+        if fid is not None:
+            for key, slot in list(self._map.items()):
+                if key[0] == fid and slot.state == SLOT_CLEAN:
+                    del self._map[key]
+                    self._fid_pages[fid] -= 1
+                    self.policy.record_evict(key)
+                    slot.reset()
+                    self._media_fid.pop(slot.index, None)
+                    self._free.append(slot.index)
 
     # -- introspection -----------------------------------------------------
 
@@ -1069,7 +876,7 @@ class PagingCache:
             assert count >= 0, f"negative resident count for fid {fid}"
 
 
-class WritebackThread:
+class WritebackThread(DrainThread):
     """Background drain of committed dirty slots to the backend.
 
     Deliberately lock-free (it never takes ``txn_lock``): a writer
@@ -1095,55 +902,16 @@ class WritebackThread:
     slot-full waiters.
     """
 
+    process_name = "paging-writeback"
+
     def __init__(self, env: Environment, cache: "PagingCache", kernel,
                  config: NvcacheConfig, stats: PagingStats):
-        self.env = env
+        super().__init__(env, kernel, cache.tables, config, stats)
         self.cache = cache
-        self.kernel = kernel
-        self.config = config
-        self.stats = stats
-        self.running = False
-        self._process = None
-        self._tick = None
         self._kick = False
-        # Set by PagingCache: generator kernel-closing a deferred fd.
-        self.finalize_fd = None
         self._drain_waiters: List[Waitable] = []
-        self._close_waiters: List[Tuple[int, Waitable]] = []
-        self._last_progress = 0.0
         self.high_slots = max(1, int(config.paging_wb_high * config.paging_slots))
         self.low_slots = max(0, int(config.paging_wb_low * config.paging_slots))
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> None:
-        if self.running:
-            return
-        self.running = True
-        self._last_progress = self.env.now
-        self._process = self.env.spawn(self._run(), name="paging-writeback")
-
-    def stop(self) -> None:
-        self.running = False
-
-    def park(self) -> None:
-        """Stop between batches and withdraw the pending tick (the
-        quiescent-snapshot precondition — see CleanupThread.park)."""
-        process = self._process
-        if process is not None and process.alive and self._tick is None:
-            raise ValueError("writeback thread is mid-batch; drain before parking")
-        self.running = False
-        self._process = None
-        if process is not None and process.alive:
-            process.kill()
-        if self._tick is not None:
-            self._tick.cancel()
-            self._tick = None
-
-    def _sleep(self, delay: float) -> Generator:
-        self._tick = self.env.timeout(delay)
-        yield self._tick
-        self._tick = None
 
     def nudge(self) -> None:
         """Writer-side hint: worth checking the watermarks before the
@@ -1170,33 +938,6 @@ class WritebackThread:
             for waiter in waiters:
                 waiter._fire(None)
 
-    def request_close_headroom(self, threshold: int) -> Waitable:
-        waiter = Waitable(self.env)
-        if len(self.cache.tables.deferred_close) <= threshold:
-            waiter._fire(None)
-        else:
-            self._close_waiters.append((threshold, waiter))
-        return waiter
-
-    def _fire_close_waiters(self) -> None:
-        if not self._close_waiters:
-            return
-        backlog = len(self.cache.tables.deferred_close)
-        still_waiting = []
-        for threshold, waiter in self._close_waiters:
-            if backlog <= threshold:
-                waiter._fire(None)
-            else:
-                still_waiting.append((threshold, waiter))
-        self._close_waiters = still_waiting
-
-    def _finalize_deferred(self) -> Generator:
-        if self.finalize_fd is not None:
-            for fd in sorted(self.cache.tables.deferred_close):
-                if self.cache.tables.pending_by_fd.get(fd, 0) == 0:
-                    yield from self.finalize_fd(fd)
-        self._fire_close_waiters()
-
     # -- the thread body ---------------------------------------------------
 
     def _run(self) -> Generator:
@@ -1213,7 +954,7 @@ class WritebackThread:
                       or bool(self.cache._slot_waiters)
                       or self._kick
                       or dirty >= self.high_slots
-                      or len(self.cache.tables.deferred_close) > 64
+                      or len(self.tables.deferred_close) > 64
                       or (self.env.now - self._last_progress
                           >= self.config.paging_idle_flush))
             if not urgent:
@@ -1261,6 +1002,11 @@ class WritebackThread:
                 txn = slot.txn
                 data = yield from nvmm.timed_load(
                     store.data_addr(slot.index), page_size)
+                if slot.state != SLOT_DIRTY or slot.txn != txn:
+                    # Superseded during the load: the slot is free (or
+                    # already reused), its nv_file/fd gone. The newer
+                    # version is dirty in its own slot; skip this one.
+                    continue
                 # The acked size bounds what the backend may see: the
                 # slot holds a zero-padded full page.
                 length = min(page_size, slot.nv_file.size - base)
@@ -1337,8 +1083,6 @@ def recover_paging(env: Environment, kernel, nvmm: NvmmDevice,
     and are invisible here by construction. Ends by durably emptying
     the page table. Returns a :class:`~repro.core.recovery.RecoveryReport`.
     """
-    from .recovery import RecoveryReport
-
     store = PagingStore(env, nvmm, config)
     report = RecoveryReport()
     committed = store.committed_txn()

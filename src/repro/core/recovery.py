@@ -27,7 +27,7 @@ from ..kernel.errno import ENOENT
 from ..kernel.fd_table import O_CREAT, O_RDWR
 from ..nvmm import NvmmDevice
 from ..sim import Environment
-from .config import NvcacheConfig
+from .config import NvcacheConfig, cache_mode_row
 from .log import NvmmLog, OP_CREATE, OP_RENAME, OP_TRUNCATE, OP_UNLINK
 
 
@@ -50,20 +50,19 @@ class RecoveryReport:
 
 def recover(env: Environment, kernel, nvmm: NvmmDevice,
             config: NvcacheConfig) -> Generator:
-    """Replay the NVMM log into the kernel. Returns a RecoveryReport.
+    """Replay what ``config.cache_mode`` persisted in NVMM into the
+    kernel, through the mode's recover function (its ``CACHE_MODES``
+    row). Returns a RecoveryReport.
 
     ``nvmm`` is the post-crash device (media image, empty CPU cache);
     ``kernel`` is the freshly booted kernel of the same machine.
-
-    Dispatches on ``config.cache_mode``: paging mode persists a page
-    table instead of a log and recovers via
-    :func:`repro.core.paging.recover_paging` (nvlog-lite shares the
-    logging layout and recovers here).
     """
-    if config.cache_mode == "paging":
-        from .paging import recover_paging
-        report = yield from recover_paging(env, kernel, nvmm, config)
-        return report
+    return cache_mode_row(config.cache_mode)[2](env, kernel, nvmm, config)
+
+
+def recover_log(env: Environment, kernel, nvmm: NvmmDevice,
+                config: NvcacheConfig) -> Generator:
+    """Replay the NVMM log (the logging and nvlog-lite layout)."""
     log = NvmmLog(env, nvmm, config)
     report = RecoveryReport()
     paths = log.all_paths()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, Optional
 
 from ..block import BlockTiming, SsdDevice
-from ..core import Nvcache, NvcacheConfig, NvlogLite, NvmmLog, PagingCache, PagingStore
+from ..core import CacheFacade, NvcacheConfig, cache_mode_row
 from ..fs import DmWriteCache, Ext4, Ext4Dax, Nova, Tmpfs
 from ..kernel import Kernel
 from ..libc import Libc, NvcacheLibc
@@ -146,11 +146,10 @@ class StorageStack:
     env: Environment
     kernel: Kernel
     libc: Libc
-    #: The cache instance when the stack has one — an
-    #: :class:`~repro.core.Nvcache` (logging), :class:`~repro.core.NvlogLite`
-    #: (nvlog-lite), or :class:`~repro.core.PagingCache` (paging); all
-    #: three share the facade contract (``cleanup``, ``shutdown`` …).
-    nvcache: Optional[Nvcache] = None
+    #: The cache instance when the stack has one: the class its mode's
+    #: ``CACHE_MODES`` row names, always a
+    #: :class:`~repro.core.CacheFacade` (``cleanup``, ``shutdown`` …).
+    nvcache: Optional[CacheFacade] = None
     devices: Dict[str, object] = field(default_factory=dict)
     #: Populated when built with ``metrics=True`` (see repro.obs); every
     #: layer of the stack self-registers its counters/gauges/histograms.
@@ -191,11 +190,12 @@ def build_stack(name: str, scale: Scale = DEFAULT_SCALE,
     """Construct one of the seven evaluated stacks.
 
     For the nvcache stacks, ``cache_mode`` selects the cache design
-    point (``"logging"`` — the paper's log + DRAM read cache,
-    ``"paging"`` — the NVMM page-table cache, ``"nvlog-lite"`` — the
-    log without a read cache) and ``policy`` the eviction/promotion
-    policy (docs/POLICIES.md). Both default to the values already in
-    ``config`` when one is supplied; a non-default argument wins.
+    point (a ``repro.core.CACHE_MODES`` name: logging — the paper's
+    log + DRAM read cache, paging — the NVMM page-table cache,
+    nvlog-lite — the log without a read cache) and ``policy`` the
+    eviction/promotion policy (docs/POLICIES.md). Both default to the
+    values already in ``config`` when one is supplied; a non-default
+    argument wins.
 
     ``ssd_timing`` replaces the calibrated SATA service-time model of
     the SSD-backed stacks — the capacity explorer's "SSD drain rate"
@@ -283,17 +283,11 @@ def build_stack(name: str, scale: Scale = DEFAULT_SCALE,
             overrides["policy"] = policy
         if overrides:
             cache_config = replace(cache_config, **overrides)
-        if cache_config.cache_mode == "paging":
-            log_nvmm = NvmmDevice(
-                env, size=PagingStore.required_size(cache_config),
-                name="pmem0")
-            nvcache = PagingCache(env, kernel, log_nvmm, cache_config)
-        else:
-            log_nvmm = NvmmDevice(
-                env, size=NvmmLog.required_size(cache_config), name="pmem0")
-            cache_cls = (NvlogLite if cache_config.cache_mode == "nvlog-lite"
-                         else Nvcache)
-            nvcache = cache_cls(env, kernel, log_nvmm, cache_config)
+        cache_cls, required_size, _recover = cache_mode_row(
+            cache_config.cache_mode)
+        log_nvmm = NvmmDevice(env, size=required_size(cache_config),
+                              name="pmem0")
+        nvcache = cache_cls(env, kernel, log_nvmm, cache_config)
         devices["log_nvmm"] = log_nvmm
         return StorageStack(name, env, kernel, NvcacheLibc(nvcache),
                             nvcache=nvcache, devices=devices,

@@ -2,12 +2,11 @@
 
 In the paper, NVCache patches musl so that the I/O functions of libc go
 through the cache instead of the kernel. In the simulation an application
-receives a ``Libc`` object and calls POSIX functions on it:
-
-- :class:`Libc` forwards everything to the simulated kernel (stock musl);
-- :class:`NvcacheLibc` forwards the intercepted functions of paper
-  Table III to an :class:`~repro.core.nvcache.Nvcache` instance — this is
-  the "replace the libc shared object" deployment step.
+receives a ``Libc`` object and calls POSIX functions on it. There is one
+implementation of that surface (paper Table III): every method of
+:class:`Libc` forwards to ``self.target`` — the simulated kernel for
+stock musl, a cache (any ``CACHE_MODES`` mode) for :class:`NvcacheLibc`,
+which is the "replace the libc shared object" deployment step.
 
 Applications written against this interface run unmodified on either,
 which is exactly the paper's legacy-compatibility claim.
@@ -34,89 +33,94 @@ class Libc:
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self.env = kernel.env
+        self.target = kernel  # what every call below forwards to
 
     # -- unbuffered I/O ----------------------------------------------------
 
     @traced("libc", "open")
     def open(self, path: str, flags: int = 0, mode: int = 0o644) -> Generator:
-        fd = yield from self.kernel.open(path, flags, mode)
+        fd = yield from self.target.open(path, flags, mode)
         return fd
 
     @traced("libc", "close")
     def close(self, fd: int) -> Generator:
-        result = yield from self.kernel.close(fd)
+        result = yield from self.target.close(fd)
         return result
 
     @traced("libc", "read")
     def read(self, fd: int, nbytes: int) -> Generator:
-        data = yield from self.kernel.read(fd, nbytes)
+        data = yield from self.target.read(fd, nbytes)
         return data
 
     @traced("libc", "write")
     def write(self, fd: int, data: bytes) -> Generator:
-        written = yield from self.kernel.write(fd, data)
+        written = yield from self.target.write(fd, data)
         return written
 
     @traced("libc", "pread")
     def pread(self, fd: int, nbytes: int, offset: int) -> Generator:
-        data = yield from self.kernel.pread(fd, nbytes, offset)
+        data = yield from self.target.pread(fd, nbytes, offset)
         return data
 
     @traced("libc", "pwrite")
     def pwrite(self, fd: int, data: bytes, offset: int) -> Generator:
-        written = yield from self.kernel.pwrite(fd, data, offset)
+        written = yield from self.target.pwrite(fd, data, offset)
         return written
 
     def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> Generator:
-        position = yield from self.kernel.lseek(fd, offset, whence)
+        position = yield from self.target.lseek(fd, offset, whence)
         return position
 
     @traced("libc", "fsync")
     def fsync(self, fd: int) -> Generator:
-        result = yield from self.kernel.fsync(fd)
+        result = yield from self.target.fsync(fd)
         return result
 
     @traced("libc", "fdatasync")
     def fdatasync(self, fd: int) -> Generator:
-        result = yield from self.kernel.fdatasync(fd)
+        result = yield from self.target.fdatasync(fd)
         return result
 
     @traced("libc", "sync")
     def sync(self) -> Generator:
-        result = yield from self.kernel.sync()
+        result = yield from self.target.sync()
         return result
 
     def stat(self, path: str) -> Generator:
-        st = yield from self.kernel.stat(path)
+        st = yield from self.target.stat(path)
         return st
 
     def fstat(self, fd: int) -> Generator:
-        st = yield from self.kernel.fstat(fd)
+        st = yield from self.target.fstat(fd)
         return st
 
     def unlink(self, path: str) -> Generator:
-        result = yield from self.kernel.unlink(path)
+        result = yield from self.target.unlink(path)
         return result
 
     def rename(self, old: str, new: str) -> Generator:
-        result = yield from self.kernel.rename(old, new)
+        result = yield from self.target.rename(old, new)
         return result
 
     def mkdir(self, path: str) -> Generator:
-        result = yield from self.kernel.mkdir(path)
+        result = yield from self.target.mkdir(path)
         return result
 
     def ftruncate(self, fd: int, size: int) -> Generator:
-        result = yield from self.kernel.ftruncate(fd, size)
+        result = yield from self.target.ftruncate(fd, size)
         return result
 
     def flock(self, fd: int, operation: int) -> Generator:
-        result = yield from self.kernel.flock(fd, operation)
+        result = yield from self.target.flock(fd, operation)
         return result
 
 
 class NvcacheLibc(Libc):
     """musl with NVCache spliced into the I/O functions (paper §III).
+
+    Defines no I/O method of its own: every cache mode implements the
+    whole surface (:class:`~repro.core.nvcache.CacheFacade`), so
+    splicing it in is re-pointing ``target``.
 
     The stdio family (fopen/fread/fwrite in :mod:`repro.libc.stdio`) is
     redirected to the *unbuffered* versions automatically because it is
@@ -128,80 +132,4 @@ class NvcacheLibc(Libc):
     def __init__(self, nvcache):
         super().__init__(nvcache.kernel)
         self.nvcache = nvcache
-
-    @traced("libc", "open")
-    def open(self, path, flags=0, mode=0o644):
-        fd = yield from self.nvcache.open(path, flags, mode)
-        return fd
-
-    @traced("libc", "close")
-    def close(self, fd):
-        result = yield from self.nvcache.close(fd)
-        return result
-
-    @traced("libc", "read")
-    def read(self, fd, nbytes):
-        data = yield from self.nvcache.read(fd, nbytes)
-        return data
-
-    @traced("libc", "write")
-    def write(self, fd, data):
-        written = yield from self.nvcache.write(fd, data)
-        return written
-
-    @traced("libc", "pread")
-    def pread(self, fd, nbytes, offset):
-        data = yield from self.nvcache.pread(fd, nbytes, offset)
-        return data
-
-    @traced("libc", "pwrite")
-    def pwrite(self, fd, data, offset):
-        written = yield from self.nvcache.pwrite(fd, data, offset)
-        return written
-
-    def lseek(self, fd, offset, whence=SEEK_SET):
-        position = yield from self.nvcache.lseek(fd, offset, whence)
-        return position
-
-    @traced("libc", "fsync")
-    def fsync(self, fd):
-        result = yield from self.nvcache.fsync(fd)
-        return result
-
-    @traced("libc", "fdatasync")
-    def fdatasync(self, fd):
-        result = yield from self.nvcache.fdatasync(fd)
-        return result
-
-    @traced("libc", "sync")
-    def sync(self):
-        result = yield from self.nvcache.sync()
-        return result
-
-    def stat(self, path):
-        st = yield from self.nvcache.stat(path)
-        return st
-
-    def fstat(self, fd):
-        st = yield from self.nvcache.fstat(fd)
-        return st
-
-    def unlink(self, path):
-        result = yield from self.nvcache.unlink(path)
-        return result
-
-    def rename(self, old, new):
-        result = yield from self.nvcache.rename(old, new)
-        return result
-
-    def mkdir(self, path):
-        result = yield from self.nvcache.mkdir(path)
-        return result
-
-    def ftruncate(self, fd, size):
-        result = yield from self.nvcache.ftruncate(fd, size)
-        return result
-
-    def flock(self, fd, operation):
-        result = yield from self.nvcache.flock(fd, operation)
-        return result
+        self.target = nvcache

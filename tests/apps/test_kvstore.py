@@ -96,6 +96,42 @@ def test_flush_and_compaction_preserve_data(any_libc):
     assert compactions >= 1
 
 
+def test_overwrites_across_flushes_and_compaction_read_newest(any_libc):
+    """Regression: compaction merged the older level over the newer one,
+    so a key rewritten after its first version reached the next level
+    read back stale once the two met in a merge."""
+    env, libc = any_libc
+    keys = 20
+
+    def body():
+        db = yield from MiniRocks.open(libc, "/kv", SMALL)
+
+        def write_round(generation):
+            for i in range(keys):
+                yield from db.put(f"key{i:04d}".encode(),
+                                  f"gen{generation}-{i}".encode())
+            # Distinct filler keys push the round through several
+            # flushes and at least one compaction into the next level.
+            for i in range(200):
+                yield from db.put(f"fill{generation}-{i:04d}".encode(), b"x" * 32)
+
+        yield from write_round(0)
+        before = db.stats.compactions
+        yield from write_round(1)
+        stale = []
+        for i in range(keys):
+            value = yield from db.get(f"key{i:04d}".encode())
+            if value != f"gen1-{i}".encode():
+                stale.append((i, value))
+        stats = db.stats
+        yield from db.close()
+        return stale, stats.flushes, before, stats.compactions
+
+    stale, flushes, before, compactions = env.run_process(body())
+    assert flushes >= 2 and before >= 1 and compactions > before
+    assert stale == []
+
+
 def test_reopen_recovers_from_manifest_and_wal(any_libc):
     env, libc = any_libc
 

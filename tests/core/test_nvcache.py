@@ -47,23 +47,6 @@ def test_write_is_durable_without_any_syscall(stack):
     assert nv.log.read_data(0) == b"durable!"
 
 
-def test_fsync_is_ignored(stack):
-    env, _kernel, ssd, _nvmm, nv = stack
-
-    def body():
-        fd = yield from nv.open("/f", O_CREAT | O_WRONLY)
-        yield from nv.pwrite(fd, b"x" * 4096, 0)
-        start = env.now
-        yield from nv.fsync(fd)
-        yield from nv.fdatasync(fd)
-        yield from nv.sync()
-        return env.now - start
-
-    elapsed = run(env, body())
-    assert elapsed == 0.0
-    assert nv.stats.fsyncs_ignored == 3
-
-
 def test_cleanup_propagates_to_kernel(stack):
     env, kernel, ssd, _nvmm, nv = stack
 
@@ -206,16 +189,6 @@ def test_read_from_wronly_fd_fails(stack):
     with pytest.raises(KernelError) as exc:
         run(env, body())
     assert exc.value.errno == EBADF
-
-
-def test_unknown_fd_rejected(stack):
-    env, _kernel, _ssd, _nvmm, nv = stack
-
-    def body():
-        yield from nv.pread(99, 1, 0)
-
-    with pytest.raises(KernelError):
-        run(env, body())
 
 
 def test_close_is_fast_and_defers_kernel_close(stack):

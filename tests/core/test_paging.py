@@ -282,3 +282,41 @@ def test_read_only_open_bypasses_staging():
         yield from cache.close(fd)
 
     env.run_process(write_denied())
+
+
+def test_writeback_survives_supersede_during_page_load():
+    """Regression: ``_flush_batch`` validated a slot, yielded on the NVMM
+    load of its page, then dereferenced ``slot.nv_file`` — which a writer
+    superseding the slot during that load had already cleared, killing
+    the writeback thread. Sweep an overwrite across every offset into a
+    flush; the thread must survive and the newest bytes reach the SSD."""
+    flush_at = 1e-3  # first writeback tick: the drain request makes it flush
+
+    def one(offset):
+        env, kernel, _nvmm, cache = make_paging_stack()
+        state = {}
+
+        def first():
+            state["fd"] = yield from cache.open("/a", O_CREAT | O_RDWR)
+            yield from cache.pwrite(state["fd"], b"o" * PAGE, 0)
+            drained = cache.cleanup.request_drain()
+            yield env.timeout(flush_at + offset - env.now)
+            yield from cache.pwrite(state["fd"], b"n" * PAGE, 0)
+            yield drained
+            yield cache.cleanup.request_drain()
+            yield from cache.close(state["fd"])
+
+        env.run_process(first())
+        assert cache.cleanup._process.alive, f"writeback died at {offset}"
+        cache.check_invariants()
+
+        def readback():
+            fd = yield from kernel.open("/a", O_RDONLY)
+            data = yield from kernel.pread(fd, PAGE, 0)
+            yield from kernel.close(fd)
+            return data
+
+        assert env.run_process(readback()) == b"n" * PAGE, offset
+
+    for step in range(-40, 41):
+        one(step * 0.5e-6)

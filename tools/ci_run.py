@@ -39,7 +39,9 @@ Suites (``--suite``, repeatable):
   crash sweep (``tools/crash_explore.py --workload fio-paging
   --check``) proves the five durability invariants hold for the page
   table, and the mode-equivalence property tests pin logging/paging
-  byte-identity after recovery.
+  byte-identity after recovery alongside the facade contract table
+  (every ``CACHE_MODES`` mode shows the same POSIX surface; no shared
+  method is forked back into a mode).
 - ``capacity`` — the capacity-explorer gate (docs/CAPACITY.md):
   **required** — ``tools/capacity_report.py --check --jobs 2`` sweeps
   the seeded demo grid sharded over two workers and asserts its
@@ -239,7 +241,7 @@ def suite_steps(suite: str, jobs: int) -> List[Step]:
                  env_extra=dict(SRC_ENV), timeout=600),
             Step("policy-equivalence",
                  _py("-m", "pytest", "tests/core/test_mode_equivalence.py",
-                     "-q"),
+                     "tests/core/test_facade_contract.py", "-q"),
                  env_extra=dict(SRC_ENV), timeout=600),
         ],
         "capacity": [Step("capacity-grid",
