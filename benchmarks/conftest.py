@@ -13,28 +13,15 @@ events dispatched, not with simulated seconds (see "Simulator
 performance model" in DESIGN.md). At the default scale of 512 the full
 benchmark suite is minutes of wall time; at 64 expect closer to an hour.
 Simulated results (throughputs, ratios, knees) are scale-stable within
-the tolerances asserted here; wall-clock throughput of the engine itself
-is tracked separately in BENCH_engine.json by ``test_engine_speed.py``
-(marked ``engine_bench``, excluded from tier-1 and from default
-benchmark runs' assertions — wall-clock numbers are host-dependent).
+the tolerances asserted here. How fast the simulator itself runs — and
+where host time goes, layer by layer — is the job of the two-clock
+benchmark (``BENCHMARK.json`` + ``bench/``, see ``bench/README.md``),
+not of this directory.
 
 Run with::
 
     pytest benchmarks/ --benchmark-only -s
     REPRO_SCALE=256 pytest benchmarks/ --benchmark-only -s   # bigger runs
-    pytest benchmarks/test_engine_speed.py -m engine_bench -s  # engine speed
-
-Sharding: every figure/table is a matrix of independent deterministic
-cells, so the suite splits cleanly across processes or CI runners::
-
-    pytest benchmarks --shard-index 0 --shard-count 4 &   # one quarter
-    pytest benchmarks --shard-index 1 --shard-count 4 &   # another ...
-
-Cells are assigned round-robin over the *sorted* node-id list, so the
-partition is deterministic: the same (index, count) always selects the
-same cells, every cell lands in exactly one shard, and the union of all
-shards is the full suite (pinned by ``tests/parallel``). See
-docs/BENCHMARKING.md and docs/CI.md.
 """
 
 import os
@@ -42,38 +29,6 @@ import os
 import pytest
 
 from repro.harness import Scale
-
-
-def pytest_addoption(parser):
-    group = parser.getgroup("shard", "deterministic benchmark sharding")
-    group.addoption("--shard-index", type=int, default=0,
-                    help="which shard of the benchmark matrix to run "
-                         "(0-based)")
-    group.addoption("--shard-count", type=int, default=1,
-                    help="total number of shards the matrix is split into")
-
-
-def shard_assignments(node_ids, count):
-    """node id -> shard index, round-robin over the sorted id list (a
-    pure function of the collected set, never of collection order)."""
-    return {node_id: position % count
-            for position, node_id in enumerate(sorted(node_ids))}
-
-
-def pytest_collection_modifyitems(config, items):
-    count = config.getoption("--shard-count")
-    index = config.getoption("--shard-index")
-    if count <= 1:
-        return
-    if not 0 <= index < count:
-        raise pytest.UsageError(
-            f"--shard-index {index} outside [0, {count})")
-    owner = shard_assignments([item.nodeid for item in items], count)
-    keep = [item for item in items if owner[item.nodeid] == index]
-    drop = [item for item in items if owner[item.nodeid] != index]
-    if drop:
-        config.hook.pytest_deselected(items=drop)
-    items[:] = keep
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,15 @@
 """Docs/tooling smoke runs (``docs_check`` marker, outside tier-1).
 
 Everything here shells out, because the point is that the *commands the
-documentation tells people to run* actually run: ``tools/check_docs.py``
-(docs drift), ``tools/metrics_report.py`` (the dashboard and its export
-modes), ``tools/tenant_report.py`` (the multi-tenant fairness CLI and
-its gates), ``tools/capacity_report.py`` (the capacity explorer: check
-gate, exact diffs, heatmap), and the ``examples/`` scripts.
+documentation tells people to run* actually run. One ``check(argv, rc,
+*needles)`` helper, one ``COMMANDS`` row per documented command whose
+contract is "this exit code, these strings on stdout"; commands whose
+JSON is inspected get a short test each on top of the same helper. The
+shared ``--help`` / unknown-flag / one-JSON-document / ``--jobs``
+contract of the tools is tier-1 (``tests/test_tool_contracts.py``).
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,123 +21,111 @@ pytestmark = pytest.mark.docs_check
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+DEMO_DIFF = ("--diff", "tenants=4,log_kib=64", "tenants=4,log_kib=128")
 
-def run_script(*argv, timeout=120):
+
+def check(argv, rc=0, *needles, timeout=300):
+    """Run ``python *argv`` from the repo root; assert the exit code and
+    that every needle is on stdout; return the completed process."""
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
     env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
                          if env.get("PYTHONPATH") else src)
-    return subprocess.run([sys.executable, *argv], cwd=REPO_ROOT, env=env,
-                          capture_output=True, text=True, timeout=timeout)
+    result = subprocess.run([sys.executable, *argv], cwd=REPO_ROOT, env=env,
+                            capture_output=True, text=True, timeout=timeout)
+    assert result.returncode == rc, (result.stdout + result.stderr)[-2000:]
+    for needle in needles:
+        assert needle in result.stdout, f"{needle!r} not on stdout"
+    return result
 
 
-def test_check_docs_passes():
-    result = run_script("tools/check_docs.py")
-    assert result.returncode == 0, result.stderr
-    assert "all documented" in result.stdout
+def check_json(argv):
+    return json.loads(check([*argv, "--json"]).stdout)
+
+
+#: (argv, exit code, strings that must be on stdout)
+COMMANDS = [
+    (["tools/check_docs.py"], 0, "all documented"),
+    (["tools/ci_run.py", "--suite", "docs", "--dry-run"], 0,
+     "-m pytest smoke -m docs_check -q"),
+    (["tools/ci_run.py", "--suite", "capacity", "--dry-run"], 0,
+     "tools/capacity_report.py --check --jobs 2"),
+    (["tools/metrics_report.py", "--size-mib", "1"], 0,
+     "read-cache hit ratio", "log occupancy", "p99 write latency",
+     "[core]", "[nvmm]", "[block]"),
+    (["tools/metrics_report.py", "--size-mib", "1", "--export", "prom"], 0,
+     "# TYPE core_nvcache_writes_ops counter", "_bucket{le="),
+    (["tools/metrics_report.py", "--size-mib", "1", "--trace"], 0,
+     "p99 write latency exemplar", "trace "),
+    (["tools/metrics_report.py", "--system", "dm-writecache+ssd",
+      "--size-mib", "1"], 0, "block.dm_writecache.occupancy"),
+    (["tools/trace_report.py", "--size-mib", "0.5"], 0,
+     "spans by name:", "libc.pwrite", "critical-path attribution",
+     "tail exemplars:"),
+    (["tools/capacity_report.py", "--check", "--jobs", "2"], 0,
+     "check OK", "knees"),
+    (["tools/capacity_report.py", *DEMO_DIFF], 0,
+     "latency moved from", "sum(deltas) == end-to-end delta: exact"),
+    (["tools/tenant_report.py", "--tenants", "16", "--ops", "4"], 0,
+     "Jain index", "per class:", "slowest tenants"),
+    (["tools/tenant_report.py", "--verify-sharding", "--seeds", "2",
+      "--jobs", "2"], 0, "byte-identical"),
+] + [([os.path.join("examples", script)], 0) for script in (
+    "quickstart.py", "trace_profile.py", "log_saturation.py",
+    "multi_instance.py", "legacy_database.py", "inspect_crash.py",
+    "multi_tenant.py")]
+
+
+@pytest.mark.parametrize(
+    "argv, rc, needles", [(row[0], row[1], row[2:]) for row in COMMANDS],
+    ids=[" ".join(os.path.basename(arg) for arg in row[0])
+         for row in COMMANDS])
+def test_documented_command(argv, rc, needles):
+    check(argv, rc, *needles)
+
+
+def test_ci_run_dry_run_lists_the_tier1_command():
+    line = check(["tools/ci_run.py", "--suite", "tier1",
+                  "--dry-run"]).stdout.strip()
+    assert line.startswith("PYTHONPATH=src ")
+    assert line.endswith("-m pytest -x -q")
 
 
 def test_check_docs_json_summary():
-    result = run_script("tools/check_docs.py", "--json")
-    assert result.returncode == 0, result.stderr
-    summary = json.loads(result.stdout)
+    summary = check_json(["tools/check_docs.py"])
     assert summary["ok"] is True
     assert summary["undocumented"] == [] and summary["stale"] == []
     assert summary["registered"] >= 100
 
 
-def test_ci_run_dry_run_lists_the_tier1_command():
-    result = run_script("tools/ci_run.py", "--suite", "tier1", "--dry-run")
-    assert result.returncode == 0, result.stderr
-    line = result.stdout.strip()
-    assert line.startswith("PYTHONPATH=src ")
-    assert line.endswith("-m pytest -x -q")
-
-
-def test_ci_run_docs_suite_reproduces_this_marker():
-    result = run_script("tools/ci_run.py", "--suite", "docs", "--dry-run")
-    assert result.returncode == 0, result.stderr
-    assert "-m pytest smoke -m docs_check -q" in result.stdout
-
-
-def test_check_docs_detects_missing_metric(tmp_path):
-    # Remove one documented name; the checker must fail and name it.
-    doc_path = os.path.join(REPO_ROOT, "docs", "OBSERVABILITY.md")
-    with open(doc_path) as handle:
+def test_check_docs_detects_missing_metric():
+    # Remove one documented name; the checker must name it as missing.
+    with open(os.path.join(REPO_ROOT, "docs", "OBSERVABILITY.md")) as handle:
         doc = handle.read()
     broken = doc.replace("`core.nvcache.hit_ratio`", "`(redacted)`")
     assert broken != doc
-    tmp_doc = tmp_path / "OBSERVABILITY.md"
-    tmp_doc.write_text(broken)
-
-    import importlib.util
     spec = importlib.util.spec_from_file_location(
         "check_docs", os.path.join(REPO_ROOT, "tools", "check_docs.py"))
     check_docs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(check_docs)
-    registered = check_docs.registered_names()
-    documented = check_docs.documented_names(broken)
-    assert "core.nvcache.hit_ratio" in registered - documented
-
-
-def test_metrics_report_dashboard():
-    result = run_script("tools/metrics_report.py", "--size-mib", "1")
-    assert result.returncode == 0, result.stderr
-    out = result.stdout
-    assert "read-cache hit ratio" in out
-    assert "log occupancy" in out
-    assert "p99 write latency" in out
-    assert "[core]" in out and "[nvmm]" in out and "[block]" in out
-
-
-def test_metrics_report_prometheus_export():
-    result = run_script("tools/metrics_report.py", "--size-mib", "1",
-                        "--export", "prom")
-    assert result.returncode == 0, result.stderr
-    assert "# TYPE core_nvcache_writes_ops counter" in result.stdout
-    assert "_bucket{le=" in result.stdout
+    missing = check_docs.registered_names() \
+        - check_docs.documented_names(broken)
+    assert "core.nvcache.hit_ratio" in missing
 
 
 def test_metrics_report_json_export():
-    result = run_script("tools/metrics_report.py", "--size-mib", "1",
-                        "--export", "json")
-    assert result.returncode == 0, result.stderr
-    snapshot = json.loads(result.stdout)
+    snapshot = json.loads(check(["tools/metrics_report.py", "--size-mib", "1",
+                                 "--export", "json"]).stdout)
     by_name = {m["name"]: m for m in snapshot["metrics"]}
     assert by_name["core.nvcache.writes"]["value"] > 0
 
 
-def test_metrics_report_traced_exemplars():
-    result = run_script("tools/metrics_report.py", "--size-mib", "1",
-                        "--trace")
-    assert result.returncode == 0, result.stderr
-    assert "p99 write latency exemplar" in result.stdout
-    assert "trace " in result.stdout
-
-
-def test_trace_report_summary():
-    result = run_script("tools/trace_report.py", "--size-mib", "0.5")
-    assert result.returncode == 0, result.stderr
-    out = result.stdout
-    assert "spans by name:" in out
-    assert "libc.pwrite" in out
-    assert "critical-path attribution" in out
-    assert "tail exemplars:" in out
-
-
 def test_trace_report_tree_and_export(tmp_path):
-    listing = run_script("tools/trace_report.py", "--size-mib", "0.25",
-                         "--list")
-    assert listing.returncode == 0, listing.stderr
-    first_trace = listing.stdout.split()[1]
-    tree = run_script("tools/trace_report.py", "--size-mib", "0.25",
-                      "--trace", first_trace)
-    assert tree.returncode == 0, tree.stderr
-
+    base = ["tools/trace_report.py", "--size-mib", "0.25"]
+    first_trace = check([*base, "--list"]).stdout.split()[1]
+    check([*base, "--trace", first_trace])
     export_path = tmp_path / "trace.json"
-    export = run_script("tools/trace_report.py", "--size-mib", "0.25",
-                        "--export", str(export_path))
-    assert export.returncode == 0, export.stderr
+    check([*base, "--export", str(export_path)])
     with open(export_path) as handle:
         events = json.load(handle)["traceEvents"]
     phases = {event["ph"] for event in events}
@@ -143,49 +133,26 @@ def test_trace_report_tree_and_export(tmp_path):
 
 
 def test_trace_report_json_summary():
-    result = run_script("tools/trace_report.py", "--size-mib", "0.25",
-                        "--json")
-    assert result.returncode == 0, result.stderr
-    summary = json.loads(result.stdout)
+    summary = check_json(["tools/trace_report.py", "--size-mib", "0.25"])
     assert summary["spans"] > 0 and summary["dropped"] == 0
     assert "libc.pwrite" in summary["spans_by_name"]
     assert summary["attribution"]
 
 
 def test_trace_report_attribution_json_schema():
-    result = run_script("tools/trace_report.py", "--size-mib", "0.25",
-                        "--attribution", "--json")
-    assert result.returncode == 0, result.stderr
-    payload = json.loads(result.stdout)
+    payload = check_json(["tools/trace_report.py", "--size-mib", "0.25",
+                          "--attribution"])
     assert payload["schema"] == "repro.attribution/1"
     assert payload["total_ps"] == sum(payload["segments_ps"].values())
     assert all(isinstance(v, int) for v in payload["segments_ps"].values())
 
 
-def test_capacity_report_check_gate():
-    result = run_script("tools/capacity_report.py", "--check", "--jobs", "2",
-                        timeout=300)
-    assert result.returncode == 0, result.stderr
-    assert "check OK" in result.stdout
-    assert "knees" in result.stdout
-
-
 def test_capacity_report_diff_is_exact():
     # The acceptance criterion: the per-segment deltas of a demo-grid
     # diff sum EXACTLY to the end-to-end latency delta.
-    result = run_script("tools/capacity_report.py", "--json", "--diff",
-                        "tenants=4,log_kib=64", "tenants=4,log_kib=128",
-                        timeout=300)
-    assert result.returncode == 0, result.stderr
-    diff = json.loads(result.stdout)
+    diff = check_json(["tools/capacity_report.py", *DEMO_DIFF])
     assert diff["exact"] is True
     assert sum(diff["deltas_ps"].values()) == diff["total_delta_ps"]
-    human = run_script("tools/capacity_report.py", "--diff",
-                       "tenants=4,log_kib=64", "tenants=4,log_kib=128",
-                       timeout=300)
-    assert human.returncode == 0, human.stderr
-    assert "latency moved from" in human.stdout
-    assert "sum(deltas) == end-to-end delta: exact" in human.stdout
 
 
 def test_capacity_report_check_fails_on_wrong_expectation(tmp_path):
@@ -199,70 +166,20 @@ def test_capacity_report_check_fails_on_wrong_expectation(tmp_path):
                               "segment": "core.retire"}]}
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(spec))
-    result = run_script("tools/capacity_report.py", "--grid-file",
-                        str(path), "--check", timeout=300)
-    assert result.returncode == 1
+    result = check(["tools/capacity_report.py", "--grid-file", str(path),
+                    "--check"], 1)
     assert "check FAILED" in result.stderr
 
 
 def test_capacity_report_html_heatmap(tmp_path):
     out = tmp_path / "capacity.html"
-    result = run_script("tools/capacity_report.py", "--html", str(out),
-                        "--jobs", "2", timeout=300)
-    assert result.returncode == 0, result.stderr
+    check(["tools/capacity_report.py", "--html", str(out), "--jobs", "2"])
     html = out.read_text()
     assert "capacity map" in html and "tenants=" in html
 
 
-def test_ci_run_capacity_suite_dry_run():
-    result = run_script("tools/ci_run.py", "--suite", "capacity",
-                        "--dry-run")
-    assert result.returncode == 0, result.stderr
-    assert "tools/capacity_report.py --check --jobs 2" in result.stdout
-
-
-def test_metrics_report_dm_writecache():
-    result = run_script("tools/metrics_report.py", "--system",
-                        "dm-writecache+ssd", "--size-mib", "1")
-    assert result.returncode == 0, result.stderr
-    assert "block.dm_writecache.occupancy" in result.stdout
-
-
-def test_tenant_report_dashboard():
-    result = run_script("tools/tenant_report.py", "--tenants", "16",
-                        "--ops", "4")
-    assert result.returncode == 0, result.stderr
-    out = result.stdout
-    assert "Jain index" in out
-    assert "per class:" in out
-    assert "slowest tenants" in out
-
-
 def test_tenant_report_check_gate_json():
-    result = run_script("tools/tenant_report.py", "--tenants", "16",
-                        "--ops", "4", "--check", "--json")
-    assert result.returncode == 0, result.stderr
-    summary = json.loads(result.stdout)
+    summary = check_json(["tools/tenant_report.py", "--tenants", "16",
+                          "--ops", "4", "--check"])
     assert summary["engine"]["completed"] == summary["engine"]["requests"]
     assert summary["jain"] >= 0.8
-
-
-def test_tenant_report_verify_sharding():
-    result = run_script("tools/tenant_report.py", "--verify-sharding",
-                        "--seeds", "2", "--jobs", "2", timeout=300)
-    assert result.returncode == 0, result.stderr
-    assert "byte-identical" in result.stdout
-
-
-@pytest.mark.parametrize("script", [
-    "quickstart.py",
-    "trace_profile.py",
-    "log_saturation.py",
-    "multi_instance.py",
-    "legacy_database.py",
-    "inspect_crash.py",
-    "multi_tenant.py",
-])
-def test_example_scripts_run(script):
-    result = run_script(os.path.join("examples", script), timeout=300)
-    assert result.returncode == 0, (result.stdout + result.stderr)[-2000:]

@@ -18,12 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..parallel import ShardEngine, Task
+from ..parallel import ShardEngine
 from .grid import GridSpec
-
-#: Per-cell deadline in parallel mode (seconds); demo-scale cells run
-#: in ~1 s, so a cell pinned for minutes is wedged, not slow.
-CELL_TIMEOUT = 600.0
 
 
 class SweepMetrics:
@@ -67,13 +63,10 @@ def run_grid(spec: GridSpec, jobs: int = 1,
     cells = list(spec.cells())
     if metrics is not None:
         metrics.cells_planned.set(len(cells))
-    tasks = [Task(key=(index,), fn="repro.capacity.cell:run_cell",
-                  args=(params,), timeout=CELL_TIMEOUT)
-             for index, params in enumerate(cells)]
-    engine = ShardEngine(jobs=jobs)
+    outcomes = ShardEngine(jobs=jobs).map(
+        "repro.capacity.cell:run_cell", [(params,) for params in cells])
     results: List[Dict] = []
-    for outcome in engine.run(tasks):
-        params = cells[outcome.key[0]]
+    for params, outcome in zip(cells, outcomes):
         if outcome.ok:
             results.append(outcome.value)
             if metrics is not None:

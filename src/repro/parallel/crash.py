@@ -20,13 +20,14 @@ enumeration pass is paid once per worker, not once per shard.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults.explorer import (CaseResult, CrashExplorer, ExplorationError,
                                ExplorationResult)
 from ..faults.workloads import PHASED_WORKLOADS, WORKLOADS
-from .engine import ShardEngine, Task, chunked
+from ..cli import by_invariant
+from .engine import CELL_TIMEOUT, ShardEngine, chunked, raise_unfinished
 
 #: Shards per worker slot: small shards amortize pool startup while
 #: keeping tail latency low (a straggler shard idles at most one slot
@@ -111,7 +112,7 @@ def run_shard(spec_fields: Dict,
 
 def parallel_explore(spec: SweepSpec, jobs: Optional[int] = None,
                      registry=None, engine: Optional[ShardEngine] = None,
-                     shard_timeout: Optional[float] = None,
+                     shard_timeout: float = CELL_TIMEOUT,
                      explorer: Optional[CrashExplorer] = None
                      ) -> ExplorationResult:
     """Run the sweep described by ``spec`` across ``jobs`` processes.
@@ -133,19 +134,10 @@ def parallel_explore(spec: SweepSpec, jobs: Optional[int] = None,
         return explorer.explore()
     spec_fields = asdict(spec)
     shards = chunked(plan, engine.jobs * SHARDS_PER_JOB)
-    tasks = [Task(key=(shard_index,), fn="repro.parallel.crash:run_shard",
-                  args=(spec_fields, shard), timeout=shard_timeout)
-             for shard_index, shard in enumerate(shards)]
-    outcomes = engine.run(tasks)
-    failed = [outcome for outcome in outcomes if not outcome.ok]
-    if failed:
-        details = "; ".join(
-            f"shard {outcome.key[0]} {outcome.status}: "
-            f"{outcome.error.strip().splitlines()[-1] if outcome.error else ''}"
-            for outcome in failed)
-        raise ExplorationError(
-            f"{len(failed)} of {len(tasks)} shards did not complete "
-            f"({details})")
+    outcomes = engine.map("repro.parallel.crash:run_shard",
+                          [(spec_fields, shard) for shard in shards],
+                          timeout=shard_timeout)
+    raise_unfinished(outcomes, "shard", ExplorationError)
     result = explorer.result_shell()
     for outcome in outcomes:  # sorted by shard index == plan order
         result.cases.extend(outcome.value)
@@ -160,10 +152,6 @@ def run_seed_cell(spec_fields: Dict) -> Dict:
     picklable fields the matrix report prints."""
     spec = SweepSpec(**spec_fields)
     result = make_explorer(spec).explore()
-    by_invariant: Dict[str, int] = {}
-    for violation in result.violations:
-        by_invariant[violation.invariant] = \
-            by_invariant.get(violation.invariant, 0) + 1
     return {
         "workload": spec.workload,
         "seed": spec.seed,
@@ -171,31 +159,21 @@ def run_seed_cell(spec_fields: Dict) -> Dict:
         "explored": len(result.selected),
         "cases": len(result.cases),
         "violations": len(result.violations),
-        "by_invariant": by_invariant,
+        "by_invariant": by_invariant(result.violations),
     }
 
 
 def seed_matrix(spec: SweepSpec, seeds: Sequence[int],
                 jobs: Optional[int] = None, registry=None,
-                engine: Optional[ShardEngine] = None,
-                cell_timeout: Optional[float] = None) -> List[Dict]:
+                engine: Optional[ShardEngine] = None) -> List[Dict]:
     """Run the same sweep under each survivor-sampling seed, one cell
     per seed, merged in seed order. The cell summaries are deterministic
     (no wall-clock fields), so the matrix report is byte-stable too."""
     if engine is None:
         engine = ShardEngine(jobs=jobs, registry=registry)
-    tasks = []
-    for seed in sorted(set(seeds)):
-        cell = SweepSpec(workload=spec.workload, ops=spec.ops,
-                         budget=spec.budget, subsets=spec.subsets, seed=seed,
-                         trace=spec.trace, warm_start=spec.warm_start)
-        tasks.append(Task(key=(seed,), fn="repro.parallel.crash:run_seed_cell",
-                          args=(asdict(cell),), timeout=cell_timeout))
-    outcomes = engine.run(tasks)
-    failed = [outcome for outcome in outcomes if not outcome.ok]
-    if failed:
-        raise ExplorationError(
-            "seed cells did not complete: "
-            + ", ".join(f"seed {outcome.key[0]} ({outcome.status})"
-                        for outcome in failed))
+    seeds = sorted(set(seeds))
+    outcomes = engine.map("repro.parallel.crash:run_seed_cell",
+                          [(asdict(replace(spec, seed=seed)),)
+                           for seed in seeds])
+    raise_unfinished(outcomes, "seed cell", ExplorationError, labels=seeds)
     return [outcome.value for outcome in outcomes]

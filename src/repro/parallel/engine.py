@@ -45,6 +45,11 @@ FAILED = "failed"      # worker raised a Python exception (not retried)
 TIMEOUT = "timeout"    # exceeded its deadline on every attempt
 CRASHED = "crashed"    # worker process died on every attempt
 
+#: Deadline (seconds) of one mapped cell in parallel mode, shared by
+#: every sweep: demo-scale cells run in ~1 s, so a cell pinned for
+#: minutes is wedged, not slow.
+CELL_TIMEOUT = 600.0
+
 #: How long the dispatcher sleeps in ``connection.wait`` when no
 #: deadline is nearer (seconds). Small enough to notice dead workers
 #: promptly, large enough not to spin.
@@ -246,6 +251,14 @@ class ShardEngine:
             return self._run_sequential(tasks)
         return results
 
+    def map(self, fn: str, arg_tuples: Sequence[Tuple],
+            timeout: Optional[float] = CELL_TIMEOUT) -> List[TaskResult]:
+        """Run worker ``fn`` once per argument tuple; outcome ``i``
+        belongs to ``arg_tuples[i]`` whatever order workers finish in."""
+        return self.run([Task(key=(position,), fn=fn, args=tuple(args),
+                              timeout=timeout)
+                         for position, args in enumerate(arg_tuples)])
+
     # -- sequential fallback ------------------------------------------------
 
     def _run_sequential(self, tasks: Sequence[Task]) -> List[TaskResult]:
@@ -416,6 +429,23 @@ class ShardEngine:
                                   attempts=worker.attempt, wall_seconds=wall)
         worker.task = None
         worker.deadline = None
+
+
+def raise_unfinished(outcomes: Sequence[TaskResult], noun: str, exc_type,
+                     labels: Optional[Sequence] = None) -> None:
+    """Raise ``exc_type`` naming every mapped ``noun`` that did not
+    finish (by ``labels[position]``, default the position itself); a
+    no-op when all did. For sweeps where a hole voids the whole result."""
+    failed = [outcome for outcome in outcomes if not outcome.ok]
+    if not failed:
+        return
+    details = "; ".join(
+        f"{noun} {labels[outcome.key[0]] if labels else outcome.key[0]} "
+        f"{outcome.status}: "
+        f"{outcome.error.strip().splitlines()[-1] if outcome.error else ''}"
+        for outcome in failed)
+    raise exc_type(f"{len(failed)} of {len(outcomes)} {noun}s did not "
+                   f"complete ({details})")
 
 
 def chunked(items: Sequence, chunks: int) -> List[List]:

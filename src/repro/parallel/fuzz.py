@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .engine import ShardEngine, Task
+from .engine import ShardEngine, raise_unfinished
 
 
 class FuzzShardError(RuntimeError):
@@ -31,8 +31,7 @@ class FuzzShardError(RuntimeError):
 
 
 def evaluate_batch(batch_fields: Sequence[Dict],
-                   engine: Optional[ShardEngine] = None,
-                   case_timeout: Optional[float] = None) -> List[Dict]:
+                   engine: Optional[ShardEngine] = None) -> List[Dict]:
     """Run every case (as ``FuzzCase.to_fields()`` dicts) and return
     outcomes in batch order. ``engine=None`` or ``jobs <= 1`` runs
     in-process — same results, and the path that keeps test-only
@@ -40,17 +39,7 @@ def evaluate_batch(batch_fields: Sequence[Dict],
     if engine is None or engine.jobs <= 1 or len(batch_fields) <= 1:
         from ..fuzz.executor import run_case_task
         return [run_case_task(fields) for fields in batch_fields]
-    tasks = [Task(key=(position,), fn="repro.fuzz.executor:run_case_task",
-                  args=(fields,), timeout=case_timeout)
-             for position, fields in enumerate(batch_fields)]
-    outcomes = engine.run(tasks)
-    failed = [outcome for outcome in outcomes if not outcome.ok]
-    if failed:
-        details = "; ".join(
-            f"case {outcome.key[0]} {outcome.status}: "
-            f"{outcome.error.strip().splitlines()[-1] if outcome.error else ''}"
-            for outcome in failed)
-        raise FuzzShardError(
-            f"{len(failed)} of {len(tasks)} fuzz cases did not complete "
-            f"({details})")
+    outcomes = engine.map("repro.fuzz.executor:run_case_task",
+                          [(fields,) for fields in batch_fields])
+    raise_unfinished(outcomes, "fuzz case", FuzzShardError)
     return [outcome.value for outcome in outcomes]

@@ -1,7 +1,7 @@
 """Subprocess-command worker for the shard engine.
 
 ``tools/ci_run.py`` describes each suite as a list of shell commands;
-independent commands (the four crash workloads, benchmark shards) are
+independent commands (the crash-workload sweeps) are
 fanned out through :class:`~repro.parallel.engine.ShardEngine` with
 this module's :func:`run_command` as the worker function. The record it
 returns is plain data — return code, captured output, wall time — so

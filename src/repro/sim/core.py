@@ -30,7 +30,7 @@ head comparisons instead of an O(log n) heap round-trip per event. Entries
 are ``(time, seq, fn, args)`` tuples, so firing a callback allocates no
 closure. The fast path changes only the *wall* clock, never the simulated
 one: ``tests/sim/test_determinism.py`` pins the dispatch order and
-``tools/bench_engine.py`` (see DESIGN.md §6) tracks the speedup.
+``bench/run.py`` (see DESIGN.md §6) tracks the host clock.
 
 Timed events live in a :class:`CalendarQueue` — a two-rung calendar/ladder
 structure replacing the former binary heap. Inserts append to an unsorted

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional
 
-from ..parallel import ShardEngine, Task
+from ..parallel import ShardEngine
 from .clients import make_mix
 from .engine import TrafficEngine
 from .schedule import make_schedule
@@ -58,18 +58,10 @@ def sweep_seeds(seeds: List[int], jobs: int = 1,
     regardless of worker scheduling. Cells that die (timeout/crash)
     surface as ``{"seed": ..., "error": ...}`` records, never silently
     dropped."""
-    base = dict(params or {})
-    tasks = []
-    for seed in seeds:
-        cell = dict(base)
-        cell["seed"] = int(seed)
-        tasks.append(Task(key=(int(seed),), fn="repro.tenancy.sweep:run_cell",
-                          args=(cell,), timeout=600.0))
-    engine = ShardEngine(jobs=jobs, registry=registry)
-    results = []
-    for outcome in engine.run(tasks):
-        if outcome.ok:
-            results.append(outcome.value)
-        else:
-            results.append({"seed": outcome.key[0], "error": outcome.error})
-    return results
+    seeds = sorted({int(seed) for seed in seeds})
+    outcomes = ShardEngine(jobs=jobs, registry=registry).map(
+        "repro.tenancy.sweep:run_cell",
+        [({**(params or {}), "seed": seed},) for seed in seeds])
+    return [outcome.value if outcome.ok
+            else {"seed": seed, "error": outcome.error}
+            for seed, outcome in zip(seeds, outcomes)]

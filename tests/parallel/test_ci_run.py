@@ -5,12 +5,13 @@ formats are machine-readable."""
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from repro.parallel import ShardEngine, Task
+from repro.parallel import ShardEngine
 from repro.parallel.procs import run_command
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
@@ -45,16 +46,37 @@ def test_dry_run_lists_the_exact_tier1_command():
     assert lines[0] == f"PYTHONPATH=src {sys.executable} -m pytest -x -q"
 
 
-def test_dry_run_all_covers_every_suite():
+def test_dry_run_all_covers_every_suite(ci_run):
     result = run_tool("--suite", "all", "--dry-run")
     assert result.returncode == 0, result.stderr
     out = result.stdout
+    # `all` is every SUITES entry, in table order, and nothing else.
+    each = [run_tool("--suite", suite, "--dry-run").stdout
+            for suite in ci_run.SUITES]
+    assert all(each) and out == "".join(each)
     assert "-m pytest -x -q" in out
     assert "-m pytest smoke -m docs_check -q" in out
     assert "-m pytest smoke -m crash_smoke -q" in out
     for workload in ("fio", "fio-mixed", "db_bench", "kvstore"):
         assert f"--workload {workload}" in out
-    assert "tools/bench_engine.py --check" in out
+    assert out.rstrip().endswith("-m pytest bench -q")
+
+
+def test_workflow_and_docs_name_exactly_the_suites_table(ci_run):
+    """SUITES is the single spelling: a suite the workflow or docs/CI.md
+    names must be a SUITES key, and every key must appear in both."""
+    with open(os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")) as f:
+        workflow = f.read()
+    with open(os.path.join(REPO_ROOT, "docs", "CI.md")) as f:
+        docs = f.read()
+    in_workflow = set(re.findall(r"--suite (\w+)", workflow)
+                      + re.findall(r"\bsuite: (\w+)", workflow))
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.+?) \|", docs, re.MULTILINE))
+    assert in_workflow == set(ci_run.SUITES)
+    assert list(rows) == list(ci_run.SUITES)
+    assert set(re.findall(r"--suite (\w+)", docs)) <= {*ci_run.SUITES, "all"}
+    for name, (description, _) in ci_run.SUITES.items():
+        assert rows[name] == description
 
 
 def test_unknown_suite_exits_2():
@@ -69,10 +91,9 @@ def test_suite_requires_argument():
 
 def test_exit_codes_survive_the_sequential_fallback():
     failing = [sys.executable, "-c", "import sys; sys.exit(3)"]
-    task = Task(key=(0,), fn="repro.parallel.procs:run_command",
-                args=(failing,))
-    parallel = ShardEngine(jobs=2).run([task])
-    sequential = ShardEngine(jobs=2, force_sequential=True).run([task])
+    fn, cells = "repro.parallel.procs:run_command", [(failing,)]
+    parallel = ShardEngine(jobs=2).map(fn, cells)
+    sequential = ShardEngine(jobs=2, force_sequential=True).map(fn, cells)
     assert parallel[0].value["returncode"] == 3
     assert sequential[0].value["returncode"] == 3
 

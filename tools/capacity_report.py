@@ -32,7 +32,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -43,6 +42,8 @@ from repro.capacity import (GRIDS, GridSpec, check_expectations,  # noqa: E402
                             detect_knees, diff_cells, format_diff,
                             format_knees, format_table, make_grid,
                             register_sweep_metrics, run_grid, to_html)
+from repro.cli import (add_jobs_argument, exit_boundary,  # noqa: E402
+                       print_json)
 from repro.obs import MetricsRegistry  # noqa: E402
 
 
@@ -55,8 +56,8 @@ def parse_args(argv):
                         help="load a GridSpec from JSON instead of --grid")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the named grid's traffic")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="shard cells over N worker processes")
+    add_jobs_argument(parser, default=1,
+                      help="shard cells over N worker processes")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"), default=None,
                         help="print the exact attribution diff between "
                              "two cell ids")
@@ -81,24 +82,13 @@ def load_spec(args) -> GridSpec:
     return make_grid(args.grid, seed=args.seed)
 
 
+@exit_boundary(Exception)
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        spec = load_spec(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"cannot load grid: {exc}", file=sys.stderr)
-        return 2
-
+    spec = load_spec(args)
     registry = MetricsRegistry()
     metrics = register_sweep_metrics(registry)
-    try:
-        cells = run_grid(spec, jobs=args.jobs, metrics=metrics)
-    except Exception as exc:  # noqa: BLE001 — CLI boundary
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 2
+    cells = run_grid(spec, jobs=args.jobs, metrics=metrics)
     knees = detect_knees(spec, cells)
     metrics.knees_found.inc(len(knees))
 
@@ -114,7 +104,7 @@ def main(argv=None) -> int:
         diff = diff_cells(by_id[args.diff[0]], by_id[args.diff[1]])
         metrics.diffs_rendered.inc()
         if args.json:
-            print(json.dumps(diff, indent=2, sort_keys=True))
+            print_json(diff)
         else:
             print(format_diff(diff, top=args.top))
         if args.check and not diff["exact"]:
@@ -141,7 +131,7 @@ def main(argv=None) -> int:
                 for name in registry.names() if name.startswith("capacity.")
                 for metric in [registry.get(name)]},
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print_json(payload)
     elif args.knee:
         print(format_knees(knees))
     elif not args.html:

@@ -1,16 +1,11 @@
 #!/usr/bin/env python
 """Docs drift check: every registered metric must be documented.
 
-Builds the instrumented stacks that together register every metric the
-tree defines (``nvcache+ssd`` covers nvmm/block.ssd0/kernel/fs/core,
-``dm-writecache+ssd`` adds the dm-writecache gauges, a bare
-:class:`~repro.block.HddDevice` adds ``block.hdd0.*``), unions their
-registry names, and fails if any exact name is missing from the scanned
-docs (``docs/OBSERVABILITY.md``, ``docs/MULTITENANCY.md`` which owns
-the multi-tenant vocabulary, ``docs/FUZZING.md`` which owns ``fuzz.*``,
-``docs/POLICIES.md``, and ``docs/CAPACITY.md`` which owns
-``capacity.*``). The reverse direction is checked too: a documented
-name that no stack registers is stale and also fails.
+``NAMESPACES`` below lists, per metric namespace, the doc that owns it
+and how to obtain a registry that registers it. The checker unions the
+registry names of every row and fails if any exact name is missing from
+the union of the listed docs. The reverse direction is checked too: a
+documented name that no row registers is stale and also fails.
 
 The tracing vocabulary is held to the same contract: every span name in
 ``repro.sim.SPAN_NAMES`` and every critical-path segment in
@@ -26,27 +21,16 @@ usable standalone::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-#: Scanned docs. OBSERVABILITY.md is the single-tenant vocabulary;
-#: MULTITENANCY.md owns the ``tenancy.*`` / ``core.qos.*`` surface and
-#: the QoS wait segments; FUZZING.md owns ``fuzz.*``; POLICIES.md owns
-#: ``core.paging.*`` and the paging-mode trace names; CAPACITY.md owns
-#: ``capacity.*``. Union of all five = the documented set.
-DOC_PATHS = [os.path.join(REPO_ROOT, "docs", "OBSERVABILITY.md"),
-             os.path.join(REPO_ROOT, "docs", "MULTITENANCY.md"),
-             os.path.join(REPO_ROOT, "docs", "FUZZING.md"),
-             os.path.join(REPO_ROOT, "docs", "POLICIES.md"),
-             os.path.join(REPO_ROOT, "docs", "CAPACITY.md")]
-
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.block import HddDevice, SsdDevice  # noqa: E402
 from repro.capacity import register_sweep_metrics  # noqa: E402
+from repro.cli import print_json  # noqa: E402
 from repro.faults import BlockFaultInjector  # noqa: E402
 from repro.fuzz import FuzzEngine  # noqa: E402
 from repro.harness.systems import Scale, build_stack  # noqa: E402
@@ -56,12 +40,75 @@ from repro.sim import Environment, SEGMENT_NAMES, SPAN_NAMES  # noqa: E402
 from repro.tenancy import TrafficEngine  # noqa: E402
 from repro.tenancy.clients import TenantSpec  # noqa: E402
 
-#: Matches backticked metric names: a known layer prefix followed by at
-#: least two more segments. Anchoring on the layer set keeps module
-#: paths (`repro.fs.ext4`) out of the documented-name set.
+
+def _stack(system="nvcache+ssd", **options):
+    """Registry of an instrumented evaluated stack."""
+    return lambda: build_stack(system, Scale(4096), metrics=True,
+                               **options).metrics
+
+
+def _env(attach):
+    """Registry of a bare environment once ``attach(env)`` has run."""
+    def source():
+        env = Environment()
+        env.metrics = MetricsRegistry()
+        attach(env)
+        return env.metrics
+    return source
+
+
+def _fresh(register):
+    """A fresh registry once ``register(registry)`` has run."""
+    def source():
+        registry = MetricsRegistry()
+        register(registry)
+        return registry
+    return source
+
+
+def _tenancy():
+    engine = TrafficEngine([TenantSpec(tenant_id="doc0", kind="fio",
+                                       operations=1)],
+                           workers=1, metrics=True)
+    engine.build()
+    return engine.stack.metrics
+
+
+#: (namespace prefixes, owning doc under docs/, registry source). A new
+#: namespace is one new row; the name pattern, the scanned doc list and
+#: the failure message are all derived from this table.
+NAMESPACES = (
+    (("nvmm", "block.ssd0", "kernel", "fs", "core"), "OBSERVABILITY.md",
+     _stack()),
+    (("block.dm_writecache",), "OBSERVABILITY.md",
+     _stack("dm-writecache+ssd")),
+    (("block.hdd0",), "OBSERVABILITY.md", _env(HddDevice)),
+    (("obs.trace",), "OBSERVABILITY.md", _stack(tracing=True)),
+    (("faults",), "OBSERVABILITY.md",
+     _env(lambda env: BlockFaultInjector().arm(
+         SsdDevice(env, size=1 << 20, name="ssd0")))),
+    (("parallel.engine",), "OBSERVABILITY.md",
+     _fresh(register_engine_metrics)),
+    (("tenancy", "core.qos"), "MULTITENANCY.md", _tenancy),
+    (("fuzz",), "FUZZING.md",
+     _fresh(lambda registry: FuzzEngine(registry=registry))),
+    (("core.paging",), "POLICIES.md", _stack(cache_mode="paging")),
+    (("capacity.sweep",), "CAPACITY.md", _fresh(register_sweep_metrics)),
+)
+
+#: Scanned docs, in table order; their union is the documented set.
+DOC_NAMES = list(dict.fromkeys(doc for _, doc, _ in NAMESPACES))
+DOC_PATHS = [os.path.join(REPO_ROOT, "docs", doc) for doc in DOC_NAMES]
+
+#: Matches backticked metric names: a known layer (the first segment of
+#: a table prefix) followed by at least two more segments. Anchoring on
+#: the layer set keeps module paths (`repro.fs.ext4`) out of the
+#: documented-name set.
 DOC_NAME_PATTERN = re.compile(
-    r"`((?:nvmm|block|kernel|fs|core|faults|parallel|obs|tenancy|fuzz"
-    r"|capacity)\.[a-z0-9_]+(?:\.[a-z0-9_]+)+)`")
+    r"`((?:" + "|".join(sorted({prefix.split(".")[0]
+                                for prefixes, _, _ in NAMESPACES
+                                for prefix in prefixes}))
+    + r")\.[a-z0-9_]+(?:\.[a-z0-9_]+)+)`")
 
 #: Matches backticked span/segment names: exactly two segments with a
 #: tracing layer prefix (`libc.pwrite`, `block.queue_wait`). Metric
@@ -72,54 +119,16 @@ TRACE_NAME_PATTERN = re.compile(
 
 
 def registered_names() -> set:
-    """Union of metric names across every instrumented component."""
+    """Union of metric names across every row of ``NAMESPACES``; a row
+    whose source registers nothing under one of its prefixes is stale."""
     names = set()
-    for system in ("nvcache+ssd", "dm-writecache+ssd"):
-        stack = build_stack(system, Scale(4096), metrics=True)
-        names.update(stack.metrics.names())
-    # The paging-mode design registers core.paging.* instead of the
-    # log/read-cache scopes (docs/POLICIES.md).
-    stack = build_stack("nvcache+ssd", Scale(4096), metrics=True,
-                        cache_mode="paging")
-    names.update(stack.metrics.names())
-    # Tracer self-metrics (obs.trace.*) exist once a stack is built with
-    # both observability and tracing on.
-    stack = build_stack("nvcache+ssd", Scale(4096), metrics=True,
-                        tracing=True)
-    names.update(stack.metrics.names())
-    env = Environment()
-    env.metrics = MetricsRegistry()
-    HddDevice(env)
-    names.update(env.metrics.names())
-    # Fault-injection counters live under faults.<device>.* and only
-    # exist once an injector is armed.
-    env = Environment()
-    env.metrics = MetricsRegistry()
-    BlockFaultInjector().arm(SsdDevice(env, size=1 << 20, name="ssd0"))
-    names.update(env.metrics.names())
-    # Shard-engine counters live under parallel.engine.* and exist once
-    # any ShardEngine is built with a registry (repro.parallel).
-    registry = MetricsRegistry()
-    register_engine_metrics(registry)
-    names.update(registry.names())
-    # The multi-tenant surface: tenancy.engine.* / tenancy.fairness.* /
-    # tenancy.class.* from the traffic engine plus core.qos.* from the
-    # QoS manager, all registered at build() time.
-    engine = TrafficEngine([TenantSpec(tenant_id="doc0", kind="fio",
-                                       operations=1)],
-                           workers=1, metrics=True)
-    engine.build()
-    names.update(engine.stack.metrics.names())
-    # Fuzz campaign counters live under fuzz.* and exist once a
-    # FuzzEngine is built with a registry (repro.fuzz).
-    registry = MetricsRegistry()
-    FuzzEngine(registry=registry)
-    names.update(registry.names())
-    # Capacity-sweep self-metrics live under capacity.sweep.* and exist
-    # once a sweep attaches to a registry (repro.capacity).
-    registry = MetricsRegistry()
-    register_sweep_metrics(registry)
-    names.update(registry.names())
+    for prefixes, _, source in NAMESPACES:
+        row = set(source().names())
+        for prefix in prefixes:
+            if not any(name.startswith(prefix + ".") for name in row):
+                raise LookupError(f"NAMESPACES row {prefix!r}: its source "
+                                  "registers no metric under that prefix")
+        names |= row
     return names
 
 
@@ -147,18 +156,17 @@ def main(argv=None) -> int:
     undocumented = sorted(registered - documented)
     stale = sorted(documented - registered)
     if args.json:
-        print(json.dumps({
+        print_json({
             "ok": not undocumented and not stale,
             "registered": len(registered),
             "documented": len(documented),
             "undocumented": undocumented,
             "stale": stale,
-        }, indent=2, sort_keys=True))
+        })
         return 1 if undocumented or stale else 0
     if undocumented:
         print("FAIL: registered metrics missing from the docs "
-              "(OBSERVABILITY.md / MULTITENANCY.md / FUZZING.md / "
-              "POLICIES.md / CAPACITY.md):", file=sys.stderr)
+              f"({' / '.join(DOC_NAMES)}):", file=sys.stderr)
         for name in undocumented:
             print(f"  {name}", file=sys.stderr)
     if stale:

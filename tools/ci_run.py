@@ -2,60 +2,11 @@
 """CI suite orchestrator: one entry point for every gate the workflow
 runs, reproducible locally with the same commands and exit codes.
 
-Suites (``--suite``, repeatable):
-
-- ``lint``    — ``ruff check`` (+ format check, advisory); degrades to a
-  ``compileall`` syntax pass where ruff is not installed.
-- ``tier1``   — the ROADMAP tier-1 gate: ``PYTHONPATH=src python -m
-  pytest -x -q``.
-- ``docs``    — ``smoke -m docs_check`` (docs drift, dashboards,
-  examples).
-- ``crash``   — ``smoke -m crash_smoke`` (budgeted crash sweeps; honours
-  ``--jobs`` via ``REPRO_CRASH_JOBS``).
-- ``sweeps``  — the four crash workloads explored end-to-end with
-  ``--check --json``, plus the three phased workloads swept again in
-  snapshot warm-start mode (``--warm-start``, docs/CRASH_TESTING.md),
-  fanned out across ``--jobs`` worker processes by ``repro.parallel``
-  and aggregated from their JSON summaries. The warm/cold and
-  sequential/sharded byte-identity gates live in ``smoke -m
-  crash_smoke`` and ``tests/faults/test_snapshot.py``.
-- ``tenancy`` — the multi-tenant fairness gate (docs/MULTITENANCY.md):
-  a 64-tenant bursty quota-constrained smoke through
-  ``tools/tenant_report.py --check`` (every request served, Jain index
-  and starvation gauge within thresholds), then ``--verify-sharding``
-  proving a 4-seed sweep is byte-identical sharded over ``--jobs 4``
-  vs sequential.
-- ``fuzz``    — the coverage-guided fuzzing gate (docs/FUZZING.md): a
-  fixed-seed budgeted campaign through ``tools/fuzz.py run --check``,
-  the collector-purity gate (the coverage hook must not perturb
-  simulated clocks or stats), and the jobs-1-vs-jobs-4 byte-identity
-  pin from ``tests/fuzz/test_determinism.py``. With
-  ``REPRO_FUZZ_CORPUS=<dir>`` the campaign writes its corpus there and
-  seeds itself from whatever a previous run (or the CI cache) left
-  behind (``--reuse-corpus``, docs/FUZZING.md).
-- ``policy``  — the policy-lab gate (docs/POLICIES.md): **required** —
-  ``tools/policy_report.py --check`` asserts the Logging-vs-Paging
-  crossover lands on the expected winner per mix, the paging-mode
-  crash sweep (``tools/crash_explore.py --workload fio-paging
-  --check``) proves the five durability invariants hold for the page
-  table, and the mode-equivalence property tests pin logging/paging
-  byte-identity after recovery alongside the facade contract table
-  (every ``CACHE_MODES`` mode shows the same POSIX surface; no shared
-  method is forked back into a mode).
-- ``capacity`` — the capacity-explorer gate (docs/CAPACITY.md):
-  **required** — ``tools/capacity_report.py --check --jobs 2`` sweeps
-  the seeded demo grid sharded over two workers and asserts its
-  documented expectations (dominant segments, the tenant-axis knee,
-  where latency moved when the log doubled) plus the standing
-  invariants (every cell completes, every diff exact); the
-  sequential-vs-sharded byte-identity pins live in
-  ``tests/capacity/test_determinism.py`` inside tier 1.
-- ``bench``   — ``tools/bench_engine.py --check``: **required** — exit 1
-  on a >20% events/sec regression against the newest history entry in
-  the committed ``BENCH_engine.json``. The threshold is wide enough to
-  clear shared-runner noise; a genuine engine slowdown must not merge
-  silently (re-baseline deliberately with ``--update`` instead).
-- ``all``     — everything above, in that order.
+``SUITES`` below is the only spelling of the suite list: ``--suite``
+choices, ``all``, the ``--help`` epilog, the workflow matrix in
+``.github/workflows/ci.yml`` and the table in docs/CI.md are derived
+from or checked against it (``tests/parallel/test_ci_run.py``).
+``--dry-run`` prints the exact commands a suite runs.
 
 Examples::
 
@@ -77,20 +28,22 @@ reported but do not fail the run), **1** a required step failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shlex
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 from xml.sax.saxutils import escape
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.parallel import ShardEngine, Task  # noqa: E402
-from repro.parallel.procs import run_command  # noqa: E402
+from repro.cli import add_jobs_argument, print_json  # noqa: E402
+from repro.parallel import ShardEngine  # noqa: E402
+from repro.parallel.procs import python_command, run_command  # noqa: E402
 
 SRC_ENV = {"PYTHONPATH": "src"}
 
@@ -147,10 +100,6 @@ class StepResult:
         return stats
 
 
-def _py(*argv: str) -> List[str]:
-    return [sys.executable, *argv]
-
-
 def _ruff_available() -> bool:
     import importlib.util
     import shutil
@@ -166,8 +115,8 @@ def lint_steps() -> List[Step]:
                  advisory=True),
         ]
     return [Step("compileall (ruff unavailable)",
-                 _py("-m", "compileall", "-q", "src", "tools", "benchmarks",
-                     "smoke", "tests", "examples"))]
+                 python_command("-m", "compileall", "-q", "src", "tools",
+                                "benchmarks", "smoke", "tests", "examples"))]
 
 
 def fuzz_corpus_args() -> List[str]:
@@ -180,86 +129,96 @@ def fuzz_corpus_args() -> List[str]:
     return ["--corpus", corpus, "--reuse-corpus"]
 
 
+def _tool(name: str, *argv: str, **options) -> Step:
+    """A ``PYTHONPATH=src python ...`` step with the 600 s step deadline
+    every tool gate carries."""
+    return Step(name, python_command(*argv), env_extra=dict(SRC_ENV),
+                timeout=600, **options)
+
+
+def _pytest(name: str, *argv: str, **env_extra: str) -> Step:
+    return Step(name, python_command("-m", "pytest", *argv, "-q"),
+                env_extra={**SRC_ENV, **env_extra})
+
+
+def sweep_steps() -> List[Step]:
+    """Every crash workload explored end to end, then the three phased
+    ones again in snapshot warm-start mode (docs/CRASH_TESTING.md)."""
+    cold = {"fio": [], "fio-mixed": [], "db_bench": [],
+            "kvstore": ["--budget", "60"]}
+    return [_tool(f"sweep-{workload}", "tools/crash_explore.py",
+                  "--workload", workload, "--check", "--json", *budget,
+                  fanout=True)
+            for workload, budget in cold.items()] + [
+        _tool(f"sweep-{workload}-warm", "tools/crash_explore.py",
+              "--workload", workload, "--warm-start", "--check", "--json",
+              fanout=True)
+        for workload in ("fio", "db_bench", "kvstore")]
+
+
+#: Suite name -> (one-line description, steps given the ``--jobs``
+#: count), in the order ``all`` runs them. Every step is required
+#: unless marked ``advisory``.
+SUITES: Dict[str, Tuple[str, Callable[[int], List[Step]]]] = {
+    "lint": ("`ruff check` + advisory format check (`compileall` where "
+             "ruff is missing)",
+             lambda jobs: lint_steps()),
+    "tier1": ("the ROADMAP tier-1 gate, `python -m pytest -x -q`",
+              lambda jobs: [_pytest("tier1-pytest", "-x")]),
+    "docs": ("`smoke -m docs_check`: docs drift, dashboards, tool "
+             "commands, examples",
+             lambda jobs: [_pytest("smoke-docs", "smoke", "-m",
+                                   "docs_check")]),
+    "crash": ("`smoke -m crash_smoke`: budgeted crash sweeps, sharded "
+              "over `--jobs`",
+              lambda jobs: [_pytest("smoke-crash", "smoke", "-m",
+                                    "crash_smoke",
+                                    REPRO_CRASH_JOBS=str(jobs))]),
+    "sweeps": ("four crash workloads explored end to end + three "
+               "warm-start sweeps, fanned out over `--jobs`",
+               lambda jobs: sweep_steps()),
+    "tenancy": ("64-tenant fairness gate + sharded seed-sweep "
+                "byte-identity",
+                lambda jobs: [
+                    _tool("tenancy-fairness", "tools/tenant_report.py",
+                          "--check", "--json", "--tenants", "64",
+                          "--quota", "8", "--schedule", "bursty"),
+                    _tool("tenancy-sharding", "tools/tenant_report.py",
+                          "--verify-sharding", "--seeds", "4",
+                          "--jobs", "4")]),
+    "fuzz": ("fixed-seed fuzz campaign `--check` + collector purity + "
+             "jobs-1-vs-4 determinism",
+             lambda jobs: [
+                 _tool("fuzz-campaign", "tools/fuzz.py", "run", "--seed",
+                       "0", "--cases", "64", "--check",
+                       *fuzz_corpus_args()),
+                 _tool("fuzz-collector-gate", "-m", "pytest",
+                       "tests/fuzz/test_coverage.py", "-q"),
+                 _tool("fuzz-determinism", "-m", "pytest",
+                       "tests/fuzz/test_determinism.py", "-q")]),
+    "policy": ("Logging-vs-Paging crossover `--check` + `fio-paging` "
+               "crash sweep + mode equivalence and facade contract",
+               lambda jobs: [
+                   _tool("policy-crossover", "tools/policy_report.py",
+                         "--check"),
+                   _tool("policy-paging-sweep", "tools/crash_explore.py",
+                         "--workload", "fio-paging", "--check", "--json"),
+                   _tool("policy-equivalence", "-m", "pytest",
+                         "tests/core/test_mode_equivalence.py",
+                         "tests/core/test_facade_contract.py", "-q")]),
+    "capacity": ("demo capacity grid `--check`, sharded over two workers",
+                 lambda jobs: [_tool("capacity-grid",
+                                     "tools/capacity_report.py", "--check",
+                                     "--jobs", "2")]),
+    "bench": ("the `bench/` suite: every BENCHMARK.json workload on "
+              "`--smoke`, protocol and comparator",
+              lambda jobs: [_pytest("bench-suite", "bench")]),
+}
+
+
 def suite_steps(suite: str, jobs: int) -> List[Step]:
-    crash_budgets = {"fio": None, "fio-mixed": None, "db_bench": None,
-                     "kvstore": "60"}
-    sweeps = []
-    for workload in ("fio", "fio-mixed", "db_bench", "kvstore"):
-        argv = _py("tools/crash_explore.py", "--workload", workload,
-                   "--check", "--json")
-        if crash_budgets[workload]:
-            argv += ["--budget", crash_budgets[workload]]
-        sweeps.append(Step(f"sweep-{workload}", argv, env_extra=dict(SRC_ENV),
-                           fanout=True, timeout=600))
-    for workload in ("fio", "db_bench", "kvstore"):
-        argv = _py("tools/crash_explore.py", "--workload", workload,
-                   "--warm-start", "--check", "--json")
-        sweeps.append(Step(f"sweep-{workload}-warm", argv,
-                           env_extra=dict(SRC_ENV), fanout=True, timeout=600))
-    suites = {
-        "lint": lint_steps(),
-        "tier1": [Step("tier1-pytest", _py("-m", "pytest", "-x", "-q"),
-                       env_extra=dict(SRC_ENV))],
-        "docs": [Step("smoke-docs", _py("-m", "pytest", "smoke", "-m",
-                                        "docs_check", "-q"),
-                      env_extra=dict(SRC_ENV))],
-        "crash": [Step("smoke-crash", _py("-m", "pytest", "smoke", "-m",
-                                          "crash_smoke", "-q"),
-                       env_extra={**SRC_ENV,
-                                  "REPRO_CRASH_JOBS": str(jobs)})],
-        "sweeps": sweeps,
-        "tenancy": [
-            Step("tenancy-fairness",
-                 _py("tools/tenant_report.py", "--check", "--json",
-                     "--tenants", "64", "--quota", "8",
-                     "--schedule", "bursty"),
-                 env_extra=dict(SRC_ENV), timeout=600),
-            Step("tenancy-sharding",
-                 _py("tools/tenant_report.py", "--verify-sharding",
-                     "--seeds", "4", "--jobs", "4"),
-                 env_extra=dict(SRC_ENV), timeout=600),
-        ],
-        "fuzz": [
-            Step("fuzz-campaign",
-                 _py("tools/fuzz.py", "run", "--seed", "0",
-                     "--cases", "64", "--check", *fuzz_corpus_args()),
-                 env_extra=dict(SRC_ENV), timeout=600),
-            Step("fuzz-collector-gate",
-                 _py("-m", "pytest", "tests/fuzz/test_coverage.py", "-q"),
-                 env_extra=dict(SRC_ENV), timeout=600),
-            Step("fuzz-determinism",
-                 _py("-m", "pytest", "tests/fuzz/test_determinism.py", "-q"),
-                 env_extra=dict(SRC_ENV), timeout=600),
-        ],
-        "policy": [
-            Step("policy-crossover",
-                 _py("tools/policy_report.py", "--check"),
-                 env_extra=dict(SRC_ENV), timeout=600),
-            Step("policy-paging-sweep",
-                 _py("tools/crash_explore.py", "--workload", "fio-paging",
-                     "--check", "--json"),
-                 env_extra=dict(SRC_ENV), timeout=600),
-            Step("policy-equivalence",
-                 _py("-m", "pytest", "tests/core/test_mode_equivalence.py",
-                     "tests/core/test_facade_contract.py", "-q"),
-                 env_extra=dict(SRC_ENV), timeout=600),
-        ],
-        "capacity": [Step("capacity-grid",
-                          _py("tools/capacity_report.py", "--check",
-                              "--jobs", "2"),
-                          env_extra=dict(SRC_ENV), timeout=600)],
-        "bench": [Step("engine-bench", _py("tools/bench_engine.py",
-                                           "--check"),
-                       env_extra=dict(SRC_ENV))],
-    }
-    if suite == "all":
-        return (suites["lint"] + suites["tier1"] + suites["docs"]
-                + suites["crash"] + suites["sweeps"] + suites["tenancy"]
-                + suites["fuzz"] + suites["policy"] + suites["capacity"]
-                + suites["bench"])
-    if suite not in suites:
-        raise KeyError(suite)
-    return suites[suite]
+    names = list(SUITES) if suite == "all" else [suite]
+    return [step for name in names for step in SUITES[name][1](jobs)]
 
 
 def run_steps(steps: List[Step], jobs: int) -> List[StepResult]:
@@ -274,13 +233,12 @@ def run_steps(steps: List[Step], jobs: int) -> List[StepResult]:
         if not batch:
             return
         engine = ShardEngine(jobs=min(jobs, len(batch)))
-        tasks = [Task(key=(index,), fn="repro.parallel.procs:run_command",
-                      args=(step.argv,),
-                      kwargs={"cwd": REPO_ROOT, "env_extra": step.env_extra,
-                              "timeout": step.timeout})
-                 for index, step in enumerate(batch)]
-        for outcome in engine.run(tasks):
-            step = batch[outcome.key[0]]
+        outcomes = engine.map(
+            "repro.parallel.procs:run_command",
+            [(step.argv, REPO_ROOT, step.env_extra, step.timeout)
+             for step in batch],
+            timeout=None)  # run_command enforces the step's own deadline
+        for step, outcome in zip(batch, outcomes):
             if outcome.ok:
                 record = outcome.value
                 results.append(StepResult(step, record["returncode"],
@@ -378,15 +336,15 @@ def write_junit(path: str, requested: List[str],
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
+        epilog="suites (`all` runs every one, in this order):\n"
+               + "\n".join(f"  {name:<9} {description}"
+                           for name, (description, _) in SUITES.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--suite", action="append", required=True,
-                        choices=["lint", "tier1", "docs", "crash", "sweeps",
-                                 "tenancy", "fuzz", "policy", "capacity",
-                                 "bench", "all"],
+                        choices=[*SUITES, "all"],
                         help="suite to run (repeatable)")
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="worker processes for fan-out suites "
-                             "(0 = all cores)")
+    add_jobs_argument(parser, default=0,
+                      help="worker processes for fan-out suites")
     parser.add_argument("--dry-run", action="store_true",
                         help="list every command the suites would run, "
                              "then exit 0")
@@ -395,37 +353,33 @@ def main(argv=None) -> int:
     parser.add_argument("--junit", metavar="PATH", default=None,
                         help="write a JUnit XML summary to PATH")
     args = parser.parse_args(argv)
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-
-    try:
-        steps: List[Step] = []
-        for suite in args.suite:
-            steps.extend(suite_steps(suite, jobs))
-    except KeyError as exc:
-        print(f"unknown suite: {exc}", file=sys.stderr)
-        return 2
+    steps = [step for suite in args.suite
+             for step in suite_steps(suite, args.jobs)]
 
     if args.dry_run:
         for step in steps:
             print(step.display())
         return 0
 
-    try:
-        results = run_steps(steps, jobs)
-    except Exception as exc:  # orchestrator bug, not a step failure
-        print(f"orchestrator error: {exc}", file=sys.stderr)
-        return 2
-
-    failures = [r for r in results if not r.ok and not r.step.advisory]
-    warnings = [r for r in results if not r.ok and r.step.advisory]
-    print(f"\n{len(results)} step(s): {len(results) - len(failures) - len(warnings)} "
-          f"passed, {len(failures)} failed, {len(warnings)} advisory-failed")
-    if args.junit:
-        write_junit(args.junit, args.suite, results)
-        print(f"wrote {args.junit}")
+    # Progress goes to stderr under --json so stdout is one JSON document.
+    progress = (contextlib.redirect_stdout(sys.stderr) if args.json
+                else contextlib.nullcontext())
+    with progress:
+        try:
+            results = run_steps(steps, args.jobs)
+        except Exception as exc:  # orchestrator bug, not a step failure
+            print(f"orchestrator error: {exc}", file=sys.stderr)
+            return 2
+        failures = [r for r in results if not r.ok and not r.step.advisory]
+        warnings = [r for r in results if not r.ok and r.step.advisory]
+        print(f"\n{len(results)} step(s): "
+              f"{len(results) - len(failures) - len(warnings)} "
+              f"passed, {len(failures)} failed, {len(warnings)} advisory-failed")
+        if args.junit:
+            write_junit(args.junit, args.suite, results)
+            print(f"wrote {args.junit}")
     if args.json:
-        print(json.dumps(summary_payload(args.suite, results),
-                         indent=2, sort_keys=True))
+        print_json(summary_payload(args.suite, results))
     return 1 if failures else 0
 
 

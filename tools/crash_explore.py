@@ -26,18 +26,20 @@ Exit codes: 0 = explored clean, 1 = invariant violations found
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from repro.cli import (add_jobs_argument, by_invariant,  # noqa: E402
+                       dump_metrics, exit_boundary, print_json)
 from repro.faults import CrashExplorer, ExplorationError  # noqa: E402
 from repro.faults.workloads import WORKLOADS  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
-from repro.parallel import (ShardEngine, SweepSpec, make_explorer,  # noqa: E402
-                            parallel_explore, seed_matrix)
+from repro.parallel import (CELL_TIMEOUT, ShardEngine,  # noqa: E402
+                            SweepSpec, make_explorer, parallel_explore,
+                            seed_matrix)
 
 
 def parse_seeds(text: str) -> list:
@@ -76,10 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seeds", type=str, default=None,
                         help="seed matrix: comma list / ranges ('0,2,4-7'); "
                              "one full sweep per seed, overrides --seed")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes to shard the sweep across "
-                             "(default 1 = sequential; 0 = all cores)")
-    parser.add_argument("--shard-timeout", type=float, default=None,
+    add_jobs_argument(parser, default=1,
+                      help="worker processes to shard the sweep across")
+    parser.add_argument("--shard-timeout", type=float, default=CELL_TIMEOUT,
                         help="per-shard deadline in seconds (parallel only)")
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable summary on stdout "
@@ -137,10 +138,6 @@ def report_violations(result, explorer: CrashExplorer,
 def json_summary(workload: str, result) -> dict:
     """Deterministic machine-readable sweep summary: no wall-clock, no
     worker info — byte-identical for any ``--jobs``."""
-    by_invariant = {}
-    for violation in result.violations:
-        by_invariant[violation.invariant] = \
-            by_invariant.get(violation.invariant, 0) + 1
     failing = [{
         "point": case.point.index,
         "site": case.point.site,
@@ -158,18 +155,9 @@ def json_summary(workload: str, result) -> dict:
         "cases": len(result.cases),
         "violations": len(result.violations),
         "by_site": result.site_histogram(),
-        "by_invariant": by_invariant,
+        "by_invariant": by_invariant(result.violations),
         "failing_cases": failing,
     }
-
-
-def print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def dump_metrics(registry: MetricsRegistry) -> None:
-    for metric in registry.collect("parallel"):
-        print(f"{metric.name} = {metric.value():g}", file=sys.stderr)
 
 
 def run_matrix(args, spec: SweepSpec, engine: ShardEngine) -> int:
@@ -190,35 +178,28 @@ def run_matrix(args, spec: SweepSpec, engine: ShardEngine) -> int:
     return 1 if total and args.check else 0
 
 
+@exit_boundary(ExplorationError)
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     registry = MetricsRegistry()
-    try:
-        spec = SweepSpec(workload=args.workload, ops=args.ops,
-                         budget=args.budget, subsets=args.subsets,
-                         seed=args.seed, trace=args.trace,
-                         warm_start=args.warm_start)
-        jobs = args.jobs if args.jobs > 0 else None
-        engine = ShardEngine(jobs=jobs, registry=registry)
-        explorer = make_explorer(spec)
-        if args.list_points:
-            list_points(explorer)
-            return 0
-        if args.seeds is not None:
-            code = run_matrix(args, spec, engine)
-            if args.metrics:
-                dump_metrics(registry)
-            return code
-        result = parallel_explore(spec, engine=engine, explorer=explorer,
-                                  shard_timeout=args.shard_timeout)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ExplorationError as exc:
-        print(f"harness error: {exc}", file=sys.stderr)
-        return 2
+    spec = SweepSpec(workload=args.workload, ops=args.ops,
+                     budget=args.budget, subsets=args.subsets,
+                     seed=args.seed, trace=args.trace,
+                     warm_start=args.warm_start)
+    engine = ShardEngine(jobs=args.jobs, registry=registry)
+    explorer = make_explorer(spec)
+    if args.list_points:
+        list_points(explorer)
+        return 0
+    if args.seeds is not None:
+        code = run_matrix(args, spec, engine)
+        if args.metrics:
+            dump_metrics(registry, "parallel")
+        return code
+    result = parallel_explore(spec, engine=engine, explorer=explorer,
+                              shard_timeout=args.shard_timeout)
     if args.metrics:
-        dump_metrics(registry)
+        dump_metrics(registry, "parallel")
     if args.json:
         print_json(json_summary(args.workload, result))
     else:

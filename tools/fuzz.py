@@ -33,6 +33,8 @@ import sys
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from repro.cli import (add_jobs_argument, dump_metrics,  # noqa: E402
+                       exit_boundary, print_json)
 from repro.fuzz import (Corpus, FuzzCase, FuzzConfig,  # noqa: E402
                         FuzzEngine, compare_campaigns, render_compare_text,
                         render_html, render_text, run_case_task)
@@ -58,9 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--batch", type=int, default=8,
                      help="candidate batch size; part of the determinism "
                           "contract — never derived from --jobs")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="worker processes to shard batches across "
-                          "(default 1 = in-process; 0 = all cores)")
+    add_jobs_argument(run, default=1,
+                      help="worker processes to shard batches across")
     run.add_argument("--families", type=str, default=None,
                      help="comma list of seed families (default: all of "
                           f"{','.join(sorted(FUZZ_SEED_MIXES))})")
@@ -114,15 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--json", action="store_true",
                          help="emit the diff as JSON")
     return parser
-
-
-def print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def dump_metrics(registry: MetricsRegistry) -> None:
-    for metric in registry.collect("fuzz"):
-        print(f"{metric.name} = {metric.value():g}", file=sys.stderr)
 
 
 def write_corpus(root: str, result, want_html: bool) -> None:
@@ -181,8 +173,7 @@ def cmd_run(args) -> int:
     engine = None
     registry = MetricsRegistry()
     if args.jobs != 1:
-        engine = ShardEngine(jobs=args.jobs if args.jobs > 0 else None,
-                             registry=registry)
+        engine = ShardEngine(jobs=args.jobs, registry=registry)
     fuzzer = FuzzEngine(config, engine=engine, registry=registry)
     if args.reuse_corpus:
         reuse_corpus_seeds(fuzzer, args.corpus)
@@ -190,7 +181,7 @@ def cmd_run(args) -> int:
     if args.corpus:
         write_corpus(args.corpus, result, args.html)
     if args.metrics:
-        dump_metrics(registry)
+        dump_metrics(registry, "fuzz")
     if args.json:
         print_json(result.summary())
     else:
@@ -264,23 +255,14 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@exit_boundary(FuzzShardError)
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "triage":
-            return cmd_triage(args)
-        return cmd_compare(args)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except FuzzShardError as exc:
-        print(f"harness error: {exc}", file=sys.stderr)
-        return 2
+    if args.command == "run":
+        return cmd_run(args)
+    if args.command == "triage":
+        return cmd_triage(args)
+    return cmd_compare(args)
 
 
 if __name__ == "__main__":

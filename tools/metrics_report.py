@@ -31,27 +31,17 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+from repro.cli import add_fio_arguments, fio_stack  # noqa: E402
 from repro.harness.reporting import (  # noqa: E402
     format_metrics_by_layer, mib_per_s, sparkline)
-from repro.harness.systems import SYSTEM_NAMES, Scale, build_stack  # noqa: E402
 from repro.obs import Sampler, to_json_text, to_prometheus_text  # noqa: E402
-from repro.units import KIB, MIB, fmt_time  # noqa: E402
-from repro.workloads.fio import FioJob, run_fio  # noqa: E402
+from repro.units import fmt_time  # noqa: E402
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(
         description="run a workload on an instrumented stack, print metrics")
-    parser.add_argument("--system", default="nvcache+ssd", choices=SYSTEM_NAMES)
-    parser.add_argument("--rw", default="randwrite",
-                        choices=["write", "randwrite", "read", "randread",
-                                 "randrw"])
-    parser.add_argument("--size-mib", type=float, default=4.0,
-                        help="bytes transferred by the job (MiB)")
-    parser.add_argument("--fsync", type=int, default=1,
-                        help="fsync every N writes (0 = never)")
-    parser.add_argument("--scale", type=int, default=4096,
-                        help="Scale.factor dividing the paper's sizes")
+    add_fio_arguments(parser, size_mib=4.0)
     parser.add_argument("--samples", type=int, default=60,
                         help="target number of time-series samples")
     parser.add_argument("--export", choices=["prom", "json"],
@@ -66,17 +56,13 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    stack = build_stack(args.system, Scale(args.scale), metrics=True,
-                        tracing=args.trace)
+    stack, job, run = fio_stack(args, tracing=args.trace)
     registry = stack.metrics
 
-    job = FioJob(rw=args.rw, block_size=4 * KIB,
-                 size=int(args.size_mib * MIB), fsync=args.fsync)
     # Aim for ~args.samples points: estimate per-op time from a tiny
     # probe run is overkill — sample finely and let sparkline downsample.
     sampler = Sampler(stack.env, registry, period=5e-5).start()
-    result = run_fio(stack.env, stack.libc, job, "/bench.dat",
-                     settle=stack.settle)
+    result = run()
     sampler.stop()
 
     if args.export == "prom":

@@ -30,13 +30,13 @@ Exit codes: 0 success, 1 a check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+from repro.cli import print_json  # noqa: E402
 from repro.core import POLICY_NAMES  # noqa: E402
 from repro.harness import (CROSSOVER_MIXES, policy_crossover,  # noqa: E402
                            policy_hit_ratios)
@@ -162,7 +162,7 @@ def main(argv=None) -> int:
     failures = check_report(report)
     if args.json:
         report["check_failures"] = failures
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print_json(report)
     else:
         print_report(report)
     if args.check:

@@ -33,12 +33,17 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+from repro.cli import add_jobs_argument, print_json  # noqa: E402
 from repro.harness.systems import SYSTEM_NAMES  # noqa: E402
 from repro.tenancy import (TrafficEngine, make_mix, make_schedule,  # noqa: E402
                            sweep_seeds)
 
 
 def verify_sharding(args) -> int:
+    if args.jobs == 1:
+        print("--verify-sharding compares sequential against sharded: "
+              "it needs an effective --jobs of at least 2", file=sys.stderr)
+        return 2
     seeds = list(range(args.seed, args.seed + args.seeds))
     params = {"tenants": args.tenants, "operations": args.ops,
               "workers": args.workers, "schedule": args.schedule,
@@ -96,8 +101,8 @@ def main(argv=None) -> int:
                              "--jobs-wide sharded one, byte for byte")
     parser.add_argument("--seeds", type=int, default=4,
                         help="seed count for --verify-sharding")
-    parser.add_argument("--jobs", type=int, default=4,
-                        help="worker processes for --verify-sharding")
+    add_jobs_argument(parser, default=4,
+                      help="worker processes for --verify-sharding")
     args = parser.parse_args(argv)
 
     if args.verify_sharding:
@@ -112,7 +117,7 @@ def main(argv=None) -> int:
     report = engine.run()
 
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print_json(report.to_dict())
     else:
         print(report.format(top=args.top))
 

@@ -33,7 +33,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -41,24 +40,15 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.capacity import attribution_payload, to_ps  # noqa: E402
-from repro.harness.systems import SYSTEM_NAMES, Scale, build_stack  # noqa: E402
-from repro.units import KIB, MIB, fmt_time  # noqa: E402
-from repro.workloads.fio import FioJob, run_fio  # noqa: E402
+from repro.cli import (add_fio_arguments, exit_boundary,  # noqa: E402
+                       fio_stack, print_json)
+from repro.units import fmt_time  # noqa: E402
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(
         description="run a workload on a traced stack, inspect the spans")
-    parser.add_argument("--system", default="nvcache+ssd", choices=SYSTEM_NAMES)
-    parser.add_argument("--rw", default="randwrite",
-                        choices=["write", "randwrite", "read", "randread",
-                                 "randrw"])
-    parser.add_argument("--size-mib", type=float, default=1.0,
-                        help="bytes transferred by the job (MiB)")
-    parser.add_argument("--fsync", type=int, default=1,
-                        help="fsync every N writes (0 = never)")
-    parser.add_argument("--scale", type=int, default=4096,
-                        help="Scale.factor dividing the paper's sizes")
+    add_fio_arguments(parser, size_mib=1.0)
     parser.add_argument("--sample-rate", type=float, default=1.0,
                         help="head-sampling probability for root spans")
     parser.add_argument("--seed", type=int, default=0,
@@ -172,15 +162,13 @@ def json_summary(args, tracer, result) -> dict:
     }
 
 
+@exit_boundary(Exception)
 def main(argv=None) -> int:
     args = parse_args(argv)
-    stack = build_stack(args.system, Scale(args.scale), metrics=True,
-                        tracing=True, trace_sample_rate=args.sample_rate,
-                        trace_seed=args.seed)
-    job = FioJob(rw=args.rw, block_size=4 * KIB,
-                 size=int(args.size_mib * MIB), fsync=args.fsync)
-    result = run_fio(stack.env, stack.libc, job, "/bench.dat",
-                     settle=stack.settle)
+    stack, job, run = fio_stack(args, tracing=True,
+                                trace_sample_rate=args.sample_rate,
+                                trace_seed=args.seed)
+    result = run()
     tracer = stack.tracer
 
     if args.export:
@@ -198,11 +186,10 @@ def main(argv=None) -> int:
             source=f"trace_report:{args.system}:{args.rw}",
             spans=len(tracer.spans),
             dropped=tracer.dropped)
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print_json(payload)
         return 0
     if args.json:
-        print(json.dumps(json_summary(args, tracer, result), indent=2,
-                         sort_keys=True))
+        print_json(json_summary(args, tracer, result))
         return 0
     if args.trace is not None:
         spans = tracer.spans_for(args.trace)
@@ -260,10 +247,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except BrokenPipeError:
-        sys.exit(0)  # downstream closed the pipe (e.g. | head)
-    except Exception as exc:  # noqa: BLE001 — CLI boundary
-        print(f"trace_report failed: {exc}", file=sys.stderr)
-        sys.exit(2)
+    sys.exit(main())
