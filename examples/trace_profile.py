@@ -43,7 +43,11 @@ def main():
         print(tracer.summary())
         ssd = stack.devices.get("ssd")
         if ssd is not None:
-            busy = tracer.total_time(ssd.name)
+            # Queue wait is booked apart, so the block.*_service
+            # segments are exactly the time the device spent serving.
+            busy = sum(cost for segment, cost in tracer.attribution().items()
+                       if segment.startswith("block.")
+                       and segment.endswith("_service"))
             print(f"  -> {ssd.name} busy {fmt_time(busy)} "
                   f"({busy / elapsed * 100:.0f}% of the run)")
         with tempfile.NamedTemporaryFile(suffix=f"-{name}.json",

@@ -98,19 +98,36 @@ def test_check_docs_json_summary():
     assert summary["registered"] >= 100
 
 
+def _load_check_docs():
+    spec = importlib.util.spec_from_file_location(
+        "check_docs", os.path.join(REPO_ROOT, "tools", "check_docs.py"))
+    check_docs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_docs)
+    return check_docs
+
+
 def test_check_docs_detects_missing_metric():
     # Remove one documented name; the checker must name it as missing.
     with open(os.path.join(REPO_ROOT, "docs", "OBSERVABILITY.md")) as handle:
         doc = handle.read()
     broken = doc.replace("`core.nvcache.hit_ratio`", "`(redacted)`")
     assert broken != doc
-    spec = importlib.util.spec_from_file_location(
-        "check_docs", os.path.join(REPO_ROOT, "tools", "check_docs.py"))
-    check_docs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(check_docs)
+    check_docs = _load_check_docs()
     missing = check_docs.registered_names() \
         - check_docs.documented_names(broken)
     assert "core.nvcache.hit_ratio" in missing
+
+
+def test_check_docs_knows_which_trace_names_call_sites_emit():
+    # Literal names, a conditional expression (qos) and a variable
+    # (pread's hit/miss span) all resolve; a name nobody emits does not,
+    # which is what makes a dead vocabulary entry fail the check.
+    emitted = _load_check_docs().emitted_trace_names()
+    assert {"libc.pwrite", "kernel.syscall", "core.quota_wait",
+            "core.admission_wait", "core.read_hit",
+            "core.read_miss"} <= emitted
+    assert "block.trim" not in emitted
+    assert check_json(["tools/check_docs.py"])["dead"] == []
 
 
 def test_metrics_report_json_export():

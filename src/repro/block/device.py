@@ -183,16 +183,11 @@ class BlockDevice:
                 if tracer is not None:
                     tracer.charge(self.env, "block", "queue_wait",
                                   self.env.now - queued)
-                    tracer.charge(self.env, "block", "read_service", delay)
                 if self._m_read_latency is not None:
                     self._m_read_latency.observe(
                         delay, trace_id=tracer.current_trace_id(self.env)
                         if tracer is not None else None)
-                yield self.env.timeout(delay)
-                if tracer is not None:
-                    tracer.add(self.env.now - delay, delay, self.name,
-                               "read", self.name, offset=offset,
-                               nbytes=nbytes)
+                yield self.env.delay(delay, "block", "read_service")
                 return self._read_raw(offset, nbytes)
             finally:
                 self._lock.release()
@@ -220,16 +215,11 @@ class BlockDevice:
                 if tracer is not None:
                     tracer.charge(self.env, "block", "queue_wait",
                                   self.env.now - queued)
-                    tracer.charge(self.env, "block", "write_service", delay)
                 if self._m_write_latency is not None:
                     self._m_write_latency.observe(
                         delay, trace_id=tracer.current_trace_id(self.env)
                         if tracer is not None else None)
-                yield self.env.timeout(delay)
-                if tracer is not None:
-                    tracer.add(self.env.now - delay, delay, self.name,
-                               "write", self.name, offset=offset,
-                               nbytes=len(data))
+                yield self.env.delay(delay, "block", "write_service")
                 if self.fault_injector is not None:
                     # May raise KernelError(EIO); a torn write lands a prefix
                     # of the data in the cache before raising.
@@ -356,18 +346,13 @@ class BlockDevice:
                 if tracer is not None:
                     tracer.charge(self.env, "block", "queue_wait",
                                   self.env.now - queued)
-                    tracer.charge(self.env, "block", "flush_service",
-                                  self.timing.flush_latency)
                 if self._m_flush_latency is not None:
                     self._m_flush_latency.observe(
                         self.timing.flush_latency,
                         trace_id=tracer.current_trace_id(self.env)
                         if tracer is not None else None)
-                yield self.env.timeout(self.timing.flush_latency)
-                if tracer is not None:
-                    tracer.add(self.env.now - self.timing.flush_latency,
-                               self.timing.flush_latency, self.name,
-                               "flush", self.name)
+                yield self.env.delay(self.timing.flush_latency,
+                                     "block", "flush_service")
                 if self.fault_injector is not None \
                         and self.fault_injector.on_flush(self):
                     # Dropped barrier: the device acknowledges the flush but

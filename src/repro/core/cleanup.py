@@ -324,9 +324,6 @@ class CleanupThread(DrainThread):
             self._propagated.update(completed)
             self.stats.cleanup_batch_aborts += 1
             if tracer is not None:
-                tracer.add(self.env.now, 0.0, "nvcache",
-                           "batch-abort", "cleanup",
-                           entries=len(batch))
                 tracer.end(self.env, batch_token, status="aborted")
                 batch_token = None
             return 0
@@ -347,9 +344,6 @@ class CleanupThread(DrainThread):
         if self._m_batch_size is not None:
             self._m_batch_size.observe(len(batch))
         if tracer is not None:
-            tracer.add(self.env.now, 0.0, "nvcache", "batch",
-                       "cleanup", entries=len(batch),
-                       log_used=self.log.used())
             tracer.end(self.env, batch_token, status="retired",
                        log_used=self.log.used())
             batch_token = None

@@ -36,6 +36,7 @@ import struct
 from typing import Generator, List, Optional, Tuple
 
 from ..nvmm import NvmmDevice, RegionAllocator, read_cstring, write_cstring
+from ..nvmm.layout import align_up
 from ..sim import Environment, Waitable
 from ..units import CACHE_LINE_SIZE, US
 from .config import NvcacheConfig
@@ -65,10 +66,6 @@ OP_CREATE = -5     # file created by open(O_CREAT); payload = path.
 #                    rotation pattern — see docs/CRASH_TESTING.md).
 
 
-def _align(value: int, alignment: int = CACHE_LINE_SIZE) -> int:
-    return (value + alignment - 1) & ~(alignment - 1)
-
-
 class LogFullError(Exception):
     """Internal marker (writers normally wait instead of raising)."""
 
@@ -88,7 +85,8 @@ class NvmmLog:
         self.config = config
         self.stats = stats or NvcacheStats()
         self.entries = config.log_entries
-        self.stride = _align(HEADER_SIZE + config.entry_data_size)
+        self.stride = align_up(HEADER_SIZE + config.entry_data_size,
+                               CACHE_LINE_SIZE)
 
         allocator = RegionAllocator(nvmm, base=base)
         self.fd_table_base = allocator.allocate(
@@ -122,12 +120,13 @@ class NvmmLog:
     @classmethod
     def required_size(cls, config: NvcacheConfig, base: int = 0) -> int:
         """NVMM bytes needed for this log geometry."""
-        stride = _align(HEADER_SIZE + config.entry_data_size)
-        size = _align(base)
-        size = _align(size) + _align(config.fd_max * config.path_max)
-        size = _align(size) + CACHE_LINE_SIZE  # tail
-        size = _align(size) + config.log_entries * stride
-        return size + CACHE_LINE_SIZE
+        line = CACHE_LINE_SIZE
+        stride = align_up(HEADER_SIZE + config.entry_data_size, line)
+        size = align_up(base, line)
+        size += align_up(config.fd_max * config.path_max, line)
+        size = align_up(size, line) + line  # tail
+        size = align_up(size, line) + config.log_entries * stride
+        return size + line
 
     def _slot_addr(self, seq: int) -> int:
         return self.entries_base + (seq % self.entries) * self.stride
@@ -182,8 +181,7 @@ class NvmmLog:
         return seq
 
     def next_entry(self) -> Generator:
-        seq = yield from self.next_entries(1)
-        return seq
+        return self.next_entries(1)
 
     def fill_entry(self, seq: int, fd: int, offset: int, data: bytes,
                    leader_seq: Optional[int] = None) -> Generator:
@@ -206,11 +204,9 @@ class NvmmLog:
         if recorder is not None:
             recorder.hit("core.log.entry_filled", f"seq {seq} fd {fd}")
         # Bandwidth cost of moving payload+header towards NVMM.
-        if self.env.tracer is not None:
-            self.env.tracer.charge(
-                self.env, "nvmm", "store",
-                self.nvmm.timing.store_cost(HEADER_SIZE + len(data)))
-        yield self.env.timeout(self.nvmm.timing.store_cost(HEADER_SIZE + len(data)))
+        yield self.env.delay(
+            self.nvmm.timing.store_cost(HEADER_SIZE + len(data)),
+            "nvmm", "store")
 
     def commit_leader(self, seq: int) -> Generator:
         """pfence (order entries before commit), set the leader's commit
@@ -255,8 +251,7 @@ class NvmmLog:
     def timed_read_range(self, seq: int, data_offset: int, length: int) -> Generator:
         """Timed load of a slice of an entry's payload (dirty-miss path)."""
         addr = self._slot_addr(seq) + HEADER_SIZE + data_offset
-        data = yield from self.nvmm.timed_load(addr, length)
-        return data
+        return self.nvmm.timed_load(addr, length)
 
     def pending_removal(self, path: str) -> bool:
         """True while the ring still holds a namespace entry that removes
@@ -336,9 +331,7 @@ class NvmmLog:
         recorder = self.env.crash_points
         if recorder is not None:
             recorder.hit("core.log.cleared", f"tail {new_tail}")
-        if self.env.tracer is not None:
-            self.env.tracer.charge(self.env, "core", "retire", 0.2 * US)
-        yield self.env.timeout(0.2 * US)
+        yield self.env.delay(0.2 * US, "core", "retire")
 
     def advance_volatile_tail(self, new_tail: int) -> None:
         """Step 3: make the slots reusable and wake blocked writers."""

@@ -254,8 +254,7 @@ class CacheFacade:
     # -- passthrough and the multi-process coherence point ---------------------
 
     def mkdir(self, path: str) -> Generator:
-        result = yield from self.kernel.mkdir(path)
-        return result
+        return self.kernel.mkdir(path)
 
     def flock(self, fd: int, operation: int) -> Generator:
         """flock is the coherence point for multi-process sharing
@@ -463,9 +462,8 @@ class Nvcache(CacheFacade):
             if tracer is not None:
                 tracer.charge(self.env, "core", "lock_wait",
                               self.env.now - lock_began)
-                tracer.charge(self.env, "core", "write_overhead",
-                              config.write_op_overhead)
-            yield self.env.timeout(config.write_op_overhead)
+            yield self.env.delay(config.write_op_overhead,
+                                 "core", "write_overhead")
             # Fill every entry (uncommitted for now).
             for i in range(chunk_count):
                 chunk = data[i * chunk_size:(i + 1) * chunk_size]
@@ -521,10 +519,6 @@ class Nvcache(CacheFacade):
                 tracer.end(self.env, append_token)
         if self._m_write_latency is not None:
             self._observe_latency(self._m_write_latency, began)
-        if tracer is not None:
-            tracer.add(self.env.now, 0.0, self.name, "pwrite",
-                       "app", fd=fd, offset=offset,
-                       nbytes=len(data), entries=chunk_count)
         return len(data)
 
     def _apply_to_content(self, descriptor: PageDescriptor, offset: int,
@@ -588,10 +582,7 @@ class Nvcache(CacheFacade):
                 try:
                     if missed:
                         uncached = yield from self._load_page(handle, descriptor)
-                    if tracer is not None:
-                        tracer.charge(self.env, "core", "read_overhead",
-                                      overhead)
-                    yield self.env.timeout(overhead)
+                    yield self.env.delay(overhead, "core", "read_overhead")
                 finally:
                     if token is not None:
                         tracer.end(self.env, token)

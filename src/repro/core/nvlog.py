@@ -53,10 +53,8 @@ class NvlogLite(Nvcache):
             token = tracer.begin(self.env, "core", "read_miss", fd=fd)
         try:
             data = yield from self.kernel.pread(fd, nbytes, offset)
-            if tracer is not None:
-                tracer.charge(self.env, "core", "read_overhead",
-                              self.config.read_miss_overhead)
-            yield self.env.timeout(self.config.read_miss_overhead)
+            yield self.env.delay(self.config.read_miss_overhead,
+                                 "core", "read_overhead")
         finally:
             if token is not None:
                 tracer.end(self.env, token)

@@ -68,8 +68,10 @@ from ..kernel.fd_table import (
     O_RDONLY,
     O_RDWR,
     O_TRUNC,
+    O_WRONLY,
 )
 from ..nvmm import NvmmDevice, RegionAllocator, read_cstring, write_cstring
+from ..nvmm.layout import align_up
 from ..sim import Environment, Lock, Waitable
 from ..units import CACHE_LINE_SIZE
 from .cleanup import _TICK, DrainThread
@@ -86,10 +88,6 @@ META_STRIDE = CACHE_LINE_SIZE     # one cache line per record
 SLOT_FREE = 0
 SLOT_DIRTY = 1
 SLOT_CLEAN = 2
-
-def _align(value: int, alignment: int = CACHE_LINE_SIZE) -> int:
-    return (value + alignment - 1) & ~(alignment - 1)
-
 
 @dataclass(slots=True)
 class PagingStats:
@@ -149,12 +147,13 @@ class PagingStore:
     @classmethod
     def required_size(cls, config: NvcacheConfig, base: int = 0) -> int:
         """NVMM bytes needed for this paging geometry."""
-        size = _align(base)
-        size = _align(size) + _align(config.fd_max * config.path_max)
-        size = _align(size) + CACHE_LINE_SIZE  # commit word
-        size = _align(size) + config.paging_slots * META_STRIDE
-        size = _align(size) + config.paging_slots * config.page_size
-        return size + CACHE_LINE_SIZE
+        line = CACHE_LINE_SIZE
+        size = align_up(base, line)
+        size += align_up(config.fd_max * config.path_max, line)
+        size = align_up(size, line) + line  # commit word
+        size = align_up(size, line) + config.paging_slots * META_STRIDE
+        size = align_up(size, line) + config.paging_slots * config.page_size
+        return size + line
 
     # -- addresses ---------------------------------------------------------
 
@@ -433,9 +432,8 @@ class PagingCache(CacheFacade):
             if tracer is not None:
                 tracer.charge(self.env, "core", "lock_wait",
                               self.env.now - lock_began)
-                tracer.charge(self.env, "core", "write_overhead",
-                              config.write_op_overhead)
-            yield self.env.timeout(config.write_op_overhead)
+            yield self.env.delay(config.write_op_overhead,
+                                 "core", "write_overhead")
             fid = yield from self._fid_for(nv_file)
             txn = self._next_txn
             self._next_txn += 1
@@ -494,10 +492,6 @@ class PagingCache(CacheFacade):
         self.cleanup.nudge()
         if self._m_write_latency is not None:
             self._observe_latency(self._m_write_latency, began)
-        if tracer is not None:
-            tracer.add(self.env.now, 0.0, self.name, "pwrite", "app",
-                       fd=fd, offset=offset, nbytes=len(data),
-                       pages=page_count)
         return len(data)
 
     def _stage_pages(self, staged, handle, nv_file: NvFile, fid: int,
@@ -509,7 +503,6 @@ class PagingCache(CacheFacade):
         page_size = config.page_size
         nvmm = self.nvmm
         store = self.store
-        tracer = self.env.tracer
         recorder = self.env.crash_points
         fd = handle.fd
         for page in range(first_page, last_page + 1):
@@ -533,7 +526,7 @@ class PagingCache(CacheFacade):
                 # backend before the store. A write-only fd can't read,
                 # so fill through a transient read-only descriptor.
                 self.stats.fill_reads += 1
-                if (handle.flags & O_ACCMODE) != 1:  # not O_WRONLY
+                if (handle.flags & O_ACCMODE) != O_WRONLY:
                     fill = yield from self.kernel.pread(fd, page_size, base)
                 else:
                     rfd = yield from self.kernel.open(nv_file.path, O_RDONLY)
@@ -552,10 +545,8 @@ class PagingCache(CacheFacade):
             if recorder is not None:
                 recorder.hit("core.paging.page_stored",
                              f"txn {txn} fid {fid} page {page}")
-            cost = nvmm.timing.store_cost(page_size + META_SIZE)
-            if tracer is not None:
-                tracer.charge(self.env, "nvmm", "store", cost)
-            yield self.env.timeout(cost)
+            yield self.env.delay(
+                nvmm.timing.store_cost(page_size + META_SIZE), "nvmm", "store")
             staged.append((page, slot))
 
     def _supersede(self, slot: PageSlot) -> None:
@@ -656,10 +647,8 @@ class PagingCache(CacheFacade):
                 try:
                     piece = yield from self.nvmm.timed_load(
                         self.store.data_addr(slot.index) + in_page, chunk)
-                    if tracer is not None:
-                        tracer.charge(self.env, "core", "read_overhead",
-                                      self.config.read_hit_overhead)
-                    yield self.env.timeout(self.config.read_hit_overhead)
+                    yield self.env.delay(self.config.read_hit_overhead,
+                                         "core", "read_overhead")
                 finally:
                     if token is not None:
                         tracer.end(self.env, token)
@@ -681,10 +670,8 @@ class PagingCache(CacheFacade):
                     data = yield from self.kernel.pread(fd, page_size, base)
                     buffer = bytearray(page_size)
                     buffer[:len(data)] = data
-                    if tracer is not None:
-                        tracer.charge(self.env, "core", "read_overhead",
-                                      self.config.read_miss_overhead)
-                    yield self.env.timeout(self.config.read_miss_overhead)
+                    yield self.env.delay(self.config.read_miss_overhead,
+                                         "core", "read_overhead")
                 finally:
                     if token is not None:
                         tracer.end(self.env, token)
@@ -730,10 +717,9 @@ class PagingCache(CacheFacade):
         self.store.store_meta(slot.index, 0, fid, page, SLOT_CLEAN,
                               nv_file.size)
         self._media_fid[slot.index] = fid
-        cost = self.nvmm.timing.store_cost(self.config.page_size + META_SIZE)
-        if self.env.tracer is not None:
-            self.env.tracer.charge(self.env, "nvmm", "store", cost)
-        yield self.env.timeout(cost)
+        yield self.env.delay(
+            self.nvmm.timing.store_cost(self.config.page_size + META_SIZE),
+            "nvmm", "store")
         key = (fid, page)
         slot.state = SLOT_CLEAN
         slot.txn = 0

@@ -159,10 +159,7 @@ class Ext4(Filesystem):
             # (which masks the garbage), so the rewrite revalidates the
             # whole block.
             stale_tails.pop(index, None)
-        if self.env.tracer is not None:
-            self.env.tracer.charge(self.env, "fs", "block_request",
-                                   self.cpu.block_request)
-        yield self.env.timeout(self.cpu.block_request)
+        yield self.env.delay(self.cpu.block_request, "fs", "block_request")
         yield from self.device.write(block * PAGE_SIZE, data)
 
     @traced("fs", "journal_commit")
@@ -178,10 +175,7 @@ class Ext4(Filesystem):
         if self._pending_journal:
             if self._m_journal_commits is not None:
                 self._m_journal_commits.inc()
-            if tracer is not None:
-                tracer.charge(self.env, "fs", "journal_cpu",
-                              self.cpu.journal_commit)
-            yield self.env.timeout(self.cpu.journal_commit)
+            yield self.env.delay(self.cpu.journal_commit, "fs", "journal_cpu")
             record = b"JBD2" + bytes(PAGE_SIZE - 4)
             offset = self.journal_base + (
                 self.journal_cursor % (self.journal_size // PAGE_SIZE)) * PAGE_SIZE
@@ -195,10 +189,8 @@ class Ext4(Filesystem):
         else:
             if self._m_fast_commits is not None:
                 self._m_fast_commits.inc()
-            if tracer is not None:
-                tracer.charge(self.env, "fs", "journal_cpu",
-                              self.cpu.journal_commit / 8)
-            yield self.env.timeout(self.cpu.journal_commit / 8)
+            yield self.env.delay(self.cpu.journal_commit / 8,
+                                 "fs", "journal_cpu")
             kind = "fast"
         yield from self.device.flush()
         recorder = self.env.crash_points
@@ -211,4 +203,4 @@ class Ext4(Filesystem):
                                            trace_id=trace_id)
 
     def sync(self) -> Generator:
-        yield from self.commit()
+        return self.commit()

@@ -85,7 +85,7 @@ class Ext4Dax(Filesystem):
                 self.cpu.journal_commit / 8 + timing.flush_base_latency)
 
     def sync(self) -> Generator:
-        yield from self.commit()
+        return self.commit()
 
     def release_data(self, inode: Inode) -> None:
         for key in [k for k in self._pages if k[0] == inode.number]:

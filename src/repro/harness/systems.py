@@ -155,7 +155,7 @@ class StorageStack:
     #: layer of the stack self-registers its counters/gauges/histograms.
     metrics: Optional[MetricsRegistry] = None
     #: Populated when built with ``tracing=True``: the request tracer
-    #: attached to ``env.tracer`` (spans, flat events, exemplars).
+    #: attached to ``env.tracer`` (spans, segments, exemplars).
     tracer: Optional[Tracer] = None
 
     def settle(self) -> Generator:
@@ -211,7 +211,7 @@ def build_stack(name: str, scale: Scale = DEFAULT_SCALE,
     environment (returned on ``StorageStack.tracer``): every request
     records a causal span tree with critical-path segments, head-sampled
     at ``trace_sample_rate`` using ``trace_seed``. Tracing never changes
-    simulated results (pinned by ``tests/obs/test_tracing.py``).
+    simulated results (pinned by ``tests/obs/test_purity.py``).
     """
     env = Environment()
     registry = None

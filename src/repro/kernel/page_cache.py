@@ -94,11 +94,6 @@ class PageCache:
 
     # -- helpers -------------------------------------------------------------
 
-    def _charge(self, segment: str, amount: float) -> None:
-        tracer = self.env.tracer
-        if tracer is not None:
-            tracer.charge(self.env, "kernel", segment, amount)
-
     @staticmethod
     def _inode_key(filesystem, inode: Inode) -> Tuple[int, int]:
         return (id(filesystem), inode.number)
@@ -175,8 +170,8 @@ class PageCache:
         """Read through the cache. Returns up to ``nbytes`` bytes, clipped
         at the inode's current size."""
         if offset >= inode.size:
-            self._charge("page_cache_lookup", self.cpu.page_cache_lookup)
-            yield self.env.timeout(self.cpu.page_cache_lookup)
+            yield self.env.delay(self.cpu.page_cache_lookup,
+                                 "kernel", "page_cache_lookup")
             return b""
         nbytes = min(nbytes, inode.size - offset)
         self._remember(filesystem, inode)
@@ -190,8 +185,8 @@ class PageCache:
                 index, in_page = divmod(pos, PAGE_SIZE)
                 chunk = min(end - pos, PAGE_SIZE - in_page)
                 key = (id(filesystem), inode.number, index)
-                self._charge("page_cache_lookup", self.cpu.page_cache_lookup)
-                yield self.env.timeout(self.cpu.page_cache_lookup)
+                yield self.env.delay(self.cpu.page_cache_lookup,
+                                     "kernel", "page_cache_lookup")
                 page = self._pages.get(key)
                 if page is None:
                     self.stats.misses += 1
@@ -205,8 +200,7 @@ class PageCache:
                 out += page.data[in_page:in_page + chunk]
                 pos += chunk
             # copy_to_user
-            self._charge("copy", self.cpu.copy_cost(len(out)))
-            yield self.env.timeout(self.cpu.copy_cost(len(out)))
+            yield self.env.delay(self.cpu.copy_cost(len(out)), "kernel", "copy")
             return bytes(out)
         finally:
             lock.release()
@@ -223,8 +217,8 @@ class PageCache:
                 index, in_page = divmod(absolute, PAGE_SIZE)
                 chunk = min(len(data) - pos, PAGE_SIZE - in_page)
                 key = (id(filesystem), inode.number, index)
-                self._charge("page_cache_lookup", self.cpu.page_cache_lookup)
-                yield self.env.timeout(self.cpu.page_cache_lookup)
+                yield self.env.delay(self.cpu.page_cache_lookup,
+                                     "kernel", "page_cache_lookup")
                 page = self._pages.get(key)
                 if page is None:
                     partial = in_page != 0 or chunk != PAGE_SIZE
@@ -247,8 +241,7 @@ class PageCache:
                 yield from self._evict_if_needed()
                 pos += chunk
             # copy_from_user
-            self._charge("copy", self.cpu.copy_cost(len(data)))
-            yield self.env.timeout(self.cpu.copy_cost(len(data)))
+            yield self.env.delay(self.cpu.copy_cost(len(data)), "kernel", "copy")
             if offset + len(data) > inode.size:
                 inode.size = offset + len(data)
         finally:

@@ -56,16 +56,10 @@ class Kernel:
     def mount(self, mountpoint: str, filesystem) -> None:
         self.vfs.mount(mountpoint, filesystem)
 
-    def _syscall(self) -> Generator:
-        if self.env.tracer is not None:
-            self.env.tracer.charge(self.env, "kernel", "syscall",
-                                   self.cpu.syscall)
-        yield self.env.timeout(self.cpu.syscall)
-
     # -- open/close -------------------------------------------------------------
 
     def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         filesystem, rel = self.vfs.resolve(path)
         inode = filesystem.lookup(rel)
         if inode is None:
@@ -85,7 +79,7 @@ class Kernel:
         return self.fds.allocate(open_file)
 
     def close(self, fd: int) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         self.fds.release(fd)
         return 0
 
@@ -98,10 +92,7 @@ class Kernel:
             data = yield from self.page_cache.read(filesystem, inode, offset, nbytes)
         else:
             data = yield from filesystem.direct_read(inode, offset, nbytes)
-            if self.env.tracer is not None:
-                self.env.tracer.charge(self.env, "kernel", "copy",
-                                       self.cpu.copy_cost(len(data)))
-            yield self.env.timeout(self.cpu.copy_cost(len(data)))
+            yield self.env.delay(self.cpu.copy_cost(len(data)), "kernel", "copy")
         return data
 
     @traced("kernel", "write")
@@ -112,10 +103,7 @@ class Kernel:
         else:
             if open_file.direct and filesystem.uses_page_cache:
                 self.page_cache.invalidate(filesystem, inode)
-            if self.env.tracer is not None:
-                self.env.tracer.charge(self.env, "kernel", "copy",
-                                       self.cpu.copy_cost(len(data)))
-            yield self.env.timeout(self.cpu.copy_cost(len(data)))
+            yield self.env.delay(self.cpu.copy_cost(len(data)), "kernel", "copy")
             yield from filesystem.direct_write(inode, offset, data)
         if open_file.sync:
             yield from self._fsync_inode(open_file)
@@ -130,7 +118,7 @@ class Kernel:
             yield from filesystem.commit(inode)
 
     def read(self, fd: int, nbytes: int) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         open_file = self.fds.get(fd)
         if not open_file.readable:
             raise KernelError(EBADF, f"fd {fd} not open for reading")
@@ -139,7 +127,7 @@ class Kernel:
         return data
 
     def write(self, fd: int, data: bytes) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         open_file = self.fds.get(fd)
         if not open_file.writable:
             raise KernelError(EBADF, f"fd {fd} not open for writing")
@@ -150,7 +138,7 @@ class Kernel:
         return written
 
     def pread(self, fd: int, nbytes: int, offset: int) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         open_file = self.fds.get(fd)
         if not open_file.readable:
             raise KernelError(EBADF, f"fd {fd} not open for reading")
@@ -160,7 +148,7 @@ class Kernel:
         return data
 
     def pwrite(self, fd: int, data: bytes, offset: int) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         open_file = self.fds.get(fd)
         if not open_file.writable:
             raise KernelError(EBADF, f"fd {fd} not open for writing")
@@ -172,7 +160,7 @@ class Kernel:
     # -- metadata ---------------------------------------------------------------
 
     def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         open_file = self.fds.get(fd)
         if whence == SEEK_SET:
             new = offset
@@ -188,7 +176,7 @@ class Kernel:
         return new
 
     def stat(self, path: str) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         filesystem, rel = self.vfs.resolve(path)
         inode = filesystem.lookup(rel)
         if inode is None:
@@ -196,11 +184,11 @@ class Kernel:
         return stat_of(inode)
 
     def fstat(self, fd: int) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         return stat_of(self.fds.get(fd).inode)
 
     def ftruncate(self, fd: int, size: int) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         open_file = self.fds.get(fd)
         if not open_file.writable:
             raise KernelError(EBADF, f"fd {fd} not open for writing")
@@ -211,14 +199,14 @@ class Kernel:
         return 0
 
     def unlink(self, path: str) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         filesystem, rel = self.vfs.resolve(path)
         inode = filesystem.unlink(rel)
         self.page_cache.invalidate(filesystem, inode)
         return 0
 
     def rename(self, old: str, new: str) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         old_fs, old_rel = self.vfs.resolve(old)
         new_fs, new_rel = self.vfs.resolve(new)
         if old_fs is not new_fs:
@@ -227,32 +215,30 @@ class Kernel:
         return 0
 
     def mkdir(self, path: str) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         filesystem, rel = self.vfs.resolve(path)
         filesystem.mkdir(rel)
         return 0
 
     def listdir(self, path: str) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         filesystem, rel = self.vfs.resolve(path)
         return filesystem.listdir(rel)
 
     # -- durability --------------------------------------------------------------
 
     def fsync(self, fd: int) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         open_file = self.fds.get(fd)
         yield from self._fsync_inode(open_file)
         return 0
 
-    def fdatasync(self, fd: int) -> Generator:
-        # Modeled identically to fsync (our journal commit covers both).
-        result = yield from self.fsync(fd)
-        return result
+    # Modeled identically to fsync (our journal commit covers both).
+    fdatasync = fsync
 
     @traced("kernel", "sync")
     def sync(self) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         yield from self.page_cache.writeback_pass()
         for filesystem in self.vfs.filesystems():
             yield from filesystem.sync()
@@ -260,7 +246,7 @@ class Kernel:
 
     @traced("kernel", "syncfs")
     def syncfs(self, fd: int) -> Generator:
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         open_file = self.fds.get(fd)
         yield from self.page_cache.writeback_pass()
         yield from open_file.filesystem.sync()
@@ -272,7 +258,7 @@ class Kernel:
         """Advisory lock bookkeeping (the simulation runs one kernel per
         stack, so contention across *processes* is not modeled; NVCache
         uses flock/close as flush points, which is what we track)."""
-        yield from self._syscall()
+        yield self.env.delay(self.cpu.syscall, "kernel", "syscall")
         open_file = self.fds.get(fd)
         if operation & LOCK_UN:
             open_file.locks.clear()

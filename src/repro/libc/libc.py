@@ -22,7 +22,9 @@ from ..sim.trace import traced
 
 
 class Libc:
-    """Stock libc: thin syscall wrappers.
+    """Stock libc: thin syscall wrappers. Every method is a plain
+    function handing back the target's own generator, so the facade
+    adds no generator frame to any resume of the I/O path.
 
     The I/O entry points are ``traced``: when the environment carries a
     tracer, each call opens the *root span* of a request's causal tree
@@ -39,80 +41,63 @@ class Libc:
 
     @traced("libc", "open")
     def open(self, path: str, flags: int = 0, mode: int = 0o644) -> Generator:
-        fd = yield from self.target.open(path, flags, mode)
-        return fd
+        return self.target.open(path, flags, mode)
 
     @traced("libc", "close")
     def close(self, fd: int) -> Generator:
-        result = yield from self.target.close(fd)
-        return result
+        return self.target.close(fd)
 
     @traced("libc", "read")
     def read(self, fd: int, nbytes: int) -> Generator:
-        data = yield from self.target.read(fd, nbytes)
-        return data
+        return self.target.read(fd, nbytes)
 
     @traced("libc", "write")
     def write(self, fd: int, data: bytes) -> Generator:
-        written = yield from self.target.write(fd, data)
-        return written
+        return self.target.write(fd, data)
 
     @traced("libc", "pread")
     def pread(self, fd: int, nbytes: int, offset: int) -> Generator:
-        data = yield from self.target.pread(fd, nbytes, offset)
-        return data
+        return self.target.pread(fd, nbytes, offset)
 
     @traced("libc", "pwrite")
     def pwrite(self, fd: int, data: bytes, offset: int) -> Generator:
-        written = yield from self.target.pwrite(fd, data, offset)
-        return written
+        return self.target.pwrite(fd, data, offset)
 
     def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> Generator:
-        position = yield from self.target.lseek(fd, offset, whence)
-        return position
+        return self.target.lseek(fd, offset, whence)
 
     @traced("libc", "fsync")
     def fsync(self, fd: int) -> Generator:
-        result = yield from self.target.fsync(fd)
-        return result
+        return self.target.fsync(fd)
 
     @traced("libc", "fdatasync")
     def fdatasync(self, fd: int) -> Generator:
-        result = yield from self.target.fdatasync(fd)
-        return result
+        return self.target.fdatasync(fd)
 
     @traced("libc", "sync")
     def sync(self) -> Generator:
-        result = yield from self.target.sync()
-        return result
+        return self.target.sync()
 
     def stat(self, path: str) -> Generator:
-        st = yield from self.target.stat(path)
-        return st
+        return self.target.stat(path)
 
     def fstat(self, fd: int) -> Generator:
-        st = yield from self.target.fstat(fd)
-        return st
+        return self.target.fstat(fd)
 
     def unlink(self, path: str) -> Generator:
-        result = yield from self.target.unlink(path)
-        return result
+        return self.target.unlink(path)
 
     def rename(self, old: str, new: str) -> Generator:
-        result = yield from self.target.rename(old, new)
-        return result
+        return self.target.rename(old, new)
 
     def mkdir(self, path: str) -> Generator:
-        result = yield from self.target.mkdir(path)
-        return result
+        return self.target.mkdir(path)
 
     def ftruncate(self, fd: int, size: int) -> Generator:
-        result = yield from self.target.ftruncate(fd, size)
-        return result
+        return self.target.ftruncate(fd, size)
 
     def flock(self, fd: int, operation: int) -> Generator:
-        result = yield from self.target.flock(fd, operation)
-        return result
+        return self.target.flock(fd, operation)
 
 
 class NvcacheLibc(Libc):

@@ -88,70 +88,52 @@ class TenantLibc:
     # -- the POSIX surface (paper Table III + helpers) ---------------------
 
     def open(self, path: str, flags: int = 0, mode: int = 0o644) -> Generator:
-        fd = yield from self._call(self.inner.open(self.path(path), flags, mode))
-        return fd
+        return self._call(self.inner.open(self.path(path), flags, mode))
 
     def close(self, fd: int) -> Generator:
-        result = yield from self._call(self.inner.close(fd))
-        return result
+        return self._call(self.inner.close(fd))
 
     def read(self, fd: int, nbytes: int) -> Generator:
-        data = yield from self._call(self.inner.read(fd, nbytes))
-        return data
+        return self._call(self.inner.read(fd, nbytes))
 
     def write(self, fd: int, data: bytes) -> Generator:
-        written = yield from self._call(self.inner.write(fd, data))
-        return written
+        return self._call(self.inner.write(fd, data))
 
     def pread(self, fd: int, nbytes: int, offset: int) -> Generator:
-        data = yield from self._call(self.inner.pread(fd, nbytes, offset))
-        return data
+        return self._call(self.inner.pread(fd, nbytes, offset))
 
     def pwrite(self, fd: int, data: bytes, offset: int) -> Generator:
-        written = yield from self._call(self.inner.pwrite(fd, data, offset))
-        return written
+        return self._call(self.inner.pwrite(fd, data, offset))
 
     def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> Generator:
-        position = yield from self._call(self.inner.lseek(fd, offset, whence))
-        return position
+        return self._call(self.inner.lseek(fd, offset, whence))
 
     def fsync(self, fd: int) -> Generator:
-        result = yield from self._call(self.inner.fsync(fd))
-        return result
+        return self._call(self.inner.fsync(fd))
 
     def fdatasync(self, fd: int) -> Generator:
-        result = yield from self._call(self.inner.fdatasync(fd))
-        return result
+        return self._call(self.inner.fdatasync(fd))
 
     def sync(self) -> Generator:
-        result = yield from self._call(self.inner.sync())
-        return result
+        return self._call(self.inner.sync())
 
     def stat(self, path: str) -> Generator:
-        st = yield from self._call(self.inner.stat(self.path(path)))
-        return st
+        return self._call(self.inner.stat(self.path(path)))
 
     def fstat(self, fd: int) -> Generator:
-        st = yield from self._call(self.inner.fstat(fd))
-        return st
+        return self._call(self.inner.fstat(fd))
 
     def unlink(self, path: str) -> Generator:
-        result = yield from self._call(self.inner.unlink(self.path(path)))
-        return result
+        return self._call(self.inner.unlink(self.path(path)))
 
     def rename(self, old: str, new: str) -> Generator:
-        result = yield from self._call(
-            self.inner.rename(self.path(old), self.path(new)))
-        return result
+        return self._call(self.inner.rename(self.path(old), self.path(new)))
 
     def mkdir(self, path: str) -> Generator:
-        result = yield from self._call(self.inner.mkdir(self.path(path)))
-        return result
+        return self._call(self.inner.mkdir(self.path(path)))
 
     def ftruncate(self, fd: int, size: int) -> Generator:
-        result = yield from self._call(self.inner.ftruncate(fd, size))
-        return result
+        return self._call(self.inner.ftruncate(fd, size))
 
     def flock(self, fd: int, operation: int) -> Generator:
-        result = yield from self._call(self.inner.flock(fd, operation))
-        return result
+        return self._call(self.inner.flock(fd, operation))

@@ -380,30 +380,22 @@ class NvmmDevice:
         delay = (self.timing.flush_base_latency
                  + self._undrained_lines * self.timing.per_line_flush)
         self._undrained_lines = 0
-        tracer = self.env.tracer
-        if tracer is not None:
-            tracer.charge(self.env, "nvmm", "fence", delay)
         if self._m_psync_latency is not None:
+            tracer = self.env.tracer
             self._m_psync_latency.observe(
                 delay, trace_id=tracer.current_trace_id(self.env)
                 if tracer is not None else None)
-        yield self.env.timeout(delay)
+        yield self.env.delay(delay, "nvmm", "fence")
 
     def timed_store(self, addr: int, data: bytes) -> Generator:
         """store() plus the bandwidth cost of moving the bytes."""
         self.store(addr, data)
-        if self.env.tracer is not None:
-            self.env.tracer.charge(self.env, "nvmm", "store",
-                                   self.timing.store_cost(len(data)))
-        yield self.env.timeout(self.timing.store_cost(len(data)))
+        yield self.env.delay(self.timing.store_cost(len(data)), "nvmm", "store")
 
     def timed_load(self, addr: int, nbytes: int) -> Generator:
         """load() plus media read latency and bandwidth cost."""
         data = self.load(addr, nbytes)
-        if self.env.tracer is not None:
-            self.env.tracer.charge(self.env, "nvmm", "load",
-                                   self.timing.load_cost(nbytes))
-        yield self.env.timeout(self.timing.load_cost(nbytes))
+        yield self.env.delay(self.timing.load_cost(nbytes), "nvmm", "load")
         return data
 
     # -- crash simulation ----------------------------------------------------

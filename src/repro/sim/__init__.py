@@ -11,7 +11,7 @@ from .core import (
 )
 from .rng import DeterministicRandom, shuffled, zipf_ranks
 from .sync import Condition, Event, Lock, Queue, Semaphore
-from .trace import SEGMENT_NAMES, SPAN_NAMES, Span, TraceEvent, Tracer, traced
+from .trace import SEGMENT_NAMES, SPAN_NAMES, Span, Tracer, traced
 
 __all__ = [
     "CalendarQueue",
@@ -27,7 +27,6 @@ __all__ = [
     "Semaphore",
     "Queue",
     "Tracer",
-    "TraceEvent",
     "Span",
     "SPAN_NAMES",
     "SEGMENT_NAMES",

@@ -19,7 +19,11 @@ The API intentionally mirrors a small subset of SimPy::
     assert proc.value == 42
 
 Composition uses plain ``yield from``: a sub-operation that consumes
-simulated time is a generator, and callers delegate to it.
+simulated time is a generator, and callers delegate to it. A layer that
+only forwards returns the inner generator instead of re-yielding it —
+every ``yield from`` frame on a process's stack is re-entered on each
+resume. A modelled delay is ``yield env.delay(seconds, layer, segment)``:
+``timeout`` plus the critical-path booking when a tracer is attached.
 
 Scheduling fast path: zero-delay events (waitable callbacks, ``timeout(0)``,
 process start-ups) dominate a run, so they bypass the timer structure
@@ -46,7 +50,7 @@ overflow times).
 
 Observability hooks: an :class:`Environment` carries three optional,
 off-by-default attachment points — ``tracer`` (a
-:class:`repro.sim.trace.Tracer` recording a per-event timeline),
+:class:`repro.sim.trace.Tracer` recording causal span trees),
 ``metrics`` (a :class:`repro.obs.MetricsRegistry`; instrumented
 components self-register their counters/gauges/histograms against it at
 construction time) and ``crash_points`` (a
@@ -390,6 +394,14 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
+
+    def delay(self, seconds: float, layer: str, segment: str) -> Timeout:
+        """A timed, attributed step: ``timeout(seconds)``, booked to the
+        ``layer.segment`` critical-path bucket of the attached tracer (if
+        any). Instrumenting a modelled delay is this one line."""
+        if self.tracer is not None:
+            self.tracer.charge(self, layer, segment, seconds)
+        return Timeout(self, seconds)
 
     def event(self) -> "Event":
         from .sync import Event

@@ -1,26 +1,26 @@
-"""Execution tracing for simulated runs: flat events and causal spans.
+"""Execution tracing for simulated runs: causal spans.
 
 Attach a :class:`Tracer` to an :class:`~repro.sim.core.Environment` and
-instrumented components record two kinds of data:
-
-- **flat events** (:meth:`Tracer.add`) — the original timestamped
-  point/duration events (block device ops, cleanup batches);
-- **spans** (:meth:`Tracer.begin` / :meth:`Tracer.end`) — a causal tree
-  per request. Every span carries a ``trace_id`` (shared by everything
-  one root operation caused), a ``span_id``, and a ``parent_id``. The
-  trace context propagates implicitly through the simulation's process
-  model: each :class:`~repro.sim.core.Process` keeps its own span stack
-  keyed off ``env.active_process``, so a ``pwrite`` entering through
-  ``repro.libc`` and descending through NVCache, the kernel, ext4, and
-  the block device forms one tree without any argument threading.
+instrumented components record **spans** (:meth:`Tracer.begin` /
+:meth:`Tracer.end`) — a causal tree per request, and the tracer's only
+data model. Every span carries a ``trace_id`` (shared by everything one
+root operation caused), a ``span_id``, and a ``parent_id``. The trace
+context propagates implicitly through the simulation's process model:
+each :class:`~repro.sim.core.Process` keeps its own span stack keyed off
+``env.active_process``, so a ``pwrite`` entering through ``repro.libc``
+and descending through NVCache, the kernel, ext4, and the block device
+forms one tree without any argument threading.
 
 On top of spans sit three analysis features:
 
-- **critical-path segments** (:meth:`Tracer.charge`) — instrumented
-  delays attribute their simulated time to a named ``layer.segment``
-  bucket on the *root* span of the current process; the residual is
-  booked as ``<layer>.unattributed`` when the root closes, so a root
-  span's segments always sum exactly to its end-to-end latency.
+- **critical-path segments** (:meth:`Tracer.charge`) — simulated time
+  attributed to a named ``layer.segment`` bucket on the *root* span of
+  the current process. A modelled delay books itself through
+  :meth:`Environment.delay <repro.sim.core.Environment.delay>`; only
+  after-the-fact waits (lock, queue, log-full, QoS) call ``charge``
+  directly. The residual is booked as ``<layer>.unattributed`` when the
+  root closes, so a root span's segments always sum exactly to its
+  end-to-end latency.
 - **cross-process flows** (:meth:`Tracer.bind_entry` /
   :meth:`Tracer.link_entry`) — a log entry filled inside one trace and
   retired later by the cleanup thread links the drain batch's span back
@@ -32,7 +32,7 @@ On top of spans sit three analysis features:
 
 Tracing never schedules events, never reads anything but ``env.now``,
 and never touches the simulated clock: results are bit-identical with
-tracing on, sampled, or off (pinned by ``tests/obs/test_tracing.py``).
+tracing on, sampled, or off (pinned by ``tests/obs/test_purity.py``).
 
 The span and segment name vocabularies are closed sets
 (:data:`SPAN_NAMES`, :data:`SEGMENT_NAMES`): emitting an unknown name
@@ -100,18 +100,6 @@ SEGMENT_NAMES = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One flat timeline event (times in simulated seconds)."""
-
-    timestamp: float
-    duration: float
-    category: str    # e.g. "ssd", "nvcache", "cleanup"
-    name: str        # e.g. "write", "psync", "batch"
-    track: str       # lane in the timeline (device or thread name)
-    args: Dict[str, object] = field(default_factory=dict)
-
-
 @dataclass
 class Span:
     """One node of a causal trace tree (times in simulated seconds)."""
@@ -153,7 +141,7 @@ class _Unsampled:
 
 
 class Tracer:
-    """Collects flat events and spans; bounded to protect long runs."""
+    """Collects spans; bounded to protect long runs."""
 
     def __init__(self, capacity: int = 200_000, sample_rate: float = 1.0,
                  seed: int = 0):
@@ -161,7 +149,6 @@ class Tracer:
             raise ValueError(f"sample_rate {sample_rate} outside [0, 1]")
         self.capacity = capacity
         self.sample_rate = sample_rate
-        self.events: List[TraceEvent] = []
         self.spans: List[Span] = []
         self.dropped = 0
         # Private RNG, consumed only by root-span sampling decisions:
@@ -178,24 +165,6 @@ class Tracer:
         # that filled the entry; consumed when the cleanup thread
         # retires it (see bind_entry/link_entry).
         self._entry_origins: Dict[int, Tuple[int, int, float, str]] = {}
-
-    # -- flat events (legacy surface) --------------------------------------
-
-    def add(self, timestamp: float, duration: float, category: str,
-            name: str, track: str, **args) -> None:
-        if len(self.events) >= self.capacity:
-            self.dropped += 1
-            return
-        self.events.append(TraceEvent(timestamp, duration, category,
-                                      name, track, args))
-
-    def by_category(self, category: str) -> List[TraceEvent]:
-        return [event for event in self.events if event.category == category]
-
-    def total_time(self, category: str, name: Optional[str] = None) -> float:
-        return sum(event.duration for event in self.events
-                   if event.category == category
-                   and (name is None or event.name == name))
 
     # -- spans -------------------------------------------------------------
 
@@ -360,14 +329,11 @@ class Tracer:
         """Expose buffer health under ``obs.trace.*`` so overflow is
         visible in the metrics dashboard (see docs/OBSERVABILITY.md)."""
         m = registry.scope("obs.trace")
-        m.counter("events_recorded", unit="events",
-                  help="flat trace events in the buffer",
-                  fn=lambda: len(self.events))
         m.counter("spans_recorded", unit="spans",
                   help="closed spans in the buffer",
                   fn=lambda: len(self.spans))
         m.counter("dropped", unit="records",
-                  help="events/spans dropped at capacity",
+                  help="spans dropped at capacity",
                   fn=lambda: self.dropped)
         m.gauge("spans_open", unit="spans",
                 help="spans begun but not yet ended",
@@ -377,8 +343,8 @@ class Tracer:
 
     def to_chrome_events(self) -> List[dict]:
         """Chrome/Perfetto trace-event list: ``M`` thread metadata,
-        ``X`` complete events for flat events and spans, and ``s``/``f``
-        flow pairs for cross-process links (µs units)."""
+        ``X`` complete events for spans, and ``s``/``f`` flow pairs for
+        cross-process links (µs units)."""
         tids: Dict[str, int] = {}
 
         def tid_of(track: str) -> int:
@@ -388,17 +354,6 @@ class Tracer:
             return tid
 
         body: List[dict] = []
-        for event in self.events:
-            body.append({
-                "name": event.name,
-                "cat": event.category,
-                "ph": "X",
-                "ts": event.timestamp * 1e6,
-                "dur": max(event.duration * 1e6, 0.001),
-                "pid": 1,
-                "tid": tid_of(event.track),
-                "args": event.args,
-            })
         for span in self.spans:
             args: Dict[str, object] = {"trace_id": span.trace_id,
                                        "span_id": span.span_id}
@@ -454,30 +409,18 @@ class Tracer:
             json.dump({"traceEvents": self.to_chrome_events()}, handle)
 
     def summary(self) -> str:
-        """Per-(category, name) totals — a quick profile."""
-        totals: Dict[tuple, List[float]] = {}
-        for event in self.events:
-            totals.setdefault((event.category, event.name), []).append(
-                event.duration)
-        lines = [f"{len(self.events)} events"
+        """Per-span-name totals — a quick profile."""
+        traces = len({span.trace_id for span in self.spans})
+        lines = [f"{len(self.spans)} spans in {traces} traces"
                  + (f" ({self.dropped} dropped)" if self.dropped else "")]
-        for (category, name), durations in sorted(totals.items()):
+        totals: Dict[str, List[float]] = {}
+        for span in self.spans:
+            totals.setdefault(span.qualified, []).append(span.duration)
+        for name, durations in sorted(totals.items()):
             lines.append(
-                f"  {category}/{name}: n={len(durations)} "
+                f"  {name}: n={len(durations)} "
                 f"total={sum(durations) * 1e3:.2f}ms "
                 f"mean={sum(durations) / len(durations) * 1e6:.1f}us")
-        if self.spans:
-            traces = len({span.trace_id for span in self.spans})
-            lines.append(f"{len(self.spans)} spans in {traces} traces")
-            span_totals: Dict[str, List[float]] = {}
-            for span in self.spans:
-                span_totals.setdefault(span.qualified, []).append(
-                    span.duration)
-            for name, durations in sorted(span_totals.items()):
-                lines.append(
-                    f"  {name}: n={len(durations)} "
-                    f"total={sum(durations) * 1e3:.2f}ms "
-                    f"mean={sum(durations) / len(durations) * 1e6:.1f}us")
         return "\n".join(lines)
 
 
@@ -491,11 +434,13 @@ def _spanned(tracer, env, layer, name, fn, self, args, kwargs):
 
 
 def traced(layer: str, name: str):
-    """Decorator for generator methods of components carrying ``self.env``:
-    wraps each call in a ``layer.name`` span when a tracer is attached.
+    """Decorator for methods that return a generator (generator methods,
+    or plain forwarders such as :class:`repro.libc.Libc`'s) on components
+    carrying ``self.env``: wraps each call in a ``layer.name`` span when
+    a tracer is attached.
     With no tracer the *inner* generator is returned as-is — the untraced
     hot path pays one attribute check, never an extra ``yield from``
-    frame (the engine bench gates on this)."""
+    frame (``bench/run.py --trace 1`` counts them per layer)."""
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):

@@ -231,10 +231,12 @@ def test_write_batch_with_tracer_matches_traced_per_op_path():
             "now": env.now,
             "stats": asdict(device.stats),
             "events": env.events_dispatched,
-            "trace": [(e.timestamp, e.duration, e.category, e.name)
-                      for e in tracer.events],
+            "trace": [(s.start, s.end, s.qualified, s.track, s.args,
+                       s.segments) for s in tracer.spans],
         })
     assert results[0] == results[1]
+    assert [name for _, _, name, *_ in results[0]["trace"]] == \
+        ["block.write"] * 3
 
 
 def test_dm_writecache_writeback_drains_through_batches():

@@ -7,17 +7,22 @@ every mode, so a new mode inherits the whole table by adding its
 ``CACHE_MODES`` row. The rows exercise exactly what
 :class:`~repro.core.CacheFacade` and :class:`~repro.core.DrainThread`
 own; ``test_no_method_is_duplicated_across_modes`` guards against that
-shared code being forked back into the subclasses.
+shared code being forked back into the subclasses, and
+``test_one_spelling_of_a_timed_step`` against the hand-rolled
+charge-then-timeout pair, flat trace events and forward-only libc
+generators coming back.
 """
 
 import ast
 import inspect
 import itertools
+import pathlib
 import textwrap
 from dataclasses import dataclass, replace
 
 import pytest
 
+import repro
 from repro.block import SsdDevice
 from repro.core import CACHE_MODES, DrainThread, NvcacheConfig, cache_mode_row
 from repro.fs import Ext4
@@ -385,3 +390,63 @@ def test_no_method_is_duplicated_across_modes():
                            for name in ours.keys() & theirs.keys()
                            if ours[name] == theirs[name]]
     assert sorted(duplicated) == []
+
+
+# -- idiom guard (also a step of the ``lint`` suite, tools/ci_run.py) --------
+
+def _tracer_calls(node, method):
+    """Calls of ``<anything ending in tracer>.<method>(...)`` under ``node``."""
+    return [call for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == method
+            and ast.unparse(call.func.value).endswith("tracer")]
+
+
+def _has_yield(node):
+    return any(isinstance(child, (ast.Yield, ast.YieldFrom))
+               for child in ast.walk(node))
+
+
+def _yields_timeout(statement):
+    value = getattr(statement, "value", None)
+    call = value.value if isinstance(value, ast.Yield) else None
+    return (isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "timeout")
+
+
+def timed_step_violations(package_dir):
+    """Every place under ``package_dir`` that spells a timed, attributed
+    step by hand instead of ``env.delay`` — a statement charging the
+    tracer (bare or behind its ``is not None`` guard) whose block then
+    sleeps on a ``yield ...timeout(...)`` before yielding anything else
+    — or that records a flat event through ``Tracer.add``; plus any
+    ``yield`` in ``libc/libc.py``, whose methods hand back the target's
+    generator."""
+    found = []
+    for path in sorted(pathlib.Path(package_dir).rglob("*.py")):
+        relative = path.relative_to(package_dir).as_posix()
+        tree = ast.parse(path.read_text())
+        if relative == "libc/libc.py" and _has_yield(tree):
+            found.append(f"{relative}: yield in Libc")
+        found += [f"{relative}:{call.lineno} Tracer.add"
+                  for call in _tracer_calls(tree, "add")]
+        blocks = [block for node in ast.walk(tree)
+                  for block in (getattr(node, "body", None),
+                                getattr(node, "orelse", None),
+                                getattr(node, "finalbody", None))
+                  if isinstance(block, list)]
+        for block in blocks:
+            for index, statement in enumerate(block):
+                if not _tracer_calls(statement, "charge"):
+                    continue
+                step = next(filter(_has_yield, block[index + 1:]), None)
+                if step is not None and _yields_timeout(step):
+                    found.append(f"{relative}:{statement.lineno} "
+                                 "charge then timeout")
+    return found
+
+
+def test_one_spelling_of_a_timed_step():
+    assert timed_step_violations(pathlib.Path(repro.__file__).parent) == []

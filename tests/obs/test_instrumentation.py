@@ -115,18 +115,6 @@ class TestValuesUnderWorkload:
         ssd = stack.devices["ssd"]
         assert snapshot["block.ssd0.writes"] == ssd.stats.writes
 
-    def test_metrics_do_not_change_simulated_results(self):
-        # Observability must be semantically invisible: identical
-        # simulated clock and stats with metrics on and off.
-        plain = build_stack("nvcache+ssd", SCALE)
-        run_small_job(plain)
-        instrumented = build_stack("nvcache+ssd", SCALE, metrics=True)
-        run_small_job(instrumented)
-        assert plain.env.now == instrumented.env.now
-        assert plain.nvcache.stats.writes == instrumented.nvcache.stats.writes
-        assert plain.nvcache.stats.entries_created == \
-            instrumented.nvcache.stats.entries_created
-
 
 class TestReportingIntegration:
     def test_metrics_table_renders_all_kinds(self):

@@ -1,6 +1,6 @@
 """Request tracing: causal span trees, critical-path attribution,
-exemplars, sampling — and the hard guarantee that none of it changes
-simulated results."""
+exemplars, sampling. The hard guarantee that none of it changes
+simulated results is ``tests/obs/test_purity.py``."""
 
 import json
 import os
@@ -10,7 +10,6 @@ import pytest
 from repro.harness import Scale, build_stack
 from repro.harness.systems import nvcache_config
 from repro.kernel import O_CREAT, O_RDWR, O_WRONLY
-from repro.parallel import SweepSpec, make_explorer
 from repro.workloads import FioJob, run_fio
 
 SCALE = Scale(4096)
@@ -144,30 +143,6 @@ class TestSampling:
         assert recorded() == recorded()
 
 
-class TestDeterminism:
-    def test_tracing_does_not_change_simulated_results(self):
-        # The pinned guarantee: identical clock and stats with tracing
-        # off, on, and head-sampled.
-        outcomes = []
-        for kwargs in ({}, {"tracing": True},
-                       {"tracing": True, "trace_sample_rate": 0.25,
-                        "trace_seed": 3}):
-            stack = build_stack("nvcache+ssd", SCALE, **kwargs)
-            run_small_job(stack)
-            outcomes.append((stack.env.now, stack.nvcache.stats.writes,
-                             stack.nvcache.stats.entries_created,
-                             stack.nvcache.stats.cleanup_batches))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-
-    def test_crash_point_stream_identical_with_tracing(self):
-        def points(trace):
-            spec = SweepSpec(workload="fio", budget=4, trace=trace)
-            explorer = make_explorer(spec)
-            return [(p.index, p.time, p.site, p.label, p.dirty_lines)
-                    for p in explorer.enumerate_points()]
-        assert points(False) == points(True)
-
-
 class TestExemplars:
     def test_p99_exemplar_resolves_to_recorded_trace(self):
         stack = build_stack("nvcache+ssd", SCALE, metrics=True, tracing=True)
@@ -191,7 +166,7 @@ class TestExemplars:
         run_small_job(stack)
         snapshot = stack.metrics.snapshot()
         assert snapshot["obs.trace.spans_recorded"] >= 64
-        assert snapshot["obs.trace.events_recorded"] >= 1
+        assert "obs.trace.events_recorded" not in snapshot
         assert snapshot["obs.trace.dropped"] == 0
         assert snapshot["obs.trace.spans_open"] == 0
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, SimulationError, StopSimulation
+from repro.sim import Environment, SimulationError, StopSimulation, Tracer
 
 
 def test_timeout_advances_clock():
@@ -30,6 +30,47 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         env.timeout(-1.0)
+
+
+def test_delay_schedules_exactly_like_timeout():
+    """``env.delay`` is ``env.timeout`` plus a booking: same queue, same
+    ``(time, seq)`` entry, and the zero-delay FIFO lane for 0.0."""
+    plain, attributed = Environment(), Environment()
+    for seconds in (2.5, 0.0, 1e-6):
+        plain.timeout(seconds)
+        attributed.delay(seconds, "core", "write_overhead")
+    for env in (plain, attributed):
+        assert [entry[:2] for entry in env._lane] == [(0.0, 1)]
+    assert [e[:2] for e in attributed.pending_events()] == \
+        [e[:2] for e in plain.pending_events()]
+    with pytest.raises(ValueError):
+        attributed.delay(-1.0, "core", "write_overhead")
+
+
+def test_delay_charges_the_root_span_iff_a_tracer_is_attached():
+    def body(env):
+        yield env.delay(2.0, "nvmm", "store")
+        yield env.delay(0.0, "nvmm", "store")
+        return env.now
+
+    env = Environment()
+    assert env.tracer is None  # tracing is off by default...
+    assert env.run_process(body(env)) == 2.0  # ...and delay just sleeps
+
+    env = Environment()
+    tracer = env.tracer = Tracer()
+
+    def traced_body(env):
+        token = tracer.begin(env, "libc", "pwrite")
+        yield from body(env)
+        tracer.end(env, token)
+
+    env.run_process(traced_body(env))
+    (root,) = tracer.roots()
+    assert root.segments == {"nvmm.store": 2.0}
+    assert env.now == 2.0
+    with pytest.raises(ValueError):  # the closed vocabulary still applies
+        env.delay(1.0, "nvmm", "not_a_segment")
 
 
 def test_processes_interleave_in_time_order():

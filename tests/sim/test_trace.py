@@ -13,44 +13,59 @@ from repro.sim import Environment, Tracer
 from repro.units import MIB
 
 
+def record(env, tracer, layer, name, duration, track="main", **args):
+    """Close one ``layer.name`` span lasting ``duration`` simulated
+    seconds on the timeline lane ``track``."""
+    def body():
+        token = tracer.begin(env, layer, name, **args)
+        yield env.timeout(duration)
+        tracer.end(env, token)
+    env.run_process(body(), name=track)
+
+
 def test_tracer_records_events():
-    tracer = Tracer()
-    tracer.add(1.0, 0.5, "ssd", "write", "ssd0", offset=4096)
-    tracer.add(2.0, 0.1, "ssd", "flush", "ssd0")
-    assert len(tracer.events) == 2
-    assert tracer.by_category("ssd")[0].name == "write"
-    assert tracer.total_time("ssd") == pytest.approx(0.6)
-    assert tracer.total_time("ssd", "flush") == pytest.approx(0.1)
+    env, tracer = Environment(), Tracer()
+    record(env, tracer, "block", "write", 0.5, offset=4096)
+    record(env, tracer, "block", "flush", 0.1)
+    assert [span.qualified for span in tracer.spans] == [
+        "block.write", "block.flush"]
+    assert tracer.spans[0].args == {"offset": 4096}
+    assert tracer.spans[1].start == pytest.approx(0.5)
+    assert sum(span.duration for span in tracer.spans
+               if span.layer == "block") == pytest.approx(0.6)
+    assert [span.duration for span in tracer.spans
+            if span.name == "flush"] == [pytest.approx(0.1)]
 
 
 def test_tracer_capacity_bounded():
-    tracer = Tracer(capacity=3)
-    for i in range(10):
-        tracer.add(i, 0.0, "c", "n", "t")
-    assert len(tracer.events) == 3
+    env, tracer = Environment(), Tracer(capacity=3)
+    for _ in range(10):
+        record(env, tracer, "block", "write", 0.0)
+    assert len(tracer.spans) == 3
     assert tracer.dropped == 7
 
 
 def test_chrome_export_roundtrips(tmp_path):
-    tracer = Tracer()
-    tracer.add(0.001, 0.0005, "nvcache", "pwrite", "app", nbytes=4096)
+    env, tracer = Environment(start_time=0.001), Tracer()
+    record(env, tracer, "core", "log_append", 0.0005, nbytes=4096)
     path = tmp_path / "trace.json"
     tracer.to_chrome_json(str(path))
     loaded = json.loads(path.read_text())
     (event,) = [e for e in loaded["traceEvents"] if e["ph"] == "X"]
-    assert event["name"] == "pwrite"
+    assert event["name"] == "core.log_append"
     assert event["ph"] == "X"
     assert event["ts"] == pytest.approx(1000.0)  # 1 ms in us
+    assert event["dur"] == pytest.approx(500.0)
     assert event["args"]["nbytes"] == 4096
 
 
 def test_chrome_export_metadata_and_integer_tids(tmp_path):
     """Perfetto-clean export: M-phase process/thread metadata and stable
     integer tids instead of the track string."""
-    tracer = Tracer()
-    tracer.add(0.001, 0.0005, "ssd", "write", "ssd0")
-    tracer.add(0.002, 0.0001, "nvcache", "batch", "cleanup")
-    tracer.add(0.003, 0.0005, "ssd", "read", "ssd0")
+    env, tracer = Environment(), Tracer()
+    record(env, tracer, "block", "write", 0.0005, track="ssd0")
+    record(env, tracer, "core", "drain_batch", 0.0001, track="cleanup")
+    record(env, tracer, "block", "read", 0.0005, track="ssd0")
     events = tracer.to_chrome_events()
     meta = [e for e in events if e["ph"] == "M"]
     body = [e for e in events if e["ph"] == "X"]
@@ -78,8 +93,13 @@ def test_block_device_emits_events():
         yield from ssd.flush()
 
     env.run_process(body())
-    names = [event.name for event in env.tracer.by_category("ssd0")]
-    assert names == ["write", "read", "flush"]
+    spans = [span for span in env.tracer.spans
+             if span.layer == "block" and span.args["device"] == "ssd0"]
+    assert [span.name for span in spans] == ["write", "read", "flush"]
+    # The span is the device's busy interval: no queueing here, so each
+    # lasts exactly its service time and they tile the run.
+    assert sum(span.duration for span in spans) == pytest.approx(env.now)
+    assert spans[0].args["offset"] == 0 and spans[0].args["nbytes"] == 4096
 
 
 def test_nvcache_emits_write_and_cleanup_events():
@@ -99,29 +119,22 @@ def test_nvcache_emits_write_and_cleanup_events():
         yield nv.cleanup.request_drain()
 
     env.run_process(body())
-    writes = [e for e in env.tracer.by_category("nvcache") if e.name == "pwrite"]
-    batches = [e for e in env.tracer.by_category("nvcache") if e.name == "batch"]
+    writes = [s for s in env.tracer.spans if s.qualified == "core.log_append"]
+    batches = [s for s in env.tracer.spans if s.qualified == "core.drain_batch"]
     assert len(writes) == 5
+    assert all(w.args["nbytes"] == 1024 and w.args["entries"] == 1
+               for w in writes)
     assert len(batches) >= 1
+    assert all(b.args["status"] == "retired" for b in batches)
     assert sum(b.args["entries"] for b in batches) == 5
 
 
 def test_summary_is_readable():
-    tracer = Tracer()
-    tracer.add(0, 1e-6, "ssd", "write", "ssd0")
-    tracer.add(0, 3e-6, "ssd", "write", "ssd0")
+    env, tracer = Environment(), Tracer()
+    record(env, tracer, "block", "write", 1e-6)
+    record(env, tracer, "block", "write", 3e-6)
     text = tracer.summary()
-    assert "2 events" in text
-    assert "ssd/write" in text
+    assert "2 spans" in text
+    assert "block.write" in text
     assert "n=2" in text
-
-
-def test_tracing_off_by_default_costs_nothing():
-    env = Environment()
-    assert env.tracer is None
-    ssd = SsdDevice(env, size=64 * MIB)
-
-    def body():
-        yield from ssd.write(0, b"y" * 4096)
-
-    env.run_process(body())  # must not raise
+    assert "total=0.00ms mean=2.0us" in text

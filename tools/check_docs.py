@@ -10,7 +10,9 @@ documented name that no row registers is stale and also fails.
 The tracing vocabulary is held to the same contract: every span name in
 ``repro.sim.SPAN_NAMES`` and every critical-path segment in
 ``repro.sim.SEGMENT_NAMES`` must appear in the doc, and every documented
-two-segment ``layer.name`` must be an emitted span or segment.
+two-segment ``layer.name`` must be an emitted span or segment. A
+vocabulary entry no ``begin``/``traced``/``charge``/``delay`` call site
+under ``src/repro`` can emit is dead and fails too.
 
 Run by the ``docs_check`` smoke tests (``smoke/``, outside tier-1) and
 usable standalone::
@@ -21,7 +23,9 @@ usable standalone::
 from __future__ import annotations
 
 import argparse
+import ast
 import os
+import pathlib
 import re
 import sys
 
@@ -136,6 +140,44 @@ def documented_names(doc_text: str) -> set:
     return set(DOC_NAME_PATTERN.findall(doc_text))
 
 
+#: Emitting call -> index of its ``layer`` argument (the name follows).
+_EMITTERS = {"begin": 1, "charge": 1, "delay": 1, "traced": 0}
+
+
+def _strings(node) -> set:
+    return {child.value for child in ast.walk(node)
+            if isinstance(child, ast.Constant) and isinstance(child.value, str)}
+
+
+def _emitted_by(function: ast.FunctionDef) -> set:
+    emitted = set()
+    for call in ast.walk(function):
+        if not isinstance(call, ast.Call):
+            continue
+        at = _EMITTERS.get(getattr(call.func, "attr", None)
+                           or getattr(call.func, "id", None))
+        if at is None or len(call.args) < at + 2:
+            continue
+        layer, name = call.args[at], call.args[at + 1]
+        if isinstance(layer, ast.Constant) and isinstance(layer.value, str):
+            emitted |= {f"{layer.value}.{each}"
+                        for each in _strings(name) or _strings(function)}
+    return emitted
+
+
+def emitted_trace_names() -> set:
+    """``layer.name`` for every span/segment a call site under
+    ``src/repro`` can emit. A name argument that is not a literal counts
+    for every string of its expression (``"a" if cond else "b"``) or,
+    for a plain variable, of the enclosing function."""
+    emitted = set()
+    for path in pathlib.Path(REPO_ROOT, "src", "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                emitted |= _emitted_by(node)
+    return emitted
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", action="store_true",
@@ -155,15 +197,20 @@ def main(argv=None) -> int:
 
     undocumented = sorted(registered - documented)
     stale = sorted(documented - registered)
+    # The *.unattributed residuals are booked by Tracer.end itself.
+    dead = sorted(name for name in (set(SPAN_NAMES) | set(SEGMENT_NAMES))
+                  - emitted_trace_names()
+                  if not name.endswith(".unattributed"))
     if args.json:
         print_json({
-            "ok": not undocumented and not stale,
+            "ok": not undocumented and not stale and not dead,
             "registered": len(registered),
             "documented": len(documented),
             "undocumented": undocumented,
             "stale": stale,
+            "dead": dead,
         })
-        return 1 if undocumented or stale else 0
+        return 1 if undocumented or stale or dead else 0
     if undocumented:
         print("FAIL: registered metrics missing from the docs "
               f"({' / '.join(DOC_NAMES)}):", file=sys.stderr)
@@ -174,7 +221,12 @@ def main(argv=None) -> int:
               file=sys.stderr)
         for name in stale:
             print(f"  {name}", file=sys.stderr)
-    if undocumented or stale:
+    if dead:
+        print("FAIL: span/segment names in repro.sim.trace no call site "
+              "emits (delete them, in code and docs):", file=sys.stderr)
+        for name in dead:
+            print(f"  {name}", file=sys.stderr)
+    if undocumented or stale or dead:
         return 1
     print(f"OK: {len(registered)} registered metrics, all documented, "
           "none stale")

@@ -108,15 +108,21 @@ def _ruff_available() -> bool:
 
 
 def lint_steps() -> List[Step]:
+    # The repo's own idiom rule (one spelling of a timed, attributed
+    # step: env.delay, spans only, no forward-only libc generators).
+    idioms = _pytest("idiom-guard", "tests/core/test_facade_contract.py"
+                     "::test_one_spelling_of_a_timed_step")
     if _ruff_available():
         return [
             Step("ruff-check", ["ruff", "check", "."]),
             Step("ruff-format", ["ruff", "format", "--check", "."],
                  advisory=True),
+            idioms,
         ]
     return [Step("compileall (ruff unavailable)",
                  python_command("-m", "compileall", "-q", "src", "tools",
-                                "benchmarks", "smoke", "tests", "examples"))]
+                                "benchmarks", "smoke", "tests", "examples")),
+            idioms]
 
 
 def fuzz_corpus_args() -> List[str]:
@@ -161,7 +167,7 @@ def sweep_steps() -> List[Step]:
 #: unless marked ``advisory``.
 SUITES: Dict[str, Tuple[str, Callable[[int], List[Step]]]] = {
     "lint": ("`ruff check` + advisory format check (`compileall` where "
-             "ruff is missing)",
+             "ruff is missing) + the `env.delay` idiom guard",
              lambda jobs: lint_steps()),
     "tier1": ("the ROADMAP tier-1 gate, `python -m pytest -x -q`",
               lambda jobs: [_pytest("tier1-pytest", "-x")]),

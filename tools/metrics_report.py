@@ -42,8 +42,6 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(
         description="run a workload on an instrumented stack, print metrics")
     add_fio_arguments(parser, size_mib=4.0)
-    parser.add_argument("--samples", type=int, default=60,
-                        help="target number of time-series samples")
     parser.add_argument("--export", choices=["prom", "json"],
                         help="dump the final registry in this format "
                              "instead of the tables")
@@ -59,8 +57,7 @@ def main(argv=None) -> int:
     stack, job, run = fio_stack(args, tracing=args.trace)
     registry = stack.metrics
 
-    # Aim for ~args.samples points: estimate per-op time from a tiny
-    # probe run is overkill — sample finely and let sparkline downsample.
+    # Sample finely and let sparkline downsample.
     sampler = Sampler(stack.env, registry, period=5e-5).start()
     result = run()
     sampler.stop()

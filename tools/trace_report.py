@@ -173,8 +173,8 @@ def main(argv=None) -> int:
 
     if args.export:
         tracer.to_chrome_json(args.export)
-        print(f"wrote {args.export} ({len(tracer.spans)} spans, "
-              f"{len(tracer.events)} flat events)")
+        print(f"wrote {args.export} ({len(tracer.spans)} spans in "
+              f"{len({span.trace_id for span in tracer.spans})} traces)")
         return 0
     if args.attribution and args.json:
         # The machine form of the attribution table: the same
