@@ -487,7 +487,7 @@ class Nvcache(CacheFacade):
                 chunk_len = min(chunk_size, len(data) - i * chunk_size)
                 for page in range(chunk_off // page_size,
                                   (chunk_off + chunk_len - 1) // page_size + 1):
-                    descriptor = nv_file.descriptor_or_create(page)
+                    descriptor = descriptors[page - first_page]
                     descriptor.dirty_counter += 1
                     descriptor.pending.append(seq)
                 nv_file.pending_entries += 1

@@ -20,17 +20,24 @@ optionally persist a random subset of the unflushed dirty lines — recovery
 code must be correct for every such subset, and the property tests exercise
 exactly that.
 
-Representation: both the media and the volatile CPU-cache overlay are
-flat shadows of each other, with a set of dirty line indices recording
-where the overlay is authoritative: ``store``/``load`` become one or two
-slice operations instead of a per-cache-line dict walk, and only the
-partially-written edge lines of a store need seeding from media.
-Devices up to :data:`FLAT_LIMIT` — every NVCache log geometry in the
-repo — back both buffers with plain ``bytearray``s, so the hot
-store/load/persist paths are raw slice assignments with no buffer
-abstraction in between. Larger modules fall back to sparse chunked
-buffers (:class:`~repro.nvmm.sparse.SparseBytes`) so a "480 GB" module
-does not pay a gigantic zero-fill at construction.
+Representation: the media and the volatile CPU-cache overlay are two
+buffers shadowing each other, and two *line-state maps* — one byte per
+cache line — say where the overlay is authoritative (``dirty``) and
+which lines a ``pwb`` has queued since the last fence (``queued``). The
+queue itself is the list of ``[first, stop)`` line ranges the callers
+hand in; two counters keep ``dirty_line_count()`` and the number of
+*distinct* queued lines O(1) — distinct because that count is what
+``pfence`` returns and the next ``psync`` is charged for, so overlapping
+or repeated ``pwb``s must count once. Every operation costs a constant
+number of C-level slice / ``count`` / ``find`` calls per *range* (when
+every line of a fenced range is dirty, one ``media[a:b] =
+overlay[a:b]``), never a Python- or set-level step per *line*. All four
+buffers speak one slice protocol, so what backs them is decided once,
+in the constructor: up to :data:`FLAT_LIMIT` — every NVCache log in the
+repo — anonymous ``mmap``s, raw slice assignment with nothing in
+between; above it sparse chunked buffers
+(:class:`~repro.nvmm.sparse.SparseBytes`), so a "480 GB" module does
+not pay a gigantic zero-fill at construction.
 """
 
 from __future__ import annotations
@@ -38,18 +45,17 @@ from __future__ import annotations
 import mmap
 import random
 from dataclasses import dataclass
-from typing import Generator, Iterable, Optional, Set, Tuple
+from typing import Generator, Iterable, Iterator, List, Optional, Tuple
 
 from ..sim import Environment
 from ..sim.trace import traced
 from ..units import CACHE_LINE_SIZE, GIB, NS
-from .sparse import SparseBytes
+from .sparse import CHUNK_SIZE, SparseBytes
 
-#: Devices at or below this size back media and overlay with flat
-#: anonymous mmaps (raw slice assignment on the hot paths, zero pages
-#: materialized lazily by the kernel); larger devices use
-#: :class:`SparseBytes` so huge mostly-untouched modules stay cheap
-#: even for whole-buffer operations like ``crash_image``.
+#: Devices at or below this size back their buffers with flat anonymous
+#: mmaps (raw slice assignment on the hot paths, zero pages materialized
+#: lazily by the kernel); larger devices use :class:`SparseBytes` so
+#: huge mostly-untouched modules stay cheap.
 FLAT_LIMIT = 256 << 20
 
 
@@ -57,6 +63,18 @@ def _flat_buffer(size: int) -> mmap.mmap:
     """Zero-initialized flat buffer with bytearray slice semantics but
     lazy page allocation (untouched regions never consume memory)."""
     return mmap.mmap(-1, size)
+
+
+def _runs(state: bytes) -> Iterator[Tuple[int, int]]:
+    """``[start, stop)`` index pairs of the maximal runs of set bytes in
+    a line-state slice: two ``find`` calls per run, none per line."""
+    start = state.find(1)
+    while start >= 0:
+        stop = state.find(0, start)
+        if stop < 0:
+            stop = len(state)
+        yield start, stop
+        start = state.find(1, stop)
 
 
 @dataclass(frozen=True)
@@ -96,12 +114,17 @@ class NvmmStats:
     lines_persisted: int = 0
 
 
+#: The slots holding a buffer (a flat one travels in a pickle as bytes).
+_BUFFERS = ("_media", "_overlay", "_dirty_map", "_queued_map")
+
+
 class NvmmDevice:
     """A single NVMM module (or DAX file): media + volatile cache overlay."""
 
     __slots__ = ("env", "size", "timing", "name", "_flat", "_media",
-                 "_overlay", "_dirty", "_flush_queue", "_undrained_lines",
-                 "stats", "_m_psync_latency")
+                 "_overlay", "_dirty_map", "_dirty_count", "_queued_map",
+                 "_queued_count", "_queue", "_undrained_lines", "stats",
+                 "_m_psync_latency")
 
     def __init__(self, env: Environment, size: int, timing: Optional[NvmmTiming] = None,
                  media: Optional[bytearray] = None, name: str = "nvmm0"):
@@ -115,23 +138,28 @@ class NvmmDevice:
         self.name = name
         # The persistent media (survives crashes) and the volatile cache
         # overlay shadowing it; the overlay is authoritative only for the
-        # lines in ``_dirty``. Small devices — every NVCache log — keep
-        # both as flat bytearrays so stores and loads are raw slice
-        # assignments; huge modules stay sparse so untouched regions cost
-        # nothing (NOVA, Ext4-DAX use the device mostly for its
-        # timing/capacity model).
+        # lines set in ``_dirty_map``. Small devices — every NVCache log —
+        # keep all four buffers flat; huge modules stay sparse so untouched
+        # regions cost nothing (NOVA, Ext4-DAX use them for timing only).
+        lines = -(-size // CACHE_LINE_SIZE)
         self._flat = size <= FLAT_LIMIT
         if self._flat:
             self._media = _flat_buffer(size)
             if media is not None:
                 self._media[:] = media
             self._overlay = _flat_buffer(size)
+            self._dirty_map = _flat_buffer(lines)
+            self._queued_map = _flat_buffer(lines)
         else:
             self._media = SparseBytes(size, initial=media)
             self._overlay = SparseBytes(size)
-        self._dirty: Set[int] = set()
-        # Lines enqueued by pwb but not yet fenced.
-        self._flush_queue: Set[int] = set()
+            self._dirty_map = SparseBytes(lines)
+            self._queued_map = SparseBytes(lines)
+        self._dirty_count = 0
+        # ``[first, stop)`` line ranges enqueued by pwb but not yet
+        # fenced, and how many distinct lines they cover.
+        self._queue: List[Tuple[int, int]] = []
+        self._queued_count = 0
         # Lines persisted by pfences whose drain latency has not been
         # charged yet — the next psync pays for them.
         self._undrained_lines = 0
@@ -172,175 +200,126 @@ class NvmmDevice:
 
     def __getstate__(self):
         """Pickle support for quiescent machine snapshots
-        (:mod:`repro.faults.snapshot`). Flat devices back their media and
-        overlay with anonymous ``mmap`` buffers, which cannot be
-        serialized — they travel as plain bytes and are rehydrated into
-        fresh buffers on restore. Metrics bindings never travel (the
+        (:mod:`repro.faults.snapshot`). Flat devices back their buffers
+        with anonymous ``mmap``s, which cannot be serialized — they
+        travel as plain bytes and are rehydrated into fresh buffers on
+        restore. Metrics bindings never travel (the
         restore path reattaches observability from scratch)."""
         state = {slot: getattr(self, slot) for slot in self.__slots__}
         if self._flat:
-            state["_media"] = bytes(self._media)
-            state["_overlay"] = bytes(self._overlay)
+            for slot in _BUFFERS:
+                state[slot] = bytes(state[slot])
         state["_m_psync_latency"] = None
         return state
 
     def __setstate__(self, state):
         for slot, value in state.items():
-            if state["_flat"] and slot in ("_media", "_overlay"):
+            if state["_flat"] and slot in _BUFFERS:
                 buffer = _flat_buffer(len(value))
                 buffer[:] = value
                 value = buffer
             setattr(self, slot, value)
 
-    # -- address helpers ---------------------------------------------------
-
-    def _check_range(self, addr: int, nbytes: int) -> None:
-        if addr < 0 or nbytes < 0 or addr + nbytes > self.size:
-            raise ValueError(
-                f"access [{addr}, {addr + nbytes}) out of bounds for "
-                f"{self.name} of size {self.size}"
-            )
-
-    @staticmethod
-    def _line_of(addr: int) -> int:
-        return addr // CACHE_LINE_SIZE
-
     # -- untimed state transitions (the instruction model) ------------------
+
+    def _out_of_bounds(self, addr: int, nbytes: int) -> ValueError:
+        return ValueError(f"access [{addr}, {addr + nbytes}) out of bounds "
+                          f"for {self.name} of size {self.size}")
 
     def store(self, addr: int, data: bytes) -> None:
         """CPU store: visible to loads immediately, persistent only after
         pwb+pfence/psync (or a lucky cache eviction)."""
         nbytes = len(data)
-        if addr < 0 or nbytes < 0 or addr + nbytes > self.size:
-            self._check_range(addr, nbytes)
+        end = addr + nbytes
+        if addr < 0 or end > self.size:
+            raise self._out_of_bounds(addr, nbytes)
         stats = self.stats
         stats.stores += 1
         stats.bytes_stored += nbytes
         if nbytes == 0:
             return
         overlay = self._overlay
-        end = addr + nbytes
         first = addr // CACHE_LINE_SIZE
-        last = (end - 1) // CACHE_LINE_SIZE
-        dirty = self._dirty
+        stop = (end - 1) // CACHE_LINE_SIZE + 1
+        dirty = self._dirty_map
+        state = dirty[first:stop]
         # Only the partially-covered edge lines need their untouched bytes
         # seeded from media; fully-covered interior lines are overwritten.
-        if self._flat:
-            media = self._media
-            if addr % CACHE_LINE_SIZE and first not in dirty:
-                start = first * CACHE_LINE_SIZE
-                overlay[start:start + CACHE_LINE_SIZE] = \
-                    media[start:start + CACHE_LINE_SIZE]
-            if end % CACHE_LINE_SIZE and last not in dirty:
-                start = last * CACHE_LINE_SIZE
-                overlay[start:start + CACHE_LINE_SIZE] = \
-                    media[start:start + CACHE_LINE_SIZE]
-            overlay[addr:end] = data
-        else:
-            if addr % CACHE_LINE_SIZE and first not in dirty:
-                overlay.copy_from(self._media, first * CACHE_LINE_SIZE,
-                                  CACHE_LINE_SIZE)
-            if end % CACHE_LINE_SIZE and last not in dirty:
-                overlay.copy_from(self._media, last * CACHE_LINE_SIZE,
-                                  CACHE_LINE_SIZE)
-            overlay.write(addr, data)
-        if first == last:
-            dirty.add(first)
-        else:
-            dirty.update(range(first, last + 1))
+        if addr % CACHE_LINE_SIZE and not state[0]:
+            start = first * CACHE_LINE_SIZE
+            overlay[start:start + CACHE_LINE_SIZE] = \
+                self._media[start:start + CACHE_LINE_SIZE]
+        if end % CACHE_LINE_SIZE and not state[-1]:
+            start = (stop - 1) * CACHE_LINE_SIZE
+            overlay[start:start + CACHE_LINE_SIZE] = \
+                self._media[start:start + CACHE_LINE_SIZE]
+        overlay[addr:end] = data
+        clean = state.count(0)
+        if clean:
+            dirty[first:stop] = b"\x01" * (stop - first)
+            self._dirty_count += clean
 
     def load(self, addr: int, nbytes: int) -> bytes:
         """CPU load: sees the newest (possibly unpersisted) data."""
-        if addr < 0 or nbytes < 0 or addr + nbytes > self.size:
-            self._check_range(addr, nbytes)
+        end = addr + nbytes
+        if addr < 0 or nbytes < 0 or end > self.size:
+            raise self._out_of_bounds(addr, nbytes)
         stats = self.stats
         stats.loads += 1
         stats.bytes_loaded += nbytes
         if nbytes == 0:
             return b""
-        dirty = self._dirty
-        end = addr + nbytes
-        if self._flat:
-            if not dirty:
-                return bytes(self._media[addr:end])
-            lines = range(addr // CACHE_LINE_SIZE,
-                          (end - 1) // CACHE_LINE_SIZE + 1)
-            dirty_in_range = dirty.intersection(lines)
-            if not dirty_in_range:
-                return bytes(self._media[addr:end])
-            if len(dirty_in_range) == len(lines):
-                return bytes(self._overlay[addr:end])
-            out = bytearray(self._media[addr:end])
-            overlay = self._overlay
-            for line in dirty_in_range:
-                start = max(line * CACHE_LINE_SIZE, addr)
-                stop = min((line + 1) * CACHE_LINE_SIZE, end)
-                out[start - addr:stop - addr] = overlay[start:stop]
-            return bytes(out)
-        if not dirty:
-            return self._media.read(addr, nbytes)
-        lines = range(addr // CACHE_LINE_SIZE, (end - 1) // CACHE_LINE_SIZE + 1)
-        dirty_in_range = dirty.intersection(lines)
-        if not dirty_in_range:
-            return self._media.read(addr, nbytes)
-        if len(dirty_in_range) == len(lines):
-            return self._overlay.read(addr, nbytes)
-        # Mixed clean/dirty lines: start from media, patch dirty lines in.
-        out = bytearray(self._media.read(addr, nbytes))
+        if not self._dirty_count:
+            return self._media[addr:end]
+        first = addr // CACHE_LINE_SIZE
+        state = self._dirty_map[first:(end - 1) // CACHE_LINE_SIZE + 1]
+        hits = state.count(1)
+        if not hits:
+            return self._media[addr:end]
         overlay = self._overlay
-        for line in dirty_in_range:
-            start = max(line * CACHE_LINE_SIZE, addr)
-            stop = min((line + 1) * CACHE_LINE_SIZE, end)
-            out[start - addr:stop - addr] = overlay.read(start, stop - start)
+        if hits == len(state):
+            return overlay[addr:end]
+        # Mixed clean/dirty lines: start from media, patch dirty runs in.
+        out = bytearray(self._media[addr:end])
+        for run, run_stop in _runs(state):
+            start = max((first + run) * CACHE_LINE_SIZE, addr)
+            stop = min((first + run_stop) * CACHE_LINE_SIZE, end)
+            out[start - addr:stop - addr] = overlay[start:stop]
         return bytes(out)
 
     def pwb(self, addr: int) -> None:
         """Enqueue the cache line containing ``addr`` for write-back."""
-        self._check_range(addr, 1)
+        if addr < 0 or addr >= self.size:
+            raise self._out_of_bounds(addr, 1)
         self.stats.pwbs += 1
-        self._flush_queue.add(addr // CACHE_LINE_SIZE)
+        line = addr // CACHE_LINE_SIZE
+        queued = self._queued_map
+        if queued[line:line + 1] == b"\x00":
+            queued[line:line + 1] = b"\x01"
+            self._queued_count += 1
+            self._queue.append((line, line + 1))
         recorder = self.env.crash_points
         if recorder is not None:
-            recorder.hit("nvmm.pwb", f"{self.name} line {addr // CACHE_LINE_SIZE}")
+            recorder.hit("nvmm.pwb", f"{self.name} line {line}")
 
     def pwb_range(self, addr: int, nbytes: int) -> None:
-        """``pwb`` every cache line overlapping ``[addr, addr+nbytes)``."""
-        self._check_range(addr, nbytes)
+        """``pwb`` every cache line overlapping ``[addr, addr+nbytes)``; a
+        zero-length range still names the line holding ``addr``."""
+        end = addr + (nbytes or 1)
+        if addr < 0 or nbytes < 0 or end > self.size:
+            raise self._out_of_bounds(addr, nbytes)
         first = addr // CACHE_LINE_SIZE
-        last = (addr + max(nbytes, 1) - 1) // CACHE_LINE_SIZE
-        self.stats.pwbs += last - first + 1
-        self._flush_queue.update(range(first, last + 1))
+        stop = (end - 1) // CACHE_LINE_SIZE + 1
+        self.stats.pwbs += stop - first
+        queued = self._queued_map
+        fresh = queued[first:stop].count(0)
+        if fresh:
+            queued[first:stop] = b"\x01" * (stop - first)
+            self._queued_count += fresh
+            self._queue.append((first, stop))
         recorder = self.env.crash_points
         if recorder is not None:
-            recorder.hit("nvmm.pwb", f"{self.name} lines {first}..{last}")
-
-    def _persist_lines(self, lines: Set[int]) -> None:
-        """Copy dirty ``lines`` from the overlay into the media, coalescing
-        consecutive lines into single range copies."""
-        to_persist = sorted(lines)
-        media = self._media
-        overlay = self._overlay
-        flat = self._flat
-        run_start = to_persist[0]
-        previous = run_start
-        for line in to_persist[1:]:
-            if line != previous + 1:
-                start = run_start * CACHE_LINE_SIZE
-                stop = (previous + 1) * CACHE_LINE_SIZE
-                if flat:
-                    media[start:stop] = overlay[start:stop]
-                else:
-                    media.copy_from(overlay, start, stop - start)
-                run_start = line
-            previous = line
-        start = run_start * CACHE_LINE_SIZE
-        stop = (previous + 1) * CACHE_LINE_SIZE
-        if flat:
-            media[start:stop] = overlay[start:stop]
-        else:
-            media.copy_from(overlay, start, stop - start)
-        self._dirty.difference_update(lines)
-        self.stats.lines_persisted += len(to_persist)
+            recorder.hit("nvmm.pwb", f"{self.name} lines {first}..{stop - 1}")
 
     def pfence(self) -> int:
         """Ordering fence: persist every queued line. Returns lines drained.
@@ -349,18 +328,36 @@ class NvmmDevice:
         actual drain is accounted when a ``psync`` waits for it.
         """
         self.stats.pfences += 1
+        drained = self._queued_count
         recorder = self.env.crash_points
         if recorder is not None:
             # Pre-persist: the most adversarial instant — everything
             # enqueued but nothing ordered yet.
-            recorder.hit("nvmm.pfence", f"{self.name} queued {len(self._flush_queue)}")
-        queue = self._flush_queue
-        drained = len(queue)
+            recorder.hit("nvmm.pfence", f"{self.name} queued {drained}")
         if drained:
-            persistable = queue & self._dirty
-            if persistable:
-                self._persist_lines(persistable)
-            queue.clear()
+            persisted = 0
+            # Ranges may overlap; a line persisted by an earlier range is
+            # clean by the time a later one looks, so it counts once.
+            for first, stop in self._queue:
+                state = self._dirty_map[first:stop]
+                hits = state.count(1)
+                if hits == stop - first:
+                    start, end = first * CACHE_LINE_SIZE, stop * CACHE_LINE_SIZE
+                    self._media[start:end] = self._overlay[start:end]
+                elif hits:
+                    for run, run_stop in _runs(state):
+                        start = (first + run) * CACHE_LINE_SIZE
+                        end = (first + run_stop) * CACHE_LINE_SIZE
+                        self._media[start:end] = self._overlay[start:end]
+                clear = b"\x00" * (stop - first)
+                if hits:
+                    self._dirty_map[first:stop] = clear
+                    persisted += hits
+                self._queued_map[first:stop] = clear
+            self._queue.clear()
+            self._queued_count = 0
+            self._dirty_count -= persisted
+            self.stats.lines_persisted += persisted
             self._undrained_lines += drained
         return drained
 
@@ -401,12 +398,20 @@ class NvmmDevice:
     # -- crash simulation ----------------------------------------------------
 
     def dirty_line_count(self) -> int:
-        return len(self._dirty)
+        return self._dirty_count
 
     def dirty_lines(self) -> Tuple[int, ...]:
         """Indices of overlay lines not yet persisted, in address order
         (the universe :meth:`crash_image`'s ``keep_lines`` draws from)."""
-        return tuple(sorted(self._dirty))
+        lines: List[int] = []
+        base = 0
+        # A sparse chunk of the map at a time, and only until every dirty
+        # line is found: a huge module's map is never materialized whole.
+        while len(lines) < self._dirty_count:
+            for run, run_stop in _runs(self._dirty_map[base:base + CHUNK_SIZE]):
+                lines.extend(range(base + run, base + run_stop))
+            base += CHUNK_SIZE
+        return tuple(lines)
 
     def crash_image(self, rng: Optional[random.Random] = None,
                     eviction_probability: float = 0.0,
@@ -428,20 +433,18 @@ class NvmmDevice:
         """
         if keep_lines is not None and rng is not None:
             raise ValueError("pass either rng or keep_lines, not both")
-        image = (bytearray(self._media) if self._flat
-                 else self._media.to_bytearray())
+        image = bytearray(self._media[:])
         survivors: Iterable[int] = ()
         if keep_lines is not None:
-            survivors = sorted(self._dirty.intersection(keep_lines))
-        elif rng is not None and eviction_probability > 0.0 and self._dirty:
-            survivors = [line for line in sorted(self._dirty)
+            survivors = sorted(set(self.dirty_lines()).intersection(keep_lines))
+        elif rng is not None and eviction_probability > 0.0:
+            survivors = [line for line in self.dirty_lines()
                          if rng.random() < eviction_probability]
         overlay = self._overlay
         for line in survivors:
             start = line * CACHE_LINE_SIZE
             stop = start + CACHE_LINE_SIZE
-            image[start:stop] = (overlay[start:stop] if self._flat
-                                 else overlay.read(start, CACHE_LINE_SIZE))
+            image[start:stop] = overlay[start:stop]
         return image
 
     @classmethod
@@ -452,6 +455,4 @@ class NvmmDevice:
 
     def persisted_view(self) -> bytes:
         """What the media holds right now if the machine lost power."""
-        if self._flat:
-            return bytes(self._media)
-        return bytes(self._media.to_bytearray())
+        return self._media[:]

@@ -1,25 +1,24 @@
 """Sparse byte buffer backed by fixed-size chunks.
 
-Simulated NVMM modules are hundreds of MiB even at scaled-down
-geometry, but most workloads touch only a small, localized fraction
-(the head of the circular log, the fd table). A single flat
-``bytearray`` of the device size makes every first-touch run pay an
-enormous zero-fill, so both the media and the volatile cache overlay
-use this sparse representation instead: a dict of 1 MiB chunks,
-allocated on first write. Absent chunks read as zeros, exactly like
-fresh NVMM in the model.
+Simulated NVMM modules above :data:`~repro.nvmm.device.FLAT_LIMIT` are
+hundreds of GiB, but workloads touch only a small, localized fraction
+(NOVA and Ext4-DAX use the device mostly for its timing/capacity
+model). A flat buffer of the device size would pay an enormous
+zero-fill — and whole-buffer copies for every crash image — so such
+devices use this sparse representation instead: a dict of 1 MiB
+chunks, allocated on first write. Absent chunks read as zeros, exactly
+like fresh NVMM in the model.
 
-The accessors are written so the overwhelmingly common case — an access
-that falls inside one chunk — is a single dict lookup plus one slice
-operation.
-
-This buffer is load-bearing for the flat-overlay fast path
-(DESIGN.md §6): :class:`~repro.nvmm.device.NvmmDevice` keeps *two* of
-these — the durable media and the volatile CPU-cache overlay shadowing
-it — and a crash image is the media plus whichever overlay lines the
-eviction model let survive. ``copy_from`` moves whole line ranges
-between the two without materializing untouched chunks on either side,
-so persisting and imaging a mostly-empty module stays cheap too.
+The interface is the slice protocol the flat buffers of small devices
+(anonymous ``mmap``) already have — ``buf[a:b]`` returns the bytes,
+``buf[a:b] = data`` stores exactly ``b - a`` bytes — so
+:class:`~repro.nvmm.device.NvmmDevice` addresses its media, its volatile
+overlay and its two line-state maps through one code path whatever
+backs them (DESIGN.md §6). As a line-state map (one byte per 64-byte
+cache line) a chunk covers 64 MiB of device. The overwhelmingly common
+case — a slice that falls inside one chunk — is a single dict lookup
+plus one C-level slice; reading an absent chunk never materializes it,
+so imaging a mostly-empty module stays cheap.
 """
 
 from __future__ import annotations
@@ -56,8 +55,10 @@ class SparseBytes:
     def chunk_count(self) -> int:
         return len(self._chunks)
 
-    def read(self, addr: int, nbytes: int) -> bytes:
-        """Bytes at ``[addr, addr+nbytes)``; absent chunks read as zeros."""
+    def __getitem__(self, key: slice) -> bytes:
+        """``buf[a:b]``: the bytes there; absent chunks read as zeros."""
+        addr, stop, _ = key.indices(self.size)
+        nbytes = max(stop - addr, 0)
         offset = addr & _CHUNK_MASK
         if offset + nbytes <= CHUNK_SIZE:
             chunk = self._chunks.get(addr >> CHUNK_SHIFT)
@@ -75,9 +76,16 @@ class SparseBytes:
             pos += piece
         return bytes(out)
 
-    def write(self, addr: int, data: bytes) -> None:
-        """Write ``data`` at ``addr``, materializing chunks as needed."""
+    def __setitem__(self, key: slice, data: bytes) -> None:
+        """``buf[a:b] = data``: store exactly ``b - a`` bytes (like
+        ``mmap``, never resizing), materializing chunks as needed."""
+        addr, stop, _ = key.indices(self.size)
         nbytes = len(data)
+        if nbytes != max(stop - addr, 0):
+            raise ValueError(
+                f"slice assignment of {nbytes} bytes to [{addr}, {stop})")
+        if not nbytes:
+            return
         offset = addr & _CHUNK_MASK
         if offset + nbytes <= CHUNK_SIZE:
             index = addr >> CHUNK_SHIFT
@@ -96,16 +104,3 @@ class SparseBytes:
                 chunk = self._chunks[index] = bytearray(CHUNK_SIZE)
             chunk[offset:offset + piece] = data[pos:pos + piece]
             pos += piece
-
-    def copy_from(self, other: "SparseBytes", addr: int, nbytes: int) -> None:
-        """Copy ``[addr, addr+nbytes)`` from ``other`` into this buffer."""
-        self.write(addr, other.read(addr, nbytes))
-
-    def to_bytearray(self) -> bytearray:
-        """Materialize the whole buffer (crash images, persisted views)."""
-        out = bytearray(self.size)
-        for index, chunk in self._chunks.items():
-            base = index << CHUNK_SHIFT
-            out[base:base + min(CHUNK_SIZE, self.size - base)] = \
-                chunk[:min(CHUNK_SIZE, self.size - base)]
-        return out

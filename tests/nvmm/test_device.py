@@ -91,6 +91,26 @@ def test_negative_address_rejected(device):
         device.store(-1, b"x")
 
 
+def test_pwb_at_device_end_rejected(device):
+    """A zero-length ``pwb_range`` at ``addr == size`` names the line one
+    past the end, exactly as ``pwb(size)`` does: both are rejected and
+    neither is counted, queued or charged to the next psync."""
+    with pytest.raises(ValueError):
+        device.pwb(device.size)
+    with pytest.raises(ValueError):
+        device.pwb_range(device.size, 0)
+    with pytest.raises(ValueError):
+        device.pwb_range(device.size - 1, 2)
+    with pytest.raises(ValueError):
+        device.pwb_range(8, -1)
+    assert device.stats.pwbs == 0
+    assert device.pfence() == 0
+    # Inside the device a zero-length range still names one line.
+    device.pwb_range(device.size - 1, 0)
+    assert device.stats.pwbs == 1
+    assert device.pfence() == 1
+
+
 def test_crash_image_drops_unflushed(device):
     device.store(0, b"flushed")
     device.pwb_range(0, 7)
