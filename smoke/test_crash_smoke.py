@@ -32,11 +32,11 @@ def run_script(*argv, timeout=300):
 
 
 def test_budgeted_sweep_holds_the_contract():
-    from repro.faults import CrashExplorer
-    from repro.faults.workloads import fio_write_workload
+    from repro.faults import (CrashExplorer, WarmStartFactory,
+                              fio_write_phased)
 
-    explorer = CrashExplorer(fio_write_workload(), budget=15,
-                             drop_subsets=1, seed=0)
+    explorer = CrashExplorer(WarmStartFactory(fio_write_phased()),
+                             budget=15, drop_subsets=1, seed=0)
     result = explorer.explore()
     assert len(result.points) >= 100
     assert result.violations == []
@@ -51,11 +51,14 @@ def test_cli_check_exits_zero_on_a_clean_workload():
 
 
 def test_parallel_sweep_is_byte_identical_and_faster():
-    """The acceptance gate for `--jobs`: a 4-way sharded fio sweep emits
-    a byte-identical report to a sequential one (unconditional), and on
-    a host with >= 4 cores it finishes measurably faster (>= 1.5x —
-    wall-clock assertions are meaningless on starved runners, so the
-    speedup half gates on core count)."""
+    """The acceptance gate for `--jobs`: a 4-way sharded fio sweep —
+    every worker taking its own deterministic checkpoint of the
+    two-phase workload (docs/CRASH_TESTING.md "How a sweep runs") —
+    emits a byte-identical report to a sequential one and holds the
+    durability contract (unconditional), and on a host with >= 4 cores
+    it finishes measurably faster (>= 1.5x — wall-clock assertions are
+    meaningless on starved runners, so the speedup half gates on core
+    count)."""
     argv = ("tools/crash_explore.py", "--workload", "fio",
             "--subsets", "2", "--check")
 
@@ -70,6 +73,7 @@ def test_parallel_sweep_is_byte_identical_and_faster():
     assert sequential.returncode == 0, sequential.stdout + sequential.stderr
     assert parallel.returncode == 0, parallel.stdout + parallel.stderr
     assert parallel.stdout == sequential.stdout  # byte-identical report
+    assert "violations:              0" in sequential.stdout
 
     if (os.cpu_count() or 1) >= 4:
         assert sequential_wall >= 1.5 * parallel_wall, (
@@ -89,22 +93,6 @@ def test_traced_sweep_is_byte_identical_to_untraced():
     assert plain.returncode == 0, plain.stdout + plain.stderr
     assert traced.returncode == 0, traced.stdout + traced.stderr
     assert traced.stdout.replace("tracing: enabled\n", "") == plain.stdout
-
-
-def test_warm_start_sweep_is_byte_identical_sequential_vs_sharded():
-    """The standing gate for snapshot warm-starts under the parallel
-    engine (docs/CRASH_TESTING.md "Warm-started sweeps"): a sharded
-    warm sweep — every worker taking its own deterministic checkpoint —
-    reports exactly what the sequential warm sweep does, and the phased
-    workload holds the durability contract."""
-    argv = ("tools/crash_explore.py", "--workload", "fio", "--warm-start",
-            "--budget", "12", "--subsets", "2", "--check")
-    sequential = run_script(*argv, "--jobs", "1")
-    sharded = run_script(*argv, "--jobs", str(max(2, CRASH_JOBS)))
-    assert sequential.returncode == 0, sequential.stdout + sequential.stderr
-    assert sharded.returncode == 0, sharded.stdout + sharded.stderr
-    assert sharded.stdout == sequential.stdout  # byte-identical report
-    assert "violations:              0" in sequential.stdout
 
 
 def test_seed_matrix_smoke():

@@ -685,12 +685,15 @@ class PagingCache(CacheFacade):
                        buffer: bytearray) -> Generator:
         """Promote a missed page into NVMM as a CLEAN slot with txn = 0
         (recovery ignores both CLEAN and txn-0 records, so a torn
-        promotion can never resurrect) — if the policy admits it and a
-        slot is free without waiting. Never promotes over a page that
-        became resident while the backend read was in flight."""
+        promotion can never resurrect) — if the policy admits it, the
+        file has (or can get) a file id, and a slot is free without
+        waiting. Promotion is optional: the caller already holds the
+        bytes. Never promotes over a page that became resident while the
+        backend read was in flight."""
         fid = self._fid_by_key.get(nv_file.key)
         probe_key = (fid, page) if fid is not None else (nv_file.key, page)
-        if not self.policy.admit(probe_key):
+        if not self.policy.admit(probe_key) or (
+                fid is None and not self._free_fids):
             self.stats.promotions_skipped += 1
             yield self.env.timeout(0.0)
             return
@@ -855,9 +858,16 @@ class PagingCache(CacheFacade):
                 dirty += 1
         assert dirty == self._dirty_count, (
             f"dirty count {self._dirty_count} != mapped dirty {dirty}")
-        resident = len(self._map) + len(self._free)
-        assert resident <= self.config.paging_slots + len(self._free), \
-            "slot bookkeeping drift"
+        # Slot conservation (at rest — a writer mid-fill holds a slot
+        # that is on neither side yet).
+        free = set(self._free)
+        assert len(free) == len(self._free), "duplicate free slot index"
+        mapped = {slot.index for slot in self._map.values()}
+        assert not mapped & free, \
+            f"mapped slots on the free list: {sorted(mapped & free)}"
+        assert len(self._map) + len(self._free) == self.config.paging_slots, (
+            f"slot leak: {len(self._map)} mapped + {len(self._free)} free "
+            f"!= {self.config.paging_slots}")
         for fid, count in self._fid_pages.items():
             assert count >= 0, f"negative resident count for fid {fid}"
 

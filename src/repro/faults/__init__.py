@@ -13,8 +13,9 @@ Three cooperating pieces (docs/CRASH_TESTING.md):
 - the **block fault injector** — deterministic write errors, torn
   writes, and dropped flushes on any block device.
 
-Nothing in the core simulation imports this package; it is pulled in
-only by tests and ``tools/crash_explore.py``.
+Nothing on the simulated I/O path imports this package (a test pins
+it); its importers are ``repro.fuzz``, ``repro.parallel``, the tools
+built on those, and the tests.
 """
 
 from .explorer import (CaseResult, CrashExplorer, END_OF_RUN_SITE,
@@ -28,11 +29,9 @@ from .oracle import FileModelOracle, OracleOp, TrackedNvcacheLibc
 from .recorder import CrashPoint, CrashPointRecorder
 from .snapshot import (Checkpoint, SnapshotError, WarmStartFactory, park,
                        restore_run, resume, take_checkpoint)
-from .workloads import (PHASED_WORKLOADS, SMALL_CONFIG, WORKLOADS, CrashRun,
-                        PhasedWorkload, build_crash_run, db_bench_phased,
-                        db_bench_workload, fio_mixed_workload,
-                        fio_write_phased, fio_write_workload, kvstore_phased,
-                        kvstore_workload)
+from .workloads import (SMALL_CONFIG, WORKLOADS, CrashRun, PhasedWorkload,
+                        build_crash_run, db_bench_phased, fio_mixed_workload,
+                        fio_write_phased, kvstore_phased)
 
 __all__ = [
     "BlockFaultInjector",
@@ -43,7 +42,6 @@ __all__ = [
     "CrashPoint",
     "CrashPointRecorder",
     "CrashRun",
-    "PHASED_WORKLOADS",
     "PhasedWorkload",
     "SnapshotError",
     "WarmStartFactory",
@@ -66,12 +64,9 @@ __all__ = [
     "build_crash_run",
     "check_case",
     "db_bench_phased",
-    "db_bench_workload",
     "fio_mixed_workload",
     "fio_write_phased",
-    "fio_write_workload",
     "kvstore_phased",
-    "kvstore_workload",
     "park",
     "restore_run",
     "resume",

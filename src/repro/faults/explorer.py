@@ -11,8 +11,10 @@ Protocol (two passes per workload):
 
 2. **Explore** — for each selected point (all of them, or an
    evenly-spaced sample under a budget) and each cache-line drop
-   variant, build the workload *again* from scratch and re-run it with
-   the recorder armed on that point's index. The trigger callback runs
+   variant, take a fresh machine from the factory (restored from the
+   workload's checkpoint when the point lies past it, built from
+   scratch otherwise) and re-run it with the recorder armed on that
+   point's index. The trigger callback runs
    synchronously inside the hook: it snapshots the NVMM crash image
    (``crash_image(keep_lines=...)``; the kept subset is drawn from a
    seeded RNG over the dirty lines), the oracle's two legal states, and
@@ -22,8 +24,8 @@ Protocol (two passes per workload):
    recovery runs a *second* time (idempotence), and the invariant suite
    judges the case.
 
-Determinism is the load-bearing property: workload factories are seeded,
-the simulation is deterministic, so hit N in the armed run is the exact
+Determinism is the load-bearing property: workloads are seeded, the
+simulation is deterministic, so hit N in the armed run is the exact
 same machine state as hit N in the enumeration run. ``ExplorationError``
 is raised if a trigger never fires — that means the workload was not
 deterministic, which is a harness bug worth failing loudly on.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..core import recover
 from ..kernel import Kernel
@@ -43,7 +45,9 @@ from ..nvmm import NvmmDevice
 from ..sim import Environment
 from .invariants import (CrashCase, DEFAULT_INVARIANTS, Violation, check_case)
 from .recorder import CrashPoint, CrashPointRecorder
-from .workloads import CrashRun
+
+if TYPE_CHECKING:  # snapshot imports this module
+    from .snapshot import WarmStartFactory
 
 END_OF_RUN_SITE = "end_of_run"
 
@@ -108,7 +112,10 @@ class ExplorationResult:
 
 
 class CrashExplorer:
-    """Drives one workload factory through the enumerate/explore cycle.
+    """Drives one workload through the enumerate/explore cycle.
+
+    ``factory`` is a :class:`~repro.faults.snapshot.WarmStartFactory`
+    (or anything with its ``()`` / ``cold_run()`` / ``base_hits``).
 
     ``budget`` — max number of crash points to explore (None/0 =
     exhaustive). Under a budget, points are sampled evenly across the
@@ -120,7 +127,7 @@ class CrashExplorer:
     non-empty).
     """
 
-    def __init__(self, factory: Callable[[], CrashRun],
+    def __init__(self, factory: WarmStartFactory,
                  budget: Optional[int] = None, drop_subsets: int = 1,
                  seed: int = 0, invariants: Sequence = DEFAULT_INVARIANTS,
                  include_end_of_run: bool = True):
@@ -135,25 +142,14 @@ class CrashExplorer:
 
     # -- pass 1: enumeration ------------------------------------------------
 
-    def _new_run(self, cold: bool = False) -> CrashRun:
-        """Build a run. ``cold=True`` asks a warm-start factory (see
-        :mod:`repro.faults.snapshot`) for a full from-scratch run — used
-        for enumeration and for points inside the checkpoint prefix;
-        plain factories only ever produce cold runs."""
-        if cold:
-            cold_run = getattr(self.factory, "cold_run", None)
-            if cold_run is not None:
-                return cold_run()
-        return self.factory()
-
     def enumerate_points(self) -> List[CrashPoint]:
         if self._points is not None:
             return self._points
-        run = self._new_run(cold=True)
+        run = self.factory.cold_run()
         recorder = CrashPointRecorder(
             run.env, record=True,
             probe=lambda: {"dirty_lines": run.nvmm.dirty_line_count()})
-        self._drive(run)
+        run.drive(True)
         self._points = recorder.points
         self._end_dirty = run.nvmm.dirty_line_count()
         recorder.detach()
@@ -182,11 +178,13 @@ class CrashExplorer:
         subsets per case without building a new explorer (and without
         disturbing this explorer's cached enumeration)."""
         points = self.enumerate_points()
-        # A warm-start factory resumes runs from a checkpoint taken after
-        # its prefix phase; points inside the prefix need a cold run.
-        prefix_hits = getattr(self.factory, "base_hits", 0)
-        run = self._new_run(cold=index is not None and index < prefix_hits)
-        base = run.crash_point_base
+        # The factory resumes runs from a checkpoint taken after the
+        # workload's prefix phase; points inside the prefix need a cold
+        # run.
+        if index is not None and index < self.factory.base_hits:
+            run = self.factory.cold_run()
+        else:
+            run = self.factory()
         captured: Dict[str, object] = {}
 
         def capture() -> None:
@@ -210,7 +208,7 @@ class CrashExplorer:
 
         if index is None:
             recorder = CrashPointRecorder(run.env, record=False)
-            self._drive(run)
+            run.drive(True)
             point = CrashPoint(len(points), END_OF_RUN_SITE,
                                "workload completed", run.env.now,
                                run.nvmm.dirty_line_count())
@@ -219,8 +217,8 @@ class CrashExplorer:
         else:
             point = points[index]
             recorder = CrashPointRecorder(run.env, record=False)
-            recorder.arm(index - base, capture)
-            self._drive(run, expect_completion=False)
+            recorder.arm(index - run.crash_point_base, capture)
+            run.drive(False)
             recorder.detach()
             if "image" not in captured:
                 raise ExplorationError(
@@ -326,25 +324,6 @@ class CrashExplorer:
         return best
 
     # -- internals ----------------------------------------------------------
-
-    @staticmethod
-    def _drive(run: CrashRun, expect_completion: bool = True) -> None:
-        """Run the workload body; daemons (cleanup) keep the event queue
-        non-empty forever, so completion is signalled by stopping the
-        environment — and an armed recorder may stop it first. Phased
-        runs install their own driver (cold: phase A, park, restart,
-        phase B; warm: restart, phase B) and skip the body path."""
-        if run.drive is not None:
-            run.drive(expect_completion)
-            return
-        process = run.env.spawn(run.body(), name="crash-workload")
-        process.subscribe(lambda _value, _exc: run.env.stop())
-        run.env.run()
-        if process.exception is not None:
-            raise ExplorationError(
-                "crash workload raised") from process.exception
-        if expect_completion and process.alive:
-            raise ExplorationError("crash workload did not complete")
 
     @staticmethod
     def _crash_and_recover(env: Environment, kernel, devices, config,

@@ -1,10 +1,10 @@
-"""Quiescent machine snapshots: checkpoint a crash workload after its
-prefix phase, then warm-start every exploration case from the pickled
-machine instead of replaying the prefix.
+"""Running a crash workload: the one phase driver, and quiescent machine
+snapshots so two-phase workloads resume from a checkpoint instead of
+replaying their prefix.
 
-The crash explorer re-builds the whole simulated machine and re-runs the
-workload from ``t=0`` for every (crash point, drop subset) case — the
-prefix replay dominates a sweep once workloads grow. A
+The crash explorer needs a fresh machine for every (crash point, drop
+subset) case, and re-running the workload from ``t=0`` each time makes
+the prefix replay dominate a sweep once workloads grow. A two-phase
 :class:`~repro.faults.workloads.PhasedWorkload` splits the workload at a
 *quiescent checkpoint boundary*: phase A ends with the NVCache log
 drained, the machine is **parked** (the cleanup thread's pending tick is
@@ -13,6 +13,8 @@ queued in the event loop — the entire machine (Environment clock and
 sequence counter, NVMM media+overlay, log and cleanup state, file
 tables, oracle, seeded RNG streams in ``run.scratch``) pickles into a
 :class:`Checkpoint`. Warm cases restore the pickle and run only phase B.
+A single-phase workload has no boundary: every run of it is a plain
+cold run.
 
 Byte-identity is by construction, not by luck: the *cold* path runs the
 exact same park/restart protocol at the boundary (shed, cancelled tick,
@@ -25,17 +27,19 @@ including a restore in a fresh OS process).
 
 Crash points hit during phase A exist only in the cold stream; a warm
 run's recorder starts counting at ``Checkpoint.base_hits``. The explorer
-arms warm runs at ``index - base_hits`` and silently falls back to a
-cold run for indices inside the prefix.
+arms warm runs at ``index - base_hits`` and asks for a cold run for
+indices inside the prefix.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
-from ..sim import Environment
+from ..sim import Tracer
+from .explorer import ExplorationError
 from .recorder import CrashPointRecorder
 from .workloads import CrashRun, PhasedWorkload
 
@@ -49,8 +53,8 @@ class Checkpoint:
     """A parked machine, serialized, plus the stream position it holds.
 
     ``payload`` is a pickle of the :class:`~repro.faults.workloads.CrashRun`
-    (minus its unpicklable ``body``/``drive`` callables — phase B comes
-    from code, not from the snapshot, so a checkpoint written to disk
+    as ``build`` returned it plus phase A's effects (phase B comes from
+    code, not from the snapshot, so a checkpoint written to disk
     restores in a fresh process). ``base_hits`` is how many crash points
     fired during phase A; ``now``/``sequence``/``events_dispatched``
     mirror the environment for cheap integrity checks and reporting.
@@ -109,12 +113,7 @@ def take_checkpoint(phased: PhasedWorkload) -> Checkpoint:
         raise SnapshotError(
             f"machine not quiescent after park: {len(pending)} pending "
             "event(s) — phase A must end with the log drained")
-    body, drive = run.body, run.drive
-    run.body = run.drive = None
-    try:
-        payload = pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        run.body, run.drive = body, drive
+    payload = pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL)
     return Checkpoint(payload=payload, base_hits=base_hits,
                       now=run.env.now, sequence=run.env._sequence,
                       events_dispatched=run.env.events_dispatched)
@@ -139,9 +138,10 @@ def restore_run(checkpoint: Checkpoint) -> CrashRun:
 
 def _run_phase(run: CrashRun, phase, expect_completion: bool) -> bool:
     """Spawn one phase as the ``crash-workload`` process and run the
-    environment until it completes (or an armed recorder stops it
-    early). Returns True when the phase ran to completion."""
-    from .explorer import ExplorationError
+    environment until it completes — daemons (cleanup) keep the event
+    queue non-empty forever, so completion is signalled by stopping the
+    environment, and an armed recorder may stop it first. Returns True
+    when the phase ran to completion."""
     process = run.env.spawn(phase(run), name="crash-workload")
     process.subscribe(lambda _value, _exc: run.env.stop())
     run.env.run()
@@ -155,30 +155,35 @@ def _run_phase(run: CrashRun, phase, expect_completion: bool) -> bool:
 
 
 def _drive_cold(run: CrashRun, phased: PhasedWorkload,
-                expect_completion: bool) -> None:
-    """Full phased run: A, park/restart at the boundary, B."""
+                expect_completion: bool) -> bool:
+    """Full run from ``t=0``: phase A and, when there is a phase B,
+    park/restart at the boundary and B."""
     if not _run_phase(run, phased.phase_a, expect_completion):
-        return  # armed point struck inside phase A
+        return False  # armed point struck inside phase A
+    if phased.phase_b is None:
+        return True
     park(run)
-    _drive_warm(run, phased, expect_completion)
+    return _drive_warm(run, phased, expect_completion)
 
 
 def _drive_warm(run: CrashRun, phased: PhasedWorkload,
-                expect_completion: bool) -> None:
+                expect_completion: bool) -> bool:
     """Resume a parked machine (freshly restored, or a cold run at its
     boundary — the two are indistinguishable by design) and run phase B."""
     resume(run)
-    _run_phase(run, phased.phase_b, expect_completion)
+    return _run_phase(run, phased.phase_b, expect_completion)
 
 
 class WarmStartFactory:
-    """A drop-in explorer factory that warm-starts every run it can.
+    """The explorer's run source for one workload.
 
     ``factory()`` returns a run restored from the (lazily created,
     cached) checkpoint, with ``crash_point_base`` set so the explorer
     arms indices relative to the boundary; ``factory.cold_run()``
-    returns a full phased cold run for enumeration and for points inside
-    the prefix. Each worker process pays checkpoint creation once.
+    returns a full from-scratch run for enumeration and for points
+    inside the prefix. Each worker process pays checkpoint creation
+    once. A single-phase workload has no checkpoint: ``base_hits`` is 0
+    and ``factory()`` is ``factory.cold_run()``.
 
     ``trace=True`` attaches a fresh :class:`repro.sim.trace.Tracer` to
     every run handed out (tracing never changes simulated results, so
@@ -191,32 +196,29 @@ class WarmStartFactory:
         self.trace = trace
         self._checkpoint = checkpoint
 
-    def checkpoint(self) -> Checkpoint:
-        if self._checkpoint is None:
+    def checkpoint(self) -> Optional[Checkpoint]:
+        if self._checkpoint is None and self.phased.phase_b is not None:
             self._checkpoint = take_checkpoint(self.phased)
         return self._checkpoint
 
     @property
     def base_hits(self) -> int:
-        return self.checkpoint().base_hits
+        checkpoint = self.checkpoint()
+        return checkpoint.base_hits if checkpoint is not None else 0
 
-    def _attach_trace(self, run: CrashRun) -> CrashRun:
+    def _hand_out(self, run: CrashRun, drive) -> CrashRun:
+        run.drive = partial(drive, run, self.phased)
         if self.trace:
-            from ..sim import Tracer
             run.env.tracer = Tracer()
         return run
 
     def cold_run(self) -> CrashRun:
-        run = self.phased.build()
-        phased = self.phased
-        run.drive = lambda expect_completion: _drive_cold(
-            run, phased, expect_completion)
-        return self._attach_trace(run)
+        return self._hand_out(self.phased.build(), _drive_cold)
 
     def __call__(self) -> CrashRun:
-        run = restore_run(self.checkpoint())
-        run.crash_point_base = self.checkpoint().base_hits
-        phased = self.phased
-        run.drive = lambda expect_completion: _drive_warm(
-            run, phased, expect_completion)
-        return self._attach_trace(run)
+        checkpoint = self.checkpoint()
+        if checkpoint is None:
+            return self.cold_run()
+        run = restore_run(checkpoint)
+        run.crash_point_base = checkpoint.base_hits
+        return self._hand_out(run, _drive_warm)

@@ -30,10 +30,12 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Generator, List, Sequence, Tuple
+from typing import Dict, Generator, List, Sequence, Tuple
 
+from ..core import NvcacheConfig
 from ..faults.injector import BlockFaultInjector
-from ..faults.workloads import CrashRun, build_crash_run
+from ..faults.workloads import (SMALL_CONFIG, CrashRun, PhasedWorkload,
+                                build_crash_run)
 from ..kernel.fd_table import O_CREAT, O_RDWR
 from ..workloads import FUZZ_SEED_MIXES
 
@@ -289,8 +291,9 @@ def mutate(rng: random.Random, case: FuzzCase,
 
 
 def build_fuzz_run(case: FuzzCase,
-                   build: Callable[[], CrashRun] = build_crash_run) -> CrashRun:
-    """Materialize a case as a :class:`~repro.faults.workloads.CrashRun`.
+                   config: NvcacheConfig = SMALL_CONFIG) -> PhasedWorkload:
+    """Materialize a case as a single-phase
+    :class:`~repro.faults.workloads.PhasedWorkload`.
 
     The interpreter is *total*: every schedule is valid. File-slot
     references resolve modulo the open-file table; an op that needs an
@@ -301,27 +304,29 @@ def build_fuzz_run(case: FuzzCase,
     survivor seeds are applied by the executor, which is what lets one
     enumerated run serve many cases.
 
-    ``build`` constructs the stack the schedule is interpreted against
-    (default: the logging-mode :func:`build_crash_run`). The schedule
-    language is stack-agnostic, so the same case replays against a
-    paging-mode stack via
-    :func:`~repro.faults.workloads.build_paging_crash_run` — that is how
-    ``tests/core/test_mode_equivalence.py`` pins the two designs to
+    ``config`` selects the stack the schedule is interpreted against
+    (default: the logging-mode ``SMALL_CONFIG``). The schedule language
+    is stack-agnostic, so the same case replays against any
+    ``CACHE_MODES`` row by changing ``config.cache_mode`` — that is how
+    ``tests/core/test_mode_equivalence.py`` pins the designs to
     byte-identical post-recovery contents.
     """
-    run = build()
-    if case.fault_plan:
-        injector = BlockFaultInjector(
-            seed=1,
-            fail_writes=[index for kind, index in case.fault_plan
-                         if kind == "fail"],
-            tear_writes=[index for kind, index in case.fault_plan
-                         if kind == "tear"])
-        injector.arm(run.ssd)
-        run.pre_reboot = lambda r: injector.disarm(r.ssd)
-    libc = run.libc
 
-    def body() -> Generator:
+    def build() -> CrashRun:
+        run = build_crash_run(config)
+        if case.fault_plan:
+            injector = BlockFaultInjector(
+                seed=1,
+                fail_writes=[index for kind, index in case.fault_plan
+                             if kind == "fail"],
+                tear_writes=[index for kind, index in case.fault_plan
+                             if kind == "tear"])
+            injector.arm(run.ssd)
+            run.pre_reboot = lambda r: injector.disarm(r.ssd)
+        return run
+
+    def body(run: CrashRun) -> Generator:
+        libc = run.libc
         table: List[List] = []   # [path, fd, size]
         serial = 0
 
@@ -381,5 +386,4 @@ def build_fuzz_run(case: FuzzCase,
             yield from libc.close(entry[1])
         yield run.nvcache.cleanup.request_drain()
 
-    run.body = body
-    return run
+    return PhasedWorkload(build, body)

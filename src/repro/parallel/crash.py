@@ -1,9 +1,9 @@
 """Sharded crash-point sweeps and seed matrices.
 
 A crash sweep is a list of independent ``(point index, variant)`` cases
-(:meth:`repro.faults.CrashExplorer.case_plan`); each case rebuilds the
-whole simulated machine from a seeded factory, so any case can run in
-any process. This module cuts the plan into contiguous shards, runs
+(:meth:`repro.faults.CrashExplorer.case_plan`); each case takes a fresh
+simulated machine from a seeded factory, so any case can run in any
+process. This module cuts the plan into contiguous shards, runs
 each shard through :class:`~repro.parallel.engine.ShardEngine`, and
 merges the per-case results back *in plan order* — the merged
 :class:`~repro.faults.explorer.ExplorationResult` is equal field-for-
@@ -15,7 +15,9 @@ Workloads are named (keys of :data:`repro.faults.workloads.WORKLOADS`),
 never passed as callables: a :class:`SweepSpec` is a handful of
 primitives, which is what makes shards picklable and replayable after a
 worker death. Each worker process keeps one explorer per spec so the
-enumeration pass is paid once per worker, not once per shard.
+enumeration pass (and, for a two-phase workload, the checkpoint every
+post-boundary case resumes from — deterministically equal in every
+worker) is paid once per worker, not once per shard.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults.explorer import (CaseResult, CrashExplorer, ExplorationError,
                                ExplorationResult)
-from ..faults.workloads import PHASED_WORKLOADS, WORKLOADS
+from ..faults.snapshot import WarmStartFactory
+from ..faults.workloads import WORKLOADS
 from ..cli import by_invariant
 from .engine import CELL_TIMEOUT, ShardEngine, chunked, raise_unfinished
 
@@ -48,43 +51,19 @@ class SweepSpec:
     #: to change simulated results, so traced and untraced sweeps (and
     #: sequential vs. sharded traced sweeps) produce identical reports.
     trace: bool = False
-    #: Run the *phased* variant of the workload and warm-start every
-    #: post-checkpoint case from a quiescent machine snapshot instead of
-    #: replaying the prefix (repro.faults.snapshot). Phased sweeps have
-    #: their own crash-point stream (the park/restart boundary is part
-    #: of the workload), but within the mode results are byte-identical
-    #: sequential vs. sharded and warm vs. cold — each worker process
-    #: takes its own checkpoint, deterministically equal to every other.
-    warm_start: bool = False
 
     def __post_init__(self):
-        table = PHASED_WORKLOADS if self.warm_start else WORKLOADS
-        if self.workload not in table:
+        if self.workload not in WORKLOADS:
             raise ValueError(f"unknown crash workload {self.workload!r} "
-                             f"(have: {', '.join(sorted(table))})")
+                             f"(have: {', '.join(sorted(WORKLOADS))})")
 
 
 def make_explorer(spec: SweepSpec) -> CrashExplorer:
-    if spec.warm_start:
-        from ..faults.snapshot import WarmStartFactory
-        maker = PHASED_WORKLOADS[spec.workload]
-        phased = maker() if spec.ops is None else maker(spec.ops)
-        factory = WarmStartFactory(phased, trace=spec.trace)
-        return CrashExplorer(factory, budget=spec.budget,
-                             drop_subsets=spec.subsets, seed=spec.seed)
     maker = WORKLOADS[spec.workload]
-    factory = maker() if spec.ops is None else maker(spec.ops)
-    if spec.trace:
-        from ..sim import Tracer
-
-        def traced_factory(inner=factory):
-            run = inner()
-            run.env.tracer = Tracer()
-            return run
-
-        factory = traced_factory
-    return CrashExplorer(factory, budget=spec.budget,
-                         drop_subsets=spec.subsets, seed=spec.seed)
+    workload = maker() if spec.ops is None else maker(spec.ops)
+    return CrashExplorer(WarmStartFactory(workload, trace=spec.trace),
+                         budget=spec.budget, drop_subsets=spec.subsets,
+                         seed=spec.seed)
 
 
 #: Per-worker-process explorer cache (spec -> explorer with its

@@ -1,10 +1,10 @@
 """Property tests: cache modes are interchangeable, policies are inert.
 
-The logging-mode log and the paging-mode page table are two designs for
-the same contract (durability-after-ack behind the libc facade), so any
-schedule from the fuzz grammar must leave *byte-identical* file
-contents after a worst-case crash (every unpersisted NVMM line dropped)
-plus recovery, whichever design ran it — and the recovered bytes must
+Every ``CACHE_MODES`` row is a design for the same contract
+(durability-after-ack behind the libc facade), so any schedule from the
+fuzz grammar must leave *byte-identical* file contents after a
+worst-case crash (every unpersisted NVMM line dropped) plus recovery,
+whichever design ran it — and the recovered bytes must
 match the :class:`~repro.faults.FileModelOracle` model exactly, since
 every op was acked before the power cut. The eviction/promotion
 policies (LRU / ALRU / NHIT, docs/POLICIES.md) only reorder evictions
@@ -12,20 +12,28 @@ and gate promotions, so across policies the same schedule must again
 produce identical bytes; only hit ratios move.
 
 The mid-run crash points (where the oracle's two-legal-states split
-matters) are covered for paging by the explorer sweep below and by the
-``fio-paging`` workload in the CI ``policy`` suite.
+matters) are covered for every mode by the explorer sweep below, and
+for paging also by the ``fio-paging`` workload in the CI ``sweeps``
+suite.
 """
 
 import random
 from dataclasses import replace
 
-from repro.core import NvcacheConfig, PagingStats
-from repro.faults import CrashExplorer
-from repro.faults.workloads import (SMALL_CONFIG, SMALL_PAGING_CONFIG,
-                                    build_crash_run, build_paging_crash_run)
+import pytest
+
+from repro.core import CACHE_MODES, NvcacheConfig, PagingStats
+from repro.faults import CrashExplorer, WarmStartFactory
+from repro.faults.workloads import SMALL_CONFIG, SMALL_PAGING_CONFIG
 from repro.fuzz.schedule import build_fuzz_run, fresh_case
 
 SEEDS = range(6)
+
+#: One small config per CACHE_MODES row (the paging row keeps its
+#: slot-pressure sizing; nvlog-lite shares the logging geometry).
+MODE_CONFIGS = {mode: replace(SMALL_PAGING_CONFIG if mode == "paging"
+                              else SMALL_CONFIG, cache_mode=mode)
+                for mode in CACHE_MODES}
 
 
 def _content_case(seed: int):
@@ -38,16 +46,12 @@ def _content_case(seed: int):
                    survivor_seed=0)
 
 
-def _recovered_state(case, build):
+def _recovered_state(case, config):
     """Run the schedule to completion, power-cut dropping every
     unpersisted line, recover, and read back every path the oracle ever
-    saw. Returns (contents-by-path, cache stats snapshot)."""
-    run = build_fuzz_run(case, build=build)
-    process = run.env.spawn(run.body(), name="modeeq-workload")
-    process.subscribe(lambda _value, _exc: run.env.stop())
-    run.env.run()
-    assert process.exception is None, process.exception
-    assert not process.alive, "schedule did not complete"
+    saw. Returns (contents-by-path, oracle model, cache stats snapshot)."""
+    run = WarmStartFactory(build_fuzz_run(case, config))()
+    run.drive(True)  # raises unless the schedule completes
     before, after = run.oracle.expected_states()
     assert before == after, "oracle not at rest after an acked schedule"
     paths = run.oracle.paths_of_interest()
@@ -61,31 +65,32 @@ def _recovered_state(case, build):
 
 
 def test_logging_and_paging_agree_byte_for_byte_after_recovery():
-    """Same schedule, both designs, worst-case crash after the final
+    """Same schedule, every design, worst-case crash after the final
     ack: recovered bytes must match each other and the oracle model."""
+    assert len(MODE_CONFIGS) >= 3
     for seed in SEEDS:
         case = _content_case(seed)
-        log_state, log_expected, _ = _recovered_state(
-            case, build_crash_run)
-        page_state, page_expected, _ = _recovered_state(
-            case, build_paging_crash_run)
-        assert log_state == log_expected, f"seed {seed}: logging != oracle"
-        assert page_state == page_expected, f"seed {seed}: paging != oracle"
-        assert log_state == page_state, f"seed {seed}: modes diverge"
+        states = {}
+        for mode, config in MODE_CONFIGS.items():
+            states[mode], expected, _ = _recovered_state(case, config)
+            assert states[mode] == expected, f"seed {seed}: {mode} != oracle"
+        assert all(state == states["logging"] for state in states.values()), \
+            f"seed {seed}: modes diverge"
 
 
-def test_paging_mode_holds_invariants_over_fuzz_schedules():
+@pytest.mark.parametrize("mode", sorted(CACHE_MODES))
+def test_every_mode_holds_invariants_over_fuzz_schedules(mode):
     """Mid-run crashes too: the explorer sweeps sampled persistence
-    boundaries of paging-mode runs of generated schedules and checks the
-    full invariant suite (durability-after-ack, atomicity, idempotent
-    re-recovery) against the oracle's two legal states."""
+    boundaries of generated schedules run through the single builder
+    under each ``CACHE_MODES`` row and checks the full invariant suite
+    (durability-after-ack, atomicity, idempotent re-recovery) against
+    the oracle's two legal states."""
     total = 0
     failures = []
     for seed in (0, 1, 2):
         case = _content_case(seed)
         explorer = CrashExplorer(
-            lambda case=case: build_fuzz_run(
-                case, build=build_paging_crash_run),
+            WarmStartFactory(build_fuzz_run(case, MODE_CONFIGS[mode])),
             budget=6, drop_subsets=1, seed=seed)
         result = explorer.explore()
         total += len(result.cases)
@@ -104,8 +109,7 @@ def test_policies_never_change_contents_only_hit_ratios():
     for policy in ("lru", "alru", "nhit"):
         config = replace(SMALL_PAGING_CONFIG, policy=policy,
                          paging_slots=8)
-        state, expected, counters = _recovered_state(
-            case, lambda config=config: build_paging_crash_run(config))
+        state, expected, counters = _recovered_state(case, config)
         assert state == expected, f"policy {policy}: paging != oracle"
         states[policy] = state
         stats[policy] = counters
@@ -123,8 +127,7 @@ def test_read_cache_policies_inert_in_logging_mode():
     states = {}
     for policy in ("", "lru", "alru", "nhit"):
         config = replace(SMALL_CONFIG, policy=policy, read_cache_pages=8)
-        state, expected, _ = _recovered_state(
-            case, lambda config=config: build_crash_run(config))
+        state, expected, _ = _recovered_state(case, config)
         assert state == expected, f"policy {policy!r}: logging != oracle"
         states[policy] = state
     first = states[""]
@@ -145,7 +148,6 @@ def test_paging_stats_snapshot_shape():
 
 def test_paging_config_validation():
     """The config layer rejects nonsense design-point selections."""
-    import pytest
     with pytest.raises(ValueError):
         NvcacheConfig(cache_mode="mystery")
     with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ behaviour — hit accounting, in-place supersede, fill reads, writeback,
 invalidation — on a hand-built small stack.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.block import SsdDevice
@@ -282,6 +284,39 @@ def test_read_only_open_bypasses_staging():
         yield from cache.close(fd)
 
     env.run_process(write_denied())
+
+
+def test_read_miss_survives_file_table_exhaustion():
+    """Regression: a read miss took a slot and only then asked for a
+    file id; with every id taken that raised EINVAL out of a *read* of a
+    perfectly readable file and leaked the slot. Promotion is optional:
+    the read must return the backend's bytes and conserve slots."""
+    config = replace(PAGING_CONFIG, fd_max=4, paging_slots=24)
+    env, kernel, _nvmm, cache = make_paging_stack(config)
+    paths = [f"/r{i}" for i in range(6)]
+
+    def seed():
+        for i, path in enumerate(paths):
+            fd = yield from kernel.open(path, O_CREAT | O_WRONLY)
+            yield from kernel.pwrite(fd, bytes([65 + i]) * 300, 0)
+            yield from kernel.close(fd)
+        yield from kernel.sync()
+
+    env.run_process(seed())
+
+    def body():
+        out = []
+        for path in paths:
+            fd = yield from cache.open(path, O_RDONLY)
+            out.append((yield from cache.pread(fd, 300, 0)))
+            yield from cache.close(fd)
+        return out
+
+    assert env.run_process(body()) == [bytes([65 + i]) * 300
+                                       for i in range(6)]
+    assert cache.stats.promotions == 4
+    assert cache.stats.promotions_skipped == 2
+    cache.check_invariants()  # no slot left off both the map and free list
 
 
 def test_writeback_survives_supersede_during_page_load():

@@ -135,12 +135,13 @@ def test_idempotence_holds_at_every_enumerated_crash_point():
     re-runs recovery on the recovered machine — the second pass must be
     a no-op everywhere (the ``recovery_idempotence`` invariant), with
     the rest of the durability contract holding alongside it."""
-    from repro.faults import CrashExplorer, DEFAULT_INVARIANTS
-    from repro.faults.workloads import fio_write_workload
+    from repro.faults import (CrashExplorer, DEFAULT_INVARIANTS,
+                              WarmStartFactory, fio_write_phased)
 
     assert any(inv.name == "recovery_idempotence"
                for inv in DEFAULT_INVARIANTS)
-    explorer = CrashExplorer(fio_write_workload(ops=6), drop_subsets=0)
+    explorer = CrashExplorer(WarmStartFactory(fio_write_phased(ops=6)),
+                             drop_subsets=0)
     result = explorer.explore()
     assert len(result.points) >= 6
     assert result.violations == []

@@ -8,17 +8,20 @@ from repro.faults import (
     DEFAULT_INVARIANTS,
     END_OF_RUN_SITE,
     ExplorationError,
+    PhasedWorkload,
+    WORKLOADS,
+    WarmStartFactory,
+    build_crash_run,
 )
-from repro.faults.workloads import (
-    db_bench_workload,
-    fio_mixed_workload,
-    fio_write_workload,
-    kvstore_workload,
-)
+
+
+def explorer_for(name, *args, **options):
+    """An explorer over ``WORKLOADS[name](*args)``."""
+    return CrashExplorer(WarmStartFactory(WORKLOADS[name](*args)), **options)
 
 
 def test_fio_enumerates_at_least_100_crash_points():
-    explorer = CrashExplorer(fio_write_workload())
+    explorer = explorer_for("fio")
     points = explorer.enumerate_points()
     assert len(points) >= 100
     assert [p.index for p in points] == list(range(len(points)))
@@ -31,7 +34,7 @@ def test_fio_exhaustive_exploration_holds_every_invariant():
     """The acceptance sweep: every enumerated point on the fio write
     workload, drop-all plus one seeded survivor subset each, zero
     violations from all five invariants."""
-    explorer = CrashExplorer(fio_write_workload(), drop_subsets=1, seed=0)
+    explorer = explorer_for("fio", drop_subsets=1, seed=0)
     result = explorer.explore()
     assert len(result.points) >= 100
     assert result.violations == []
@@ -40,8 +43,7 @@ def test_fio_exhaustive_exploration_holds_every_invariant():
 
 
 def test_namespace_workload_holds_under_budget():
-    explorer = CrashExplorer(fio_mixed_workload(), budget=40,
-                             drop_subsets=1, seed=1)
+    explorer = explorer_for("fio-mixed", budget=40, drop_subsets=1, seed=1)
     result = explorer.explore()
     assert result.violations == []
     # Namespace boundaries are genuinely in the enumeration.
@@ -49,15 +51,26 @@ def test_namespace_workload_holds_under_budget():
                for p in result.points)
 
 
-@pytest.mark.parametrize("factory", [db_bench_workload, kvstore_workload])
-def test_minirocks_workloads_hold_under_budget(factory):
-    explorer = CrashExplorer(factory(), budget=30, drop_subsets=1, seed=2)
+@pytest.mark.parametrize("name", ["db_bench", "kvstore"])
+def test_minirocks_workloads_hold_under_budget(name):
+    explorer = explorer_for(name, budget=30, drop_subsets=1, seed=2)
     result = explorer.explore()
     assert result.violations == []
 
 
+@pytest.mark.parametrize("name", ["db_bench", "kvstore"])
+def test_minirocks_enumerations_reach_the_drain_side(name):
+    """Both MiniRocks workloads end each phase with a drain, so the
+    sweeps CI runs by default cross the cleanup, block and journal
+    boundaries — not only the log-append ones."""
+    sites = {point.site for point in explorer_for(name).enumerate_points()}
+    assert {"core.cleanup.batch_retired", "core.log.cleared",
+            "block.write_completed", "block.flush_completed",
+            "fs.ext4.journal_commit"} <= sites
+
+
 def test_budget_samples_early_middle_and_late_points():
-    explorer = CrashExplorer(fio_write_workload(), budget=10)
+    explorer = explorer_for("fio", budget=10)
     points = explorer.enumerate_points()
     selected = explorer.select_indices()
     assert len(selected) == 10
@@ -67,7 +80,7 @@ def test_budget_samples_early_middle_and_late_points():
 
 
 def test_end_of_run_case_is_explored():
-    explorer = CrashExplorer(fio_write_workload(), budget=3, drop_subsets=0)
+    explorer = explorer_for("fio", budget=3, drop_subsets=0)
     result = explorer.explore()
     assert any(case.point.site == END_OF_RUN_SITE for case in result.cases)
     assert result.violations == []
@@ -77,7 +90,7 @@ def test_group_commit_cases_are_exercised():
     """fio's 1024-byte writes over 512-byte entries make every write a
     two-entry commit group, so the group-atomicity invariant sees real
     multi-entry in-flight ops."""
-    explorer = CrashExplorer(fio_write_workload(), budget=60, drop_subsets=0)
+    explorer = explorer_for("fio", budget=60, drop_subsets=0)
     result = explorer.explore()
     grouped = [case for case in result.cases
                if case.case.inflight is not None
@@ -88,7 +101,7 @@ def test_group_commit_cases_are_exercised():
 
 
 def test_summary_is_human_readable():
-    explorer = CrashExplorer(fio_write_workload(), budget=5, drop_subsets=0)
+    explorer = explorer_for("fio", budget=5, drop_subsets=0)
     result = explorer.explore()
     text = result.summary()
     assert "crash points enumerated" in text
@@ -96,24 +109,25 @@ def test_summary_is_human_readable():
 
 
 def test_armed_trigger_past_the_run_raises():
-    explorer = CrashExplorer(fio_write_workload())
+    explorer = explorer_for("fio")
     points = explorer.enumerate_points()
     with pytest.raises(IndexError):
         explorer.run_case(len(points) + 5)
 
 
 def test_nondeterministic_factory_is_caught():
-    """A factory whose runs differ between enumeration and armed replay
+    """A workload whose runs differ between enumeration and armed replay
     must fail loudly, not silently explore the wrong machine state."""
     calls = []
 
-    def flaky_factory():
+    def flaky(run):
         calls.append(None)
         # Fewer ops on re-runs: the armed trigger index never fires.
-        ops = 16 if len(calls) == 1 else 1
-        return fio_write_workload(ops=ops)()
+        ops = 14 if len(calls) == 1 else 1
+        return WORKLOADS["fio-mixed"](ops).phase_a(run)
 
-    explorer = CrashExplorer(flaky_factory)
+    explorer = CrashExplorer(
+        WarmStartFactory(PhasedWorkload(build_crash_run, flaky)))
     points = explorer.enumerate_points()
     with pytest.raises(ExplorationError):
         explorer.run_case(len(points) - 1)

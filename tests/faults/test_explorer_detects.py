@@ -13,8 +13,11 @@ from repro.core.log import (
     NvmmLog,
     _HEADER,
 )
-from repro.faults import CrashExplorer
-from repro.faults.workloads import fio_write_workload
+from functools import partial
+
+from repro.faults import (CrashExplorer, PhasedWorkload, WarmStartFactory,
+                          build_crash_run)
+from repro.kernel.fd_table import O_CREAT, O_WRONLY
 
 
 def leaky_commit_leader(self, seq):
@@ -27,10 +30,22 @@ def leaky_commit_leader(self, seq):
     yield self.env.timeout(0.0)
 
 
-def factory():
-    # Cleanup off: entries must still be in the ring when the power cut
-    # lands, otherwise the bug is masked by propagation to the disk.
-    return fio_write_workload(ops=8, start_cleanup=False)()
+def sequential_writes(run, ops=8, block_size=1024, fsync_every=4):
+    """fio-style two-entry group writes with periodic fsync, then close.
+    No drain: that needs the cleanup thread this machine runs without."""
+    fd = yield from run.libc.open("/bench.dat", O_CREAT | O_WRONLY)
+    for i in range(ops):
+        yield from run.libc.pwrite(fd, bytes([i + 1]) * block_size,
+                                   i * block_size)
+        if (i + 1) % fsync_every == 0:
+            yield from run.libc.fsync(fd)
+    yield from run.libc.close(fd)
+
+
+# Cleanup off: entries must still be in the ring when the power cut
+# lands, otherwise the bug is masked by propagation to the disk.
+factory = WarmStartFactory(PhasedWorkload(
+    partial(build_crash_run, start_cleanup=False), sequential_writes))
 
 
 def test_unmutated_control_passes():

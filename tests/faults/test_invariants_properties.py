@@ -9,8 +9,8 @@ oracle's two legal states. Across all seeds this drives well over 200
 independently generated crash cases through the full invariant suite.
 """
 
-from repro.faults import CrashExplorer, OracleOp
-from repro.faults.workloads import fio_mixed_workload
+from repro.faults import (CrashExplorer, OracleOp, WarmStartFactory,
+                          build_crash_run, fio_mixed_workload)
 
 SEEDS = range(12)
 BUDGET = 10
@@ -20,8 +20,9 @@ def test_generated_workloads_hold_all_invariants_everywhere():
     total_cases = 0
     failures = []
     for seed in SEEDS:
-        explorer = CrashExplorer(fio_mixed_workload(ops=12, seed=seed),
-                                 budget=BUDGET, drop_subsets=1, seed=seed)
+        explorer = CrashExplorer(
+            WarmStartFactory(fio_mixed_workload(ops=12, seed=seed)),
+            budget=BUDGET, drop_subsets=1, seed=seed)
         result = explorer.explore()
         total_cases += len(result.cases)
         failures.extend(result.violations)
@@ -34,7 +35,8 @@ def test_distinct_seeds_generate_distinct_scripts():
     sweep above is 12 copies of one workload)."""
     scripts = set()
     for seed in (0, 1, 2):
-        explorer = CrashExplorer(fio_mixed_workload(ops=12, seed=seed))
+        explorer = CrashExplorer(
+            WarmStartFactory(fio_mixed_workload(ops=12, seed=seed)))
         points = explorer.enumerate_points()
         scripts.add(tuple(point.label for point in points))
     assert len(scripts) == 3
@@ -43,7 +45,7 @@ def test_distinct_seeds_generate_distinct_scripts():
 def test_oracle_tracks_the_two_legal_states_mid_op():
     """The oracle's before/after split is what the invariants lean on:
     mid-pwrite they must differ exactly on the written range."""
-    run = fio_mixed_workload(ops=0)()
+    run = build_crash_run()
 
     def body():
         from repro.kernel.fd_table import O_CREAT, O_WRONLY

@@ -6,17 +6,19 @@ import sys
 
 import pytest
 
-from repro.faults.recorder import CrashPointRecorder
-from repro.faults.workloads import build_crash_run, fio_write_workload
+from repro.faults import (CrashPointRecorder, PhasedWorkload,
+                          WarmStartFactory, build_crash_run,
+                          fio_write_phased)
 from repro.sim import Environment
 
 
+def fio_run():
+    """A fresh from-scratch run of the fio workload."""
+    return WarmStartFactory(fio_write_phased()).cold_run()
+
+
 def drive(run):
-    process = run.env.spawn(run.body(), name="workload")
-    process.subscribe(lambda _v, _e: run.env.stop())
-    run.env.run()
-    assert process.exception is None
-    assert not process.alive
+    assert run.drive(True)  # raises on a workload exception or a stall
 
 
 def fingerprint(run):
@@ -35,10 +37,10 @@ def fingerprint(run):
 def test_recording_does_not_perturb_the_simulation():
     """Clocks, NVMM contents, and device stats are bit-identical with and
     without a recorder attached: hit() never advances simulated time."""
-    bare = fio_write_workload()()
+    bare = fio_run()
     drive(bare)
 
-    recorded = fio_write_workload()()
+    recorded = fio_run()
     recorder = CrashPointRecorder(recorded.env, record=True)
     drive(recorded)
     recorder.detach()
@@ -65,12 +67,12 @@ def test_normal_runs_do_not_import_the_faults_package():
 
 
 def test_enumeration_is_deterministic():
-    first = fio_write_workload()()
+    first = fio_run()
     rec1 = CrashPointRecorder(first.env, record=True)
     drive(first)
     rec1.detach()
 
-    second = fio_write_workload()()
+    second = fio_run()
     rec2 = CrashPointRecorder(second.env, record=True)
     drive(second)
     rec2.detach()
@@ -81,7 +83,7 @@ def test_enumeration_is_deterministic():
 def test_fio_run_covers_every_boundary_layer():
     """The drained fio workload passes through NVMM, log, cleanup, block
     and filesystem persistence boundaries."""
-    run = fio_write_workload()()
+    run = fio_run()
     recorder = CrashPointRecorder(run.env, record=True)
     drive(run)
     recorder.detach()
@@ -96,16 +98,14 @@ def test_fio_run_covers_every_boundary_layer():
 
 
 def test_armed_trigger_fires_once_and_stops_the_environment():
-    run = fio_write_workload()()
+    run = fio_run()
     recorder = CrashPointRecorder(run.env, record=False)
     seen = []
     recorder.arm(5, lambda: seen.append(run.env.now))
-    process = run.env.spawn(run.body(), name="workload")
-    process.subscribe(lambda _v, _e: run.env.stop())
-    run.env.run()
+    completed = run.drive(False)
     recorder.detach()
 
-    assert process.alive  # stopped mid-flight, not completed
+    assert not completed  # stopped mid-flight
     assert recorder.triggered is not None
     assert recorder.triggered.index == 5
     assert seen == [recorder.triggered.time]
@@ -121,15 +121,13 @@ def test_only_one_recorder_per_environment():
 
 
 def test_probe_annotations_land_on_points():
-    run = build_crash_run()
-
-    def body():
+    def body(run):
         from repro.kernel.fd_table import O_CREAT, O_WRONLY
         fd = yield from run.libc.open("/p", O_CREAT | O_WRONLY)
         yield from run.libc.pwrite(fd, b"x" * 64, 0)
         yield from run.libc.close(fd)
 
-    run.body = body
+    run = WarmStartFactory(PhasedWorkload(build_crash_run, body))()
     recorder = CrashPointRecorder(
         run.env, record=True,
         probe=lambda: {"dirty_lines": run.nvmm.dirty_line_count()})

@@ -1,10 +1,12 @@
-"""Snapshot/restore determinism: a warm-started run (restored from a
-quiescent checkpoint) must be byte-identical to a cold run that executed
-the same phased workload from scratch — same simulated clock, same event
-sequence counter, same dispatch count, same NVCache stats, same NVMM and
-SSD contents, same metrics view, same crash-point stream. Also pins the
-guard rails: snapshots of non-quiescent machines are refused, and a
-checkpoint written to disk restores faithfully in a fresh OS process.
+"""Snapshot/restore determinism, over the one ``WORKLOADS`` table: a warm
+run (restored from a quiescent checkpoint) must be byte-identical to a
+cold run that executed the same two-phase workload from scratch — same
+simulated clock, same event sequence counter, same dispatch count, same
+NVCache stats, same NVMM and SSD contents, same metrics view, same
+crash-point stream — and a single-phase workload must only ever get
+cold runs. Also pins the guard rails: snapshots of non-quiescent
+machines are refused, and a checkpoint written to disk restores
+faithfully in a fresh OS process.
 """
 
 import hashlib
@@ -16,30 +18,29 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.faults import (Checkpoint, CrashExplorer, CrashPointRecorder,
-                          SnapshotError, WarmStartFactory, db_bench_phased,
-                          fio_write_phased, kvstore_phased, restore_run,
+from repro.faults import (WORKLOADS, Checkpoint, CrashExplorer,
+                          CrashPointRecorder, SnapshotError,
+                          WarmStartFactory, fio_write_phased, restore_run,
                           take_checkpoint)
 from repro.obs import MetricsRegistry
 from repro.sim import Environment
 
-PHASED = {
-    "fio": fio_write_phased,
-    "db_bench": db_bench_phased,
-    "kvstore": kvstore_phased,
-}
+TWO_PHASE = sorted(name for name, maker in WORKLOADS.items()
+                   if maker().phase_b is not None)
+SINGLE_PHASE = sorted(set(WORKLOADS) - set(TWO_PHASE))
 
 
 def machine_digest(run):
     """Every observable channel of a finished run, as comparable values."""
     registry = MetricsRegistry()
     run.nvcache.register_metrics(registry)
+    log = getattr(run.nvcache, "log", None)  # the paging cache has none
     return {
         "now": run.env.now,
         "sequence": run.env._sequence,
         "dispatched": run.env.events_dispatched,
         "stats": asdict(run.nvcache.stats),
-        "log": (run.nvcache.log.head, run.nvcache.log.volatile_tail),
+        "log": log and (log.head, log.volatile_tail),
         "nvmm_persisted": hashlib.sha256(run.nvmm.persisted_view()).hexdigest(),
         "nvmm_dirty": run.nvmm.dirty_lines(),
         "ssd_durable": run.ssd.durable_snapshot(),
@@ -64,9 +65,14 @@ def drive_warm(maker, checkpoint=None):
     return run, recorder.points, run.crash_point_base
 
 
-@pytest.mark.parametrize("name", sorted(PHASED))
+def test_the_table_has_both_kinds():
+    assert TWO_PHASE == ["db_bench", "fio", "kvstore"]
+    assert SINGLE_PHASE == ["fio-mixed", "fio-paging"]
+
+
+@pytest.mark.parametrize("name", TWO_PHASE)
 def test_warm_run_matches_cold_run_exactly(name):
-    maker = PHASED[name]
+    maker = WORKLOADS[name]
     cold_run, cold_points = drive_cold(maker)
     warm_run, warm_points, base = drive_warm(maker)
 
@@ -80,6 +86,20 @@ def test_warm_run_matches_cold_run_exactly(name):
     assert [p.index + base for p in warm_points] == \
         [p.index for p in suffix]
     assert machine_digest(warm_run) == machine_digest(cold_run)
+
+
+@pytest.mark.parametrize("name", SINGLE_PHASE)
+def test_single_phase_workload_only_gets_cold_runs(name):
+    maker = WORKLOADS[name]
+    factory = WarmStartFactory(maker())
+    assert factory.base_hits == 0
+    assert factory.checkpoint() is None
+    cold_run, cold_points = drive_cold(maker)
+    handed_run, handed_points, base = drive_warm(maker)
+    assert base == 0
+    assert len(cold_points) > 0
+    assert handed_points == cold_points
+    assert machine_digest(handed_run) == machine_digest(cold_run)
 
 
 @pytest.mark.parametrize("trace", [False, True])
@@ -96,17 +116,13 @@ def test_warm_explorer_equals_cold_explorer(trace):
                  c.case.applied, c.case.applied2)
                 for c in result.cases]
 
-    maker = PHASED["fio"]
-    shared = WarmStartFactory(maker(), trace=trace)
+    class ColdOnly(WarmStartFactory):
+        __call__ = WarmStartFactory.cold_run
 
-    class ColdOnly:
-        def __call__(self):
-            return shared.cold_run()
-
-    cold = CrashExplorer(ColdOnly(), budget=12, drop_subsets=1,
-                         seed=0).explore()
-    warm = CrashExplorer(WarmStartFactory(maker(), trace=trace), budget=12,
-                         drop_subsets=1, seed=0).explore()
+    cold = CrashExplorer(ColdOnly(fio_write_phased(), trace=trace),
+                         budget=12, drop_subsets=1, seed=0).explore()
+    warm = CrashExplorer(WarmStartFactory(fio_write_phased(), trace=trace),
+                         budget=12, drop_subsets=1, seed=0).explore()
     assert [str(p) for p in warm.points] == [str(p) for p in cold.points]
     assert case_dump(warm) == case_dump(cold)
     assert warm.ok == cold.ok

@@ -20,7 +20,7 @@ import gc
 
 import pytest
 
-from repro.faults.recorder import CrashPointRecorder
+from repro.faults import CrashPointRecorder, WarmStartFactory
 from repro.fuzz import (CoverageCollector, FuzzCase, build_fuzz_run,
                         seed_cases, split_edges)
 
@@ -33,16 +33,14 @@ CASE = FuzzCase(schedule=(
 
 def drive(collector=None):
     """Run CASE to completion; return (clock, stats dict, point stream)."""
-    run = build_fuzz_run(CASE)
+    run = WarmStartFactory(build_fuzz_run(CASE))()
     recorder = CrashPointRecorder(run.env, record=True)
-    process = run.env.spawn(run.body(), name="workload")
-    process.subscribe(lambda value, error: run.env.stop())
     if collector is None:
-        run.env.run()
+        run.drive(True)
         edges = None
     else:
         with collector.capture() as window:
-            run.env.run()
+            run.drive(True)
         edges = window.edges
     stream = [(p.index, p.site, p.label, p.time) for p in recorder.points]
     return run.env.now, dataclasses.asdict(run.nvcache.stats), stream, edges

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.faults import WarmStartFactory
 from repro.fuzz import FuzzCase, build_fuzz_run, fresh_case, mutate
 from repro.fuzz.schedule import (FAULT_KINDS, MAX_FRACS, MAX_OPS,
                                  MUTATION_KINDS, OP_KINDS, seed_cases)
@@ -72,19 +73,14 @@ def test_mutation_stays_inside_the_grammar():
 ])
 def test_interpreter_is_total(schedule):
     """Every grammar schedule runs to completion — no invalid cases."""
-    run = build_fuzz_run(FuzzCase(schedule=schedule))
-    process = run.env.spawn(run.body(), name="workload")
-    outcome = {}
-    process.subscribe(lambda value, error: (
-        outcome.__setitem__("error", error), run.env.stop()))
-    run.env.run()
-    assert outcome["error"] is None
+    run = WarmStartFactory(build_fuzz_run(FuzzCase(schedule=schedule)))()
+    assert run.drive(True)  # raises if the schedule raises or stalls
 
 
 def test_fault_plan_arms_injector_and_pre_reboot_disarms():
     case = FuzzCase(schedule=(("pwrite", 0, 0, 2, 65), ("fsync", 0)),
                     fault_plan=(("fail", 0),))
-    run = build_fuzz_run(case)
+    run = build_fuzz_run(case).build()
     assert run.ssd.fault_injector is not None
     assert run.pre_reboot is not None
     run.pre_reboot(run)

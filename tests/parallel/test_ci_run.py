@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from repro.faults import WORKLOADS
 from repro.parallel import ShardEngine
 from repro.parallel.procs import run_command
 
@@ -57,8 +58,10 @@ def test_dry_run_all_covers_every_suite(ci_run):
     assert "-m pytest -x -q" in out
     assert "-m pytest smoke -m docs_check -q" in out
     assert "-m pytest smoke -m crash_smoke -q" in out
-    for workload in ("fio", "fio-mixed", "db_bench", "kvstore"):
-        assert f"--workload {workload}" in out
+    # One sweep per named crash workload, each named exactly once.
+    for workload in WORKLOADS:
+        assert out.count(f"--workload {workload} ") == 1
+    assert len(ci_run.suite_steps("sweeps", jobs=1)) == len(WORKLOADS) == 5
     assert out.rstrip().endswith("-m pytest bench -q")
 
 

@@ -42,6 +42,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.cli import add_jobs_argument, print_json  # noqa: E402
+from repro.faults import WORKLOADS  # noqa: E402
 from repro.parallel import ShardEngine  # noqa: E402
 from repro.parallel.procs import python_command, run_command  # noqa: E402
 
@@ -148,18 +149,11 @@ def _pytest(name: str, *argv: str, **env_extra: str) -> Step:
 
 
 def sweep_steps() -> List[Step]:
-    """Every crash workload explored end to end, then the three phased
-    ones again in snapshot warm-start mode (docs/CRASH_TESTING.md)."""
-    cold = {"fio": [], "fio-mixed": [], "db_bench": [],
-            "kvstore": ["--budget", "60"]}
+    """Every named crash workload explored end to end, exhaustively
+    (docs/CRASH_TESTING.md)."""
     return [_tool(f"sweep-{workload}", "tools/crash_explore.py",
-                  "--workload", workload, "--check", "--json", *budget,
-                  fanout=True)
-            for workload, budget in cold.items()] + [
-        _tool(f"sweep-{workload}-warm", "tools/crash_explore.py",
-              "--workload", workload, "--warm-start", "--check", "--json",
-              fanout=True)
-        for workload in ("fio", "db_bench", "kvstore")]
+                  "--workload", workload, "--check", "--json", fanout=True)
+            for workload in WORKLOADS]
 
 
 #: Suite name -> (one-line description, steps given the ``--jobs``
@@ -180,8 +174,8 @@ SUITES: Dict[str, Tuple[str, Callable[[int], List[Step]]]] = {
               lambda jobs: [_pytest("smoke-crash", "smoke", "-m",
                                     "crash_smoke",
                                     REPRO_CRASH_JOBS=str(jobs))]),
-    "sweeps": ("four crash workloads explored end to end + three "
-               "warm-start sweeps, fanned out over `--jobs`",
+    "sweeps": ("every `repro.faults.WORKLOADS` crash workload explored "
+               "end to end, fanned out over `--jobs`",
                lambda jobs: sweep_steps()),
     "tenancy": ("64-tenant fairness gate + sharded seed-sweep "
                 "byte-identity",
@@ -202,13 +196,11 @@ SUITES: Dict[str, Tuple[str, Callable[[int], List[Step]]]] = {
                        "tests/fuzz/test_coverage.py", "-q"),
                  _tool("fuzz-determinism", "-m", "pytest",
                        "tests/fuzz/test_determinism.py", "-q")]),
-    "policy": ("Logging-vs-Paging crossover `--check` + `fio-paging` "
-               "crash sweep + mode equivalence and facade contract",
+    "policy": ("Logging-vs-Paging crossover `--check` + mode "
+               "equivalence and facade contract",
                lambda jobs: [
                    _tool("policy-crossover", "tools/policy_report.py",
                          "--check"),
-                   _tool("policy-paging-sweep", "tools/crash_explore.py",
-                         "--workload", "fio-paging", "--check", "--json"),
                    _tool("policy-equivalence", "-m", "pytest",
                          "tests/core/test_mode_equivalence.py",
                          "tests/core/test_facade_contract.py", "-q")]),

@@ -34,8 +34,8 @@ sys.path.insert(0, os.path.join(
 
 from repro.cli import (add_jobs_argument, by_invariant,  # noqa: E402
                        dump_metrics, exit_boundary, print_json)
-from repro.faults import CrashExplorer, ExplorationError  # noqa: E402
-from repro.faults.workloads import WORKLOADS  # noqa: E402
+from repro.faults import (WORKLOADS, CrashExplorer,  # noqa: E402
+                          ExplorationError)
 from repro.obs import MetricsRegistry  # noqa: E402
 from repro.parallel import (CELL_TIMEOUT, ShardEngine,  # noqa: E402
                             SweepSpec, make_explorer, parallel_explore,
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Enumerate crash points, crash at each, recover, and "
                     "check the durability contract.")
     parser.add_argument("--workload", choices=sorted(WORKLOADS),
-                        default="fio", help="workload factory to drive")
+                        default="fio", help="crash workload to drive")
     parser.add_argument("--ops", type=int, default=None,
                         help="number of application ops (workload default "
                              "if omitted)")
@@ -92,13 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="attach a request tracer to every rebuilt run; "
                              "the report is guaranteed byte-identical to an "
                              "untraced sweep")
-    parser.add_argument("--warm-start", action="store_true",
-                        help="run the phased workload variant and resume "
-                             "post-checkpoint cases from a quiescent machine "
-                             "snapshot instead of replaying the prefix "
-                             "(docs/CRASH_TESTING.md); results are "
-                             "byte-identical warm vs. cold and sequential "
-                             "vs. sharded within the phased mode")
     parser.add_argument("--list-points", action="store_true",
                         help="enumerate and print the crash points, "
                              "then exit without exploring")
@@ -184,8 +177,7 @@ def main(argv=None) -> int:
     registry = MetricsRegistry()
     spec = SweepSpec(workload=args.workload, ops=args.ops,
                      budget=args.budget, subsets=args.subsets,
-                     seed=args.seed, trace=args.trace,
-                     warm_start=args.warm_start)
+                     seed=args.seed, trace=args.trace)
     engine = ShardEngine(jobs=args.jobs, registry=registry)
     explorer = make_explorer(spec)
     if args.list_points:
