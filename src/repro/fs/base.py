@@ -7,19 +7,23 @@ as a real kernel's dcache/icache would be.
 
 ``uses_page_cache`` tells the kernel whether data I/O for this filesystem
 flows through the volatile page cache (Ext4 on a block device) or goes
-straight to the filesystem (DAX filesystems, tmpfs).
+straight to the filesystem (DAX filesystems, tmpfs). The latter kind is
+memory-resident and shares one data plane, :class:`PageStoreFilesystem`:
+NOVA, Ext4-DAX and tmpfs differ only in what a page access costs.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Generator, List, Optional
+import math
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..kernel.errno import (
     EEXIST,
     EINVAL,
     EISDIR,
     ENOENT,
+    ENOSPC,
     ENOTDIR,
     ENOTEMPTY,
     KernelError,
@@ -29,6 +33,7 @@ from ..kernel.page_cache import PAGE_SIZE
 from ..sim import Environment
 
 _device_ids = itertools.count(1)
+_ZERO_PAGE = b"\x00" * PAGE_SIZE
 
 
 def split_path(path: str) -> List[str]:
@@ -212,3 +217,85 @@ class Filesystem:
             pos += chunk
         if offset + len(data) > inode.size:
             inode.size = offset + len(data)
+
+
+class PageStoreFilesystem(Filesystem):
+    """Data plane of the page-cache-less, memory-resident filesystems.
+
+    Pages live in one ``(inode number, page index) -> bytes`` dict,
+    optionally bounded by the capacity of the medium behind it (ENOSPC
+    once every page is claimed). A subclass is its cost model: what one
+    page read, one page write and one durability barrier cost, each
+    charged as a single timed step (``fs.direct_read``,
+    ``fs.direct_write``, ``fs.commit``). Each cost hook runs exactly once
+    per operation, so a subclass may keep journal state in them.
+    """
+
+    uses_page_cache = False
+
+    def __init__(self, env: Environment, capacity: Optional[int] = None):
+        super().__init__(env)
+        self._pages: Dict[Tuple[int, int], bytes] = {}
+        self._capacity_pages = \
+            math.inf if capacity is None else capacity // PAGE_SIZE
+
+    # -- cost model (override in subclasses) ---------------------------------------
+
+    def _read_cost(self) -> float:
+        raise NotImplementedError
+
+    def _write_cost(self, fresh: bool) -> float:
+        """Cost of one page write; ``fresh`` if it allocated the page."""
+        raise NotImplementedError
+
+    def _commit_cost(self) -> float:
+        raise NotImplementedError
+
+    # -- storage -------------------------------------------------------------------
+
+    def _claim(self, key: Tuple[int, int]) -> bool:
+        """Allocate the (zero-filled) page ``key`` unless it exists already;
+        returns whether it was allocated."""
+        if key in self._pages:
+            return False
+        if len(self._pages) >= self._capacity_pages:
+            raise KernelError(ENOSPC, f"{self.name}: NVMM full")
+        self._pages[key] = _ZERO_PAGE
+        return True
+
+    def read_page(self, inode: Inode, index: int) -> Generator:
+        yield self.env.delay(self._read_cost(), "fs", "direct_read")
+        return self._pages.get((inode.number, index), _ZERO_PAGE)
+
+    def write_page(self, inode: Inode, index: int, data: bytes) -> Generator:
+        if len(data) != PAGE_SIZE:
+            data = data[:PAGE_SIZE].ljust(PAGE_SIZE, b"\x00")
+        key = (inode.number, index)
+        fresh = self._claim(key)
+        yield self.env.delay(self._write_cost(fresh), "fs", "direct_write")
+        self._pages[key] = bytes(data)
+
+    def commit(self, inode: Optional[Inode] = None) -> Generator:
+        yield self.env.delay(self._commit_cost(), "fs", "commit")
+
+    def sync(self) -> Generator:
+        return self.commit()
+
+    def release_data(self, inode: Inode) -> None:
+        self.truncate(inode, 0)
+
+    def truncate(self, inode: Inode, size: int) -> None:
+        keep = (size + PAGE_SIZE - 1) // PAGE_SIZE
+        for key in [k for k in self._pages if k[0] == inode.number and k[1] >= keep]:
+            del self._pages[key]
+        # Zero the boundary page past the cut (as real filesystems do), or
+        # a later extension would expose the pre-truncate bytes again.
+        tail = size % PAGE_SIZE
+        boundary = (inode.number, keep - 1)
+        if tail and boundary in self._pages:
+            self._pages[boundary] = \
+                self._pages[boundary][:tail].ljust(PAGE_SIZE, b"\x00")
+        inode.size = size
+
+    def used_bytes(self) -> int:
+        return len(self._pages) * PAGE_SIZE

@@ -10,13 +10,17 @@ living in user space in front of the kernel.
 
 Implemented as a :class:`~repro.block.BlockDevice` so the stock
 :class:`~repro.fs.ext4.Ext4` runs on top unchanged (the paper's lvm2
-setup).
+setup). It keeps only what differs from one: the inherited block store
+is the (persistent) NVMM cache, a dirty set says what the origin still
+lacks, and service times are NVMM's — charged to the same
+``block.*_service`` segments as any device. The write throttle and the
+writeback daemon's idle wait are polls, not modelled steps, and stay
+raw timeouts.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Generator
+from typing import Generator, Set
 
 from ..block import BlockDevice, BlockTiming
 from ..nvmm import NvmmTiming
@@ -53,9 +57,10 @@ class DmWriteCache(BlockDevice):
         self.high_watermark = high_watermark
         self.low_watermark = low_watermark
         self.autocommit_blocks = autocommit_blocks
-        # LRU of cached blocks; value True if dirty (not yet on origin).
-        self._cache_blocks: "OrderedDict[int, bool]" = OrderedDict()
-        self._cache_data: Dict[int, bytes] = {}
+        # The inherited ``_cache`` dict is the NVMM block store (it is
+        # persistent here: ``crash`` keeps it and ``_durable`` stays
+        # empty); ``_dirty`` names the blocks not yet on the origin.
+        self._dirty: Set[int] = set()
         self.writeback_running = False
         self._writeback_proc = env.spawn(self._writeback_daemon(), name=f"{name}.writeback")
 
@@ -70,7 +75,7 @@ class DmWriteCache(BlockDevice):
                 fn=self.dirty_blocks)
         m.gauge("cached_blocks", unit="blocks",
                 help="blocks resident in the NVMM cache",
-                fn=lambda: len(self._cache_blocks))
+                fn=lambda: len(self._cache))
         m.gauge("occupancy", unit="ratio",
                 help="dirty blocks / cache capacity (watermarks at 0.40/0.45)",
                 fn=lambda: self.dirty_blocks() / self.cache_capacity_blocks)
@@ -81,7 +86,7 @@ class DmWriteCache(BlockDevice):
     # -- cache state -----------------------------------------------------------
 
     def dirty_blocks(self) -> int:
-        return sum(1 for dirty in self._cache_blocks.values() if dirty)
+        return len(self._dirty)
 
     def _over_watermark(self, mark: float) -> bool:
         return self.dirty_blocks() > mark * self.cache_capacity_blocks
@@ -102,20 +107,12 @@ class DmWriteCache(BlockDevice):
             self.stats.busy_time += delay
             if self._m_write_latency is not None:
                 self._m_write_latency.observe(delay)
-            yield self.env.timeout(delay)
-            pos = 0
-            while pos < len(data):
-                block, in_block = divmod(offset + pos, self.BLOCK)
-                chunk = min(len(data) - pos, self.BLOCK - in_block)
-                existing = self._cache_data.get(block)
-                if existing is None:
-                    existing = b"\x00" * self.BLOCK
-                updated = bytearray(existing)
-                updated[in_block:in_block + chunk] = data[pos:pos + chunk]
-                self._cache_data[block] = bytes(updated)
-                self._cache_blocks[block] = True
-                self._cache_blocks.move_to_end(block)
-                pos += chunk
+            yield self.env.delay(delay, "block", "write_service")
+            if data:
+                self._write_raw(offset, data)
+                self._dirty.update(range(
+                    offset // self.BLOCK,
+                    (offset + len(data) - 1) // self.BLOCK + 1))
         finally:
             self._lock.release()
 
@@ -127,10 +124,12 @@ class DmWriteCache(BlockDevice):
         while pos < nbytes:
             block, in_block = divmod(offset + pos, self.BLOCK)
             chunk = min(nbytes - pos, self.BLOCK - in_block)
-            cached = self._cache_data.get(block)
+            cached = self._cache.get(block)
             if cached is not None:
-                yield self.env.timeout(
-                    self.timing.read_base + chunk / self.timing.read_bandwidth)
+                delay = self.timing.read_base + chunk / self.timing.read_bandwidth
+                if self._m_read_latency is not None:
+                    self._m_read_latency.observe(delay)
+                yield self.env.delay(delay, "block", "read_service")
                 out[pos:pos + chunk] = cached[in_block:in_block + chunk]
             else:
                 data = yield from self.origin.read(block * self.BLOCK + in_block, chunk)
@@ -146,7 +145,7 @@ class DmWriteCache(BlockDevice):
         self.stats.flushes += 1
         if self._m_flush_latency is not None:
             self._m_flush_latency.observe(self.timing.flush_latency)
-        yield self.env.timeout(self.timing.flush_latency)
+        yield self.env.delay(self.timing.flush_latency, "block", "flush_service")
 
     # -- background writeback ------------------------------------------------------
 
@@ -155,7 +154,7 @@ class DmWriteCache(BlockDevice):
         the op's service start — the same instant a back-to-back
         ``origin.write`` loop would read it, so a block overwritten while
         the writeback run is in flight drains its newest data."""
-        return block * self.BLOCK, self._cache_data[block]
+        return block * self.BLOCK, self._cache[block]
 
     def _writeback_daemon(self) -> Generator:
         while True:
@@ -163,9 +162,7 @@ class DmWriteCache(BlockDevice):
                 self.writeback_running = True
                 drained = 0
                 while self._over_watermark(self.low_watermark):
-                    dirty = sorted(b for b, d in self._cache_blocks.items() if d)
-                    if not dirty:
-                        break
+                    dirty = sorted(self._dirty)
                     # Retire the snapshot through the origin's batched
                     # path, splitting runs at autocommit boundaries so
                     # the interleaved flushes land after exactly the
@@ -177,7 +174,7 @@ class DmWriteCache(BlockDevice):
                         yield from self.origin.write_batch(
                             run, resolve=self._resolve_block,
                             on_complete=lambda i, run=run:
-                                self._cache_blocks.__setitem__(run[i], False))
+                                self._dirty.discard(run[i]))
                         drained += len(run)
                         index += len(run)
                         if drained % self.autocommit_blocks == 0:
@@ -189,10 +186,10 @@ class DmWriteCache(BlockDevice):
 
     def drain(self) -> Generator:
         """Synchronously push every dirty block to the origin (teardown)."""
-        dirty = sorted(b for b, d in self._cache_blocks.items() if d)
+        dirty = sorted(self._dirty)
         yield from self.origin.write_batch(
             dirty, resolve=self._resolve_block,
-            on_complete=lambda i: self._cache_blocks.__setitem__(dirty[i], False))
+            on_complete=lambda i: self._dirty.discard(dirty[i]))
         yield from self.origin.flush()
 
     def crash(self) -> None:

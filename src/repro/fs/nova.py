@@ -12,29 +12,27 @@ Modeled behaviour (what the paper's comparison depends on):
 - capacity is limited to the NVMM size: filling it raises ENOSPC, the
   "storage space" limitation NVCache exists to remove (Table I).
 
-Data pages are tracked per inode with a dict (standing in for NOVA's
-radix tree); we charge NVMM media costs through the device's timing model
-and account capacity explicitly.
+Storage, capacity accounting and the page interface are the shared
+:class:`~repro.fs.base.PageStoreFilesystem` (its dict stands in for
+NOVA's radix tree); this module is NOVA's cost model — NVMM media costs
+come from the device's timing — plus its byte-granular write.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Generator
 
-from ..kernel.costs import CpuCosts, DEFAULT_CPU
-from ..kernel.errno import ENOSPC, KernelError
 from ..kernel.inode import Inode
 from ..kernel.page_cache import PAGE_SIZE
 from ..nvmm import NvmmDevice
 from ..sim import Environment
-from ..units import US
-from .base import Filesystem
+from ..units import CACHE_LINE_SIZE, US
+from .base import PageStoreFilesystem
 
 
-class Nova(Filesystem):
+class Nova(PageStoreFilesystem):
     """Log-structured NVMM filesystem (cow_data mode)."""
 
-    uses_page_cache = False
     name = "nova"
 
     # In-kernel cost per data operation: log-entry allocation, radix-tree
@@ -43,41 +41,22 @@ class Nova(Filesystem):
     write_op_overhead = 2.0 * US
     read_op_overhead = 1.0 * US
 
-    def __init__(self, env: Environment, nvmm: NvmmDevice,
-                 cpu: CpuCosts = DEFAULT_CPU):
-        super().__init__(env)
+    def __init__(self, env: Environment, nvmm: NvmmDevice):
+        super().__init__(env, capacity=nvmm.size)
         self.nvmm = nvmm
-        self.cpu = cpu
-        self._pages: Dict[tuple, bytes] = {}
-        self._capacity_pages = nvmm.size // PAGE_SIZE
-        self._used_pages = 0
-        self._log_entries = 0
 
-    def _charge_write(self, nbytes: int) -> float:
-        timing = self.nvmm.timing
-        media_copy = timing.store_cost(nbytes)
-        flush = timing.flush_base_latency + (nbytes // 64) * timing.per_line_flush
-        return self.write_op_overhead + media_copy + flush
+    def _read_cost(self) -> float:
+        return self.read_op_overhead + self.nvmm.timing.load_cost(PAGE_SIZE)
 
-    def _charge_read(self, nbytes: int) -> float:
-        return self.read_op_overhead + self.nvmm.timing.load_cost(nbytes)
-
-    def read_page(self, inode: Inode, index: int) -> Generator:
-        yield self.env.timeout(self._charge_read(PAGE_SIZE))
-        return self._pages.get((inode.number, index), b"\x00" * PAGE_SIZE)
-
-    def write_page(self, inode: Inode, index: int, data: bytes) -> Generator:
-        if len(data) != PAGE_SIZE:
-            data = data[:PAGE_SIZE].ljust(PAGE_SIZE, b"\x00")
-        key = (inode.number, index)
-        if key not in self._pages:
-            if self._used_pages >= self._capacity_pages:
-                raise KernelError(ENOSPC, "NOVA: NVMM full")
-            self._used_pages += 1
+    def _write_cost(self, fresh: bool) -> float:
         # Copy-on-write append + log entry, flushed before return.
-        yield self.env.timeout(self._charge_write(PAGE_SIZE))
-        self._pages[key] = bytes(data)
-        self._log_entries += 1
+        timing = self.nvmm.timing
+        return (self.write_op_overhead + timing.store_cost(PAGE_SIZE)
+                + timing.flush_cost(PAGE_SIZE))
+
+    def _commit_cost(self) -> float:
+        # Data is already durable when the write returns (cow_data).
+        return 0.2 * US
 
     def direct_write(self, inode: Inode, offset: int, data: bytes) -> Generator:
         """Byte-granular copy-on-write append/update.
@@ -87,50 +66,22 @@ class Nova(Filesystem):
         not a page-sized read-modify-write. This matters for db_bench:
         key-value records are far smaller than a page.
         """
-        yield self.env.timeout(
+        timing = self.nvmm.timing
+        yield self.env.delay(
             self.write_op_overhead
-            + self.nvmm.timing.store_cost(len(data))
-            + self.nvmm.timing.flush_base_latency
-            + (len(data) // 64) * self.nvmm.timing.per_line_flush)
+            + timing.store_cost(len(data))
+            + timing.flush_base_latency
+            + (len(data) // CACHE_LINE_SIZE) * timing.per_line_flush,
+            "fs", "direct_write")
         pos = 0
         while pos < len(data):
-            absolute = offset + pos
-            index, in_page = divmod(absolute, PAGE_SIZE)
+            index, in_page = divmod(offset + pos, PAGE_SIZE)
             chunk = min(len(data) - pos, PAGE_SIZE - in_page)
             key = (inode.number, index)
-            existing = self._pages.get(key)
-            if existing is None:
-                if self._used_pages >= self._capacity_pages:
-                    raise KernelError(ENOSPC, "NOVA: NVMM full")
-                self._used_pages += 1
-                existing = b"\x00" * PAGE_SIZE
-            page = bytearray(existing)
+            self._claim(key)
+            page = bytearray(self._pages[key])
             page[in_page:in_page + chunk] = data[pos:pos + chunk]
             self._pages[key] = bytes(page)
             pos += chunk
-        self._log_entries += 1
         if offset + len(data) > inode.size:
             inode.size = offset + len(data)
-
-    def commit(self, inode: Optional[Inode] = None) -> Generator:
-        # Data is already durable when write_page returns (cow_data).
-        yield self.env.timeout(0.2 * US)
-
-    def sync(self) -> Generator:
-        yield self.env.timeout(0.2 * US)
-
-    def release_data(self, inode: Inode) -> None:
-        for key in [k for k in self._pages if k[0] == inode.number]:
-            del self._pages[key]
-            self._used_pages -= 1
-        inode.size = 0
-
-    def truncate(self, inode: Inode, size: int) -> None:
-        keep = (size + PAGE_SIZE - 1) // PAGE_SIZE
-        for key in [k for k in self._pages if k[0] == inode.number and k[1] >= keep]:
-            del self._pages[key]
-            self._used_pages -= 1
-        inode.size = size
-
-    def used_bytes(self) -> int:
-        return self._used_pages * PAGE_SIZE

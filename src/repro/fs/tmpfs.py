@@ -1,59 +1,39 @@
 """tmpfs: data lives only in DRAM; no durability whatsoever.
 
 The paper's Fig 3 uses tmpfs as the "no persistence" upper bound for the
-write-heavy workloads; a crash loses everything.
+write-heavy workloads; a crash loses everything. Storage is the shared
+:class:`~repro.fs.base.PageStoreFilesystem`, unbounded; this module is
+the shmem cost model and the crash behaviour.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Tuple
-
 from ..kernel.costs import CpuCosts, DEFAULT_CPU
-from ..kernel.inode import Inode
 from ..kernel.page_cache import PAGE_SIZE
 from ..sim import Environment
 from ..units import US
-from .base import Filesystem
+from .base import PageStoreFilesystem
 
 
-class Tmpfs(Filesystem):
-    """RAM-backed filesystem; ``commit`` is (almost) free and meaningless."""
+class Tmpfs(PageStoreFilesystem):
+    """RAM-backed filesystem (no page cache: its backing store *is* memory
+    already); ``commit`` is (almost) free and meaningless."""
 
-    uses_page_cache = False  # its backing store *is* memory already
     name = "tmpfs"
+    op_overhead = 0.4 * US  # shmem lookup path
 
     def __init__(self, env: Environment, cpu: CpuCosts = DEFAULT_CPU):
         super().__init__(env)
         self.cpu = cpu
-        self._pages: Dict[Tuple[int, int], bytes] = {}
-        self.op_overhead = 0.4 * US  # shmem lookup path
 
-    def read_page(self, inode: Inode, index: int) -> Generator:
-        yield self.env.timeout(self.op_overhead + self.cpu.copy_cost(PAGE_SIZE))
-        return self._pages.get((inode.number, index), b"\x00" * PAGE_SIZE)
+    def _read_cost(self) -> float:
+        return self.op_overhead + self.cpu.copy_cost(PAGE_SIZE)
 
-    def write_page(self, inode: Inode, index: int, data: bytes) -> Generator:
-        if len(data) != PAGE_SIZE:
-            data = data[:PAGE_SIZE].ljust(PAGE_SIZE, b"\x00")
-        yield self.env.timeout(self.op_overhead + self.cpu.copy_cost(PAGE_SIZE))
-        self._pages[(inode.number, index)] = bytes(data)
+    def _write_cost(self, fresh: bool) -> float:
+        return self.op_overhead + self.cpu.copy_cost(PAGE_SIZE)
 
-    def commit(self, inode: Optional[Inode] = None) -> Generator:
-        yield self.env.timeout(0.1 * US)  # noop_fsync
-
-    def sync(self) -> Generator:
-        yield self.env.timeout(0.1 * US)
-
-    def release_data(self, inode: Inode) -> None:
-        for key in [k for k in self._pages if k[0] == inode.number]:
-            del self._pages[key]
-        inode.size = 0
-
-    def truncate(self, inode: Inode, size: int) -> None:
-        keep = (size + PAGE_SIZE - 1) // PAGE_SIZE
-        for key in [k for k in self._pages if k[0] == inode.number and k[1] >= keep]:
-            del self._pages[key]
-        inode.size = size
+    def _commit_cost(self) -> float:
+        return 0.1 * US  # noop_fsync
 
     def crash(self) -> None:
         """Power loss: everything is gone."""

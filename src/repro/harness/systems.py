@@ -213,6 +213,8 @@ def build_stack(name: str, scale: Scale = DEFAULT_SCALE,
     at ``trace_sample_rate`` using ``trace_seed``. Tracing never changes
     simulated results (pinned by ``tests/obs/test_purity.py``).
     """
+    if name not in SYSTEM_NAMES:
+        raise ValueError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}")
     env = Environment()
     registry = None
     if metrics:
@@ -228,53 +230,29 @@ def build_stack(name: str, scale: Scale = DEFAULT_SCALE,
     kernel = Kernel(env)
     devices: Dict[str, object] = {}
 
-    if name == "ssd":
-        ssd = SsdDevice(env, size=ssd_size,
-                        **({"timing": ssd_timing} if ssd_timing else {}))
-        kernel.mount("/", Ext4(env, ssd))
-        devices["ssd"] = ssd
-        return StorageStack(name, env, kernel, Libc(kernel), devices=devices,
-                            metrics=registry, tracer=tracer)
+    # The backing filesystem: Ext4 on the SSD (behind dm-writecache or
+    # not), an NVMM-resident filesystem, or tmpfs.
+    cached = name.startswith("nvcache")
+    backend = name.rpartition("+")[2]
+    if backend == "ssd":
+        ssd = devices["ssd"] = SsdDevice(
+            env, size=ssd_size, **({"timing": ssd_timing} if ssd_timing else {}))
+        if name.startswith("dm-writecache"):
+            ssd = devices["dm"] = DmWriteCache(
+                env, ssd, cache_size=scale.dm_cache_bytes)
+        filesystem = Ext4(env, ssd)
+    elif backend == "tmpfs":
+        filesystem = Tmpfs(env)
+    else:
+        # An NVMM-resident filesystem; under NVCache the log takes pmem0.
+        nvmm = NvmmDevice(env, size=scale.nvmm_module_bytes,
+                          name="pmem1" if cached else "pmem0")
+        devices["nvmm_fs" if cached else "nvmm"] = nvmm
+        filesystem = (Nova if backend == "nova" else Ext4Dax)(env, nvmm)
+    kernel.mount("/", filesystem)
 
-    if name == "tmpfs":
-        kernel.mount("/", Tmpfs(env))
-        return StorageStack(name, env, kernel, Libc(kernel), devices=devices,
-                            metrics=registry, tracer=tracer)
-
-    if name == "ext4-dax":
-        nvmm = NvmmDevice(env, size=scale.nvmm_module_bytes, name="pmem0")
-        kernel.mount("/", Ext4Dax(env, nvmm))
-        devices["nvmm"] = nvmm
-        return StorageStack(name, env, kernel, Libc(kernel), devices=devices,
-                            metrics=registry, tracer=tracer)
-
-    if name == "nova":
-        nvmm = NvmmDevice(env, size=scale.nvmm_module_bytes, name="pmem0")
-        kernel.mount("/", Nova(env, nvmm))
-        devices["nvmm"] = nvmm
-        return StorageStack(name, env, kernel, Libc(kernel), devices=devices,
-                            metrics=registry, tracer=tracer)
-
-    if name == "dm-writecache+ssd":
-        ssd = SsdDevice(env, size=ssd_size,
-                        **({"timing": ssd_timing} if ssd_timing else {}))
-        dm = DmWriteCache(env, ssd, cache_size=scale.dm_cache_bytes)
-        kernel.mount("/", Ext4(env, dm))
-        devices["ssd"] = ssd
-        devices["dm"] = dm
-        return StorageStack(name, env, kernel, Libc(kernel), devices=devices,
-                            metrics=registry, tracer=tracer)
-
-    if name in ("nvcache+ssd", "nvcache+nova"):
-        if name == "nvcache+ssd":
-            ssd = SsdDevice(env, size=ssd_size,
-                        **({"timing": ssd_timing} if ssd_timing else {}))
-            kernel.mount("/", Ext4(env, ssd))
-            devices["ssd"] = ssd
-        else:
-            nvmm_fs = NvmmDevice(env, size=scale.nvmm_module_bytes, name="pmem1")
-            kernel.mount("/", Nova(env, nvmm_fs))
-            devices["nvmm_fs"] = nvmm_fs
+    nvcache = None
+    if cached:
         cache_config = config or nvcache_config(scale)
         overrides = {}
         if cache_mode != "logging":
@@ -285,12 +263,9 @@ def build_stack(name: str, scale: Scale = DEFAULT_SCALE,
             cache_config = replace(cache_config, **overrides)
         cache_cls, required_size, _recover = cache_mode_row(
             cache_config.cache_mode)
-        log_nvmm = NvmmDevice(env, size=required_size(cache_config),
-                              name="pmem0")
+        log_nvmm = devices["log_nvmm"] = NvmmDevice(
+            env, size=required_size(cache_config), name="pmem0")
         nvcache = cache_cls(env, kernel, log_nvmm, cache_config)
-        devices["log_nvmm"] = log_nvmm
-        return StorageStack(name, env, kernel, NvcacheLibc(nvcache),
-                            nvcache=nvcache, devices=devices,
-                            metrics=registry, tracer=tracer)
-
-    raise ValueError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}")
+    libc = NvcacheLibc(nvcache) if cached else Libc(kernel)
+    return StorageStack(name, env, kernel, libc, nvcache=nvcache,
+                        devices=devices, metrics=registry, tracer=tracer)

@@ -62,6 +62,8 @@ class PageCache:
         self._pages: "OrderedDict[PageKey, CachedPage]" = OrderedDict()
         self._dirty: Dict[Tuple[int, int], Set[int]] = {}
         self._inode_locks: Dict[Tuple[int, int], Lock] = {}
+        # Maps (fs_id, ino) back to live objects for dirty writeback/eviction.
+        self._resolve: Dict[Tuple[int, int], tuple] = {}
         self.stats = PageCacheStats()
         self._writeback_process = None
         if env.metrics is not None:
@@ -153,13 +155,6 @@ class PageCache:
                 self._clear_dirty(filesystem, inode, index, page)
             del self._pages[victim_key]
             self.stats.evictions += 1
-
-    # Maps (fs_id, ino) back to live objects for dirty writeback/eviction.
-    @property
-    def _resolve(self):
-        if not hasattr(self, "_resolve_map"):
-            self._resolve_map = {}
-        return self._resolve_map
 
     def _remember(self, filesystem, inode: Inode) -> None:
         self._resolve[(id(filesystem), inode.number)] = (filesystem, inode)

@@ -99,6 +99,11 @@ class NvmmTiming:
     def load_cost(self, nbytes: int) -> float:
         return self.read_latency + nbytes / self.read_bandwidth
 
+    def flush_cost(self, nbytes: int) -> float:
+        """Flushing ``nbytes`` of whole cache lines and draining them."""
+        return (self.flush_base_latency
+                + (nbytes // CACHE_LINE_SIZE) * self.per_line_flush)
+
 
 @dataclass(slots=True)
 class NvmmStats:

@@ -92,6 +92,9 @@ SEGMENT_NAMES = frozenset({
     "core.quota_wait", "core.admission_wait",
     "kernel.syscall", "kernel.page_cache_lookup", "kernel.copy",
     "fs.journal_cpu", "fs.block_request",
+    # Page-cache-less filesystems (NOVA, Ext4-DAX, tmpfs): one page
+    # access / one durability barrier, CPU and media cost together.
+    "fs.direct_read", "fs.direct_write", "fs.commit",
     "block.queue_wait", "block.read_service", "block.write_service",
     "block.flush_service",
     "nvmm.store", "nvmm.load", "nvmm.fence",

@@ -259,10 +259,13 @@ def test_dm_writecache_writeback_drains_through_batches():
 
     env.run_process(body())
     assert dm.dirty_blocks() <= int(dm.low_watermark * dm.cache_capacity_blocks) + 1
-    # Drained blocks really landed on the origin.
-    for i in range(8):
-        if dm._cache_blocks.get(i) is False:
-            assert ssd._read_raw(i * 4096, 4096) == bytes([i]) * 4096
+    # Every block that left the dirty set really landed on the origin,
+    # once (block 0's payload is all zeros, so content counts from 1).
+    drained = 40 - dm.dirty_blocks()
+    assert ssd.written_blocks() == ssd.stats.writes == drained
+    landed = [i for i in range(1, 40)
+              if ssd._read_raw(i * 4096, 4096) == bytes([i]) * 4096]
+    assert len(landed) >= drained - 1 > 0
     # Autocommit barriers fired along the way.
     assert ssd.stats.flushes >= 1
 

@@ -7,6 +7,8 @@ from repro.fs import DmWriteCache
 from repro.sim import Environment
 from repro.units import KIB, MIB
 
+from ..nvmm.test_device_complexity import _steps
+
 
 def make_dm(cache_size=64 * KIB, **kwargs):
     env = Environment()
@@ -113,3 +115,25 @@ def test_partial_block_write_preserves_rest():
     assert data[:100] == b"A" * 100
     assert data[100:108] == b"B" * 8
     assert data[108:] == b"A" * (4096 - 108)
+
+
+def test_write_cost_is_independent_of_cached_blocks():
+    """Host-independent complexity guard (see
+    tests/nvmm/test_device_complexity.py): the dirty count is a set's
+    ``len``, not a rescan of every cached block on every write — which
+    made a sweep quadratic in the blocks written."""
+
+    def steps(cached: int) -> int:
+        env, _ssd, dm = make_dm(cache_size=64 * MIB)  # daemon stays idle
+
+        def fill():
+            for i in range(cached):
+                yield from dm.write(i * 4096, b"c" * 4096)
+
+        env.run_process(fill())
+        assert dm.dirty_blocks() == cached
+        count = _steps(lambda: env.run_process(dm.write(0, b"n" * 4096)))
+        assert _steps(dm.dirty_blocks) == _steps(make_dm()[2].dirty_blocks)
+        return count
+
+    assert steps(16) == steps(4096)

@@ -450,3 +450,60 @@ def timed_step_violations(package_dir):
 
 def test_one_spelling_of_a_timed_step():
     assert timed_step_violations(pathlib.Path(repro.__file__).parent) == []
+
+
+#: The only places a modelled layer may sleep on a raw, non-zero
+#: ``yield ...timeout(x)``: pollers, whose wait is nobody's service time.
+#: ``(file, function, argument) -> why it is not an env.delay``.
+POLLERS = {
+    ("kernel/page_cache.py", "daemon", "self.writeback_interval"):
+        "periodic flusher: the pause between writeback passes",
+    ("fs/dm_writecache.py", "write", "100 * US"):
+        "throttle: re-check for writeback room while every block is dirty",
+    ("fs/dm_writecache.py", "_writeback_daemon", "0.05"):
+        "writeback daemon idling below the high watermark",
+    ("core/read_cache.py", "allocate_content", "1e-06"):
+        "CLOCK eviction back-off: every candidate locked or recently used",
+    ("core/read_cache.py", "_evict_by_policy", "1e-06"):
+        "policy eviction back-off: every victim pinned",
+}
+
+
+def _own_nodes(function):
+    """Nodes of ``function``'s body, not those of functions nested in it."""
+    pending = [function]
+    while pending:
+        for child in ast.iter_child_nodes(pending.pop()):
+            if not isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                yield child
+                pending.append(child)
+
+
+def raw_timeouts(package_dir,
+                 layers=("fs", "block", "kernel", "nvmm", "core")):
+    """``(file, function, argument)`` of every ``yield ...timeout(x)`` in
+    the modelled layers whose ``x`` is not the literal zero (a zero
+    timeout is a reschedule point, not a cost)."""
+    found = set()
+    for layer in layers:
+        for path in sorted((pathlib.Path(package_dir) / layer).rglob("*.py")):
+            relative = path.relative_to(package_dir).as_posix()
+            functions = [node for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.FunctionDef)]
+            for function in functions:
+                for node in _own_nodes(function):
+                    if not _yields_timeout(node):
+                        continue
+                    (argument,) = node.value.value.args
+                    if not (isinstance(argument, ast.Constant)
+                            and argument.value == 0):
+                        found.add((relative, function.name,
+                                   ast.unparse(argument)))
+    return found
+
+
+def test_raw_timeouts_are_allowlisted_pollers():
+    """Every modelled step is an ``env.delay`` (so it is attributed);
+    what still sleeps on a bare timeout is a poller named above — and
+    every name above still exists."""
+    assert raw_timeouts(pathlib.Path(repro.__file__).parent) == set(POLLERS)

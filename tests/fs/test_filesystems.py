@@ -4,6 +4,7 @@ import pytest
 
 from repro.block import RamDisk, SsdDevice
 from repro.fs import DmWriteCache, Ext4, Ext4Dax, Nova, Tmpfs
+from repro.harness.systems import SYSTEM_NAMES, Scale, build_stack
 from repro.kernel import Kernel, KernelError, O_CREAT, O_DIRECT, O_RDONLY, O_RDWR, O_SYNC, O_WRONLY
 from repro.kernel.errno import ENOSPC
 from repro.nvmm import NvmmDevice
@@ -61,6 +62,66 @@ def test_dm_writecache_roundtrip(env):
     ssd = SsdDevice(env, size=256 * MIB)
     dm = DmWriteCache(env, ssd, cache_size=16 * MIB)
     write_read_roundtrip(env, Ext4(env, dm))
+
+
+# -- a shrink never resurrects bytes ------------------------------------------
+
+
+def shrink_then_extend(env, libc):
+    """pwrite a page, cut it to 100 bytes, grow the file past it again,
+    read the first page back."""
+
+    def body():
+        fd = yield from libc.open("/f", O_CREAT | O_RDWR)
+        yield from libc.pwrite(fd, b"A" * 4096, 0)
+        yield from libc.ftruncate(fd, 100)
+        yield from libc.pwrite(fd, b"B", 8192)
+        data = yield from libc.pread(fd, 4096, 0)
+        return data
+
+    return env.run_process(body())
+
+
+FILESYSTEMS = {
+    "ext4": lambda env: Ext4(env, SsdDevice(env, size=256 * MIB)),
+    "dm-writecache": lambda env: Ext4(env, DmWriteCache(
+        env, SsdDevice(env, size=256 * MIB), cache_size=16 * MIB)),
+    "ext4-dax": lambda env: Ext4Dax(env, NvmmDevice(env, size=64 * MIB)),
+    "nova": lambda env: Nova(env, NvmmDevice(env, size=64 * MIB)),
+    "tmpfs": Tmpfs,
+}
+
+
+@pytest.mark.parametrize("name", FILESYSTEMS)
+def test_shrink_then_extend_reads_zeros_past_the_cut(env, name):
+    """Ext4 masks the cut page's tail with its stale-tail watermark
+    (fuzzer bug 8); the page-store filesystems zero it in ``truncate``.
+    Same bytes either way — they used to return 3996 stale ``A``s."""
+    kernel = make_kernel(env, FILESYSTEMS[name](env))
+    assert shrink_then_extend(env, kernel) == b"A" * 100 + bytes(3996)
+
+
+@pytest.mark.parametrize("system", SYSTEM_NAMES)
+def test_shrink_then_extend_on_every_stack(system):
+    stack = build_stack(system, Scale(2048))
+    assert shrink_then_extend(stack.env, stack.libc) == b"A" * 100 + bytes(3996)
+
+
+def test_page_store_truncate_frees_pages_and_keeps_the_head(env):
+    fs = Nova(env, NvmmDevice(env, size=1 * MIB))
+    kernel = make_kernel(env, fs)
+
+    def body():
+        fd = yield from kernel.open("/f", O_CREAT | O_RDWR)
+        yield from kernel.pwrite(fd, b"x" * (3 * 4096), 0)
+        yield from kernel.ftruncate(fd, 4096 + 10)
+        head = yield from kernel.pread(fd, 8192, 0)
+        used = fs.used_bytes()
+        yield from kernel.unlink("/f")
+        return head, used
+
+    assert run(env, body()) == (b"x" * (4096 + 10), 2 * 4096)
+    assert fs.used_bytes() == 0
 
 
 # -- Ext4 specifics ---------------------------------------------------------

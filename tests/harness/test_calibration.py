@@ -9,7 +9,8 @@ the reproduction, these tests fail before the benchmarks do.
 import pytest
 
 from repro.harness import Scale, build_stack, nvcache_config
-from repro.units import MIB
+from repro.harness.experiments import _fio_write_job, run_fio_on
+from repro.units import GIB, KIB, MIB
 from repro.workloads import FioJob, run_fio
 
 SCALE = Scale(2048)  # small and fast; rates are size-independent
@@ -83,3 +84,29 @@ def test_ssd_drain_rate_near_80mib():
     result = run_fio(stack.env, stack.libc, job, settle=stack.settle)
     # The run is saturation-dominated: overall bw ~ drain rate.
     assert 45 * MIB < result.write_bandwidth < 110 * MIB
+
+
+# -- the comparators' clocks, bit for bit ----------------------------------
+#
+# The tolerances above guard the *shape*; a refactor of the comparator
+# cost models (shared page store, env.delay) must not move the simulated
+# clock at all. Simulated elapsed seconds of the Fig 4 job and the Fig 7
+# job at Scale(2048), default arguments — compared with ``==``: one
+# re-associated float sum in a cost expression shows up here.
+PINNED_ELAPSED = {
+    "nova": (0.02714851562500524, 0.009561254518229065),
+    "ext4-dax": (0.07194851562497682, 0.021285254518236187),
+    "tmpfs": (0.012939206249997249, 0.005277303124999447),
+    "dm-writecache+ssd": (0.03682531562500437, 0.013093414518236271),
+    "nvcache+nova": (0.019499339472658722, 0.008427180306446503),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_ELAPSED)
+def test_comparator_clocks_are_bit_identical(name):
+    mixed = SCALE.of(10 * GIB)
+    jobs = (_fio_write_job(SCALE),
+            FioJob(rw="randrw", block_size=4 * KIB, size=mixed,
+                   file_size=mixed, fsync=1, rwmixread=50, direct=True))
+    assert tuple(run_fio_on(name, SCALE, job).elapsed
+                 for job in jobs) == PINNED_ELAPSED[name]

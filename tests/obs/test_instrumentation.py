@@ -94,6 +94,20 @@ class TestValuesUnderWorkload:
             assert stack.metrics.get("core.nvcache.hit_ratio").value() \
                 == pytest.approx(hits / (hits + misses))
 
+    def test_dm_writecache_feeds_all_three_latency_histograms(self):
+        # read_latency used to be registered and never observed.
+        stack = build_stack("dm-writecache+ssd", SCALE, metrics=True)
+        job = FioJob(rw="randrw", block_size=4096, size=64 * 4096, fsync=1,
+                     direct=True)
+        run_fio(stack.env, stack.libc, job, "/bench.dat", settle=stack.settle)
+        snapshot = stack.metrics.snapshot()
+        for kind in ("read", "write", "flush"):
+            assert snapshot[f"block.dm_writecache.{kind}_latency"] >= 1, kind
+        dm = stack.devices["dm"]
+        assert snapshot["block.dm_writecache.dirty_blocks"] == dm.dirty_blocks()
+        assert snapshot["block.dm_writecache.cached_blocks"] \
+            == dm.written_blocks() >= dm.dirty_blocks()
+
     def test_histogram_percentiles_ordered(self):
         stack = build_stack("nvcache+ssd", SCALE, metrics=True)
         run_small_job(stack)

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro.harness import Scale, build_stack
-from repro.harness.systems import nvcache_config
+from repro.harness.systems import SYSTEM_NAMES, nvcache_config
 from repro.kernel import O_CREAT, O_RDWR, O_WRONLY
 from repro.workloads import FioJob, run_fio
 
@@ -185,3 +185,21 @@ class TestReadPath:
         names = [s.qualified for s in stack.tracer.spans]
         assert "core.read_miss" in names
         assert "core.read_hit" in names
+
+
+class TestFullAttribution:
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_every_stack_attributes_its_critical_path(self, system):
+        # Every modelled step on every evaluated stack is an env.delay:
+        # 64 direct sync writes and reads leave (next to) nothing in the
+        # *.unattributed residual. The comparators (NOVA, Ext4-DAX,
+        # tmpfs, dm-writecache) used to book 22-88% there.
+        stack = build_stack(system, SCALE, tracing=True)
+        job = FioJob(rw="randrw", block_size=4096, size=64 * 4096, fsync=1,
+                     direct=True)
+        run_fio(stack.env, stack.libc, job, "/bench.dat", settle=stack.settle)
+        totals = stack.tracer.attribution()
+        residual = sum(cost for segment, cost in totals.items()
+                       if segment.endswith(".unattributed"))
+        assert 0 < sum(totals.values())
+        assert residual <= 0.01 * sum(totals.values()), totals

@@ -63,6 +63,11 @@ def test_dry_run_all_covers_every_suite(ci_run):
         assert out.count(f"--workload {workload} ") == 1
     assert len(ci_run.suite_steps("sweeps", jobs=1)) == len(WORKLOADS) == 5
     assert out.rstrip().endswith("-m pytest bench -q")
+    # Both idiom guards ride in the lint suite's one idiom step.
+    lint = dict(zip(ci_run.SUITES, each))["lint"]
+    (idioms,) = [line for line in lint.splitlines() if "::test_" in line]
+    assert "::test_one_spelling_of_a_timed_step" in idioms
+    assert "::test_raw_timeouts_are_allowlisted_pollers" in idioms
 
 
 def test_workflow_and_docs_name_exactly_the_suites_table(ci_run):

@@ -109,10 +109,13 @@ def _ruff_available() -> bool:
 
 
 def lint_steps() -> List[Step]:
-    # The repo's own idiom rule (one spelling of a timed, attributed
-    # step: env.delay, spans only, no forward-only libc generators).
-    idioms = _pytest("idiom-guard", "tests/core/test_facade_contract.py"
-                     "::test_one_spelling_of_a_timed_step")
+    # The repo's own idiom rules: one spelling of a timed, attributed
+    # step (env.delay, spans only, no forward-only libc generators), and
+    # no raw non-zero timeout in a modelled layer outside the pollers.
+    guards = "tests/core/test_facade_contract.py"
+    idioms = _pytest("idiom-guard",
+                     f"{guards}::test_one_spelling_of_a_timed_step",
+                     f"{guards}::test_raw_timeouts_are_allowlisted_pollers")
     if _ruff_available():
         return [
             Step("ruff-check", ["ruff", "check", "."]),
@@ -161,7 +164,7 @@ def sweep_steps() -> List[Step]:
 #: unless marked ``advisory``.
 SUITES: Dict[str, Tuple[str, Callable[[int], List[Step]]]] = {
     "lint": ("`ruff check` + advisory format check (`compileall` where "
-             "ruff is missing) + the `env.delay` idiom guard",
+             "ruff is missing) + the `env.delay` idiom guards",
              lambda jobs: lint_steps()),
     "tier1": ("the ROADMAP tier-1 gate, `python -m pytest -x -q`",
               lambda jobs: [_pytest("tier1-pytest", "-x")]),
