@@ -118,6 +118,17 @@ def test_check_docs_detects_missing_metric():
     assert "core.nvcache.hit_ratio" in missing
 
 
+def test_check_docs_detects_missing_path():
+    # Only backticked repository paths count; `repro/` resolves under src/.
+    found = _load_check_docs().missing_paths(
+        "`tests/sim/test_core.py::test_x` and `repro/sim/core.py` exist, "
+        "`python tools/no_such_tool.py --json` and `repro/sim/gone.py` "
+        "do not; tests/prose/gone.py and `tests/sim/test_*.py` are not "
+        "checked.")
+    assert found == {"tools/no_such_tool.py", "repro/sim/gone.py"}
+    assert check_json(["tools/check_docs.py"])["missing_paths"] == []
+
+
 def test_check_docs_knows_which_trace_names_call_sites_emit():
     # Literal names, a conditional expression (qos) and a variable
     # (pread's hit/miss span) all resolve; a name nobody emits does not,

@@ -17,9 +17,9 @@ the behaviour of the paper's `psync`/qd1 FIO configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, Optional, Sequence, Tuple
+from typing import Dict, Generator, Optional
 
-from ..sim import Environment, Lock, Waitable
+from ..sim import Environment, Lock
 
 
 @dataclass(slots=True)
@@ -234,102 +234,6 @@ class BlockDevice:
         finally:
             if token is not None:
                 tracer.end(self.env, token)
-
-    def write_batch(self, ops: Sequence[Tuple[int, bytes]],
-                    resolve: Optional[Callable[[object], Tuple[int, bytes]]] = None,
-                    on_complete: Optional[Callable[[int], None]] = None) -> Generator:
-        """Batched retirement: retire a run of queued writes with one
-        scheduler event per op instead of the lock-handoff + timeout
-        round-trip ``write()`` pays (3 events and two object allocations
-        per op collapse into a single chained completion callback).
-
-        Semantically equivalent to submitting each op back-to-back
-        through :meth:`write` while no other process contends for the
-        device: per-op service times, completion times, stats (including
-        sequential/random detection, which is order-dependent), latency
-        histogram observations, fault-injection points, and crash-point
-        hits are computed in exactly the same order at exactly the same
-        simulated instants. The device lock is held for the whole batch,
-        so callers needing fairness against concurrent device users
-        should bound their batch size (the dm-writecache writeback uses
-        its autocommit interval).
-
-        ``ops`` is a sequence of ``(offset, data)`` pairs — or of opaque
-        keys when ``resolve`` is given, in which case ``resolve(key)``
-        is evaluated at the op's *service start*, the same moment a
-        back-to-back ``write()`` loop would read the data (so a cache
-        block overwritten mid-batch drains its newest content, exactly
-        like the unbatched path). ``on_complete(i)`` runs at op ``i``'s
-        completion instant, after its data is in the device cache — the
-        writeback daemon uses it to mark blocks clean per-op rather than
-        per-batch.
-
-        When a tracer is attached the batch falls back to per-op
-        :meth:`write` calls: span begin/end pairs then nest exactly as
-        the unbatched path emits them, keeping traces byte-identical.
-        """
-        items = list(ops)
-        if not items:
-            yield self.env.timeout(0.0)
-            return
-        if resolve is None:
-            for offset, data in items:
-                self._check(offset, len(data))
-        if self.env.tracer is not None:
-            for index, item in enumerate(items):
-                offset, data = resolve(item) if resolve else item
-                yield from self.write(offset, data)
-                if on_complete is not None:
-                    on_complete(index)
-            return
-
-        yield self._lock.acquire()
-        env = self.env
-        done = Waitable(env)
-        count = len(items)
-
-        def start_op(index: int) -> None:
-            # Service start of op ``index``: everything write() does
-            # before yielding its timeout, at the same simulated instant.
-            offset, data = resolve(items[index]) if resolve else items[index]
-            if resolve is not None:
-                self._check(offset, len(data))
-            delay = self._write_service_time(offset, len(data))
-            self._last_write_end = offset + len(data)
-            stats = self.stats
-            stats.writes += 1
-            stats.bytes_written += len(data)
-            stats.busy_time += delay
-            if self._m_write_latency is not None:
-                self._m_write_latency.observe(delay)
-            env.schedule_call(delay, complete_op, (index, offset, data))
-
-        def complete_op(index: int, offset: int, data: bytes) -> None:
-            # Completion of op ``index``: everything write() does after
-            # its timeout fires, then chain straight into the next op.
-            try:
-                if self.fault_injector is not None:
-                    self.fault_injector.on_write(self, offset, data)
-            except BaseException as exc:  # noqa: BLE001 - delivered to caller
-                self._lock.release()
-                done._fire(None, exc)
-                return
-            self._write_raw(offset, data)
-            recorder = env.crash_points
-            if recorder is not None:
-                recorder.hit("block.write_completed",
-                             f"{self.name}+{offset}:{len(data)}")
-            if on_complete is not None:
-                on_complete(index)
-            next_index = index + 1
-            if next_index == count:
-                self._lock.release()
-                done._fire(None)
-            else:
-                start_op(next_index)
-
-        start_op(0)
-        yield done
 
     def flush(self) -> Generator:
         """Write barrier: device cache becomes durable."""

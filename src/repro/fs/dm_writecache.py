@@ -88,9 +88,6 @@ class DmWriteCache(BlockDevice):
     def dirty_blocks(self) -> int:
         return len(self._dirty)
 
-    def _over_watermark(self, mark: float) -> bool:
-        return self.dirty_blocks() > mark * self.cache_capacity_blocks
-
     # -- data path ---------------------------------------------------------------
 
     def write(self, offset: int, data: bytes) -> Generator:
@@ -149,48 +146,39 @@ class DmWriteCache(BlockDevice):
 
     # -- background writeback ------------------------------------------------------
 
-    def _resolve_block(self, block: int):
-        """Batch-op resolver: the block's *current* cache content, read at
-        the op's service start — the same instant a back-to-back
-        ``origin.write`` loop would read it, so a block overwritten while
-        the writeback run is in flight drains its newest data."""
-        return block * self.BLOCK, self._cache[block]
+    def _write_back(self, floor: float, autocommit: bool) -> Generator:
+        """Write dirty blocks to the origin, lowest first, until at most
+        ``floor`` remain, then flush it; with ``autocommit`` also flush
+        every ``autocommit_blocks`` writes. ``drain()`` must not: every
+        figure's clock starts after one, so its flush count is pinned."""
+        written = 0
+        while len(self._dirty) > floor:
+            for block in sorted(self._dirty):
+                data = self._cache[block]
+                yield from self.origin.write(block * self.BLOCK, data)
+                # A write absorbed meanwhile replaced the cached bytes
+                # object: the origin has stale data, the block stays dirty.
+                if self._cache[block] is data:
+                    self._dirty.discard(block)
+                written += 1
+                if autocommit and written % self.autocommit_blocks == 0:
+                    yield from self.origin.flush()
+        yield from self.origin.flush()
 
     def _writeback_daemon(self) -> Generator:
+        capacity = self.cache_capacity_blocks
         while True:
-            if self._over_watermark(self.high_watermark):
+            if len(self._dirty) > self.high_watermark * capacity:
                 self.writeback_running = True
-                drained = 0
-                while self._over_watermark(self.low_watermark):
-                    dirty = sorted(self._dirty)
-                    # Retire the snapshot through the origin's batched
-                    # path, splitting runs at autocommit boundaries so
-                    # the interleaved flushes land after exactly the
-                    # same blocks as the unbatched per-op loop did.
-                    index = 0
-                    while index < len(dirty):
-                        take = self.autocommit_blocks - (drained % self.autocommit_blocks)
-                        run = dirty[index:index + take]
-                        yield from self.origin.write_batch(
-                            run, resolve=self._resolve_block,
-                            on_complete=lambda i, run=run:
-                                self._dirty.discard(run[i]))
-                        drained += len(run)
-                        index += len(run)
-                        if drained % self.autocommit_blocks == 0:
-                            yield from self.origin.flush()
-                yield from self.origin.flush()
+                yield from self._write_back(self.low_watermark * capacity,
+                                            autocommit=True)
                 self.writeback_running = False
             else:
                 yield self.env.timeout(0.05)
 
     def drain(self) -> Generator:
         """Synchronously push every dirty block to the origin (teardown)."""
-        dirty = sorted(self._dirty)
-        yield from self.origin.write_batch(
-            dirty, resolve=self._resolve_block,
-            on_complete=lambda i: self._dirty.discard(dirty[i]))
-        yield from self.origin.flush()
+        return self._write_back(0, autocommit=False)
 
     def crash(self) -> None:
         """NVMM cache content survives power loss (it is persistent);

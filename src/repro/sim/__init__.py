@@ -1,7 +1,6 @@
 """Discrete-event simulation kernel used by every substrate in the repo."""
 
 from .core import (
-    CalendarQueue,
     Environment,
     Process,
     SimulationError,
@@ -9,12 +8,11 @@ from .core import (
     Timeout,
     Waitable,
 )
-from .rng import DeterministicRandom, shuffled, zipf_ranks
-from .sync import Condition, Event, Lock, Queue, Semaphore
+from .rng import zipf_ranks
+from .sync import Event, Lock, Queue
 from .trace import SEGMENT_NAMES, SPAN_NAMES, Span, Tracer, traced
 
 __all__ = [
-    "CalendarQueue",
     "Environment",
     "Process",
     "SimulationError",
@@ -23,15 +21,11 @@ __all__ = [
     "Waitable",
     "Event",
     "Lock",
-    "Condition",
-    "Semaphore",
     "Queue",
     "Tracer",
     "Span",
     "SPAN_NAMES",
     "SEGMENT_NAMES",
     "traced",
-    "DeterministicRandom",
     "zipf_ranks",
-    "shuffled",
 ]

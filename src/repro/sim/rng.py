@@ -3,15 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
-
-
-class DeterministicRandom(random.Random):
-    """A seeded RNG; exists so call sites document their determinism."""
-
-    def __init__(self, seed: int = 0):
-        super().__init__(seed)
-        self.seed_value = seed
+from typing import List
 
 
 def zipf_ranks(rng: random.Random, n: int, count: int, theta: float = 0.99) -> List[int]:
@@ -37,9 +29,3 @@ def zipf_ranks(rng: random.Random, n: int, count: int, theta: float = 0.99) -> L
             results.append(int(n * ((eta * u) - eta + 1.0) ** alpha))
     return results
 
-
-def shuffled(rng: random.Random, items: Sequence) -> List:
-    """Return a shuffled copy of ``items`` without mutating the input."""
-    copy = list(items)
-    rng.shuffle(copy)
-    return copy

@@ -66,77 +66,6 @@ class Lock:
         return True
 
 
-class Condition:
-    """Condition variable tied to a :class:`Lock`.
-
-    Usage inside a process::
-
-        yield lock.acquire()
-        while not predicate():
-            yield condition.wait()
-        ...
-        lock.release()
-    """
-
-    __slots__ = ("env", "lock", "name", "_waiters")
-
-    def __init__(self, env: Environment, lock: Lock, name: str = "condition"):
-        self.env = env
-        self.lock = lock
-        self.name = name
-        self._waiters: Deque[Waitable] = deque()
-
-    def wait(self) -> Waitable:
-        """Atomically release the lock, block, and reacquire before return."""
-        if not self.lock.locked:
-            raise SimulationError(f"wait on {self.name!r} without holding lock")
-        notified = Waitable(self.env)
-        self._waiters.append(notified)
-        self.lock.release()
-
-        def _reacquire_after_notify():
-            yield notified
-            yield self.lock.acquire()
-
-        return self.env.spawn(_reacquire_after_notify(), name=f"{self.name}.wait")
-
-    def notify(self, count: int = 1) -> None:
-        for _ in range(min(count, len(self._waiters))):
-            self._waiters.popleft()._fire(None)
-
-    def notify_all(self) -> None:
-        self.notify(len(self._waiters))
-
-
-class Semaphore:
-    """Counting semaphore with FIFO wake-up."""
-
-    __slots__ = ("env", "name", "value", "_waiters")
-
-    def __init__(self, env: Environment, value: int = 1, name: str = "semaphore"):
-        if value < 0:
-            raise ValueError("semaphore initial value must be >= 0")
-        self.env = env
-        self.name = name
-        self.value = value
-        self._waiters: Deque[Waitable] = deque()
-
-    def acquire(self) -> Waitable:
-        waitable = Waitable(self.env)
-        if self.value > 0:
-            self.value -= 1
-            waitable._fire(None)
-        else:
-            self._waiters.append(waitable)
-        return waitable
-
-    def release(self) -> None:
-        if self._waiters:
-            self._waiters.popleft()._fire(None)
-        else:
-            self.value += 1
-
-
 class Queue:
     """Unbounded (or bounded) FIFO channel between processes."""
 

@@ -90,6 +90,56 @@ def test_drain_empties_cache_to_origin():
     assert data == bytes([3]) * 4096
 
 
+def test_block_rewritten_during_drain_stays_dirty_until_rewritten():
+    """A write absorbed while the same block's origin write is in
+    service must not be marked clean by that write's completion."""
+    env, ssd, dm = make_dm(cache_size=1 * MIB)
+
+    def body():
+        yield from dm.write(0, b"A" * 4096)
+        drain = env.spawn(dm.drain(), name="drain")
+        yield env.timeout(5e-6)
+        assert ssd.stats.writes == 1 and ssd.written_blocks() == 0  # in service
+        yield from dm.write(0, b"B" * 4096)
+        yield drain
+        return (yield from ssd.read(0, 4096))
+
+    assert env.run_process(body()) == b"B" * 4096
+    assert dm.dirty_blocks() == 0
+    assert ssd.stats.writes == 2
+
+
+def test_writeback_daemon_marks_clean_what_landed_then_drain_finishes():
+    """Origin content, flush cadence and clean-marking of the writeback
+    loop, first from the daemon (between the watermarks) and then from
+    ``drain()``."""
+    env, ssd, dm = make_dm(cache_size=64 * 4096, autocommit_blocks=4,
+                           high_watermark=0.4, low_watermark=0.1)
+
+    def body():
+        for i in range(40):
+            yield from dm.write(i * 4096, bytes([i]) * 4096)
+        # Give the writeback daemon room to pass both watermarks.
+        yield env.timeout(1.0)
+
+    env.run_process(body())
+    assert dm.dirty_blocks() <= int(dm.low_watermark * dm.cache_capacity_blocks) + 1
+    # Every block that left the dirty set really landed on the origin,
+    # once (block 0's payload is all zeros, so content counts from 1).
+    drained = 40 - dm.dirty_blocks()
+    assert ssd.written_blocks() == ssd.stats.writes == drained
+    landed = [i for i in range(1, 40)
+              if ssd._read_raw(i * 4096, 4096) == bytes([i]) * 4096]
+    assert len(landed) >= drained - 1 > 0
+    # Autocommit barriers fired along the way.
+    assert ssd.stats.flushes >= 1
+
+    env.run_process(dm.drain(), name="drain")
+    assert dm.dirty_blocks() == 0
+    for i in range(40):
+        assert ssd.durable_snapshot().get(i) == bytes([i]) * 4096
+
+
 def test_flush_is_fast_nvmm_commit():
     env, _ssd, dm = make_dm()
 

@@ -23,8 +23,10 @@ from repro.units import CACHE_LINE_SIZE
 SIZE = 4 * CHUNK_SIZE
 
 
-def _steps(fn) -> int:
-    """Python calls, executed Python lines and C calls while running ``fn``."""
+def _steps(fn, calls=None) -> int:
+    """Python calls, executed Python lines and C calls while running
+    ``fn``; each Python call's ``(file, qualified name)`` is appended to
+    ``calls`` when given."""
     count = 0
 
     def profile(_frame, event, _arg):
@@ -32,10 +34,13 @@ def _steps(fn) -> int:
         if event == "c_call":
             count += 1
 
-    def trace(_frame, event, _arg):
+    def trace(frame, event, _arg):
         nonlocal count
         if event in ("call", "line"):
             count += 1
+            if event == "call" and calls is not None:
+                code = frame.f_code
+                calls.append((code.co_filename, code.co_qualname))
         return trace
 
     # A collection inside the region would run other tests' finalizers

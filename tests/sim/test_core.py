@@ -1,8 +1,12 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+from collections import Counter
+
 import pytest
 
-from repro.sim import Environment, SimulationError, StopSimulation, Tracer
+from repro.sim import Environment, SimulationError, StopSimulation, Tracer, core
+
+from ..nvmm.test_device_complexity import _steps
 
 
 def test_timeout_advances_clock():
@@ -312,3 +316,39 @@ def test_deadlock_detected_by_run_process():
 
     with pytest.raises(SimulationError, match="did not finish"):
         env.run_process(stuck(env))
+
+
+def _core_calls(pending: int, timeouts: int):
+    """(steps, Python calls inside sim/core.py by name) of a process
+    sleeping ``timeouts`` times beside ``pending`` never-due timers."""
+    env = Environment()
+    for i in range(pending):
+        env.schedule_call(1e6 + i, int)
+
+    def body():
+        for _ in range(timeouts):
+            yield env.timeout(1e-6)
+
+    calls = []
+    steps = _steps(lambda: env.run_process(body()), calls)
+    return steps, Counter(name for filename, name in calls
+                          if filename == core.__file__)
+
+
+def test_timeout_dispatch_cost_is_independent_of_pending_timers():
+    """Host-independent guard (see tests/nvmm/test_device_complexity.py):
+    one ``yield env.timeout(d)`` costs the factory call plus the three
+    frames that do the work, and not one step more when 1,000 other
+    timers are pending — a timer structure with Python-level
+    bookkeeping shows up here by name."""
+    per_timeout = {}
+    for pending in (1, 1000):
+        steps_30, calls_30 = _core_calls(pending, 30)
+        steps_10, calls_10 = _core_calls(pending, 10)
+        per_timeout[pending] = (
+            (steps_30 - steps_10) / 20,
+            {name: n / 20 for name, n in (calls_30 - calls_10).items()})
+    assert per_timeout[1] == per_timeout[1000]
+    assert per_timeout[1][1] == {
+        "Environment.timeout": 1, "Timeout.__init__": 1,
+        "Waitable._fire": 1, "Process._step": 1}

@@ -1,13 +1,19 @@
-"""Determinism regressions for the zero-delay lane (see repro.sim.core).
+"""Dispatch order and determinism of the event loop (see repro.sim.core).
 
-The lane is a fast path, not a semantic change: same-timestamp callbacks
-must still fire in global schedule order — the ``(time, sequence)`` total
-order the heap alone used to provide — and a seeded run must replay
-identically event for event.
+Timers sit in a heap and zero-delay entries in a FIFO lane; the lane is
+a fast path, not a semantic change. Whatever the mix, ``Environment.run``
+must dispatch the live entries in exactly ascending ``(time, sequence)``
+order — same-timestamp callbacks in global schedule order — and a seeded
+run must replay identically event for event.
 """
 
+import random
+from itertools import islice
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.sim import Environment
-from repro.sim.rng import DeterministicRandom, shuffled
 
 
 def test_zero_delay_callbacks_fire_in_schedule_order():
@@ -31,9 +37,9 @@ def test_lane_does_not_overtake_equal_timestamp_heap_entries():
         # fires after every heap entry already due at t=1.0.
         env.schedule_call(0.0, order.append, ("lane",))
 
-    env.schedule(1.0, first)
-    env.schedule(1.0, lambda: order.append("heap-second"))
-    env.schedule(1.0, lambda: order.append("heap-third"))
+    env.schedule_call(1.0, first)
+    env.schedule_call(1.0, order.append, ("heap-second",))
+    env.schedule_call(1.0, order.append, ("heap-third",))
     env.run()
     assert order == ["heap-first", "heap-second", "heap-third", "lane"]
 
@@ -47,6 +53,67 @@ def test_mixed_delays_respect_time_then_sequence_order():
     env.schedule_call(0.0, order.append, ("now-b",))
     env.run()
     assert order == ["now-a", "now-b", "mid", "late"]
+
+
+def test_out_of_order_timers_dispatch_in_time_then_schedule_order():
+    """End-to-end: timers scheduled out of order dispatch in time order,
+    ties in schedule order, through the real event loop."""
+    env = Environment()
+    fired = []
+    for delay, tag in [(5.0, "e"), (1.0, "a"), (3.0, "c"), (1.0, "b"),
+                       (3.0, "d"), (1e14, "z")]:
+        env.schedule_call(delay, fired.append, (tag,))
+    env.run()
+    assert fired == ["a", "b", "c", "d", "e", "z"]
+
+
+# Delays from a tiny set of floats (massive ties, the zero-delay lane),
+# ordinary magnitudes, and far-future outliers.
+delays = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.5]),
+    st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+    st.floats(min_value=1e12, max_value=1e15, allow_nan=False),
+)
+#: One scheduled callback: its delay, how many further callbacks it
+#: schedules when it fires, and whether it cancels a pending one.
+callbacks = st.tuples(delays, st.integers(0, 3), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs=st.lists(callbacks, max_size=150), roots=st.integers(1, 10))
+def test_run_dispatches_live_entries_in_ascending_time_then_sequence(specs, roots):
+    """The ordering proof: whatever is scheduled — from outside or from
+    inside a callback — and whatever is cancelled, the entries that fire
+    are exactly the live ones, each at its due time, in ascending
+    ``(time, seq)``. (A callback can only schedule entries that sort
+    after itself, so the sorted order of everything that fired *is* the
+    one correct dispatch order.)"""
+    env = Environment()
+    todo = iter(specs)
+    scheduled, pending, cancelled, fired = [], [], [], []
+
+    def schedule(delay, fanout, cancels):
+        entry = [env.now + delay, None]
+        entry[1] = env.schedule_call(delay, fire, (entry, fanout, cancels))
+        scheduled.append(entry)
+        pending.append(entry)
+
+    def fire(entry, fanout, cancels):
+        assert env.now == entry[0]
+        pending.remove(entry)  # raises if it was cancelled or fired before
+        fired.append(entry)
+        if cancels and pending:
+            cancelled.append(pending.pop(len(pending) // 2))
+            env.cancel(cancelled[-1][1])
+        for spec in islice(todo, fanout):
+            schedule(*spec)
+
+    for spec in islice(todo, roots):
+        schedule(*spec)
+    env.run()
+    assert fired == sorted(e for e in scheduled if e not in cancelled)
+    assert env.events_dispatched == len(fired)
+    assert not env.pending_events()
 
 
 def test_waitable_subscribers_fire_in_subscription_order():
@@ -65,11 +132,11 @@ def test_waitable_subscribers_fire_in_subscription_order():
 
 
 def _seeded_trace(seed: int):
-    """A small process zoo driven by repro.sim.rng: rng-jittered timers,
+    """A small process zoo driven by a seeded RNG: rng-jittered timers,
     zero-delay chains, and cross-process wakeups, all recorded as
     (time, label) pairs."""
     env = Environment()
-    rng = DeterministicRandom(seed)
+    rng = random.Random(seed)
     trace = []
     gate = env.event()
 
@@ -87,7 +154,7 @@ def _seeded_trace(seed: int):
             yield env.timeout(0.0)
             trace.append((env.now, f"{name}:zero:{i}"))
 
-    for name in shuffled(rng, ["w", "x", "y"]):
+    for name in rng.sample(["w", "x", "y"], 3):
         env.spawn(chained(name), name=name)
     env.spawn(ticker("a", 5), name="a")
     env.spawn(ticker("b", 5), name="b")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Condition, Environment, Lock, Queue, Semaphore, SimulationError
+from repro.sim import Environment, Lock, Queue, SimulationError
 
 
 def test_lock_mutual_exclusion():
@@ -62,96 +62,6 @@ def test_try_acquire():
     assert lock.try_acquire() is False
     lock.release()
     assert lock.try_acquire() is True
-
-
-def test_condition_wait_notify():
-    env = Environment()
-    lock = Lock(env)
-    cond = Condition(env, lock)
-    state = {"ready": False}
-    trace = []
-
-    def consumer(env):
-        yield lock.acquire()
-        while not state["ready"]:
-            yield cond.wait()
-        trace.append(("consumed", env.now))
-        lock.release()
-
-    def producer(env):
-        yield env.timeout(3.0)
-        yield lock.acquire()
-        state["ready"] = True
-        cond.notify()
-        lock.release()
-
-    env.spawn(consumer(env))
-    env.spawn(producer(env))
-    env.run()
-    assert trace == [("consumed", 3.0)]
-
-
-def test_condition_notify_all_wakes_everyone():
-    env = Environment()
-    lock = Lock(env)
-    cond = Condition(env, lock)
-    woken = []
-
-    def sleeper(env, name):
-        yield lock.acquire()
-        yield cond.wait()
-        woken.append(name)
-        lock.release()
-
-    def waker(env):
-        yield env.timeout(1.0)
-        yield lock.acquire()
-        cond.notify_all()
-        lock.release()
-
-    for name in ("x", "y", "z"):
-        env.spawn(sleeper(env, name))
-    env.spawn(waker(env))
-    env.run()
-    assert sorted(woken) == ["x", "y", "z"]
-
-
-def test_condition_wait_without_lock_raises():
-    env = Environment()
-    lock = Lock(env)
-    cond = Condition(env, lock)
-
-    def bad(env):
-        yield cond.wait()
-
-    with pytest.raises(SimulationError):
-        env.run_process(bad(env))
-
-
-def test_semaphore_limits_concurrency():
-    env = Environment()
-    sem = Semaphore(env, value=2)
-    active = {"count": 0, "peak": 0}
-
-    def worker(env):
-        yield sem.acquire()
-        active["count"] += 1
-        active["peak"] = max(active["peak"], active["count"])
-        yield env.timeout(1.0)
-        active["count"] -= 1
-        sem.release()
-
-    for _ in range(6):
-        env.spawn(worker(env))
-    env.run()
-    assert active["peak"] == 2
-    assert env.now == pytest.approx(3.0)
-
-
-def test_semaphore_negative_value_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Semaphore(env, value=-1)
 
 
 def test_queue_fifo_transfer():

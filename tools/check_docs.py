@@ -12,7 +12,9 @@ The tracing vocabulary is held to the same contract: every span name in
 ``repro.sim.SEGMENT_NAMES`` must appear in the doc, and every documented
 two-segment ``layer.name`` must be an emitted span or segment. A
 vocabulary entry no ``begin``/``traced``/``charge``/``delay`` call site
-under ``src/repro`` can emit is dead and fails too.
+under ``src/repro`` can emit is dead and fails too. So does a backticked
+repository path (``tests/…py``, ``repro/…py``, …) in README.md, DESIGN.md,
+EXPERIMENTS.md or ``docs/*.md`` that names no file.
 
 Run by the ``docs_check`` smoke tests (``smoke/``, outside tier-1) and
 usable standalone::
@@ -122,6 +124,22 @@ TRACE_NAME_PATTERN = re.compile(
     r"`((?:libc|core|kernel|fs|block|nvmm)\.[a-z0-9_]+)`")
 
 
+#: Matches a repository file path inside a backticked span; ``repro/…``
+#: is relative to ``src/``. Globs and placeholders do not match.
+PATH_PATTERN = re.compile(
+    r"(?<![\w/.*-])((?:src|repro|tests|tools|benchmarks|smoke|examples)"
+    r"/[\w./-]+\.(?:py|md|json|yml))\b")
+
+
+def missing_paths(doc_text: str) -> set:
+    """Backticked repository paths in ``doc_text`` that do not exist."""
+    return {path
+            for span in re.findall(r"`([^`\n]+)`", doc_text)
+            for path in PATH_PATTERN.findall(span)
+            if not os.path.exists(os.path.join(
+                REPO_ROOT, "src" if path.startswith("repro/") else "", path))}
+
+
 def registered_names() -> set:
     """Union of metric names across every row of ``NAMESPACES``; a row
     whose source registers nothing under one of its prefixes is stale."""
@@ -201,16 +219,24 @@ def main(argv=None) -> int:
     dead = sorted(name for name in (set(SPAN_NAMES) | set(SEGMENT_NAMES))
                   - emitted_trace_names()
                   if not name.endswith(".unattributed"))
+    root = pathlib.Path(REPO_ROOT)
+    missing = sorted(
+        f"{doc.relative_to(root)}: {path}"
+        for doc in [root / "README.md", root / "DESIGN.md",
+                    root / "EXPERIMENTS.md", *root.glob("docs/*.md")]
+        for path in missing_paths(doc.read_text()))
+    failed = bool(undocumented or stale or dead or missing)
     if args.json:
         print_json({
-            "ok": not undocumented and not stale and not dead,
+            "ok": not failed,
             "registered": len(registered),
             "documented": len(documented),
             "undocumented": undocumented,
             "stale": stale,
             "dead": dead,
+            "missing_paths": missing,
         })
-        return 1 if undocumented or stale or dead else 0
+        return int(failed)
     if undocumented:
         print("FAIL: registered metrics missing from the docs "
               f"({' / '.join(DOC_NAMES)}):", file=sys.stderr)
@@ -226,7 +252,12 @@ def main(argv=None) -> int:
               "emits (delete them, in code and docs):", file=sys.stderr)
         for name in dead:
             print(f"  {name}", file=sys.stderr)
-    if undocumented or stale or dead:
+    if missing:
+        print("FAIL: backticked paths in the docs that name no file:",
+              file=sys.stderr)
+        for name in missing:
+            print(f"  {name}", file=sys.stderr)
+    if failed:
         return 1
     print(f"OK: {len(registered)} registered metrics, all documented, "
           "none stale")
