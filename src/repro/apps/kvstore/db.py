@@ -255,6 +255,3 @@ class MiniRocks:
         for key, value in records:
             self.memtable.put(key, value)
         self.stats.wal_replay_records = len(records)
-
-    def live_tables(self) -> List[str]:
-        return [table.path for level in self.levels for table in level]

@@ -7,7 +7,7 @@ and irrelevant to the simulated I/O timing we measure).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 TOMBSTONE = None
 
@@ -40,10 +40,3 @@ class Memtable:
     def sorted_items(self) -> List[Tuple[bytes, Optional[bytes]]]:
         return sorted(self._data.items())
 
-    def range_items(self, start: bytes, end: Optional[bytes] = None) -> Iterator:
-        for key, value in self.sorted_items():
-            if key < start:
-                continue
-            if end is not None and key >= end:
-                break
-            yield key, value

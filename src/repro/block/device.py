@@ -51,9 +51,15 @@ class BlockTiming:
 
 class BlockDevice:
     """A storage device addressable at byte granularity (the simulated
-    kernel performs its own page-sized I/O on top)."""
+    kernel performs its own page-sized I/O on top).
+
+    A stored block is one immutable ``bytes`` object: a whole aligned
+    block is adopted from the writer and handed to the reader by
+    reference (the page the kernel wrote *is* the block the device
+    holds); only a partial-block access copies."""
 
     BLOCK = 4096
+    _ZERO_BLOCK = bytes(BLOCK)  # what every never-written block reads as
 
     def __init__(self, env: Environment, size: int, timing: BlockTiming,
                  name: str = "blk0"):
@@ -119,6 +125,13 @@ class BlockDevice:
             )
 
     def _read_raw(self, offset: int, nbytes: int) -> bytes:
+        if nbytes == self.BLOCK and offset % self.BLOCK == 0:
+            # One aligned block: hand out the stored object itself.
+            block = offset // self.BLOCK
+            data = self._cache.get(block)
+            if data is None:
+                data = self._durable.get(block, self._ZERO_BLOCK)
+            return data
         out = bytearray(nbytes)
         pos = 0
         while pos < nbytes:
@@ -133,13 +146,18 @@ class BlockDevice:
         return bytes(out)
 
     def _write_raw(self, offset: int, data: bytes) -> None:
+        if len(data) == self.BLOCK and offset % self.BLOCK == 0:
+            # One aligned block: adopt the caller's object (``bytes(x)``
+            # is ``x`` itself for a bytes object, a copy of anything else).
+            self._cache[offset // self.BLOCK] = bytes(data)
+            return
         pos = 0
         while pos < len(data):
             block, in_block = divmod(offset + pos, self.BLOCK)
             chunk = min(len(data) - pos, self.BLOCK - in_block)
             existing = self._cache.get(block)
             if existing is None:
-                existing = self._durable.get(block, b"\x00" * self.BLOCK)
+                existing = self._durable.get(block, self._ZERO_BLOCK)
             updated = bytearray(existing)
             updated[in_block:in_block + chunk] = data[pos:pos + chunk]
             self._cache[block] = bytes(updated)

@@ -66,10 +66,6 @@ OP_CREATE = -5     # file created by open(O_CREAT); payload = path.
 #                    rotation pattern — see docs/CRASH_TESTING.md).
 
 
-class LogFullError(Exception):
-    """Internal marker (writers normally wait instead of raising)."""
-
-
 class NvmmLog:
     """The persistent circular log plus its volatile indices."""
 
@@ -133,12 +129,6 @@ class NvmmLog:
 
     def used(self) -> int:
         return self.head - self.volatile_tail
-
-    def free_slots(self) -> int:
-        return self.entries - self.used()
-
-    def is_empty(self) -> bool:
-        return self.head == self.volatile_tail
 
     # -- writer side ---------------------------------------------------------
 

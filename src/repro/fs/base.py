@@ -29,11 +29,10 @@ from ..kernel.errno import (
     KernelError,
 )
 from ..kernel.inode import Inode, S_IFDIR, S_IFREG
-from ..kernel.page_cache import PAGE_SIZE
+from ..kernel.page_cache import PAGE_SIZE, ZERO_PAGE
 from ..sim import Environment
 
 _device_ids = itertools.count(1)
-_ZERO_PAGE = b"\x00" * PAGE_SIZE
 
 
 def split_path(path: str) -> List[str]:
@@ -260,12 +259,12 @@ class PageStoreFilesystem(Filesystem):
             return False
         if len(self._pages) >= self._capacity_pages:
             raise KernelError(ENOSPC, f"{self.name}: NVMM full")
-        self._pages[key] = _ZERO_PAGE
+        self._pages[key] = ZERO_PAGE
         return True
 
     def read_page(self, inode: Inode, index: int) -> Generator:
         yield self.env.delay(self._read_cost(), "fs", "direct_read")
-        return self._pages.get((inode.number, index), _ZERO_PAGE)
+        return self._pages.get((inode.number, index), ZERO_PAGE)
 
     def write_page(self, inode: Inode, index: int, data: bytes) -> Generator:
         if len(data) != PAGE_SIZE:

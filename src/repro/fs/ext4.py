@@ -20,7 +20,7 @@ from ..block import BlockDevice
 from ..kernel.costs import CpuCosts, DEFAULT_CPU
 from ..kernel.errno import ENOSPC, KernelError
 from ..kernel.inode import Inode
-from ..kernel.page_cache import PAGE_SIZE
+from ..kernel.page_cache import PAGE_SIZE, ZERO_PAGE
 from ..sim import Environment
 from ..sim.trace import traced
 from ..units import MIB
@@ -125,7 +125,7 @@ class Ext4(Filesystem):
         block = self._blocks(inode).get(index)
         if block is None:
             yield self.env.timeout(0.0)
-            return b"\x00" * PAGE_SIZE
+            return ZERO_PAGE
         data = yield from self.device.read(block * PAGE_SIZE, PAGE_SIZE)
         # Bytes beyond EOF are never visible: a shrinking truncate leaves
         # the old contents of the partial tail block on the media, and a
@@ -140,7 +140,7 @@ class Ext4(Filesystem):
             valid = min(valid, stale)
         if valid < PAGE_SIZE:
             if valid <= 0:
-                return b"\x00" * PAGE_SIZE
+                return ZERO_PAGE
             data = data[:valid] + b"\x00" * (PAGE_SIZE - valid)
         return data
 

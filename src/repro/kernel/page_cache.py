@@ -16,6 +16,18 @@ Semantics modeled:
 - LRU eviction under memory pressure (clean pages first).
 
 A crash drops every page — durability only ever comes from the device.
+
+Who owns a page's bytes: a whole page travels as one immutable ``bytes``
+object, shared by reference with the filesystem and the device below and
+with the caller above (see DESIGN.md §6). :attr:`CachedPage.data` is
+that shared ``bytes`` while the page is clean — what ``read_page``
+returned, or what the last write-back handed to ``write_page`` — and
+after a whole-page write, which adopts the caller's object. Only a
+partial write copies, once, into a private ``bytearray`` that later
+partial writes then combine into; write-back freezes it to ``bytes``
+again. Nothing ever mutates a ``bytes`` it did not just create, so
+identity doubles as a version: a page whose ``data`` is still the
+payload handed to ``write_page`` was not rewritten meanwhile.
 """
 
 from __future__ import annotations
@@ -30,13 +42,14 @@ from .costs import CpuCosts, DEFAULT_CPU
 from .inode import Inode
 
 PAGE_SIZE = 4096
+ZERO_PAGE = bytes(PAGE_SIZE)  # the one all-zero page: every hole shares it
 
 PageKey = Tuple[int, int, int]  # (filesystem id, inode number, page index)
 
 
 @dataclass
 class CachedPage:
-    data: bytearray
+    data: bytes | bytearray  # bytes: shared, immutable; bytearray: private
     dirty: bool = False
     dirtied_at: float = 0.0
 
@@ -150,8 +163,12 @@ class PageCache:
                 victim_key, page = next(iter(self._pages.items()))
                 fs_id, ino, index = victim_key
                 filesystem, inode = self._resolve[fs_id, ino]
-                yield from filesystem.write_page(inode, index, bytes(page.data))
+                payload = page.data = bytes(page.data)
+                yield from filesystem.write_page(inode, index, payload)
                 self.stats.writeback_pages += 1
+                if self._pages.get(victim_key) is not page \
+                        or page.data is not payload:
+                    continue  # dropped or rewritten during its write-back
                 self._clear_dirty(filesystem, inode, index, page)
             del self._pages[victim_key]
             self.stats.evictions += 1
@@ -173,7 +190,7 @@ class PageCache:
         lock = self._lock_for(filesystem, inode)
         yield lock.acquire()
         try:
-            out = bytearray()
+            parts = []
             pos = offset
             end = offset + nbytes
             while pos < end:
@@ -186,17 +203,17 @@ class PageCache:
                 if page is None:
                     self.stats.misses += 1
                     data = yield from filesystem.read_page(inode, index)
-                    page = CachedPage(bytearray(data))
+                    page = CachedPage(bytes(data))
                     self._pages[key] = page
                     yield from self._evict_if_needed()
                 else:
                     self.stats.hits += 1
                     self._touch(key)
-                out += page.data[in_page:in_page + chunk]
+                parts.append(page.data[in_page:in_page + chunk])
                 pos += chunk
             # copy_to_user
-            yield self.env.delay(self.cpu.copy_cost(len(out)), "kernel", "copy")
-            return bytes(out)
+            yield self.env.delay(self.cpu.copy_cost(nbytes), "kernel", "copy")
+            return b"".join(parts)
         finally:
             lock.release()
 
@@ -221,15 +238,23 @@ class PageCache:
                     if partial and not (in_page == 0 and covers_tail):
                         # Read-modify-write for a partial page inside the file.
                         data_in = yield from filesystem.read_page(inode, index)
-                        page = CachedPage(bytearray(data_in))
+                        page = CachedPage(bytes(data_in))
                     else:
-                        page = CachedPage(bytearray(PAGE_SIZE))
+                        page = CachedPage(ZERO_PAGE)
                     self._pages[key] = page
                     self.stats.misses += 1
                 else:
                     self.stats.hits += 1
                     self._touch(key)
-                page.data[in_page:in_page + chunk] = data[pos:pos + chunk]
+                piece = data[pos:pos + chunk]
+                if chunk == PAGE_SIZE:
+                    # Whole page: adopt the caller's bytes (``bytes(x)`` is
+                    # ``x`` itself for a bytes object, a copy otherwise).
+                    page.data = bytes(piece)
+                else:
+                    if type(page.data) is not bytearray:
+                        page.data = bytearray(page.data)  # shared: copy first
+                    page.data[in_page:in_page + chunk] = piece
                 # Dirty BEFORE any eviction pass, so the fresh page cannot
                 # be recycled while still clean and lose this write.
                 self._mark_dirty(filesystem, inode, index, page)
@@ -250,12 +275,15 @@ class PageCache:
             key = self._inode_key(filesystem, inode)
             indices = sorted(self._dirty.get(key, ()))
             for index in indices:
-                page = self._pages.get((id(filesystem), inode.number, index))
+                page_key = (id(filesystem), inode.number, index)
+                page = self._pages.get(page_key)
                 if page is None or not page.dirty:
                     continue  # cleaned or evicted by a concurrent writeback
-                yield from filesystem.write_page(inode, index, bytes(page.data))
+                payload = page.data = bytes(page.data)
+                yield from filesystem.write_page(inode, index, payload)
                 self.stats.writeback_pages += 1
-                self._clear_dirty(filesystem, inode, index, page)
+                if self._pages.get(page_key) is page and page.data is payload:
+                    self._clear_dirty(filesystem, inode, index, page)
         finally:
             lock.release()
         yield from filesystem.commit(inode)
@@ -280,9 +308,14 @@ class PageCache:
                     continue
                 if now - page.dirtied_at < min_age:
                     continue
-                yield from filesystem.write_page(inode, index, bytes(page.data))
+                # Published before the yield: a writer that gets in during
+                # the write-back replaces the object (and a truncate the
+                # page), so what it wrote stays dirty for the next pass.
+                payload = page.data = bytes(page.data)
+                yield from filesystem.write_page(inode, index, payload)
                 self.stats.writeback_pages += 1
-                self._clear_dirty(filesystem, inode, index, page)
+                if self._pages.get(page_key) is page and page.data is payload:
+                    self._clear_dirty(filesystem, inode, index, page)
 
     def start_writeback_daemon(self) -> None:
         """Spawn the periodic flusher (pdflush/bdi writeback analogue)."""
@@ -308,7 +341,9 @@ class PageCache:
         if in_page:
             page = self._pages.get((fs_id, inode.number, boundary_index))
             if page is not None:
-                page.data[in_page:] = b"\x00" * (PAGE_SIZE - in_page)
+                # A new object, never an in-place edit of a shared one.
+                page.data = bytes(page.data[:in_page]) \
+                    + bytes(PAGE_SIZE - in_page)
 
     def invalidate(self, filesystem, inode: Inode) -> None:
         """Drop every page of an inode (used by truncate/unlink)."""

@@ -2,9 +2,10 @@
 
 Every component of the reproduced I/O stack (NVMM, block devices, the
 simulated kernel, NVCache itself, applications) runs as a *process*: a
-Python generator that yields :class:`Waitable` objects. The
+Python generator that yields either a :class:`Waitable` (block until it
+fires) or a plain ``float`` (sleep that many simulated seconds). The
 :class:`Environment` owns a virtual clock and an event heap, and resumes
-processes when the waitables they are blocked on fire.
+processes when what they are blocked on is due.
 
 The API intentionally mirrors a small subset of SimPy::
 
@@ -23,7 +24,12 @@ simulated time is a generator, and callers delegate to it. A layer that
 only forwards returns the inner generator instead of re-yielding it —
 every ``yield from`` frame on a process's stack is re-entered on each
 resume. A modelled delay is ``yield env.delay(seconds, layer, segment)``:
-``timeout`` plus the critical-path booking when a tracer is attached.
+the critical-path booking when a tracer is attached, then the ``float``
+to sleep on — the cheap spelling of ``yield env.timeout(seconds)``, which
+stays the general waitable (held, cancelled, subscribed to by several).
+The ``float`` must be yielded where it is made, never stored
+(``tests/core/test_facade_contract.py`` checks every call site), so the
+sleep takes the sequence number a ``Timeout`` built there would have.
 
 Scheduling fast path: zero-delay events (waitable callbacks, ``timeout(0)``,
 process start-ups) dominate a run, so they bypass the timer structure
@@ -35,6 +41,27 @@ are ``(time, seq, fn, args)`` tuples, so firing a callback allocates no
 closure. The fast path changes only the *wall* clock, never the simulated
 one: ``tests/sim/test_determinism.py`` pins the dispatch order and
 ``bench/run.py`` (see DESIGN.md §6) tracks the host clock.
+
+The next-event rule: *an event that would be the very next one
+dispatched is run now instead of queued.* A wake-up appended to the lane
+at the end of a dispatch is the next event exactly when the lane is
+empty, no timer is due at the current instant (``timers[0][0] !=
+env.now``) and no stop was requested; then nothing can run, be
+cancelled, or move the clock between the append and the pop, so calling
+it in place dispatches the same work in the same order. It applies where
+a wake-up is the *last act* of the event being dispatched: (i) the queue
+entry of a sleeping process (:meth:`Process._wake`) resumes the process
+itself — no ``Timeout``, no callback list; (ii) a process that yields an
+already-fired waitable (an uncontended ``Lock.acquire()``) is sent its
+value in the same step; (iii) a ``Timeout`` fired by the run loop with a
+single subscriber calls it. Whenever the condition does not hold, the
+wake-up takes the lane as before, with the sequence number it always
+had: the queued two-event path is the same-instant fallback, not a
+second engine. Order is therefore identical, not merely close — every
+clock, crash-point stream and digest is unchanged, and
+``tests/sim/test_core.py`` checks the inlined paths against the queued
+one event for event. ``events_dispatched`` counts what the run loop
+popped, so inlined wake-ups are not in it.
 
 Timed events live in a plain list kept as a binary heap by ``heapq``, so
 dispatch order is ascending ``(time, seq)`` by construction. The paper's
@@ -144,6 +171,22 @@ class Timeout(Waitable):
         else:
             heappush(env._timers, (env.now + delay, seq, self._fire, (value,)))
 
+    def _fire(self, value: Any = None, exception: Optional[BaseException] = None) -> None:
+        # Only ever called by the run loop, through the entry queued
+        # above, so waking the subscriber is this event's last act:
+        # next-event rule (iii), see the module docstring.
+        callbacks = self._callbacks
+        env = self.env
+        timers = env._timers
+        if len(callbacks) != 1 or env._lane or (
+                timers and timers[0][0] == env.now):
+            Waitable._fire(self, value, exception)
+            return
+        self._fired = True
+        self.value = value
+        self._callbacks = []
+        callbacks[0](value, None)
+
     def cancel(self) -> None:
         """Withdraw the pending fire (see :meth:`Environment.cancel`);
         no-op if the timeout already fired."""
@@ -178,48 +221,81 @@ class Process(Waitable):
         return self
 
     def _step(self, value: Any, exception: Optional[BaseException]) -> None:
+        """Resume the generator, again and again while what it yields
+        has fired already and the next-event rule (ii) holds."""
         if not self._alive:
             return
-        self.env.active_process = self
-        try:
-            if exception is not None:
-                target = self._generator.throw(exception)
-            else:
-                target = self._generator.send(value)
-        except StopIteration as stop:
-            self._alive = False
-            self._fire(stop.value)
-            return
-        except StopSimulation:
-            self._alive = False
-            self.env._stop_requested = True
-            return
-        except BaseException as exc:  # noqa: BLE001 - propagate to joiners
-            self._alive = False
-            if self._callbacks:
-                self._fire(None, exc)
-            else:
-                self.env._crashed_process = (self, exc)
-                self.env._stop_requested = True
-            return
-        if not isinstance(target, Waitable):
-            self._alive = False
-            self._fire(
-                None,
-                SimulationError(
-                    f"process {self.name!r} yielded {target!r}; "
-                    "processes must yield Waitable objects"
-                ),
-            )
-            return
-        if target._fired:
-            env = self.env
+        env = self.env
+        env.active_process = self
+        generator = self._generator
+        while True:
+            try:
+                if exception is not None:
+                    target = generator.throw(exception)
+                else:
+                    target = generator.send(value)
+            except StopIteration as stop:
+                self._alive = False
+                self._fire(stop.value)
+                return
+            except StopSimulation:
+                self._alive = False
+                env._stop_requested = True
+                return
+            except BaseException as exc:  # noqa: BLE001 - propagate to joiners
+                self._alive = False
+                if self._callbacks:
+                    self._fire(None, exc)
+                else:
+                    env._crashed_process = (self, exc)
+                    env._stop_requested = True
+                return
+            if target.__class__ is float:
+                # A sleep (what ``env.delay`` returns): the wake-up is
+                # this process's own queue entry, no Timeout in between.
+                seq = env._sequence
+                env._sequence = seq + 1
+                if target == 0.0:
+                    env._lane.append((env.now, seq, self._wake, ()))
+                else:
+                    heappush(env._timers,
+                             (env.now + target, seq, self._wake, ()))
+                return
+            if not isinstance(target, Waitable):
+                self._alive = False
+                self._fire(
+                    None,
+                    SimulationError(
+                        f"process {self.name!r} yielded {target!r}; "
+                        "processes must yield a Waitable or a float"
+                    ),
+                )
+                return
+            if not target._fired:
+                target._callbacks.append(self._step)
+                return
+            value = target.value
+            exception = target.exception
+            timers = env._timers
+            if env._lane or env._stop_requested or (
+                    timers and timers[0][0] == env.now):
+                seq = env._sequence
+                env._sequence = seq + 1
+                env._lane.append((env.now, seq, self._step,
+                                  (value, exception)))
+                return
+
+    def _wake(self) -> None:
+        """Queue entry of a sleep: next-event rule (i) — resume in place
+        if the resume would be the next event anyway, else queue it."""
+        env = self.env
+        timers = env._timers
+        if env._lane or (timers and timers[0][0] == env.now):
             seq = env._sequence
             env._sequence = seq + 1
-            env._lane.append((env.now, seq, self._step,
-                              (target.value, target.exception)))
+            env._lane.append((env.now, seq, self._step, (None, None)))
         else:
-            target._callbacks.append(self._step)
+            self._step(None, None)
 
     def kill(self) -> None:
         """Terminate the process without firing it (used for crash tests)."""
@@ -306,13 +382,17 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def delay(self, seconds: float, layer: str, segment: str) -> Timeout:
-        """A timed, attributed step: ``timeout(seconds)``, booked to the
-        ``layer.segment`` critical-path bucket of the attached tracer (if
-        any). Instrumenting a modelled delay is this one line."""
+    def delay(self, seconds: float, layer: str, segment: str) -> float:
+        """A timed, attributed step, to be yielded on the spot: books
+        ``seconds`` to the ``layer.segment`` critical-path bucket of the
+        attached tracer (if any) and returns them as the plain ``float``
+        a process sleeps on. Instrumenting a modelled delay is this one
+        line."""
+        if seconds < 0:
+            raise ValueError(f"negative delay: {seconds!r}")
         if self.tracer is not None:
             self.tracer.charge(self, layer, segment, seconds)
-        return Timeout(self, seconds)
+        return float(seconds)
 
     def event(self) -> "Event":
         from .sync import Event

@@ -198,3 +198,60 @@ def test_stats_accumulate(env, ssd):
     assert ssd.stats.bytes_written == 4096
     assert ssd.stats.bytes_read == 4096
     assert ssd.stats.busy_time > 0
+
+
+# -- one immutable bytes object per whole block (DESIGN.md §6) ---------------
+
+BLOCK = 4096
+
+
+def test_whole_block_is_adopted_and_handed_out_by_reference(env, ssd):
+    """The memory guard: the page the kernel wrote *is* the block the
+    device holds and the block a reader gets; N whole-block writes of one
+    object store one object."""
+    payload = bytes(range(256)) * 16
+
+    def body():
+        for block in range(8):
+            yield from ssd.write(block * BLOCK, payload)
+        cached = yield from ssd.read(3 * BLOCK, BLOCK)
+        yield from ssd.flush()
+        durable = yield from ssd.read(3 * BLOCK, BLOCK)
+        hole = yield from ssd.read(100 * BLOCK, BLOCK)
+        return cached, durable, hole
+
+    cached, durable, hole = run(env, body())
+    assert cached is payload and durable is payload
+    assert all(block is payload for block in ssd.durable_snapshot().values())
+    assert hole == bytes(BLOCK) and hole is run(env, ssd.read(200 * BLOCK, BLOCK))
+
+
+@pytest.mark.parametrize("mutable", [bytearray, memoryview],
+                         ids=["bytearray", "memoryview"])
+def test_mutable_buffer_handed_to_write_is_copied(env, ssd, mutable):
+    backing = bytearray(b"k" * BLOCK)
+
+    def body():
+        yield from ssd.write(0, mutable(backing))
+        backing[:] = b"!" * BLOCK  # the caller reuses its buffer
+        data = yield from ssd.read(0, BLOCK)
+        return data
+
+    data = run(env, body())
+    assert type(data) is bytes and data == b"k" * BLOCK
+
+
+def test_partial_block_write_builds_a_new_block_object(env, ssd):
+    """A block object handed out earlier never changes under the reader."""
+    payload = b"o" * BLOCK
+
+    def body():
+        yield from ssd.write(0, payload)
+        before = yield from ssd.read(0, BLOCK)
+        yield from ssd.write(10, b"NEW")
+        after = yield from ssd.read(0, BLOCK)
+        return before, after
+
+    before, after = run(env, body())
+    assert before is payload and payload == b"o" * BLOCK
+    assert after == b"o" * 10 + b"NEW" + b"o" * (BLOCK - 13)

@@ -164,3 +164,21 @@ def test_disarm_restores_the_clean_path(env, ssd):
 
     run(env, clean())
     assert run(env, ssd.read(0, 4)) == b"fine"
+
+
+def test_torn_whole_block_write_lands_exactly_its_prefix(env, ssd):
+    """The tear goes through the partial-block path: the prefix is merged
+    into a new block object, the block written before stays intact in
+    the hands of whoever holds it."""
+    old, new = b"o" * 4096, b"n" * 4096
+    BlockFaultInjector(tear_writes=[1], torn_keep=1000).arm(ssd)
+
+    def body():
+        yield from ssd.write(0, old)
+        with pytest.raises(KernelError):
+            yield from ssd.write(0, new)
+        data = yield from ssd.read(0, 4096)
+        return data
+
+    assert run(env, body()) == b"n" * 1000 + b"o" * 3096
+    assert old == b"o" * 4096

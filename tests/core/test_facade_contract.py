@@ -421,9 +421,11 @@ def timed_step_violations(package_dir):
     step by hand instead of ``env.delay`` — a statement charging the
     tracer (bare or behind its ``is not None`` guard) whose block then
     sleeps on a ``yield ...timeout(...)`` before yielding anything else
-    — or that records a flat event through ``Tracer.add``; plus any
-    ``yield`` in ``libc/libc.py``, whose methods hand back the target's
-    generator."""
+    — or that records a flat event through ``Tracer.add``; any
+    ``.delay(...)`` that is not the direct operand of a ``yield`` (it
+    returns the bare ``float`` a process sleeps on, so a stored or
+    combined result is a step that never happens); plus any ``yield`` in
+    ``libc/libc.py``, whose methods hand back the target's generator."""
     found = []
     for path in sorted(pathlib.Path(package_dir).rglob("*.py")):
         relative = path.relative_to(package_dir).as_posix()
@@ -432,6 +434,13 @@ def timed_step_violations(package_dir):
             found.append(f"{relative}: yield in Libc")
         found += [f"{relative}:{call.lineno} Tracer.add"
                   for call in _tracer_calls(tree, "add")]
+        yielded = {id(node.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Yield)}
+        found += [f"{relative}:{call.lineno} delay not yielded"
+                  for call in ast.walk(tree)
+                  if isinstance(call, ast.Call)
+                  and isinstance(call.func, ast.Attribute)
+                  and call.func.attr == "delay" and id(call) not in yielded]
         blocks = [block for node in ast.walk(tree)
                   for block in (getattr(node, "body", None),
                                 getattr(node, "orelse", None),
@@ -507,3 +516,15 @@ def test_raw_timeouts_are_allowlisted_pollers():
     what still sleeps on a bare timeout is a poller named above — and
     every name above still exists."""
     assert raw_timeouts(pathlib.Path(repro.__file__).parent) == set(POLLERS)
+
+
+def test_the_guard_sees_a_stored_or_combined_delay(tmp_path):
+    (tmp_path / "layer.py").write_text(textwrap.dedent("""
+        def step(env):
+            yield env.delay(1.0, "fs", "commit")
+            cost = env.delay(1.0, "fs", "commit")
+            yield cost
+            yield env.delay(1.0, "fs", "commit") + 1.0
+    """))
+    assert timed_step_violations(tmp_path) == [
+        "layer.py:4 delay not yielded", "layer.py:6 delay not yielded"]

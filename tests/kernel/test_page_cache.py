@@ -216,3 +216,212 @@ def test_fsync_writes_pages_in_ascending_order(env, setup):
 
     run(env, body())
     assert order == sorted(order)
+
+
+# -- write-back races: identity of the payload is the page's version ---------
+
+def _durable_page(ssd, fs, inode, index=0):
+    return ssd.durable_snapshot()[fs._blocks(inode)[index]]
+
+
+def test_page_rewritten_during_its_own_writeback_stays_dirty(env, setup):
+    """The flusher takes no inode lock: a write that lands while the
+    page's old contents are on their way to the device must leave the
+    page dirty, or the next fsync acknowledges bytes it never wrote."""
+    ssd, fs, cache, inode = setup
+    old, new = b"A" * PAGE_SIZE, b"B" * PAGE_SIZE
+
+    def body():
+        yield from cache.write(fs, inode, 0, old)
+        flusher = env.spawn(cache.writeback_pass())
+        yield env.timeout(1e-6)  # the device write of A is in service
+        yield from cache.write(fs, inode, 0, new)
+        yield flusher
+        dirty = cache.dirty_page_count(fs, inode)
+        yield from cache.fsync(fs, inode)
+        return dirty
+
+    assert run(env, body()) == 1
+    assert cache.dirty_page_count() == 0
+    assert _durable_page(ssd, fs, inode) == new
+
+
+def test_page_truncated_and_rewritten_during_writeback_stays_dirty(env, setup):
+    """Same race through ``truncate``, which replaces the page itself."""
+    ssd, fs, cache, inode = setup
+
+    def body():
+        yield from cache.write(fs, inode, 0, b"A" * PAGE_SIZE)
+        flusher = env.spawn(cache.writeback_pass())
+        yield env.timeout(1e-6)
+        cache.truncate(fs, inode, 0)
+        fs.truncate(inode, 0)
+        yield from cache.write(fs, inode, 0, b"B" * 100)
+        yield flusher
+        dirty = cache.dirty_page_count(fs, inode)
+        yield from cache.fsync(fs, inode)
+        return dirty
+
+    assert run(env, body()) == 1
+    assert _durable_page(ssd, fs, inode)[:100] == b"B" * 100
+
+
+def test_victim_rewritten_during_eviction_writeback_is_not_lost(env):
+    """All pages dirty: eviction writes the oldest one back, and a write
+    that hits it meanwhile must not be dropped with the page."""
+    fs = Ext4(env, SsdDevice(env, size=256 * MIB))
+    cache = PageCache(env, capacity_pages=1)
+    victim, other = fs.create("/victim"), fs.create("/other")
+
+    def evictor():
+        yield from cache.write(fs, other, 0, b"o" * PAGE_SIZE)
+
+    def body():
+        yield from cache.write(fs, victim, 0, b"A" * PAGE_SIZE)
+        process = env.spawn(evictor())
+        yield env.timeout(5e-6)  # the victim's write-back is in service
+        assert cache.stats.writeback_pages == 0
+        yield from cache.write(fs, victim, 0, b"B" * 10)
+        yield process
+        data = yield from cache.read(fs, victim, 0, PAGE_SIZE)
+        return data
+
+    assert run(env, body()) == b"B" * 10 + b"A" * (PAGE_SIZE - 10)
+
+
+def test_two_evictors_may_pick_the_same_victim(env):
+    """Writers on different inodes evict concurrently; the one whose
+    victim is already gone moves on instead of deleting it twice."""
+    fs = Ext4(env, SsdDevice(env, size=256 * MIB))
+    cache = PageCache(env, capacity_pages=2)
+    files = [fs.create(f"/f{i}") for i in range(3)]
+
+    def writer(inode, pages):
+        for i in range(pages):
+            yield from cache.write(fs, inode, i * PAGE_SIZE, b"x" * PAGE_SIZE)
+
+    def body():
+        yield from writer(files[0], 1)
+        writers = [env.spawn(writer(inode, 4)) for inode in files[1:]]
+        for process in writers:
+            yield process
+        for inode in files:
+            yield from cache.fsync(fs, inode)
+
+    run(env, body())
+    assert cache.cached_page_count() <= 2 and cache.dirty_page_count() == 0
+
+
+# -- one immutable bytes object per whole page (DESIGN.md §6) ----------------
+
+def _cached(cache, fs, inode, index=0):
+    return cache._pages[id(fs), inode.number, index]
+
+
+def test_clean_page_is_the_block_object_the_device_holds(env, setup):
+    """The memory guard: no second copy of a clean page. After fsync the
+    cached page is the object handed to the device; after a cold read it
+    is the object the device handed out, and so is what the reader gets."""
+    ssd, fs, cache, inode = setup
+    payload = b"p" * PAGE_SIZE
+
+    def body():
+        yield from cache.write(fs, inode, 0, payload)
+        yield from cache.write(fs, inode, PAGE_SIZE, b"q" * 100)
+        yield from cache.fsync(fs, inode)
+        synced = [_cached(cache, fs, inode, index).data for index in (0, 1)]
+        cache.crash()
+        data = yield from cache.read(fs, inode, 0, PAGE_SIZE)
+        return synced, data
+
+    synced, data = run(env, body())
+    assert synced[0] is payload is _durable_page(ssd, fs, inode, 0)
+    assert type(synced[1]) is bytes
+    assert synced[1] is _durable_page(ssd, fs, inode, 1)
+    assert data is payload is _cached(cache, fs, inode).data
+
+
+def test_whole_page_writes_of_one_object_store_one_object(env, setup):
+    ssd, fs, cache, inode = setup
+    payload = bytes(PAGE_SIZE)
+
+    def body():
+        for index in range(16):
+            yield from cache.write(fs, inode, index * PAGE_SIZE, payload)
+        yield from cache.fsync(fs, inode)
+
+    run(env, body())
+    blocks = [ssd.durable_snapshot()[block]
+              for block in fs._blocks(inode).values()]
+    assert len(blocks) == 16 and all(block is payload for block in blocks)
+
+
+@pytest.mark.parametrize("mutable", [bytearray, memoryview],
+                         ids=["bytearray", "memoryview"])
+def test_mutable_buffer_handed_to_write_is_copied(env, setup, mutable):
+    ssd, fs, cache, inode = setup
+    backing = bytearray(b"k" * (PAGE_SIZE + 100))
+
+    def body():
+        yield from cache.write(fs, inode, 0, mutable(backing))
+        backing[:] = b"!" * len(backing)  # the caller reuses its buffer
+        data = yield from cache.read(fs, inode, 0, len(backing))
+        yield from cache.fsync(fs, inode)
+        return data
+
+    assert run(env, body()) == b"k" * (PAGE_SIZE + 100)
+    assert _durable_page(ssd, fs, inode) == b"k" * PAGE_SIZE
+
+
+@pytest.mark.parametrize("mutable", [bytearray, memoryview],
+                         ids=["bytearray", "memoryview"])
+def test_mutable_page_handed_to_ext4_write_page_is_copied(env, setup, mutable):
+    _ssd, fs, _cache, inode = setup
+    backing = bytearray(b"k" * PAGE_SIZE)
+    inode.size = PAGE_SIZE
+
+    def body():
+        yield from fs.write_page(inode, 0, mutable(backing))
+        backing[:] = b"!" * PAGE_SIZE
+        data = yield from fs.read_page(inode, 0)
+        return data
+
+    data = run(env, body())
+    assert type(data) is bytes and data == b"k" * PAGE_SIZE
+
+
+def test_one_byte_write_leaves_the_device_block_untouched_until_fsync(env, setup):
+    ssd, fs, cache, inode = setup
+    payload = b"p" * PAGE_SIZE
+
+    def body():
+        yield from cache.write(fs, inode, 0, payload)
+        yield from cache.fsync(fs, inode)
+        yield from cache.write(fs, inode, 7, b"!")  # page shared with device
+        block = yield from ssd.read(fs._blocks(inode)[0] * PAGE_SIZE, PAGE_SIZE)
+        data = yield from cache.read(fs, inode, 0, PAGE_SIZE)
+        return block, data
+
+    block, data = run(env, body())
+    assert block is payload and payload == b"p" * PAGE_SIZE
+    assert data == b"p" * 7 + b"!" + b"p" * (PAGE_SIZE - 8)
+    run(env, cache.fsync(fs, inode))
+    assert _durable_page(ssd, fs, inode) == data
+
+
+def test_truncate_zeroes_the_boundary_in_a_new_object(env, setup):
+    ssd, fs, cache, inode = setup
+    payload = b"p" * PAGE_SIZE
+
+    def body():
+        yield from cache.write(fs, inode, 0, payload)
+        yield from cache.fsync(fs, inode)  # the page is now the device's block
+        cache.truncate(fs, inode, 100)
+        fs.truncate(inode, 100)
+        inode.size = PAGE_SIZE  # grow again: the cut must read as zeros
+        data = yield from cache.read(fs, inode, 0, PAGE_SIZE)
+        return data
+
+    assert run(env, body()) == b"p" * 100 + bytes(PAGE_SIZE - 100)
+    assert payload == b"p" * PAGE_SIZE
+    assert _durable_page(ssd, fs, inode) is payload

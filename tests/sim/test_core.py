@@ -3,8 +3,11 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Environment, SimulationError, StopSimulation, Tracer, core
+from repro.sim import (Environment, Lock, SimulationError, StopSimulation,
+                       Tracer, Waitable, core)
 
 from ..nvmm.test_device_complexity import _steps
 
@@ -36,19 +39,133 @@ def test_negative_timeout_rejected():
         env.timeout(-1.0)
 
 
-def test_delay_schedules_exactly_like_timeout():
-    """``env.delay`` is ``env.timeout`` plus a booking: same queue, same
-    ``(time, seq)`` entry, and the zero-delay FIFO lane for 0.0."""
-    plain, attributed = Environment(), Environment()
-    for seconds in (2.5, 0.0, 1e-6):
-        plain.timeout(seconds)
-        attributed.delay(seconds, "core", "write_overhead")
-    for env in (plain, attributed):
-        assert [entry[:2] for entry in env._lane] == [(0.0, 1)]
-    assert [e[:2] for e in attributed.pending_events()] == \
-        [e[:2] for e in plain.pending_events()]
+def test_delay_is_a_validated_float():
+    env = Environment()
+    for seconds in (2.5, 0.0, 1e-6, 3):
+        slept = env.delay(seconds, "core", "write_overhead")
+        assert type(slept) is float and slept == seconds
+    assert not env.pending_events()  # nothing is queued until it is yielded
     with pytest.raises(ValueError):
-        attributed.delay(-1.0, "core", "write_overhead")
+        env.delay(-1.0, "core", "write_overhead")
+
+
+# -- the engine contract: inlined wake-ups == the two-event path -----------
+
+def _noop(_value, _exception):
+    pass
+
+
+def _two_event_timeout(env, seconds):
+    """A second subscriber keeps ``Timeout._fire`` on the general path,
+    where every wake-up is its own lane event."""
+    timeout = env.timeout(seconds)
+    timeout.subscribe(_noop)
+    return timeout
+
+
+def _queued_resume(env, fired):
+    """Yielding an already-fired waitable, spelled without the inlining:
+    the resume is queued by hand — taking the sequence number the engine
+    would give it — and the process parks on a waitable that never fires."""
+    env.schedule_call(0.0, env.active_process._step,
+                      (fired.value, fired.exception))
+    return Waitable(env)
+
+
+#: name -> (how a process sleeps, how it yields an already-fired waitable).
+#: ``reference`` never takes an inlined path: it is the engine as it was
+#: when every wake-up was queued.
+SPELLINGS = {
+    "timeout": (lambda env, seconds: env.timeout(seconds),
+                lambda env, fired: fired),
+    "delay": (lambda env, seconds: env.delay(seconds, "core", "write_overhead"),
+              lambda env, fired: fired),
+    "reference": (_two_event_timeout, _queued_resume),
+}
+
+# Exact ties, zeros, values below one ulp of the clock (``now + d == now``
+# once time has advanced), and ordinary magnitudes.
+_sleeps = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.5, 1e-20, 5e-324]),
+    st.floats(min_value=0.0, max_value=4.0, allow_nan=False))
+_steps_of_a_process = st.lists(st.one_of(
+    st.tuples(st.just("sleep"), _sleeps),
+    st.tuples(st.just("grant")),            # uncontended lock: pre-fired
+    st.tuples(st.just("fired"), st.integers(0, 9)),  # event set beforehand
+    st.tuples(st.just("lock"), _sleeps),    # contended: sleeps holding it
+    st.tuples(st.just("join"), st.integers(0, 5)),
+    st.tuples(st.just("stop")),             # env.stop() mid-instant
+    st.tuples(st.just("kill"), st.integers(0, 5)),
+), max_size=8)
+
+
+def _resume_trace(spelling, scripts, horizons):
+    """[(env.now, process, step#)] of every resume, plus the final clock."""
+    sleep, ready = SPELLINGS[spelling]
+    env = Environment()
+    shared = Lock(env)
+    trace, processes = [], []
+
+    def wait(waitable):
+        return ready(env, waitable) if waitable.fired else waitable
+
+    def body(pid, script):
+        private = Lock(env)
+        for step, op in enumerate(script):
+            other = processes[op[1] % len(processes)] \
+                if op[0] in ("join", "kill") else None
+            if op[0] == "sleep":
+                yield sleep(env, op[1])
+            elif op[0] == "grant":
+                yield wait(private.acquire())
+                private.release()
+            elif op[0] == "fired":
+                event = env.event()
+                event.set(op[1])
+                assert (yield wait(event)) == op[1]
+            elif op[0] == "lock":
+                yield wait(shared.acquire())
+                trace.append((env.now, pid, step, "locked"))
+                try:
+                    yield sleep(env, op[1])
+                finally:
+                    shared.release()
+            elif op[0] == "join" and other is not processes[pid]:
+                yield wait(other)
+            elif op[0] == "stop":
+                env.stop()
+                yield wait(private.acquire())
+                private.release()
+            elif op[0] == "kill" and other is not processes[pid]:
+                other.kill()
+            trace.append((env.now, pid, step))
+
+    for pid, script in enumerate(scripts):
+        processes.append(env.spawn(body(pid, script), name=f"p{pid}"))
+    for horizon in sorted(horizons):
+        env.run(until=horizon)
+        trace.append(("until", env.now))
+    for _ in range(sum(len(script) for script in scripts) + 1):
+        env.run()  # once more after every env.stop()
+    assert not env.pending_events()
+    return trace, env.now
+
+
+@settings(max_examples=400, deadline=None)
+@given(scripts=st.lists(_steps_of_a_process, min_size=1, max_size=5),
+       horizons=st.lists(st.sampled_from([0.0, 1.0, 2.5, 3.3]), max_size=2))
+def test_inlined_wakeups_resume_processes_exactly_like_queued_ones(
+        scripts, horizons):
+    """The next-event rule is exact. Processes that sleep on ``env.delay``
+    floats (no Timeout, the wake-up resumes inline), on plain
+    ``env.timeout`` (sole subscriber called inline) and that yield
+    already-fired waitables (resumed in place) run at the same instants
+    in the same order as on the reference path where every wake-up is a
+    queued event — through ties, zeros, sub-ulp sleeps, lock grants and
+    hand-offs, joins, ``stop()``, ``kill()`` and ``run(until=)``."""
+    reference = _resume_trace("reference", scripts, horizons)
+    assert _resume_trace("timeout", scripts, horizons) == reference
+    assert _resume_trace("delay", scripts, horizons) == reference
 
 
 def test_delay_charges_the_root_span_iff_a_tracer_is_attached():
@@ -318,37 +435,54 @@ def test_deadlock_detected_by_run_process():
         env.run_process(stuck(env))
 
 
-def _core_calls(pending: int, timeouts: int):
-    """(steps, Python calls inside sim/core.py by name) of a process
-    sleeping ``timeouts`` times beside ``pending`` never-due timers."""
+def _core_calls(spelling: str, pending: int, sleeps: int):
+    """(steps, events dispatched, Python calls inside sim/core.py by
+    name) of a process sleeping ``sleeps`` times beside ``pending``
+    never-due timers."""
     env = Environment()
+    sleep = SPELLINGS[spelling][0]
     for i in range(pending):
         env.schedule_call(1e6 + i, int)
 
     def body():
-        for _ in range(timeouts):
-            yield env.timeout(1e-6)
+        for _ in range(sleeps):
+            yield sleep(env, 1e-6)
 
     calls = []
     steps = _steps(lambda: env.run_process(body()), calls)
-    return steps, Counter(name for filename, name in calls
-                          if filename == core.__file__)
+    return steps, env.events_dispatched, Counter(
+        name for filename, name in calls if filename == core.__file__)
+
+
+def _per_sleep(spelling: str):
+    """(events dispatched, frames in sim/core.py by name) per sleep;
+    asserts neither they nor the step count move with 1,000 other
+    timers pending."""
+    per_sleep = {}
+    for pending in (1, 1000):
+        steps_30, events_30, calls_30 = _core_calls(spelling, pending, 30)
+        steps_10, events_10, calls_10 = _core_calls(spelling, pending, 10)
+        per_sleep[pending] = (
+            (steps_30 - steps_10) / 20, (events_30 - events_10) / 20,
+            {name: n / 20 for name, n in (calls_30 - calls_10).items()})
+    assert per_sleep[1] == per_sleep[1000]
+    return per_sleep[1][1:]
 
 
 def test_timeout_dispatch_cost_is_independent_of_pending_timers():
     """Host-independent guard (see tests/nvmm/test_device_complexity.py):
-    one ``yield env.timeout(d)`` costs the factory call plus the three
-    frames that do the work, and not one step more when 1,000 other
-    timers are pending — a timer structure with Python-level
-    bookkeeping shows up here by name."""
-    per_timeout = {}
-    for pending in (1, 1000):
-        steps_30, calls_30 = _core_calls(pending, 30)
-        steps_10, calls_10 = _core_calls(pending, 10)
-        per_timeout[pending] = (
-            (steps_30 - steps_10) / 20,
-            {name: n / 20 for name, n in (calls_30 - calls_10).items()})
-    assert per_timeout[1] == per_timeout[1000]
-    assert per_timeout[1][1] == {
+    one ``yield env.timeout(d)`` is one dispatched event — the sole
+    subscriber's resume is inlined into the fire — costing the factory
+    call plus the three frames that do the work, and not one step more
+    when 1,000 other timers are pending: a timer structure with
+    Python-level bookkeeping shows up here by name."""
+    assert _per_sleep("timeout") == (1, {
         "Environment.timeout": 1, "Timeout.__init__": 1,
-        "Waitable._fire": 1, "Process._step": 1}
+        "Timeout._fire": 1, "Process._step": 1})
+
+
+def test_delay_dispatch_cost_is_independent_of_pending_timers():
+    """The twin for ``yield env.delay(d, ...)``: one dispatched event,
+    the process's own wake-up, and no ``Timeout`` constructed."""
+    assert _per_sleep("delay") == (1, {
+        "Environment.delay": 1, "Process._wake": 1, "Process._step": 1})
