@@ -32,11 +32,10 @@ def run_script(*argv, timeout=300):
 
 
 def test_budgeted_sweep_holds_the_contract():
-    from repro.faults import (CrashExplorer, WarmStartFactory,
-                              fio_write_phased)
+    from repro.faults import CrashExplorer, fio_write_phased
 
-    explorer = CrashExplorer(WarmStartFactory(fio_write_phased()),
-                             budget=15, drop_subsets=1, seed=0)
+    explorer = CrashExplorer(fio_write_phased(), budget=15, drop_subsets=1,
+                             seed=0)
     result = explorer.explore()
     assert len(result.points) >= 100
     assert result.violations == []
@@ -52,9 +51,8 @@ def test_cli_check_exits_zero_on_a_clean_workload():
 
 def test_parallel_sweep_is_byte_identical_and_faster():
     """The acceptance gate for `--jobs`: a 4-way sharded fio sweep —
-    every worker taking its own deterministic checkpoint of the
-    two-phase workload (docs/CRASH_TESTING.md "How a sweep runs") —
-    emits a byte-identical report to a sequential one and holds the
+    every worker re-enumerating the workload for itself
+    (docs/CRASH_TESTING.md "How a sweep runs") — emits a byte-identical report to a sequential one and holds the
     durability contract (unconditional), and on a host with >= 4 cores
     it finishes measurably faster (>= 1.5x — wall-clock assertions are
     meaningless on starved runners, so the speedup half gates on core

@@ -1,7 +1,7 @@
 """Block-device substrate: SSD, HDD and RAM-disk latency models."""
 
 from .device import BlockDevice, BlockStats, BlockTiming
-from .hdd import HddDevice, elevator_order
+from .hdd import HddDevice
 from .ramdisk import RamDisk
 from .ssd import FastNvmeDevice, SsdDevice, SSD_TIMING
 
@@ -13,6 +13,5 @@ __all__ = [
     "FastNvmeDevice",
     "SSD_TIMING",
     "HddDevice",
-    "elevator_order",
     "RamDisk",
 ]

@@ -55,20 +55,3 @@ class HddDevice(BlockDevice):
         seek = self._seek_time(offset)
         self._head = offset + nbytes
         return seek + nbytes / self.timing.read_bandwidth
-
-    def schedule_elevator(self, offsets) -> list:
-        """Sort a batch of offsets in elevator order starting at the head.
-
-        The simulated kernel writeback uses this to mimic the block-layer
-        I/O scheduler the paper credits for HDD friendliness.
-        """
-        ahead = sorted(o for o in offsets if o >= self._head)
-        behind = sorted((o for o in offsets if o < self._head), reverse=True)
-        return ahead + behind
-
-
-def elevator_order(device: BlockDevice, offsets) -> list:
-    """Order a batch of offsets the way the block-layer scheduler would."""
-    if isinstance(device, HddDevice):
-        return device.schedule_elevator(offsets)
-    return sorted(offsets)

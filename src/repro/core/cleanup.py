@@ -49,10 +49,10 @@ _TICK = 1e-3  # poll interval while idle (simulated seconds)
 
 class DrainThread:
     """What every mode's background drain thread shares: the lifecycle
-    (start/stop/park around a cancellable tick), the close-headroom
-    waiters, and kernel-closing deferred fds once nothing pending
-    references them. A subclass supplies ``_run`` (its batching loop)
-    and ``request_drain`` (what "drained" means for its NVMM layout)."""
+    (start/stop), the close-headroom waiters, and kernel-closing
+    deferred fds once nothing pending references them. A subclass
+    supplies ``_run`` (its batching loop) and ``request_drain`` (what
+    "drained" means for its NVMM layout)."""
 
     process_name = "drain"  # simulated process name; the tracer's track
 
@@ -65,10 +65,6 @@ class DrainThread:
         self.stats = stats
         self.running = False
         self._process = None
-        # The pending idle/backoff tick Timeout while the thread sleeps
-        # between batches; park() cancels it so a quiescent checkpoint
-        # can be taken (see repro.faults.snapshot).
-        self._tick = None
         # Set by the cache: generator performing the kernel-level close
         # of a deferred fd (CacheFacade._finalize_fd).
         self.finalize_fd = None
@@ -78,41 +74,18 @@ class DrainThread:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        if self.running:
-            return
+        """Run the thread. A thread stopped and restarted before its
+        tick elapsed is still suspended on that tick and simply carries
+        on, so a new one is spawned only when none is alive."""
         self.running = True
-        self._last_progress = self.env.now
-        self._process = self.env.spawn(self._run(), name=self.process_name)
+        if self._process is None or not self._process.alive:
+            self._last_progress = self.env.now
+            self._process = self.env.spawn(self._run(),
+                                           name=self.process_name)
 
     def stop(self) -> None:
+        """Ask the thread to exit at its next wake-up."""
         self.running = False
-
-    def park(self) -> None:
-        """Stop the thread *between batches* and withdraw its pending
-        wake-up tick, leaving no trace in the event queue — the
-        precondition for a quiescent machine snapshot
-        (:mod:`repro.faults.snapshot`). The thread must be idle
-        (suspended on a tick, nothing mid-batch); :meth:`start` resumes
-        it with a fresh generator, whose first loop iteration is exactly
-        the continuation the parked one would have run."""
-        process = self._process
-        if process is not None and process.alive and self._tick is None:
-            raise ValueError(
-                f"{self.process_name} thread is mid-batch; drain before parking")
-        self.running = False
-        self._process = None
-        if process is not None and process.alive:
-            process.kill()
-        if self._tick is not None:
-            self._tick.cancel()
-            self._tick = None
-
-    def _sleep(self, delay: float) -> Generator:
-        """Tick sleep that park() can cancel: the Timeout is remembered
-        for the duration of the wait."""
-        self._tick = self.env.timeout(delay)
-        yield self._tick
-        self._tick = None
 
     # -- close back-pressure ---------------------------------------------------
 
@@ -195,7 +168,7 @@ class CleanupThread(DrainThread):
             pending = self.log.used()
             if pending == 0:
                 self._last_progress = self.env.now
-                yield from self._sleep(_TICK)
+                yield self.env.timeout(_TICK)
                 continue
             qos = self.env.qos
             urgent = (bool(self._drain_waiters)
@@ -208,13 +181,13 @@ class CleanupThread(DrainThread):
                       or (qos is not None and qos.pressure())
                       or self.env.now - self._last_progress >= self.config.cleanup_idle_flush)
             if pending < self.config.batch_min and not urgent:
-                yield from self._sleep(_TICK)
+                yield self.env.timeout(_TICK)
                 continue
             consumed = yield from self._consume_batch()
             if consumed == 0:
                 # Tail entry allocated but not committed yet: wait for the
                 # writer (paper: "the cleanup thread waits").
-                yield from self._sleep(_TICK / 10)
+                yield self.env.timeout(_TICK / 10)
             else:
                 self._last_progress = self.env.now
                 self._fire_drains()

@@ -944,7 +944,7 @@ class WritebackThread(DrainThread):
                 self._fire_drains()
                 yield from self._finalize_deferred()
                 self._last_progress = self.env.now
-                yield from self._sleep(_TICK)
+                yield self.env.timeout(_TICK)
                 continue
             urgent = (bool(self._drain_waiters)
                       or bool(self.cache._slot_waiters)
@@ -954,7 +954,7 @@ class WritebackThread(DrainThread):
                       or (self.env.now - self._last_progress
                           >= self.config.paging_idle_flush))
             if not urgent:
-                yield from self._sleep(_TICK)
+                yield self.env.timeout(_TICK)
                 continue
             flushed = yield from self._flush_batch()
             if flushed:
@@ -965,7 +965,7 @@ class WritebackThread(DrainThread):
                 self._fire_drains()
                 yield from self._finalize_deferred()
             else:
-                yield from self._sleep(_TICK / 10)
+                yield self.env.timeout(_TICK / 10)
 
     def _collect_batch(self) -> List["PageSlot"]:
         """Oldest-committed-first snapshot of up to ``paging_batch_pages``

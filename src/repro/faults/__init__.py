@@ -27,24 +27,19 @@ from .invariants import (CrashCase, DEFAULT_INVARIANTS, DurableAfterAck,
                          check_case)
 from .oracle import FileModelOracle, OracleOp, TrackedNvcacheLibc
 from .recorder import CrashPoint, CrashPointRecorder
-from .snapshot import (Checkpoint, SnapshotError, WarmStartFactory, park,
-                       restore_run, resume, take_checkpoint)
-from .workloads import (SMALL_CONFIG, WORKLOADS, CrashRun, PhasedWorkload,
+from .workloads import (SMALL_CONFIG, WORKLOADS, CrashRun, CrashWorkload,
                         build_crash_run, db_bench_phased, fio_mixed_workload,
-                        fio_write_phased, kvstore_phased)
+                        fio_write_phased, kvstore_phased, run_workload)
 
 __all__ = [
     "BlockFaultInjector",
     "CaseResult",
-    "Checkpoint",
     "CrashCase",
     "CrashExplorer",
     "CrashPoint",
     "CrashPointRecorder",
     "CrashRun",
-    "PhasedWorkload",
-    "SnapshotError",
-    "WarmStartFactory",
+    "CrashWorkload",
     "DEFAULT_INVARIANTS",
     "DurableAfterAck",
     "END_OF_RUN_SITE",
@@ -67,8 +62,5 @@ __all__ = [
     "fio_mixed_workload",
     "fio_write_phased",
     "kvstore_phased",
-    "park",
-    "restore_run",
-    "resume",
-    "take_checkpoint",
+    "run_workload",
 ]

@@ -11,11 +11,9 @@ Protocol (two passes per workload):
 
 2. **Explore** — for each selected point (all of them, or an
    evenly-spaced sample under a budget) and each cache-line drop
-   variant, take a fresh machine from the factory (restored from the
-   workload's checkpoint when the point lies past it, built from
-   scratch otherwise) and re-run it with the recorder armed on that
-   point's index. The trigger callback runs
-   synchronously inside the hook: it snapshots the NVMM crash image
+   variant, build a fresh machine and re-run the workload from ``t=0``
+   with the recorder armed on that point's index. The trigger callback
+   runs synchronously inside the hook: it captures the NVMM crash image
    (``crash_image(keep_lines=...)``; the kept subset is drawn from a
    seeded RNG over the dirty lines), the oracle's two legal states, and
    the in-flight op — then stops the environment. The machine is then
@@ -35,26 +33,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import recover
 from ..kernel import Kernel
 from ..kernel.errno import ENOENT
 from ..kernel.fd_table import O_RDONLY
 from ..nvmm import NvmmDevice
-from ..sim import Environment
+from ..sim import Environment, Tracer
 from .invariants import (CrashCase, DEFAULT_INVARIANTS, Violation, check_case)
 from .recorder import CrashPoint, CrashPointRecorder
-
-if TYPE_CHECKING:  # snapshot imports this module
-    from .snapshot import WarmStartFactory
+from .workloads import (CrashRun, CrashWorkload, ExplorationError,
+                        run_workload)
 
 END_OF_RUN_SITE = "end_of_run"
-
-
-class ExplorationError(RuntimeError):
-    """The harness itself misbehaved (non-deterministic workload,
-    trigger never fired, workload crashed)."""
 
 
 @dataclass
@@ -114,8 +106,11 @@ class ExplorationResult:
 class CrashExplorer:
     """Drives one workload through the enumerate/explore cycle.
 
-    ``factory`` is a :class:`~repro.faults.snapshot.WarmStartFactory`
-    (or anything with its ``()`` / ``cold_run()`` / ``base_hits``).
+    ``workload`` is a :class:`~repro.faults.workloads.CrashWorkload`;
+    every pass builds a fresh machine from it. ``trace=True`` attaches a
+    fresh :class:`repro.sim.trace.Tracer` to each (tracing never changes
+    simulated results, so traced and untraced sweeps stay
+    byte-identical).
 
     ``budget`` — max number of crash points to explore (None/0 =
     exhaustive). Under a budget, points are sampled evenly across the
@@ -127,11 +122,12 @@ class CrashExplorer:
     non-empty).
     """
 
-    def __init__(self, factory: WarmStartFactory,
+    def __init__(self, workload: CrashWorkload,
                  budget: Optional[int] = None, drop_subsets: int = 1,
                  seed: int = 0, invariants: Sequence = DEFAULT_INVARIANTS,
-                 include_end_of_run: bool = True):
-        self.factory = factory
+                 include_end_of_run: bool = True, trace: bool = False):
+        self.workload = workload
+        self.trace = trace
         self.budget = budget
         self.drop_subsets = drop_subsets
         self.seed = seed
@@ -140,16 +136,22 @@ class CrashExplorer:
         self._points: Optional[List[CrashPoint]] = None
         self._end_dirty = 0
 
+    def _build(self) -> CrashRun:
+        run = self.workload.build()
+        if self.trace:
+            run.env.tracer = Tracer()
+        return run
+
     # -- pass 1: enumeration ------------------------------------------------
 
     def enumerate_points(self) -> List[CrashPoint]:
         if self._points is not None:
             return self._points
-        run = self.factory.cold_run()
+        run = self._build()
         recorder = CrashPointRecorder(
             run.env, record=True,
             probe=lambda: {"dirty_lines": run.nvmm.dirty_line_count()})
-        run.drive(True)
+        run_workload(run, self.workload)
         self._points = recorder.points
         self._end_dirty = run.nvmm.dirty_line_count()
         recorder.detach()
@@ -178,13 +180,7 @@ class CrashExplorer:
         subsets per case without building a new explorer (and without
         disturbing this explorer's cached enumeration)."""
         points = self.enumerate_points()
-        # The factory resumes runs from a checkpoint taken after the
-        # workload's prefix phase; points inside the prefix need a cold
-        # run.
-        if index is not None and index < self.factory.base_hits:
-            run = self.factory.cold_run()
-        else:
-            run = self.factory()
+        run = self._build()
         captured: Dict[str, object] = {}
 
         def capture() -> None:
@@ -208,7 +204,7 @@ class CrashExplorer:
 
         if index is None:
             recorder = CrashPointRecorder(run.env, record=False)
-            run.drive(True)
+            run_workload(run, self.workload)
             point = CrashPoint(len(points), END_OF_RUN_SITE,
                                "workload completed", run.env.now,
                                run.nvmm.dirty_line_count())
@@ -217,8 +213,8 @@ class CrashExplorer:
         else:
             point = points[index]
             recorder = CrashPointRecorder(run.env, record=False)
-            recorder.arm(index - run.crash_point_base, capture)
-            run.drive(False)
+            recorder.arm(index, capture)
+            run_workload(run, self.workload, expect_completion=False)
             recorder.detach()
             if "image" not in captured:
                 raise ExplorationError(

@@ -1,40 +1,43 @@
 """Deterministic crash workloads for the explorer.
 
-A crash workload is a :class:`PhasedWorkload`: a ``build`` callable
+A crash workload is a :class:`CrashWorkload`: a ``build`` callable
 producing a fresh :class:`CrashRun` — a complete nvcache+ssd stack whose
 application traffic goes through a
 :class:`~repro.faults.oracle.TrackedNvcacheLibc` (so the oracle always
-knows the two legal post-crash states) — plus one or two phase
-generators driven through it. The explorer re-builds (or restores) the
-machine for every (crash point, drop subset) case through
-:class:`~repro.faults.snapshot.WarmStartFactory`, so workloads must be
-fully deterministic: same construction, same simulated schedule, same
-crash-point sequence on every run. All randomness is seeded.
+knows the two legal post-crash states) — plus the ``body`` generator
+driven through it. The explorer builds a fresh machine and runs the
+body from ``t=0`` for every (crash point, drop subset) case
+(:func:`run_workload`), so workloads must be fully deterministic: same
+construction, same simulated schedule, same crash-point sequence on
+every run. All randomness is seeded.
 
 :data:`WORKLOADS` names the shipped ones, mirroring the paper's
 evaluation drivers:
 
 - ``fio`` — fio-style sequential writes with periodic fsync; block size
   1024 over 512-byte log entries, so every write is a two-entry commit
-  group (exercises group atomicity at every point). Two phases, split
-  mid-stream.
+  group (exercises group atomicity at every point). Drains mid-stream.
 - ``fio-mixed`` — seeded mix of pwrite/fsync/unlink/rename/truncate over
-  a handful of files (exercises namespace replay). Single phase.
+  a handful of files (exercises namespace replay).
 - ``fio-paging`` — fio-style traffic through the paging cache
-  (``SMALL_PAGING_CONFIG``). Single phase.
+  (``SMALL_PAGING_CONFIG``).
 - ``db_bench`` — db_bench ``fillseq`` over MiniRocks (WAL appends with
-  per-write fsync). Two phases, split mid-fill.
+  per-write fsync). Drains mid-fill.
 - ``kvstore`` — MiniRocks puts/deletes with a memtable small enough to
   force an SSTable flush + MANIFEST write-temp/rename/unlink on close.
-  Two phases, split before the delete.
+  Drains halfway through the puts.
+
+The three that drain mid-stream do so to keep drain-time sites —
+cleanup, block and ext4 boundaries between two bursts of writes — in the
+enumeration (:func:`_two_bursts`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List
 
 from ..block import SsdDevice
 from ..core import CacheFacade, NvcacheConfig, cache_mode_row
@@ -61,9 +64,14 @@ SMALL_PAGING_CONFIG = replace(
     paging_batch_pages=6, paging_idle_flush=0.01)
 
 
+class ExplorationError(RuntimeError):
+    """The harness itself misbehaved (non-deterministic workload,
+    trigger never fired, workload crashed)."""
+
+
 @dataclass
 class CrashRun:
-    """One freshly built (or restored) stack, ready to be driven."""
+    """One freshly built stack, ready to be driven."""
 
     env: Environment
     kernel: Kernel
@@ -73,24 +81,12 @@ class CrashRun:
     libc: TrackedNvcacheLibc
     oracle: FileModelOracle
     config: NvcacheConfig
-    #: ``drive(expect_completion)`` runs the workload's phases through
-    #: this machine and returns whether they ran to completion (an armed
-    #: recorder may stop the environment first). Installed by
-    #: :class:`~repro.faults.snapshot.WarmStartFactory`.
-    drive: Callable[[bool], bool] = None
-    #: Crash-point hits that happened before this run's recorder could
-    #: attach — non-zero for a run restored from a checkpoint taken
-    #: after phase A.
-    crash_point_base: int = 0
     #: Called by the explorer after the crash image is captured and
     #: before the reboot. Workloads that arm a
     #: :class:`~repro.faults.injector.BlockFaultInjector` use this to
     #: disarm it so injected faults stop at the power cut and never
     #: corrupt the *recovery* I/O (fuzz fault plans target the live run).
     pre_reboot: Callable[["CrashRun"], None] = None
-    #: Cross-phase workload state (fds, seeded RNGs, db handles); part
-    #: of the machine snapshot, so phase B finds it after a restore.
-    scratch: Dict = field(default_factory=dict)
 
     @property
     def devices(self) -> List[SsdDevice]:
@@ -98,24 +94,31 @@ class CrashRun:
 
 
 @dataclass(frozen=True)
-class PhasedWorkload:
-    """A crash workload: a stack builder plus one or two phases.
-
-    With a ``phase_b``, ``phase_a`` must end with the cache drained
-    (``yield run.nvcache.cleanup.request_drain()``) so the machine can
-    be parked and snapshotted at the boundary; ``phase_b`` continues
-    from the parked state, and everything it needs from phase A travels
-    in ``run.scratch``. Cold runs execute A, park, restart, then B;
-    warm runs restore a pickled checkpoint and execute only B —
-    byte-identically, because both sides resume through the exact same
-    park/restart protocol (:mod:`repro.faults.snapshot`). Without a
-    ``phase_b`` there is no boundary: every run is a plain cold run of
-    ``phase_a``.
-    """
+class CrashWorkload:
+    """A crash workload: a stack builder plus the generator driven
+    through the stack it builds."""
 
     build: Callable[[], CrashRun]
-    phase_a: Callable[[CrashRun], Generator]
-    phase_b: Optional[Callable[[CrashRun], Generator]] = None
+    body: Callable[[CrashRun], Generator]
+
+
+def run_workload(run: CrashRun, workload: CrashWorkload,
+                 expect_completion: bool = True) -> bool:
+    """Spawn the body as the ``crash-workload`` process and run the
+    environment until it completes — daemons (cleanup) keep the event
+    queue non-empty forever, so completion is signalled by stopping the
+    environment, and an armed recorder may stop it first. Returns True
+    when the body ran to completion."""
+    process = run.env.spawn(workload.body(run), name="crash-workload")
+    process.subscribe(lambda _value, _exc: run.env.stop())
+    run.env.run()
+    if process.exception is not None:
+        raise ExplorationError("crash workload raised") from process.exception
+    if process.alive:
+        if expect_completion:
+            raise ExplorationError("crash workload did not complete")
+        return False
+    return True
 
 
 def build_crash_run(config: NvcacheConfig = SMALL_CONFIG,
@@ -138,43 +141,49 @@ def build_crash_run(config: NvcacheConfig = SMALL_CONFIG,
                     nvcache=nvcache, libc=libc, oracle=oracle, config=config)
 
 
+def _two_bursts(run: CrashRun, total: int,
+                op: Callable[[int], Generator]) -> Generator:
+    """``op(i)`` for every ``i`` in ``range(total)``, with the log
+    drained after the first half — so cleanup, block and ext4 boundaries
+    *between* two bursts of writes are in the enumeration, not only the
+    ones after the last write."""
+    boundary = total // 2
+    for i in range(boundary):
+        yield from op(i)
+    yield run.nvcache.cleanup.request_drain()
+    for i in range(boundary, total):
+        yield from op(i)
+
+
 # -- fio ------------------------------------------------------------------
 
 
 def fio_write_phased(ops: int = 16, block_size: int = 1024,
-                     fsync_every: int = 4, seed: int = 7) -> PhasedWorkload:
-    """fio ``rw=write``: sequential blocks + periodic fsync on one file,
-    split mid-stream: phase A does the first half of the writes and
-    drains; phase B finishes, closes, and drains again (so
-    cleanup/block/ext4 boundaries appear in the enumeration too — the
-    write phase is far shorter than the cleanup tick)."""
-    boundary = ops // 2
+                     fsync_every: int = 4, seed: int = 7) -> CrashWorkload:
+    """fio ``rw=write``: sequential blocks + periodic fsync on one file.
+    Drains after the first half of the writes, then finishes, closes,
+    and drains again (so cleanup/block/ext4 boundaries appear in the
+    enumeration too — the write phase is far shorter than the cleanup
+    tick)."""
 
-    def write_range(run: CrashRun, start: int, stop: int) -> Generator:
-        fd = run.scratch["fd"]
-        rng = run.scratch["rng"]
-        for i in range(start, stop):
+    def body(run: CrashRun) -> Generator:
+        rng = random.Random(seed)
+        fd = yield from run.libc.open("/bench.dat", O_CREAT | O_WRONLY)
+
+        def write(i: int) -> Generator:
             data = bytes([rng.randrange(256)]) * block_size
             yield from run.libc.pwrite(fd, data, i * block_size)
             if fsync_every and (i + 1) % fsync_every == 0:
                 yield from run.libc.fsync(fd)
 
-    def phase_a(run: CrashRun) -> Generator:
-        run.scratch["rng"] = random.Random(seed)
-        run.scratch["fd"] = yield from run.libc.open(
-            "/bench.dat", O_CREAT | O_WRONLY)
-        yield from write_range(run, 0, boundary)
+        yield from _two_bursts(run, ops, write)
+        yield from run.libc.close(fd)
         yield run.nvcache.cleanup.request_drain()
 
-    def phase_b(run: CrashRun) -> Generator:
-        yield from write_range(run, boundary, ops)
-        yield from run.libc.close(run.scratch["fd"])
-        yield run.nvcache.cleanup.request_drain()
-
-    return PhasedWorkload(build_crash_run, phase_a, phase_b)
+    return CrashWorkload(build_crash_run, body)
 
 
-def fio_mixed_workload(ops: int = 14, seed: int = 11) -> PhasedWorkload:
+def fio_mixed_workload(ops: int = 14, seed: int = 11) -> CrashWorkload:
     """Seeded mix of writes, fsyncs, truncates, renames and unlinks over
     a small set of files. Renames go to fresh names; a file is never
     written through a stale fd after unlink/rename (see oracle scope)."""
@@ -220,11 +229,11 @@ def fio_mixed_workload(ops: int = 14, seed: int = 11) -> PhasedWorkload:
             yield from libc.close(fds[path])
         yield run.nvcache.cleanup.request_drain()
 
-    return PhasedWorkload(build_crash_run, body)
+    return CrashWorkload(build_crash_run, body)
 
 
 def fio_paging_workload(ops: int = 12, block_size: int = 1024,
-                        fsync_every: int = 4, seed: int = 13) -> PhasedWorkload:
+                        fsync_every: int = 4, seed: int = 13) -> CrashWorkload:
     """fio-style traffic through the *paging* cache: seeded writes over a
     few pages (partial writes exercise fill-reads, repeats exercise
     overwrite supersede), periodic fsync, a truncate (durable
@@ -248,77 +257,56 @@ def fio_paging_workload(ops: int = 12, block_size: int = 1024,
         yield from libc.close(fd)
         yield run.nvcache.cleanup.request_drain()
 
-    return PhasedWorkload(partial(build_crash_run, SMALL_PAGING_CONFIG), body)
+    return CrashWorkload(partial(build_crash_run, SMALL_PAGING_CONFIG), body)
 
 
 # -- MiniRocks-based workloads --------------------------------------------
 
 
 def db_bench_phased(num: int = 5, seed: int = 3,
-                    value_size: int = 64) -> PhasedWorkload:
+                    value_size: int = 64) -> CrashWorkload:
     """db_bench ``fillseq`` (sync mode) over MiniRocks — WAL append +
-    fsync per put, the paper's Fig 3 write path — split mid-fill: phase A
-    opens MiniRocks and puts the first half of the key range (same
-    key/value streams as ``DbBench.fillseq``), phase B puts the rest and
-    closes the WAL."""
-    boundary = num // 2
+    fsync per put, the paper's Fig 3 write path (same key/value streams
+    as ``DbBench.fillseq``) — draining mid-fill, then closing the WAL."""
 
-    def put_range(run: CrashRun, start: int, stop: int) -> Generator:
-        from ..workloads.db_bench import make_key, make_value
-        db = run.scratch["db"]
-        rng = run.scratch["rng"]
-        for i in range(start, stop):
-            yield from db.put(make_key(i), make_value(rng, value_size))
-
-    def phase_a(run: CrashRun) -> Generator:
+    def body(run: CrashRun) -> Generator:
         from ..apps.kvstore import KVOptions, MiniRocks
-        run.scratch["db"] = yield from MiniRocks.open(
-            run.libc, "/db", KVOptions(sync=True))
-        run.scratch["rng"] = random.Random(seed)
-        yield from put_range(run, 0, boundary)
+        from ..workloads.db_bench import make_key, make_value
+        db = yield from MiniRocks.open(run.libc, "/db", KVOptions(sync=True))
+        rng = random.Random(seed)
+        yield from _two_bursts(
+            run, num,
+            lambda i: db.put(make_key(i), make_value(rng, value_size)))
+        yield from db.wal.close()
         yield run.nvcache.cleanup.request_drain()
 
-    def phase_b(run: CrashRun) -> Generator:
-        yield from put_range(run, boundary, num)
-        yield from run.scratch["db"].wal.close()
-        yield run.nvcache.cleanup.request_drain()
-
-    return PhasedWorkload(build_crash_run, phase_a, phase_b)
+    return CrashWorkload(build_crash_run, body)
 
 
-def kvstore_phased(puts: int = 6, seed: int = 5) -> PhasedWorkload:
+def kvstore_phased(puts: int = 6, seed: int = 5) -> CrashWorkload:
     """MiniRocks puts + a delete, with a memtable small enough that the
     close-time flush writes an SSTable and replaces the MANIFEST
     (write-temp + rename + unlink) — namespace churn under the log.
-    Split before the delete: phase B carries the memtable-flush close."""
-    boundary = puts // 2
+    Drains mid-stream, before the second half of the puts."""
 
-    def phase_a(run: CrashRun) -> Generator:
+    def body(run: CrashRun) -> Generator:
         from ..apps.kvstore import KVOptions, MiniRocks
         options = KVOptions(sync=True, memtable_bytes=1 << 16)
         db = yield from MiniRocks.open(run.libc, "/kv", options)
         rng = random.Random(seed)
-        run.scratch["db"] = db
-        run.scratch["rng"] = rng
-        for i in range(boundary):
-            yield from db.put(b"%08d" % i, bytes([rng.randrange(256)]) * 48)
-        yield run.nvcache.cleanup.request_drain()
-
-    def phase_b(run: CrashRun) -> Generator:
-        db = run.scratch["db"]
-        rng = run.scratch["rng"]
-        for i in range(boundary, puts):
-            yield from db.put(b"%08d" % i, bytes([rng.randrange(256)]) * 48)
+        yield from _two_bursts(
+            run, puts,
+            lambda i: db.put(b"%08d" % i, bytes([rng.randrange(256)]) * 48))
         yield from db.delete(b"%08d" % 0)
         yield from db.close()
         yield run.nvcache.cleanup.request_drain()
 
-    return PhasedWorkload(build_crash_run, phase_a, phase_b)
+    return CrashWorkload(build_crash_run, body)
 
 
 #: The one table of named crash workloads: name -> maker. Every maker
 #: takes its op count as the first positional argument (``--ops``).
-WORKLOADS: Dict[str, Callable[..., PhasedWorkload]] = {
+WORKLOADS: Dict[str, Callable[..., CrashWorkload]] = {
     "fio": fio_write_phased,
     "fio-mixed": fio_mixed_workload,
     "fio-paging": fio_paging_workload,

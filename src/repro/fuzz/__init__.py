@@ -14,7 +14,7 @@ Entry points: ``tools/fuzz.py`` (run / triage / compare) and
 """
 
 from .corpus import Corpus, corpus_digest
-from .coverage import CoverageCollector, split_edges
+from .coverage import CoverageCollector
 from .engine import (CampaignResult, CampaignStats, FuzzConfig, FuzzEngine,
                      register_campaign_metrics)
 from .executor import collector, crash_indices, run_case_task
@@ -45,5 +45,4 @@ __all__ = [
     "repro_command",
     "run_case_task",
     "seed_cases",
-    "split_edges",
 ]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import gc
 import sys
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 #: Path fragments (relative to the ``repro`` package root, ``/``
 #: separators) that are in scope for coverage.
@@ -161,10 +161,3 @@ class CoverageCollector:
             if rel is not None:
                 self._edges.add(f"{rel}:{frame.f_lineno}")
         return self._trace_local
-
-
-def split_edges(edges) -> Tuple[Set[str], Set[str]]:
-    """Partition an edge set into (line edges, crash-site edges)."""
-    lines = {edge for edge in edges if not edge.startswith("site:")}
-    sites = {edge for edge in edges if edge.startswith("site:")}
-    return lines, sites

@@ -28,7 +28,6 @@ from ..core import (cleanup, config, files, inspect, log, nvcache,  # noqa: F401
 from ..fs import (base, dm_writecache, ext4, ext4_dax, nova,  # noqa: F401
                   tmpfs)
 from ..faults.explorer import CrashExplorer, ExplorationError
-from ..faults.snapshot import WarmStartFactory
 from ..sim.core import SimulationError
 from .coverage import CoverageCollector
 from .schedule import FuzzCase, build_fuzz_run
@@ -58,7 +57,7 @@ def _explorer_for(case: FuzzCase) -> CrashExplorer:
         _EXPLORERS.move_to_end(key)
         return explorer
 
-    explorer = CrashExplorer(WarmStartFactory(build_fuzz_run(case)),
+    explorer = CrashExplorer(build_fuzz_run(case),
                              drop_subsets=0, include_end_of_run=False)
     _EXPLORERS[key] = explorer
     while len(_EXPLORERS) > _EXPLORER_CACHE_CAP:

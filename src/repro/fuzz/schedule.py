@@ -34,7 +34,7 @@ from typing import Dict, Generator, List, Sequence, Tuple
 
 from ..core import NvcacheConfig
 from ..faults.injector import BlockFaultInjector
-from ..faults.workloads import (SMALL_CONFIG, CrashRun, PhasedWorkload,
+from ..faults.workloads import (SMALL_CONFIG, CrashRun, CrashWorkload,
                                 build_crash_run)
 from ..kernel.fd_table import O_CREAT, O_RDWR
 from ..workloads import FUZZ_SEED_MIXES
@@ -291,9 +291,9 @@ def mutate(rng: random.Random, case: FuzzCase,
 
 
 def build_fuzz_run(case: FuzzCase,
-                   config: NvcacheConfig = SMALL_CONFIG) -> PhasedWorkload:
-    """Materialize a case as a single-phase
-    :class:`~repro.faults.workloads.PhasedWorkload`.
+                   config: NvcacheConfig = SMALL_CONFIG) -> CrashWorkload:
+    """Materialize a case as a
+    :class:`~repro.faults.workloads.CrashWorkload`.
 
     The interpreter is *total*: every schedule is valid. File-slot
     references resolve modulo the open-file table; an op that needs an
@@ -386,4 +386,4 @@ def build_fuzz_run(case: FuzzCase,
             yield from libc.close(entry[1])
         yield run.nvcache.cleanup.request_drain()
 
-    return PhasedWorkload(build, body)
+    return CrashWorkload(build, body)

@@ -34,7 +34,3 @@ class KernelError(OSError):
     def __init__(self, errno_value: int, message: str = ""):
         name = _NAMES.get(errno_value, str(errno_value))
         super().__init__(errno_value, f"[{name}] {message}" if message else name)
-
-
-def errno_name(errno_value: int) -> str:
-    return _NAMES.get(errno_value, f"E?{errno_value}")

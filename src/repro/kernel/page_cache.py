@@ -356,20 +356,3 @@ class PageCache:
         """Power loss: all cached (including dirty) pages vanish."""
         self._pages.clear()
         self._dirty.clear()
-
-    def shed(self) -> None:
-        """Drop every (clean) cached page and the identity-keyed side
-        tables. Part of the snapshot park protocol
-        (:mod:`repro.faults.snapshot`): cache keys embed ``id(fs)``,
-        which does not survive pickling, so a checkpoint empties the
-        cache — and the cold run it must mirror sheds at the same
-        instant, keeping both sides byte-identical. Refuses if dirty
-        pages exist: those carry unwritten data and the caller should
-        have synced first."""
-        if self._dirty:
-            raise ValueError(
-                f"cannot shed a page cache holding {self.dirty_page_count()} "
-                "dirty page(s); sync before parking")
-        self._pages.clear()
-        self._inode_locks.clear()
-        self._resolve.clear()

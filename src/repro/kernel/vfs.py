@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errno import EBUSY, EINVAL, ENOENT, KernelError
 
@@ -60,9 +60,3 @@ class Vfs:
 
     def filesystems(self) -> List[object]:
         return [fs for _mp, fs in self._mounts]
-
-    def mountpoint_of(self, filesystem) -> Optional[str]:
-        for mountpoint, fs in self._mounts:
-            if fs is filesystem:
-                return mountpoint
-        return None

@@ -5,11 +5,7 @@ from .layout import (
     RegionAllocator,
     align_up,
     read_cstring,
-    read_i64,
-    read_u64,
     write_cstring,
-    write_i64,
-    write_u64,
 )
 
 __all__ = [
@@ -18,10 +14,6 @@ __all__ = [
     "NvmmTiming",
     "RegionAllocator",
     "align_up",
-    "read_u64",
-    "write_u64",
-    "read_i64",
-    "write_i64",
     "read_cstring",
     "write_cstring",
 ]

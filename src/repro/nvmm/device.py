@@ -119,14 +119,10 @@ class NvmmStats:
     lines_persisted: int = 0
 
 
-#: The slots holding a buffer (a flat one travels in a pickle as bytes).
-_BUFFERS = ("_media", "_overlay", "_dirty_map", "_queued_map")
-
-
 class NvmmDevice:
     """A single NVMM module (or DAX file): media + volatile cache overlay."""
 
-    __slots__ = ("env", "size", "timing", "name", "_flat", "_media",
+    __slots__ = ("env", "size", "timing", "name", "_media",
                  "_overlay", "_dirty_map", "_dirty_count", "_queued_map",
                  "_queued_count", "_queue", "_undrained_lines", "stats",
                  "_m_psync_latency")
@@ -147,8 +143,7 @@ class NvmmDevice:
         # keep all four buffers flat; huge modules stay sparse so untouched
         # regions cost nothing (NOVA, Ext4-DAX use them for timing only).
         lines = -(-size // CACHE_LINE_SIZE)
-        self._flat = size <= FLAT_LIMIT
-        if self._flat:
+        if size <= FLAT_LIMIT:
             self._media = _flat_buffer(size)
             if media is not None:
                 self._media[:] = media
@@ -200,30 +195,6 @@ class NvmmDevice:
                 fn=self.dirty_line_count)
         self._m_psync_latency = m.histogram(
             "psync_latency", unit="s", help="simulated psync drain latency")
-
-    # -- snapshot support ---------------------------------------------------
-
-    def __getstate__(self):
-        """Pickle support for quiescent machine snapshots
-        (:mod:`repro.faults.snapshot`). Flat devices back their buffers
-        with anonymous ``mmap``s, which cannot be serialized — they
-        travel as plain bytes and are rehydrated into fresh buffers on
-        restore. Metrics bindings never travel (the
-        restore path reattaches observability from scratch)."""
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        if self._flat:
-            for slot in _BUFFERS:
-                state[slot] = bytes(state[slot])
-        state["_m_psync_latency"] = None
-        return state
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            if state["_flat"] and slot in _BUFFERS:
-                buffer = _flat_buffer(len(value))
-                buffer[:] = value
-                value = buffer
-            setattr(self, slot, value)
 
     # -- untimed state transitions (the instruction model) ------------------
 
@@ -388,11 +359,6 @@ class NvmmDevice:
                 delay, trace_id=tracer.current_trace_id(self.env)
                 if tracer is not None else None)
         yield self.env.delay(delay, "nvmm", "fence")
-
-    def timed_store(self, addr: int, data: bytes) -> Generator:
-        """store() plus the bandwidth cost of moving the bytes."""
-        self.store(addr, data)
-        yield self.env.delay(self.timing.store_cost(len(data)), "nvmm", "store")
 
     def timed_load(self, addr: int, nbytes: int) -> Generator:
         """load() plus media read latency and bandwidth cost."""

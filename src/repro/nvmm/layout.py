@@ -7,36 +7,16 @@ noise out of the cache logic and make alignment explicit.
 
 from __future__ import annotations
 
-import struct
 from typing import List, Tuple
 
 from ..units import CACHE_LINE_SIZE
 from .device import NvmmDevice
-
-_U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
 
 
 def align_up(value: int, alignment: int) -> int:
     if alignment <= 0 or alignment & (alignment - 1):
         raise ValueError(f"alignment must be a power of two, got {alignment}")
     return (value + alignment - 1) & ~(alignment - 1)
-
-
-def read_u64(device: NvmmDevice, addr: int) -> int:
-    return _U64.unpack(device.load(addr, 8))[0]
-
-
-def write_u64(device: NvmmDevice, addr: int, value: int) -> None:
-    device.store(addr, _U64.pack(value))
-
-
-def read_i64(device: NvmmDevice, addr: int) -> int:
-    return _I64.unpack(device.load(addr, 8))[0]
-
-
-def write_i64(device: NvmmDevice, addr: int, value: int) -> None:
-    device.store(addr, _I64.pack(value))
 
 
 def read_cstring(device: NvmmDevice, addr: int, max_len: int) -> str:

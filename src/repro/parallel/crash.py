@@ -1,8 +1,8 @@
 """Sharded crash-point sweeps and seed matrices.
 
 A crash sweep is a list of independent ``(point index, variant)`` cases
-(:meth:`repro.faults.CrashExplorer.case_plan`); each case takes a fresh
-simulated machine from a seeded factory, so any case can run in any
+(:meth:`repro.faults.CrashExplorer.case_plan`); each case builds a fresh
+simulated machine from a seeded workload, so any case can run in any
 process. This module cuts the plan into contiguous shards, runs
 each shard through :class:`~repro.parallel.engine.ShardEngine`, and
 merges the per-case results back *in plan order* — the merged
@@ -15,9 +15,7 @@ Workloads are named (keys of :data:`repro.faults.workloads.WORKLOADS`),
 never passed as callables: a :class:`SweepSpec` is a handful of
 primitives, which is what makes shards picklable and replayable after a
 worker death. Each worker process keeps one explorer per spec so the
-enumeration pass (and, for a two-phase workload, the checkpoint every
-post-boundary case resumes from — deterministically equal in every
-worker) is paid once per worker, not once per shard.
+enumeration pass is paid once per worker, not once per shard.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults.explorer import (CaseResult, CrashExplorer, ExplorationError,
                                ExplorationResult)
-from ..faults.snapshot import WarmStartFactory
 from ..faults.workloads import WORKLOADS
 from ..cli import by_invariant
 from .engine import CELL_TIMEOUT, ShardEngine, chunked, raise_unfinished
@@ -61,9 +58,9 @@ class SweepSpec:
 def make_explorer(spec: SweepSpec) -> CrashExplorer:
     maker = WORKLOADS[spec.workload]
     workload = maker() if spec.ops is None else maker(spec.ops)
-    return CrashExplorer(WarmStartFactory(workload, trace=spec.trace),
-                         budget=spec.budget, drop_subsets=spec.subsets,
-                         seed=spec.seed)
+    return CrashExplorer(workload, budget=spec.budget,
+                         drop_subsets=spec.subsets, seed=spec.seed,
+                         trace=spec.trace)
 
 
 #: Per-worker-process explorer cache (spec -> explorer with its

@@ -26,7 +26,7 @@ every ``yield from`` frame on a process's stack is re-entered on each
 resume. A modelled delay is ``yield env.delay(seconds, layer, segment)``:
 the critical-path booking when a tracer is attached, then the ``float``
 to sleep on — the cheap spelling of ``yield env.timeout(seconds)``, which
-stays the general waitable (held, cancelled, subscribed to by several).
+stays the general waitable (held, subscribed to by several).
 The ``float`` must be yielded where it is made, never stored
 (``tests/core/test_facade_contract.py`` checks every call site), so the
 sleep takes the sequence number a ``Timeout`` built there would have.
@@ -46,9 +46,9 @@ The next-event rule: *an event that would be the very next one
 dispatched is run now instead of queued.* A wake-up appended to the lane
 at the end of a dispatch is the next event exactly when the lane is
 empty, no timer is due at the current instant (``timers[0][0] !=
-env.now``) and no stop was requested; then nothing can run, be
-cancelled, or move the clock between the append and the pop, so calling
-it in place dispatches the same work in the same order. It applies where
+env.now``) and no stop was requested; then nothing can run or move the
+clock between the append and the pop, so calling it in place dispatches
+the same work in the same order. It applies where
 a wake-up is the *last act* of the event being dispatched: (i) the queue
 entry of a sleeping process (:meth:`Process._wake`) resumes the process
 itself — no ``Timeout``, no callback list; (ii) a process that yields an
@@ -150,7 +150,7 @@ class Waitable:
 class Timeout(Waitable):
     """Fires after a fixed amount of simulated time."""
 
-    __slots__ = ("seq",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
@@ -165,7 +165,6 @@ class Timeout(Waitable):
         self.exception = None
         seq = env._sequence
         env._sequence = seq + 1
-        self.seq = seq
         if delay == 0.0:
             env._lane.append((env.now, seq, self._fire, (value,)))
         else:
@@ -186,12 +185,6 @@ class Timeout(Waitable):
         self.value = value
         self._callbacks = []
         callbacks[0](value, None)
-
-    def cancel(self) -> None:
-        """Withdraw the pending fire (see :meth:`Environment.cancel`);
-        no-op if the timeout already fired."""
-        if not self._fired:
-            self.env.cancel(self.seq)
 
 
 class Process(Waitable):
@@ -310,7 +303,7 @@ class Environment:
 
     __slots__ = ("now", "tracer", "metrics", "crash_points", "qos",
                  "active_process", "events_dispatched", "_timers", "_lane",
-                 "_sequence", "_cancelled", "_stop_requested",
+                 "_sequence", "_stop_requested",
                  "_crashed_process", "_granted")
 
     def __init__(self, start_time: float = 0.0):
@@ -341,14 +334,8 @@ class Environment:
         # Same-timestamp FIFO lane: appended in nondecreasing (time, seq)
         # order because the clock is monotonic, hence always sorted.
         self._lane: Deque[_Entry] = deque()
-        # Plain int counter (not itertools.count): cheaper to bump, and
-        # picklable, which snapshot/restore relies on.
+        # Plain int counter (not itertools.count): cheaper to bump.
         self._sequence = 0
-        # Sequence numbers of cancelled entries: lazily discarded at
-        # dispatch, never dispatched, never counted. Lets a snapshot
-        # checkpoint park a daemon without leaving its pending timer to
-        # perturb the event stream (see repro.faults.snapshot).
-        self._cancelled: set = set()
         self._stop_requested = False
         self._crashed_process: Optional[Tuple[Process, BaseException]] = None
         # Shared pre-fired waitable handed out by uncontended
@@ -360,24 +347,14 @@ class Environment:
     # -- scheduling -------------------------------------------------------
 
     def schedule_call(self, delay: float, fn: Callable[..., None],
-                      args: tuple = ()) -> int:
-        """Schedule ``fn(*args)``; zero-delay calls take the FIFO lane.
-        Returns the entry's sequence number (a :meth:`cancel` handle)."""
+                      args: tuple = ()) -> None:
+        """Schedule ``fn(*args)``; zero-delay calls take the FIFO lane."""
         seq = self._sequence
         self._sequence = seq + 1
         if delay == 0.0:
             self._lane.append((self.now, seq, fn, args))
         else:
             heappush(self._timers, (self.now + delay, seq, fn, args))
-        return seq
-
-    def cancel(self, seq: int) -> None:
-        """Cancel a scheduled entry by sequence number. The entry stays
-        queued but is silently discarded at dispatch time: it never runs,
-        never advances the clock, and is not counted — so a run that
-        schedules-then-cancels an entry dispatches exactly like a run
-        that never knew about it."""
-        self._cancelled.add(seq)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -414,7 +391,6 @@ class Environment:
         timers = self._timers
         lane = self._lane
         lane_popleft = lane.popleft
-        cancelled = self._cancelled
         dispatched = 0
         while (lane or timers) and not self._stop_requested:
             # Two-way merge of the sorted lane and the timer heap (this
@@ -430,9 +406,6 @@ class Environment:
                 if until is not None and timers[0][0] > until:
                     break
                 entry = heappop(timers)
-            if cancelled and entry[1] in cancelled:
-                cancelled.discard(entry[1])
-                continue
             self.now = entry[0]
             dispatched += 1
             entry[2](*entry[3])
@@ -460,33 +433,3 @@ class Environment:
 
     def stop(self) -> None:
         self._stop_requested = True
-
-    # -- snapshot support ---------------------------------------------------
-
-    def pending_events(self) -> List[_Entry]:
-        """Live (non-cancelled) queued entries, for quiescence checks."""
-        queued = list(self._lane)
-        queued.extend(self._timers)
-        cancelled = self._cancelled
-        return [entry for entry in queued if entry[1] not in cancelled]
-
-    def __getstate__(self):
-        """Pickle support for quiescent snapshots (see
-        :mod:`repro.faults.snapshot`): only the clock, the sequence
-        counter, and the dispatch total travel. The queues must be
-        logically empty — pending entries hold bound methods of live
-        generators, which cannot be serialized — and the observability
-        hooks (tracer/metrics/crash recorder) are reattached by the
-        restore path, never carried."""
-        live = self.pending_events()
-        if live:
-            raise ValueError(
-                f"snapshot of a non-quiescent environment: {len(live)} "
-                "pending event(s); park daemons and drain the lane first")
-        return (self.now, self._sequence, self.events_dispatched)
-
-    def __setstate__(self, state):
-        now, sequence, dispatched = state
-        self.__init__(now)
-        self._sequence = sequence
-        self.events_dispatched = dispatched

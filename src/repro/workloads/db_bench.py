@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Generator
 
 from ..sim import Environment
 
@@ -39,10 +39,6 @@ class BenchResult:
     @property
     def ops_per_second(self) -> float:
         return self.operations / self.elapsed if self.elapsed else 0.0
-
-    @property
-    def micros_per_op(self) -> float:
-        return self.elapsed / self.operations * 1e6 if self.operations else 0.0
 
     @property
     def bandwidth(self) -> float:
@@ -180,10 +176,3 @@ class DbBench:
             raise ValueError(f"unknown benchmark {benchmark!r}")
         result = yield from method()
         return result
-
-    def run_suite(self, benchmarks: Optional[List[str]] = None) -> Generator:
-        results = []
-        for benchmark in benchmarks or ALL_BENCHMARKS:
-            result = yield from self.run(benchmark)
-            results.append(result)
-        return results

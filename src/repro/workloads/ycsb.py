@@ -132,10 +132,3 @@ class YcsbWorkload:
                 self.op_log.append((operation, key, value))
         return YcsbResult(workload.upper(), self.operations,
                           self.env.now - start, counts)
-
-    def run_suite(self, workloads: Optional[List[str]] = None) -> Generator:
-        results = []
-        for name in workloads or ("A", "B", "C", "D", "F"):
-            result = yield from self.run(name)
-            results.append(result)
-        return results

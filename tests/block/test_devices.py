@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.block import HddDevice, RamDisk, SsdDevice, elevator_order
+from repro.block import HddDevice, RamDisk, SsdDevice
 from repro.sim import Environment
 from repro.units import KIB, MIB
 
@@ -158,17 +158,6 @@ def test_hdd_seek_cost_grows_with_distance(env):
 
     near, far = run(env, body())
     assert far > near
-
-
-def test_hdd_elevator_order(env):
-    hdd = HddDevice(env, size=1000 * MIB)
-    hdd._head = 500
-    order = elevator_order(hdd, [100, 600, 300, 900])
-    assert order == [600, 900, 300, 100]
-
-
-def test_elevator_order_plain_device_sorts(env, ssd):
-    assert elevator_order(ssd, [5, 1, 3]) == [1, 3, 5]
 
 
 def test_ramdisk_fast_and_correct(env):

@@ -334,6 +334,48 @@ def churn_drains_through_saturation(ctx):
     assert not has_pending(cache)
 
 
+def restart_leaves_one_drain_thread(ctx):
+    """``stop()`` + ``start()`` never leaves two drain threads alive (two
+    could retire the same batch): inside one tick the thread, still
+    suspended on that tick, carries on; once the tick has elapsed it has
+    exited and a fresh one replaces it."""
+    spawned = []
+    spawn = Environment.spawn
+
+    def recording_spawn(env, generator, name="process"):
+        process = spawn(env, generator, name)
+        spawned.append(process)
+        return process
+
+    ctx.monkeypatch.setattr(Environment, "spawn", recording_spawn)
+    env, _kernel, cache = ctx.make()
+    thread = cache.cleanup
+
+    def live():
+        return [process for process in spawned
+                if process.name == thread.process_name and process.alive]
+
+    def body():
+        fd = yield from cache.open("/f", O_CREAT | O_RDWR)
+        yield from cache.pwrite(fd, b"x" * 64, 0)
+        yield from cache.drain()
+        thread.stop()
+        thread.start()  # inside the tick the thread sleeps on
+        yield env.timeout(0.01)
+        assert len(live()) == 1
+        thread.stop()
+        yield env.timeout(0.01)  # the tick elapses: the thread exits
+        assert live() == []
+        thread.start()
+        yield env.timeout(0.01)
+        assert len(live()) == 1
+        yield from cache.pwrite(fd, b"y" * 64, 0)
+        yield from cache.drain()  # and the restarted thread drains
+
+    env.run_process(body())
+    assert not has_pending(cache)
+
+
 ROWS = (
     ebadf_on_unmanaged_fd,
     io_argument_checks,
@@ -346,6 +388,7 @@ ROWS = (
     close_headroom_under_threshold,
     saturated_close_parks_unpolled,
     churn_drains_through_saturation,
+    restart_leaves_one_drain_thread,
 )
 
 
@@ -475,6 +518,14 @@ POLLERS = {
         "CLOCK eviction back-off: every candidate locked or recently used",
     ("core/read_cache.py", "_evict_by_policy", "1e-06"):
         "policy eviction back-off: every victim pinned",
+    ("core/cleanup.py", "_run", "_TICK"):
+        "cleanup thread idle tick: log empty or below batch_min",
+    ("core/cleanup.py", "_run", "_TICK / 10"):
+        "cleanup thread waiting for the writer to commit the tail entry",
+    ("core/paging.py", "_run", "_TICK"):
+        "writeback thread idle tick: nothing dirty or nothing urgent",
+    ("core/paging.py", "_run", "_TICK / 10"):
+        "writeback thread back-off: the batch flushed nothing",
 }
 
 

@@ -23,7 +23,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import CACHE_MODES, NvcacheConfig, PagingStats
-from repro.faults import CrashExplorer, WarmStartFactory
+from repro.faults import CrashExplorer, run_workload
 from repro.faults.workloads import SMALL_CONFIG, SMALL_PAGING_CONFIG
 from repro.fuzz.schedule import build_fuzz_run, fresh_case
 
@@ -50,8 +50,9 @@ def _recovered_state(case, config):
     """Run the schedule to completion, power-cut dropping every
     unpersisted line, recover, and read back every path the oracle ever
     saw. Returns (contents-by-path, oracle model, cache stats snapshot)."""
-    run = WarmStartFactory(build_fuzz_run(case, config))()
-    run.drive(True)  # raises unless the schedule completes
+    workload = build_fuzz_run(case, config)
+    run = workload.build()
+    run_workload(run, workload)  # raises unless the schedule completes
     before, after = run.oracle.expected_states()
     assert before == after, "oracle not at rest after an acked schedule"
     paths = run.oracle.paths_of_interest()
@@ -90,7 +91,7 @@ def test_every_mode_holds_invariants_over_fuzz_schedules(mode):
     for seed in (0, 1, 2):
         case = _content_case(seed)
         explorer = CrashExplorer(
-            WarmStartFactory(build_fuzz_run(case, MODE_CONFIGS[mode])),
+            build_fuzz_run(case, MODE_CONFIGS[mode]),
             budget=6, drop_subsets=1, seed=seed)
         result = explorer.explore()
         total += len(result.cases)

@@ -136,12 +136,11 @@ def test_idempotence_holds_at_every_enumerated_crash_point():
     a no-op everywhere (the ``recovery_idempotence`` invariant), with
     the rest of the durability contract holding alongside it."""
     from repro.faults import (CrashExplorer, DEFAULT_INVARIANTS,
-                              WarmStartFactory, fio_write_phased)
+                              fio_write_phased)
 
     assert any(inv.name == "recovery_idempotence"
                for inv in DEFAULT_INVARIANTS)
-    explorer = CrashExplorer(WarmStartFactory(fio_write_phased(ops=6)),
-                             drop_subsets=0)
+    explorer = CrashExplorer(fio_write_phased(ops=6), drop_subsets=0)
     result = explorer.explore()
     assert len(result.points) >= 6
     assert result.violations == []

@@ -15,8 +15,7 @@ from repro.core.log import (
 )
 from functools import partial
 
-from repro.faults import (CrashExplorer, PhasedWorkload, WarmStartFactory,
-                          build_crash_run)
+from repro.faults import CrashExplorer, CrashWorkload, build_crash_run
 from repro.kernel.fd_table import O_CREAT, O_WRONLY
 
 
@@ -44,18 +43,18 @@ def sequential_writes(run, ops=8, block_size=1024, fsync_every=4):
 
 # Cleanup off: entries must still be in the ring when the power cut
 # lands, otherwise the bug is masked by propagation to the disk.
-factory = WarmStartFactory(PhasedWorkload(
-    partial(build_crash_run, start_cleanup=False), sequential_writes))
+workload = CrashWorkload(
+    partial(build_crash_run, start_cleanup=False), sequential_writes)
 
 
 def test_unmutated_control_passes():
-    explorer = CrashExplorer(factory, budget=30, drop_subsets=1, seed=3)
+    explorer = CrashExplorer(workload, budget=30, drop_subsets=1, seed=3)
     assert explorer.explore().violations == []
 
 
 def test_commit_reorder_mutation_is_caught(monkeypatch):
     monkeypatch.setattr(NvmmLog, "commit_leader", leaky_commit_leader)
-    explorer = CrashExplorer(factory, budget=30, drop_subsets=1, seed=3)
+    explorer = CrashExplorer(workload, budget=30, drop_subsets=1, seed=3)
     result = explorer.explore()
     assert result.violations, "explorer failed to catch the lost-ack bug"
     assert any(v.invariant == "durable_after_ack" for v in result.violations)
@@ -65,7 +64,7 @@ def test_minimize_shrinks_a_failing_case(monkeypatch):
     """Greedy shrinking lands on a minimal survivor set that still
     reproduces the violation (typically the pure power cut, keep=())."""
     monkeypatch.setattr(NvmmLog, "commit_leader", leaky_commit_leader)
-    explorer = CrashExplorer(factory, budget=30, drop_subsets=2, seed=3)
+    explorer = CrashExplorer(workload, budget=30, drop_subsets=2, seed=3)
     result = explorer.explore()
     failing = [case for case in result.cases
                if case.violations and case.keep_lines]

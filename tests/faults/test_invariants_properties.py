@@ -9,7 +9,7 @@ oracle's two legal states. Across all seeds this drives well over 200
 independently generated crash cases through the full invariant suite.
 """
 
-from repro.faults import (CrashExplorer, OracleOp, WarmStartFactory,
+from repro.faults import (CrashExplorer, OracleOp,
                           build_crash_run, fio_mixed_workload)
 
 SEEDS = range(12)
@@ -21,7 +21,7 @@ def test_generated_workloads_hold_all_invariants_everywhere():
     failures = []
     for seed in SEEDS:
         explorer = CrashExplorer(
-            WarmStartFactory(fio_mixed_workload(ops=12, seed=seed)),
+            fio_mixed_workload(ops=12, seed=seed),
             budget=BUDGET, drop_subsets=1, seed=seed)
         result = explorer.explore()
         total_cases += len(result.cases)
@@ -36,7 +36,7 @@ def test_distinct_seeds_generate_distinct_scripts():
     scripts = set()
     for seed in (0, 1, 2):
         explorer = CrashExplorer(
-            WarmStartFactory(fio_mixed_workload(ops=12, seed=seed)))
+            fio_mixed_workload(ops=12, seed=seed))
         points = explorer.enumerate_points()
         scripts.add(tuple(point.label for point in points))
     assert len(scripts) == 3

@@ -19,7 +19,7 @@ counterexample, which is exactly the triage artifact you want first.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import CrashExplorer, WarmStartFactory
+from repro.faults import CrashExplorer
 from repro.fuzz import FuzzCase, build_fuzz_run, crash_indices
 
 _slots = st.integers(0, 3)
@@ -42,7 +42,7 @@ _schedules = st.lists(_op, min_size=1, max_size=10).map(tuple)
 
 def explorer_for(schedule) -> CrashExplorer:
     case = FuzzCase(schedule=schedule)
-    return CrashExplorer(WarmStartFactory(build_fuzz_run(case)),
+    return CrashExplorer(build_fuzz_run(case),
                          drop_subsets=0, include_end_of_run=True)
 
 

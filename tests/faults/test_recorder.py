@@ -6,19 +6,22 @@ import sys
 
 import pytest
 
-from repro.faults import (CrashPointRecorder, PhasedWorkload,
-                          WarmStartFactory, build_crash_run,
-                          fio_write_phased)
+from repro.faults import (CrashPointRecorder, CrashWorkload,
+                          build_crash_run, fio_write_phased, run_workload)
 from repro.sim import Environment
 
 
+FIO = fio_write_phased()
+
+
 def fio_run():
-    """A fresh from-scratch run of the fio workload."""
-    return WarmStartFactory(fio_write_phased()).cold_run()
+    """A fresh machine for the fio workload."""
+    return FIO.build()
 
 
-def drive(run):
-    assert run.drive(True)  # raises on a workload exception or a stall
+def drive(run, workload=FIO):
+    # raises on a workload exception or a stall
+    assert run_workload(run, workload)
 
 
 def fingerprint(run):
@@ -102,7 +105,7 @@ def test_armed_trigger_fires_once_and_stops_the_environment():
     recorder = CrashPointRecorder(run.env, record=False)
     seen = []
     recorder.arm(5, lambda: seen.append(run.env.now))
-    completed = run.drive(False)
+    completed = run_workload(run, FIO, expect_completion=False)
     recorder.detach()
 
     assert not completed  # stopped mid-flight
@@ -127,11 +130,12 @@ def test_probe_annotations_land_on_points():
         yield from run.libc.pwrite(fd, b"x" * 64, 0)
         yield from run.libc.close(fd)
 
-    run = WarmStartFactory(PhasedWorkload(build_crash_run, body))()
+    workload = CrashWorkload(build_crash_run, body)
+    run = workload.build()
     recorder = CrashPointRecorder(
         run.env, record=True,
         probe=lambda: {"dirty_lines": run.nvmm.dirty_line_count()})
-    drive(run)
+    drive(run, workload)
     recorder.detach()
 
     assert any(point.dirty_lines > 0 for point in recorder.points)

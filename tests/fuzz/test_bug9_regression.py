@@ -12,7 +12,7 @@ moves them).
 
 import pytest
 
-from repro.faults import CrashExplorer, WarmStartFactory
+from repro.faults import CrashExplorer
 from repro.fuzz import FuzzCase, build_fuzz_run
 
 BUG9_SCHEDULE = (("append", 0, 3, 1), ("ftruncate", 0, 0), ("unlink", 0),
@@ -29,7 +29,7 @@ class Bug9StillPresent(Exception):
                           "(ROADMAP item 1); the bugfix PR removes this marker")
 def test_bug9_file_created_after_unlink_recovers_its_own_bytes():
     explorer = CrashExplorer(
-        WarmStartFactory(build_fuzz_run(FuzzCase(schedule=BUG9_SCHEDULE))),
+        build_fuzz_run(FuzzCase(schedule=BUG9_SCHEDULE)),
         drop_subsets=0)
     points = explorer.enumerate_points()
     violating = {}

@@ -20,9 +20,9 @@ import gc
 
 import pytest
 
-from repro.faults import CrashPointRecorder, WarmStartFactory
+from repro.faults import CrashPointRecorder, run_workload
 from repro.fuzz import (CoverageCollector, FuzzCase, build_fuzz_run,
-                        seed_cases, split_edges)
+                        seed_cases)
 
 CASE = FuzzCase(schedule=(
     ("pwrite", 0, 0, 2, 65), ("fsync", 0), ("ftruncate", 0, 300),
@@ -33,14 +33,15 @@ CASE = FuzzCase(schedule=(
 
 def drive(collector=None):
     """Run CASE to completion; return (clock, stats dict, point stream)."""
-    run = WarmStartFactory(build_fuzz_run(CASE))()
+    workload = build_fuzz_run(CASE)
+    run = workload.build()
     recorder = CrashPointRecorder(run.env, record=True)
     if collector is None:
-        run.drive(True)
+        run_workload(run, workload)
         edges = None
     else:
         with collector.capture() as window:
-            run.drive(True)
+            run_workload(run, workload)
         edges = window.edges
     stream = [(p.index, p.site, p.label, p.time) for p in recorder.points]
     return run.env.now, dataclasses.asdict(run.nvcache.stats), stream, edges
@@ -103,13 +104,6 @@ def test_captures_must_not_nest():
             with collector.capture():
                 pass
     assert gc.isenabled()
-
-
-def test_split_edges_partitions_lines_and_sites():
-    edges = {"core/log.py:10", "site:core.log.committed", "fs/ext4.py:5"}
-    lines, sites = split_edges(edges)
-    assert lines == {"core/log.py:10", "fs/ext4.py:5"}
-    assert sites == {"site:core.log.committed"}
 
 
 def test_seed_cases_cover_every_family_and_are_stable():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.faults import WarmStartFactory
+from repro.faults import run_workload
 from repro.fuzz import FuzzCase, build_fuzz_run, fresh_case, mutate
 from repro.fuzz.schedule import (FAULT_KINDS, MAX_FRACS, MAX_OPS,
                                  MUTATION_KINDS, OP_KINDS, seed_cases)
@@ -73,8 +73,9 @@ def test_mutation_stays_inside_the_grammar():
 ])
 def test_interpreter_is_total(schedule):
     """Every grammar schedule runs to completion — no invalid cases."""
-    run = WarmStartFactory(build_fuzz_run(FuzzCase(schedule=schedule)))()
-    assert run.drive(True)  # raises if the schedule raises or stalls
+    workload = build_fuzz_run(FuzzCase(schedule=schedule))
+    # raises if the schedule raises or stalls
+    assert run_workload(workload.build(), workload)
 
 
 def test_fault_plan_arms_injector_and_pre_reboot_disarms():

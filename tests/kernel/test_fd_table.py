@@ -13,7 +13,7 @@ from repro.kernel import (
     O_WRONLY,
     OpenFile,
 )
-from repro.kernel.errno import EBADF, EMFILE, ENOENT, errno_name
+from repro.kernel.errno import EBADF, EMFILE, ENOENT
 from repro.kernel.inode import Inode, S_IFDIR, S_IFREG, stat_of
 
 
@@ -79,11 +79,6 @@ def test_open_file_flag_predicates():
     assert flagged.append and flagged.direct and flagged.sync
     plain = make_open_file(O_WRONLY)
     assert not (plain.append or plain.direct or plain.sync)
-
-
-def test_errno_name():
-    assert errno_name(ENOENT) == "ENOENT"
-    assert errno_name(99999).startswith("E?")
 
 
 def test_kernel_error_message_carries_name():

@@ -65,10 +65,3 @@ def test_resolve_without_root_mount_fails():
     vfs = Vfs()
     with pytest.raises(KernelError):
         vfs.resolve("/anything")
-
-
-def test_mountpoint_of():
-    vfs, root, mnt = _two_fs()
-    assert vfs.mountpoint_of(mnt) == "/mnt/tmp"
-    assert vfs.mountpoint_of(root) == "/"
-    assert vfs.mountpoint_of(object()) is None

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.nvmm import NvmmDevice, NvmmTiming
+from repro.nvmm import NvmmDevice
 from repro.sim import Environment
 from repro.units import CACHE_LINE_SIZE
 
@@ -194,18 +194,6 @@ def test_timed_load_returns_data_and_charges_time():
     data, elapsed = env.run_process(body(env))
     assert data == b"timed"
     assert elapsed >= device.timing.read_latency
-
-
-def test_timed_store_charges_bandwidth():
-    env = Environment()
-    timing = NvmmTiming(write_bandwidth=1024)  # 1 KiB/s: easy math
-    device = NvmmDevice(env, size=4096, timing=timing)
-
-    def body(env):
-        yield from device.timed_store(0, b"x" * 512)
-        return env.now
-
-    assert env.run_process(body(env)) == pytest.approx(0.5)
 
 
 def test_stats_counters(device):

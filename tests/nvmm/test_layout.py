@@ -7,11 +7,7 @@ from repro.nvmm import (
     RegionAllocator,
     align_up,
     read_cstring,
-    read_i64,
-    read_u64,
     write_cstring,
-    write_i64,
-    write_u64,
 )
 from repro.sim import Environment
 from repro.units import CACHE_LINE_SIZE
@@ -32,16 +28,6 @@ def test_align_up():
 def test_align_up_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         align_up(10, 48)
-
-
-def test_u64_roundtrip(device):
-    write_u64(device, 128, 2**63 + 17)
-    assert read_u64(device, 128) == 2**63 + 17
-
-
-def test_i64_roundtrip_negative(device):
-    write_i64(device, 64, -1)
-    assert read_i64(device, 64) == -1
 
 
 def test_cstring_roundtrip(device):

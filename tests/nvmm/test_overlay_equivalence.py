@@ -9,10 +9,9 @@ count (distinct lines, however the ``pwb``s overlapped), every crash
 image (randomized eviction consumes the rng in ascending line-address
 order; ``keep_lines`` is intersected with the dirty lines), the dirty
 line enumeration, and every NvmmStats counter — for every backing the
-constructor can choose, and across a pickle round-trip taken mid-sequence.
+constructor can choose.
 """
 
-import pickle
 import random
 from dataclasses import asdict
 
@@ -109,12 +108,11 @@ class PerLineReference:
 
 # One op = (kind, addr, length). Addresses/lengths are drawn so stores
 # hit aligned, unaligned, sub-line, and multi-line shapes, and so that
-# pwb_ranges overlap and repeat. "pickle" swaps the device for its
-# pickle round-trip: dirty and queued-but-unfenced lines must survive.
+# pwb_ranges overlap and repeat.
 operations = st.lists(
     st.tuples(
         st.sampled_from(["store", "load", "pwb", "pwb_range", "pwb_range",
-                         "pfence", "psync", "pickle"]),
+                         "pfence", "psync"]),
         st.integers(min_value=0, max_value=SIZE - 1),
         st.integers(min_value=0, max_value=3 * CACHE_LINE_SIZE),
     ),
@@ -156,11 +154,10 @@ def _apply(ops, data_seed, sparse_backed):
             reference.pwb_range(addr, length)
         elif kind == "pfence":
             assert device.pfence() == reference.pfence()
-        elif kind == "psync":
+        else:
+            assert kind == "psync"
             device.env.run_process(device.psync())
             reference.psync()
-        else:
-            device = pickle.loads(pickle.dumps(device))
         assert device.dirty_line_count() == len(reference.lines)
     return device, reference
 

@@ -44,7 +44,8 @@ def test_delay_is_a_validated_float():
     for seconds in (2.5, 0.0, 1e-6, 3):
         slept = env.delay(seconds, "core", "write_overhead")
         assert type(slept) is float and slept == seconds
-    assert not env.pending_events()  # nothing is queued until it is yielded
+    # nothing is queued until it is yielded
+    assert not env._lane and not env._timers
     with pytest.raises(ValueError):
         env.delay(-1.0, "core", "write_overhead")
 
@@ -147,7 +148,7 @@ def _resume_trace(spelling, scripts, horizons):
         trace.append(("until", env.now))
     for _ in range(sum(len(script) for script in scripts) + 1):
         env.run()  # once more after every env.stop()
-    assert not env.pending_events()
+    assert not env._lane and not env._timers
     return trace, env.now
 
 

@@ -74,46 +74,42 @@ delays = st.one_of(
     st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
     st.floats(min_value=1e12, max_value=1e15, allow_nan=False),
 )
-#: One scheduled callback: its delay, how many further callbacks it
-#: schedules when it fires, and whether it cancels a pending one.
-callbacks = st.tuples(delays, st.integers(0, 3), st.booleans())
+#: One scheduled callback: its delay and how many further callbacks it
+#: schedules when it fires.
+callbacks = st.tuples(delays, st.integers(0, 3))
 
 
 @settings(max_examples=300, deadline=None)
 @given(specs=st.lists(callbacks, max_size=150), roots=st.integers(1, 10))
 def test_run_dispatches_live_entries_in_ascending_time_then_sequence(specs, roots):
     """The ordering proof: whatever is scheduled — from outside or from
-    inside a callback — and whatever is cancelled, the entries that fire
-    are exactly the live ones, each at its due time, in ascending
-    ``(time, seq)``. (A callback can only schedule entries that sort
-    after itself, so the sorted order of everything that fired *is* the
-    one correct dispatch order.)"""
+    inside a callback — every entry fires exactly once, at its due time,
+    in ascending ``(time, seq)``. (A callback can only schedule entries
+    that sort after itself, so the sorted order of everything scheduled
+    *is* the one correct dispatch order.)"""
     env = Environment()
     todo = iter(specs)
-    scheduled, pending, cancelled, fired = [], [], [], []
+    scheduled, pending, fired = [], [], []
 
-    def schedule(delay, fanout, cancels):
-        entry = [env.now + delay, None]
-        entry[1] = env.schedule_call(delay, fire, (entry, fanout, cancels))
+    def schedule(delay, fanout):
+        entry = (env.now + delay, env._sequence)
+        env.schedule_call(delay, fire, (entry, fanout))
         scheduled.append(entry)
         pending.append(entry)
 
-    def fire(entry, fanout, cancels):
+    def fire(entry, fanout):
         assert env.now == entry[0]
-        pending.remove(entry)  # raises if it was cancelled or fired before
+        pending.remove(entry)  # raises if it fired before
         fired.append(entry)
-        if cancels and pending:
-            cancelled.append(pending.pop(len(pending) // 2))
-            env.cancel(cancelled[-1][1])
         for spec in islice(todo, fanout):
             schedule(*spec)
 
     for spec in islice(todo, roots):
         schedule(*spec)
     env.run()
-    assert fired == sorted(e for e in scheduled if e not in cancelled)
+    assert fired == sorted(scheduled)
     assert env.events_dispatched == len(fired)
-    assert not env.pending_events()
+    assert not pending and not env._lane and not env._timers
 
 
 def test_waitable_subscribers_fire_in_subscription_order():
