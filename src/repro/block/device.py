@@ -107,7 +107,7 @@ class BlockDevice:
                 fn=lambda: stats.busy_time)
         m.gauge("queue_depth", unit="requests",
                 help="in-flight plus queued requests (qd1 device lock)",
-                fn=lambda: int(self._lock.locked) + len(self._lock._waiters))
+                fn=lambda: int(self._lock.locked) + self._lock.waiting)
         self._m_read_latency = m.histogram(
             "read_latency", unit="s", help="per-read service time")
         self._m_write_latency = m.histogram(

@@ -23,7 +23,6 @@ from .policies import (
     make_policy,
 )
 from .qos import DEFAULT_CLASSES, IOClass, QosManager, TenantQos
-from .radix import RadixTree
 from .read_cache import PageContent, PageDescriptor, ReadCache
 from .recovery import RecoveryReport, recover
 from .stats import NvcacheStats
@@ -59,7 +58,6 @@ __all__ = [
     "IOClass",
     "TenantQos",
     "DEFAULT_CLASSES",
-    "RadixTree",
     "ReadCache",
     "PageDescriptor",
     "PageContent",

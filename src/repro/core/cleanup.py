@@ -249,9 +249,10 @@ class CleanupThread(DrainThread):
                 first_page = offset // page_size
                 last_page = (offset + max(len(data), 1) - 1) // page_size
                 descriptors = []
-                if nv_file is not None and nv_file.radix is not None:
+                pages = nv_file.pages if nv_file is not None else None
+                if pages is not None:
                     for page in range(first_page, last_page + 1):
-                        descriptor = nv_file.descriptor(page)
+                        descriptor = pages.get(page)
                         if descriptor is not None:
                             descriptors.append(descriptor)
                 for descriptor in descriptors:

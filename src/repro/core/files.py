@@ -2,8 +2,16 @@
 
 Paper §III (Open): two tables handle independent cursors when the same
 file is opened twice — the *file table* maps (device, inode) to a file
-structure (size + radix tree), the *opened table* maps an fd to a cursor
+structure (size + page map), the *opened table* maps an fd to a cursor
 plus a pointer into the file table.
+
+The page map stands in for the paper's per-file radix tree (§II-C). In C
+the tree is what allows lock-free CAS insertion; under the simulator's
+cooperative scheduling that insertion is a plain store, and neither
+structure charges simulated time, so a dict keyed by page index is the
+same model. Like the tree, it only ever gains entries until the file's
+last close drops it whole; walks that must follow the tree's ascending
+key order sort its items.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..sim import Environment
-from .radix import RadixTree
 from .read_cache import PageDescriptor
 
 
@@ -24,20 +31,17 @@ class NvFile:
     path: str
     size: int
     env: Environment
-    radix: Optional[RadixTree] = None  # created at first write-mode open
+    # page index -> descriptor; created at first write-mode open.
+    pages: Optional[Dict[int, PageDescriptor]] = None
     open_count: int = 0
     pending_entries: int = 0  # log entries not yet propagated for this file
 
-    def descriptor(self, page_index: int) -> Optional[PageDescriptor]:
-        if self.radix is None:
-            return None
-        return self.radix.get(page_index)
-
     def descriptor_or_create(self, page_index: int) -> PageDescriptor:
-        if self.radix is None:
-            raise RuntimeError(f"{self.path}: no radix tree (read-only file)")
-        return self.radix.get_or_create(
-            page_index, lambda: PageDescriptor(self.env, page_index))
+        descriptor = self.pages.get(page_index)
+        if descriptor is None:
+            descriptor = self.pages[page_index] = PageDescriptor(
+                self.env, page_index)
+        return descriptor
 
 
 @dataclass

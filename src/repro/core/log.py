@@ -44,10 +44,14 @@ from .stats import NvcacheStats
 
 _HEADER = struct.Struct("<QqqQ")
 HEADER_SIZE = _HEADER.size  # 32 bytes
+_WORD = struct.Struct("<Q")  # the commit word; also the persistent tail
 
 COMMIT_FREE = 0
 COMMIT_LEADER = 1
 FOLLOWER_BASE = 2
+
+_FREE_WORD = _WORD.pack(COMMIT_FREE)
+_LEADER_WORD = _WORD.pack(COMMIT_LEADER)
 
 # Namespace operations logged for recovery ordering (an extension over
 # the paper, which only logs data writes: without these, a crash between
@@ -175,8 +179,9 @@ class NvmmLog:
 
     def fill_entry(self, seq: int, fd: int, offset: int, data: bytes,
                    leader_seq: Optional[int] = None) -> Generator:
-        """Populate an entry without committing it, and flush it to the
-        persistence domain (everything except the final commit+psync)."""
+        """Populate an entry without committing it — header and payload
+        in one store — and flush it to the persistence domain (everything
+        except the final commit+psync)."""
         if len(data) > self.config.entry_data_size:
             raise ValueError(
                 f"entry payload {len(data)} exceeds {self.config.entry_data_size}")
@@ -185,9 +190,8 @@ class NvmmLog:
             commit_group = COMMIT_FREE  # leader: committed later
         else:
             commit_group = (leader_seq % self.entries) + FOLLOWER_BASE
-        header = _HEADER.pack(commit_group, fd, offset, len(data))
-        self.nvmm.store(addr, header)
-        self.nvmm.store(addr + HEADER_SIZE, data)
+        self.nvmm.store(
+            addr, _HEADER.pack(commit_group, fd, offset, len(data)) + data)
         self._slot_mirror[seq % self.entries] = (seq, commit_group)
         self.nvmm.pwb_range(addr, HEADER_SIZE + len(data))
         recorder = self.env.crash_points
@@ -200,11 +204,11 @@ class NvmmLog:
 
     def commit_leader(self, seq: int) -> Generator:
         """pfence (order entries before commit), set the leader's commit
-        word, flush it, and psync for durable linearizability."""
+        word (an 8-byte store; the fill wrote the rest of the header),
+        flush it, and psync for durable linearizability."""
         addr = self._slot_addr(seq)
         self.nvmm.pfence()
-        current = _HEADER.unpack(self.nvmm.load(addr, HEADER_SIZE))
-        self.nvmm.store(addr, _HEADER.pack(COMMIT_LEADER, *current[1:]))
+        self.nvmm.store(addr, _LEADER_WORD)
         self._slot_mirror[seq % self.entries] = (seq, COMMIT_LEADER)
         self.nvmm.pwb(addr)
         recorder = self.env.crash_points
@@ -309,13 +313,12 @@ class NvmmLog:
         new_tail = self.volatile_tail
         for seq in seqs:
             addr = self._slot_addr(seq)
-            rest = _HEADER.unpack(self.nvmm.load(addr, HEADER_SIZE))[1:]
-            self.nvmm.store(addr, _HEADER.pack(COMMIT_FREE, *rest))
+            self.nvmm.store(addr, _FREE_WORD)
             self._slot_mirror[seq % self.entries] = (seq, COMMIT_FREE)
             self.nvmm.pwb(addr)
             self.nvmm.pfence()
             new_tail = max(new_tail, seq + 1)
-        self.nvmm.store(self.tail_base, struct.pack("<Q", new_tail))
+        self.nvmm.store(self.tail_base, _WORD.pack(new_tail))
         self.nvmm.pwb(self.tail_base)
         self.nvmm.pfence()
         recorder = self.env.crash_points
@@ -334,7 +337,7 @@ class NvmmLog:
             waiter._fire(None)
 
     def persistent_tail(self) -> int:
-        return struct.unpack("<Q", self.nvmm.load(self.tail_base, 8))[0]
+        return _WORD.unpack(self.nvmm.load(self.tail_base, 8))[0]
 
     # -- fd table ----------------------------------------------------------------------
 

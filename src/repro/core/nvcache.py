@@ -46,7 +46,6 @@ from .config import DEFAULT_CONFIG, NvcacheConfig
 from .files import FileTables, NvOpenFile
 from .log import OP_CREATE, OP_RENAME, OP_TRUNCATE, OP_UNLINK, NvmmLog
 from .policies import make_policy
-from .radix import RadixTree
 from .read_cache import PageDescriptor, ReadCache
 from .stats import NvcacheStats
 
@@ -400,9 +399,9 @@ class Nvcache(CacheFacade):
             yield from self._log_namespace_op(
                 OP_TRUNCATE, 0, path.encode("utf-8"))
             nv_file.size = 0
-        if writable and nv_file.radix is None:
-            # First write-mode open: create the radix tree (paper §III).
-            nv_file.radix = RadixTree()
+        if writable and nv_file.pages is None:
+            # First write-mode open: create the page map (paper §III).
+            nv_file.pages = {}
         cursor = nv_file.size if flags & O_APPEND else 0
         self.tables.register(fd, nv_file, flags, cursor)
         yield from self.log.set_path(fd, path)
@@ -414,11 +413,11 @@ class Nvcache(CacheFacade):
         yield from self.log.clear_path(fd)
         nv_file = self.tables.retire_fd(fd)
         if (nv_file is not None and nv_file.open_count == 0
-                and nv_file.pending_entries == 0 and nv_file.radix is not None):
-            for _index, descriptor in nv_file.radix.items():
+                and nv_file.pending_entries == 0 and nv_file.pages is not None):
+            for _index, descriptor in sorted(nv_file.pages.items()):
                 if descriptor.content is not None:
                     self.read_cache.release(descriptor.content)
-            nv_file.radix = None
+            nv_file.pages = None
         return 0
 
     # -- write path (paper Algorithm 1) ------------------------------------------------
@@ -544,7 +543,7 @@ class Nvcache(CacheFacade):
         nbytes = min(nbytes, nv_file.size - offset)
         began = self.env.now
         tracer = self.env.tracer
-        if nv_file.radix is None:
+        if nv_file.pages is None:
             # Read-only file: the kernel page cache is authoritative and
             # NVCache stays entirely out of the way (paper §II-A).
             self.stats.read_only_bypass += 1
@@ -662,10 +661,10 @@ class Nvcache(CacheFacade):
             OP_TRUNCATE, size, nv_file.path.encode("utf-8"))
         yield from self.kernel.ftruncate(fd, size)
         nv_file.size = size
-        if nv_file.radix is not None:
+        if nv_file.pages is not None:
             page_size = self.config.page_size
             keep = (size + page_size - 1) // page_size
-            for index, descriptor in list(nv_file.radix.items()):
+            for index, descriptor in sorted(nv_file.pages.items()):
                 if index >= keep and descriptor.content is not None:
                     self.read_cache.release(descriptor.content)
                 elif index == keep - 1 and descriptor.content is not None:
@@ -697,8 +696,8 @@ class Nvcache(CacheFacade):
     def _drop_clean(self, nv_file) -> None:
         """flock acquire: release the file's loaded pages that have no
         pending entries (those are the only copy of unpropagated data)."""
-        if nv_file.radix is not None:
-            for _index, descriptor in nv_file.radix.items():
+        if nv_file.pages is not None:
+            for _index, descriptor in sorted(nv_file.pages.items()):
                 if descriptor.content is not None and not descriptor.pending:
                     self.read_cache.release(descriptor.content)
 
@@ -712,9 +711,9 @@ class Nvcache(CacheFacade):
             "volatile tail behind persistent tail"
         assert log.used() <= log.entries, "log over capacity"
         for nv_file in self.tables.files.values():
-            if nv_file.radix is None:
+            if nv_file.pages is None:
                 continue
-            for _index, descriptor in nv_file.radix.items():
+            for _index, descriptor in sorted(nv_file.pages.items()):
                 assert descriptor.dirty_counter == len(descriptor.pending), (
                     f"dirty counter {descriptor.dirty_counter} != "
                     f"pending {len(descriptor.pending)}")

@@ -1,6 +1,6 @@
 """NVCache's user-space read cache (paper §II-C, §II-D).
 
-Page descriptors live in each file's radix tree and exist in three
+Page descriptors live in each file's page map and exist in three
 states (Table II of the paper):
 
 - *loaded*: a :class:`PageContent` is attached; the content is always
@@ -44,8 +44,8 @@ class PageDescriptor:
 
     def __init__(self, env: Environment, index: int):
         self.index = index
-        self.atomic_lock = Lock(env, name=f"page{index}.atomic")
-        self.cleanup_lock = Lock(env, name=f"page{index}.cleanup")
+        self.atomic_lock = Lock(env, name="page.atomic")
+        self.cleanup_lock = Lock(env, name="page.cleanup")
         self.dirty_counter = 0
         self.accessed = False
         self.content: Optional[PageContent] = None

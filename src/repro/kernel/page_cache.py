@@ -130,7 +130,12 @@ class PageCache:
         else:
             page.dirty = True
             page.dirtied_at = self.env.now
-            self._dirty.setdefault(self._inode_key(filesystem, inode), set()).add(index)
+            key = self._inode_key(filesystem, inode)
+            indices = self._dirty.get(key)
+            if indices is None:
+                self._dirty[key] = {index}
+            else:
+                indices.add(index)
 
     def _clear_dirty(self, filesystem, inode: Inode, index: int, page: CachedPage) -> None:
         page.dirty = False
@@ -205,7 +210,8 @@ class PageCache:
                     data = yield from filesystem.read_page(inode, index)
                     page = CachedPage(bytes(data))
                     self._pages[key] = page
-                    yield from self._evict_if_needed()
+                    if len(self._pages) > self.capacity_pages:
+                        yield from self._evict_if_needed()
                 else:
                     self.stats.hits += 1
                     self._touch(key)
@@ -258,7 +264,8 @@ class PageCache:
                 # Dirty BEFORE any eviction pass, so the fresh page cannot
                 # be recycled while still clean and lose this write.
                 self._mark_dirty(filesystem, inode, index, page)
-                yield from self._evict_if_needed()
+                if len(self._pages) > self.capacity_pages:
+                    yield from self._evict_if_needed()
                 pos += chunk
             # copy_from_user
             yield self.env.delay(self.cpu.copy_cost(len(data)), "kernel", "copy")

@@ -153,8 +153,8 @@ class Timeout(Waitable):
     __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout: {delay!r}")
+        if not delay >= 0:  # unlike ``delay < 0``, also rejects NaN
+            raise ValueError(f"timeout must be >= 0, got {delay!r}")
         # Flattened Waitable.__init__ + Environment.schedule_call: a
         # timeout is constructed for nearly every simulated operation,
         # so the two extra frames are worth eliding.
@@ -365,8 +365,8 @@ class Environment:
         attached tracer (if any) and returns them as the plain ``float``
         a process sleeps on. Instrumenting a modelled delay is this one
         line."""
-        if seconds < 0:
-            raise ValueError(f"negative delay: {seconds!r}")
+        if not seconds >= 0:  # unlike ``seconds < 0``, also rejects NaN
+            raise ValueError(f"delay must be >= 0, got {seconds!r}")
         if self.tracer is not None:
             self.tracer.charge(self, layer, segment, seconds)
         return float(seconds)

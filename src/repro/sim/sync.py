@@ -37,7 +37,14 @@ class Lock:
         self.env = env
         self.name = name
         self.locked = False
-        self._waiters: Deque[Waitable] = deque()
+        # Created on first contention: most locks (two per NVCache page
+        # descriptor) never see any.
+        self._waiters: Optional[Deque[Waitable]] = None
+
+    @property
+    def waiting(self) -> int:
+        """Processes queued behind the holder."""
+        return len(self._waiters) if self._waiters else 0
 
     def acquire(self) -> Waitable:
         if not self.locked:
@@ -46,6 +53,8 @@ class Lock:
             # grant token, no allocation.
             return self.env._granted
         waitable = Waitable(self.env)
+        if self._waiters is None:
+            self._waiters = deque()
         self._waiters.append(waitable)
         return waitable
 

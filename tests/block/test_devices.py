@@ -3,6 +3,7 @@
 import pytest
 
 from repro.block import HddDevice, RamDisk, SsdDevice
+from repro.obs import MetricsRegistry
 from repro.sim import Environment
 from repro.units import KIB, MIB
 
@@ -244,3 +245,28 @@ def test_partial_block_write_builds_a_new_block_object(env, ssd):
     before, after = run(env, body())
     assert before is payload and payload == b"o" * BLOCK
     assert after == b"o" * 10 + b"NEW" + b"o" * (BLOCK - 13)
+
+
+def test_queue_depth_gauge_counts_in_flight_and_queued():
+    env = Environment()
+    env.metrics = MetricsRegistry()
+    ssd = SsdDevice(env, size=64 * MIB, name="ssd0")
+    depths = []
+
+    def depth():
+        return env.metrics.snapshot()["block.ssd0.queue_depth"]
+
+    def writer(offset):
+        yield from ssd.write(offset, b"w" * 4096)
+
+    def probe():
+        depths.append(depth())
+        yield env.timeout(1e-9)  # first write in service, second queued
+        depths.append(depth())
+
+    env.spawn(probe())
+    env.spawn(writer(0))
+    env.spawn(writer(MIB))
+    env.run()
+    depths.append(depth())
+    assert depths == [0, 2, 0]

@@ -2,10 +2,13 @@
 interleavings of allocation, commit, and retirement must preserve the
 head/tail invariants and never lose or duplicate a committed entry."""
 
+import random
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import NvcacheConfig, NvcacheStats, NvmmLog
+from repro.core import HEADER_SIZE, NvcacheConfig, NvcacheStats, NvmmLog
 from repro.nvmm import NvmmDevice
 from repro.sim import Environment
 
@@ -131,3 +134,101 @@ def test_property_concurrent_producer_consumer(producer_groups,
     assert consumed == produced  # in order, exactly once
     assert log.used() == 0
     assert log.persistent_tail() == log.head
+
+
+class ParentStoreSequence:
+    """The log's fill / commit / clear spelled as separate device
+    instructions: header store, payload store, and a load-unpack-pack-
+    store of the whole header to flip the commit word. The reference the
+    log's fewer, narrower stores must match line for line."""
+
+    HEADER = struct.Struct("<QqqQ")
+
+    def __init__(self, env, nvmm, geometry):
+        self.env, self.nvmm, self.geometry = env, nvmm, geometry
+
+    def fill(self, seq, fd, offset, data, leader_seq=None):
+        addr = self.geometry._slot_addr(seq)
+        commit_group = (0 if leader_seq is None
+                        else leader_seq % self.geometry.entries + 2)
+        self.nvmm.store(addr, self.HEADER.pack(commit_group, fd, offset, len(data)))
+        self.nvmm.store(addr + HEADER_SIZE, data)
+        self.nvmm.pwb_range(addr, HEADER_SIZE + len(data))
+
+    def _set_word(self, addr, word):
+        rest = self.HEADER.unpack(self.nvmm.load(addr, HEADER_SIZE))[1:]
+        self.nvmm.store(addr, self.HEADER.pack(word, *rest))
+
+    def commit(self, seq):
+        addr = self.geometry._slot_addr(seq)
+        self.nvmm.pfence()
+        self._set_word(addr, 1)
+        self.nvmm.pwb(addr)
+        yield from self.nvmm.psync()
+
+    def clear(self, seqs, tail):
+        for seq in seqs:
+            addr = self.geometry._slot_addr(seq)
+            self._set_word(addr, 0)
+            self.nvmm.pwb(addr)
+            self.nvmm.pfence()
+        self.nvmm.store(self.geometry.tail_base, struct.pack("<Q", tail))
+        self.nvmm.pwb(self.geometry.tail_base)
+        self.nvmm.pfence()
+
+
+def assert_same_media(log_nvmm, ref_nvmm, rng):
+    assert log_nvmm.persisted_view() == ref_nvmm.persisted_view()
+    dirty = log_nvmm.dirty_lines()
+    assert dirty == ref_nvmm.dirty_lines()
+    keep = rng.sample(dirty, rng.randint(0, len(dirty)))
+    assert (log_nvmm.crash_image(keep_lines=keep)
+            == ref_nvmm.crash_image(keep_lines=keep))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    script=st.lists(
+        st.one_of(
+            st.tuples(st.just("write"), st.lists(
+                st.binary(max_size=CFG.entry_data_size), min_size=1, max_size=3)),
+            st.tuples(st.just("retire"), st.integers(1, 6)),
+        ),
+        min_size=1, max_size=30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_store_sequence_matches_parent_reference(script, seed):
+    """Single-store fills and 8-byte commit/clear words leave the media,
+    the dirty lines and every crash image exactly as the separate header
+    and payload stores with whole-header rewrites did."""
+    rng = random.Random(seed)
+    env, nvmm, log = make_log()
+    ref_env, ref_nvmm, geometry = make_log()
+    ref = ParentStoreSequence(ref_env, ref_nvmm, geometry)
+
+    for action, arg in script:
+        if action == "write":
+            if log.used() + len(arg) > log.entries:
+                continue
+            leader = env.run_process(log.next_entries(len(arg)))
+            for i, payload in enumerate(arg):
+                follower_of = None if i == 0 else leader
+                env.run_process(log.fill_entry(
+                    leader + i, 3, (leader + i) * 64, payload, follower_of))
+                ref.fill(leader + i, 3, (leader + i) * 64, payload, follower_of)
+                assert_same_media(nvmm, ref_nvmm, rng)
+            env.run_process(log.commit_leader(leader))
+            ref_env.run_process(ref.commit(leader))
+            assert_same_media(nvmm, ref_nvmm, rng)
+        else:
+            count = min(arg, log.used())
+            if count == 0:
+                continue
+            batch = list(range(log.volatile_tail, log.volatile_tail + count))
+            while (batch[-1] + 1 < log.head
+                   and log.read_header(batch[-1] + 1)[0] >= 2):
+                batch.append(batch[-1] + 1)  # never split a group
+            env.run_process(log.clear_entries(batch))
+            log.advance_volatile_tail(batch[-1] + 1)
+            ref.clear(batch, batch[-1] + 1)
+            assert_same_media(nvmm, ref_nvmm, rng)

@@ -161,7 +161,7 @@ def test_read_only_open_bypasses_read_cache(stack):
     assert nv.stats.read_only_bypass == 1
     assert nv.stats.read_misses == 0  # read cache untouched
     handle_file = list(nv.tables.files.values())
-    assert not handle_file or all(f.radix is None for f in handle_file)
+    assert not handle_file or all(f.pages is None for f in handle_file)
 
 
 def test_write_to_readonly_fd_fails(stack):
@@ -358,7 +358,7 @@ def test_dirty_miss_reconstructs_page(stack):
         yield from nv.pread(fd, 1, 4096 * 1)  # load page 1
         yield from nv.pread(fd, 1, 4096 * 2)  # load page 2 -> evicts page 0
         # Page 0 should now be unloaded-dirty.
-        descriptor = list(nv.tables.files.values())[0].radix.get(0)
+        descriptor = list(nv.tables.files.values())[0].pages.get(0)
         state_before = descriptor.state
         data = yield from nv.pread(fd, 200, 0)
         return state_before, data
@@ -461,7 +461,7 @@ def test_truncate_then_extend_no_stale_resurrection(stack):
 def test_readonly_fd_sees_writes_after_radix_created(stack):
     """A file opened read-only (bypass) then opened for writing: reads
     through the ORIGINAL fd must see the new writes (the shared NvFile
-    gains a radix tree and both fds use it)."""
+    gains a page map and both fds use it)."""
     env, kernel, _ssd, _nvmm, nv = stack
 
     def body():

@@ -50,6 +50,32 @@ def test_delay_is_a_validated_float():
         env.delay(-1.0, "core", "write_overhead")
 
 
+def test_nan_sleep_is_rejected_and_the_clock_stays_finite():
+    """``seconds < 0`` is False for NaN, so a NaN sleep used to pass the
+    check and set ``env.now`` to NaN for the process that took it."""
+    env = Environment()
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        env.timeout(nan)
+    with pytest.raises(ValueError):
+        env.delay(nan, "core", "write_overhead")
+    seen = {}
+
+    def sleeper(name, seconds):
+        try:
+            yield env.delay(seconds, "core", "write_overhead")
+        except ValueError:
+            seen[name] = "rejected"
+            return
+        seen[name] = env.now
+
+    env.spawn(sleeper("nan", nan))
+    env.spawn(sleeper("sibling", 0.001))
+    env.run()
+    assert seen == {"nan": "rejected", "sibling": 0.001}
+    assert env.now == 0.001
+
+
 # -- the engine contract: inlined wake-ups == the two-event path -----------
 
 def _noop(_value, _exception):

@@ -48,6 +48,38 @@ def test_lock_fifo_ordering():
     assert order == ["first", "second", "third"]
 
 
+def test_lock_waiting_counts_the_lazily_created_queue():
+    """The waiter queue exists only once someone contends; ``waiting``
+    reads 0 before that and tracks FIFO hand-off to three waiters."""
+    env = Environment()
+    lock = Lock(env)
+    order = []
+    waiting = []
+
+    def holder():
+        yield lock.acquire()
+        assert lock._waiters is None  # uncontended so far: no queue yet
+        waiting.append(lock.waiting)
+        yield env.timeout(1.0)
+        waiting.append(lock.waiting)
+        lock.release()
+
+    def waiter(name, arrive):
+        yield env.timeout(arrive)
+        yield lock.acquire()
+        order.append(name)
+        waiting.append(lock.waiting)
+        lock.release()
+
+    env.spawn(holder())
+    for name, arrive in (("first", 0.1), ("second", 0.2), ("third", 0.3)):
+        env.spawn(waiter(name, arrive))
+    env.run()
+    assert order == ["first", "second", "third"]
+    assert waiting == [0, 3, 2, 1, 0]
+    assert lock.waiting == 0 and not lock.locked
+
+
 def test_lock_release_unlocked_raises():
     env = Environment()
     lock = Lock(env)
