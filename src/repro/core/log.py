@@ -33,7 +33,8 @@ only once its slot is durably cleared (paper's three-step cleanup).
 from __future__ import annotations
 
 import struct
-from typing import Generator, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..nvmm import NvmmDevice, RegionAllocator, read_cstring, write_cstring
 from ..nvmm.layout import align_up
@@ -68,6 +69,7 @@ OP_CREATE = -5     # file created by open(O_CREAT); payload = path.
 #                    log would be undone by the unlink's replay (the
 #                    crash explorer caught this on the MiniRocks WAL
 #                    rotation pattern — see docs/CRASH_TESTING.md).
+_REMOVAL_OPS = (OP_UNLINK, OP_RENAME)
 
 
 class NvmmLog:
@@ -76,7 +78,8 @@ class NvmmLog:
     __slots__ = ("env", "nvmm", "config", "stats", "entries", "stride",
                  "fd_table_base", "tail_base", "entries_base", "head",
                  "volatile_tail", "_space_waiters", "_registered_fds",
-                 "_fd_set_authoritative", "_slot_mirror")
+                 "_fd_set_authoritative", "_slot_mirror", "_removal_paths",
+                 "_removals")
 
     def __init__(self, env: Environment, nvmm: NvmmDevice, config: NvcacheConfig,
                  stats: Optional[NvcacheStats] = None, base: int = 0):
@@ -114,6 +117,16 @@ class NvmmLog:
         # back to the media — the mirror is an index, never a substitute
         # source of truth.
         self._slot_mirror: List[Optional[Tuple[int, int]]] = [None] * self.entries
+        # Volatile count of the paths that committed, not yet cleared
+        # removal entries (unlink, rename away) name, so a creating open
+        # asks a dict instead of reading the ring; ``_removal_paths``
+        # holds each filled removal entry's path, by seq, until its
+        # clear. There is nothing to seed from the media: head and
+        # volatile tail start at 0, so the live range
+        # ``[min(persistent tail, volatile tail), head)`` holds only
+        # entries this process filled (and recovery empties the ring).
+        self._removal_paths: Dict[int, bytes] = {}
+        self._removals: Counter = Counter()
 
     # -- geometry ----------------------------------------------------------
 
@@ -193,6 +206,9 @@ class NvmmLog:
         self.nvmm.store(
             addr, _HEADER.pack(commit_group, fd, offset, len(data)) + data)
         self._slot_mirror[seq % self.entries] = (seq, commit_group)
+        if fd < 0 and fd in _REMOVAL_OPS:
+            # An unlink's payload is its path; a rename's is old\0new.
+            self._removal_paths[seq] = data.split(b"\x00", 1)[0]
         self.nvmm.pwb_range(addr, HEADER_SIZE + len(data))
         recorder = self.env.crash_points
         if recorder is not None:
@@ -210,6 +226,9 @@ class NvmmLog:
         self.nvmm.pfence()
         self.nvmm.store(addr, _LEADER_WORD)
         self._slot_mirror[seq % self.entries] = (seq, COMMIT_LEADER)
+        removed = self._removal_paths.get(seq)
+        if removed is not None:
+            self._removals[removed] += 1
         self.nvmm.pwb(addr)
         recorder = self.env.crash_points
         if recorder is not None:
@@ -248,24 +267,13 @@ class NvmmLog:
         return self.nvmm.timed_load(addr, length)
 
     def pending_removal(self, path: str) -> bool:
-        """True while the ring still holds a namespace entry that removes
-        ``path`` — an unlink, or a rename away from it. A file recreated
-        under such a path must log its creation (OP_CREATE) so recovery
-        replays the full namespace history in order; without the pending
-        removal, replay's lazy ``O_CREAT`` recreation is enough."""
-        encoded = path.encode("utf-8")
-        for seq in range(min(self.persistent_tail(), self.volatile_tail),
-                         self.head):
-            commit_group, fd, _offset, size = self.read_header(seq)
-            if commit_group == COMMIT_FREE or fd not in (OP_UNLINK, OP_RENAME):
-                continue
-            data = self.read_data(seq, size)
-            if fd == OP_UNLINK:
-                if data == encoded:
-                    return True
-            elif data.split(b"\x00", 1)[0] == encoded:
-                return True
-        return False
+        """True while the ring still holds a committed namespace entry
+        that removes ``path`` — an unlink, or a rename away from it. A
+        file recreated under such a path must log its creation
+        (OP_CREATE) so recovery replays the full namespace history in
+        order; without the pending removal, replay's lazy ``O_CREAT``
+        recreation is enough."""
+        return path.encode("utf-8") in self._removals
 
     def commit_group_of(self, seq: int) -> int:
         """The entry's commit word, served from the volatile slot mirror
@@ -315,6 +323,13 @@ class NvmmLog:
             addr = self._slot_addr(seq)
             self.nvmm.store(addr, _FREE_WORD)
             self._slot_mirror[seq % self.entries] = (seq, COMMIT_FREE)
+            removed = self._removal_paths.pop(seq, None)
+            if removed is not None:
+                left = self._removals[removed] - 1
+                if left:
+                    self._removals[removed] = left
+                else:
+                    del self._removals[removed]
             self.nvmm.pwb(addr)
             self.nvmm.pfence()
             new_tail = max(new_tail, seq + 1)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..kernel.errno import EBADF, EINVAL, ENOENT, KernelError
+from ..kernel.errno import EBADF, EINVAL, ENAMETOOLONG, ENOENT, KernelError
 from ..kernel.fd_table import (
     LOCK_EX,
     LOCK_SH,
@@ -127,6 +127,15 @@ class CacheFacade:
         if offset < 0 or nbytes < 0:
             raise KernelError(EINVAL, f"offset {offset} nbytes {nbytes}")
         return handle
+
+    def _check_path(self, path: str) -> None:
+        """``open``'s first step: a path the NVMM path table cannot hold
+        (``path_max`` bytes, NUL included) fails before the kernel
+        creates anything or a table registers it."""
+        nbytes = len(path.encode("utf-8"))
+        if nbytes >= self.config.path_max:
+            raise KernelError(ENAMETOOLONG, f"path of {nbytes} bytes does "
+                              f"not fit path_max {self.config.path_max}")
 
     def _observe_latency(self, histogram, began: float) -> None:
         """Record one app-visible latency with the current trace as its
@@ -364,6 +373,7 @@ class Nvcache(CacheFacade):
     # -- open / close (the kernel-level half; CacheFacade.close defers it) ---------
 
     def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> Generator:
+        self._check_path(path)
         # O_DIRECT is meaningless behind a durable user-space cache, and
         # the cleanup thread depends on page-cache write combining — so
         # NVCache strips it (the paper's FIO runs use direct=1 for every

@@ -367,6 +367,7 @@ class PagingCache(CacheFacade):
     # -- open / kernel-level close -----------------------------------------
 
     def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> Generator:
+        self._check_path(path)
         # O_DIRECT is stripped for the same reason Nvcache strips it:
         # the cache IS the durability point, and writeback depends on
         # page-cache write combining.

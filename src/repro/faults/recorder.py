@@ -40,7 +40,7 @@ class CrashPoint:
     site: str           # e.g. "nvmm.pfence", "core.log.commit_word"
     label: str          # free-form detail from the hook site
     time: float         # simulated clock at the hit
-    dirty_lines: int = 0  # NVMM overlay lines at risk (probe annotation)
+    dirty_lines: int = 0  # unpersisted NVMM lines at risk (probe annotation)
 
     def __str__(self) -> str:
         return (f"#{self.index} {self.site} [{self.label}] "

@@ -20,37 +20,35 @@ optionally persist a random subset of the unflushed dirty lines — recovery
 code must be correct for every such subset, and the property tests exercise
 exactly that.
 
-Representation: the media and the volatile CPU-cache overlay are two
-buffers shadowing each other, and two *line-state maps* — one byte per
-cache line — say where the overlay is authoritative (``dirty``) and
-which lines a ``pwb`` has queued since the last fence (``queued``). The
-queue itself is the list of ``[first, stop)`` line ranges the callers
-hand in; two counters keep ``dirty_line_count()`` and the number of
-*distinct* queued lines O(1) — distinct because that count is what
-``pfence`` returns and the next ``psync`` is charged for, so overlapping
-or repeated ``pwb``s must count once. Every operation costs a constant
-number of C-level slice / ``count`` / ``find`` calls per *range* (when
-every line of a fenced range is dirty, one ``media[a:b] =
-overlay[a:b]``), never a Python- or set-level step per *line*. All four
-buffers speak one slice protocol, so what backs them is decided once,
-in the constructor: up to :data:`FLAT_LIMIT` — every NVCache log in the
-repo — anonymous ``mmap``s, raw slice assignment with nothing in
-between; above it sparse chunked buffers
-(:class:`~repro.nvmm.sparse.SparseBytes`), so a "480 GB" module does
-not pay a gigantic zero-fill at construction.
+Representation: one buffer, the *image*, holds what the CPU sees. When a
+store dirties a run of clean lines it first saves their persisted bytes
+as one *undo record*; a fence persists lines by dropping their undo
+bytes, and a crash image is the image with the records put back. Two
+*line-state maps* — one byte per cache line — mark the unpersisted
+(``dirty``) lines and those a ``pwb`` has queued since the last fence;
+the queue is the list of ``[first, stop)`` line ranges the callers hand
+in, and two counters keep ``dirty_line_count()`` and the number of
+*distinct* queued lines (what ``pfence`` returns and ``psync`` charges)
+O(1). Every operation is a constant number of C-level slice / ``count``
+/ ``find`` / ``bisect`` calls per range or record, never a step per line
+or per unrelated record. What backs the image and the maps is chosen
+once: up to :data:`FLAT_LIMIT` — every NVCache log in the repo —
+anonymous ``mmap``s; above it :class:`~repro.nvmm.sparse.SparseBytes`,
+so a "480 GB" module pays no zero-fill.
 """
 
 from __future__ import annotations
 
 import mmap
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
 from ..sim import Environment
 from ..sim.trace import traced
 from ..units import CACHE_LINE_SIZE, GIB, NS
-from .sparse import CHUNK_SIZE, SparseBytes
+from .sparse import SparseBytes
 
 #: Devices at or below this size back their buffers with flat anonymous
 #: mmaps (raw slice assignment on the hot paths, zero pages materialized
@@ -65,16 +63,22 @@ def _flat_buffer(size: int) -> mmap.mmap:
     return mmap.mmap(-1, size)
 
 
-def _runs(state: bytes) -> Iterator[Tuple[int, int]]:
-    """``[start, stop)`` index pairs of the maximal runs of set bytes in
-    a line-state slice: two ``find`` calls per run, none per line."""
-    start = state.find(1)
+def _runs(state: bytes, value: int = 1) -> Iterator[Tuple[int, int]]:
+    """``[start, stop)`` pairs of the maximal runs of ``value`` (1 or 0)
+    in a line-state slice: two ``find`` calls per run, none per line."""
+    start = state.find(value)
     while start >= 0:
-        stop = state.find(0, start)
+        stop = state.find(1 - value, start)
         if stop < 0:
             stop = len(state)
         yield start, stop
-        start = state.find(1, stop)
+        start = state.find(value, stop)
+
+
+def _stop_line(head: int, record: bytes) -> int:
+    """The first line past the undo record at ``head`` (rounding up: a
+    device's final line may be short)."""
+    return head - (-len(record) // CACHE_LINE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -120,10 +124,10 @@ class NvmmStats:
 
 
 class NvmmDevice:
-    """A single NVMM module (or DAX file): media + volatile cache overlay."""
+    """A single NVMM module (or DAX file): CPU image + undo records."""
 
-    __slots__ = ("env", "size", "timing", "name", "_media",
-                 "_overlay", "_dirty_map", "_dirty_count", "_queued_map",
+    __slots__ = ("env", "size", "timing", "name", "_image", "_undo",
+                 "_undo_heads", "_dirty_map", "_dirty_count", "_queued_map",
                  "_queued_count", "_queue", "_undrained_lines", "stats",
                  "_m_psync_latency")
 
@@ -137,24 +141,24 @@ class NvmmDevice:
         self.size = size
         self.timing = timing or NvmmTiming()
         self.name = name
-        # The persistent media (survives crashes) and the volatile cache
-        # overlay shadowing it; the overlay is authoritative only for the
-        # lines set in ``_dirty_map``. Small devices — every NVCache log —
-        # keep all four buffers flat; huge modules stay sparse so untouched
-        # regions cost nothing (NOVA, Ext4-DAX use them for timing only).
+        # Small devices — every NVCache log — stay flat; huge modules stay
+        # sparse (NOVA, Ext4-DAX use them for timing only).
         lines = -(-size // CACHE_LINE_SIZE)
         if size <= FLAT_LIMIT:
-            self._media = _flat_buffer(size)
+            self._image = _flat_buffer(size)
             if media is not None:
-                self._media[:] = media
-            self._overlay = _flat_buffer(size)
+                self._image[:] = media
             self._dirty_map = _flat_buffer(lines)
             self._queued_map = _flat_buffer(lines)
         else:
-            self._media = SparseBytes(size, initial=media)
-            self._overlay = SparseBytes(size)
+            self._image = SparseBytes(size, initial=media)
             self._dirty_map = SparseBytes(lines)
             self._queued_map = SparseBytes(lines)
+        # Undo records: the persisted bytes of disjoint runs of dirty
+        # lines, keyed by each run's first line; together they cover the
+        # dirty lines exactly. ``_undo_heads`` is their keys, ascending.
+        self._undo: Dict[int, bytes] = {}
+        self._undo_heads: List[int] = []
         self._dirty_count = 0
         # ``[first, stop)`` line ranges enqueued by pwb but not yet
         # fenced, and how many distinct lines they cover.
@@ -174,7 +178,7 @@ class NvmmDevice:
         from ..obs import sanitize
         m = registry.scope(f"nvmm.{sanitize(self.name)}")
         stats = self.stats
-        m.counter("stores", unit="ops", help="CPU stores into the overlay",
+        m.counter("stores", unit="ops", help="CPU stores into the image",
                   fn=lambda: stats.stores)
         m.counter("loads", unit="ops", help="CPU loads", fn=lambda: stats.loads)
         m.counter("bytes_stored", unit="bytes", help="payload bytes stored",
@@ -191,7 +195,7 @@ class NvmmDevice:
                   help="cache lines reaching the media",
                   fn=lambda: stats.lines_persisted)
         m.gauge("dirty_lines", unit="lines",
-                help="overlay lines not yet persisted",
+                help="stored lines not yet persisted",
                 fn=self.dirty_line_count)
         self._m_psync_latency = m.histogram(
             "psync_latency", unit="s", help="simulated psync drain latency")
@@ -214,26 +218,24 @@ class NvmmDevice:
         stats.bytes_stored += nbytes
         if nbytes == 0:
             return
-        overlay = self._overlay
+        image = self._image
         first = addr // CACHE_LINE_SIZE
         stop = (end - 1) // CACHE_LINE_SIZE + 1
         dirty = self._dirty_map
         state = dirty[first:stop]
-        # Only the partially-covered edge lines need their untouched bytes
-        # seeded from media; fully-covered interior lines are overwritten.
-        if addr % CACHE_LINE_SIZE and not state[0]:
-            start = first * CACHE_LINE_SIZE
-            overlay[start:start + CACHE_LINE_SIZE] = \
-                self._media[start:start + CACHE_LINE_SIZE]
-        if end % CACHE_LINE_SIZE and not state[-1]:
-            start = (stop - 1) * CACHE_LINE_SIZE
-            overlay[start:start + CACHE_LINE_SIZE] = \
-                self._media[start:start + CACHE_LINE_SIZE]
-        overlay[addr:end] = data
         clean = state.count(0)
         if clean:
+            # Before the store overwrites them, save the persisted bytes
+            # of each run of clean lines as one undo record.
+            undo, heads = self._undo, self._undo_heads
+            runs = ((0, stop - first),) if clean == stop - first else _runs(state, 0)
+            for run, run_stop in runs:
+                head = first + run
+                undo[head] = image[head * CACHE_LINE_SIZE:(first + run_stop) * CACHE_LINE_SIZE]
+                insort(heads, head)
             dirty[first:stop] = b"\x01" * (stop - first)
             self._dirty_count += clean
+        image[addr:end] = data
 
     def load(self, addr: int, nbytes: int) -> bytes:
         """CPU load: sees the newest (possibly unpersisted) data."""
@@ -243,25 +245,7 @@ class NvmmDevice:
         stats = self.stats
         stats.loads += 1
         stats.bytes_loaded += nbytes
-        if nbytes == 0:
-            return b""
-        if not self._dirty_count:
-            return self._media[addr:end]
-        first = addr // CACHE_LINE_SIZE
-        state = self._dirty_map[first:(end - 1) // CACHE_LINE_SIZE + 1]
-        hits = state.count(1)
-        if not hits:
-            return self._media[addr:end]
-        overlay = self._overlay
-        if hits == len(state):
-            return overlay[addr:end]
-        # Mixed clean/dirty lines: start from media, patch dirty runs in.
-        out = bytearray(self._media[addr:end])
-        for run, run_stop in _runs(state):
-            start = max((first + run) * CACHE_LINE_SIZE, addr)
-            stop = min((first + run_stop) * CACHE_LINE_SIZE, end)
-            out[start - addr:stop - addr] = overlay[start:stop]
-        return bytes(out)
+        return self._image[addr:end]
 
     def pwb(self, addr: int) -> None:
         """Enqueue the cache line containing ``addr`` for write-back."""
@@ -312,21 +296,23 @@ class NvmmDevice:
             recorder.hit("nvmm.pfence", f"{self.name} queued {drained}")
         if drained:
             persisted = 0
+            undo = self._undo
             # Ranges may overlap; a line persisted by an earlier range is
             # clean by the time a later one looks, so it counts once.
             for first, stop in self._queue:
-                state = self._dirty_map[first:stop]
-                hits = state.count(1)
-                if hits == stop - first:
-                    start, end = first * CACHE_LINE_SIZE, stop * CACHE_LINE_SIZE
-                    self._media[start:end] = self._overlay[start:end]
-                elif hits:
-                    for run, run_stop in _runs(state):
-                        start = (first + run) * CACHE_LINE_SIZE
-                        end = (first + run_stop) * CACHE_LINE_SIZE
-                        self._media[start:end] = self._overlay[start:end]
+                hits = self._dirty_map[first:stop].count(1)
                 clear = b"\x00" * (stop - first)
                 if hits:
+                    # A range that is exactly one undo record — every log
+                    # fill, commit word and clear — drops it in place.
+                    record = undo.get(first)
+                    if record is not None and \
+                            len(record) == len(clear) * CACHE_LINE_SIZE:
+                        del undo[first]
+                        heads = self._undo_heads
+                        del heads[bisect_left(heads, first)]
+                    else:
+                        self._split_undo(first, stop)
                     self._dirty_map[first:stop] = clear
                     persisted += hits
                 self._queued_map[first:stop] = clear
@@ -336,6 +322,25 @@ class NvmmDevice:
             self.stats.lines_persisted += persisted
             self._undrained_lines += drained
         return drained
+
+    def _split_undo(self, first: int, stop: int) -> None:
+        """Persist lines ``[first, stop)``: forget their undo bytes,
+        splitting the records that reach outside the range."""
+        undo, heads = self._undo, self._undo_heads
+        lo = bisect_left(heads, first)
+        if lo and _stop_line(heads[lo - 1], undo[heads[lo - 1]]) > first:
+            lo -= 1
+        hi = bisect_left(heads, stop, lo)
+        kept: List[int] = []
+        for head in heads[lo:hi]:
+            record = undo.pop(head)
+            if head < first:
+                undo[head] = record[:(first - head) * CACHE_LINE_SIZE]
+                kept.append(head)
+            if _stop_line(head, record) > stop:
+                undo[stop] = record[(stop - head) * CACHE_LINE_SIZE:]
+                kept.append(stop)
+        heads[lo:hi] = kept
 
     # -- timed operations (generators that charge simulated time) ----------
 
@@ -372,16 +377,11 @@ class NvmmDevice:
         return self._dirty_count
 
     def dirty_lines(self) -> Tuple[int, ...]:
-        """Indices of overlay lines not yet persisted, in address order
+        """Indices of stored lines not yet persisted, in address order
         (the universe :meth:`crash_image`'s ``keep_lines`` draws from)."""
         lines: List[int] = []
-        base = 0
-        # A sparse chunk of the map at a time, and only until every dirty
-        # line is found: a huge module's map is never materialized whole.
-        while len(lines) < self._dirty_count:
-            for run, run_stop in _runs(self._dirty_map[base:base + CHUNK_SIZE]):
-                lines.extend(range(base + run, base + run_stop))
-            base += CHUNK_SIZE
+        for head in self._undo_heads:
+            lines.extend(range(head, _stop_line(head, self._undo[head])))
         return tuple(lines)
 
     def crash_image(self, rng: Optional[random.Random] = None,
@@ -404,18 +404,20 @@ class NvmmDevice:
         """
         if keep_lines is not None and rng is not None:
             raise ValueError("pass either rng or keep_lines, not both")
-        image = bytearray(self._media[:])
+        image = bytearray(self._image[:])
+        for head, record in self._undo.items():
+            start = head * CACHE_LINE_SIZE
+            image[start:start + len(record)] = record
         survivors: Iterable[int] = ()
         if keep_lines is not None:
             survivors = sorted(set(self.dirty_lines()).intersection(keep_lines))
         elif rng is not None and eviction_probability > 0.0:
             survivors = [line for line in self.dirty_lines()
                          if rng.random() < eviction_probability]
-        overlay = self._overlay
         for line in survivors:
             start = line * CACHE_LINE_SIZE
             stop = start + CACHE_LINE_SIZE
-            image[start:stop] = overlay[start:stop]
+            image[start:stop] = self._image[start:stop]
         return image
 
     @classmethod
@@ -426,4 +428,4 @@ class NvmmDevice:
 
     def persisted_view(self) -> bytes:
         """What the media holds right now if the machine lost power."""
-        return self._media[:]
+        return bytes(self.crash_image())

@@ -12,9 +12,9 @@ like fresh NVMM in the model.
 The interface is the slice protocol the flat buffers of small devices
 (anonymous ``mmap``) already have — ``buf[a:b]`` returns the bytes,
 ``buf[a:b] = data`` stores exactly ``b - a`` bytes — so
-:class:`~repro.nvmm.device.NvmmDevice` addresses its media, its volatile
-overlay and its two line-state maps through one code path whatever
-backs them (DESIGN.md §6). As a line-state map (one byte per 64-byte
+:class:`~repro.nvmm.device.NvmmDevice` addresses its image and its two
+line-state maps through one code path whatever backs them (DESIGN.md
+§6). As a line-state map (one byte per 64-byte
 cache line) a chunk covers 64 MiB of device. The overwhelmingly common
 case — a slice that falls inside one chunk — is a single dict lookup
 plus one C-level slice; reading an absent chunk never materializes it,

@@ -27,7 +27,7 @@ from repro.block import SsdDevice
 from repro.core import CACHE_MODES, DrainThread, NvcacheConfig, cache_mode_row
 from repro.fs import Ext4
 from repro.kernel import Kernel, KernelError
-from repro.kernel.errno import EBADF, EINVAL
+from repro.kernel.errno import EBADF, EINVAL, ENAMETOOLONG, ENOENT
 from repro.kernel.fd_table import (
     LOCK_EX,
     O_APPEND,
@@ -376,8 +376,36 @@ def restart_leaves_one_drain_thread(ctx):
     assert not has_pending(cache)
 
 
+def open_rejects_overlong_path(ctx):
+    """A path the NVMM path table cannot hold fails ``open`` with
+    ENAMETOOLONG before the kernel creates the file: no fd leaks and the
+    cache's tables are untouched."""
+    env, kernel, cache = ctx.make()
+    path_max = cache.config.path_max
+    tables = cache.tables
+
+    def snapshot():
+        return (dict(tables.files), dict(tables.opened),
+                dict(tables.fd_files), dict(tables.pending_by_fd),
+                set(tables.deferred_close))
+
+    def body():
+        before = snapshot()
+        for path in ("/" + "a" * 300, "/" + "b" * (path_max - 1)):
+            yield from raises(ENAMETOOLONG, cache.open(path, O_CREAT | O_RDWR))
+            yield from raises(ENOENT, kernel.stat(path))
+        assert snapshot() == before
+        fd = yield from cache.open("/" + "c" * (path_max - 2), O_CREAT | O_RDWR)
+        assert fd == 3  # the lowest free fd: nothing leaked
+        yield from cache.pwrite(fd, b"fits", 0)
+        assert (yield from cache.pread(fd, 4, 0)) == b"fits"
+
+    env.run_process(body())
+
+
 ROWS = (
     ebadf_on_unmanaged_fd,
+    open_rejects_overlong_path,
     io_argument_checks,
     lseek_whence_and_bounds,
     append_cursor,

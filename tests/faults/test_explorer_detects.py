@@ -2,8 +2,8 @@
 
 The mutation reorders the commit protocol: the commit word is stored and
 queued (pwb) but never fenced (no psync) before the write is
-acknowledged. Live execution is indistinguishable — loads read the
-volatile overlay — but a power cut can now lose acknowledged writes,
+acknowledged. Live execution is indistinguishable — loads see the
+unpersisted stores — but a power cut can now lose acknowledged writes,
 which is exactly what durable-after-ack exists to catch.
 """
 

@@ -1,7 +1,8 @@
 """Host-independent complexity guard for the NVMM persistence tracking.
 
 The device books persistence per *range*: a constant number of C-level
-slice / ``count`` / ``find`` operations whatever the range's length.
+slice / ``count`` / ``find`` / ``bisect`` operations whatever the
+range's length or the number of unrelated undo records.
 Timing that on a shared host is noise; counting steps is exact. The
 profile hook sees every call into a C function or method and the trace
 hook every Python call and every executed Python line, so a
@@ -64,10 +65,9 @@ def _steps(fn, calls=None) -> int:
 def make_device(request, monkeypatch):
     def make() -> NvmmDevice:
         device = NvmmDevice(Environment(), size=SIZE)
-        assert isinstance(device._media, SparseBytes) == \
+        assert isinstance(device._image, SparseBytes) == \
             (request.param == "sparse")
-        # An unrelated dirty line, so loads consult the dirty map even
-        # once the range under test has been persisted.
+        # An unrelated dirty line, so the device is never all clean.
         device.store(0, b"x")
         return device
 
@@ -95,8 +95,8 @@ def _write_cycle_steps(device: NvmmDevice, addr: int, lines: int) -> int:
 
 
 # A chunk-aligned range keeps the 16,384-line (1 MiB) case inside one
-# sparse chunk, like every log entry; the unaligned one adds the seeding
-# of both partially-covered edge lines.
+# sparse chunk, like every log entry; the unaligned one adds two
+# partially-covered edge lines.
 @pytest.mark.parametrize("offset", [0, 8])
 def test_write_cycle_cost_is_independent_of_range_length(make_device, offset):
     short = _write_cycle_steps(make_device(), CHUNK_SIZE + offset, 2)
@@ -130,3 +130,30 @@ def test_dirty_line_count_is_constant_time(make_device):
     many.store(CHUNK_SIZE, b"\xef" * (9_999 * CACHE_LINE_SIZE))
     assert (few.dirty_line_count(), many.dirty_line_count()) == (1, 10_000)
     assert _steps(few.dirty_line_count) == _steps(many.dirty_line_count)
+
+
+@pytest.mark.parametrize("fenced", ["whole_record", "split_record"])
+def test_pfence_cost_is_independent_of_unrelated_dirty_runs(make_device,
+                                                            fenced):
+    def steps(runs: int) -> int:
+        device = make_device()
+        # One-line dirty runs with clean gaps, half below and half above
+        # the range under test: ``runs`` undo records it must not visit.
+        for run in range(runs):
+            base = CACHE_LINE_SIZE if run % 2 else 2 * CHUNK_SIZE
+            device.store(base + run * 2 * CACHE_LINE_SIZE, b"\x01")
+        device.store(CHUNK_SIZE, b"\xcd" * (4 * CACHE_LINE_SIZE))
+        if fenced == "whole_record":
+            fence = (CHUNK_SIZE, 4 * CACHE_LINE_SIZE)
+        else:
+            fence = (CHUNK_SIZE + CACHE_LINE_SIZE, CACHE_LINE_SIZE)
+
+        def cycle():
+            device.pwb_range(*fence)
+            device.pfence()
+
+        count = _steps(cycle)
+        assert device.dirty_line_count() == 1 + runs + 4 - fence[1] // CACHE_LINE_SIZE
+        return count
+
+    assert steps(1) == steps(1_000)

@@ -1,7 +1,8 @@
 """Equivalence of the range-granular NvmmDevice with a per-line reference.
 
-The device shadows the media with an overlay buffer plus two line-state
-maps and a queue of ``pwb`` ranges. This pits it against the
+The device keeps one image of what the CPU sees, undo records holding
+the persisted bytes of its unpersisted lines, two line-state maps and a
+queue of ``pwb`` ranges. This pits it against the
 straightforward model it replaced — a dict of per-cache-line buffers
 and a set of queued lines — over randomized operation sequences, and
 demands *byte-identical* behaviour: every load, every fence's drained
@@ -12,6 +13,7 @@ line enumeration, and every NvmmStats counter — for every backing the
 constructor can choose.
 """
 
+import itertools
 import random
 from dataclasses import asdict
 
@@ -125,14 +127,14 @@ def _build(sparse_backed: bool, image: bytes) -> NvmmDevice:
         if sparse_backed:
             patch.setattr(device_module, "FLAT_LIMIT", SIZE - 1)
         device = NvmmDevice.from_image(Environment(), image)
-    assert isinstance(device._media, sparse.SparseBytes) == sparse_backed
+    assert isinstance(device._image, sparse.SparseBytes) == sparse_backed
     return device
 
 
 def _apply(ops, data_seed, sparse_backed):
     payload_rng = random.Random(data_seed)
-    # A recovered device: the overlay starts out zeroed *under* non-zero
-    # media, so clean lines must really be served from the media.
+    # A recovered device over non-zero media: undo records must hold the
+    # persisted bytes, not zeros.
     image = payload_rng.randbytes(SIZE)
     device = _build(sparse_backed, image)
     reference = PerLineReference(SIZE)
@@ -218,3 +220,56 @@ def test_sparse_backing_matches_per_line_model(chunk_shift, ops, data_seed,
         patch.setattr(sparse, "CHUNK_SIZE", 1 << chunk_shift)
         patch.setattr(sparse, "_CHUNK_MASK", (1 << chunk_shift) - 1)
         _check_equivalence(True, ops, data_seed, crash_seed, keep)
+
+
+# -- targeted undo-record shapes ---------------------------------------------
+
+L = CACHE_LINE_SIZE
+backings = pytest.mark.parametrize("sparse_backed", [False, True],
+                                   ids=["flat", "sparse"])
+
+#: name -> (ops, undo records left): shapes the random sequences reach
+#: only by luck.
+TARGETED = {
+    # The last store covers clean and dirty lines alike: it saves one
+    # record per clean run (lines 2, 4-5 and 7-8) and none for 3 and 6.
+    "store_over_clean_and_dirty": ([
+        ("store", 3 * L + 5, 2), ("store", 6 * L, L),
+        ("store", 2 * L + 7, 6 * L)], 5),
+    # Fencing line 5 splits the record of lines 2-9; re-dirtying it saves
+    # a record of its own, and a store over lines 4-5 saves none.
+    # Fencing lines 4-6 then drops that record and trims both halves.
+    "redirty_after_partial_fence": ([
+        ("store", 2 * L, 8 * L), ("pwb", 5 * L, 0), ("pfence", 0, 0),
+        ("store", 5 * L + 3, 10), ("store", 4 * L + 60, 8),
+        ("pwb_range", 4 * L, 3 * L), ("pfence", 0, 0)], 2),
+    # A fence of exactly one record, and one reaching past both ends of
+    # another.
+    "fence_whole_records": ([
+        ("store", 10 * L, 2 * L), ("store", 20 * L + 1, 3 * L),
+        ("pwb_range", 10 * L, 2 * L), ("pfence", 0, 0),
+        ("pwb_range", 19 * L, 6 * L), ("pfence", 0, 0)], 0),
+}
+
+
+@backings
+@pytest.mark.parametrize("name", sorted(TARGETED))
+def test_targeted_undo_shapes_match_per_line_model(sparse_backed, name):
+    ops, records = TARGETED[name]
+    device, _reference = _apply(ops, 7, sparse_backed)
+    assert len(device._undo) == records
+    _check_equivalence(sparse_backed, ops, 7, 11, [3, 5, 8, 21])
+
+
+@backings
+def test_every_subset_of_a_split_record_crashes_like_the_model(sparse_backed):
+    # Lines 1-6 are one record until fencing line 3 splits it in two.
+    ops = [("store", L + 9, 6 * L - 9), ("pwb", 3 * L, 0), ("pfence", 0, 0)]
+    device, reference = _apply(ops, 3, sparse_backed)
+    assert sorted(device._undo) == [1, 4]
+    dirty = device.dirty_lines()
+    assert dirty == (1, 2, 4, 5, 6)
+    for size in range(len(dirty) + 1):
+        for keep in itertools.combinations(dirty, size):
+            assert device.crash_image(keep_lines=keep) == \
+                reference.crash_image(keep_lines=keep)
