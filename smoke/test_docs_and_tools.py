@@ -9,6 +9,7 @@ shared ``--help`` / unknown-flag / one-JSON-document / ``--jobs``
 contract of the tools is tier-1 (``tests/test_tool_contracts.py``).
 """
 
+import glob
 import importlib.util
 import json
 import os
@@ -70,10 +71,8 @@ COMMANDS = [
      "Jain index", "per class:", "slowest tenants"),
     (["tools/tenant_report.py", "--verify-sharding", "--seeds", "2",
       "--jobs", "2"], 0, "byte-identical"),
-] + [([os.path.join("examples", script)], 0) for script in (
-    "quickstart.py", "trace_profile.py", "log_saturation.py",
-    "multi_instance.py", "legacy_database.py", "inspect_crash.py",
-    "multi_tenant.py")]
+] + [([os.path.relpath(script, REPO_ROOT)], 0) for script in sorted(
+    glob.glob(os.path.join(REPO_ROOT, "examples", "*.py")))]
 
 
 @pytest.mark.parametrize(

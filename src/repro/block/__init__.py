@@ -1,8 +1,7 @@
-"""Block-device substrate: SSD, HDD and RAM-disk latency models."""
+"""Block-device substrate: SSD and HDD latency models."""
 
 from .device import BlockDevice, BlockStats, BlockTiming
 from .hdd import HddDevice
-from .ramdisk import RamDisk
 from .ssd import FastNvmeDevice, SsdDevice, SSD_TIMING
 
 __all__ = [
@@ -13,5 +12,4 @@ __all__ = [
     "FastNvmeDevice",
     "SSD_TIMING",
     "HddDevice",
-    "RamDisk",
 ]

@@ -3,7 +3,6 @@
 from .cleanup import CleanupThread, DrainThread
 from .config import CACHE_MODES, DEFAULT_CONFIG, NvcacheConfig, cache_mode_row
 from .files import FileTables, NvFile, NvOpenFile
-from .inspect import EntrySummary, LogReport, format_report, inspect_log
 from .log import (
     COMMIT_FREE,
     COMMIT_LEADER,
@@ -66,8 +65,4 @@ __all__ = [
     "NvOpenFile",
     "recover",
     "RecoveryReport",
-    "inspect_log",
-    "format_report",
-    "LogReport",
-    "EntrySummary",
 ]

@@ -28,6 +28,13 @@ CACHE_MODES = {
                    "recovery:recover_log"),
 }
 
+#: User-space CPU cost per intercepted operation (page-map walk, locking,
+#: bookkeeping), shared by every cache mode. The write cost is the
+#: calibration constant for the paper's ~500 MiB/s (Fig 4).
+WRITE_OP_OVERHEAD = 3.2 * US
+READ_HIT_OVERHEAD = 0.7 * US
+READ_MISS_OVERHEAD = 1.5 * US
+
 
 def cache_mode_row(name: str) -> tuple:
     """The (cache class, sizing function, recover function) of a mode."""
@@ -49,11 +56,6 @@ class NvcacheConfig:
     fd_max: int = 4_096                  # size of the persistent fd->path table
     path_max: int = 256                  # bytes reserved per path in NVMM
     cleanup_idle_flush: float = 50 * MS  # drain a short log after this idle time
-    # User-space CPU cost per intercepted write (radix walk, locking,
-    # bookkeeping) — the calibration knob for the paper's ~500 MiB/s.
-    write_op_overhead: float = 3.2 * US
-    read_hit_overhead: float = 0.7 * US
-    read_miss_overhead: float = 1.5 * US
     # Cache design point, a CACHE_MODES name (docs/POLICIES.md): logging
     # is the paper's NVMM log + DRAM read cache; paging is the
     # page-grained NVMM cache (page table + dirty-page writeback);
@@ -63,12 +65,8 @@ class NvcacheConfig:
     # logging read cache, LRU for paging), else clock|lru|alru|nhit.
     policy: str = ""
     paging_slots: int = 4_096            # NVMM page slots in paging mode
-    paging_wb_high: float = 0.45         # dirty fraction that wakes writeback
-    paging_wb_low: float = 0.40          # writeback drains down to this
     paging_batch_pages: int = 64         # pages written back per sync batch
     paging_idle_flush: float = 50 * MS   # flush a short dirty set after idle
-    nhit_threshold: int = 2              # misses before nhit promotes a page
-    alru_staleness: int = 64             # accesses before alru calls a page stale
 
     def __post_init__(self):
         if self.page_size & (self.page_size - 1):
@@ -87,12 +85,8 @@ class NvcacheConfig:
             raise ValueError("clock policy is only the logging read cache's")
         if self.paging_slots < 2:
             raise ValueError("paging needs at least two page slots")
-        if not 0.0 < self.paging_wb_low <= self.paging_wb_high < 1.0:
-            raise ValueError("need 0 < paging_wb_low <= paging_wb_high < 1")
         if self.paging_batch_pages < 1:
             raise ValueError("paging_batch_pages must be >= 1")
-        if self.nhit_threshold < 1 or self.alru_staleness < 1:
-            raise ValueError("policy knobs must be >= 1")
 
 
 DEFAULT_CONFIG = NvcacheConfig()

@@ -187,9 +187,6 @@ class NvmmLog:
             qos.note_alloc(seq, count)
         return seq
 
-    def next_entry(self) -> Generator:
-        return self.next_entries(1)
-
     def fill_entry(self, seq: int, fd: int, offset: int, data: bytes,
                    leader_seq: Optional[int] = None) -> Generator:
         """Populate an entry without committing it — header and payload

@@ -42,7 +42,13 @@ from ..kernel.inode import Stat
 from ..nvmm import NvmmDevice
 from ..sim import Environment
 from .cleanup import CleanupThread
-from .config import DEFAULT_CONFIG, NvcacheConfig
+from .config import (
+    DEFAULT_CONFIG,
+    READ_HIT_OVERHEAD,
+    READ_MISS_OVERHEAD,
+    WRITE_OP_OVERHEAD,
+    NvcacheConfig,
+)
 from .files import FileTables, NvOpenFile
 from .log import OP_CREATE, OP_RENAME, OP_TRUNCATE, OP_UNLINK, NvmmLog
 from .policies import make_policy
@@ -301,9 +307,7 @@ class Nvcache(CacheFacade):
         self.log = NvmmLog(env, nvmm, config, self.stats)
         self.read_cache = ReadCache(
             env, config.read_cache_pages, config.page_size, self.stats,
-            policy=make_policy(config.policy,
-                               nhit_threshold=config.nhit_threshold,
-                               alru_staleness=config.alru_staleness))
+            policy=make_policy(config.policy))
         self.cleanup = CleanupThread(env, self.log, kernel, self.tables,
                                      config, self.stats)
         self._start(start_cleanup)
@@ -471,8 +475,7 @@ class Nvcache(CacheFacade):
             if tracer is not None:
                 tracer.charge(self.env, "core", "lock_wait",
                               self.env.now - lock_began)
-            yield self.env.delay(config.write_op_overhead,
-                                 "core", "write_overhead")
+            yield self.env.delay(WRITE_OP_OVERHEAD, "core", "write_overhead")
             # Fill every entry (uncommitted for now).
             for i in range(chunk_count):
                 chunk = data[i * chunk_size:(i + 1) * chunk_size]
@@ -578,9 +581,9 @@ class Nvcache(CacheFacade):
                 uncached = None
                 missed = descriptor.content is None
                 if missed:
-                    span, overhead = "read_miss", self.config.read_miss_overhead
+                    span, overhead = "read_miss", READ_MISS_OVERHEAD
                 else:
-                    span, overhead = "read_hit", self.config.read_hit_overhead
+                    span, overhead = "read_hit", READ_HIT_OVERHEAD
                     self.stats.read_hits += 1
                     if self.env.qos is not None:
                         self.env.qos.tally_hit()
@@ -698,9 +701,22 @@ class Nvcache(CacheFacade):
         return result
 
     def rename(self, old: str, new: str) -> Generator:
+        """Descriptors still open on the moved file are rebound to its
+        new name: recovery replays their later writes (and ftruncate
+        logs its op) by that binding, and only follows renames logged
+        after an entry. Recovery resolves *every* pending entry of an fd
+        from its one binding, so the file's pending entries drain first,
+        as in ftruncate: none older than the new binding may remain."""
+        if any(h.file.pending_entries for h in self.tables.opened.values()
+               if h.file.path == old):
+            yield self.cleanup.request_drain()
         yield from self._log_namespace_op(
             OP_RENAME, 0, old.encode("utf-8") + b"\x00" + new.encode("utf-8"))
         result = yield from self.kernel.rename(old, new)
+        for handle in [h for h in self.tables.opened.values()
+                       if h.file.path == old]:
+            handle.file.path = new
+            yield from self.log.set_path(handle.fd, new)
         return result
 
     def _drop_clean(self, nv_file) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Generator
 
+from .config import READ_MISS_OVERHEAD
 from .nvcache import Nvcache
 
 
@@ -53,8 +54,7 @@ class NvlogLite(Nvcache):
             token = tracer.begin(self.env, "core", "read_miss", fd=fd)
         try:
             data = yield from self.kernel.pread(fd, nbytes, offset)
-            yield self.env.delay(self.config.read_miss_overhead,
-                                 "core", "read_overhead")
+            yield self.env.delay(READ_MISS_OVERHEAD, "core", "read_overhead")
         finally:
             if token is not None:
                 tracer.end(self.env, token)

@@ -75,7 +75,13 @@ from ..nvmm.layout import align_up
 from ..sim import Environment, Lock, Waitable
 from ..units import CACHE_LINE_SIZE
 from .cleanup import _TICK, DrainThread
-from .config import DEFAULT_CONFIG, NvcacheConfig
+from .config import (
+    DEFAULT_CONFIG,
+    READ_HIT_OVERHEAD,
+    READ_MISS_OVERHEAD,
+    WRITE_OP_OVERHEAD,
+    NvcacheConfig,
+)
 from .files import NvFile
 from .nvcache import CacheFacade
 from .policies import CachePolicy, LruPolicy, make_policy
@@ -88,6 +94,11 @@ META_STRIDE = CACHE_LINE_SIZE     # one cache line per record
 SLOT_FREE = 0
 SLOT_DIRTY = 1
 SLOT_CLEAN = 2
+
+#: Dirty-slot fractions: writeback wakes at the high watermark and
+#: drains down to the low one.
+PAGING_WB_HIGH = 0.45
+PAGING_WB_LOW = 0.40
 
 @dataclass(slots=True)
 class PagingStats:
@@ -247,10 +258,7 @@ class PagingCache(CacheFacade):
         self.stats = PagingStats()
         self.store = PagingStore(env, nvmm, config)
         self.policy: CachePolicy = (
-            make_policy(config.policy,
-                        nhit_threshold=config.nhit_threshold,
-                        alru_staleness=config.alru_staleness)
-            or LruPolicy())
+            make_policy(config.policy) or LruPolicy())
         # Volatile slot state. The simulation is cooperative (single
         # OS thread, interleaving only at yields), so these maps need no
         # lock of their own; the txn lock below serializes the
@@ -270,7 +278,6 @@ class PagingCache(CacheFacade):
         # file-id assignment (volatile mirror of the NVMM file table).
         self._fid_by_key: Dict[Tuple[int, int], int] = {}
         self._free_fids: List[int] = list(range(config.fd_max - 1, -1, -1))
-        self._fid_pages: Dict[int, int] = {}   # fid -> resident slots
         self._next_txn = self.store.committed_txn() + 1
         self.txn_lock = Lock(env, name=f"{name}.txn")
         self._slot_waiters: List[Waitable] = []
@@ -346,7 +353,6 @@ class PagingCache(CacheFacade):
                 raise KernelError(EINVAL, "paging file table exhausted")
             fid = self._free_fids.pop()
             self._fid_by_key[nv_file.key] = fid
-            self._fid_pages[fid] = 0
             yield from self.store.set_fid_path(fid, nv_file.path)
         else:
             yield self.env.timeout(0.0)
@@ -355,7 +361,6 @@ class PagingCache(CacheFacade):
     def _release_fid(self, nv_file: NvFile) -> None:
         fid = self._fid_by_key.pop(nv_file.key, None)
         if fid is not None:
-            self._fid_pages.pop(fid, None)
             self.store.clear_fid_path(fid)
             self._free_fids.append(fid)
 
@@ -433,8 +438,7 @@ class PagingCache(CacheFacade):
             if tracer is not None:
                 tracer.charge(self.env, "core", "lock_wait",
                               self.env.now - lock_began)
-            yield self.env.delay(config.write_op_overhead,
-                                 "core", "write_overhead")
+            yield self.env.delay(WRITE_OP_OVERHEAD, "core", "write_overhead")
             fid = yield from self._fid_for(nv_file)
             txn = self._next_txn
             self._next_txn += 1
@@ -469,8 +473,6 @@ class PagingCache(CacheFacade):
                 old = self._map.get(key)
                 if old is not None:
                     self._supersede(old)
-                else:
-                    self._fid_pages[fid] += 1
                 slot.state = SLOT_DIRTY
                 slot.txn = txn
                 slot.key = key
@@ -603,9 +605,6 @@ class PagingCache(CacheFacade):
             if slot is None or slot.state != SLOT_CLEAN:
                 continue
             del self._map[key]
-            fid = key[0]
-            if fid in self._fid_pages:
-                self._fid_pages[fid] -= 1
             self.policy.record_evict(key)
             self.stats.evictions += 1
             slot.reset()
@@ -648,8 +647,7 @@ class PagingCache(CacheFacade):
                 try:
                     piece = yield from self.nvmm.timed_load(
                         self.store.data_addr(slot.index) + in_page, chunk)
-                    yield self.env.delay(self.config.read_hit_overhead,
-                                         "core", "read_overhead")
+                    yield self.env.delay(READ_HIT_OVERHEAD, "core", "read_overhead")
                 finally:
                     if token is not None:
                         tracer.end(self.env, token)
@@ -671,8 +669,7 @@ class PagingCache(CacheFacade):
                     data = yield from self.kernel.pread(fd, page_size, base)
                     buffer = bytearray(page_size)
                     buffer[:len(data)] = data
-                    yield self.env.delay(self.config.read_miss_overhead,
-                                         "core", "read_overhead")
+                    yield self.env.delay(READ_MISS_OVERHEAD, "core", "read_overhead")
                 finally:
                     if token is not None:
                         tracer.end(self.env, token)
@@ -731,7 +728,6 @@ class PagingCache(CacheFacade):
         slot.fd = -1
         slot.nv_file = nv_file
         self._map[key] = slot
-        self._fid_pages[fid] += 1
         self.policy.record_insert(key)
         self.stats.promotions += 1
 
@@ -804,7 +800,6 @@ class PagingCache(CacheFacade):
             self._release_fid(nv_file)
         else:
             self._fid_by_key.pop(key, None)
-            self._fid_pages.pop(fid, None)
             self._free_fids.append(fid)
         self._fire_slot_waiters()
 
@@ -840,7 +835,6 @@ class PagingCache(CacheFacade):
             for key, slot in list(self._map.items()):
                 if key[0] == fid and slot.state == SLOT_CLEAN:
                     del self._map[key]
-                    self._fid_pages[fid] -= 1
                     self.policy.record_evict(key)
                     slot.reset()
                     self._media_fid.pop(slot.index, None)
@@ -869,8 +863,6 @@ class PagingCache(CacheFacade):
         assert len(self._map) + len(self._free) == self.config.paging_slots, (
             f"slot leak: {len(self._map)} mapped + {len(self._free)} free "
             f"!= {self.config.paging_slots}")
-        for fid, count in self._fid_pages.items():
-            assert count >= 0, f"negative resident count for fid {fid}"
 
 
 class WritebackThread(DrainThread):
@@ -907,8 +899,8 @@ class WritebackThread(DrainThread):
         self.cache = cache
         self._kick = False
         self._drain_waiters: List[Waitable] = []
-        self.high_slots = max(1, int(config.paging_wb_high * config.paging_slots))
-        self.low_slots = max(0, int(config.paging_wb_low * config.paging_slots))
+        self.high_slots = max(1, int(PAGING_WB_HIGH * config.paging_slots))
+        self.low_slots = max(0, int(PAGING_WB_LOW * config.paging_slots))
 
     def nudge(self) -> None:
         """Writer-side hint: worth checking the watermarks before the

@@ -157,9 +157,9 @@ class NhitPolicy(CachePolicy):
         super().record_insert(key)
 
 
-def make_policy(name: str, *, nhit_threshold: int = 2,
-                alru_staleness: int = 64) -> Optional[CachePolicy]:
-    """Build a policy by configuration name.
+def make_policy(name: str) -> Optional[CachePolicy]:
+    """Build a policy by configuration name, with its constructor
+    defaults.
 
     ``"clock"`` and ``""`` return ``None`` — the read cache's built-in
     CLOCK path (the paper's eviction; unchanged default behaviour). The
@@ -171,9 +171,9 @@ def make_policy(name: str, *, nhit_threshold: int = 2,
     if name == "lru":
         return LruPolicy()
     if name == "alru":
-        return AlruPolicy(staleness=alru_staleness)
+        return AlruPolicy()
     if name == "nhit":
-        return NhitPolicy(threshold=nhit_threshold)
+        return NhitPolicy()
     raise ValueError(
         f"unknown cache policy {name!r}; choose from "
         f"{('clock',) + POLICY_NAMES}")

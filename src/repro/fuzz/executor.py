@@ -23,7 +23,7 @@ from collections import OrderedDict
 from typing import Dict, List
 
 # Eager-import the whole coverage scope (see module docstring).
-from ..core import (cleanup, config, files, inspect, log, nvcache,  # noqa: F401
+from ..core import (cleanup, config, files, log, nvcache,  # noqa: F401
                     qos, read_cache, recovery, stats)
 from ..fs import (base, dm_writecache, ext4, ext4_dax, nova,  # noqa: F401
                   tmpfs)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .errno import EBUSY, EINVAL, ENOENT, KernelError
+from .errno import EBUSY, ENOENT, KernelError
 
 
 def normalize(path: str) -> str:
@@ -35,14 +35,6 @@ class Vfs:
             raise KernelError(EBUSY, f"{mountpoint} already mounted")
         self._mounts.append((mountpoint, filesystem))
         self._mounts.sort(key=lambda item: len(item[0]), reverse=True)
-
-    def unmount(self, mountpoint: str) -> None:
-        mountpoint = normalize(mountpoint)
-        for i, (mp, _fs) in enumerate(self._mounts):
-            if mp == mountpoint:
-                del self._mounts[i]
-                return
-        raise KernelError(EINVAL, f"{mountpoint} not mounted")
 
     def resolve(self, path: str) -> Tuple[object, str]:
         """Return (filesystem, path inside that filesystem)."""

@@ -1,9 +1,6 @@
 """libc facades: the interposition point for NVCache (paper §III)."""
 
-from .aio import Aio, AioControlBlock, EINPROGRESS
 from .libc import Libc, NvcacheLibc
-from .stdio import BUFSIZ, File, Stdio
 from .tenant import TenantLibc
 
-__all__ = ["Libc", "NvcacheLibc", "TenantLibc", "Stdio", "File", "BUFSIZ",
-           "Aio", "AioControlBlock", "EINPROGRESS"]
+__all__ = ["Libc", "NvcacheLibc", "TenantLibc"]

@@ -106,12 +106,6 @@ class NvcacheLibc(Libc):
     Defines no I/O method of its own: every cache mode implements the
     whole surface (:class:`~repro.core.nvcache.CacheFacade`), so
     splicing it in is re-pointing ``target``.
-
-    The stdio family (fopen/fread/fwrite in :mod:`repro.libc.stdio`) is
-    redirected to the *unbuffered* versions automatically because it is
-    built on this class's read/write — matching Table III's "uses
-    unbuffered versions" row, with NVCache's own read cache playing the
-    role of the stdio buffer.
     """
 
     def __init__(self, nvcache):

@@ -24,9 +24,6 @@ class Event(Waitable):
     def fail(self, exception: BaseException) -> None:
         self._fire(None, exception)
 
-    def wait(self) -> "Event":
-        return self
-
 
 class Lock:
     """Mutual exclusion with FIFO hand-off."""

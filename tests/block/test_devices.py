@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.block import HddDevice, RamDisk, SsdDevice
+from repro.block import HddDevice, SsdDevice
 from repro.obs import MetricsRegistry
 from repro.sim import Environment
-from repro.units import KIB, MIB
+from repro.units import MIB
 
 
 @pytest.fixture
@@ -159,20 +159,6 @@ def test_hdd_seek_cost_grows_with_distance(env):
 
     near, far = run(env, body())
     assert far > near
-
-
-def test_ramdisk_fast_and_correct(env):
-    ram = RamDisk(env, size=16 * MIB)
-
-    def body():
-        start = env.now
-        yield from ram.write(0, b"q" * 64 * KIB)
-        data = yield from ram.read(0, 64 * KIB)
-        return data, env.now - start
-
-    data, elapsed = run(env, body())
-    assert data == b"q" * 64 * KIB
-    assert elapsed < 1e-3
 
 
 def test_stats_accumulate(env, ssd):

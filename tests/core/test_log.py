@@ -35,7 +35,7 @@ def test_allocation_is_sequential():
     def body():
         seqs = []
         for _ in range(5):
-            seq = yield from log.next_entry()
+            seq = yield from log.next_entries(1)
             seqs.append(seq)
         return seqs
 
@@ -48,7 +48,7 @@ def test_group_allocation_contiguous():
 
     def body():
         first = yield from log.next_entries(3)
-        second = yield from log.next_entry()
+        second = yield from log.next_entries(1)
         return first, second
 
     first, second = run(env, body())
@@ -70,7 +70,7 @@ def test_fill_and_read_roundtrip():
     env, _nvmm, log = make_log()
 
     def body():
-        seq = yield from log.next_entry()
+        seq = yield from log.next_entries(1)
         yield from log.fill_entry(seq, fd=7, offset=4096, data=b"payload")
         yield from log.commit_leader(seq)
         return log.read_header(seq), log.read_data(seq)
@@ -85,7 +85,7 @@ def test_entry_too_large_rejected():
     env, _nvmm, log = make_log()
 
     def body():
-        seq = yield from log.next_entry()
+        seq = yield from log.next_entries(1)
         yield from log.fill_entry(seq, 0, 0, b"x" * (CFG.entry_data_size + 1))
 
     with pytest.raises(ValueError):
@@ -96,7 +96,7 @@ def test_uncommitted_entry_not_committed():
     env, _nvmm, log = make_log()
 
     def body():
-        seq = yield from log.next_entry()
+        seq = yield from log.next_entries(1)
         yield from log.fill_entry(seq, 1, 0, b"data")
         return seq
 
@@ -126,7 +126,7 @@ def test_commit_is_durable_after_crash():
     env, nvmm, log = make_log()
 
     def body():
-        seq = yield from log.next_entry()
+        seq = yield from log.next_entries(1)
         yield from log.fill_entry(seq, 3, 64, b"durable")
         yield from log.commit_leader(seq)
 
@@ -143,7 +143,7 @@ def test_uncommitted_fill_may_be_lost_but_never_half_committed():
     env, nvmm, log = make_log()
 
     def body():
-        seq = yield from log.next_entry()
+        seq = yield from log.next_entries(1)
         yield from log.fill_entry(seq, 3, 64, b"in-flight")
         # crash before commit_leader
 
@@ -182,7 +182,7 @@ def test_wraparound_reuses_slots():
 
     def body():
         for i in range(CFG.log_entries * 3):
-            seq = yield from log.next_entry()
+            seq = yield from log.next_entries(1)
             yield from log.fill_entry(seq, 0, 0, bytes([i % 251]))
             yield from log.commit_leader(seq)
             yield from log.clear_entries([seq])
@@ -198,7 +198,7 @@ def test_clear_entries_resets_commit_and_tail():
 
     def body():
         for i in range(4):
-            seq = yield from log.next_entry()
+            seq = yield from log.next_entries(1)
             yield from log.fill_entry(seq, 0, i * 128, b"y")
             yield from log.commit_leader(seq)
         yield from log.clear_entries([0, 1])
@@ -216,7 +216,7 @@ def test_advance_tail_validation():
     env, _nvmm, log = make_log()
 
     def body():
-        yield from log.next_entry()
+        yield from log.next_entries(1)
 
     run(env, body())
     with pytest.raises(ValueError):

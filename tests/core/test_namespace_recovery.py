@@ -6,10 +6,15 @@ without this, a crash could resurrect a deleted rollback journal or
 un-truncate a file.
 """
 
-from repro.kernel import O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY, KernelError
+from dataclasses import replace
+
+import pytest
+
+from repro.core import CACHE_MODES
+from repro.kernel import O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY, KernelError
 from repro.kernel.errno import ENOENT
 
-from .test_recovery import crash_and_recover, fresh_stack, read_file
+from .test_recovery import CFG, crash_and_recover, fresh_stack, read_file
 
 
 def test_unlink_replayed_after_writes():
@@ -115,6 +120,79 @@ def test_rename_replayed():
         return None
 
     assert env2.run_process(old_gone()) == ENOENT
+
+
+def _absent(env, kernel, path):
+    def body():
+        try:
+            yield from kernel.stat(path)
+        except KernelError as exc:
+            return exc.errno == ENOENT
+        return False
+
+    return env.run_process(body())
+
+
+@pytest.mark.parametrize("mode", sorted(CACHE_MODES))
+def test_writes_through_an_open_fd_follow_its_rename(mode):
+    """Write through an open fd, unlink the target name, rename the
+    still-open file onto it, then ftruncate and pwrite through the same
+    fd and crash with the later entries pending. Every acknowledged byte
+    must come back under the new name and no ghost under the old one:
+    the fd's durable path binding, which recovery replays its entries
+    by, must follow the rename, and no entry older than the new binding
+    may stay pending (resolved from the new name it would meet the
+    unlink and be dropped)."""
+    config = replace(CFG, cache_mode=mode, paging_slots=64)
+    env, kernel, ssd, nvmm, nv = fresh_stack(config)
+
+    def body():
+        fd = yield from nv.open("/b", O_CREAT | O_WRONLY)
+        yield from nv.pwrite(fd, b"stale target", 0)
+        yield from nv.close(fd)
+        fd = yield from nv.open("/a", O_CREAT | O_RDWR)
+        yield from nv.pwrite(fd, b"acked-before-rename", 0)
+        yield from nv.unlink("/b")
+        yield from nv.rename("/a", "/b")
+        nv.cleanup.stop()
+        yield from nv.ftruncate(fd, 64)
+        return (yield from nv.pwrite(fd, b"after", 32))
+
+    assert env.run_process(body()) == 5
+    env2, kernel2, _report = crash_and_recover(env, kernel, ssd, nvmm,
+                                               config=config)
+    assert read_file(env2, kernel2, "/b", 128) == (
+        b"acked-before-rename" + bytes(13) + b"after" + bytes(27))
+    assert _absent(env2, kernel2, "/a")
+
+
+@pytest.mark.parametrize("mode", sorted(CACHE_MODES))
+def test_log_rotation_with_the_new_log_open(mode):
+    """Rotate a log while the new one is still open: rename /log away,
+    rename /log.new onto /log, keep writing through the new log's fd,
+    crash. The write made before the rotation belongs to /log, not to
+    /log.old, which the rebound name would reach by following the first
+    rename had that write stayed pending."""
+    config = replace(CFG, cache_mode=mode, paging_slots=64)
+    env, kernel, ssd, nvmm, nv = fresh_stack(config)
+
+    def body():
+        fd = yield from nv.open("/log", O_CREAT | O_WRONLY)
+        yield from nv.pwrite(fd, b"old log", 0)
+        yield from nv.close(fd)
+        fd = yield from nv.open("/log.new", O_CREAT | O_WRONLY)
+        yield from nv.pwrite(fd, b"rotated ", 0)
+        yield from nv.rename("/log", "/log.old")
+        yield from nv.rename("/log.new", "/log")
+        nv.cleanup.stop()
+        return (yield from nv.pwrite(fd, b"log", 8))
+
+    assert env.run_process(body()) == 3
+    env2, kernel2, _report = crash_and_recover(env, kernel, ssd, nvmm,
+                                               config=config)
+    assert read_file(env2, kernel2, "/log", 64) == b"rotated log"
+    assert read_file(env2, kernel2, "/log.old", 64) == b"old log"
+    assert _absent(env2, kernel2, "/log.new")
 
 
 def test_deferred_close_keeps_fd_binding_for_recovery():

@@ -71,8 +71,9 @@ def test_make_policy_catalog():
     assert isinstance(make_policy("lru"), LruPolicy)
     assert isinstance(make_policy("alru"), AlruPolicy)
     assert isinstance(make_policy("nhit"), NhitPolicy)
-    assert make_policy("nhit", nhit_threshold=5).threshold == 5
-    assert make_policy("alru", alru_staleness=7).staleness == 7
+    # The factory builds each policy with its constructor defaults.
+    assert make_policy("nhit").threshold == NhitPolicy().threshold == 2
+    assert make_policy("alru").staleness == AlruPolicy().staleness == 64
     with pytest.raises(ValueError):
         make_policy("fifo")
 

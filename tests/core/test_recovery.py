@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.block import SsdDevice
-from repro.core import Nvcache, NvcacheConfig, NvmmLog, recover
+from repro.core import NvcacheConfig, NvmmLog, cache_mode_row, recover
 from repro.fs import Ext4
 from repro.kernel import Kernel, O_CREAT, O_RDONLY, O_WRONLY
 from repro.nvmm import NvmmDevice
@@ -24,8 +24,9 @@ def fresh_stack(config=CFG, start_cleanup=True):
     ssd = SsdDevice(env, size=128 * MIB)
     kernel = Kernel(env)
     kernel.mount("/", Ext4(env, ssd))
-    nvmm = NvmmDevice(env, size=NvmmLog.required_size(config))
-    nv = Nvcache(env, kernel, nvmm, config, start_cleanup=start_cleanup)
+    cache_cls, required_size, _recover = cache_mode_row(config.cache_mode)
+    nvmm = NvmmDevice(env, size=required_size(config))
+    nv = cache_cls(env, kernel, nvmm, config, start_cleanup=start_cleanup)
     return env, kernel, ssd, nvmm, nv
 
 
@@ -92,7 +93,7 @@ def test_uncommitted_entry_ignored_by_recovery():
         fd = yield from nv.open("/f", O_CREAT | O_WRONLY)
         yield from nv.pwrite(fd, b"committed", 0)
         # Manually fabricate an uncommitted entry (filled, never committed).
-        seq = yield from nv.log.next_entry()
+        seq = yield from nv.log.next_entries(1)
         yield from nv.log.fill_entry(seq, fd, 100, b"never-committed")
 
     env.run_process(body())

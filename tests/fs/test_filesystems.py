@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.block import RamDisk, SsdDevice
+from repro.block import SsdDevice
 from repro.fs import DmWriteCache, Ext4, Ext4Dax, Nova, Tmpfs
 from repro.harness.systems import SYSTEM_NAMES, Scale, build_stack
 from repro.kernel import Kernel, KernelError, O_CREAT, O_DIRECT, O_RDONLY, O_RDWR, O_SYNC, O_WRONLY
@@ -128,7 +128,7 @@ def test_page_store_truncate_frees_pages_and_keeps_the_head(env):
 
 
 def test_ext4_enospc(env):
-    tiny = RamDisk(env, size=2 * MIB)
+    tiny = SsdDevice(env, size=2 * MIB)
     fs = Ext4(env, tiny, journal_size=1 * MIB)
     kernel = make_kernel(env, fs)
 
@@ -143,7 +143,7 @@ def test_ext4_enospc(env):
 
 
 def test_ext4_unlink_frees_blocks(env):
-    device = RamDisk(env, size=4 * MIB)
+    device = SsdDevice(env, size=4 * MIB)
     fs = Ext4(env, device, journal_size=1 * MIB)
     kernel = make_kernel(env, fs)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fs import Ext4, Tmpfs
-from repro.block import RamDisk
+from repro.block import SsdDevice
 from repro.kernel import KernelError, Vfs, normalize
 from repro.sim import Environment
 from repro.units import MIB
@@ -21,7 +21,7 @@ def test_normalize_basic():
 
 def _two_fs():
     env = Environment()
-    root = Ext4(env, RamDisk(env, size=256 * MIB))
+    root = Ext4(env, SsdDevice(env, size=256 * MIB))
     mnt = Tmpfs(env)
     vfs = Vfs()
     vfs.mount("/", root)
@@ -50,15 +50,6 @@ def test_double_mount_rejected():
     vfs, root, _ = _two_fs()
     with pytest.raises(KernelError):
         vfs.mount("/mnt/tmp", root)
-
-
-def test_unmount():
-    vfs, root, _mnt = _two_fs()
-    vfs.unmount("/mnt/tmp")
-    fs, _rel = vfs.resolve("/mnt/tmp/file")
-    assert fs is root
-    with pytest.raises(KernelError):
-        vfs.unmount("/mnt/tmp")
 
 
 def test_resolve_without_root_mount_fails():

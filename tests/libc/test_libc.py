@@ -1,12 +1,10 @@
-"""Tests for the libc facades: passthrough, interposition, stdio."""
-
-import pytest
+"""Tests for the libc facades: passthrough and interposition."""
 
 from repro.block import SsdDevice
 from repro.core import Nvcache, NvcacheConfig, NvmmLog
 from repro.fs import Ext4
 from repro.kernel import Kernel, O_CREAT, O_RDWR, O_WRONLY, SEEK_SET
-from repro.libc import Libc, NvcacheLibc, Stdio
+from repro.libc import Libc, NvcacheLibc
 from repro.nvmm import NvmmDevice
 from repro.sim import Environment
 from repro.units import MIB
@@ -103,101 +101,3 @@ def test_plain_libc_fsync_costs_time():
         return env.now - start
 
     assert env.run_process(body()) > 1e-4  # journal commit + disk flush
-
-
-def test_stdio_buffered_on_plain_libc():
-    env, kernel, libc = plain_stack()
-    stdio = Stdio(libc)
-    assert stdio.buffered is True
-
-    def body():
-        stream = yield from stdio.fopen("/s.txt", "w")
-        yield from stdio.fwrite(b"tiny", stream)
-        # Still buffered in user space: kernel has no data yet.
-        st = yield from kernel.stat("/s.txt")
-        assert st.st_size == 0
-        yield from stdio.fclose(stream)
-        st = yield from kernel.stat("/s.txt")
-        return st.st_size
-
-    assert env.run_process(body()) == 4
-
-
-def test_stdio_unbuffered_on_nvcache_libc():
-    """Paper Table III: fwrite becomes unbuffered under NVCache."""
-    env, _kernel, nvcache, libc = nvcache_stack()
-    stdio = Stdio(libc)
-    assert stdio.buffered is False
-
-    def body():
-        stream = yield from stdio.fopen("/s.txt", "w")
-        yield from stdio.fwrite(b"direct", stream)
-        return nvcache.stats.writes
-
-    assert env.run_process(body()) == 1  # hit the cache immediately
-
-
-def test_stdio_fread_fseek_ftell():
-    env, _kernel, libc = plain_stack()
-    stdio = Stdio(libc)
-
-    def body():
-        stream = yield from stdio.fopen("/s.txt", "w+")
-        yield from stdio.fwrite(b"0123456789", stream)
-        yield from stdio.fseek(stream, 2)
-        data = yield from stdio.fread(4, stream)
-        pos = yield from stdio.ftell(stream)
-        yield from stdio.fclose(stream)
-        return data, pos
-
-    data, pos = env.run_process(body())
-    assert data == b"2345"
-    assert pos == 6
-
-
-def test_stdio_large_write_flushes_in_chunks():
-    env, kernel, libc = plain_stack()
-    stdio = Stdio(libc)
-
-    def body():
-        stream = yield from stdio.fopen("/big.txt", "w")
-        yield from stdio.fwrite(b"z" * 20000, stream)
-        st = yield from kernel.stat("/big.txt")
-        buffered_tail = 20000 - st.st_size
-        yield from stdio.fclose(stream)
-        st = yield from kernel.stat("/big.txt")
-        return buffered_tail, st.st_size
-
-    buffered_tail, final = env.run_process(body())
-    assert 0 < buffered_tail < 8192
-    assert final == 20000
-
-
-def test_stdio_bad_mode_rejected():
-    env, _kernel, libc = plain_stack()
-    stdio = Stdio(libc)
-
-    def body():
-        yield from stdio.fopen("/f", "q")
-
-    with pytest.raises(Exception):
-        env.run_process(body())
-
-
-def test_stdio_append_mode():
-    env, _kernel, libc = plain_stack()
-    stdio = Stdio(libc)
-
-    def body():
-        stream = yield from stdio.fopen("/log", "a")
-        yield from stdio.fwrite(b"first", stream)
-        yield from stdio.fclose(stream)
-        stream = yield from stdio.fopen("/log", "a")
-        yield from stdio.fwrite(b"second", stream)
-        yield from stdio.fclose(stream)
-        stream = yield from stdio.fopen("/log", "r")
-        data = yield from stdio.fread(100, stream)
-        yield from stdio.fclose(stream)
-        return data
-
-    assert env.run_process(body()) == b"firstsecond"

@@ -412,7 +412,7 @@ def test_event_value_passed_to_waiter():
         event.set("payload")
 
     def waiter(env, event):
-        value = yield event.wait()
+        value = yield event
         return value
 
     event = env.event()
@@ -426,7 +426,7 @@ def test_event_set_before_wait():
     event.set(123)
 
     def waiter(env):
-        value = yield event.wait()
+        value = yield event
         return value
 
     assert env.run_process(waiter(env)) == 123
@@ -438,7 +438,7 @@ def test_event_fail_raises_in_waiter():
 
     def waiter(env):
         try:
-            yield event.wait()
+            yield event
         except OSError as exc:
             return exc.errno
         return None
@@ -456,7 +456,7 @@ def test_deadlock_detected_by_run_process():
     event = env.event()  # never set
 
     def stuck(env):
-        yield event.wait()
+        yield event
 
     with pytest.raises(SimulationError, match="did not finish"):
         env.run_process(stuck(env))

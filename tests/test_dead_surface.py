@@ -1,14 +1,23 @@
-"""Dead-surface guard (ROADMAP item 10c): a public function, method or
-class of ``src/repro`` that nothing but its own tests uses is either
-deleted or named below with the reason it stays.
+"""Dead-surface guard (ROADMAP items 6 and 10c): what nothing but its own
+tests reaches is either deleted or named below with the reason it stays.
+Three rules:
 
-*Used* means referenced by name — a ``Name``, an attribute access, or a
-string constant naming it (``getattr`` dispatch, ``"module:function"``
-worker entry points) — anywhere in ``src/repro``, ``tools``, ``bench``,
-``benchmarks`` or ``examples``. Import statements and ``__all__`` lists
-do not count: re-exporting a name is not using it. Matching is by bare
-name, so the guard errs towards "used" (a method called ``read`` is
-kept alive by any ``.read``); what it does report is certain.
+- *Names.* A public function, method or class of ``src/repro`` is used
+  when it is referenced by name — a ``Name``, an attribute access, or a
+  string constant naming it (``getattr`` dispatch, ``"module:function"``
+  worker entry points) — anywhere in ``src/repro``, ``tools``, ``bench``,
+  ``benchmarks`` or ``examples``. Import statements and ``__all__`` lists
+  do not count: re-exporting a name is not using it. Matching is by bare
+  name, so the guard errs towards "used" (a method called ``read`` is
+  kept alive by any ``.read``); what it does report is certain.
+- *Modules.* A module has a caller when one of its public top-level
+  names is referenced from another ``src/repro`` module (not an
+  ``__init__``) or from ``tools``, ``bench`` or ``benchmarks``. Examples
+  do not count: a module only an example drives is a demo, not a part.
+- *Knobs.* Every ``NvcacheConfig`` field is passed by keyword to
+  ``NvcacheConfig(...)``, ``replace(...)`` or ``dict(...)`` somewhere
+  outside ``core/config.py`` and the tests; a field with one value in
+  use is a constant.
 """
 
 import ast
@@ -18,17 +27,15 @@ import textwrap
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = REPO_ROOT / "src" / "repro"
 CONSUMERS = ("tools", "bench", "benchmarks", "examples")
+MODULE_CALLERS = ("tools", "bench", "benchmarks")
+CONFIG = PACKAGE / "core" / "config.py"
 
-#: ``(module, name) -> why it stays``; ``"*"`` covers every public name
-#: the module defines. Compared both ways: a name that gains a user (or
+#: ``(module, name) -> why it stays``; ``"*"`` names a whole module that
+#: may have no caller. Compared both ways: a name that gains a user (or
 #: goes away) must leave this table.
 ALLOWED = {
-    ("libc/aio.py", "*"):
-        "POSIX surface (paper Table III): the aio_* family",
-    ("libc/stdio.py", "*"):
-        "POSIX surface (paper Table III): buffered stdio",
     ("core/nvcache.py", "ftell"):
-        "POSIX surface (paper Table III): the cursor's read accessor",
+        "test observation point: the cursor",
     ("core/nvcache.py", "check_invariants"):
         "test observation point: cross-checks tables, index and log",
     ("core/paging.py", "check_invariants"):
@@ -45,14 +52,8 @@ ALLOWED = {
         "test observation point: blocks ever written",
     ("sim/core.py", "fired"):
         "test observation point: read-only view of Waitable._fired",
-    ("sim/sync.py", "wait"):
-        "SimPy spelling ``yield event.wait()``, kept for ported models",
-    ("block/ramdisk.py", "RamDisk"):
-        "zero-latency backend the filesystem and VFS unit tests mount",
     ("kernel/page_cache.py", "start_writeback_daemon"):
-        "the kernel's periodic flusher; opt-in, no shipped stack enables it",
-    ("kernel/vfs.py", "unmount"):
-        "inverse of mount, the other half of the mount table contract",
+        "the kernel's periodic flusher; ROADMAP item 12 gives it a caller",
 }
 
 
@@ -65,6 +66,21 @@ def _definitions(tree):
             for child in node.body:
                 if isinstance(child, ast.FunctionDef):
                     yield child.name
+
+
+def _top_level_names(tree):
+    """Every public name a module binds at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [child.id for target in targets
+                     for child in ast.walk(target) if isinstance(child, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
 
 
 def _references(tree):
@@ -85,21 +101,68 @@ def _references(tree):
             yield node.value.rpartition(":")[2]
 
 
+def _parse_all(directories):
+    return {path: ast.parse(path.read_text())
+            for directory in directories
+            for path in sorted(directory.rglob("*.py"))}
+
+
 def dead_surface(package, consumers=()):
     """``(module, name)`` of every public definition under ``package``
     that nothing in ``package`` or ``consumers`` refers to."""
-    modules = {path: ast.parse(path.read_text())
-               for path in sorted(package.rglob("*.py"))}
+    modules = _parse_all([package])
     used = set()
-    for tree in modules.values():
+    for tree in [*modules.values(), *_parse_all(consumers).values()]:
         used.update(_references(tree))
-    for directory in consumers:
-        for path in sorted(directory.rglob("*.py")):
-            used.update(_references(ast.parse(path.read_text())))
     return {(path.relative_to(package).as_posix(), name)
             for path, tree in modules.items()
             for name in _definitions(tree)
             if not name.startswith("_") and name not in used}
+
+
+def orphan_modules(package, callers=()):
+    """Every module under ``package`` (``__init__`` aside) none of whose
+    public names another non-``__init__`` module or ``callers`` refers to."""
+    modules = {path: tree for path, tree in _parse_all([package]).items()
+               if path.name != "__init__.py"}
+    outside = set()
+    for tree in _parse_all(callers).values():
+        outside.update(_references(tree))
+    refs = {path: set(_references(tree)) for path, tree in modules.items()}
+    return {path.relative_to(package).as_posix()
+            for path, tree in modules.items()
+            if not set(_top_level_names(tree)) & outside.union(
+                *(r for other, r in refs.items() if other != path))}
+
+
+def _callee(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def knobs_never_set(config_path, class_name, sources):
+    """Fields of dataclass ``class_name`` in ``config_path`` that no call
+    in ``sources`` to ``class_name``, ``replace`` or ``dict`` passes by
+    keyword. A keyword of any other call does not count, so a field
+    named like an unrelated argument (``size``, ``policy``) is not
+    turned by it."""
+    tree = ast.parse(config_path.read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == class_name)
+    fields = {node.target.id for node in cls.body
+              if isinstance(node, ast.AnnAssign)}
+    passed = set()
+    for source in sources:
+        nodes = list(ast.walk(ast.parse(source.read_text())))
+        setters = {class_name, "replace", "dict"}
+        setters.update(alias.asname for node in nodes
+                       if isinstance(node, ast.ImportFrom)
+                       for alias in node.names
+                       if alias.name in setters and alias.asname)
+        passed.update(keyword.arg for node in nodes
+                      if isinstance(node, ast.Call) and _callee(node) in setters
+                      for keyword in node.keywords)
+    return fields - passed
 
 
 def test_every_unused_public_name_is_allowlisted_with_a_reason():
@@ -110,18 +173,42 @@ def test_every_unused_public_name_is_allowlisted_with_a_reason():
                    and (module, name) not in ALLOWED}
     assert unexplained == set(), "unused: delete it, or say why it stays"
     stale = {(module, name) for module, name in ALLOWED
-             if (module, name) not in found
-             and not (name == "*" and any(m == module for m, _ in found))}
+             if name != "*" and (module, name) not in found}
     assert stale == set(), "in use (or gone): drop the allowlist line"
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_every_module_has_a_caller_or_a_reason():
+    orphans = orphan_modules(
+        PACKAGE, [REPO_ROOT / name for name in MODULE_CALLERS])
+    whole_modules = {module for module, name in ALLOWED if name == "*"}
+    assert orphans - whole_modules == set(), \
+        "no caller outside tests and examples: delete it, or say why it stays"
+    assert whole_modules - orphans == set(), \
+        "has a caller (or is gone): drop the allowlist line"
+
+
+def test_every_config_knob_is_turned_outside_the_tests():
+    sources = [path for path in sorted(PACKAGE.rglob("*.py")) if path != CONFIG]
+    for name in CONSUMERS:
+        sources.extend(sorted((REPO_ROOT / name).rglob("*.py")))
+    assert knobs_never_set(CONFIG, "NvcacheConfig", sources) == set(), \
+        "one value in use: make it a constant"
 
 
 def test_the_guard_sees_an_unused_name_and_ignores_reexports(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "__init__.py").write_text(textwrap.dedent("""
+        from .legacy import BUFSIZ, fopen
         from .model import Model, helper, orphan
-        __all__ = ["Model", "helper", "orphan"]
+        __all__ = ["BUFSIZ", "Model", "fopen", "helper", "orphan"]
+    """))
+    (package / "legacy.py").write_text(textwrap.dedent("""
+        BUFSIZ = 8192
+
+        def fopen():
+            return BUFSIZ
     """))
     (package / "model.py").write_text(textwrap.dedent("""
         def helper():
@@ -144,10 +231,38 @@ def test_the_guard_sees_an_unused_name_and_ignores_reexports(tmp_path):
                 return 4
     """))
     assert dead_surface(package) == {
+        ("legacy.py", "fopen"),
         ("model.py", "helper"), ("model.py", "orphan"),
         ("model.py", "unused_method")}
+    assert orphan_modules(package) == {"legacy.py", "model.py"}
     tool = tmp_path / "tools"
     tool.mkdir()
     (tool / "run.py").write_text("import pkg\npkg.helper()\n")
     assert dead_surface(package, [tool]) == {
+        ("legacy.py", "fopen"),
         ("model.py", "orphan"), ("model.py", "unused_method")}
+    assert orphan_modules(package, [tool]) == {"legacy.py"}
+
+
+def test_the_guard_sees_a_knob_nobody_turns(tmp_path):
+    config = tmp_path / "config.py"
+    config.write_text(textwrap.dedent("""
+        class Config:
+            size: int = 1
+            mode: str = "a"
+            overhead: float = 0.5
+    """))
+    user = tmp_path / "user.py"
+    user.write_text(textwrap.dedent("""
+        small = Config(size=2)
+        row = dict(mode="b")
+        cost = Config().overhead
+        grown = resize(overhead=1.0)
+    """))
+    aliased = tmp_path / "aliased.py"
+    aliased.write_text(textwrap.dedent("""
+        from dataclasses import replace as _replace
+        tuned = _replace(Config(), overhead=0.25)
+    """))
+    assert knobs_never_set(config, "Config", [user, aliased]) == set()
+    assert knobs_never_set(config, "Config", [user]) == {"overhead"}
