@@ -1,9 +1,11 @@
 """The cleanup thread: asynchronous propagation from the NVMM log to the
 mass storage through legacy syscalls (paper §II-A, §III).
 
-:class:`DrainThread` is what every mode's background thread shares;
-:class:`CleanupThread`, described below, is the logging modes' subclass
-(paging's ``WritebackThread`` is the other).
+:class:`DrainThread` is what every mode's background thread shares:
+its lifecycle, both kinds of parked waiters below and deferred-fd
+finalisation. :class:`CleanupThread`, described below, is the logging
+modes' subclass (paging's ``WritebackThread`` is the other); each
+subclass adds its batching loop and a one-line "drained" test.
 
 Batching (paper §IV-C): the thread waits until at least ``batch_min``
 entries are pending (or an idle/drain deadline passes), consumes up to
@@ -19,8 +21,9 @@ never lands inside a half-propagated group.
 
 The thread is also the wake-up source for two kinds of parked waiters
 (no polling on their side): *drain* waiters (``request_drain`` — fired
-once the volatile tail passes the head observed at request time) and
-*close-headroom* waiters (``request_close_headroom`` — fired when the
+once the mode's ``_drained`` test holds; for the log, once the volatile
+tail passes the head observed at request time) and *close-headroom*
+waiters (``request_close_headroom`` — fired when the
 deferred-close backlog shrinks below the caller's threshold; this is
 ``CacheFacade.close``'s backpressure valve against fd-table exhaustion).
 Only the thread itself polls, at ``_TICK`` while idle, which is the
@@ -49,10 +52,11 @@ _TICK = 1e-3  # poll interval while idle (simulated seconds)
 
 class DrainThread:
     """What every mode's background drain thread shares: the lifecycle
-    (start/stop), the close-headroom waiters, and kernel-closing
-    deferred fds once nothing pending references them. A subclass
-    supplies ``_run`` (its batching loop) and ``request_drain`` (what
-    "drained" means for its NVMM layout)."""
+    (start/stop), the drain and close-headroom waiters, and
+    kernel-closing deferred fds once nothing pending references them. A
+    subclass supplies ``_run`` (its batching loop) and ``_drained`` (the
+    one-line test of what "drained" means for its NVMM layout, against
+    the ``_drain_mark`` taken when the drain was requested)."""
 
     process_name = "drain"  # simulated process name; the tracer's track
 
@@ -68,6 +72,7 @@ class DrainThread:
         # Set by the cache: generator performing the kernel-level close
         # of a deferred fd (CacheFacade._finalize_fd).
         self.finalize_fd = None
+        self._drain_waiters: List[Tuple[object, Waitable]] = []
         self._close_waiters: List[Tuple[int, Waitable]] = []
         self._last_progress = 0.0
 
@@ -86,6 +91,33 @@ class DrainThread:
     def stop(self) -> None:
         """Ask the thread to exit at its next wake-up."""
         self.running = False
+
+    # -- drain waiters -----------------------------------------------------------
+
+    def request_drain(self) -> Waitable:
+        """A waitable that fires once everything acknowledged *so far*
+        has reached the backend."""
+        mark = self._drain_mark()
+        waiter = Waitable(self.env)
+        if self._drained(mark):
+            waiter._fire(None)
+        else:
+            self._drain_waiters.append((mark, waiter))
+        return waiter
+
+    def _drain_mark(self) -> object:
+        """What ``request_drain`` records for the subclass's ``_drained``
+        test."""
+        return None
+
+    def _fire_drains(self) -> None:
+        still_waiting = []
+        for mark, waiter in self._drain_waiters:
+            if self._drained(mark):
+                waiter._fire(None)
+            else:
+                still_waiting.append((mark, waiter))
+        self._drain_waiters = still_waiting
 
     # -- close back-pressure ---------------------------------------------------
 
@@ -133,7 +165,6 @@ class CleanupThread(DrainThread):
         self.log = log
         # Set by Nvcache.register_metrics when observability is on.
         self._m_batch_size = None
-        self._drain_waiters: List[Tuple[int, Waitable]] = []
         # Entries whose pwrite + index bookkeeping succeeded in a batch
         # that later aborted on an I/O error (before clear_entries). The
         # retry must fsync them again but must not re-run the
@@ -141,25 +172,12 @@ class CleanupThread(DrainThread):
         # popped. Cleared when the batch finally retires.
         self._propagated: set = set()
 
-    def request_drain(self) -> Waitable:
-        """A waitable that fires once everything logged *so far* has been
-        propagated and retired."""
-        target = self.log.head
-        waiter = Waitable(self.env)
-        if self.log.volatile_tail >= target:
-            waiter._fire(None)
-        else:
-            self._drain_waiters.append((target, waiter))
-        return waiter
+    def _drain_mark(self) -> int:
+        return self.log.head
 
-    def _fire_drains(self) -> None:
-        still_waiting = []
-        for target, waiter in self._drain_waiters:
-            if self.log.volatile_tail >= target:
-                waiter._fire(None)
-            else:
-                still_waiting.append((target, waiter))
-        self._drain_waiters = still_waiting
+    def _drained(self, head: int) -> bool:
+        """Everything logged up to ``head`` is propagated and retired."""
+        return self.log.volatile_tail >= head
 
     # -- the thread body ---------------------------------------------------------
 

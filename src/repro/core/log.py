@@ -2,7 +2,7 @@
 
 On-media layout (all offsets fixed, so recovery finds everything):
 
-    fd_table        fd_max * path_max bytes   (path of each open fd)
+    fd_table        fd_max * path_max bytes   (path of each open fd: a PathTable)
     persistent_tail u64                        (oldest live entry, seq number)
     entries         log_entries * stride
 
@@ -36,7 +36,7 @@ import struct
 from collections import Counter
 from typing import Dict, Generator, List, Optional, Tuple
 
-from ..nvmm import NvmmDevice, RegionAllocator, read_cstring, write_cstring
+from ..nvmm import NvmmDevice, PathTable, RegionAllocator
 from ..nvmm.layout import align_up
 from ..sim import Environment, Waitable
 from ..units import CACHE_LINE_SIZE, US
@@ -76,10 +76,9 @@ class NvmmLog:
     """The persistent circular log plus its volatile indices."""
 
     __slots__ = ("env", "nvmm", "config", "stats", "entries", "stride",
-                 "fd_table_base", "tail_base", "entries_base", "head",
-                 "volatile_tail", "_space_waiters", "_registered_fds",
-                 "_fd_set_authoritative", "_slot_mirror", "_removal_paths",
-                 "_removals")
+                 "paths", "tail_base", "entries_base", "head",
+                 "volatile_tail", "_space_waiters", "_slot_mirror",
+                 "_removal_paths", "_removals")
 
     def __init__(self, env: Environment, nvmm: NvmmDevice, config: NvcacheConfig,
                  stats: Optional[NvcacheStats] = None, base: int = 0):
@@ -92,8 +91,8 @@ class NvmmLog:
                                CACHE_LINE_SIZE)
 
         allocator = RegionAllocator(nvmm, base=base)
-        self.fd_table_base = allocator.allocate(
-            "fd_table", config.fd_max * config.path_max)
+        self.paths = PathTable(allocator, "fd_table", config.fd_max,
+                               config.path_max)
         self.tail_base = allocator.allocate("persistent_tail", 8)
         self.entries_base = allocator.allocate(
             "entries", self.entries * self.stride)
@@ -102,20 +101,12 @@ class NvmmLog:
         self.head = 0
         self.volatile_tail = 0
         self._space_waiters: List[Waitable] = []
-        # Volatile mirror of the occupied fd-table slots, so all_paths()
-        # does not scan fd_max * path_max bytes of NVMM on every call.
-        # Not authoritative until seeded: a log constructed over a
-        # recovered image has registrations this process never saw, so
-        # the first all_paths() performs the full scan once.
-        self._registered_fds: set = set()
-        self._fd_set_authoritative = False
         # Volatile per-slot mirror of ``(seq, commit_group)`` as last
         # written by *this* process, so the cleanup thread's commit
-        # checks skip the NVMM read entirely. Same trust model as
-        # ``_registered_fds``: a slot this process never wrote (a log
-        # built over a recovered image) reads ``None`` here and falls
-        # back to the media — the mirror is an index, never a substitute
-        # source of truth.
+        # checks skip the NVMM read entirely. A slot this process never
+        # wrote (a log built over a recovered image) reads ``None`` here
+        # and falls back to the media — the mirror is an index, never a
+        # substitute source of truth.
         self._slot_mirror: List[Optional[Tuple[int, int]]] = [None] * self.entries
         # Volatile count of the paths that committed, not yet cleared
         # removal entries (unlink, rename away) name, so a creating open
@@ -350,48 +341,3 @@ class NvmmLog:
 
     def persistent_tail(self) -> int:
         return _WORD.unpack(self.nvmm.load(self.tail_base, 8))[0]
-
-    # -- fd table ----------------------------------------------------------------------
-
-    def _fd_addr(self, fd: int) -> int:
-        if fd < 0 or fd >= self.config.fd_max:
-            raise ValueError(f"fd {fd} outside table of {self.config.fd_max}")
-        return self.fd_table_base + fd * self.config.path_max
-
-    def set_path(self, fd: int, path: str) -> Generator:
-        """Durably record fd -> path (needed only by recovery)."""
-        addr = self._fd_addr(fd)
-        write_cstring(self.nvmm, addr, path, self.config.path_max)
-        self.nvmm.pwb_range(addr, self.config.path_max)
-        self._registered_fds.add(fd)
-        yield from self.nvmm.psync()
-
-    def clear_path(self, fd: int) -> Generator:
-        addr = self._fd_addr(fd)
-        self.nvmm.store(addr, b"\x00")
-        self.nvmm.pwb(addr)
-        self._registered_fds.discard(fd)
-        yield from self.nvmm.psync()
-
-    def get_path(self, fd: int) -> str:
-        return read_cstring(self.nvmm, self._fd_addr(fd), self.config.path_max)
-
-    def all_paths(self) -> dict:
-        """fd -> path for every registered descriptor.
-
-        Served from the volatile registered-fd set once it is known to
-        cover the media. Until then — i.e. the first call on a log built
-        over a pre-existing image, as recovery does — the fd table is
-        scanned in full and the set seeded from it.
-        """
-        if not self._fd_set_authoritative:
-            for fd in range(self.config.fd_max):
-                if self.get_path(fd):
-                    self._registered_fds.add(fd)
-            self._fd_set_authoritative = True
-        result = {}
-        for fd in sorted(self._registered_fds):
-            path = self.get_path(fd)
-            if path:
-                result[fd] = path
-        return result

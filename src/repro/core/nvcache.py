@@ -69,8 +69,11 @@ class CacheFacade:
     :mod:`repro.core.config`) supplies what depends on its NVMM layout:
     ``open``, ``pwrite``, ``pread``, ``ftruncate``, ``unlink``,
     ``rename``, ``_finalize_fd``, ``_drop_clean``, ``register_metrics``,
-    ``self.stats`` and ``self.cleanup`` (a
-    :class:`~repro.core.cleanup.DrainThread`).
+    ``self.stats`` (a :class:`~repro.core.stats.CacheStats`) and
+    ``self.cleanup`` (a :class:`~repro.core.cleanup.DrainThread`, which
+    owns the drain waiters ``drain``, ``shutdown`` and ``flock`` park
+    on). Both layouts keep their paths in one
+    :class:`~repro.nvmm.layout.PathTable`.
     """
 
     def __init__(self, env: Environment, kernel, nvmm: NvmmDevice,
@@ -418,13 +421,15 @@ class Nvcache(CacheFacade):
             nv_file.pages = {}
         cursor = nv_file.size if flags & O_APPEND else 0
         self.tables.register(fd, nv_file, flags, cursor)
-        yield from self.log.set_path(fd, path)
+        self.log.paths.set(fd, path)
+        yield from self.nvmm.psync()
         return fd
 
     def _finalize_fd(self, fd: int) -> Generator:
         """Kernel-level close once no log entry references the fd."""
         yield from self.kernel.close(fd)
-        yield from self.log.clear_path(fd)
+        self.log.paths.clear(fd)
+        yield from self.nvmm.psync()
         nv_file = self.tables.retire_fd(fd)
         if (nv_file is not None and nv_file.open_count == 0
                 and nv_file.pending_entries == 0 and nv_file.pages is not None):
@@ -716,7 +721,8 @@ class Nvcache(CacheFacade):
         for handle in [h for h in self.tables.opened.values()
                        if h.file.path == old]:
             handle.file.path = new
-            yield from self.log.set_path(handle.fd, new)
+            self.log.paths.set(handle.fd, new)
+            yield from self.nvmm.psync()
         return result
 
     def _drop_clean(self, nv_file) -> None:

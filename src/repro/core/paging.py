@@ -14,7 +14,7 @@ in unchanged via ``build_stack(cache_mode="paging")``.
 
 On-media layout (all offsets fixed, so recovery finds everything)::
 
-    file_table   fd_max * path_max bytes   (path of each file id)
+    file_table   fd_max * path_max bytes   (path of each file id: a PathTable)
     commit_word  u64                        (highest committed txn)
     page_meta    paging_slots * 64 bytes    (one record per page slot)
     page_data    paging_slots * page_size
@@ -70,7 +70,7 @@ from ..kernel.fd_table import (
     O_TRUNC,
     O_WRONLY,
 )
-from ..nvmm import NvmmDevice, RegionAllocator, read_cstring, write_cstring
+from ..nvmm import NvmmDevice, PathTable, RegionAllocator
 from ..nvmm.layout import align_up
 from ..sim import Environment, Lock, Waitable
 from ..units import CACHE_LINE_SIZE
@@ -86,6 +86,7 @@ from .files import NvFile
 from .nvcache import CacheFacade
 from .policies import CachePolicy, LruPolicy, make_policy
 from .recovery import RecoveryReport
+from .stats import CacheStats
 
 _META = struct.Struct("<QQQQQ")
 META_SIZE = _META.size            # 40 bytes used of a 64-byte record
@@ -101,43 +102,30 @@ PAGING_WB_HIGH = 0.45
 PAGING_WB_LOW = 0.40
 
 @dataclass(slots=True)
-class PagingStats:
+class PagingStats(CacheStats):
     """Counters of one paging-mode cache instance (core.paging.*)."""
 
-    writes: int = 0
-    bytes_written: int = 0
-    reads: int = 0
-    bytes_read: int = 0
     page_hits: int = 0
     page_misses: int = 0
     overwrite_hits: int = 0        # written pages already resident
     fill_reads: int = 0            # partial-page writes read-filled from disk
     promotions: int = 0            # read misses admitted into NVMM
-    promotions_skipped: int = 0    # read misses the policy declined
-    evictions: int = 0             # CLEAN slots recycled
     txn_commits: int = 0
     full_waits: int = 0            # writes stalled waiting for a slot
     writeback_pages: int = 0
     writeback_batches: int = 0
     writeback_syncs: int = 0
     invalidations: int = 0         # slots durably dropped on namespace ops
-    fsyncs_ignored: int = 0
-    read_only_bypass: int = 0
 
     def hit_rate(self) -> float:
         total = self.page_hits + self.page_misses
         return self.page_hits / total if total else 0.0
 
-    def as_dict(self) -> Dict[str, float]:
-        data = {name: getattr(self, name) for name in self.__dataclass_fields__}
-        data["hit_rate"] = self.hit_rate()
-        return data
-
 
 class PagingStore:
     """The persistent page table: geometry, meta codec, file-id table."""
 
-    __slots__ = ("env", "nvmm", "config", "file_table_base", "commit_base",
+    __slots__ = ("env", "nvmm", "config", "paths", "commit_base",
                  "meta_base", "data_base", "slots")
 
     def __init__(self, env: Environment, nvmm: NvmmDevice,
@@ -147,8 +135,8 @@ class PagingStore:
         self.config = config
         self.slots = config.paging_slots
         allocator = RegionAllocator(nvmm, base=base)
-        self.file_table_base = allocator.allocate(
-            "file_table", config.fd_max * config.path_max)
+        self.paths = PathTable(allocator, "file_table", config.fd_max,
+                               config.path_max)
         self.commit_base = allocator.allocate("commit_word", 8)
         self.meta_base = allocator.allocate(
             "page_meta", self.slots * META_STRIDE)
@@ -200,28 +188,6 @@ class PagingStore:
         self.nvmm.store(self.commit_base, struct.pack("<Q", txn))
         self.nvmm.pwb(self.commit_base)
 
-    # -- file-id table -----------------------------------------------------
-
-    def _fid_addr(self, fid: int) -> int:
-        if fid < 0 or fid >= self.config.fd_max:
-            raise ValueError(f"file id {fid} outside table of {self.config.fd_max}")
-        return self.file_table_base + fid * self.config.path_max
-
-    def set_fid_path(self, fid: int, path: str) -> Generator:
-        """Durably record file_id -> path (recovery's only name source)."""
-        addr = self._fid_addr(fid)
-        write_cstring(self.nvmm, addr, path, self.config.path_max)
-        self.nvmm.pwb_range(addr, self.config.path_max)
-        yield from self.nvmm.psync()
-
-    def clear_fid_path(self, fid: int) -> None:
-        self.nvmm.store(self._fid_addr(fid), b"\x00")
-        self.nvmm.pwb(self._fid_addr(fid))
-
-    def fid_path(self, fid: int) -> str:
-        return read_cstring(self.nvmm, self._fid_addr(fid),
-                            self.config.path_max)
-
 
 class PageSlot:
     """Volatile view of one NVMM page slot."""
@@ -262,7 +228,7 @@ class PagingCache(CacheFacade):
         # Volatile slot state. The simulation is cooperative (single
         # OS thread, interleaving only at yields), so these maps need no
         # lock of their own; the txn lock below serializes the
-        # *multi-yield* write/namespace critical sections.
+        # *multi-yield* write, namespace and promotion critical sections.
         self.slots: List[PageSlot] = [PageSlot(i) for i in range(config.paging_slots)]
         self._free: List[int] = list(range(config.paging_slots - 1, -1, -1))
         self._map: Dict[Tuple[int, int], PageSlot] = {}
@@ -353,7 +319,8 @@ class PagingCache(CacheFacade):
                 raise KernelError(EINVAL, "paging file table exhausted")
             fid = self._free_fids.pop()
             self._fid_by_key[nv_file.key] = fid
-            yield from self.store.set_fid_path(fid, nv_file.path)
+            self.store.paths.set(fid, nv_file.path)
+            yield from self.nvmm.psync()
         else:
             yield self.env.timeout(0.0)
         return fid
@@ -361,7 +328,7 @@ class PagingCache(CacheFacade):
     def _release_fid(self, nv_file: NvFile) -> None:
         fid = self._fid_by_key.pop(nv_file.key, None)
         if fid is not None:
-            self.store.clear_fid_path(fid)
+            self.store.paths.clear(fid)
             self._free_fids.append(fid)
 
     def _fire_slot_waiters(self) -> None:
@@ -377,18 +344,19 @@ class PagingCache(CacheFacade):
         # the cache IS the durability point, and writeback depends on
         # page-cache write combining.
         flags &= ~O_DIRECT
-        writable = (flags & O_ACCMODE) != O_RDONLY
-        if flags & O_TRUNC and writable:
+        if flags & O_TRUNC and (flags & O_ACCMODE) != O_RDONLY:
             # Truncate-at-open: resident pages of the old incarnation
-            # must not survive the cut. Drain + durably invalidate
-            # BEFORE the kernel open wipes the backend file (namespace
-            # ops are synchronous on the backend; see docs/POLICIES.md).
-            yield from self._invalidate_path(path, only_nonempty=True)
+            # must not survive the cut.
+            return (yield from self._namespace_op(
+                self._open(path, flags, mode), (path,), only_nonempty=True))
+        return (yield from self._open(path, flags, mode))
+
+    def _open(self, path: str, flags: int, mode: int) -> Generator:
         fd = yield from self.kernel.open(path, flags, mode)
         st = yield from self.kernel.fstat(fd)
         key = (st.st_dev, st.st_ino)
         nv_file = self.tables.file_for(key, path, st.st_size, self.env)
-        if flags & O_TRUNC and writable:
+        if flags & O_TRUNC and (flags & O_ACCMODE) != O_RDONLY:
             nv_file.size = 0
         cursor = nv_file.size if flags & O_APPEND else 0
         self.tables.register(fd, nv_file, flags, cursor)
@@ -558,16 +526,21 @@ class PagingCache(CacheFacade):
         writeback thread forces the fence before it clean-marks, which is
         the only point where the stale record could start outranking)."""
         if slot.state == SLOT_DIRTY:
-            self._dirty_count -= 1
-            if slot.nv_file is not None:
-                slot.nv_file.pending_entries -= 1
-            remaining = self.tables.pending_by_fd.get(slot.fd, 0) - 1
-            self.tables.pending_by_fd[slot.fd] = max(0, remaining)
+            self._settle_dirty(slot)
         slot.reset()
         self.store.clear_meta(slot.index)
         self._media_fid.pop(slot.index, None)
         self._lazy_clears += 1
         self._free.append(slot.index)
+
+    def _settle_dirty(self, slot: PageSlot) -> None:
+        """A DIRTY slot stops counting as pending work (written back or
+        superseded)."""
+        self._dirty_count -= 1
+        if slot.nv_file is not None:
+            slot.nv_file.pending_entries -= 1
+        remaining = self.tables.pending_by_fd.get(slot.fd, 0) - 1
+        self.tables.pending_by_fd[slot.fd] = max(0, remaining)
 
     def _take_slot(self) -> Generator:
         """A free slot: the free list, else evict a policy-chosen CLEAN
@@ -685,9 +658,9 @@ class PagingCache(CacheFacade):
         (recovery ignores both CLEAN and txn-0 records, so a torn
         promotion can never resurrect) — if the policy admits it, the
         file has (or can get) a file id, and a slot is free without
-        waiting. Promotion is optional: the caller already holds the
-        bytes. Never promotes over a page that became resident while the
-        backend read was in flight."""
+        waiting, and ``txn_lock`` is free. Promotion is optional: the
+        caller already holds the bytes. Never promotes over a page that
+        became resident while the backend read was in flight."""
         fid = self._fid_by_key.get(nv_file.key)
         probe_key = (fid, page) if fid is not None else (nv_file.key, page)
         if not self.policy.admit(probe_key) or (
@@ -698,38 +671,43 @@ class PagingCache(CacheFacade):
         if fid is not None and (fid, page) in self._map:
             yield self.env.timeout(0.0)
             return
-        slot = None
-        if self._free:
-            slot = self.slots[self._free.pop()]
-        else:
-            slot = self._evict_clean()
-        if slot is None:
+        if not self.txn_lock.try_acquire():
+            # Busy: a namespace op may be about to release this file
+            # id, and promotion is optional, so skip rather than wait.
             self.stats.promotions_skipped += 1
             yield self.env.timeout(0.0)
             return
-        if fid is None:
-            fid = yield from self._fid_for(nv_file)
-            if (fid, page) in self._map:
-                self._free.append(slot.index)
+        try:
+            if self._free:
+                slot = self.slots[self._free.pop()]
+            else:
+                slot = self._evict_clean()
+            if slot is None:
+                self.stats.promotions_skipped += 1
+                yield self.env.timeout(0.0)
                 return
-        self.nvmm.store(self.store.data_addr(slot.index), bytes(buffer))
-        self.nvmm.pwb_range(self.store.data_addr(slot.index),
-                            self.config.page_size)
-        self.store.store_meta(slot.index, 0, fid, page, SLOT_CLEAN,
-                              nv_file.size)
-        self._media_fid[slot.index] = fid
-        yield self.env.delay(
-            self.nvmm.timing.store_cost(self.config.page_size + META_SIZE),
-            "nvmm", "store")
-        key = (fid, page)
-        slot.state = SLOT_CLEAN
-        slot.txn = 0
-        slot.key = key
-        slot.fd = -1
-        slot.nv_file = nv_file
-        self._map[key] = slot
-        self.policy.record_insert(key)
-        self.stats.promotions += 1
+            if fid is None:
+                fid = yield from self._fid_for(nv_file)
+            self.nvmm.store(self.store.data_addr(slot.index), bytes(buffer))
+            self.nvmm.pwb_range(self.store.data_addr(slot.index),
+                                self.config.page_size)
+            self.store.store_meta(slot.index, 0, fid, page, SLOT_CLEAN,
+                                  nv_file.size)
+            self._media_fid[slot.index] = fid
+            yield self.env.delay(
+                self.nvmm.timing.store_cost(self.config.page_size + META_SIZE),
+                "nvmm", "store")
+            key = (fid, page)
+            slot.state = SLOT_CLEAN
+            slot.txn = 0
+            slot.key = key
+            slot.fd = -1
+            slot.nv_file = nv_file
+            self._map[key] = slot
+            self.policy.record_insert(key)
+            self.stats.promotions += 1
+        finally:
+            self.txn_lock.release()
 
     # -- namespace operations ----------------------------------------------
 
@@ -738,31 +716,57 @@ class PagingCache(CacheFacade):
         on the backend. Invalidating everything (not just pages past the
         cut) sidesteps the stale-tail-resurrection hazard a re-extending
         write over a kept partial page would open."""
-        handle = self._handle(fd)
-        nv_file = handle.file
-        yield self.txn_lock.acquire()
-        try:
-            yield from self._invalidate_file(nv_file.key)
-            yield from self.kernel.ftruncate(fd, size)
-            nv_file.size = size
-        finally:
-            self.txn_lock.release()
+        nv_file = self._handle(fd).file
+        yield from self._namespace_op(self.kernel.ftruncate(fd, size),
+                                      key=nv_file.key)
+        nv_file.size = size
         return 0
 
-    def _invalidate_path(self, path: str,
-                         only_nonempty: bool = False) -> Generator:
-        """Drain-then-invalidate whatever file ``path`` names, if any."""
+    def unlink(self, path: str) -> Generator:
+        return self._namespace_op(self.kernel.unlink(path), (path,))
+
+    def rename(self, old: str, new: str) -> Generator:
+        result = yield from self._namespace_op(self.kernel.rename(old, new),
+                                               (old, new))
+        # Live handles on the moved file must carry the new name, or a
+        # later write would durably bind a fid to the dead path.
+        for nv_file in self.tables.files.values():
+            if nv_file.path == old:
+                nv_file.path = new
+        return result
+
+    def _namespace_op(self, kernel_op: Generator, paths=(), key=None,
+                      only_nonempty: bool = False) -> Generator:
+        """The paging namespace protocol, shared by ``open(O_TRUNC)``,
+        ``ftruncate``, ``unlink`` and ``rename``: under ``txn_lock``,
+        drain and durably invalidate the open file ``key`` and the file
+        each of ``paths`` names, then run ``kernel_op`` (namespace ops
+        are synchronous on the backend, docs/POLICIES.md). Holding the
+        lock through the kernel call keeps a racing ``pwrite`` from
+        committing pages under a file id released in between.
+        ``only_nonempty`` skips a file that is empty on the backend and
+        has no file id: it has nothing to drop."""
+        yield self.txn_lock.acquire()
         try:
-            st = yield from self.kernel.stat(path)
-        except KernelError as exc:
-            if exc.errno != ENOENT:
-                raise
-            return
-        if st.st_size or not only_nonempty:
-            yield from self._invalidate_file((st.st_dev, st.st_ino))
+            if key is not None:
+                yield from self._invalidate_file(key)
+            for path in paths:
+                try:
+                    st = yield from self.kernel.stat(path)
+                except KernelError as exc:
+                    if exc.errno != ENOENT:
+                        raise
+                    continue
+                file_key = (st.st_dev, st.st_ino)
+                if (not only_nonempty or st.st_size
+                        or file_key in self._fid_by_key):
+                    yield from self._invalidate_file(file_key)
+            return (yield from kernel_op)
+        finally:
+            self.txn_lock.release()
 
     def _invalidate_file(self, key: Tuple[int, int]) -> Generator:
-        """Drain-then-invalidate, the paging namespace protocol: flush
+        """Drain-then-invalidate, ``_namespace_op``'s step: flush
         every acked dirty page to the backend (so the before-state
         survives a crash anywhere in here), then durably drop every slot
         whose MEDIA meta still names this file id — including freed
@@ -787,7 +791,7 @@ class PagingCache(CacheFacade):
                 self.policy.record_evict(slot.key)
                 slot.reset()
                 self._free.append(slot_index)
-        self.store.clear_fid_path(fid)
+        self.store.paths.clear(fid)
         recorder = self.env.crash_points
         if recorder is not None:
             recorder.hit("core.paging.invalidated",
@@ -802,30 +806,6 @@ class PagingCache(CacheFacade):
             self._fid_by_key.pop(key, None)
             self._free_fids.append(fid)
         self._fire_slot_waiters()
-
-    def unlink(self, path: str) -> Generator:
-        yield self.txn_lock.acquire()
-        try:
-            yield from self._invalidate_path(path)
-            result = yield from self.kernel.unlink(path)
-        finally:
-            self.txn_lock.release()
-        return result
-
-    def rename(self, old: str, new: str) -> Generator:
-        yield self.txn_lock.acquire()
-        try:
-            for candidate in (old, new):
-                yield from self._invalidate_path(candidate)
-            result = yield from self.kernel.rename(old, new)
-            # Live handles on the moved file must carry the new name, or
-            # a later write would durably bind a fid to the dead path.
-            for nv_file in self.tables.files.values():
-                if nv_file.path == old:
-                    nv_file.path = new
-        finally:
-            self.txn_lock.release()
-        return result
 
     def _drop_clean(self, nv_file: NvFile) -> None:
         """flock acquire: recycle the file's CLEAN residents (DIRTY ones
@@ -843,14 +823,22 @@ class PagingCache(CacheFacade):
     # -- introspection -----------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Internal consistency checks used by the property tests."""
+        """Internal consistency checks used by the property tests, at
+        rest (no write or writeback batch in flight)."""
         dirty = 0
+        bound_fids = set(self._fid_by_key.values())
         for key, slot in self._map.items():
             assert slot.key == key, f"slot {slot.index} key drift"
+            assert key[0] in bound_fids, \
+                f"slot {slot.index} mapped under unbound file id {key[0]}"
             assert slot.state in (SLOT_DIRTY, SLOT_CLEAN), \
                 f"mapped slot {slot.index} in state {slot.state}"
             if slot.state == SLOT_DIRTY:
                 dirty += 1
+                meta = self.store.read_meta(slot.index)
+                assert (meta[0], meta[3]) == (slot.txn, SLOT_DIRTY), (
+                    f"dirty slot {slot.index} (txn {slot.txn}) reads "
+                    f"{meta} on media")
         assert dirty == self._dirty_count, (
             f"dirty count {self._dirty_count} != mapped dirty {dirty}")
         # Slot conservation (at rest — a writer mid-fill holds a slot
@@ -898,7 +886,6 @@ class WritebackThread(DrainThread):
         super().__init__(env, kernel, cache.tables, config, stats)
         self.cache = cache
         self._kick = False
-        self._drain_waiters: List[Waitable] = []
         self.high_slots = max(1, int(PAGING_WB_HIGH * config.paging_slots))
         self.low_slots = max(0, int(PAGING_WB_LOW * config.paging_slots))
 
@@ -910,22 +897,8 @@ class WritebackThread(DrainThread):
         if self.cache._slot_waiters or self.cache._dirty_count >= self.high_slots:
             self._kick = True
 
-    # -- waiters -----------------------------------------------------------
-
-    def request_drain(self) -> Waitable:
-        """Fires once every currently-dirty page reached the backend."""
-        waiter = Waitable(self.env)
-        if self.cache._dirty_count == 0:
-            waiter._fire(None)
-        else:
-            self._drain_waiters.append(waiter)
-        return waiter
-
-    def _fire_drains(self) -> None:
-        if self.cache._dirty_count == 0 and self._drain_waiters:
-            waiters, self._drain_waiters = self._drain_waiters, []
-            for waiter in waiters:
-                waiter._fire(None)
+    def _drained(self, _mark: None) -> bool:
+        return self.cache._dirty_count == 0
 
     # -- the thread body ---------------------------------------------------
 
@@ -1042,11 +1015,7 @@ class WritebackThread(DrainThread):
             if slot.state != SLOT_DIRTY or slot.txn != txn:
                 continue
             slot.state = SLOT_CLEAN
-            cache._dirty_count -= 1
-            nv_file = slot.nv_file
-            nv_file.pending_entries -= 1
-            remaining = cache.tables.pending_by_fd.get(slot.fd, 0) - 1
-            cache.tables.pending_by_fd[slot.fd] = max(0, remaining)
+            cache._settle_dirty(slot)
             slot.fd = -1
             demoted += 1
         self.stats.writeback_batches += 1
@@ -1084,7 +1053,7 @@ def recover_paging(env: Environment, kernel, nvmm: NvmmDevice,
         if state not in (SLOT_DIRTY, SLOT_CLEAN) or txn == 0 or txn > committed:
             report.entries_skipped_uncommitted += 1
             continue
-        if not store.fid_path(fid):
+        if not store.paths.get(fid):
             report.entries_skipped_uncommitted += 1
             continue
         records.append((index, txn, fid, page, state, fsize))
@@ -1108,7 +1077,7 @@ def recover_paging(env: Environment, kernel, nvmm: NvmmDevice,
         if state != SLOT_DIRTY:
             report.entries_skipped_dead += 1
             continue
-        path = store.fid_path(fid)
+        path = store.paths.get(fid)
         live = open_fds.get(fid)
         if live is None:
             live = yield from kernel.open(path, O_RDWR | O_CREAT)
@@ -1133,9 +1102,8 @@ def recover_paging(env: Environment, kernel, nvmm: NvmmDevice,
         txn, _fid, _page, state, _fsize = store.read_meta(index)
         if state != SLOT_FREE or txn != 0:
             store.clear_meta(index)
-    for fid in range(config.fd_max):
-        if store.fid_path(fid):
-            store.clear_fid_path(fid)
+    for fid in store.paths.bound():
+        store.paths.clear(fid)
     store.store_commit(0)
     yield from nvmm.psync()
 

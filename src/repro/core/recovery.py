@@ -65,7 +65,7 @@ def recover_log(env: Environment, kernel, nvmm: NvmmDevice,
     """Replay the NVMM log (the logging and nvlog-lite layout)."""
     log = NvmmLog(env, nvmm, config)
     report = RecoveryReport()
-    paths = log.all_paths()
+    paths = log.paths.bound()
     open_fds: Dict[int, int] = {}         # logged fd -> live fd
     fds_by_path: Dict[str, list] = {}     # for unlink-induced closes
 
@@ -252,5 +252,6 @@ def recover_log(env: Environment, kernel, nvmm: NvmmDevice,
 
     for logged_fd, live in open_fds.items():
         yield from kernel.close(live)
-        yield from log.clear_path(logged_fd)
+        log.paths.clear(logged_fd)
+        yield from nvmm.psync()
     return report

@@ -1,4 +1,4 @@
-"""Runtime counters exposed by an NVCache instance."""
+"""Runtime counters exposed by a cache instance."""
 
 from __future__ import annotations
 
@@ -7,14 +7,30 @@ from typing import Dict
 
 
 @dataclass(slots=True)
-class NvcacheStats:
-    """Counters the evaluation section reads off (hit rates, dirty misses,
-    batches, log-full stalls)."""
+class CacheStats:
+    """The counters every cache mode keeps; a mode's stats class adds
+    its own and a ``hit_rate``."""
 
     writes: int = 0
     bytes_written: int = 0
     reads: int = 0
     bytes_read: int = 0
+    evictions: int = 0
+    promotions_skipped: int = 0    # misses the policy declined to cache
+    fsyncs_ignored: int = 0
+    read_only_bypass: int = 0
+
+    def as_dict(self) -> Dict[str, float]:
+        data = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        data["hit_rate"] = self.hit_rate()
+        return data
+
+
+@dataclass(slots=True)
+class NvcacheStats(CacheStats):
+    """Counters the evaluation section reads off (hit rates, dirty misses,
+    batches, log-full stalls)."""
+
     read_hits: int = 0
     read_misses: int = 0
     dirty_misses: int = 0
@@ -22,21 +38,12 @@ class NvcacheStats:
     entries_created: int = 0
     group_writes: int = 0          # writes needing more than one entry
     log_full_waits: int = 0
-    evictions: int = 0
     eviction_second_chances: int = 0
-    promotions_skipped: int = 0    # misses the policy declined to cache
     cleanup_batches: int = 0
     cleanup_entries: int = 0
     cleanup_fsyncs: int = 0
     cleanup_batch_aborts: int = 0  # batches rolled back on device I/O errors
-    fsyncs_ignored: int = 0
-    read_only_bypass: int = 0
 
     def hit_rate(self) -> float:
         total = self.read_hits + self.read_misses
         return self.read_hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        data = {name: getattr(self, name) for name in self.__dataclass_fields__}
-        data["hit_rate"] = self.hit_rate()
-        return data

@@ -2,6 +2,7 @@
 
 from .device import NvmmDevice, NvmmStats, NvmmTiming
 from .layout import (
+    PathTable,
     RegionAllocator,
     align_up,
     read_cstring,
@@ -12,6 +13,7 @@ __all__ = [
     "NvmmDevice",
     "NvmmStats",
     "NvmmTiming",
+    "PathTable",
     "RegionAllocator",
     "align_up",
     "read_cstring",

@@ -1,4 +1,5 @@
-"""Persistent-layout helpers: typed accessors and a region allocator.
+"""Persistent-layout helpers: typed accessors, a region allocator and
+the path table.
 
 NVCache's persistent state (log entries, path table, tail index) lives at
 fixed offsets inside an NVMM device. These helpers keep the struct-packing
@@ -7,7 +8,7 @@ noise out of the cache logic and make alignment explicit.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..units import CACHE_LINE_SIZE
 from .device import NvmmDevice
@@ -68,3 +69,46 @@ class RegionAllocator:
     @property
     def remaining(self) -> int:
         return self.device.size - self._next
+
+
+class PathTable:
+    """``slots`` NUL-terminated paths of ``path_max`` bytes each, the
+    first region of every cache layout: the log's fd -> path table and
+    paging's file id -> path table. It is recovery's only name source.
+
+    ``set`` and ``clear`` store and ``pwb``; the caller places the
+    ``psync``, since the log makes each binding durable on its own and
+    paging batches its clears with the metas they release.
+    """
+
+    __slots__ = ("device", "base", "slots", "path_max")
+
+    def __init__(self, allocator: RegionAllocator, name: str, slots: int,
+                 path_max: int):
+        self.device = allocator.device
+        self.base = allocator.allocate(name, slots * path_max)
+        self.slots = slots
+        self.path_max = path_max
+
+    def _addr(self, index: int) -> int:
+        if index < 0 or index >= self.slots:
+            raise ValueError(f"path slot {index} outside table of {self.slots}")
+        return self.base + index * self.path_max
+
+    def set(self, index: int, path: str) -> None:
+        addr = self._addr(index)
+        write_cstring(self.device, addr, path, self.path_max)
+        self.device.pwb_range(addr, self.path_max)
+
+    def clear(self, index: int) -> None:
+        addr = self._addr(index)
+        self.device.store(addr, b"\x00")
+        self.device.pwb(addr)
+
+    def get(self, index: int) -> str:
+        return read_cstring(self.device, self._addr(index), self.path_max)
+
+    def bound(self) -> Dict[int, str]:
+        """index -> path for every occupied slot (a full scan)."""
+        return {index: path for index in range(self.slots)
+                if (path := self.get(index))}

@@ -227,32 +227,35 @@ def test_fd_table_roundtrip():
     env, nvmm, log = make_log()
 
     def body():
-        yield from log.set_path(3, "/tmp/a.db")
-        yield from log.set_path(5, "/tmp/b.db")
+        log.paths.set(3, "/tmp/a.db")
+        log.paths.set(5, "/tmp/b.db")
+        yield from nvmm.psync()
 
     run(env, body())
-    assert log.get_path(3) == "/tmp/a.db"
-    assert log.all_paths() == {3: "/tmp/a.db", 5: "/tmp/b.db"}
+    assert log.paths.get(3) == "/tmp/a.db"
+    assert log.paths.bound() == {3: "/tmp/a.db", 5: "/tmp/b.db"}
     # Durability of the table:
     log2 = NvmmLog(Environment(), NvmmDevice.from_image(Environment(), nvmm.crash_image()), CFG)
-    assert log2.all_paths() == {3: "/tmp/a.db", 5: "/tmp/b.db"}
+    assert log2.paths.bound() == {3: "/tmp/a.db", 5: "/tmp/b.db"}
 
 
 def test_fd_table_clear():
-    env, _nvmm, log = make_log()
+    env, nvmm, log = make_log()
 
     def body():
-        yield from log.set_path(3, "/x")
-        yield from log.clear_path(3)
+        log.paths.set(3, "/x")
+        yield from nvmm.psync()
+        log.paths.clear(3)
+        yield from nvmm.psync()
 
     run(env, body())
-    assert log.all_paths() == {}
+    assert log.paths.bound() == {}
 
 
 def test_fd_out_of_range_rejected():
     env, _nvmm, log = make_log()
     with pytest.raises(ValueError):
-        log.get_path(CFG.fd_max)
+        log.paths.get(CFG.fd_max)
 
 
 def test_required_size_is_sufficient():

@@ -225,7 +225,7 @@ def test_retired_fd_not_replayed():
         yield env.timeout(0.05)  # let finalization run
 
     env.run_process(body())
-    assert nv.log.all_paths() == {}
+    assert nv.log.paths.bound() == {}
     env2, kernel2, report = crash_and_recover(env, kernel, ssd, nvmm)
     assert report.entries_applied == 0
     assert read_file(env2, kernel2, "/done", 64) == b"already on disk"

@@ -14,10 +14,10 @@ from repro.block import SsdDevice
 from repro.core import NvcacheConfig, PagingCache, PagingStore, recover
 from repro.fs import Ext4
 from repro.kernel import Kernel
-from repro.kernel.fd_table import O_CREAT, O_RDONLY, O_RDWR, O_WRONLY
+from repro.kernel.fd_table import O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY
 from repro.nvmm import NvmmDevice
 from repro.sim import Environment
-from repro.units import MIB
+from repro.units import MIB, US
 
 PAGING_CONFIG = NvcacheConfig(
     cache_mode="paging", log_entries=64, entry_data_size=512,
@@ -355,3 +355,112 @@ def test_writeback_survives_supersede_during_page_load():
 
     for step in range(-40, 41):
         one(step * 0.5e-6)
+
+
+def test_truncating_open_racing_a_write_leaves_no_page_to_the_next_file():
+    """Regression: ``open(O_TRUNC)`` drained and invalidated ``/a``
+    without ``txn_lock``, so a ``pwrite`` already staging pages under
+    ``/a``'s file id committed them after the id was released. The next
+    file to take that id (``/c``) then read the racing write's bytes."""
+    env, _kernel, _nvmm, cache = make_paging_stack()
+
+    def setup():
+        fd = yield from cache.open("/a", O_CREAT | O_RDWR)
+        yield from cache.pwrite(fd, b"a" * PAGE, 0)
+        yield cache.cleanup.request_drain()
+        return fd
+
+    fd = env.run_process(setup())
+
+    def writer():
+        yield from cache.pwrite(fd, b"W" * (4 * PAGE), 0)
+
+    def truncator():
+        yield env.timeout(12 * US)
+        tfd = yield from cache.open("/a", O_WRONLY | O_TRUNC)
+        yield from cache.close(tfd)
+
+    def race():
+        for racer in [env.spawn(writer()), env.spawn(truncator())]:
+            yield racer
+
+    env.run_process(race())
+    cache.check_invariants()
+
+    def reuse():
+        cfd = yield from cache.open("/c", O_CREAT | O_RDWR)
+        yield from cache.pwrite(cfd, b"c" * 10, 0)
+        yield from cache.pwrite(cfd, b"c" * 10, PAGE + 10)
+        return (yield from cache.pread(cfd, PAGE, 0))
+
+    first_page = env.run_process(reuse())
+    assert b"W" not in first_page
+    cache.check_invariants()
+
+
+def test_truncating_open_drops_pages_the_backend_never_saw():
+    """Regression: ``open(O_TRUNC)`` skipped the invalidation whenever
+    the backend file was empty, as it is until the first writeback. The
+    acknowledged truncate then left the old pages committed in NVMM, and
+    recovery replayed them."""
+    env, kernel, nvmm, cache = make_paging_stack()
+
+    def body():
+        fd = yield from cache.open("/a", O_CREAT | O_RDWR)
+        yield from cache.pwrite(fd, b"o" * PAGE, 0)
+        tfd = yield from cache.open("/a", O_WRONLY | O_TRUNC)
+        yield from cache.close(tfd)
+        yield from cache.close(fd)
+
+    env.run_process(body())
+    cache.check_invariants()
+    image = nvmm.crash_image(keep_lines=frozenset())
+    kernel.crash()
+    env2 = Environment()
+    nvmm2 = NvmmDevice.from_image(env2, image, name=nvmm.name)
+    kernel2 = Kernel(env2)
+    kernel2.mount("/", Ext4(env2, SsdDevice(env2, size=32 * MIB)))
+    report = env2.run_process(recover(env2, kernel2, nvmm2, PAGING_CONFIG))
+    assert report.entries_applied == 0
+
+
+def test_read_promotion_racing_an_unlink_leaves_no_page_to_the_next_file():
+    """Regression: a read miss promoted its page without ``txn_lock``,
+    so a promotion finishing inside an unlink's invalidation mapped the
+    page under the file id the unlink then released. The next file to
+    take that id (``/c``) read the unlinked file's bytes."""
+    env, kernel, _nvmm, cache = make_paging_stack()
+
+    def setup():
+        kfd = yield from kernel.open("/a", O_CREAT | O_WRONLY)
+        yield from kernel.pwrite(kfd, b"R" * (2 * PAGE), 0)
+        yield from kernel.close(kfd)
+        yield from kernel.sync()
+        fd = yield from cache.open("/a", O_RDWR)
+        yield from cache.pwrite(fd, b"a" * PAGE, 0)
+        yield cache.cleanup.request_drain()
+        return fd
+
+    fd = env.run_process(setup())
+
+    def reader():
+        yield from cache.pread(fd, PAGE, PAGE)  # a miss: page 1 promotes
+
+    def unlinker():
+        yield env.timeout(3 * US)
+        yield from cache.unlink("/a")
+
+    def race():
+        for racer in [env.spawn(reader()), env.spawn(unlinker())]:
+            yield racer
+
+    env.run_process(race())
+    cache.check_invariants()
+
+    def reuse():
+        cfd = yield from cache.open("/c", O_CREAT | O_RDWR)
+        yield from cache.pwrite(cfd, b"c" * 10, 0)
+        yield from cache.pwrite(cfd, b"c" * 10, 2 * PAGE - 10)
+        return (yield from cache.pread(cfd, PAGE, PAGE))
+
+    assert b"R" not in env.run_process(reuse())
