@@ -77,7 +77,7 @@ class NvmmLog:
 
     __slots__ = ("env", "nvmm", "config", "stats", "entries", "stride",
                  "paths", "tail_base", "entries_base", "head",
-                 "volatile_tail", "_space_waiters", "_slot_mirror",
+                 "volatile_tail", "_space_waiters", "_slot_mirror", "_kept",
                  "_removal_paths", "_removals")
 
     def __init__(self, env: Environment, nvmm: NvmmDevice, config: NvcacheConfig,
@@ -108,6 +108,11 @@ class NvmmLog:
         # and falls back to the media — the mirror is an index, never a
         # substitute source of truth.
         self._slot_mirror: List[Optional[Tuple[int, int]]] = [None] * self.entries
+        # Beside it, the writers' page objects ``keep_payload`` kept, by
+        # seq until their clear. A kept payload is an index like the
+        # mirror, never a substitute source of truth: the drain hands
+        # the kernel one only when it equals what it loaded from NVMM.
+        self._kept: Dict[int, bytes] = {}
         # Volatile count of the paths that committed, not yet cleared
         # removal entries (unlink, rename away) name, so a creating open
         # asks a dict instead of reading the ring; ``_removal_paths``
@@ -206,6 +211,17 @@ class NvmmLog:
             self.nvmm.timing.store_cost(HEADER_SIZE + len(data)),
             "nvmm", "store")
 
+    def keep_payload(self, seq: int, offset: int, data: bytes) -> None:
+        """Remember a single-entry write's payload for the drain when it
+        is the caller's immutable ``bytes`` covering one aligned page —
+        the one shape the page cache adopts by reference. Anything else
+        (a partial or unaligned page, a ``bytearray``, a slice of a
+        larger write) is copied by someone anyway, so nothing is kept."""
+        page_size = self.config.page_size
+        if (type(data) is bytes and len(data) == page_size
+                and offset % page_size == 0):
+            self._kept[seq] = data
+
     def commit_leader(self, seq: int) -> Generator:
         """pfence (order entries before commit), set the leader's commit
         word (an 8-byte store; the fill wrote the rest of the header),
@@ -247,6 +263,9 @@ class NvmmLog:
         commit_group, fd, offset, size = self.read_header(seq)
         data = yield from self.nvmm.timed_load(
             self._slot_addr(seq) + HEADER_SIZE, size)
+        kept = self._kept.get(seq)
+        if kept is not None and kept == data:
+            data = kept  # the media agrees: hand on the writer's object
         return commit_group, fd, offset, data
 
     def timed_read_range(self, seq: int, data_offset: int, length: int) -> Generator:
@@ -311,6 +330,7 @@ class NvmmLog:
             addr = self._slot_addr(seq)
             self.nvmm.store(addr, _FREE_WORD)
             self._slot_mirror[seq % self.entries] = (seq, COMMIT_FREE)
+            self._kept.pop(seq, None)
             removed = self._removal_paths.pop(seq, None)
             if removed is not None:
                 left = self._removals[removed] - 1

@@ -487,6 +487,8 @@ class Nvcache(CacheFacade):
                 yield from self.log.fill_entry(
                     leader_seq + i, fd, offset + i * chunk_size, chunk,
                     leader_seq=None if i == 0 else leader_seq)
+            if chunk_count == 1:
+                self.log.keep_payload(leader_seq, offset, data)
             if tracer is not None:
                 tracer.end(self.env, append_token, leader_seq=leader_seq)
                 append_token = None
@@ -742,6 +744,11 @@ class Nvcache(CacheFacade):
         assert log.persistent_tail() <= log.volatile_tail, \
             "volatile tail behind persistent tail"
         assert log.used() <= log.entries, "log over capacity"
+        for seq, payload in log._kept.items():
+            assert log.volatile_tail <= seq < log.head, \
+                f"kept payload of retired seq {seq}"
+            assert payload == log.read_data(seq), \
+                f"kept payload of seq {seq} differs from the media"
         for nv_file in self.tables.files.values():
             if nv_file.pages is None:
                 continue
