@@ -9,6 +9,7 @@ shared ``--help`` / unknown-flag / one-JSON-document / ``--jobs``
 contract of the tools is tier-1 (``tests/test_tool_contracts.py``).
 """
 
+import ast
 import glob
 import importlib.util
 import json
@@ -21,9 +22,6 @@ import pytest
 pytestmark = pytest.mark.docs_check
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-DEMO_DIFF = ("--diff", "tenants=4,log_kib=64", "tenants=4,log_kib=128")
-
 
 def check(argv, rc=0, *needles, timeout=300):
     """Run ``python *argv`` from the repo root; assert the exit code and
@@ -49,8 +47,6 @@ COMMANDS = [
     (["tools/check_docs.py"], 0, "all documented"),
     (["tools/ci_run.py", "--suite", "docs", "--dry-run"], 0,
      "-m pytest smoke -m docs_check -q"),
-    (["tools/ci_run.py", "--suite", "capacity", "--dry-run"], 0,
-     "tools/capacity_report.py --check --jobs 2"),
     (["tools/metrics_report.py", "--size-mib", "1"], 0,
      "read-cache hit ratio", "log occupancy", "p99 write latency",
      "[core]", "[nvmm]", "[block]"),
@@ -63,14 +59,6 @@ COMMANDS = [
     (["tools/trace_report.py", "--size-mib", "0.5"], 0,
      "spans by name:", "libc.pwrite", "critical-path attribution",
      "tail exemplars:"),
-    (["tools/capacity_report.py", "--check", "--jobs", "2"], 0,
-     "check OK", "knees"),
-    (["tools/capacity_report.py", *DEMO_DIFF], 0,
-     "latency moved from", "sum(deltas) == end-to-end delta: exact"),
-    (["tools/tenant_report.py", "--tenants", "16", "--ops", "4"], 0,
-     "Jain index", "per class:", "slowest tenants"),
-    (["tools/tenant_report.py", "--verify-sharding", "--seeds", "2",
-      "--jobs", "2"], 0, "byte-identical"),
 ] + [([os.path.relpath(script, REPO_ROOT)], 0) for script in sorted(
     glob.glob(os.path.join(REPO_ROOT, "examples", "*.py")))]
 
@@ -129,14 +117,20 @@ def test_check_docs_detects_missing_path():
 
 
 def test_check_docs_knows_which_trace_names_call_sites_emit():
-    # Literal names, a conditional expression (qos) and a variable
-    # (pread's hit/miss span) all resolve; a name nobody emits does not,
-    # which is what makes a dead vocabulary entry fail the check.
-    emitted = _load_check_docs().emitted_trace_names()
-    assert {"libc.pwrite", "kernel.syscall", "core.quota_wait",
-            "core.admission_wait", "core.read_hit",
+    # Literal names, a conditional expression and a variable (pread's
+    # hit/miss span) all resolve; a name nobody emits does not, which is
+    # what makes a dead vocabulary entry fail the check.
+    check_docs = _load_check_docs()
+    emitted = check_docs.emitted_trace_names()
+    assert {"libc.pwrite", "kernel.syscall", "core.read_hit",
             "core.read_miss"} <= emitted
     assert "block.trim" not in emitted
+    conditional = ast.parse(
+        "def wait(env, quota):\n"
+        "    env.tracer.charge(env, 'core', 'quota_wait' if quota\n"
+        "                      else 'admission_wait', 0.0)\n").body[0]
+    assert check_docs._emitted_by(conditional) == {
+        "core.quota_wait", "core.admission_wait"}
     assert check_json(["tools/check_docs.py"])["dead"] == []
 
 
@@ -173,40 +167,3 @@ def test_trace_report_attribution_json_schema():
     assert payload["total_ps"] == sum(payload["segments_ps"].values())
     assert all(isinstance(v, int) for v in payload["segments_ps"].values())
 
-
-def test_capacity_report_diff_is_exact():
-    # The acceptance criterion: the per-segment deltas of a demo-grid
-    # diff sum EXACTLY to the end-to-end latency delta.
-    diff = check_json(["tools/capacity_report.py", *DEMO_DIFF])
-    assert diff["exact"] is True
-    assert sum(diff["deltas_ps"].values()) == diff["total_delta_ps"]
-
-
-def test_capacity_report_check_fails_on_wrong_expectation(tmp_path):
-    spec = {"name": "bad",
-            "axes": [{"name": "tenants", "values": [4]}],
-            "base": {"seed": 0, "operations": 4, "workers": 8,
-                     "schedule": "bursty", "duration": 0.02,
-                     "stack": "nvcache+ssd", "scale_factor": 4096,
-                     "log_kib": 64},
-            "expectations": [{"kind": "dominant", "cell": "tenants=4",
-                              "segment": "core.retire"}]}
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(spec))
-    result = check(["tools/capacity_report.py", "--grid-file", str(path),
-                    "--check"], 1)
-    assert "check FAILED" in result.stderr
-
-
-def test_capacity_report_html_heatmap(tmp_path):
-    out = tmp_path / "capacity.html"
-    check(["tools/capacity_report.py", "--html", str(out), "--jobs", "2"])
-    html = out.read_text()
-    assert "capacity map" in html and "tenants=" in html
-
-
-def test_tenant_report_check_gate_json():
-    summary = check_json(["tools/tenant_report.py", "--tenants", "16",
-                          "--ops", "4", "--check"])
-    assert summary["engine"]["completed"] == summary["engine"]["requests"]
-    assert summary["jain"] >= 0.8

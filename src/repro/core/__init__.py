@@ -21,7 +21,6 @@ from .policies import (
     NhitPolicy,
     make_policy,
 )
-from .qos import DEFAULT_CLASSES, IOClass, QosManager, TenantQos
 from .read_cache import PageContent, PageDescriptor, ReadCache
 from .recovery import RecoveryReport, recover
 from .stats import NvcacheStats
@@ -53,10 +52,6 @@ __all__ = [
     "FOLLOWER_BASE",
     "HEADER_SIZE",
     "CleanupThread",
-    "QosManager",
-    "IOClass",
-    "TenantQos",
-    "DEFAULT_CLASSES",
     "ReadCache",
     "PageDescriptor",
     "PageContent",

@@ -188,15 +188,10 @@ class CleanupThread(DrainThread):
                 self._last_progress = self.env.now
                 yield self.env.timeout(_TICK)
                 continue
-            qos = self.env.qos
             urgent = (bool(self._drain_waiters)
                       or bool(self.log._space_waiters)  # writers stalled
                       or pending >= self.log.entries // 2  # log near full
                       or len(self.tables.deferred_close) > 64  # fds piling up
-                      # Quota-aware ordering: a tenant parked at the QoS
-                      # admission gate can only unblock via retirement,
-                      # so collapse the batch-min wait while any waits.
-                      or (qos is not None and qos.pressure())
                       or self.env.now - self._last_progress >= self.config.cleanup_idle_flush)
             if pending < self.config.batch_min and not urgent:
                 yield self.env.timeout(_TICK)
@@ -321,11 +316,6 @@ class CleanupThread(DrainThread):
             return 0
         yield from self.log.clear_entries(batch)
         self.log.advance_volatile_tail(batch[-1] + 1)
-        qos = self.env.qos
-        if qos is not None:
-            # Release tenant/class charges and wake admissible QoS
-            # waiters in (priority, arrival) order.
-            qos.note_retired(batch)
         self._propagated.difference_update(batch)
         self.stats.cleanup_batches += 1
         self.stats.cleanup_entries += len(batch)

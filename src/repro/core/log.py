@@ -157,13 +157,6 @@ class NvmmLog:
             raise ValueError(
                 f"write needs {count} entries but the log only has "
                 f"{self.entries}; enlarge the log or the entry size")
-        # Multi-tenant QoS gate (repro.core.qos): tenant quotas and
-        # per-class caps admit BEFORE the global log-full wait, so one
-        # tenant's burst parks on its own quota instead of filling the
-        # shared ring. Yields nothing when unattached/unbound/unconstrained.
-        qos = self.env.qos
-        if qos is not None:
-            yield from qos.admit(count)
         first_wait = True
         wait_began = self.env.now
         while self.used() + count > self.entries:
@@ -179,8 +172,6 @@ class NvmmLog:
         seq = self.head
         self.head += count
         self.stats.entries_created += count
-        if qos is not None:
-            qos.note_alloc(seq, count)
         return seq
 
     def fill_entry(self, seq: int, fd: int, offset: int, data: bytes,

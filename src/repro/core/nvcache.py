@@ -157,11 +157,9 @@ class CacheFacade:
             if tracer is not None else None)
 
     def _account_read(self, nbytes: int, began: float) -> None:
-        """Epilogue of every ``pread`` variant: byte/QoS tallies and the
+        """Epilogue of every ``pread`` variant: byte tallies and the
         app-visible latency."""
         self.stats.bytes_read += nbytes
-        if self.env.qos is not None:
-            self.env.qos.tally_read(nbytes)
         if self._m_read_latency is not None:
             self._observe_latency(self._m_read_latency, began)
 
@@ -451,8 +449,6 @@ class Nvcache(CacheFacade):
         page_size = config.page_size
         self.stats.writes += 1
         self.stats.bytes_written += len(data)
-        if self.env.qos is not None:
-            self.env.qos.tally_write(len(data))
         began = self.env.now
         tracer = self.env.tracer
 
@@ -592,8 +588,6 @@ class Nvcache(CacheFacade):
                 else:
                     span, overhead = "read_hit", READ_HIT_OVERHEAD
                     self.stats.read_hits += 1
-                    if self.env.qos is not None:
-                        self.env.qos.tally_hit()
                 token = None
                 if tracer is not None:
                     token = tracer.begin(self.env, "core", span,
@@ -623,8 +617,6 @@ class Nvcache(CacheFacade):
         unless the active policy's admission gate (nhit) declines — then
         the bytes are served once, uncached, and returned to the caller."""
         self.stats.read_misses += 1
-        if self.env.qos is not None:
-            self.env.qos.tally_miss()
         policy = self.read_cache.policy
         if policy is not None and not policy.admit(descriptor):
             self.stats.promotions_skipped += 1

@@ -47,8 +47,6 @@ class NvlogLite(Nvcache):
             # the backend first. This is the design's read penalty.
             yield self.cleanup.request_drain()
         self.stats.read_misses += 1
-        if self.env.qos is not None:
-            self.env.qos.tally_miss()
         token = None
         if tracer is not None:
             token = tracer.begin(self.env, "core", "read_miss", fd=fd)

@@ -388,8 +388,6 @@ class PagingCache(CacheFacade):
         nv_file = handle.file
         self.stats.writes += 1
         self.stats.bytes_written += len(data)
-        if self.env.qos is not None:
-            self.env.qos.tally_write(len(data))
         began = self.env.now
         tracer = self.env.tracer
         recorder = self.env.crash_points
@@ -611,8 +609,6 @@ class PagingCache(CacheFacade):
             if slot is not None and slot.state != SLOT_FREE:
                 # Hit: serve straight from the resident NVMM page.
                 self.stats.page_hits += 1
-                if self.env.qos is not None:
-                    self.env.qos.tally_hit()
                 token = None
                 if tracer is not None:
                     token = tracer.begin(self.env, "core", "read_hit",
@@ -631,8 +627,6 @@ class PagingCache(CacheFacade):
                 # pages (dirty slots are never evicted, so anything
                 # absent here was either written back or never cached).
                 self.stats.page_misses += 1
-                if self.env.qos is not None:
-                    self.env.qos.tally_miss()
                 token = None
                 if tracer is not None:
                     token = tracer.begin(self.env, "core", "read_miss",

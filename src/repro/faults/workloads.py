@@ -122,14 +122,13 @@ def run_workload(run: CrashRun, workload: CrashWorkload,
 
 
 def build_crash_run(config: NvcacheConfig = SMALL_CONFIG,
-                    ssd_size: int = 32 * MIB,
                     start_cleanup: bool = True) -> CrashRun:
     """The one stack builder: cache class and NVMM size come from the
     ``CACHE_MODES`` row ``config.cache_mode`` names (``recover``
     dispatches on the same row, so the explorer is mode-agnostic)."""
     cache_cls, required_size, _recover = cache_mode_row(config.cache_mode)
     env = Environment()
-    ssd = SsdDevice(env, size=ssd_size)
+    ssd = SsdDevice(env, size=32 * MIB)
     kernel = Kernel(env)
     kernel.mount("/", Ext4(env, ssd))
     nvmm = NvmmDevice(env, size=required_size(config))

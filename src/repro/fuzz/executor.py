@@ -24,7 +24,7 @@ from typing import Dict, List
 
 # Eager-import the whole coverage scope (see module docstring).
 from ..core import (cleanup, config, files, log, nvcache,  # noqa: F401
-                    qos, read_cache, recovery, stats)
+                    read_cache, recovery, stats)
 from ..fs import (base, dm_writecache, ext4, ext4_dax, nova,  # noqa: F401
                   tmpfs)
 from ..faults.explorer import CrashExplorer, ExplorationError

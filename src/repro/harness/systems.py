@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, Optional
 
-from ..block import BlockTiming, SsdDevice
+from ..block import SsdDevice
 from ..core import CacheFacade, NvcacheConfig, cache_mode_row
 from ..fs import DmWriteCache, Ext4, Ext4Dax, Nova, Tmpfs
 from ..kernel import Kernel
@@ -179,9 +179,6 @@ class StorageStack:
 def build_stack(name: str, scale: Scale = DEFAULT_SCALE,
                 config: Optional[NvcacheConfig] = None,
                 cache_mode: str = "logging",
-                policy: str = "",
-                ssd_size: int = 8 * GIB,
-                ssd_timing: Optional[BlockTiming] = None,
                 metrics: bool = False,
                 tracing: bool = False,
                 trace_sample_rate: float = 1.0,
@@ -192,15 +189,9 @@ def build_stack(name: str, scale: Scale = DEFAULT_SCALE,
     For the nvcache stacks, ``cache_mode`` selects the cache design
     point (a ``repro.core.CACHE_MODES`` name: logging — the paper's
     log + DRAM read cache, paging — the NVMM page-table cache,
-    nvlog-lite — the log without a read cache) and ``policy`` the
-    eviction/promotion policy (docs/POLICIES.md). Both default to the
-    values already in ``config`` when one is supplied; a non-default
+    nvlog-lite — the log without a read cache). It defaults to the
+    value already in ``config`` when one is supplied; a non-default
     argument wins.
-
-    ``ssd_timing`` replaces the calibrated SATA service-time model of
-    the SSD-backed stacks — the capacity explorer's "SSD drain rate"
-    axis (docs/CAPACITY.md) sweeps it; ``None`` keeps the paper's
-    S4600 calibration.
 
     With ``metrics=True`` a :class:`~repro.obs.MetricsRegistry` is
     attached to the environment before any component is built, so every
@@ -235,8 +226,7 @@ def build_stack(name: str, scale: Scale = DEFAULT_SCALE,
     cached = name.startswith("nvcache")
     backend = name.rpartition("+")[2]
     if backend == "ssd":
-        ssd = devices["ssd"] = SsdDevice(
-            env, size=ssd_size, **({"timing": ssd_timing} if ssd_timing else {}))
+        ssd = devices["ssd"] = SsdDevice(env, size=8 * GIB)
         if name.startswith("dm-writecache"):
             ssd = devices["dm"] = DmWriteCache(
                 env, ssd, cache_size=scale.dm_cache_bytes)
@@ -254,13 +244,8 @@ def build_stack(name: str, scale: Scale = DEFAULT_SCALE,
     nvcache = None
     if cached:
         cache_config = config or nvcache_config(scale)
-        overrides = {}
         if cache_mode != "logging":
-            overrides["cache_mode"] = cache_mode
-        if policy:
-            overrides["policy"] = policy
-        if overrides:
-            cache_config = replace(cache_config, **overrides)
+            cache_config = replace(cache_config, cache_mode=cache_mode)
         cache_cls, required_size, _recover = cache_mode_row(
             cache_config.cache_mode)
         log_nvmm = devices["log_nvmm"] = NvmmDevice(

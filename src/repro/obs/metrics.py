@@ -277,25 +277,6 @@ class MetricsRegistry:
         return {name: metric.value()
                 for name, metric in sorted(self._metrics.items())}
 
-    def snapshot_detailed(self) -> Dict[str, object]:
-        """Full snapshot: scalars for counters/gauges, a dict with count/
-        sum/mean/min/max/p50/p95/p99 for histograms. A pure function of
-        simulated state — two deterministic runs produce equal
-        snapshots, which is what lets the capacity explorer
-        (docs/CAPACITY.md) digest one per grid cell."""
-        out: Dict[str, object] = {}
-        for name, metric in sorted(self._metrics.items()):
-            if isinstance(metric, Histogram):
-                detail = {"count": metric.count, "sum": metric.sum,
-                          "mean": metric.mean,
-                          "min": metric.min if metric.count else 0.0,
-                          "max": metric.max}
-                detail.update(metric.percentiles())
-                out[name] = detail
-            else:
-                out[name] = metric.value()
-        return out
-
 
 class Scope:
     """A prefixed view of a registry (see :meth:`MetricsRegistry.scope`)."""

@@ -1,9 +1,9 @@
 """Multi-process work sharding for the repo's validation surfaces.
 
 The heavyweight validation workloads — crash-point sweeps
-(``repro.faults``), fuzz batches, tenancy seed sweeps and capacity
-grids — are all *embarrassingly parallel*: every cell is an independent
-deterministic simulation. This package splits them across worker
+(``repro.faults``), fuzz batches and CI steps — are all
+*embarrassingly parallel*: every cell is an independent deterministic
+simulation. This package splits them across worker
 processes with the three properties CI needs:
 
 - **bounded failure** — per-task timeouts, hung/killed workers are

@@ -9,7 +9,7 @@ from .core import (
     Waitable,
 )
 from .rng import zipf_ranks
-from .sync import Event, Lock, Queue
+from .sync import Event, Lock
 from .trace import SEGMENT_NAMES, SPAN_NAMES, Span, Tracer, traced
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "Waitable",
     "Event",
     "Lock",
-    "Queue",
     "Tracer",
     "Span",
     "SPAN_NAMES",

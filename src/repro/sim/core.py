@@ -301,7 +301,7 @@ class Environment:
     """The event loop: virtual clock, zero-delay lane, and a heap of
     timed callbacks."""
 
-    __slots__ = ("now", "tracer", "metrics", "crash_points", "qos",
+    __slots__ = ("now", "tracer", "metrics", "crash_points",
                  "active_process", "events_dispatched", "_timers", "_lane",
                  "_sequence", "_stop_requested",
                  "_crashed_process", "_granted")
@@ -318,12 +318,6 @@ class Environment:
         # one ``is not None`` check when unused and never touches the
         # simulated clock.
         self.crash_points = None
-        # Optional multi-tenant QoS manager (repro.core.qos.QosManager):
-        # the NVMM log consults it for admission control and quotas, and
-        # the NVCache hot paths report per-tenant tallies to it. Same
-        # contract as the other hooks — one ``is not None`` check when
-        # unused, bit-identical behaviour when absent or unbound.
-        self.qos = None
         # The Process whose generator is currently being stepped (None
         # outside a step). The tracer keys per-process span stacks off
         # it so trace context propagates without argument threading.

@@ -71,48 +71,3 @@ class Lock:
         self.locked = True
         return True
 
-
-class Queue:
-    """Unbounded (or bounded) FIFO channel between processes."""
-
-    __slots__ = ("env", "name", "capacity", "_items", "_getters", "_putters")
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None, name: str = "queue"):
-        self.env = env
-        self.name = name
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Waitable] = deque()
-        self._putters: Deque[Waitable] = deque()  # entries: (waitable, item)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> Waitable:
-        waitable = Waitable(self.env)
-        if self._getters:
-            self._getters.popleft()._fire(item)
-            waitable._fire(None)
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            waitable._fire(None)
-        else:
-            self._putters.append((waitable, item))
-        return waitable
-
-    def get(self) -> Waitable:
-        waitable = Waitable(self.env)
-        if self._items:
-            item = self._items.popleft()
-            if self._putters:
-                putter, pending = self._putters.popleft()
-                self._items.append(pending)
-                putter._fire(None)
-            waitable._fire(item)
-        elif self._putters:
-            putter, pending = self._putters.popleft()
-            putter._fire(None)
-            waitable._fire(pending)
-        else:
-            self._getters.append(waitable)
-        return waitable

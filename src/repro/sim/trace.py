@@ -17,7 +17,7 @@ On top of spans sit three analysis features:
   attributed to a named ``layer.segment`` bucket on the *root* span of
   the current process. A modelled delay books itself through
   :meth:`Environment.delay <repro.sim.core.Environment.delay>`; only
-  after-the-fact waits (lock, queue, log-full, QoS) call ``charge``
+  after-the-fact waits (lock, queue, log-full) call ``charge``
   directly. The residual is booked as ``<layer>.unattributed`` when the
   root closes, so a root span's segments always sum exactly to its
   end-to-end latency.
@@ -87,9 +87,6 @@ SEGMENT_NAMES = frozenset({
     "core.read_overhead", "core.retire",
     # Paging mode: writer stalled waiting for a free page slot.
     "core.page_full_wait",
-    # Multi-tenant QoS admission gate (repro.core.qos): time blocked on
-    # a tenant log-space quota vs. an I/O-class share cap.
-    "core.quota_wait", "core.admission_wait",
     "kernel.syscall", "kernel.page_cache_lookup", "kernel.copy",
     "fs.journal_cpu", "fs.block_request",
     # Page-cache-less filesystems (NOVA, Ext4-DAX, tmpfs): one page
@@ -101,6 +98,31 @@ SEGMENT_NAMES = frozenset({
     "libc.unattributed", "core.unattributed", "kernel.unattributed",
     "fs.unattributed", "block.unattributed", "nvmm.unattributed",
 })
+
+#: Schema tag of the machine form of an attribution
+#: (``tools/trace_report.py --attribution --json``).
+ATTRIBUTION_SCHEMA = "repro.attribution/1"
+
+
+def to_ps(seconds: float) -> int:
+    """Quantize simulated seconds to integer picoseconds (round half to
+    even, like the float itself)."""
+    return round(seconds * 10 ** 12)
+
+
+def attribution_payload(attribution_ps: Dict[str, int],
+                        source: str = "", **extra) -> Dict:
+    """The ``repro.attribution/1`` payload: integer-picosecond segments
+    plus their exact total."""
+    segments = dict(sorted(attribution_ps.items()))
+    payload = {
+        "schema": ATTRIBUTION_SCHEMA,
+        "source": source,
+        "segments_ps": segments,
+        "total_ps": sum(segments.values()),
+    }
+    payload.update(extra)
+    return payload
 
 
 @dataclass
@@ -198,15 +220,6 @@ class Tracer:
                 return token
             trace_id = next(self._next_trace)
             parent_id = None
-            # Root spans of tenant-attributed work carry the tenant id
-            # and I/O class, so traces slice per tenant (multi-tenancy;
-            # see docs/MULTITENANCY.md).
-            qos = env.qos
-            if qos is not None:
-                tags = qos.context_tags()
-                if tags is not None:
-                    args = dict(args)
-                    args["tenant"], args["io_class"] = tags
         track = process.name if process is not None else "main"
         span = Span(trace_id=trace_id, span_id=next(self._next_span),
                     parent_id=parent_id, layer=layer, name=name, track=track,
@@ -310,21 +323,6 @@ class Tracer:
             for segment, amount in span.segments.items():
                 totals[segment] = totals.get(segment, 0.0) + amount
         return totals
-
-    def attribution_by_root(self) -> Dict[str, Dict[str, float]]:
-        """Critical-path segments split by root span name: ``root
-        qualified name -> {segment -> total seconds}``. The capacity
-        explorer (docs/CAPACITY.md) uses this to tell request-side waits
-        (``libc.pwrite`` roots) from background drain costs
-        (``core.drain_batch`` roots) apart when diffing two cells."""
-        by_root: Dict[str, Dict[str, float]] = {}
-        for span in self.spans:
-            if span.parent_id is not None:
-                continue
-            totals = by_root.setdefault(span.qualified, {})
-            for segment, amount in span.segments.items():
-                totals[segment] = totals.get(segment, 0.0) + amount
-        return by_root
 
     # -- metrics (obs.trace.*) ---------------------------------------------
 

@@ -1,15 +1,8 @@
-"""Cell capture: picosecond quantization, exactness, drain scaling."""
+"""Picosecond quantization of attribution segments (``to_ps``)."""
 
-import pytest
+from repro.sim.trace import to_ps
 
-from repro.block import SSD_TIMING
-from repro.capacity import (PS_PER_S, cell_digest, run_cell,
-                            scaled_ssd_timing, to_ps)
-
-#: A single cheap cell (one tenant-pair, short burst) for capture tests.
-PARAMS = {"seed": 0, "operations": 4, "workers": 8, "schedule": "bursty",
-          "duration": 0.02, "stack": "nvcache+ssd", "scale_factor": 4096,
-          "tenants": 4, "log_kib": 64, "cell_id": "tenants=4,log_kib=64"}
+PS_PER_S = 10 ** 12
 
 
 class TestQuantization:
@@ -21,65 +14,3 @@ class TestQuantization:
     def test_quantization_error_is_subpicosecond(self):
         value = 3.141592653589793e-3
         assert abs(to_ps(value) / PS_PER_S - value) < 1.0 / PS_PER_S
-
-
-class TestScaledSsdTiming:
-    def test_doubled_drain_halves_write_path(self):
-        timing = scaled_ssd_timing(2.0)
-        assert timing.write_base == SSD_TIMING.write_base / 2
-        assert timing.seq_write_base == SSD_TIMING.seq_write_base / 2
-        assert timing.flush_latency == SSD_TIMING.flush_latency / 2
-        assert timing.write_bandwidth == SSD_TIMING.write_bandwidth * 2
-
-    def test_read_path_untouched(self):
-        timing = scaled_ssd_timing(4.0)
-        assert timing.read_base == SSD_TIMING.read_base
-        assert timing.read_bandwidth == SSD_TIMING.read_bandwidth
-
-    def test_rejects_nonpositive_drain(self):
-        with pytest.raises(ValueError):
-            scaled_ssd_timing(0.0)
-
-
-class TestRunCell:
-    def test_attribution_sums_exactly_to_end_to_end(self):
-        record = run_cell(dict(PARAMS))
-        assert record["end_to_end_ps"] == sum(
-            record["attribution_ps"].values())
-        assert all(isinstance(v, int)
-                   for v in record["attribution_ps"].values())
-
-    def test_by_root_split_reconciles_with_totals(self):
-        record = run_cell(dict(PARAMS))
-        merged = {}
-        for segments in record["attribution_by_root_ps"].values():
-            for segment, amount in segments.items():
-                merged[segment] = merged.get(segment, 0) + amount
-        assert merged == record["attribution_ps"]
-
-    def test_capture_is_deterministic(self):
-        first = run_cell(dict(PARAMS))
-        second = run_cell(dict(PARAMS))
-        assert first == second
-        assert first["digest"] == cell_digest(first)
-
-    def test_all_requests_complete_and_traffic_is_captured(self):
-        record = run_cell(dict(PARAMS))
-        assert record["completed"] == record["requests"] > 0
-        assert record["latency"]["count"] == record["completed"]
-        assert record["spans"] > 0 and record["spans_dropped"] == 0
-        assert record["metrics"]  # full snapshot rides along
-        assert len(record["fairness_digest"]) == 64
-
-    def test_log_size_knob_reaches_the_stack(self):
-        small = run_cell(dict(PARAMS))
-        big = run_cell(dict(PARAMS, log_kib=128,
-                            cell_id="tenants=4,log_kib=128"))
-        wait = "core.log_full_wait"
-        assert big["attribution_ps"].get(wait, 0) \
-            < small["attribution_ps"][wait]
-
-    def test_drain_knob_reaches_the_stack(self):
-        slow = run_cell(dict(PARAMS, drain=0.25, cell_id="x"))
-        fast = run_cell(dict(PARAMS, drain=4.0, cell_id="y"))
-        assert fast["end_to_end_ps"] < slow["end_to_end_ps"]

@@ -1,25 +1,6 @@
-"""The diff engine's exactness contract and knee detection."""
+"""The machine form of an attribution (``attribution_payload``)."""
 
-from repro.capacity import (ATTRIBUTION_SCHEMA, Axis, GridSpec,
-                            attribution_payload, detect_knees, diff_cells,
-                            dominant_segment, format_diff, format_knees)
-
-
-def fake_cell(cell_id, **segments_ps):
-    return {"cell_id": cell_id,
-            "attribution_ps": dict(segments_ps),
-            "end_to_end_ps": sum(segments_ps.values())}
-
-
-class TestDominantSegment:
-    def test_picks_heaviest(self):
-        assert dominant_segment({"a.x": 5, "b.y": 9}) == "b.y"
-
-    def test_ties_break_on_name(self):
-        assert dominant_segment({"b.y": 5, "a.x": 5}) == "a.x"
-
-    def test_empty_is_none(self):
-        assert dominant_segment({}) is None
+from repro.sim.trace import ATTRIBUTION_SCHEMA, attribution_payload
 
 
 class TestAttributionPayload:
@@ -28,84 +9,3 @@ class TestAttributionPayload:
         assert payload["schema"] == ATTRIBUTION_SCHEMA
         assert list(payload["segments_ps"]) == ["a.x", "b.y"]  # sorted
         assert payload["total_ps"] == 3
-
-
-class TestDiffCells:
-    def test_signed_deltas_sum_exactly_to_total_delta(self):
-        a = fake_cell("a", **{"core.log_full_wait": 1_000_000,
-                              "block.write_service": 400_000,
-                              "nvmm.store": 50_000})
-        b = fake_cell("b", **{"core.log_full_wait": 100_000,
-                              "block.write_service": 700_000,
-                              "kernel.copy": 3_000})
-        diff = diff_cells(a, b)
-        assert diff["exact"] is True
-        assert sum(diff["deltas_ps"].values()) == diff["total_delta_ps"]
-        assert diff["total_delta_ps"] == \
-            b["end_to_end_ps"] - a["end_to_end_ps"]
-
-    def test_unchanged_segments_are_omitted(self):
-        a = fake_cell("a", **{"a.x": 5, "b.y": 7})
-        b = fake_cell("b", **{"a.x": 5, "b.y": 9})
-        assert diff_cells(a, b)["deltas_ps"] == {"b.y": 2}
-
-    def test_appearing_and_vanishing_segments(self):
-        a = fake_cell("a", **{"a.x": 5})
-        b = fake_cell("b", **{"b.y": 3})
-        diff = diff_cells(a, b)
-        assert diff["deltas_ps"] == {"a.x": -5, "b.y": 3}
-        assert diff["exact"] is True
-
-    def test_format_mentions_movement_and_exactness(self):
-        a = fake_cell("a", **{"core.log_full_wait": 1_000_000,
-                              "block.write_service": 400_000})
-        b = fake_cell("b", **{"core.log_full_wait": 200_000,
-                              "block.write_service": 900_000})
-        text = format_diff(diff_cells(a, b))
-        assert "latency moved from core.log_full_wait" in text
-        assert "to block.write_service" in text
-        assert "dominant segment: core.log_full_wait -> " \
-               "block.write_service" in text
-        assert text.endswith(
-            "sum(deltas) == end-to-end delta: exact")
-
-
-class TestDetectKnees:
-    def spec(self):
-        return GridSpec("g", [Axis("tenants", (4, 8, 16)),
-                              Axis("log_kib", (64, 128))])
-
-    def cells(self):
-        # log_kib=64 lane flips at 16 tenants; 128 lane never flips.
-        out = []
-        for tenants in (4, 8, 16):
-            for log_kib in (64, 128):
-                heavy = ("core.log_full_wait"
-                         if log_kib == 64 and tenants == 16
-                         else "block.write_service")
-                out.append(fake_cell(
-                    f"tenants={tenants},log_kib={log_kib}",
-                    **{heavy: 100 * tenants, "nvmm.store": 10}))
-        return out
-
-    def test_flip_is_reported_once_in_the_right_lane(self):
-        knees = detect_knees(self.spec(), self.cells())
-        tenant_knees = [k for k in knees if k["axis"] == "tenants"]
-        assert tenant_knees == [{
-            "axis": "tenants", "fixed": {"log_kib": 64}, "at": 16,
-            "from_segment": "block.write_service",
-            "to_segment": "core.log_full_wait",
-            "cell_id": "tenants=16,log_kib=64"}]
-        # the mirrored flip shows up on the log axis at 16 tenants
-        log_knees = [k for k in knees if k["axis"] == "log_kib"]
-        assert [k["fixed"] for k in log_knees] == [{"tenants": 16}]
-
-    def test_missing_and_errored_cells_are_skipped(self):
-        cells = self.cells()
-        cells[0]["error"] = "boom"
-        del cells[1]
-        knees = detect_knees(self.spec(), cells)
-        assert all("error" not in k for k in knees)
-
-    def test_format_handles_empty(self):
-        assert "never flips" in format_knees([])

@@ -16,7 +16,7 @@ from repro.core import NvcacheConfig
 from repro.core.log import HEADER_SIZE
 from repro.harness import Scale, build_stack, nvcache_config
 from repro.kernel import O_CREAT, O_RDWR
-from repro.units import GIB, KIB, MIB
+from repro.units import GIB, KIB
 from repro.workloads import FioJob, run_fio
 
 PAGE = 4 * KIB
@@ -32,7 +32,7 @@ RING = NvcacheConfig(log_entries=4, entry_data_size=PAGE, read_cache_pages=16,
 
 
 def nvcache_ssd(config):
-    return build_stack("nvcache+ssd", config=config, ssd_size=64 * MIB)
+    return build_stack("nvcache+ssd", config=config)
 
 
 def _inode(stack, path):

@@ -103,12 +103,3 @@ class TestSnapshots:
         hist.observe(2e-5)
         assert registry.snapshot() == {
             "a.b.counter": 3, "a.b.gauge": 1.5, "a.b.hist": 2}
-
-    def test_snapshot_detailed_histograms(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("a.b.hist")
-        hist.observe(4e-6)
-        detail = registry.snapshot_detailed()["a.b.hist"]
-        assert detail["count"] == 1
-        assert detail["min"] == detail["max"] == pytest.approx(4e-6)
-        assert detail["p99"] == pytest.approx(4e-6)

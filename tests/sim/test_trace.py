@@ -138,3 +138,4 @@ def test_summary_is_readable():
     assert "block.write" in text
     assert "n=2" in text
     assert "total=0.00ms mean=2.0us" in text
+

@@ -16,19 +16,25 @@ Three rules:
   do not count: a module only an example drives is a demo, not a part.
 - *Knobs.* Every ``NvcacheConfig`` field is passed by keyword to
   ``NvcacheConfig(...)``, ``replace(...)`` or ``dict(...)`` somewhere
-  outside ``core/config.py`` and the tests; a field with one value in
-  use is a constant.
+  outside ``core/config.py`` and the tests, and every defaulted
+  parameter of the stack builders (``build_stack``, ``build_crash_run``)
+  is passed, by keyword or position, to a call outside the tests; a
+  knob with one value in use is a constant.
 """
 
 import ast
 import pathlib
 import textwrap
 
+import pytest
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = REPO_ROOT / "src" / "repro"
 CONSUMERS = ("tools", "bench", "benchmarks", "examples")
 MODULE_CALLERS = ("tools", "bench", "benchmarks")
 CONFIG = PACKAGE / "core" / "config.py"
+STACK_BUILDERS = ((PACKAGE / "harness" / "systems.py", "build_stack"),
+                  (PACKAGE / "faults" / "workloads.py", "build_crash_run"))
 
 #: ``(module, name) -> why it stays``; ``"*"`` names a whole module that
 #: may have no caller. Compared both ways: a name that gains a user (or
@@ -54,6 +60,14 @@ ALLOWED = {
         "test observation point: read-only view of Waitable._fired",
     ("kernel/page_cache.py", "start_writeback_daemon"):
         "the kernel's periodic flusher; ROADMAP item 12 gives it a caller",
+}
+
+#: ``(builder, parameter) -> why it stays`` for stack-builder knobs only
+#: the tests turn; compared both ways, like :data:`ALLOWED`.
+ALLOWED_KNOBS = {
+    ("build_crash_run", "start_cleanup"):
+        "test seam: the explorer's mutation tests cut power with entries "
+        "still in the ring",
 }
 
 
@@ -165,6 +179,43 @@ def knobs_never_set(config_path, class_name, sources):
     return fields - passed
 
 
+def parameters_never_passed(path, function, sources):
+    """Defaulted parameters of top-level ``function`` in ``path`` that no
+    call in ``sources`` passes, by position to ``function`` or by
+    keyword to it or to a function that forwards ``**options`` to it."""
+    tree = ast.parse(path.read_text())
+    node = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    positional = [arg.arg for arg in node.args.args]
+    defaulted = set(positional[len(positional) - len(node.args.defaults):])
+    defaulted.update(arg.arg for arg in node.args.kwonlyargs)
+    nodes = [node for source in sources
+             for node in ast.walk(ast.parse(source.read_text()))]
+    calls = [node for node in nodes if isinstance(node, ast.Call)]
+    forwarders = {function}
+    forwarders.update(
+        node.name for node in nodes if isinstance(node, ast.FunctionDef)
+        and any(isinstance(call, ast.Call) and _callee(call) == function
+                and any(keyword.arg is None for keyword in call.keywords)
+                for call in ast.walk(node)))
+    passed = set()
+    for call in calls:
+        if _callee(call) == function:
+            passed.update(positional[:len(call.args)])
+        if _callee(call) in forwarders:
+            passed.update(keyword.arg for keyword in call.keywords)
+    return defaulted - passed
+
+
+def _sources(exclude=()):
+    """Every module outside the tests: ``src/repro`` and the consumers."""
+    sources = [path for path in sorted(PACKAGE.rglob("*.py"))
+               if path not in exclude]
+    for name in CONSUMERS:
+        sources.extend(sorted((REPO_ROOT / name).rglob("*.py")))
+    return sources
+
+
 def test_every_unused_public_name_is_allowlisted_with_a_reason():
     found = dead_surface(PACKAGE, [REPO_ROOT / name for name in CONSUMERS])
     whole_modules = {module for module, name in ALLOWED if name == "*"}
@@ -189,11 +240,19 @@ def test_every_module_has_a_caller_or_a_reason():
 
 
 def test_every_config_knob_is_turned_outside_the_tests():
-    sources = [path for path in sorted(PACKAGE.rglob("*.py")) if path != CONFIG]
-    for name in CONSUMERS:
-        sources.extend(sorted((REPO_ROOT / name).rglob("*.py")))
-    assert knobs_never_set(CONFIG, "NvcacheConfig", sources) == set(), \
+    assert knobs_never_set(CONFIG, "NvcacheConfig",
+                           _sources(exclude={CONFIG})) == set(), \
         "one value in use: make it a constant"
+
+
+@pytest.mark.parametrize("path, function", STACK_BUILDERS,
+                         ids=[function for _path, function in STACK_BUILDERS])
+def test_every_stack_builder_knob_is_turned_outside_the_tests(path, function):
+    unturned = parameters_never_passed(path, function, _sources())
+    allowed = {name for builder, name in ALLOWED_KNOBS if builder == function}
+    assert unturned - allowed == set(), "one value in use: make it a constant"
+    assert allowed - unturned == set(), \
+        "turned outside the tests (or gone): drop the allowlist line"
 
 
 def test_the_guard_sees_an_unused_name_and_ignores_reexports(tmp_path):
@@ -266,3 +325,27 @@ def test_the_guard_sees_a_knob_nobody_turns(tmp_path):
     """))
     assert knobs_never_set(config, "Config", [user, aliased]) == set()
     assert knobs_never_set(config, "Config", [user]) == {"overhead"}
+
+
+def test_the_guard_sees_a_builder_parameter_nobody_passes(tmp_path):
+    builder = tmp_path / "builder.py"
+    builder.write_text(textwrap.dedent("""
+        def build(name, scale=1, *, size=2, timing=None, trace=False):
+            return name
+    """))
+    user = tmp_path / "user.py"
+    user.write_text(textwrap.dedent("""
+        stack = build("ssd", 4, trace=True)
+        other = make(size=8)
+    """))
+    assert parameters_never_passed(builder, "build", [user]) == {
+        "size", "timing"}
+    wrapper = tmp_path / "wrapper.py"
+    wrapper.write_text(textwrap.dedent("""
+        def traced_stack(name, **options):
+            return build(name, trace=True, **options)
+
+        stack = traced_stack("ssd", timing=0.5)
+    """))
+    assert parameters_never_passed(builder, "build", [user, wrapper]) == {
+        "size"}

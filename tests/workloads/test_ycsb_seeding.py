@@ -1,9 +1,8 @@
 """The ycsb driver's seeding contract (docs/WORKLOADS.md).
 
-The multi-tenant arrival engine leans on this driver, so the contract
-is pinned explicitly: same seed ⇒ byte-identical op stream and stats;
-different seeds (distinct tenants) ⇒ independent streams; the op-log
-capture itself never perturbs results.
+Pinned explicitly: same seed ⇒ byte-identical op stream and stats;
+different seeds ⇒ independent streams; the op-log capture itself never
+perturbs results.
 """
 
 import pytest

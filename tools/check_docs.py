@@ -35,7 +35,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.block import HddDevice, SsdDevice  # noqa: E402
-from repro.capacity import register_sweep_metrics  # noqa: E402
 from repro.cli import print_json  # noqa: E402
 from repro.faults import BlockFaultInjector  # noqa: E402
 from repro.fuzz import FuzzEngine  # noqa: E402
@@ -43,8 +42,6 @@ from repro.harness.systems import Scale, build_stack  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
 from repro.parallel import register_engine_metrics  # noqa: E402
 from repro.sim import Environment, SEGMENT_NAMES, SPAN_NAMES  # noqa: E402
-from repro.tenancy import TrafficEngine  # noqa: E402
-from repro.tenancy.clients import TenantSpec  # noqa: E402
 
 
 def _stack(system="nvcache+ssd", **options):
@@ -72,14 +69,6 @@ def _fresh(register):
     return source
 
 
-def _tenancy():
-    engine = TrafficEngine([TenantSpec(tenant_id="doc0", kind="fio",
-                                       operations=1)],
-                           workers=1, metrics=True)
-    engine.build()
-    return engine.stack.metrics
-
-
 #: (namespace prefixes, owning doc under docs/, registry source). A new
 #: namespace is one new row; the name pattern, the scanned doc list and
 #: the failure message are all derived from this table.
@@ -95,11 +84,9 @@ NAMESPACES = (
          SsdDevice(env, size=1 << 20, name="ssd0")))),
     (("parallel.engine",), "OBSERVABILITY.md",
      _fresh(register_engine_metrics)),
-    (("tenancy", "core.qos"), "MULTITENANCY.md", _tenancy),
     (("fuzz",), "FUZZING.md",
      _fresh(lambda registry: FuzzEngine(registry=registry))),
     (("core.paging",), "POLICIES.md", _stack(cache_mode="paging")),
-    (("capacity.sweep",), "CAPACITY.md", _fresh(register_sweep_metrics)),
 )
 
 #: Scanned docs, in table order; their union is the documented set.

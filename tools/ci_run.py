@@ -180,15 +180,6 @@ SUITES: Dict[str, Tuple[str, Callable[[int], List[Step]]]] = {
     "sweeps": ("every `repro.faults.WORKLOADS` crash workload explored "
                "end to end, fanned out over `--jobs`",
                lambda jobs: sweep_steps()),
-    "tenancy": ("64-tenant fairness gate + sharded seed-sweep "
-                "byte-identity",
-                lambda jobs: [
-                    _tool("tenancy-fairness", "tools/tenant_report.py",
-                          "--check", "--json", "--tenants", "64",
-                          "--quota", "8", "--schedule", "bursty"),
-                    _tool("tenancy-sharding", "tools/tenant_report.py",
-                          "--verify-sharding", "--seeds", "4",
-                          "--jobs", "4")]),
     "fuzz": ("fixed-seed fuzz campaign `--check` + collector purity + "
              "jobs-1-vs-4 determinism",
              lambda jobs: [
@@ -207,10 +198,6 @@ SUITES: Dict[str, Tuple[str, Callable[[int], List[Step]]]] = {
                    _tool("policy-equivalence", "-m", "pytest",
                          "tests/core/test_mode_equivalence.py",
                          "tests/core/test_facade_contract.py", "-q")]),
-    "capacity": ("demo capacity grid `--check`, sharded over two workers",
-                 lambda jobs: [_tool("capacity-grid",
-                                     "tools/capacity_report.py", "--check",
-                                     "--jobs", "2")]),
     "bench": ("the `bench/` suite: every BENCHMARK.json workload on "
               "`--smoke`, protocol and comparator",
               lambda jobs: [_pytest("bench-suite", "bench")]),

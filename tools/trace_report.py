@@ -11,9 +11,8 @@ the recorded causal span trees (docs/OBSERVABILITY.md, Tracing):
 - ``--list`` every root span, ``--slowest N`` the N slowest roots,
 - ``--trace ID`` one trace as an indented tree with per-segment costs,
 - ``--attribution`` the per-(layer, segment) critical-path table alone;
-  with ``--json`` it emits the shared ``repro.attribution/1`` payload
-  (integer-picosecond segments, docs/CAPACITY.md) that the capacity
-  explorer's diff engine consumes,
+  with ``--json`` it emits the ``repro.attribution/1`` payload
+  (integer-picosecond segments and their exact total),
 - ``--export trace.json`` the whole recording as Perfetto/Chrome JSON
   (load it at https://ui.perfetto.dev), ``--json`` a machine summary.
 
@@ -39,9 +38,9 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.capacity import attribution_payload, to_ps  # noqa: E402
 from repro.cli import (add_fio_arguments, exit_boundary,  # noqa: E402
                        fio_stack, print_json)
+from repro.sim.trace import attribution_payload, to_ps  # noqa: E402
 from repro.units import fmt_time  # noqa: E402
 
 
@@ -177,9 +176,7 @@ def main(argv=None) -> int:
               f"{len({span.trace_id for span in tracer.spans})} traces)")
         return 0
     if args.attribution and args.json:
-        # The machine form of the attribution table: the same
-        # repro.attribution/1 schema the capacity explorer captures per
-        # grid cell, so diff tooling consumes either source unchanged.
+        # The machine form of the attribution table.
         payload = attribution_payload(
             {segment: to_ps(cost)
              for segment, cost in tracer.attribution().items()},
