@@ -11,16 +11,7 @@ from .log import (
     NvmmLog,
 )
 from .nvcache import CacheFacade, Nvcache
-from .nvlog import NvlogLite
 from .paging import PagingCache, PagingStats, PagingStore, WritebackThread, recover_paging
-from .policies import (
-    POLICY_NAMES,
-    AlruPolicy,
-    CachePolicy,
-    LruPolicy,
-    NhitPolicy,
-    make_policy,
-)
 from .read_cache import PageContent, PageDescriptor, ReadCache
 from .recovery import RecoveryReport, recover
 from .stats import NvcacheStats
@@ -29,18 +20,11 @@ __all__ = [
     "CacheFacade",
     "DrainThread",
     "Nvcache",
-    "NvlogLite",
     "PagingCache",
     "PagingStats",
     "PagingStore",
     "WritebackThread",
     "recover_paging",
-    "CachePolicy",
-    "LruPolicy",
-    "AlruPolicy",
-    "NhitPolicy",
-    "make_policy",
-    "POLICY_NAMES",
     "NvcacheConfig",
     "DEFAULT_CONFIG",
     "CACHE_MODES",

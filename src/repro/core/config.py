@@ -24,8 +24,6 @@ CACHE_MODES = {
                 "recovery:recover_log"),
     "paging": ("paging:PagingCache", "paging:PagingStore.required_size",
                "paging:recover_paging"),
-    "nvlog-lite": ("nvlog:NvlogLite", "log:NvmmLog.required_size",
-                   "recovery:recover_log"),
 }
 
 #: User-space CPU cost per intercepted operation (page-map walk, locking,
@@ -58,12 +56,8 @@ class NvcacheConfig:
     cleanup_idle_flush: float = 50 * MS  # drain a short log after this idle time
     # Cache design point, a CACHE_MODES name (docs/POLICIES.md): logging
     # is the paper's NVMM log + DRAM read cache; paging is the
-    # page-grained NVMM cache (page table + dirty-page writeback);
-    # nvlog-lite is the NVLog-style WAL-only variant (no DRAM read cache).
+    # page-grained NVMM cache (page table + dirty-page writeback).
     cache_mode: str = "logging"
-    # Eviction/promotion policy: "" = mode default (CLOCK for the
-    # logging read cache, LRU for paging), else clock|lru|alru|nhit.
-    policy: str = ""
     paging_slots: int = 4_096            # NVMM page slots in paging mode
     paging_batch_pages: int = 64         # pages written back per sync batch
     paging_idle_flush: float = 50 * MS   # flush a short dirty set after idle
@@ -78,11 +72,6 @@ class NvcacheConfig:
         if self.cache_mode not in CACHE_MODES:
             raise ValueError(
                 f"cache_mode must be one of {', '.join(CACHE_MODES)}")
-        if self.policy not in ("", "clock", "lru", "alru", "nhit"):
-            raise ValueError(
-                "policy must be one of '', clock, lru, alru, nhit")
-        if self.cache_mode != "logging" and self.policy == "clock":
-            raise ValueError("clock policy is only the logging read cache's")
         if self.paging_slots < 2:
             raise ValueError("paging needs at least two page slots")
         if self.paging_batch_pages < 1:

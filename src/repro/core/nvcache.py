@@ -51,7 +51,6 @@ from .config import (
 )
 from .files import FileTables, NvOpenFile
 from .log import OP_CREATE, OP_RENAME, OP_TRUNCATE, OP_UNLINK, NvmmLog
-from .policies import make_policy
 from .read_cache import PageDescriptor, ReadCache
 from .stats import NvcacheStats
 
@@ -307,8 +306,7 @@ class Nvcache(CacheFacade):
         self.stats = NvcacheStats()
         self.log = NvmmLog(env, nvmm, config, self.stats)
         self.read_cache = ReadCache(
-            env, config.read_cache_pages, config.page_size, self.stats,
-            policy=make_policy(config.policy))
+            env, config.read_cache_pages, config.page_size, self.stats)
         self.cleanup = CleanupThread(env, self.log, kernel, self.tables,
                                      config, self.stats)
         self._start(start_cleanup)
@@ -331,10 +329,6 @@ class Nvcache(CacheFacade):
                   fn=lambda: stats.dirty_misses)
         m.counter("evictions", unit="pages", help="read-cache CLOCK evictions",
                   fn=lambda: stats.evictions)
-        m.counter("promotions_skipped", unit="pages",
-                  help="misses the eviction/promotion policy declined to "
-                       "cache (nhit gate — see docs/POLICIES.md)",
-                  fn=lambda: stats.promotions_skipped)
         m.counter("group_writes", unit="ops",
                   help="writes needing more than one log entry",
                   fn=lambda: stats.group_writes)
@@ -581,7 +575,6 @@ class Nvcache(CacheFacade):
                 if tracer is not None:
                     tracer.charge(self.env, "core", "lock_wait",
                                   self.env.now - lock_began)
-                uncached = None
                 missed = descriptor.content is None
                 if missed:
                     span, overhead = "read_miss", READ_MISS_OVERHEAD
@@ -594,18 +587,13 @@ class Nvcache(CacheFacade):
                                          fd=fd, page=page)
                 try:
                     if missed:
-                        uncached = yield from self._load_page(handle, descriptor)
+                        yield from self._load_page(handle, descriptor)
                     yield self.env.delay(overhead, "core", "read_overhead")
                 finally:
                     if token is not None:
                         tracer.end(self.env, token)
-                if uncached is not None:
-                    # Policy declined promotion: serve straight from the
-                    # freshly-read buffer, leaving the cache untouched.
-                    out += uncached[in_page:in_page + chunk]
-                else:
-                    self.read_cache.note_access(descriptor)
-                    out += descriptor.content.data[in_page:in_page + chunk]
+                self.read_cache.note_access(descriptor)
+                out += descriptor.content.data[in_page:in_page + chunk]
             finally:
                 descriptor.atomic_lock.release()
             position += chunk
@@ -613,26 +601,11 @@ class Nvcache(CacheFacade):
         return bytes(out)
 
     def _load_page(self, handle: NvOpenFile, descriptor: PageDescriptor) -> Generator:
-        """Cache miss: load the page and promote it into the read cache,
-        unless the active policy's admission gate (nhit) declines — then
-        the bytes are served once, uncached, and returned to the caller."""
+        """Cache miss: take a read-cache page, read the page through the
+        kernel and, if it is dirty, merge the pending log entries under
+        the cleanup lock (paper §II-C dirty-miss procedure)."""
         self.stats.read_misses += 1
-        policy = self.read_cache.policy
-        if policy is not None and not policy.admit(descriptor):
-            self.stats.promotions_skipped += 1
-            buffer = yield from self._page_bytes(handle, descriptor)
-            return buffer
         content = yield from self.read_cache.allocate_content()
-        buffer = yield from self._page_bytes(handle, descriptor)
-        content.data[:] = buffer
-        self.read_cache.attach(descriptor, content)
-        return None
-
-    def _page_bytes(self, handle: NvOpenFile,
-                    descriptor: PageDescriptor) -> Generator:
-        """Read one page through the kernel and, if it is dirty, merge the
-        pending log entries under the cleanup lock (paper §II-C dirty-miss
-        procedure)."""
         page_size = self.config.page_size
         base = descriptor.index * page_size
         yield descriptor.cleanup_lock.acquire()
@@ -654,7 +627,8 @@ class Nvcache(CacheFacade):
                 self.stats.dirty_miss_entries_applied += 1
         finally:
             descriptor.cleanup_lock.release()
-        return buffer
+        content.data[:] = buffer
+        self.read_cache.attach(descriptor, content)
 
     # -- namespace operations (logged for ordered replay, executed write-through) ------------------
 

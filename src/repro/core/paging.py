@@ -43,11 +43,10 @@ least this version" marker, which is what makes lazily-cleared
 superseded slots safe (the two-psync protocol in ``_flush_batch``
 orders stale-meta clears strictly before clean-marks).
 
-Eviction/promotion is pluggable (:mod:`repro.core.policies`, default
-LRU): only CLEAN slots are evictable, and the policy's admission gate
-(nhit) decides whether a read miss is promoted into NVMM at all
-(promotions are stored with ``txn = 0`` so a torn promotion can never
-resurrect at recovery).
+Eviction is LRU over CLEAN slots (a DIRTY slot holds the only copy of
+its page), and a read miss is promoted into NVMM when a slot and a file
+id are at hand (promotions are stored with ``txn = 0`` so a torn
+promotion can never resurrect at recovery).
 
 See docs/POLICIES.md for the full design comparison and the
 ``core.paging.*`` metric table.
@@ -84,7 +83,6 @@ from .config import (
 )
 from .files import NvFile
 from .nvcache import CacheFacade
-from .policies import CachePolicy, LruPolicy, make_policy
 from .recovery import RecoveryReport
 from .stats import CacheStats
 
@@ -110,6 +108,7 @@ class PagingStats(CacheStats):
     overwrite_hits: int = 0        # written pages already resident
     fill_reads: int = 0            # partial-page writes read-filled from disk
     promotions: int = 0            # read misses admitted into NVMM
+    promotions_skipped: int = 0    # no free fid or slot, or txn_lock busy
     txn_commits: int = 0
     full_waits: int = 0            # writes stalled waiting for a slot
     writeback_pages: int = 0
@@ -223,14 +222,13 @@ class PagingCache(CacheFacade):
                          PagingStore.required_size(config), "paging")
         self.stats = PagingStats()
         self.store = PagingStore(env, nvmm, config)
-        self.policy: CachePolicy = (
-            make_policy(config.policy) or LruPolicy())
         # Volatile slot state. The simulation is cooperative (single
         # OS thread, interleaving only at yields), so these maps need no
         # lock of their own; the txn lock below serializes the
         # *multi-yield* write, namespace and promotion critical sections.
         self.slots: List[PageSlot] = [PageSlot(i) for i in range(config.paging_slots)]
         self._free: List[int] = list(range(config.paging_slots - 1, -1, -1))
+        # Mapped pages, least recently used first (the eviction order).
         self._map: Dict[Tuple[int, int], PageSlot] = {}
         self._dirty_count = 0
         # slot index -> file_id as last written to the MEDIA meta: the
@@ -274,7 +272,8 @@ class PagingCache(CacheFacade):
                   help="read misses promoted into NVMM",
                   fn=lambda: stats.promotions)
         m.counter("promotions_skipped", unit="pages",
-                  help="read misses the policy's admission gate declined",
+                  help="read misses left uncached (no free file id or "
+                       "slot, or txn_lock busy)",
                   fn=lambda: stats.promotions_skipped)
         m.counter("evictions", unit="pages", help="CLEAN slots recycled",
                   fn=lambda: stats.evictions)
@@ -312,11 +311,13 @@ class PagingCache(CacheFacade):
     def _fid_for(self, nv_file: NvFile) -> Generator:
         """Assign (or look up) the file's durable file id. The path is
         psync'd into the file table before any meta naming the fid can
-        commit, so recovery can always resolve it."""
+        commit, so recovery can always resolve it. With the table full,
+        the oldest id whose file has no open descriptor is reclaimed
+        (the caller holds ``txn_lock``)."""
         fid = self._fid_by_key.get(nv_file.key)
         if fid is None:
             if not self._free_fids:
-                raise KernelError(EINVAL, "paging file table exhausted")
+                yield from self._reclaim_fid()
             fid = self._free_fids.pop()
             self._fid_by_key[nv_file.key] = fid
             self.store.paths.set(fid, nv_file.path)
@@ -324,6 +325,17 @@ class PagingCache(CacheFacade):
         else:
             yield self.env.timeout(0.0)
         return fid
+
+    def _reclaim_fid(self) -> Generator:
+        """Free the oldest-bound file id of a closed file: drain, then
+        durably drop its slots and path, as an unlink would."""
+        for key in self._fid_by_key:
+            nv_file = self.tables.files.get(key)
+            if nv_file is None or not nv_file.open_count:
+                break
+        else:
+            raise KernelError(EINVAL, "paging file table exhausted")
+        yield from self._invalidate_file(key)
 
     def _release_fid(self, nv_file: NvFile) -> None:
         fid = self._fid_by_key.pop(nv_file.key, None)
@@ -436,7 +448,7 @@ class PagingCache(CacheFacade):
             # Post-commit, still under the lock: flip the volatile maps.
             for page, slot in staged:
                 key = (fid, page)
-                old = self._map.get(key)
+                old = self._map.pop(key, None)
                 if old is not None:
                     self._supersede(old)
                 slot.state = SLOT_DIRTY
@@ -449,10 +461,6 @@ class PagingCache(CacheFacade):
                 nv_file.pending_entries += 1
                 self.tables.pending_by_fd[fd] = \
                     self.tables.pending_by_fd.get(fd, 0) + 1
-                if old is not None:
-                    self.policy.record_access(key)
-                else:
-                    self.policy.record_insert(key)
             nv_file.size = new_size
         finally:
             self.txn_lock.release()
@@ -541,8 +549,8 @@ class PagingCache(CacheFacade):
         self.tables.pending_by_fd[slot.fd] = max(0, remaining)
 
     def _take_slot(self) -> Generator:
-        """A free slot: the free list, else evict a policy-chosen CLEAN
-        slot, else wait for the writeback thread to clean one."""
+        """A free slot: the free list, else evict the least recently used
+        CLEAN slot, else wait for the writeback thread to clean one."""
         wait_began = None
         while True:
             if self._free:
@@ -566,24 +574,26 @@ class PagingCache(CacheFacade):
             yield self.env.timeout(0.0)
         return slot
 
+    def _touch(self, key: Tuple[int, int]) -> None:
+        """A read hit: ``key`` becomes the most recently used — unless an
+        eviction or invalidation unmapped it while the hit loaded."""
+        slot = self._map.pop(key, None)
+        if slot is not None:
+            self._map[key] = slot
+
     def _evict_clean(self) -> Optional[PageSlot]:
-        clean_keys = [slot.key for slot in self.slots
-                      if slot.state == SLOT_CLEAN]
-        if not clean_keys:
+        for key, slot in self._map.items():
+            if slot.state == SLOT_CLEAN:
+                break
+        else:
             return None
-        for key in self.policy.victims(clean_keys):
-            slot = self._map.get(key)
-            if slot is None or slot.state != SLOT_CLEAN:
-                continue
-            del self._map[key]
-            self.policy.record_evict(key)
-            self.stats.evictions += 1
-            slot.reset()
-            # No durable clear needed: recovery skips CLEAN records,
-            # and the slot's next meta store overwrites this one.
-            self._media_fid.pop(slot.index, None)
-            return slot
-        return None
+        del self._map[key]
+        self.stats.evictions += 1
+        slot.reset()
+        # No durable clear needed: recovery skips CLEAN records, and the
+        # slot's next meta store overwrites this one.
+        self._media_fid.pop(slot.index, None)
+        return slot
 
     # -- read path ---------------------------------------------------------
 
@@ -620,7 +630,7 @@ class PagingCache(CacheFacade):
                 finally:
                     if token is not None:
                         tracer.end(self.env, token)
-                self.policy.record_access((fid, page))
+                self._touch((fid, page))
                 out += piece
             else:
                 # Miss: the backend is authoritative for non-resident
@@ -650,15 +660,13 @@ class PagingCache(CacheFacade):
                        buffer: bytearray) -> Generator:
         """Promote a missed page into NVMM as a CLEAN slot with txn = 0
         (recovery ignores both CLEAN and txn-0 records, so a torn
-        promotion can never resurrect) — if the policy admits it, the
-        file has (or can get) a file id, and a slot is free without
-        waiting, and ``txn_lock`` is free. Promotion is optional: the
-        caller already holds the bytes. Never promotes over a page that
-        became resident while the backend read was in flight."""
+        promotion can never resurrect) — if the file has (or can get) a
+        file id, a slot is free without waiting, and ``txn_lock`` is
+        free. Promotion is optional: the caller already holds the bytes.
+        Never promotes over a page that became resident while the backend
+        read was in flight."""
         fid = self._fid_by_key.get(nv_file.key)
-        probe_key = (fid, page) if fid is not None else (nv_file.key, page)
-        if not self.policy.admit(probe_key) or (
-                fid is None and not self._free_fids):
+        if fid is None and not self._free_fids:
             self.stats.promotions_skipped += 1
             yield self.env.timeout(0.0)
             return
@@ -698,7 +706,6 @@ class PagingCache(CacheFacade):
             slot.fd = -1
             slot.nv_file = nv_file
             self._map[key] = slot
-            self.policy.record_insert(key)
             self.stats.promotions += 1
         finally:
             self.txn_lock.release()
@@ -781,8 +788,7 @@ class PagingCache(CacheFacade):
             cleared += 1
             slot = self.slots[slot_index]
             if slot.key is not None and slot.key[0] == fid:
-                self._map.pop(slot.key, None)
-                self.policy.record_evict(slot.key)
+                del self._map[slot.key]
                 slot.reset()
                 self._free.append(slot_index)
         self.store.paths.clear(fid)
@@ -809,7 +815,6 @@ class PagingCache(CacheFacade):
             for key, slot in list(self._map.items()):
                 if key[0] == fid and slot.state == SLOT_CLEAN:
                     del self._map[key]
-                    self.policy.record_evict(key)
                     slot.reset()
                     self._media_fid.pop(slot.index, None)
                     self._free.append(slot.index)

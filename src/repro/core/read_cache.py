@@ -20,7 +20,6 @@ from collections import deque
 from typing import Deque, Generator, Optional
 
 from ..sim import Environment, Lock
-from .policies import CachePolicy
 from .stats import NvcacheStats
 
 
@@ -67,17 +66,13 @@ class ReadCache:
     """The global pool of page contents with CLOCK eviction."""
 
     def __init__(self, env: Environment, capacity_pages: int, page_size: int,
-                 stats: Optional[NvcacheStats] = None,
-                 policy: Optional[CachePolicy] = None):
+                 stats: Optional[NvcacheStats] = None):
         if capacity_pages < 1:
             raise ValueError("read cache needs at least one page")
         self.env = env
         self.capacity = capacity_pages
         self.page_size = page_size
         self.stats = stats or NvcacheStats()
-        # None = the paper's CLOCK (accessed-bit second chance); a
-        # CachePolicy replaces victim selection with its preference order.
-        self.policy = policy
         self.lru_lock = Lock(env, name="readcache.lru")
         self._queue: Deque[PageContent] = deque()  # loaded contents, FIFO
         self._allocated = 0
@@ -86,10 +81,8 @@ class ReadCache:
         return len(self._queue)
 
     def note_access(self, descriptor: PageDescriptor) -> None:
-        """Record a hit on a loaded page (CLOCK bit and/or policy)."""
+        """Record a hit on a loaded page (its CLOCK bit)."""
         descriptor.accessed = True
-        if self.policy is not None:
-            self.policy.record_access(descriptor)
 
     def allocate_content(self) -> Generator:
         """Return a free PageContent, evicting (CLOCK) if at capacity.
@@ -103,8 +96,6 @@ class ReadCache:
             if self._allocated < self.capacity:
                 self._allocated += 1
                 return PageContent(self.page_size)
-            if self.policy is not None:
-                return (yield from self._evict_by_policy())
             while True:
                 attempts = len(self._queue)
                 for _ in range(attempts):
@@ -134,41 +125,16 @@ class ReadCache:
         finally:
             self.lru_lock.release()
 
-    def _evict_by_policy(self) -> Generator:
-        """Recycle the policy's preferred victim (LRU lock held).
-
-        Same locking discipline as the CLOCK loop: try-lock each victim's
-        atomic lock; skip the locked; back off a tick if all are pinned.
-        """
-        while True:
-            by_content = {c.descriptor: c for c in self._queue}
-            for descriptor in self.policy.victims(by_content):
-                if not descriptor.atomic_lock.try_acquire():
-                    continue
-                content = by_content[descriptor]
-                self._queue.remove(content)
-                descriptor.content = None
-                content.descriptor = None
-                descriptor.atomic_lock.release()
-                self.policy.record_evict(descriptor)
-                self.stats.evictions += 1
-                return content
-            yield self.env.timeout(1e-6)
-
     def attach(self, descriptor: PageDescriptor, content: PageContent) -> None:
         """Link content to descriptor (making it *loaded*) and enqueue."""
         content.descriptor = descriptor
         descriptor.content = content
         self._queue.append(content)
-        if self.policy is not None:
-            self.policy.record_insert(descriptor)
 
     def release(self, content: PageContent) -> None:
         """Detach a content outside the CLOCK (file close): the buffer
         returns to the free budget."""
         if content.descriptor is not None:
-            if self.policy is not None:
-                self.policy.record_evict(content.descriptor)
             content.descriptor.content = None
             content.descriptor = None
         try:

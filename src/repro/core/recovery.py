@@ -62,7 +62,7 @@ def recover(env: Environment, kernel, nvmm: NvmmDevice,
 
 def recover_log(env: Environment, kernel, nvmm: NvmmDevice,
                 config: NvcacheConfig) -> Generator:
-    """Replay the NVMM log (the logging and nvlog-lite layout)."""
+    """Replay the NVMM log (the logging layout)."""
     log = NvmmLog(env, nvmm, config)
     report = RecoveryReport()
     paths = log.paths.bound()

@@ -16,7 +16,6 @@ class CacheStats:
     reads: int = 0
     bytes_read: int = 0
     evictions: int = 0
-    promotions_skipped: int = 0    # misses the policy declined to cache
     fsyncs_ignored: int = 0
     read_only_bypass: int = 0
 

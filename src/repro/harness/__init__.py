@@ -10,7 +10,6 @@ from .experiments import (
     fig6_batching,
     fig7_read_cache_size,
     policy_crossover,
-    policy_hit_ratios,
     run_crossover_mix,
     run_fio_on,
     saturation_point,
@@ -39,7 +38,6 @@ __all__ = [
     "CROSSOVER_MIXES",
     "CrossoverMixResult",
     "policy_crossover",
-    "policy_hit_ratios",
     "run_crossover_mix",
     "format_table",
     "format_fio_comparison",

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from ..apps import KVOptions, MiniRocks, MiniSqlite
+from ..core import NvcacheConfig
 from ..units import GIB, KIB, MIB
 from ..workloads import (BenchResult, DbBench, FioJob, FioResult,
                          WRITE_BENCHMARKS, run_fio)
@@ -324,27 +325,15 @@ class CrossoverMixResult:
         return times[-1] / times[0] if times[0] else 0.0
 
 
-def _crossover_config(mix: str, mode: str, policy: str = "",
-                      **overrides) -> "NvcacheConfig":
-    from dataclasses import replace as _replace
-
-    from ..core import NvcacheConfig
-    spec = CROSSOVER_MIXES[mix]
-    config = NvcacheConfig(**spec["config"], **_CROSSOVER_COMMON)
-    return _replace(config, cache_mode=mode, policy=policy, **overrides)
-
-
-def run_crossover_mix(mix: str, mode: str, policy: str = "",
-                      seed: int = 42, **config_overrides) -> CrossoverMixResult:
+def run_crossover_mix(mix: str, mode: str,
+                      seed: int = 42) -> CrossoverMixResult:
     """Drive one mix through one cache mode; fills a single-mode result
-    (callers merge). Fully deterministic for a given (mix, mode, policy,
-    seed)."""
-    from ..workloads import FioJob, run_fio
+    (callers merge). Fully deterministic for a given (mix, mode, seed)."""
     spec = CROSSOVER_MIXES[mix]
     job = FioJob(seed=seed, **spec["job"])
-    stack = build_stack("nvcache+ssd",
-                        config=_crossover_config(mix, mode, policy,
-                                                 **config_overrides))
+    config = NvcacheConfig(**spec["config"], **_CROSSOVER_COMMON,
+                           cache_mode=mode)
+    stack = build_stack("nvcache+ssd", config=config)
     result = run_fio(stack.env, stack.libc, job, "/cross.dat",
                      settle=stack.settle)
     out = CrossoverMixResult(mix=mix, expected_winner=spec["expected_winner"])
@@ -373,31 +362,3 @@ def policy_crossover(mixes: Sequence[str] = tuple(CROSSOVER_MIXES),
             merged.cache_stats.update(one.cache_stats)
         results[mix] = merged
     return results
-
-
-def policy_hit_ratios(mix: str = "read-heavy",
-                      policies: Sequence[str] = ("lru", "alru", "nhit"),
-                      seed: int = 42,
-                      paging_slots: int = 128) -> Dict[str, Dict[str, float]]:
-    """Paging-mode eviction/promotion policies over one mix: hit ratio
-    and admission behaviour per policy. The slot count is squeezed below
-    the mix's working set (256 pages for ``read-heavy``) so the policies
-    actually have victims to choose — at the mix's native size every
-    policy would score 100% and the comparison is vacuous. Contents
-    never change with the policy (pinned by
-    tests/core/test_mode_equivalence.py) — only these ratios do."""
-    out: Dict[str, Dict[str, float]] = {}
-    for policy in policies:
-        one = run_crossover_mix(mix, "paging", policy=policy, seed=seed,
-                                paging_slots=paging_slots)
-        stats = one.cache_stats["paging"]
-        out[policy] = {
-            "hit_rate": stats["hit_rate"],
-            "page_hits": stats["page_hits"],
-            "page_misses": stats["page_misses"],
-            "promotions": stats["promotions"],
-            "promotions_skipped": stats["promotions_skipped"],
-            "evictions": stats["evictions"],
-            "elapsed": one.elapsed["paging"],
-        }
-    return out

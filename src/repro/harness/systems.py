@@ -188,10 +188,9 @@ def build_stack(name: str, scale: Scale = DEFAULT_SCALE,
 
     For the nvcache stacks, ``cache_mode`` selects the cache design
     point (a ``repro.core.CACHE_MODES`` name: logging — the paper's
-    log + DRAM read cache, paging — the NVMM page-table cache,
-    nvlog-lite — the log without a read cache). It defaults to the
-    value already in ``config`` when one is supplied; a non-default
-    argument wins.
+    log + DRAM read cache, paging — the NVMM page-table cache). It
+    defaults to the value already in ``config`` when one is supplied; a
+    non-default argument wins.
 
     With ``metrics=True`` a :class:`~repro.obs.MetricsRegistry` is
     attached to the environment before any component is built, so every

@@ -451,7 +451,7 @@ def test_no_method_is_duplicated_across_modes():
     belongs on CacheFacade / DrainThread, not in both subclasses."""
     caches = {cache_mode_row(mode)[0] for mode in CACHE_MODES}
     threads = set(DrainThread.__subclasses__())
-    assert len(caches) >= 3 and len(threads) >= 2
+    assert len(caches) == len(CACHE_MODES) == 2 and len(threads) >= 2
     duplicated = []
     for family in (caches, threads):
         ordered = sorted(family, key=lambda cls: cls.__name__)
@@ -544,8 +544,6 @@ POLLERS = {
         "writeback daemon idling below the high watermark",
     ("core/read_cache.py", "allocate_content", "1e-06"):
         "CLOCK eviction back-off: every candidate locked or recently used",
-    ("core/read_cache.py", "_evict_by_policy", "1e-06"):
-        "policy eviction back-off: every victim pinned",
     ("core/cleanup.py", "_run", "_TICK"):
         "cleanup thread idle tick: log empty or below batch_min",
     ("core/cleanup.py", "_run", "_TICK / 10"):

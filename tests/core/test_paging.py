@@ -6,13 +6,17 @@ behaviour — hit accounting, in-place supersede, fill reads, writeback,
 invalidation — on a hand-built small stack.
 """
 
+import errno
 from dataclasses import replace
 
 import pytest
 
 from repro.block import SsdDevice
-from repro.core import NvcacheConfig, PagingCache, PagingStore, recover
+from repro.core import CACHE_MODES, NvcacheConfig, PagingCache, PagingStore, recover
+from repro.faults import CrashExplorer
+from repro.faults.workloads import SMALL_CONFIG, SMALL_PAGING_CONFIG, build_crash_run
 from repro.fs import Ext4
+from repro.harness import CROSSOVER_MIXES, run_crossover_mix
 from repro.kernel import Kernel
 from repro.kernel.fd_table import O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY
 from repro.nvmm import NvmmDevice
@@ -464,3 +468,129 @@ def test_read_promotion_racing_an_unlink_leaves_no_page_to_the_next_file():
         return (yield from cache.pread(cfd, PAGE, PAGE))
 
     assert b"R" not in env.run_process(reuse())
+
+
+def test_read_hit_racing_its_eviction_leaves_the_page_unmapped():
+    """Regression: a read hit marked its page most recently used after
+    the NVMM load, so a writer that evicted the page during that load
+    left its key in the recency order with no slot behind it. Once every
+    older page was DIRTY, the next eviction raised KeyError."""
+    env, _kernel, _nvmm, cache = make_paging_stack()
+    slots = PAGING_CONFIG.paging_slots
+
+    def setup():
+        fd = yield from cache.open("/a", O_CREAT | O_RDWR)
+        for page in range(slots):
+            yield from cache.pwrite(fd, bytes([65 + page]) * PAGE, page * PAGE)
+        yield cache.cleanup.request_drain()
+        return fd
+
+    fd = env.run_process(setup())
+    assert not cache._free
+
+    def reader():
+        # Hits page 0, the least recently used CLEAN page, while the
+        # writer below (no free slot) is about to evict it.
+        yield env.timeout(2 * US)
+        return (yield from cache.pread(fd, PAGE, 0))
+
+    def writer():
+        yield from cache.pwrite(fd, b"w" * PAGE, slots * PAGE)
+
+    def race():
+        hit = env.spawn(reader())
+        yield env.spawn(writer())
+        return (yield hit)
+
+    assert env.run_process(race()) == b"A" * PAGE
+    assert cache.stats.page_hits == 1
+    assert cache.stats.evictions == 1
+    assert [page for _fid, page in cache._map].count(0) == 0
+    cache.check_invariants()
+
+    def pressure():
+        # Two half-cache writes: the second evicts past every CLEAN page.
+        half = slots // 2
+        for first in (slots + 1, slots + 1 + half):
+            yield from cache.pwrite(fd, b"m" * (half * PAGE), first * PAGE)
+        return (yield from cache.pread(fd, PAGE, 0))
+
+    assert env.run_process(pressure()) == b"A" * PAGE
+    cache.check_invariants()
+
+
+def _error_of(run, body):
+    """Drive ``body`` with the drain thread running (close waits on it)
+    and return the exception it ended with, or None."""
+    out = {}
+
+    def done(_value, exc):
+        out["exc"] = exc
+        run.env.stop()
+
+    run.env.spawn(body, name="test-body").subscribe(done)
+    run.env.run()
+    return out["exc"]
+
+
+@pytest.mark.parametrize("mode", sorted(CACHE_MODES))
+def test_closed_files_give_back_their_file_ids(mode):
+    """Regression: paging released a file id only on unlink, rename or
+    truncate, so writing ``fd_max + 1`` files one at a time, each closed
+    before the next opened, failed with EINVAL on the last write. Every
+    mode must take the loop, and a power cut after it must recover every
+    file. File ``i`` writes 100 bytes at offset ``100 * i``, and the
+    paging row has slots enough to keep every page resident, so a page
+    left mapped under a reclaimed id would show in the hole of the file
+    that takes the id next."""
+    config = replace(SMALL_PAGING_CONFIG, paging_slots=96) \
+        if mode == "paging" else replace(SMALL_CONFIG, cache_mode=mode)
+    run = build_crash_run(config)
+    cache = run.nvcache
+    files = config.fd_max + 1
+    expected = {f"/f{i}": bytes(100 * i) + bytes([i + 1]) * 100
+                for i in range(files)}
+
+    def body():
+        for i in range(files):
+            fd = yield from cache.open(f"/f{i}", O_CREAT | O_RDWR)
+            yield from cache.pwrite(fd, bytes([i + 1]) * 100, 100 * i)
+            yield from cache.close(fd)
+
+    exc = _error_of(run, body())
+    assert exc is None, f"{mode}: {exc!r}"
+    if mode == "paging":
+        cache.check_invariants()
+    image = run.nvmm.crash_image(keep_lines=frozenset())
+    env2, kernel2, _nvmm2, _report = CrashExplorer._crash_and_recover(
+        run.env, run.kernel, run.devices, run.config, run.nvmm.name, image)
+    assert CrashExplorer._read_state(env2, kernel2, expected) == expected
+
+
+def test_file_table_of_open_files_is_the_real_limit():
+    """With every file id bound to a file that is still open, nothing can
+    be reclaimed: the write past ``fd_max`` files fails with EINVAL."""
+    run = build_crash_run(SMALL_PAGING_CONFIG)
+    cache = run.nvcache
+
+    def body():
+        for i in range(SMALL_PAGING_CONFIG.fd_max + 1):
+            fd = yield from cache.open(f"/f{i}", O_CREAT | O_RDWR)
+            yield from cache.pwrite(fd, b"o" * 100, 0)
+
+    exc = _error_of(run, body())
+    assert isinstance(exc, OSError) and exc.errno == errno.EINVAL
+
+
+def test_lru_eviction_under_slot_pressure(monkeypatch):
+    """Paging evicts the least recently used CLEAN slot. ``read-heavy``
+    squeezed to 128 slots (its working set is 256 pages) pins the order
+    through its counts and simulated time."""
+    mix = CROSSOVER_MIXES["read-heavy"]
+    monkeypatch.setitem(mix, "config", {**mix["config"], "paging_slots": 128})
+    result = run_crossover_mix("read-heavy", "paging")
+    stats = result.cache_stats["paging"]
+    assert (stats["evictions"], stats["page_hits"], stats["page_misses"],
+            stats["promotions"], stats["promotions_skipped"]) == (
+                636, 403, 387, 387, 0)
+    assert result.elapsed["paging"] == 0.006349519851449449

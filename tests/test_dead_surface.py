@@ -1,6 +1,6 @@
 """Dead-surface guard (ROADMAP items 6 and 10c): what nothing but its own
 tests reaches is either deleted or named below with the reason it stays.
-Three rules:
+Four rules:
 
 - *Names.* A public function, method or class of ``src/repro`` is used
   when it is referenced by name — a ``Name``, an attribute access, or a
@@ -20,6 +20,10 @@ Three rules:
   parameter of the stack builders (``build_stack``, ``build_crash_run``)
   is passed, by keyword or position, to a call outside the tests; a
   knob with one value in use is a constant.
+- *Mode rows.* Every ``CACHE_MODES`` name is spelled as an exact string
+  constant in ``src/repro`` outside ``core/config.py``, or in ``tools``,
+  ``bench`` or ``benchmarks``: a design point nothing selects is not
+  one.
 """
 
 import ast
@@ -207,11 +211,26 @@ def parameters_never_passed(path, function, sources):
     return defaulted - passed
 
 
-def _sources(exclude=()):
+def rows_never_named(config_path, table, sources):
+    """Keys of the dict literal ``table`` in ``config_path`` that no
+    string constant in ``sources`` spells exactly (a docstring that
+    mentions a key does not select it)."""
+    tree = ast.parse(config_path.read_text())
+    literal = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(target, ast.Name) and target.id == table
+                           for target in node.targets))
+    named = {node.value for source in sources
+             for node in ast.walk(ast.parse(source.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return {key.value for key in literal.keys} - named
+
+
+def _sources(exclude=(), consumers=CONSUMERS):
     """Every module outside the tests: ``src/repro`` and the consumers."""
     sources = [path for path in sorted(PACKAGE.rglob("*.py"))
                if path not in exclude]
-    for name in CONSUMERS:
+    for name in consumers:
         sources.extend(sorted((REPO_ROOT / name).rglob("*.py")))
     return sources
 
@@ -243,6 +262,13 @@ def test_every_config_knob_is_turned_outside_the_tests():
     assert knobs_never_set(CONFIG, "NvcacheConfig",
                            _sources(exclude={CONFIG})) == set(), \
         "one value in use: make it a constant"
+
+
+def test_every_cache_mode_is_selected_outside_the_tests():
+    assert rows_never_named(
+        CONFIG, "CACHE_MODES",
+        _sources(exclude={CONFIG}, consumers=MODULE_CALLERS)) == set(), \
+        "no caller selects it: delete the row"
 
 
 @pytest.mark.parametrize("path, function", STACK_BUILDERS,
@@ -349,3 +375,19 @@ def test_the_guard_sees_a_builder_parameter_nobody_passes(tmp_path):
     """))
     assert parameters_never_passed(builder, "build", [user, wrapper]) == {
         "size"}
+
+
+def test_the_guard_sees_a_mode_row_nobody_selects(tmp_path):
+    config = tmp_path / "config.py"
+    config.write_text(textwrap.dedent("""
+        MODES = {"fast": ("a", 1), "safe": ("b", 2), "lite": ("c", 3)}
+    """))
+    user = tmp_path / "user.py"
+    user.write_text(textwrap.dedent('''
+        """Builds the lite mode too, as build(mode="lite")."""
+        stack = build(mode="fast")
+        if stack.mode == "safe":
+            label = "lite mode"
+    '''))
+    assert rows_never_named(config, "MODES", [user]) == {"lite"}
+    assert rows_never_named(config, "MODES", []) == {"fast", "safe", "lite"}
