@@ -273,11 +273,17 @@ class CleanupThread(DrainThread):
                 try:
                     yield from self.kernel.pwrite(fd, data, offset)
                     for descriptor in descriptors:
-                        descriptor.dirty_counter -= 1
-                        if descriptor.pending and descriptor.pending[0] == seq:
-                            descriptor.pending.popleft()
-                        else:  # defensive: out-of-order retirement is a bug
-                            descriptor.pending.remove(seq)
+                        pending = descriptor.pending
+                        if not pending or pending[0] != seq:
+                            # Writers reserve seqs under the page lock,
+                            # so a page's index is in log order.
+                            raise RuntimeError(
+                                f"drain retires seq {seq} but page "
+                                f"{descriptor.index}'s pending index is "
+                                f"{list(pending)}")
+                        pending.popleft()
+                        if not pending:
+                            descriptor.pending = ()
                 finally:
                     for descriptor in descriptors:
                         descriptor.cleanup_lock.release()

@@ -20,6 +20,7 @@ cleanup thread) on top of it.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Generator
 
 from ..kernel.errno import EBADF, EINVAL, ENAMETOOLONG, ENOENT, KernelError
@@ -418,10 +419,10 @@ class Nvcache(CacheFacade):
         return fd
 
     def _finalize_fd(self, fd: int) -> Generator:
-        """Kernel-level close once no log entry references the fd."""
+        """Kernel-level close once no log entry references the fd. The
+        tables forget the fd in the step the kernel frees it: an open
+        racing the psync below may be handed the same number."""
         yield from self.kernel.close(fd)
-        self.log.paths.clear(fd)
-        yield from self.nvmm.psync()
         nv_file = self.tables.retire_fd(fd)
         if (nv_file is not None and nv_file.open_count == 0
                 and nv_file.pending_entries == 0 and nv_file.pages is not None):
@@ -429,6 +430,8 @@ class Nvcache(CacheFacade):
                 if descriptor.content is not None:
                     self.read_cache.release(descriptor.content)
             nv_file.pages = None
+        self.log.paths.clear(fd)
+        yield from self.nvmm.psync()
         return 0
 
     # -- write path (paper Algorithm 1) ------------------------------------------------
@@ -454,11 +457,11 @@ class Nvcache(CacheFacade):
             append_token = tracer.begin(self.env, "core", "log_append",
                                         fd=fd, offset=offset,
                                         nbytes=len(data), entries=chunk_count)
-        leader_seq = yield from self.log.next_entries(chunk_count)
-        if chunk_count > 1:
-            self.stats.group_writes += 1
-
-        # Acquire the atomic locks of every written page, in page order.
+        # Acquire the atomic locks of every written page, in page order,
+        # and only then reserve the entries: every writer of a page takes
+        # its seqs under that page's lock, so each page's pending entries
+        # are in log order and the drain and recovery replay them in the
+        # order readers saw them.
         first_page = offset // page_size
         last_page = (offset + len(data) - 1) // page_size
         descriptors = [nv_file.descriptor_or_create(page)
@@ -470,6 +473,9 @@ class Nvcache(CacheFacade):
             if tracer is not None:
                 tracer.charge(self.env, "core", "lock_wait",
                               self.env.now - lock_began)
+            leader_seq = yield from self.log.next_entries(chunk_count)
+            if chunk_count > 1:
+                self.stats.group_writes += 1
             yield self.env.delay(WRITE_OP_OVERHEAD, "core", "write_overhead")
             # Fill every entry (uncommitted for now).
             for i in range(chunk_count):
@@ -485,11 +491,12 @@ class Nvcache(CacheFacade):
                 for i in range(chunk_count):
                     tracer.bind_entry(self.env, leader_seq + i)
 
-            # Dirty counters + the volatile pending index per page.
-            # Registered BEFORE the commit: the cleanup thread only
-            # touches committed entries, so it can never consume an entry
-            # that is not yet in the pending index (the race the paper's
-            # footnote 4 tolerates as a transiently-negative counter).
+            # The volatile pending index per page (its length is the
+            # dirty counter). Registered BEFORE the commit: the cleanup
+            # thread only touches committed entries, so it can never
+            # consume an entry that is not yet in the pending index (the
+            # race the paper's footnote 4 tolerates as a
+            # transiently-negative counter).
             for i in range(chunk_count):
                 seq = leader_seq + i
                 chunk_off = offset + i * chunk_size
@@ -497,7 +504,8 @@ class Nvcache(CacheFacade):
                 for page in range(chunk_off // page_size,
                                   (chunk_off + chunk_len - 1) // page_size + 1):
                     descriptor = descriptors[page - first_page]
-                    descriptor.dirty_counter += 1
+                    if not descriptor.pending:
+                        descriptor.pending = deque()
                     descriptor.pending.append(seq)
                 nv_file.pending_entries += 1
                 self.tables.pending_by_fd[fd] = \
@@ -718,8 +726,12 @@ class Nvcache(CacheFacade):
         for nv_file in self.tables.files.values():
             if nv_file.pages is None:
                 continue
-            for _index, descriptor in sorted(nv_file.pages.items()):
-                assert descriptor.dirty_counter == len(descriptor.pending), (
-                    f"dirty counter {descriptor.dirty_counter} != "
-                    f"pending {len(descriptor.pending)}")
-                assert descriptor.dirty_counter >= 0, "negative dirty counter"
+            for index, descriptor in sorted(nv_file.pages.items()):
+                # The drain pops each page's index from the front in log
+                # order, so the index must ascend within the live log.
+                previous = log.volatile_tail - 1
+                for seq in descriptor.pending:
+                    assert previous < seq < log.head, (
+                        f"page {index}: pending {list(descriptor.pending)} "
+                        f"not ascending in [{log.volatile_tail}, {log.head})")
+                    previous = seq

@@ -9,6 +9,12 @@ states (Table II of the paper):
   modify the page (``dirty_counter > 0``);
 - *unloaded-clean*: no content, no pending entries.
 
+A descriptor's pending-entry index (the log sequence numbers of the
+entries that modify the page, in log order) is a container of its own
+only while the page has pending entries; a page with none shares the
+empty tuple, which keeps a clean descriptor at a quarter of the bytes.
+The dirty counter is the length of that index.
+
 Eviction is the paper's LRU approximation (a CLOCK): a FIFO queue of
 page contents protected by the LRU lock; the head is recycled unless its
 ``accessed`` flag grants a second chance.
@@ -17,7 +23,7 @@ page contents protected by the LRU lock; the head is recycled unless its
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, Optional
+from typing import Deque, Generator, Optional, Tuple, Union
 
 from ..sim import Environment, Lock
 from .stats import NvcacheStats
@@ -36,19 +42,34 @@ class PageContent:
 class PageDescriptor:
     """Per-page state: the two locks, the dirty counter, and the pending
     log entries touching this page (the volatile index the dirty-miss
-    procedure walks instead of scanning the whole log)."""
+    procedure walks instead of scanning the whole log).
 
-    __slots__ = ("index", "atomic_lock", "cleanup_lock", "dirty_counter",
-                 "accessed", "content", "pending")
+    ``pending`` holds the page's pending sequence numbers in ascending
+    (log) order. It is the shared empty tuple while there are none; a
+    writer gives the page a ``deque`` of its own with its first pending
+    seq, and the drain puts the empty tuple back when it retires the
+    last one. A writer replaces the container under the page's atomic
+    lock and the drain under its cleanup lock, which is safe only
+    because neither yields between reading ``pending`` and replacing
+    it. Only code holding *both* page locks (the dirty-miss loop of
+    ``Nvcache._load_page``) may keep iterating the container across a
+    ``yield``."""
+
+    __slots__ = ("index", "atomic_lock", "cleanup_lock", "accessed",
+                 "content", "pending")
 
     def __init__(self, env: Environment, index: int):
         self.index = index
         self.atomic_lock = Lock(env, name="page.atomic")
         self.cleanup_lock = Lock(env, name="page.cleanup")
-        self.dirty_counter = 0
         self.accessed = False
         self.content: Optional[PageContent] = None
-        self.pending: Deque[int] = deque()  # log sequence numbers
+        self.pending: Union[Tuple[()], Deque[int]] = ()  # log seqs, ascending
+
+    @property
+    def dirty_counter(self) -> int:
+        """Pending log entries touching this page (paper Table II)."""
+        return len(self.pending)
 
     @property
     def loaded(self) -> bool:

@@ -47,7 +47,7 @@ ZERO_PAGE = bytes(PAGE_SIZE)  # the one all-zero page: every hole shares it
 PageKey = Tuple[int, int, int]  # (filesystem id, inode number, page index)
 
 
-@dataclass
+@dataclass(slots=True)
 class CachedPage:
     data: bytes | bytearray  # bytes: shared, immutable; bytearray: private
     dirty: bool = False

@@ -1,10 +1,20 @@
 """Multi-threading semantics (paper §II-D): POSIX read/write atomicity,
 parallel independent writes, writer/cleanup/reader interplay."""
 
+import pytest
 
-from repro.kernel import O_CREAT, O_RDWR, O_WRONLY
+from repro.block import SsdDevice
+from repro.core import CACHE_MODES, Nvcache, NvmmLog
+from repro.faults import CrashExplorer, CrashWorkload, run_workload
+from repro.faults.workloads import build_crash_run
+from repro.fs import Ext4
+from repro.kernel import Kernel, O_CREAT, O_RDWR, O_WRONLY
+from repro.nvmm import NvmmDevice, NvmmTiming
+from repro.sim import Environment
+from repro.units import MIB, US
 
 from .conftest import SMALL_CONFIG, make_stack
+from .test_mode_equivalence import MODE_CONFIGS
 
 
 def test_concurrent_writes_to_same_page_serialize(stack=None):
@@ -198,3 +208,94 @@ def test_cleanup_never_blocks_writer_on_loaded_page():
     # No write should ever wait for an SSD-speed cleanup operation
     # (~50 us+); they all complete at NVMM speed (~10 us).
     assert max(write_latencies) < 3e-5
+
+
+def _overtaking_writes(run):
+    """Writer C holds page 0; A (8 KiB at 0) waits on it while B (4 KiB
+    at 4096) takes page 1 and commits, so A writes page 1 after B.
+    Returns the fd and page 1 as read before any drain."""
+    nv = run.nvcache
+    fd = yield from nv.open("/f", O_CREAT | O_RDWR)
+    writers = [run.env.spawn(nv.pwrite(fd, fill * size, offset))
+               for fill, size, offset in ((b"c", 4096, 0), (b"a", 8192, 0),
+                                          (b"b", 4096, 4096))]
+    for writer in writers:
+        yield writer.join()
+    run.nvcache.check_invariants()
+    page = yield from nv.pread(fd, 4096, 4096)
+    return fd, page
+
+
+@pytest.mark.parametrize("mode", sorted(CACHE_MODES))
+def test_multi_page_write_is_logged_in_its_page_lock_order(mode):
+    """A write spanning pages reserves its log entries under its page
+    locks: a reader, the drain and crash recovery then all agree on the
+    writer that touched a page last, even when a later single-page
+    write overtook it while it waited for its first page."""
+    config = MODE_CONFIGS[mode]
+
+    # Power cut before any drain: recovery replays the log alone.
+    run = build_crash_run(config, start_cleanup=False)
+    _fd, before = run.env.run_process(_overtaking_writes(run))
+    image = run.nvmm.crash_image(keep_lines=frozenset())
+    env2, kernel2, _nvmm2, _report = CrashExplorer._crash_and_recover(
+        run.env, run.kernel, run.devices, run.config, run.nvmm.name, image)
+    recovered = CrashExplorer._read_state(env2, kernel2, ["/f"])["/f"]
+
+    # Same writes, then a drain and a reopen: the backend's copy.
+    results = []
+
+    def drain_and_reopen(run):
+        fd, _page = yield from _overtaking_writes(run)
+        yield run.nvcache.cleanup.request_drain()
+        yield from run.nvcache.close(fd)
+        fd = yield from run.nvcache.open("/f", O_RDWR)
+        page = yield from run.nvcache.pread(fd, 4096, 4096)
+        results.append(page)
+
+    run_workload(build_crash_run(config),
+                 CrashWorkload(build=None, body=drain_and_reopen))
+    (drained,) = results
+
+    assert before in (b"a" * 4096, b"b" * 4096)
+    assert drained == before
+    assert recovered[4096:8192] == before
+
+
+def test_an_fd_reused_during_its_predecessors_close_keeps_its_tables():
+    """The kernel frees a closing fd before the path-table psync, so an
+    open racing that psync can be handed the same number. Its tables
+    entry must survive the predecessor's retirement, or the drain cannot
+    find the new file's pages and their pending index goes stale."""
+    env = Environment()
+    kernel = Kernel(env)
+    kernel.mount("/", Ext4(env, SsdDevice(env, size=64 * MIB)))
+    # A psync slower than the two syscalls that open and fstat the file.
+    nvmm = NvmmDevice(env, size=NvmmLog.required_size(SMALL_CONFIG),
+                      timing=NvmmTiming(flush_base_latency=10 * US))
+    nv = Nvcache(env, kernel, nvmm, SMALL_CONFIG)
+
+    def main():
+        old = yield from nv.open("/a", O_CREAT | O_RDWR)
+        other = yield from nv.open("/b", O_CREAT | O_RDWR)
+        yield from nv.close(other)
+        reopened = {}
+
+        def reopen():
+            reopened["fd"] = yield from nv.open("/b", O_RDWR)
+
+        closing = env.spawn(nv.close(old))
+        opening = env.spawn(reopen())
+        yield closing.join()
+        yield opening.join()
+        fd = reopened["fd"]
+        assert fd == old  # the race this test is about
+        yield from nv.pwrite(fd, b"b" * 4096, 0)
+        yield nv.cleanup.request_drain()
+        nv.check_invariants()
+        return fd
+
+    fd = env.run_process(main())
+    handle = nv.tables.get(fd)
+    assert nv.tables.fd_files[fd] is handle.file
+    assert handle.file.pending_entries == 0

@@ -1,5 +1,7 @@
 """Unit tests for the user-space read cache and its CLOCK eviction."""
 
+from collections import deque
+
 import pytest
 
 from repro.core import NvcacheStats, PageDescriptor, ReadCache
@@ -106,7 +108,7 @@ def test_dirty_page_becomes_unloaded_dirty_on_eviction():
 
     def body():
         d0 = PageDescriptor(env, 0)
-        d0.dirty_counter = 3  # pending log entries touch this page
+        d0.pending = deque([1, 2, 3])  # pending log entries touch this page
         c0 = yield from cache.allocate_content()
         cache.attach(d0, c0)
         c1 = yield from cache.allocate_content()  # evicts page 0
@@ -138,7 +140,7 @@ def test_page_state_names():
     env = Environment()
     descriptor = PageDescriptor(env, 9)
     assert descriptor.state == "unloaded-clean"
-    descriptor.dirty_counter = 1
+    descriptor.pending = deque([1])
     assert descriptor.state == "unloaded-dirty"
     descriptor.content = object()
     assert descriptor.state == "loaded"
