@@ -1,9 +1,6 @@
 """Ablations beyond the paper's figures: the design choices DESIGN.md
 calls out, each isolated with a controlled experiment.
 
-- drain-device ablation: what the cleanup thread's target device costs
-  (SSD vs NVMe vs HDD) — quantifies the paper's 'NVCACHE+NOVA shows the
-  potential with an efficient secondary storage' observation;
 - commit-protocol ablation: what durable linearizability (the psync per
   commit) costs on the write path;
 - entry-size ablation: the fixed-entry-size system parameter (§II-D).
@@ -11,7 +8,7 @@ calls out, each isolated with a controlled experiment.
 
 import pytest
 
-from repro.block import FastNvmeDevice, HddDevice, SsdDevice
+from repro.block import SsdDevice
 from repro.core import Nvcache, NvcacheConfig, NvmmLog
 from repro.fs import Ext4
 from repro.kernel import Kernel
@@ -21,50 +18,6 @@ from repro.units import GIB, KIB, MIB
 from repro.workloads import FioJob, run_fio
 
 from .conftest import run_once
-
-
-def build_on_device(device_class, config):
-    env = Environment()
-    device = device_class(env, size=8 * GIB)
-    kernel = Kernel(env)
-    kernel.mount("/", Ext4(env, device))
-    nvmm = NvmmDevice(env, size=NvmmLog.required_size(config))
-    nvcache = Nvcache(env, kernel, nvmm, config)
-    from repro.libc import NvcacheLibc
-    return env, device, NvcacheLibc(nvcache), nvcache
-
-
-def saturated_job():
-    return FioJob(rw="randwrite", block_size=4 * KIB, size=24 * MIB,
-                  file_size=24 * MIB, fsync=1, direct=True)
-
-
-def small_log_config(batch_min=100, batch_max=1000):
-    return NvcacheConfig(log_entries=2048, read_cache_pages=256,
-                         batch_min=batch_min, batch_max=batch_max)
-
-
-def test_ablation_drain_device(benchmark):
-    """The saturated throughput is set by the drain device; the
-    pre-saturation throughput is not."""
-
-    def experiment():
-        rates = {}
-        for name, device_class in (("ssd", SsdDevice),
-                                   ("nvme", FastNvmeDevice),
-                                   ("hdd", HddDevice)):
-            env, _device, libc, nvcache = build_on_device(
-                device_class, small_log_config())
-            result = run_fio(env, libc, saturated_job(),
-                             settle=lambda: nvcache.drain())
-            rates[name] = result.write_bandwidth
-        return rates
-
-    rates = run_once(benchmark, experiment)
-    print("\nsaturated NVCache throughput by drain device: "
-          + ", ".join(f"{k}={v / MIB:.1f} MiB/s" for k, v in rates.items()))
-    assert rates["nvme"] > 2 * rates["ssd"]
-    assert rates["ssd"] > rates["hdd"]
 
 
 def test_ablation_commit_protocol_cost(benchmark):

@@ -5,7 +5,7 @@ Top-level package layout:
 - :mod:`repro.sim` -- discrete-event simulation kernel.
 - :mod:`repro.nvmm` -- byte-addressable NVMM device with cache-line
   persistence semantics (``pwb``/``pfence``/``psync``) and crash simulation.
-- :mod:`repro.block` -- SSD/HDD/RAM-disk latency models.
+- :mod:`repro.block` -- the SSD latency model.
 - :mod:`repro.kernel` -- simulated POSIX kernel: VFS, page cache, syscalls.
 - :mod:`repro.fs` -- Ext4, Ext4-DAX, NOVA, tmpfs, DM-WriteCache.
 - :mod:`repro.libc` -- the libc facade handed to legacy applications.

@@ -3,6 +3,5 @@
 from .btree import BTree
 from .db import MiniSqlite, SqlStats
 from .pager import PAGE_SIZE, Pager
-from .wal_mode import WalPager
 
-__all__ = ["MiniSqlite", "SqlStats", "BTree", "Pager", "WalPager", "PAGE_SIZE"]
+__all__ = ["MiniSqlite", "SqlStats", "BTree", "Pager", "PAGE_SIZE"]

@@ -15,7 +15,6 @@ from typing import Generator, Optional
 
 from .btree import BTree
 from .pager import Pager
-from .wal_mode import WalPager
 
 
 @dataclass
@@ -29,24 +28,18 @@ class SqlStats:
 class MiniSqlite:
     """Public API: open/insert/select/delete/scan with transactions."""
 
-    def __init__(self, libc, path: str, journal_mode: str = "delete"):
-        if journal_mode not in ("delete", "wal"):
-            raise ValueError(f"unknown journal_mode {journal_mode!r}")
+    def __init__(self, libc, path: str):
         self.libc = libc
         self.path = path
-        self.journal_mode = journal_mode
         self.pager: Optional[Pager] = None
         self.tree: Optional[BTree] = None
         self.stats = SqlStats()
         self._explicit_txn = False
 
     @classmethod
-    def open(cls, libc, path: str, journal_mode: str = "delete") -> Generator:
-        db = cls(libc, path, journal_mode)
-        if journal_mode == "wal":
-            db.pager = yield from WalPager.open(libc, path)
-        else:
-            db.pager = yield from Pager.open(libc, path)
+    def open(cls, libc, path: str) -> Generator:
+        db = cls(libc, path)
+        db.pager = yield from Pager.open(libc, path)
         db.tree = BTree(db.pager)
         return db
 

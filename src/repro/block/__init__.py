@@ -1,15 +1,12 @@
-"""Block-device substrate: SSD and HDD latency models."""
+"""Block-device substrate: the SSD latency model."""
 
 from .device import BlockDevice, BlockStats, BlockTiming
-from .hdd import HddDevice
-from .ssd import FastNvmeDevice, SsdDevice, SSD_TIMING
+from .ssd import SsdDevice, SSD_TIMING
 
 __all__ = [
     "BlockDevice",
     "BlockStats",
     "BlockTiming",
     "SsdDevice",
-    "FastNvmeDevice",
     "SSD_TIMING",
-    "HddDevice",
 ]

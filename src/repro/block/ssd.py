@@ -12,7 +12,7 @@ Calibration anchors (paper §IV):
 from __future__ import annotations
 
 from ..sim import Environment
-from ..units import GIB, MIB, US
+from ..units import MIB, US
 from .device import BlockDevice, BlockTiming
 
 SSD_TIMING = BlockTiming(
@@ -33,20 +33,3 @@ class SsdDevice(BlockDevice):
                  timing: BlockTiming = SSD_TIMING, name: str = "ssd0"):
         super().__init__(env, size, timing, name=name)
 
-
-class FastNvmeDevice(BlockDevice):
-    """An NVMe-class device, kept for what-if ablations (not in the paper's
-    testbed, but useful to explore how NVCache behaves with a faster drain
-    path)."""
-
-    def __init__(self, env: Environment, size: int = 960 * 10**9, name: str = "nvme0"):
-        timing = BlockTiming(
-            read_base=12 * US,
-            write_base=10 * US,
-            seq_read_base=2 * US,
-            seq_write_base=1 * US,
-            read_bandwidth=3 * GIB,
-            write_bandwidth=2 * GIB,
-            flush_latency=25 * US,
-        )
-        super().__init__(env, size, timing, name=name)

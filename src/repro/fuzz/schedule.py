@@ -206,7 +206,7 @@ def seed_cases(families: Sequence[str] = tuple(sorted(FUZZ_SEED_MIXES))
         ("unlink", 0),
     ), crash_fracs=(0.4, 0.9))
 
-    # ycsb update-heavy: overwrites at scattered offsets.
+    # ycsb: the update-heavy overwrite shape of YCSB-A, scattered offsets.
     catalog["ycsb"] = FuzzCase(schedule=(
         ("pwrite", 0, 3, 1, 117), ("pwrite", 0, 0, 2, 118),
         ("pwrite", 0, 6, 1, 119), ("fsync", 0),

@@ -8,7 +8,6 @@ from .core import (
     Timeout,
     Waitable,
 )
-from .rng import zipf_ranks
 from .sync import Event, Lock
 from .trace import SEGMENT_NAMES, SPAN_NAMES, Span, Tracer, traced
 
@@ -26,5 +25,4 @@ __all__ = [
     "SPAN_NAMES",
     "SEGMENT_NAMES",
     "traced",
-    "zipf_ranks",
 ]

@@ -11,13 +11,15 @@ from .db_bench import (
     make_value,
 )
 from .fio import FioJob, FioResult, FioSeries, run_fio
-from .ycsb import WORKLOAD_MIXES, YcsbResult, YcsbWorkload
 
 #: Op-mix weights the crash-and-fault fuzzer (``repro.fuzz``) seeds its
-#: schedule generator with — one family per evaluation driver, shaped
-#: like that driver's syscall stream (fio: sequential pwrite + periodic
-#: fsync; db_bench: WAL append + fsync per put; kvstore: appends plus
-#: MANIFEST-style rename/unlink churn; ycsb: update-heavy pwrites).
+#: schedule generator with — one family per I/O shape, mostly shaped
+#: like an evaluation driver's syscall stream (fio: sequential pwrite +
+#: periodic fsync; db_bench: WAL append + fsync per put; kvstore:
+#: appends plus MANIFEST-style rename/unlink churn). ``ycsb`` is the
+#: update-heavy overwrite shape of YCSB workload A (scattered pwrites,
+#: rare fsync); no YCSB driver exists here, the key names the shape and
+#: stays because ``--families`` and ``campaign.json`` record it.
 #: Weights are relative; ops absent from a family (e.g. ``recreate``)
 #: are only reachable through mutation, which is what makes
 #: rarely-exercised recovery paths a coverage signal instead of a
@@ -45,8 +47,5 @@ __all__ = [
     "MIXED_BENCHMARKS",
     "make_key",
     "make_value",
-    "YcsbWorkload",
-    "YcsbResult",
-    "WORKLOAD_MIXES",
     "FUZZ_SEED_MIXES",
 ]

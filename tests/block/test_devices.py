@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.block import HddDevice, SsdDevice
+from repro.block import SsdDevice
 from repro.obs import MetricsRegistry
 from repro.sim import Environment
 from repro.units import MIB
@@ -142,23 +142,6 @@ def test_device_serializes_requests(env, ssd):
     assert len(finish_times) == 4
     assert finish_times == sorted(finish_times)
     assert len(set(finish_times)) == 4  # strictly serialized
-
-
-def test_hdd_seek_cost_grows_with_distance(env):
-    hdd = HddDevice(env, size=1000 * MIB)
-
-    def body():
-        yield from hdd.write(0, b"a" * 4096)
-        start = env.now
-        yield from hdd.write(8192, b"b" * 4096)  # short hop
-        near = env.now - start
-        start = env.now
-        yield from hdd.write(900 * MIB, b"c" * 4096)  # long seek
-        far = env.now - start
-        return near, far
-
-    near, far = run(env, body())
-    assert far > near
 
 
 def test_stats_accumulate(env, ssd):

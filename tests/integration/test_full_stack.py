@@ -170,27 +170,26 @@ def test_sustained_mixed_workload_invariants():
     assert env.run_process(kernel_view()) > 0
 
 
-def test_wal_mode_sqlite_crash_recovery_through_both_layers():
-    """journal_mode=WAL over NVCache: commits are durable through the
-    NVMM log even when neither the -wal file nor the db reached the
-    disk before the crash."""
+def test_rollback_journal_sqlite_crash_recovery_through_both_layers():
+    """SQLite's rollback journal over NVCache with cleanup stopped: every
+    autocommit insert is durable through the NVMM log alone, although
+    neither the journal nor the db reached the disk before the crash."""
     env, kernel, ssd, nvmm, nvcache = build()
     libc = NvcacheLibc(nvcache)
     nvcache.cleanup.stop()  # nothing propagated at all
 
     def workload():
-        db = yield from MiniSqlite.open(libc, "/app.db", journal_mode="wal")
+        db = yield from MiniSqlite.open(libc, "/app.db")
         for i in range(20):
-            yield from db.insert(f"row{i:03d}".encode(), f"wal{i}".encode())
-        # crash without close or checkpoint
+            yield from db.insert(f"row{i:03d}".encode(), f"val{i}".encode())
+        # crash without close
 
     env.run_process(workload())
     env2, kernel2, report = crash_and_reboot(env, kernel, ssd, nvmm)
     assert report.entries_applied > 0
 
     def after():
-        db = yield from MiniSqlite.open(Libc(kernel2), "/app.db",
-                                        journal_mode="wal")
+        db = yield from MiniSqlite.open(Libc(kernel2), "/app.db")
         values = []
         for i in range(20):
             values.append((yield from db.select(f"row{i:03d}".encode())))
@@ -198,4 +197,4 @@ def test_wal_mode_sqlite_crash_recovery_through_both_layers():
         return values
 
     values = env2.run_process(after())
-    assert values == [f"wal{i}".encode() for i in range(20)]
+    assert values == [f"val{i}".encode() for i in range(20)]

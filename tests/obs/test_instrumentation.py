@@ -3,11 +3,8 @@ workload, and metrics stay off (and free) by default."""
 
 import pytest
 
-from repro.block import HddDevice
 from repro.harness import Scale, build_stack
 from repro.harness.reporting import format_metrics_by_layer, format_metrics_table
-from repro.obs import MetricsRegistry
-from repro.sim import Environment
 from repro.workloads import FioJob, run_fio
 
 SCALE = Scale(4096)
@@ -46,12 +43,6 @@ class TestRegistration:
         assert "block.dm_writecache.occupancy" in names
         assert "block.dm_writecache.write_latency" in names
         assert not any("-" in name for name in names)
-
-    def test_hdd_self_registers(self):
-        env = Environment()
-        env.metrics = MetricsRegistry()
-        HddDevice(env)
-        assert "block.hdd0.write_latency" in env.metrics.names()
 
     def test_two_stacks_do_not_collide(self):
         # Registries are per-environment: building two instrumented

@@ -14,12 +14,14 @@ Four rules:
   names is referenced from another ``src/repro`` module (not an
   ``__init__``) or from ``tools``, ``bench`` or ``benchmarks``. Examples
   do not count: a module only an example drives is a demo, not a part.
-- *Knobs.* Every ``NvcacheConfig`` field is passed by keyword to
-  ``NvcacheConfig(...)``, ``replace(...)`` or ``dict(...)`` somewhere
-  outside ``core/config.py`` and the tests, and every defaulted
-  parameter of the stack builders (``build_stack``, ``build_crash_run``)
-  is passed, by keyword or position, to a call outside the tests; a
-  knob with one value in use is a constant.
+- *Knobs.* Every field of an options dataclass (``NvcacheConfig``,
+  ``KVOptions``, ``FioJob``) is passed by keyword to the class,
+  ``replace(...)`` or ``dict(...)`` somewhere outside its own module
+  and the tests, and every defaulted parameter of the stack builders
+  (``build_stack``, ``build_crash_run``) and of the app and driver entry
+  points (``DbBench(...)``, ``MiniSqlite.open``, ``MiniRocks.open``) is
+  passed, by keyword or position, to a call outside the tests; a knob
+  with one value in use is a constant.
 - *Mode rows.* Every ``CACHE_MODES`` name is spelled as an exact string
   constant in ``src/repro`` outside ``core/config.py``, or in ``tools``,
   ``bench`` or ``benchmarks``: a design point nothing selects is not
@@ -39,6 +41,13 @@ MODULE_CALLERS = ("tools", "bench", "benchmarks")
 CONFIG = PACKAGE / "core" / "config.py"
 STACK_BUILDERS = ((PACKAGE / "harness" / "systems.py", "build_stack"),
                   (PACKAGE / "faults" / "workloads.py", "build_crash_run"))
+#: App and driver entry points: ``Class`` is its constructor.
+ENTRY_POINTS = ((PACKAGE / "workloads" / "db_bench.py", "DbBench"),
+                (PACKAGE / "apps" / "sqldb" / "db.py", "MiniSqlite.open"),
+                (PACKAGE / "apps" / "kvstore" / "db.py", "MiniRocks.open"))
+OPTIONS_CLASSES = ((CONFIG, "NvcacheConfig"),
+                   (PACKAGE / "apps" / "kvstore" / "db.py", "KVOptions"),
+                   (PACKAGE / "workloads" / "fio.py", "FioJob"))
 
 #: ``(module, name) -> why it stays``; ``"*"`` names a whole module that
 #: may have no caller. Compared both ways: a name that gains a user (or
@@ -66,12 +75,25 @@ ALLOWED = {
         "the kernel's periodic flusher; ROADMAP item 12 gives it a caller",
 }
 
-#: ``(builder, parameter) -> why it stays`` for stack-builder knobs only
-#: the tests turn; compared both ways, like :data:`ALLOWED`.
+#: ``(owner, knob) -> why it stays`` for the knobs only the tests turn
+#: (owner: a builder, an entry point or an options class); compared both
+#: ways, like :data:`ALLOWED`.
 ALLOWED_KNOBS = {
     ("build_crash_run", "start_cleanup"):
         "test seam: the explorer's mutation tests cut power with entries "
         "still in the ring",
+    ("FioJob", "o_sync"):
+        "fio's O_SYNC open, the flag Table IV's durability column turns "
+        "on; ROADMAP item 6(b) gives it a caller",
+    ("FioJob", "numjobs"):
+        "fio's concurrent jobs; the driver's multi-job path is tested, "
+        "and every figure and benchmark runs one job",
+    ("KVOptions", "max_levels"):
+        "the LSM's depth; every caller outside the tests keeps the "
+        "default of four",
+    ("DbBench", "op_overhead"):
+        "the application CPU per op that Fig 3 rests on; ROADMAP item "
+        "17 fits it per application",
 }
 
 
@@ -183,30 +205,50 @@ def knobs_never_set(config_path, class_name, sources):
     return fields - passed
 
 
+def _target(tree, function):
+    """The definition ``function`` names in ``tree`` (a top-level
+    function, ``Class`` for its ``__init__``, or ``Class.method``) and a
+    predicate telling the calls that reach it."""
+    owner, _, name = function.rpartition(".")
+    top = {node.name: node for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    if not owner and isinstance(top[name], ast.FunctionDef):
+        return top[name], lambda call: _callee(call) == name
+    if not owner:
+        owner, name = name, "__init__"
+    method = next(node for node in top[owner].body
+                  if isinstance(node, ast.FunctionDef) and node.name == name)
+    if name == "__init__":
+        return method, lambda call: _callee(call) == owner
+    return method, lambda call: (
+        isinstance(call.func, ast.Attribute) and call.func.attr == name
+        and getattr(call.func.value, "id", None) == owner)
+
+
 def parameters_never_passed(path, function, sources):
-    """Defaulted parameters of top-level ``function`` in ``path`` that no
-    call in ``sources`` passes, by position to ``function`` or by
-    keyword to it or to a function that forwards ``**options`` to it."""
-    tree = ast.parse(path.read_text())
-    node = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == function)
+    """Defaulted parameters of ``function`` in ``path`` (see
+    :func:`_target`) that no call in ``sources`` passes, by position to
+    ``function`` or by keyword to it or to a function that forwards
+    ``**options`` to it."""
+    node, calls_target = _target(ast.parse(path.read_text()), function)
     positional = [arg.arg for arg in node.args.args]
     defaulted = set(positional[len(positional) - len(node.args.defaults):])
     defaulted.update(arg.arg for arg in node.args.kwonlyargs)
+    if positional[:1] in (["self"], ["cls"]):
+        positional = positional[1:]
     nodes = [node for source in sources
              for node in ast.walk(ast.parse(source.read_text()))]
     calls = [node for node in nodes if isinstance(node, ast.Call)]
-    forwarders = {function}
-    forwarders.update(
+    forwarders = {
         node.name for node in nodes if isinstance(node, ast.FunctionDef)
-        and any(isinstance(call, ast.Call) and _callee(call) == function
+        and any(isinstance(call, ast.Call) and calls_target(call)
                 and any(keyword.arg is None for keyword in call.keywords)
-                for call in ast.walk(node)))
+                for call in ast.walk(node))}
     passed = set()
     for call in calls:
-        if _callee(call) == function:
+        if calls_target(call):
             passed.update(positional[:len(call.args)])
-        if _callee(call) in forwarders:
+        if calls_target(call) or _callee(call) in forwarders:
             passed.update(keyword.arg for keyword in call.keywords)
     return defaulted - passed
 
@@ -258,10 +300,19 @@ def test_every_module_has_a_caller_or_a_reason():
         "has a caller (or is gone): drop the allowlist line"
 
 
+def _check_knobs(owner, unturned):
+    allowed = {name for knob_owner, name in ALLOWED_KNOBS
+               if knob_owner == owner}
+    assert unturned - allowed == set(), \
+        f"{owner}: one value in use: make it a constant"
+    assert allowed - unturned == set(), \
+        f"{owner}: turned outside the tests (or gone): drop the allowlist line"
+
+
 def test_every_config_knob_is_turned_outside_the_tests():
-    assert knobs_never_set(CONFIG, "NvcacheConfig",
-                           _sources(exclude={CONFIG})) == set(), \
-        "one value in use: make it a constant"
+    for path, class_name in OPTIONS_CLASSES:
+        _check_knobs(class_name, knobs_never_set(
+            path, class_name, _sources(exclude={path})))
 
 
 def test_every_cache_mode_is_selected_outside_the_tests():
@@ -274,11 +325,14 @@ def test_every_cache_mode_is_selected_outside_the_tests():
 @pytest.mark.parametrize("path, function", STACK_BUILDERS,
                          ids=[function for _path, function in STACK_BUILDERS])
 def test_every_stack_builder_knob_is_turned_outside_the_tests(path, function):
-    unturned = parameters_never_passed(path, function, _sources())
-    allowed = {name for builder, name in ALLOWED_KNOBS if builder == function}
-    assert unturned - allowed == set(), "one value in use: make it a constant"
-    assert allowed - unturned == set(), \
-        "turned outside the tests (or gone): drop the allowlist line"
+    _check_knobs(function, parameters_never_passed(path, function, _sources()))
+
+
+@pytest.mark.parametrize("path, function", ENTRY_POINTS,
+                         ids=[function for _path, function in ENTRY_POINTS])
+def test_every_entry_point_knob_is_turned_outside_the_tests(path, function):
+    _check_knobs(function.partition(".")[0],
+                 parameters_never_passed(path, function, _sources()))
 
 
 def test_the_guard_sees_an_unused_name_and_ignores_reexports(tmp_path):
@@ -375,6 +429,27 @@ def test_the_guard_sees_a_builder_parameter_nobody_passes(tmp_path):
     """))
     assert parameters_never_passed(builder, "build", [user, wrapper]) == {
         "size"}
+
+
+def test_the_guard_sees_an_entry_point_parameter_nobody_passes(tmp_path):
+    app = tmp_path / "app.py"
+    app.write_text(textwrap.dedent("""
+        class Db:
+            def __init__(self, path, cache=8, mode="a"):
+                self.path = path
+
+            @classmethod
+            def open(cls, path, sync=True, journal="delete"):
+                return cls(path)
+    """))
+    user = tmp_path / "user.py"
+    user.write_text(textwrap.dedent("""
+        db = Db("/x", 16)
+        other = Db.open("/y", False)
+        unrelated = libc.open("/z", journal="wal", mode="b")
+    """))
+    assert parameters_never_passed(app, "Db", [user]) == {"mode"}
+    assert parameters_never_passed(app, "Db.open", [user]) == {"journal"}
 
 
 def test_the_guard_sees_a_mode_row_nobody_selects(tmp_path):

@@ -34,7 +34,7 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.block import HddDevice, SsdDevice  # noqa: E402
+from repro.block import SsdDevice  # noqa: E402
 from repro.cli import print_json  # noqa: E402
 from repro.faults import BlockFaultInjector  # noqa: E402
 from repro.fuzz import FuzzEngine  # noqa: E402
@@ -77,7 +77,6 @@ NAMESPACES = (
      _stack()),
     (("block.dm_writecache",), "OBSERVABILITY.md",
      _stack("dm-writecache+ssd")),
-    (("block.hdd0",), "OBSERVABILITY.md", _env(HddDevice)),
     (("obs.trace",), "OBSERVABILITY.md", _stack(tracing=True)),
     (("faults",), "OBSERVABILITY.md",
      _env(lambda env: BlockFaultInjector().arm(
