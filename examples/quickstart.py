@@ -10,6 +10,7 @@ Run with::
 
 from repro.block import SsdDevice
 from repro.core import Nvcache, NvcacheConfig, NvmmLog, recover
+from repro.faults import power_cut
 from repro.fs import Ext4
 from repro.kernel import Kernel, O_CREAT, O_RDONLY, O_RDWR
 from repro.nvmm import NvmmDevice
@@ -49,23 +50,15 @@ def main():
 
     fd = env.run_process(workload())
 
-    # -- 3. Pull the plug ------------------------------------------------------
-    image = nvmm.crash_image()   # what the NVMM media holds at power loss
-    kernel.crash()               # page cache and fd table vanish
-    ssd.crash()                  # the device's volatile cache vanishes
+    # -- 3. Pull the plug and reboot ------------------------------------------
+    # The page cache, the fd table and the SSD's volatile cache vanish; the
+    # NVMM keeps what was persisted. The reboot remounts the same Ext4
+    # object on a fresh kernel (its metadata stands in for a journal
+    # replay) and rebuilds the NVMM from its crash image.
+    env2, kernel2, nvmm2 = power_cut(kernel, [ssd], nvmm)
     print("\n*** power failure ***\n")
 
-    # -- 4. Reboot and recover -------------------------------------------------
-    env2 = Environment()
-    ssd.reattach(env2)
-    kernel2 = Kernel(env2)
-    # (A real reboot re-mounts the same filesystem; our Ext4 object keeps
-    # its metadata, standing in for a journal replay.)
-    for mountpoint, old_fs in kernel.vfs._mounts:
-        old_fs.env = env2
-        kernel2.mount(mountpoint, old_fs)
-    nvmm2 = NvmmDevice.from_image(env2, image)
-
+    # -- 4. Recover ------------------------------------------------------------
     report = env2.run_process(recover(env2, kernel2, nvmm2, config))
     print(f"recovery: {report.files_reopened} file(s) reopened, "
           f"{report.entries_applied} entries replayed "

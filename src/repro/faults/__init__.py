@@ -19,7 +19,7 @@ built on those, and the tests.
 """
 
 from .explorer import (CaseResult, CrashExplorer, END_OF_RUN_SITE,
-                       ExplorationError, ExplorationResult)
+                       ExplorationError, ExplorationResult, power_cut)
 from .injector import BlockFaultInjector
 from .invariants import (CrashCase, DEFAULT_INVARIANTS, DurableAfterAck,
                          GroupCommitAtomicity, Invariant, NamespaceReplay,
@@ -27,8 +27,8 @@ from .invariants import (CrashCase, DEFAULT_INVARIANTS, DurableAfterAck,
                          check_case)
 from .oracle import FileModelOracle, OracleOp, TrackedNvcacheLibc
 from .recorder import CrashPoint, CrashPointRecorder
-from .workloads import (SMALL_CONFIG, WORKLOADS, CrashRun, CrashWorkload,
-                        build_crash_run, db_bench_phased, fio_mixed_workload,
+from .workloads import (SMALL_CONFIG, WORKLOADS, CrashWorkload,
+                        db_bench_phased, fio_mixed_workload,
                         fio_write_phased, kvstore_phased, run_workload)
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "CrashExplorer",
     "CrashPoint",
     "CrashPointRecorder",
-    "CrashRun",
     "CrashWorkload",
     "DEFAULT_INVARIANTS",
     "DurableAfterAck",
@@ -56,11 +55,11 @@ __all__ = [
     "TrackedNvcacheLibc",
     "Violation",
     "WORKLOADS",
-    "build_crash_run",
     "check_case",
     "db_bench_phased",
     "fio_mixed_workload",
     "fio_write_phased",
     "kvstore_phased",
+    "power_cut",
     "run_workload",
 ]

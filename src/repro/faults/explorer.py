@@ -16,11 +16,11 @@ Protocol (two passes per workload):
    runs synchronously inside the hook: it captures the NVMM crash image
    (``crash_image(keep_lines=...)``; the kept subset is drawn from a
    seeded RNG over the dirty lines), the oracle's two legal states, and
-   the in-flight op — then stops the environment. The machine is then
-   "rebooted" (fresh environment, recovered NVMM image, surviving disk),
-   ``core.recovery.recover`` runs, recovered file state is read back,
-   recovery runs a *second* time (idempotence), and the invariant suite
-   judges the case.
+   the in-flight op — then stops the environment. :func:`power_cut`
+   then reboots the machine (fresh environment, recovered NVMM image,
+   surviving disk), ``core.recovery.recover`` runs, recovered file
+   state is read back, recovery runs a *second* time (idempotence), and
+   the invariant suite judges the case.
 
 Determinism is the load-bearing property: workloads are seeded, the
 simulation is deterministic, so hit N in the armed run is the exact
@@ -33,9 +33,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..block import BlockDevice
 from ..core import recover
+from ..harness.systems import StorageStack
 from ..kernel import Kernel
 from ..kernel.errno import ENOENT
 from ..kernel.fd_table import O_RDONLY
@@ -43,10 +45,38 @@ from ..nvmm import NvmmDevice
 from ..sim import Environment, Tracer
 from .invariants import (CrashCase, DEFAULT_INVARIANTS, Violation, check_case)
 from .recorder import CrashPoint, CrashPointRecorder
-from .workloads import (CrashRun, CrashWorkload, ExplorationError,
-                        run_workload)
+from .workloads import CrashWorkload, ExplorationError, run_workload
 
 END_OF_RUN_SITE = "end_of_run"
+
+
+def power_cut(kernel: Kernel, devices: Iterable, nvmm: NvmmDevice,
+              image: Optional[bytearray] = None
+              ) -> Tuple[Environment, Kernel, NvmmDevice]:
+    """Cut the power of the machine ``kernel`` runs and reboot it: each
+    block device among ``devices`` drops its volatile cache and any armed
+    fault injector (faults end at the cut, recovery I/O stays clean), the
+    filesystems are remounted on a fresh kernel and environment, and
+    ``nvmm`` comes back as ``image`` (default: its drop-everything
+    ``crash_image()``). Returns the rebooted ``(env, kernel, nvmm)``."""
+    if image is None:
+        image = nvmm.crash_image()
+    blocks = [device for device in devices
+              if isinstance(device, BlockDevice)]
+    kernel.crash()
+    for device in blocks:
+        if device.fault_injector is not None:
+            device.fault_injector.disarm(device)
+        device.crash()
+    env = Environment()
+    nvmm2 = NvmmDevice.from_image(env, image, name=nvmm.name)
+    for device in blocks:
+        device.reattach(env)
+    kernel2 = Kernel(env)
+    for mountpoint, filesystem in kernel.vfs.mounts():
+        filesystem.env = env
+        kernel2.mount(mountpoint, filesystem)
+    return env, kernel2, nvmm2
 
 
 @dataclass
@@ -136,7 +166,7 @@ class CrashExplorer:
         self._points: Optional[List[CrashPoint]] = None
         self._end_dirty = 0
 
-    def _build(self) -> CrashRun:
+    def _build(self) -> StorageStack:
         run = self.workload.build()
         if self.trace:
             run.env.tracer = Tracer()
@@ -148,12 +178,13 @@ class CrashExplorer:
         if self._points is not None:
             return self._points
         run = self._build()
+        nvmm = run.nvcache.nvmm
         recorder = CrashPointRecorder(
             run.env, record=True,
-            probe=lambda: {"dirty_lines": run.nvmm.dirty_line_count()})
+            probe=lambda: {"dirty_lines": nvmm.dirty_line_count()})
         run_workload(run, self.workload)
         self._points = recorder.points
-        self._end_dirty = run.nvmm.dirty_line_count()
+        self._end_dirty = nvmm.dirty_line_count()
         recorder.detach()
         return self._points
 
@@ -181,10 +212,11 @@ class CrashExplorer:
         disturbing this explorer's cached enumeration)."""
         points = self.enumerate_points()
         run = self._build()
+        nvmm, oracle = run.nvcache.nvmm, run.libc.oracle
         captured: Dict[str, object] = {}
 
         def capture() -> None:
-            dirty = run.nvmm.dirty_lines()
+            dirty = nvmm.dirty_lines()
             if keep_lines is not None:
                 keep: Tuple[int, ...] = tuple(sorted(keep_lines))
             elif variant > 0:
@@ -194,20 +226,20 @@ class CrashExplorer:
             else:
                 keep = ()
             captured["keep"] = keep
-            captured["image"] = run.nvmm.crash_image(keep_lines=keep)
-            before, after = run.oracle.expected_states()
+            captured["image"] = nvmm.crash_image(keep_lines=keep)
+            before, after = oracle.expected_states()
             captured["before"] = before
             captured["after"] = after
-            captured["inflight"] = run.oracle.inflight
-            captured["ns_paths"] = run.oracle.namespace_paths()
-            captured["paths"] = run.oracle.paths_of_interest()
+            captured["inflight"] = oracle.inflight
+            captured["ns_paths"] = oracle.namespace_paths()
+            captured["paths"] = oracle.paths_of_interest()
 
         if index is None:
             recorder = CrashPointRecorder(run.env, record=False)
             run_workload(run, self.workload)
             point = CrashPoint(len(points), END_OF_RUN_SITE,
                                "workload completed", run.env.now,
-                               run.nvmm.dirty_line_count())
+                               nvmm.dirty_line_count())
             capture()
             recorder.detach()
         else:
@@ -225,19 +257,15 @@ class CrashExplorer:
                         else "drop-all" if not captured["keep"]
                         else f"keep-subset-{variant}")
 
-        if run.pre_reboot is not None:
-            run.pre_reboot(run)
-
         # Reboot 1: recover from the crash image.
+        devices, config = run.devices.values(), run.nvcache.config
         env2, kernel2, nvmm2, report = self._crash_and_recover(
-            run.env, run.kernel, run.devices, run.config,
-            run.nvmm.name, captured["image"])
+            run.kernel, devices, nvmm, config, captured["image"])
         state = self._read_state(env2, kernel2, captured["paths"])
 
         # Reboot 2: recover again — must be a no-op.
         env3, kernel3, _nvmm3, report2 = self._crash_and_recover(
-            env2, kernel2, run.devices, run.config,
-            run.nvmm.name, nvmm2.crash_image())
+            kernel2, devices, nvmm2, config)
         state2 = self._read_state(env3, kernel3, captured["paths"])
 
         case = CrashCase(
@@ -322,22 +350,10 @@ class CrashExplorer:
     # -- internals ----------------------------------------------------------
 
     @staticmethod
-    def _crash_and_recover(env: Environment, kernel, devices, config,
-                           nvmm_name: str, image: bytearray):
-        """Power-cut the machine and reboot: fresh environment, NVMM
-        rebuilt from ``image``, block devices keep only durable data,
-        filesystems remounted, then ``recover`` replays the log."""
-        kernel.crash()
-        for device in devices:
-            device.crash()
-        env2 = Environment()
-        nvmm2 = NvmmDevice.from_image(env2, image, name=nvmm_name)
-        for device in devices:
-            device.reattach(env2)
-        kernel2 = Kernel(env2)
-        for mountpoint, fs in kernel.vfs._mounts:
-            fs.env = env2
-            kernel2.mount(mountpoint, fs)
+    def _crash_and_recover(kernel: Kernel, devices, nvmm: NvmmDevice,
+                           config, image: Optional[bytearray] = None):
+        """:func:`power_cut`, then ``recover`` replays the log."""
+        env2, kernel2, nvmm2 = power_cut(kernel, devices, nvmm, image)
         report = env2.run_process(recover(env2, kernel2, nvmm2, config))
         return env2, kernel2, nvmm2, report
 

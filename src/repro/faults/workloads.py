@@ -1,15 +1,12 @@
 """Deterministic crash workloads for the explorer.
 
-A crash workload is a :class:`CrashWorkload`: a ``build`` callable
-producing a fresh :class:`CrashRun` — a complete nvcache+ssd stack whose
-application traffic goes through a
-:class:`~repro.faults.oracle.TrackedNvcacheLibc` (so the oracle always
-knows the two legal post-crash states) — plus the ``body`` generator
-driven through it. The explorer builds a fresh machine and runs the
-body from ``t=0`` for every (crash point, drop subset) case
-(:func:`run_workload`), so workloads must be fully deterministic: same
-construction, same simulated schedule, same crash-point sequence on
-every run. All randomness is seeded.
+A crash workload is a :class:`CrashWorkload`: the ``body`` generator
+an application runs, plus the cache ``config`` of the ``nvcache+ssd``
+stack it runs on (:meth:`CrashWorkload.build`). The explorer builds a
+fresh machine and runs the body from ``t=0`` for every (crash point,
+drop subset) case (:func:`run_workload`), so workloads must be fully
+deterministic: same construction, same simulated schedule, same
+crash-point sequence on every run. All randomness is seeded.
 
 :data:`WORKLOADS` names the shipped ones, mirroring the paper's
 evaluation drivers:
@@ -36,17 +33,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Dict, Generator, List
+from typing import Callable, Dict, Generator
 
-from ..block import SsdDevice
-from ..core import CacheFacade, NvcacheConfig, cache_mode_row
-from ..fs import Ext4
-from ..kernel import Kernel
+from ..core import NvcacheConfig
+from ..harness.systems import StorageStack, build_stack
 from ..kernel.fd_table import O_CREAT, O_RDWR, O_WRONLY
-from ..nvmm import NvmmDevice
-from ..sim import Environment
-from ..units import MIB
 from .oracle import FileModelOracle, TrackedNvcacheLibc
 
 #: Small log geometry: enough room for every workload below, small
@@ -69,40 +60,26 @@ class ExplorationError(RuntimeError):
     trigger never fired, workload crashed)."""
 
 
-@dataclass
-class CrashRun:
-    """One freshly built stack, ready to be driven."""
-
-    env: Environment
-    kernel: Kernel
-    ssd: SsdDevice
-    nvmm: NvmmDevice
-    nvcache: CacheFacade
-    libc: TrackedNvcacheLibc
-    oracle: FileModelOracle
-    config: NvcacheConfig
-    #: Called by the explorer after the crash image is captured and
-    #: before the reboot. Workloads that arm a
-    #: :class:`~repro.faults.injector.BlockFaultInjector` use this to
-    #: disarm it so injected faults stop at the power cut and never
-    #: corrupt the *recovery* I/O (fuzz fault plans target the live run).
-    pre_reboot: Callable[["CrashRun"], None] = None
-
-    @property
-    def devices(self) -> List[SsdDevice]:
-        return [self.ssd]
-
-
 @dataclass(frozen=True)
 class CrashWorkload:
-    """A crash workload: a stack builder plus the generator driven
-    through the stack it builds."""
+    """A crash workload: the generator an application runs, and the
+    cache configuration of the stack it runs on."""
 
-    build: Callable[[], CrashRun]
-    body: Callable[[CrashRun], Generator]
+    body: Callable[[StorageStack], Generator]
+    config: NvcacheConfig = SMALL_CONFIG
+
+    def build(self) -> StorageStack:
+        """A fresh :func:`~repro.harness.systems.build_stack`
+        ``nvcache+ssd`` stack (any ``CACHE_MODES`` row, by
+        ``config.cache_mode``) whose libc reports every call to the
+        oracle, ``stack.libc.oracle``."""
+        stack = build_stack("nvcache+ssd", config=self.config)
+        oracle = FileModelOracle(self.config.entry_data_size)
+        stack.libc = TrackedNvcacheLibc(stack.nvcache, oracle)
+        return stack
 
 
-def run_workload(run: CrashRun, workload: CrashWorkload,
+def run_workload(run: StorageStack, workload: CrashWorkload,
                  expect_completion: bool = True) -> bool:
     """Spawn the body as the ``crash-workload`` process and run the
     environment until it completes — daemons (cleanup) keep the event
@@ -121,26 +98,7 @@ def run_workload(run: CrashRun, workload: CrashWorkload,
     return True
 
 
-def build_crash_run(config: NvcacheConfig = SMALL_CONFIG,
-                    start_cleanup: bool = True) -> CrashRun:
-    """The one stack builder: cache class and NVMM size come from the
-    ``CACHE_MODES`` row ``config.cache_mode`` names (``recover``
-    dispatches on the same row, so the explorer is mode-agnostic)."""
-    cache_cls, required_size, _recover = cache_mode_row(config.cache_mode)
-    env = Environment()
-    ssd = SsdDevice(env, size=32 * MIB)
-    kernel = Kernel(env)
-    kernel.mount("/", Ext4(env, ssd))
-    nvmm = NvmmDevice(env, size=required_size(config))
-    nvcache = cache_cls(env, kernel, nvmm, config,
-                        start_cleanup=start_cleanup)
-    oracle = FileModelOracle(config.entry_data_size)
-    libc = TrackedNvcacheLibc(nvcache, oracle)
-    return CrashRun(env=env, kernel=kernel, ssd=ssd, nvmm=nvmm,
-                    nvcache=nvcache, libc=libc, oracle=oracle, config=config)
-
-
-def _two_bursts(run: CrashRun, total: int,
+def _two_bursts(run: StorageStack, total: int,
                 op: Callable[[int], Generator]) -> Generator:
     """``op(i)`` for every ``i`` in ``range(total)``, with the log
     drained after the first half — so cleanup, block and ext4 boundaries
@@ -165,7 +123,7 @@ def fio_write_phased(ops: int = 16, block_size: int = 1024,
     enumeration too — the write phase is far shorter than the cleanup
     tick)."""
 
-    def body(run: CrashRun) -> Generator:
+    def body(run: StorageStack) -> Generator:
         rng = random.Random(seed)
         fd = yield from run.libc.open("/bench.dat", O_CREAT | O_WRONLY)
 
@@ -179,7 +137,7 @@ def fio_write_phased(ops: int = 16, block_size: int = 1024,
         yield from run.libc.close(fd)
         yield run.nvcache.cleanup.request_drain()
 
-    return CrashWorkload(build_crash_run, body)
+    return CrashWorkload(body)
 
 
 def fio_mixed_workload(ops: int = 14, seed: int = 11) -> CrashWorkload:
@@ -187,7 +145,7 @@ def fio_mixed_workload(ops: int = 14, seed: int = 11) -> CrashWorkload:
     a small set of files. Renames go to fresh names; a file is never
     written through a stale fd after unlink/rename (see oracle scope)."""
 
-    def body(run: CrashRun) -> Generator:
+    def body(run: StorageStack) -> Generator:
         libc = run.libc
         rng = random.Random(seed)
         fds = {}  # path -> fd
@@ -228,7 +186,7 @@ def fio_mixed_workload(ops: int = 14, seed: int = 11) -> CrashWorkload:
             yield from libc.close(fds[path])
         yield run.nvcache.cleanup.request_drain()
 
-    return CrashWorkload(build_crash_run, body)
+    return CrashWorkload(body)
 
 
 def fio_paging_workload(ops: int = 12, block_size: int = 1024,
@@ -240,7 +198,7 @@ def fio_paging_workload(ops: int = 12, block_size: int = 1024,
     boundary (page_stored / commit_word / committed / page_cleaned /
     invalidated) appears in the enumeration."""
 
-    def body(run: CrashRun) -> Generator:
+    def body(run: StorageStack) -> Generator:
         libc = run.libc
         rng = random.Random(seed)
         fd = yield from libc.open("/bench.dat", O_CREAT | O_RDWR)
@@ -256,7 +214,7 @@ def fio_paging_workload(ops: int = 12, block_size: int = 1024,
         yield from libc.close(fd)
         yield run.nvcache.cleanup.request_drain()
 
-    return CrashWorkload(partial(build_crash_run, SMALL_PAGING_CONFIG), body)
+    return CrashWorkload(body, SMALL_PAGING_CONFIG)
 
 
 # -- MiniRocks-based workloads --------------------------------------------
@@ -268,7 +226,7 @@ def db_bench_phased(num: int = 5, seed: int = 3,
     fsync per put, the paper's Fig 3 write path (same key/value streams
     as ``DbBench.fillseq``) — draining mid-fill, then closing the WAL."""
 
-    def body(run: CrashRun) -> Generator:
+    def body(run: StorageStack) -> Generator:
         from ..apps.kvstore import KVOptions, MiniRocks
         from ..workloads.db_bench import make_key, make_value
         db = yield from MiniRocks.open(run.libc, "/db", KVOptions(sync=True))
@@ -279,7 +237,7 @@ def db_bench_phased(num: int = 5, seed: int = 3,
         yield from db.wal.close()
         yield run.nvcache.cleanup.request_drain()
 
-    return CrashWorkload(build_crash_run, body)
+    return CrashWorkload(body)
 
 
 def kvstore_phased(puts: int = 6, seed: int = 5) -> CrashWorkload:
@@ -288,7 +246,7 @@ def kvstore_phased(puts: int = 6, seed: int = 5) -> CrashWorkload:
     (write-temp + rename + unlink) — namespace churn under the log.
     Drains mid-stream, before the second half of the puts."""
 
-    def body(run: CrashRun) -> Generator:
+    def body(run: StorageStack) -> Generator:
         from ..apps.kvstore import KVOptions, MiniRocks
         options = KVOptions(sync=True, memtable_bytes=1 << 16)
         db = yield from MiniRocks.open(run.libc, "/kv", options)
@@ -300,7 +258,7 @@ def kvstore_phased(puts: int = 6, seed: int = 5) -> CrashWorkload:
         yield from db.close()
         yield run.nvcache.cleanup.request_drain()
 
-    return CrashWorkload(build_crash_run, body)
+    return CrashWorkload(body)
 
 
 #: The one table of named crash workloads: name -> maker. Every maker

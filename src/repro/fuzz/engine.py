@@ -42,7 +42,7 @@ from ..parallel.fuzz import evaluate_batch
 from ..workloads import FUZZ_SEED_MIXES
 from .corpus import corpus_digest
 from .executor import reproduces, run_case_task
-from .schedule import FuzzCase, fresh_case, mutate, seed_cases
+from .schedule import MIN_OPS, FuzzCase, fresh_case, mutate, seed_cases
 
 #: Fraction of candidates generated from scratch rather than mutated
 #: from a parent (keeps the search from collapsing onto one lineage).
@@ -64,6 +64,15 @@ class FuzzConfig:
     minimize: bool = True
     minimize_budget: int = 40
     time_budget: Optional[float] = None
+
+    def __post_init__(self):
+        for flag, value, least in (("--cases", self.max_cases, 1),
+                                   ("--batch", self.batch, 1),
+                                   ("--max-ops", self.max_ops, MIN_OPS)):
+            if value < least:
+                raise ValueError(f"{flag} must be at least {least}")
+        if self.time_budget is not None and not self.time_budget > 0:
+            raise ValueError("--time-budget must be above 0 seconds")
 
 
 @dataclass

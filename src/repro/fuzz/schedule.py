@@ -34,8 +34,8 @@ from typing import Dict, Generator, List, Sequence, Tuple
 
 from ..core import NvcacheConfig
 from ..faults.injector import BlockFaultInjector
-from ..faults.workloads import (SMALL_CONFIG, CrashRun, CrashWorkload,
-                                build_crash_run)
+from ..faults.workloads import SMALL_CONFIG, CrashWorkload
+from ..harness.systems import StorageStack
 from ..kernel.fd_table import O_CREAT, O_RDWR
 from ..workloads import FUZZ_SEED_MIXES
 
@@ -49,6 +49,7 @@ OP_KINDS = ("open", "pwrite", "append", "fsync", "ftruncate",
 #: mutation-time op mix: uniform, so rare kinds are reachable.
 _UNIFORM_MIX = {kind: 1 for kind in OP_KINDS}
 
+MIN_OPS = 4           # shortest generated schedule
 MAX_OPS = 24
 MAX_FRACS = 3
 MAX_FAULTS = 3
@@ -155,7 +156,7 @@ def fresh_case(rng: random.Random,
                max_ops: int = 12) -> FuzzCase:
     """A brand-new case sampled from one driver family's op mix."""
     mix = FUZZ_SEED_MIXES[families[rng.randrange(len(families))]]
-    length = rng.randrange(4, max_ops + 1)
+    length = rng.randrange(MIN_OPS, max_ops + 1)
     schedule = tuple(_sample_op(rng, mix) for _ in range(length))
     survivor_seed = rng.randrange(1, 1 << 16) if rng.random() < 0.3 else 0
     fault_plan: Tuple[Tuple, ...] = ()
@@ -302,7 +303,9 @@ def build_fuzz_run(case: FuzzCase,
     boundaries always appear in the crash-point stream. Only
     ``schedule`` and ``fault_plan`` matter here — crash selection and
     survivor seeds are applied by the executor, which is what lets one
-    enumerated run serve many cases.
+    enumerated run serve many cases. The fault plan is armed on the SSD
+    as the body starts; the power cut drops it
+    (:func:`~repro.faults.power_cut`).
 
     ``config`` selects the stack the schedule is interpreted against
     (default: the logging-mode ``SMALL_CONFIG``). The schedule language
@@ -312,20 +315,14 @@ def build_fuzz_run(case: FuzzCase,
     byte-identical post-recovery contents.
     """
 
-    def build() -> CrashRun:
-        run = build_crash_run(config)
+    def body(run: StorageStack) -> Generator:
         if case.fault_plan:
-            injector = BlockFaultInjector(
+            BlockFaultInjector(
                 seed=1,
                 fail_writes=[index for kind, index in case.fault_plan
                              if kind == "fail"],
                 tear_writes=[index for kind, index in case.fault_plan
-                             if kind == "tear"])
-            injector.arm(run.ssd)
-            run.pre_reboot = lambda r: injector.disarm(r.ssd)
-        return run
-
-    def body(run: CrashRun) -> Generator:
+                             if kind == "tear"]).arm(run.devices["ssd"])
         libc = run.libc
         table: List[List] = []   # [path, fd, size]
         serial = 0
@@ -386,4 +383,4 @@ def build_fuzz_run(case: FuzzCase,
             yield from libc.close(entry[1])
         yield run.nvcache.cleanup.request_drain()
 
-    return CrashWorkload(build, body)
+    return CrashWorkload(body, config)

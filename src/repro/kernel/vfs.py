@@ -52,3 +52,7 @@ class Vfs:
 
     def filesystems(self) -> List[object]:
         return [fs for _mp, fs in self._mounts]
+
+    def mounts(self) -> List[Tuple[str, object]]:
+        """``(mountpoint, filesystem)`` pairs, longest mountpoint first."""
+        return list(self._mounts)

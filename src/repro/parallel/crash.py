@@ -53,6 +53,10 @@ class SweepSpec:
         if self.workload not in WORKLOADS:
             raise ValueError(f"unknown crash workload {self.workload!r} "
                              f"(have: {', '.join(sorted(WORKLOADS))})")
+        for flag, value in (("--ops", self.ops), ("--budget", self.budget),
+                            ("--subsets", self.subsets)):
+            if value is not None and value < 0:
+                raise ValueError(f"{flag} must be at least 0")
 
 
 def make_explorer(spec: SweepSpec) -> CrashExplorer:

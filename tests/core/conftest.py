@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.block import SsdDevice
-from repro.core import Nvcache, NvcacheConfig, NvmmLog
-from repro.fs import Ext4
-from repro.kernel import Kernel
-from repro.nvmm import NvmmDevice
-from repro.sim import Environment
-from repro.units import MIB
+from repro.core import NvcacheConfig
+from repro.harness.systems import build_stack
 
 
 SMALL_CONFIG = NvcacheConfig(
@@ -21,14 +16,10 @@ SMALL_CONFIG = NvcacheConfig(
 )
 
 
-def make_stack(config=SMALL_CONFIG, ssd_size=256 * MIB, start_cleanup=True):
-    env = Environment()
-    ssd = SsdDevice(env, size=ssd_size)
-    kernel = Kernel(env)
-    kernel.mount("/", Ext4(env, ssd))
-    nvmm = NvmmDevice(env, size=NvmmLog.required_size(config))
-    nvcache = Nvcache(env, kernel, nvmm, config, start_cleanup=start_cleanup)
-    return env, kernel, ssd, nvmm, nvcache
+def make_stack(config=SMALL_CONFIG):
+    stack = build_stack("nvcache+ssd", config=config)
+    return (stack.env, stack.kernel, stack.devices["ssd"],
+            stack.nvcache.nvmm, stack.nvcache)
 
 
 @pytest.fixture

@@ -6,8 +6,8 @@ import pytest
 from repro.block import SsdDevice
 from repro.core import CACHE_MODES, Nvcache, NvmmLog
 from repro.faults import CrashExplorer, CrashWorkload, run_workload
-from repro.faults.workloads import build_crash_run
 from repro.fs import Ext4
+from repro.harness.systems import build_stack
 from repro.kernel import Kernel, O_CREAT, O_RDWR, O_WRONLY
 from repro.nvmm import NvmmDevice, NvmmTiming
 from repro.sim import Environment
@@ -235,11 +235,11 @@ def test_multi_page_write_is_logged_in_its_page_lock_order(mode):
     config = MODE_CONFIGS[mode]
 
     # Power cut before any drain: recovery replays the log alone.
-    run = build_crash_run(config, start_cleanup=False)
+    run = build_stack("nvcache+ssd", config=config)
+    run.nvcache.cleanup.stop()
     _fd, before = run.env.run_process(_overtaking_writes(run))
-    image = run.nvmm.crash_image(keep_lines=frozenset())
     env2, kernel2, _nvmm2, _report = CrashExplorer._crash_and_recover(
-        run.env, run.kernel, run.devices, run.config, run.nvmm.name, image)
+        run.kernel, run.devices.values(), run.nvcache.nvmm, config)
     recovered = CrashExplorer._read_state(env2, kernel2, ["/f"])["/f"]
 
     # Same writes, then a drain and a reopen: the backend's copy.
@@ -253,8 +253,8 @@ def test_multi_page_write_is_logged_in_its_page_lock_order(mode):
         page = yield from run.nvcache.pread(fd, 4096, 4096)
         results.append(page)
 
-    run_workload(build_crash_run(config),
-                 CrashWorkload(build=None, body=drain_and_reopen))
+    workload = CrashWorkload(drain_and_reopen, config)
+    run_workload(workload.build(), workload)
     (drained,) = results
 
     assert before in (b"a" * 4096, b"b" * 4096)

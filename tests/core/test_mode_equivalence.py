@@ -50,12 +50,12 @@ def _recovered_state(case, config):
     workload = build_fuzz_run(case, config)
     run = workload.build()
     run_workload(run, workload)  # raises unless the schedule completes
-    before, after = run.oracle.expected_states()
+    oracle = run.libc.oracle
+    before, after = oracle.expected_states()
     assert before == after, "oracle not at rest after an acked schedule"
-    paths = run.oracle.paths_of_interest()
-    image = run.nvmm.crash_image(keep_lines=frozenset())
+    paths = oracle.paths_of_interest()
     env2, kernel2, _nvmm2, _report = CrashExplorer._crash_and_recover(
-        run.env, run.kernel, run.devices, run.config, run.nvmm.name, image)
+        run.kernel, run.devices.values(), run.nvcache.nvmm, config)
     state = CrashExplorer._read_state(env2, kernel2, paths)
     expected = {path: after.get(path) for path in paths}
     return state, expected

@@ -14,9 +14,9 @@ import pytest
 from repro.block import SsdDevice
 from repro.core import CACHE_MODES, NvcacheConfig, PagingCache, PagingStore, recover
 from repro.faults import CrashExplorer
-from repro.faults.workloads import SMALL_CONFIG, SMALL_PAGING_CONFIG, build_crash_run
+from repro.faults.workloads import SMALL_CONFIG, SMALL_PAGING_CONFIG
 from repro.fs import Ext4
-from repro.harness import CROSSOVER_MIXES, run_crossover_mix
+from repro.harness import CROSSOVER_MIXES, build_stack, run_crossover_mix
 from repro.kernel import Kernel
 from repro.kernel.fd_table import O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY
 from repro.nvmm import NvmmDevice
@@ -545,7 +545,7 @@ def test_closed_files_give_back_their_file_ids(mode):
     that takes the id next."""
     config = replace(SMALL_PAGING_CONFIG, paging_slots=96) \
         if mode == "paging" else replace(SMALL_CONFIG, cache_mode=mode)
-    run = build_crash_run(config)
+    run = build_stack("nvcache+ssd", config=config)
     cache = run.nvcache
     files = config.fd_max + 1
     expected = {f"/f{i}": bytes(100 * i) + bytes([i + 1]) * 100
@@ -561,16 +561,15 @@ def test_closed_files_give_back_their_file_ids(mode):
     assert exc is None, f"{mode}: {exc!r}"
     if mode == "paging":
         cache.check_invariants()
-    image = run.nvmm.crash_image(keep_lines=frozenset())
     env2, kernel2, _nvmm2, _report = CrashExplorer._crash_and_recover(
-        run.env, run.kernel, run.devices, run.config, run.nvmm.name, image)
+        run.kernel, run.devices.values(), cache.nvmm, config)
     assert CrashExplorer._read_state(env2, kernel2, expected) == expected
 
 
 def test_file_table_of_open_files_is_the_real_limit():
     """With every file id bound to a file that is still open, nothing can
     be reclaimed: the write past ``fd_max`` files fails with EINVAL."""
-    run = build_crash_run(SMALL_PAGING_CONFIG)
+    run = build_stack("nvcache+ssd", config=SMALL_PAGING_CONFIG)
     cache = run.nvcache
 
     def body():

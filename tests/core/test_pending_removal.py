@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core import Nvcache, NvcacheConfig, recover
 from repro.core.log import COMMIT_FREE, OP_RENAME, OP_UNLINK
-from repro.kernel import O_CREAT, O_RDWR, Kernel, KernelError
-from repro.nvmm import NvmmDevice
-from repro.sim import Environment
+from repro.faults import power_cut
+from repro.kernel import O_CREAT, O_RDWR, KernelError
 
 from .test_recovery import fresh_stack
 
@@ -89,16 +88,7 @@ def run_steps(env, nv, steps) -> None:
 
 def crash_and_reopen(env, kernel, ssd, nvmm):
     """Power cut, recovery, and a fresh cache over the recovered image."""
-    image = nvmm.crash_image()
-    kernel.crash()
-    ssd.crash()
-    env2 = Environment()
-    nvmm2 = NvmmDevice.from_image(env2, image)
-    ssd.reattach(env2)
-    kernel2 = Kernel(env2)
-    for mountpoint, fs in kernel.vfs._mounts:
-        fs.env = env2
-        kernel2.mount(mountpoint, fs)
+    env2, kernel2, nvmm2 = power_cut(kernel, [ssd], nvmm)
     env2.run_process(recover(env2, kernel2, nvmm2, CFG))
     return env2, Nvcache(env2, kernel2, nvmm2, CFG)
 

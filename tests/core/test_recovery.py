@@ -6,13 +6,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.block import SsdDevice
-from repro.core import NvcacheConfig, NvmmLog, cache_mode_row, recover
-from repro.fs import Ext4
-from repro.kernel import Kernel, O_CREAT, O_RDONLY, O_WRONLY
+from repro.core import NvcacheConfig, NvmmLog, recover
+from repro.faults import power_cut
+from repro.harness.systems import build_stack
+from repro.kernel import O_CREAT, O_RDONLY, O_WRONLY
 from repro.nvmm import NvmmDevice
-from repro.sim import Environment
-from repro.units import MIB
 
 CFG = NvcacheConfig(log_entries=128, entry_data_size=512, read_cache_pages=16,
                     batch_min=4, batch_max=32, fd_max=32, path_max=64,
@@ -20,31 +18,18 @@ CFG = NvcacheConfig(log_entries=128, entry_data_size=512, read_cache_pages=16,
 
 
 def fresh_stack(config=CFG, start_cleanup=True):
-    env = Environment()
-    ssd = SsdDevice(env, size=128 * MIB)
-    kernel = Kernel(env)
-    kernel.mount("/", Ext4(env, ssd))
-    cache_cls, required_size, _recover = cache_mode_row(config.cache_mode)
-    nvmm = NvmmDevice(env, size=required_size(config))
-    nv = cache_cls(env, kernel, nvmm, config, start_cleanup=start_cleanup)
-    return env, kernel, ssd, nvmm, nv
+    stack = build_stack("nvcache+ssd", config=config)
+    nv = stack.nvcache
+    if not start_cleanup:
+        nv.cleanup.stop()
+    return stack.env, stack.kernel, stack.devices["ssd"], nv.nvmm, nv
 
 
 def crash_and_recover(env, kernel, ssd, nvmm, config=CFG,
                       rng=None, eviction_probability=0.0):
     """Simulate power loss and reboot; returns (env2, kernel2, report)."""
     image = nvmm.crash_image(rng=rng, eviction_probability=eviction_probability)
-    kernel.crash()
-    ssd.crash()
-    env2 = Environment()
-    nvmm2 = NvmmDevice.from_image(env2, image)
-    # The block device's durable content survives; rebuild a kernel around
-    # the same filesystem objects (metadata journaling is assumed replayed).
-    ssd.reattach(env2)
-    kernel2 = Kernel(env2)
-    for mountpoint, fs in kernel.vfs._mounts:
-        fs.env = env2
-        kernel2.mount(mountpoint, fs)
+    env2, kernel2, nvmm2 = power_cut(kernel, [ssd], nvmm, image)
     report = env2.run_process(recover(env2, kernel2, nvmm2, config))
     return env2, kernel2, report
 

@@ -8,36 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import recover
-from repro.kernel import Kernel, O_CREAT, O_WRONLY
-from repro.nvmm import NvmmDevice
-from repro.sim import Environment
+from repro.faults import power_cut
+from repro.kernel import O_CREAT, O_WRONLY
 
 from .test_recovery import CFG, fresh_stack, read_file
 
 
-def reboot(kernel, ssd, image):
-    """Fresh kernel over the surviving disk + an NVMM image."""
-    env = Environment()
-    ssd.reattach(env)
-    kernel2 = Kernel(env)
-    for mountpoint, fs in kernel.vfs._mounts:
-        fs.env = env
-        kernel2.mount(mountpoint, fs)
-    return env, kernel2, NvmmDevice.from_image(env, image)
-
-
-def run_partial_recovery(env, kernel, nvmm, stop_after: float):
+def run_partial_recovery(env, kernel, ssd, nvmm, stop_after: float):
     """Drive recovery but power-cut it after `stop_after` sim seconds.
-    Returns the NVMM image as it stands at the cut."""
+    Returns the machine rebooted from the cut."""
     process = env.spawn(recover(env, kernel, nvmm, CFG), name="recovery")
     process.subscribe(lambda _v, _e: None)
     env.run(until=env.now + stop_after)
     if process.alive:
         process.kill()
-    kernel.crash()
-    for fs in kernel.vfs.filesystems():
-        fs.device.crash()
-    return nvmm.crash_image()
+    return power_cut(kernel, [ssd], nvmm)
 
 
 @settings(max_examples=12, deadline=None)
@@ -59,15 +44,13 @@ def test_property_recovery_survives_its_own_crash(writes, cut, seed):
     env.run_process(body())
     rng = random.Random(seed)
     image = nvmm.crash_image(rng=rng, eviction_probability=0.4)
-    kernel.crash()
-    ssd.crash()
 
     # First recovery attempt, power-cut partway through.
-    env2, kernel2, nvmm2 = reboot(kernel, ssd, image)
-    image2 = run_partial_recovery(env2, kernel2, nvmm2, stop_after=cut)
+    env2, kernel2, nvmm2 = power_cut(kernel, [ssd], nvmm, image)
+    env3, kernel3, nvmm3 = run_partial_recovery(
+        env2, kernel2, ssd, nvmm2, stop_after=cut)
 
     # Second recovery runs to completion on whatever survived.
-    env3, kernel3, nvmm3 = reboot(kernel2, ssd, image2)
     env3.run_process(recover(env3, kernel3, nvmm3, CFG))
 
     expected = bytearray()
@@ -90,11 +73,7 @@ def test_double_full_recovery_is_idempotent():
         yield from nv.pwrite(fd, b"tail", 5000)
 
     env.run_process(body())
-    image = nvmm.crash_image()
-    kernel.crash()
-    ssd.crash()
-
-    env2, kernel2, nvmm2 = reboot(kernel, ssd, image)
+    env2, kernel2, nvmm2 = power_cut(kernel, [ssd], nvmm)
     first = env2.run_process(recover(env2, kernel2, nvmm2, CFG))
     assert first.entries_applied == 2
     second = env2.run_process(recover(env2, kernel2, nvmm2, CFG))
@@ -116,14 +95,9 @@ def test_recovery_crash_before_any_progress():
         yield from nv.pwrite(fd, b"payload", 0)
 
     env.run_process(body())
-    image = nvmm.crash_image()
-    kernel.crash()
-    ssd.crash()
-
-    env2, kernel2, nvmm2 = reboot(kernel, ssd, image)
-    image2 = run_partial_recovery(env2, kernel2, nvmm2, stop_after=1e-9)
-
-    env3, kernel3, nvmm3 = reboot(kernel2, ssd, image2)
+    env2, kernel2, nvmm2 = power_cut(kernel, [ssd], nvmm)
+    env3, kernel3, nvmm3 = run_partial_recovery(
+        env2, kernel2, ssd, nvmm2, stop_after=1e-9)
     report = env3.run_process(recover(env3, kernel3, nvmm3, CFG))
     assert report.entries_applied == 1
     assert read_file(env3, kernel3, "/f", 10) == b"payload"

@@ -10,7 +10,6 @@ from repro.faults import (
     ExplorationError,
     CrashWorkload,
     WORKLOADS,
-    build_crash_run,
 )
 
 
@@ -188,7 +187,7 @@ def test_nondeterministic_factory_is_caught():
         ops = 14 if len(calls) == 1 else 1
         return WORKLOADS["fio-mixed"](ops).body(run)
 
-    explorer = CrashExplorer(CrashWorkload(build_crash_run, flaky))
+    explorer = CrashExplorer(CrashWorkload(flaky))
     points = explorer.enumerate_points()
     with pytest.raises(ExplorationError):
         explorer.run_case(len(points) - 1)

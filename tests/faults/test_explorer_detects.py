@@ -13,9 +13,7 @@ from repro.core.log import (
     NvmmLog,
     _HEADER,
 )
-from functools import partial
-
-from repro.faults import CrashExplorer, CrashWorkload, build_crash_run
+from repro.faults import CrashExplorer, CrashWorkload
 from repro.kernel.fd_table import O_CREAT, O_WRONLY
 
 
@@ -32,6 +30,9 @@ def leaky_commit_leader(self, seq):
 def sequential_writes(run, ops=8, block_size=1024, fsync_every=4):
     """fio-style two-entry group writes with periodic fsync, then close.
     No drain: that needs the cleanup thread this machine runs without."""
+    # Cleanup off: entries must still be in the ring when the power cut
+    # lands, otherwise the bug is masked by propagation to the disk.
+    run.nvcache.cleanup.stop()
     fd = yield from run.libc.open("/bench.dat", O_CREAT | O_WRONLY)
     for i in range(ops):
         yield from run.libc.pwrite(fd, bytes([i + 1]) * block_size,
@@ -41,10 +42,7 @@ def sequential_writes(run, ops=8, block_size=1024, fsync_every=4):
     yield from run.libc.close(fd)
 
 
-# Cleanup off: entries must still be in the ring when the power cut
-# lands, otherwise the bug is masked by propagation to the disk.
-workload = CrashWorkload(
-    partial(build_crash_run, start_cleanup=False), sequential_writes)
+workload = CrashWorkload(sequential_writes)
 
 
 def test_unmutated_control_passes():

@@ -9,8 +9,8 @@ oracle's two legal states. Across all seeds this drives well over 200
 independently generated crash cases through the full invariant suite.
 """
 
-from repro.faults import (CrashExplorer, OracleOp,
-                          build_crash_run, fio_mixed_workload)
+from repro.faults import (CrashExplorer, CrashWorkload, OracleOp,
+                          fio_mixed_workload)
 
 SEEDS = range(12)
 BUDGET = 10
@@ -45,17 +45,17 @@ def test_distinct_seeds_generate_distinct_scripts():
 def test_oracle_tracks_the_two_legal_states_mid_op():
     """The oracle's before/after split is what the invariants lean on:
     mid-pwrite they must differ exactly on the written range."""
-    run = build_crash_run()
-
-    def body():
+    def body(run):
         from repro.kernel.fd_table import O_CREAT, O_WRONLY
+        oracle = run.libc.oracle
         fd = yield from run.libc.open("/f", O_CREAT | O_WRONLY)
         yield from run.libc.pwrite(fd, b"A" * 100, 0)
-        run.oracle.begin(OracleOp(kind="pwrite", path="/f",
-                                  offset=50, data=b"B" * 100))
-        before, after = run.oracle.expected_states()
+        oracle.begin(OracleOp(kind="pwrite", path="/f",
+                              offset=50, data=b"B" * 100))
+        before, after = oracle.expected_states()
         assert before["/f"] == b"A" * 100
         assert after["/f"] == b"A" * 50 + b"B" * 100
-        run.oracle.abort()
+        oracle.abort()
 
-    run.env.run_process(body())
+    run = CrashWorkload(body).build()
+    run.env.run_process(body(run))

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.faults import (CrashPointRecorder, CrashWorkload,
-                          build_crash_run, fio_write_phased, run_workload)
+                          fio_write_phased, run_workload)
 from repro.sim import Environment
 
 
@@ -26,12 +26,13 @@ def drive(run, workload=FIO):
 
 def fingerprint(run):
     """Everything an instrumentation bug could perturb."""
+    nvmm, ssd = run.nvcache.nvmm, run.devices["ssd"]
     return (
         run.env.now,
-        bytes(run.nvmm.persisted_view()),
-        run.nvmm.dirty_lines(),
-        run.ssd.stats.writes,
-        run.ssd.stats.flushes,
+        bytes(nvmm.persisted_view()),
+        nvmm.dirty_lines(),
+        ssd.stats.writes,
+        ssd.stats.flushes,
         run.nvcache.stats.cleanup_batches,
         run.nvcache.stats.cleanup_entries,
     )
@@ -130,11 +131,11 @@ def test_probe_annotations_land_on_points():
         yield from run.libc.pwrite(fd, b"x" * 64, 0)
         yield from run.libc.close(fd)
 
-    workload = CrashWorkload(build_crash_run, body)
+    workload = CrashWorkload(body)
     run = workload.build()
     recorder = CrashPointRecorder(
         run.env, record=True,
-        probe=lambda: {"dirty_lines": run.nvmm.dirty_line_count()})
+        probe=lambda: {"dirty_lines": run.nvcache.nvmm.dirty_line_count()})
     drive(run, workload)
     recorder.detach()
 

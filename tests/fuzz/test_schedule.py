@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.faults import run_workload
+from repro.faults import power_cut, run_workload
 from repro.fuzz import FuzzCase, build_fuzz_run, fresh_case, mutate
 from repro.fuzz.schedule import (FAULT_KINDS, MAX_FRACS, MAX_OPS,
                                  MUTATION_KINDS, OP_KINDS, seed_cases)
@@ -78,11 +78,14 @@ def test_interpreter_is_total(schedule):
     assert run_workload(workload.build(), workload)
 
 
-def test_fault_plan_arms_injector_and_pre_reboot_disarms():
+def test_fault_plan_arms_injector_and_the_power_cut_drops_it():
     case = FuzzCase(schedule=(("pwrite", 0, 0, 2, 65), ("fsync", 0)),
                     fault_plan=(("fail", 0),))
-    run = build_fuzz_run(case).build()
-    assert run.ssd.fault_injector is not None
-    assert run.pre_reboot is not None
-    run.pre_reboot(run)
-    assert run.ssd.fault_injector is None
+    workload = build_fuzz_run(case)
+    run = workload.build()
+    ssd = run.devices["ssd"]
+    run_workload(run, workload)
+    assert ssd.fault_injector is not None
+    assert ssd.fault_injector.writes_failed == 1
+    power_cut(run.kernel, run.devices.values(), run.nvcache.nvmm)
+    assert ssd.fault_injector is None

@@ -6,6 +6,7 @@ log replay first, then the application's own journal/WAL recovery)."""
 from repro.apps import KVOptions, MiniRocks, MiniSqlite
 from repro.block import SsdDevice
 from repro.core import Nvcache, NvcacheConfig, NvmmLog, recover
+from repro.faults import power_cut
 from repro.fs import Ext4
 from repro.kernel import Kernel
 from repro.libc import Libc, NvcacheLibc
@@ -28,16 +29,7 @@ def build():
 
 
 def crash_and_reboot(env, kernel, ssd, nvmm):
-    image = nvmm.crash_image()
-    kernel.crash()
-    ssd.crash()
-    env2 = Environment()
-    ssd.reattach(env2)
-    kernel2 = Kernel(env2)
-    for mountpoint, fs in kernel.vfs._mounts:
-        fs.env = env2
-        kernel2.mount(mountpoint, fs)
-    nvmm2 = NvmmDevice.from_image(env2, image)
+    env2, kernel2, nvmm2 = power_cut(kernel, [ssd], nvmm)
     report = env2.run_process(recover(env2, kernel2, nvmm2, CFG))
     return env2, kernel2, report
 

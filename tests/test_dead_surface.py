@@ -17,8 +17,8 @@ Four rules:
 - *Knobs.* Every field of an options dataclass (``NvcacheConfig``,
   ``KVOptions``, ``FioJob``) is passed by keyword to the class,
   ``replace(...)`` or ``dict(...)`` somewhere outside its own module
-  and the tests, and every defaulted parameter of the stack builders
-  (``build_stack``, ``build_crash_run``) and of the app and driver entry
+  and the tests, and every defaulted parameter of the stack builder
+  (``build_stack``) and of the app and driver entry
   points (``DbBench(...)``, ``MiniSqlite.open``, ``MiniRocks.open``) is
   passed, by keyword or position, to a call outside the tests; a knob
   with one value in use is a constant.
@@ -39,8 +39,7 @@ PACKAGE = REPO_ROOT / "src" / "repro"
 CONSUMERS = ("tools", "bench", "benchmarks", "examples")
 MODULE_CALLERS = ("tools", "bench", "benchmarks")
 CONFIG = PACKAGE / "core" / "config.py"
-STACK_BUILDERS = ((PACKAGE / "harness" / "systems.py", "build_stack"),
-                  (PACKAGE / "faults" / "workloads.py", "build_crash_run"))
+STACK_BUILDERS = ((PACKAGE / "harness" / "systems.py", "build_stack"),)
 #: App and driver entry points: ``Class`` is its constructor.
 ENTRY_POINTS = ((PACKAGE / "workloads" / "db_bench.py", "DbBench"),
                 (PACKAGE / "apps" / "sqldb" / "db.py", "MiniSqlite.open"),
@@ -79,9 +78,6 @@ ALLOWED = {
 #: (owner: a builder, an entry point or an options class); compared both
 #: ways, like :data:`ALLOWED`.
 ALLOWED_KNOBS = {
-    ("build_crash_run", "start_cleanup"):
-        "test seam: the explorer's mutation tests cut power with entries "
-        "still in the ring",
     ("FioJob", "o_sync"):
         "fio's O_SYNC open, the flag Table IV's durability column turns "
         "on; ROADMAP item 6(b) gives it a caller",

@@ -20,11 +20,11 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: workload -> (``--list-points`` digest, ``--json`` digest)
 CRASH_DIGESTS = {
-    "fio": ("4e66b2b4d168d115", "94fc5509c06ecf8d"),
-    "fio-mixed": ("5e49202d01750d4c", "60159f87f965f050"),
-    "fio-paging": ("5bb22d8b381c37e9", "8ac949b7c666b945"),
-    "db_bench": ("c370b548c60b49bb", "e91e9024b7f72af2"),
-    "kvstore": ("043ec04a019b2b72", "ab5d8326596afc48"),
+    "fio": ("d94f025d5b86fbed", "94fc5509c06ecf8d"),
+    "fio-mixed": ("848c4ac464286f85", "60159f87f965f050"),
+    "fio-paging": ("3df09e9423c9ccf3", "8ac949b7c666b945"),
+    "db_bench": ("ec36a3a5d08c69c1", "e91e9024b7f72af2"),
+    "kvstore": ("7ad5c8587b377da0", "ab5d8326596afc48"),
 }
 
 POLICY_DIGEST = "2298e49db6300a82"

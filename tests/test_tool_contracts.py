@@ -1,7 +1,8 @@
 """The contract every ``tools/*.py`` script shares, one row per tool:
 ``--help`` exits 0, an unknown flag exits 2, ``--json`` (where the tool
-has it) puts exactly one JSON document on stdout, and ``--jobs`` means
-the same thing everywhere (``0`` = all cores, negative = exit 2)."""
+has it) puts exactly one JSON document on stdout, ``--jobs`` means the
+same thing everywhere (``0`` = all cores, negative = exit 2), and an
+out-of-range argument exits 2 naming its flag."""
 
 import json
 import os
@@ -30,6 +31,24 @@ JOBS_TOOLS = {
     "crash_explore.py": ["--list-points"],
     "fuzz.py": ["run", "--cases", "2"],
 }
+
+#: (tool, argv, flag): an out-of-range value must be a usage error that
+#: names the flag, never a sweep that explores nothing, a campaign that
+#: never ends (the subprocess timeout turns a hang into a failure) or a
+#: crash deep inside the run.
+MALFORMED = [
+    ("crash_explore.py", ["--budget", "-1", "--check"], "--budget"),
+    ("crash_explore.py", ["--ops", "-3", "--check"], "--ops"),
+    ("crash_explore.py", ["--subsets", "-1", "--check"], "--subsets"),
+    ("crash_explore.py", ["--shard-timeout", "0", "--check"],
+     "--shard-timeout"),
+    ("fuzz.py", ["run", "--batch", "0"], "--batch"),
+    ("fuzz.py", ["run", "--batch", "-1"], "--batch"),
+    ("fuzz.py", ["run", "--cases", "-1", "--check"], "--cases"),
+    ("fuzz.py", ["run", "--time-budget", "-1", "--check"], "--time-budget"),
+    ("fuzz.py", ["run", "--time-budget", "0"], "--time-budget"),
+    ("fuzz.py", ["run", "--max-ops", "3"], "--max-ops"),
+]
 
 
 def run_tool(tool, argv):
@@ -70,3 +89,12 @@ def test_jobs_zero_is_all_cores_and_negative_is_a_usage_error(tool):
     negative = run_tool(tool, [*JOBS_TOOLS[tool], "--jobs", "-3"])
     assert negative.returncode == 2, negative.stdout + negative.stderr
     assert "--jobs" in negative.stderr
+
+
+@pytest.mark.parametrize("tool, argv, flag", MALFORMED,
+                         ids=["_".join([tool[:-3], *argv])
+                              for tool, argv, _flag in MALFORMED])
+def test_an_out_of_range_argument_exits_2_naming_its_flag(tool, argv, flag):
+    result = run_tool(tool, argv)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert flag in result.stderr

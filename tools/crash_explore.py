@@ -174,6 +174,8 @@ def run_matrix(args, spec: SweepSpec, engine: ShardEngine) -> int:
 @exit_boundary(ExplorationError)
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if not args.shard_timeout > 0:
+        raise ValueError("--shard-timeout must be above 0 seconds")
     registry = MetricsRegistry()
     spec = SweepSpec(workload=args.workload, ops=args.ops,
                      budget=args.budget, subsets=args.subsets,
