@@ -352,3 +352,41 @@ class NvmmLog:
 
     def persistent_tail(self) -> int:
         return _WORD.unpack(self.nvmm.load(self.tail_base, 8))[0]
+
+    # -- recovery: one pass over the ring, then empty it ----------------------
+
+    def scan(self) -> Tuple[List[Tuple[int, int, int, int]], int]:
+        """Read every slot header once, from the persistent tail: the
+        committed entries as ``(seq, fd, offset, size)`` in log order,
+        and the number of occupied slots that are not committed (an
+        uncommitted leader reads as free). A follower is committed when
+        its leader's word, from the same pass, is."""
+        tail = self.persistent_tail()
+        headers = [self.read_header(seq)
+                   for seq in range(tail, tail + self.entries)]
+        committed: List[Tuple[int, int, int, int]] = []
+        uncommitted = 0
+        for seq, (word, fd, offset, size) in enumerate(headers, tail):
+            if word == COMMIT_FREE:
+                continue
+            if word != COMMIT_LEADER:
+                # A follower takes its leader's word; ``headers[i]`` is
+                # ring slot ``(tail + i) % entries``.
+                word = headers[(word - FOLLOWER_BASE - tail) % self.entries][0]
+            if word == COMMIT_LEADER:
+                committed.append((seq, fd, offset, size))
+            else:
+                uncommitted += 1
+        return committed, uncommitted
+
+    def reset(self, seqs) -> Generator:
+        """Durably free the slots of ``seqs`` (their 8-byte commit word)
+        and park the persistent tail at zero, so the next instance starts
+        from a pristine ring."""
+        for seq in seqs:
+            addr = self._slot_addr(seq)
+            self.nvmm.store(addr, _FREE_WORD)
+            self.nvmm.pwb(addr)
+        self.nvmm.store(self.tail_base, _WORD.pack(0))
+        self.nvmm.pwb(self.tail_base)
+        yield from self.nvmm.psync()

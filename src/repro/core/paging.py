@@ -10,7 +10,8 @@ backend, like dm-writecache but entirely in user space. It is one
 the shared :class:`~repro.core.cleanup.DrainThread`, the
 :class:`PagingStore` layout and :func:`recover_paging` — so
 ``repro.libc.NvcacheLibc``, the crash explorer, and the harness slot it
-in unchanged via ``build_stack(cache_mode="paging")``.
+in unchanged via ``build_stack(config=...)`` with
+``config.cache_mode == "paging"``.
 
 On-media layout (all offsets fixed, so recovery finds everything)::
 

@@ -19,7 +19,6 @@ what makes mixing data writes and namespace ops sound.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, Generator
 
@@ -89,7 +88,11 @@ def recover_log(env: Environment, kernel, nvmm: NvmmDevice,
         # descriptor, new inode under the same path after recreation):
         # fd_for will then lazily reopen.
 
-    tail = log.persistent_tail()
+    # One pass over the ring feeds both the namespace resolution and the
+    # replay.
+    committed, uncommitted = log.scan()
+    report.entries_scanned = len(committed) + uncommitted
+    report.entries_skipped_uncommitted = uncommitted
 
     # Namespace ops are applied to the kernel *write-through* (the app
     # must see them immediately) but retire from the log only when the
@@ -110,17 +113,14 @@ def recover_log(env: Environment, kernel, nvmm: NvmmDevice,
     ns_seqs = []      # committed namespace entries, in log order
     renames = {}      # seq -> (old, new)
     unlinks = {}      # seq -> path
-    for seq in range(tail, tail + log.entries):
-        commit_group, logged_fd = log.read_header(seq)[:2]
-        if commit_group == 0 or not log.is_committed(seq):
-            continue
+    for seq, logged_fd, _offset, size in committed:
         if logged_fd in (OP_CREATE, OP_UNLINK, OP_TRUNCATE, OP_RENAME):
             ns_seqs.append(seq)
             if logged_fd == OP_RENAME:
                 renames[seq] = tuple(
-                    log.read_data(seq).decode("utf-8").split("\x00", 1))
+                    log.read_data(seq, size).decode("utf-8").split("\x00", 1))
             elif logged_fd == OP_UNLINK:
-                unlinks[seq] = log.read_data(seq).decode("utf-8")
+                unlinks[seq] = log.read_data(seq, size).decode("utf-8")
     applied_renames = [(seq, *renames[seq]) for seq in ns_seqs[:-1]
                        if seq in renames]
     if ns_seqs and ns_seqs[-1] in renames:
@@ -164,17 +164,8 @@ def recover_log(env: Environment, kernel, nvmm: NvmmDevice,
                 return None
         return path
 
-    live_entries = []
-    for seq in range(tail, tail + log.entries):
-        commit_group = log.read_header(seq)[0]
-        if commit_group == 0:
-            continue
-        report.entries_scanned += 1
-        if not log.is_committed(seq):
-            report.entries_skipped_uncommitted += 1
-            continue
-        _cg, logged_fd, offset, data = yield from log.timed_read_entry(seq)
-        live_entries.append(seq)
+    for seq, logged_fd, offset, size in committed:
+        data = yield from log.timed_read_range(seq, 0, size)
         if logged_fd == OP_CREATE:
             # Recreate the (empty) file; a no-op if it already exists.
             path = resolve(data.decode("utf-8"), seq)
@@ -238,17 +229,7 @@ def recover_log(env: Environment, kernel, nvmm: NvmmDevice,
         report.applied_by_path[path] = report.applied_by_path.get(path, 0) + 1
 
     yield from kernel.sync()
-
-    # Empty the log: clear the replayed entries durably, park the tail at
-    # zero so the next NVCache instance starts from a pristine ring.
-    for seq in live_entries:
-        addr = log._slot_addr(seq)
-        header = log.read_header(seq)
-        nvmm.store(addr, struct.pack("<QqqQ", 0, *header[1:]))
-        nvmm.pwb(addr)
-    nvmm.store(log.tail_base, struct.pack("<Q", 0))
-    nvmm.pwb(log.tail_base)
-    yield from nvmm.psync()
+    yield from log.reset(seq for seq, *_entry in committed)
 
     for logged_fd, live in open_fds.items():
         yield from kernel.close(live)

@@ -28,17 +28,18 @@ from ..sim import Environment
 from ..units import GIB, US
 
 
-def _dm_timing(nvmm_timing: NvmmTiming) -> BlockTiming:
-    # Service times for cache hits: bio remap + NVMM media cost.
-    return BlockTiming(
-        read_base=3.0 * US,
-        write_base=3.4 * US,
-        seq_read_base=3.0 * US,
-        seq_write_base=3.4 * US,
-        read_bandwidth=nvmm_timing.read_bandwidth,
-        write_bandwidth=nvmm_timing.write_bandwidth,
-        flush_latency=nvmm_timing.flush_base_latency + 1.0 * US,
-    )
+_NVMM = NvmmTiming()
+
+# Service times for cache hits: bio remap + NVMM media cost.
+_DM_TIMING = BlockTiming(
+    read_base=3.0 * US,
+    write_base=3.4 * US,
+    seq_read_base=3.0 * US,
+    seq_write_base=3.4 * US,
+    read_bandwidth=_NVMM.read_bandwidth,
+    write_bandwidth=_NVMM.write_bandwidth,
+    flush_latency=_NVMM.flush_base_latency + 1.0 * US,
+)
 
 
 class DmWriteCache(BlockDevice):
@@ -46,12 +47,11 @@ class DmWriteCache(BlockDevice):
 
     def __init__(self, env: Environment, origin: BlockDevice,
                  cache_size: int = 128 * GIB,
-                 nvmm_timing: NvmmTiming = NvmmTiming(),
                  high_watermark: float = 0.45,
                  low_watermark: float = 0.40,
                  autocommit_blocks: int = 64,
                  name: str = "dm-writecache"):
-        super().__init__(env, origin.size, _dm_timing(nvmm_timing), name=name)
+        super().__init__(env, origin.size, _DM_TIMING, name=name)
         self.origin = origin
         self.cache_capacity_blocks = max(1, cache_size // self.BLOCK)
         self.high_watermark = high_watermark

@@ -9,14 +9,15 @@ Capacity is the NVMM module's size: like NOVA, Ext4-DAX cannot hold a
 working set larger than the installed NVMM (Table I).
 
 Storage is the shared :class:`~repro.fs.base.PageStoreFilesystem`; this
-module is the cost model of the generic ext4 path over DAX.
+module is the cost model of the generic ext4 path over DAX, with NVMM
+media costs from one :class:`~repro.nvmm.NvmmTiming`.
 """
 
 from __future__ import annotations
 
 from ..kernel.costs import CpuCosts, DEFAULT_CPU
 from ..kernel.page_cache import PAGE_SIZE
-from ..nvmm import NvmmDevice
+from ..nvmm import NvmmTiming
 from ..sim import Environment
 from ..units import US
 from .base import PageStoreFilesystem
@@ -33,21 +34,21 @@ class Ext4Dax(PageStoreFilesystem):
     # point being precisely that the generic ext4 path squanders NVMM.
     write_op_overhead = 17.0 * US
     read_op_overhead = 1.5 * US
+    timing = NvmmTiming()
 
-    def __init__(self, env: Environment, nvmm: NvmmDevice,
+    def __init__(self, env: Environment, capacity: int,
                  cpu: CpuCosts = DEFAULT_CPU):
-        super().__init__(env, capacity=nvmm.size)
-        self.nvmm = nvmm
+        super().__init__(env, capacity=capacity)
         self.cpu = cpu
         self._pending_meta = False  # block allocations since the last commit
 
     def _read_cost(self) -> float:
-        return self.read_op_overhead + self.nvmm.timing.load_cost(PAGE_SIZE)
+        return self.read_op_overhead + self.timing.load_cost(PAGE_SIZE)
 
     def _write_cost(self, fresh: bool) -> float:
         if fresh:
             self._pending_meta = True
-        timing = self.nvmm.timing
+        timing = self.timing
         return (self.cpu.dax_mapping + self.write_op_overhead
                 + timing.store_cost(PAGE_SIZE) + timing.flush_cost(PAGE_SIZE))
 
@@ -55,7 +56,7 @@ class Ext4Dax(PageStoreFilesystem):
         """jbd2 commit; the journal lives in NVMM, so the barrier is a
         psync rather than a disk flush. Pure data overwrites take the
         fdatasync fast path (no journal record)."""
-        timing = self.nvmm.timing
+        timing = self.timing
         if self._pending_meta:
             self._pending_meta = False
             return (self.cpu.journal_commit

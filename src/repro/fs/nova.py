@@ -15,7 +15,8 @@ Modeled behaviour (what the paper's comparison depends on):
 Storage, capacity accounting and the page interface are the shared
 :class:`~repro.fs.base.PageStoreFilesystem` (its dict stands in for
 NOVA's radix tree); this module is NOVA's cost model — NVMM media costs
-come from the device's timing — plus its byte-granular write.
+come from one :class:`~repro.nvmm.NvmmTiming`, capacity is the module
+size it is built with — plus its byte-granular write.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Generator
 
 from ..kernel.inode import Inode
 from ..kernel.page_cache import PAGE_SIZE
-from ..nvmm import NvmmDevice
+from ..nvmm import NvmmTiming
 from ..sim import Environment
 from ..units import CACHE_LINE_SIZE, US
 from .base import PageStoreFilesystem
@@ -40,17 +41,17 @@ class Nova(PageStoreFilesystem):
     # synchronous write lands near the paper's ~400 MiB/s (Fig 4).
     write_op_overhead = 2.0 * US
     read_op_overhead = 1.0 * US
+    timing = NvmmTiming()
 
-    def __init__(self, env: Environment, nvmm: NvmmDevice):
-        super().__init__(env, capacity=nvmm.size)
-        self.nvmm = nvmm
+    def __init__(self, env: Environment, capacity: int):
+        super().__init__(env, capacity=capacity)
 
     def _read_cost(self) -> float:
-        return self.read_op_overhead + self.nvmm.timing.load_cost(PAGE_SIZE)
+        return self.read_op_overhead + self.timing.load_cost(PAGE_SIZE)
 
     def _write_cost(self, fresh: bool) -> float:
         # Copy-on-write append + log entry, flushed before return.
-        timing = self.nvmm.timing
+        timing = self.timing
         return (self.write_op_overhead + timing.store_cost(PAGE_SIZE)
                 + timing.flush_cost(PAGE_SIZE))
 
@@ -66,7 +67,7 @@ class Nova(PageStoreFilesystem):
         not a page-sized read-modify-write. This matters for db_bench:
         key-value records are far smaller than a page.
         """
-        timing = self.nvmm.timing
+        timing = self.timing
         yield self.env.delay(
             self.write_op_overhead
             + timing.store_cost(len(data))

@@ -9,7 +9,7 @@ effect depends on size *ratios*, which scaling preserves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Generator, Optional
 
 from ..block import SsdDevice
@@ -178,7 +178,6 @@ class StorageStack:
 
 def build_stack(name: str, scale: Scale = DEFAULT_SCALE,
                 config: Optional[NvcacheConfig] = None,
-                cache_mode: str = "logging",
                 metrics: bool = False,
                 tracing: bool = False,
                 trace_sample_rate: float = 1.0,
@@ -186,11 +185,12 @@ def build_stack(name: str, scale: Scale = DEFAULT_SCALE,
                 trace_capacity: int = 200_000) -> StorageStack:
     """Construct one of the seven evaluated stacks.
 
-    For the nvcache stacks, ``cache_mode`` selects the cache design
-    point (a ``repro.core.CACHE_MODES`` name: logging — the paper's
-    log + DRAM read cache, paging — the NVMM page-table cache). It
-    defaults to the value already in ``config`` when one is supplied; a
-    non-default argument wins.
+    For the nvcache stacks, ``config`` (default: :func:`nvcache_config`
+    of ``scale``) configures the cache, and its ``cache_mode`` selects
+    the design point (a ``repro.core.CACHE_MODES`` name: logging — the
+    paper's log + DRAM read cache, paging — the NVMM page-table cache).
+    The cache's NVMM log is the stack's only NVMM device (``pmem0``);
+    NOVA and Ext4-DAX are cost models sized ``scale.nvmm_module_bytes``.
 
     With ``metrics=True`` a :class:`~repro.obs.MetricsRegistry` is
     attached to the environment before any component is built, so every
@@ -233,18 +233,13 @@ def build_stack(name: str, scale: Scale = DEFAULT_SCALE,
     elif backend == "tmpfs":
         filesystem = Tmpfs(env)
     else:
-        # An NVMM-resident filesystem; under NVCache the log takes pmem0.
-        nvmm = NvmmDevice(env, size=scale.nvmm_module_bytes,
-                          name="pmem1" if cached else "pmem0")
-        devices["nvmm_fs" if cached else "nvmm"] = nvmm
-        filesystem = (Nova if backend == "nova" else Ext4Dax)(env, nvmm)
+        filesystem = (Nova if backend == "nova" else Ext4Dax)(
+            env, scale.nvmm_module_bytes)
     kernel.mount("/", filesystem)
 
     nvcache = None
     if cached:
         cache_config = config or nvcache_config(scale)
-        if cache_mode != "logging":
-            cache_config = replace(cache_config, cache_mode=cache_mode)
         cache_cls, required_size, _recover = cache_mode_row(
             cache_config.cache_mode)
         log_nvmm = devices["log_nvmm"] = NvmmDevice(

@@ -31,10 +31,11 @@ in, and two counters keep ``dirty_line_count()`` and the number of
 *distinct* queued lines (what ``pfence`` returns and ``psync`` charges)
 O(1). Every operation is a constant number of C-level slice / ``count``
 / ``find`` / ``bisect`` calls per range or record, never a step per line
-or per unrelated record. What backs the image and the maps is chosen
-once: up to :data:`FLAT_LIMIT` — every NVCache log in the repo —
-anonymous ``mmap``s; above it :class:`~repro.nvmm.sparse.SparseBytes`,
-so a "480 GB" module pays no zero-fill.
+or per unrelated record. The image and both maps are anonymous ``mmap``s:
+the kernel materializes their zero pages lazily, so a large log pays only
+for the lines it touches. The only NVMM devices are caches' logs; the
+DAX comparators (NOVA, Ext4-DAX) are cost models over an
+:class:`NvmmTiming`, with no device behind them.
 """
 
 from __future__ import annotations
@@ -48,13 +49,6 @@ from typing import Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 from ..sim import Environment
 from ..sim.trace import traced
 from ..units import CACHE_LINE_SIZE, GIB, NS
-from .sparse import SparseBytes
-
-#: Devices at or below this size back their buffers with flat anonymous
-#: mmaps (raw slice assignment on the hot paths, zero pages materialized
-#: lazily by the kernel); larger devices use :class:`SparseBytes` so
-#: huge mostly-untouched modules stay cheap.
-FLAT_LIMIT = 256 << 20
 
 
 def _flat_buffer(size: int) -> mmap.mmap:
@@ -141,19 +135,12 @@ class NvmmDevice:
         self.size = size
         self.timing = timing or NvmmTiming()
         self.name = name
-        # Small devices — every NVCache log — stay flat; huge modules stay
-        # sparse (NOVA, Ext4-DAX use them for timing only).
         lines = -(-size // CACHE_LINE_SIZE)
-        if size <= FLAT_LIMIT:
-            self._image = _flat_buffer(size)
-            if media is not None:
-                self._image[:] = media
-            self._dirty_map = _flat_buffer(lines)
-            self._queued_map = _flat_buffer(lines)
-        else:
-            self._image = SparseBytes(size, initial=media)
-            self._dirty_map = SparseBytes(lines)
-            self._queued_map = SparseBytes(lines)
+        self._image = _flat_buffer(size)
+        if media is not None:
+            self._image[:] = media
+        self._dirty_map = _flat_buffer(lines)
+        self._queued_map = _flat_buffer(lines)
         # Undo records: the persisted bytes of disjoint runs of dirty
         # lines, keyed by each run's first line; together they cover the
         # dirty lines exactly. ``_undo_heads`` is their keys, ascending.
@@ -422,9 +409,10 @@ class NvmmDevice:
 
     @classmethod
     def from_image(cls, env: Environment, image: bytearray,
-                   timing: Optional[NvmmTiming] = None, name: str = "nvmm0") -> "NvmmDevice":
-        """Reconstruct a device after a crash (fresh cache, given media)."""
-        return cls(env, len(image), timing=timing, media=bytearray(image), name=name)
+                   name: str = "nvmm0") -> "NvmmDevice":
+        """Reconstruct a device after a crash (fresh cache, given media,
+        default timing)."""
+        return cls(env, len(image), media=image, name=name)
 
     def persisted_view(self) -> bytes:
         """What the media holds right now if the machine lost power."""

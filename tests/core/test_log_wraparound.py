@@ -43,7 +43,7 @@ def test_crash_after_wrap_recovers_only_live_suffix():
 
     env.run_process(body())
     assert nv.log.persistent_tail() == CFG.log_entries * 3
-    env2, kernel2, report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, report = crash_and_recover(env, kernel, ssd, nvmm)
     assert report.entries_applied == 2
     data = read_file(env2, kernel2, "/wrap", 300)
     assert data[100:108] == b"SUFFIX-1"
@@ -70,7 +70,7 @@ def test_group_straddling_ring_boundary():
     slots = [(nv.log.head - 3 + i) % CFG.log_entries for i in range(3)]
     assert slots[2] < slots[0]  # really wrapped
     assert all(nv.log.is_committed(nv.log.head - 3 + i) for i in range(3))
-    env2, kernel2, report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, report = crash_and_recover(env, kernel, ssd, nvmm)
     assert report.entries_applied == 3
     data = read_file(env2, kernel2, "/ring", 10_000 + len(big))
     assert data[10_000:] == big

@@ -29,7 +29,7 @@ def test_unlink_replayed_after_writes():
         yield from nv.unlink("/journal")
 
     env.run_process(body())
-    env2, kernel2, report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, report = crash_and_recover(env, kernel, ssd, nvmm)
     assert report.namespace_ops_replayed == 1
 
     def check():
@@ -57,7 +57,7 @@ def test_unlink_then_recreate_same_path():
         yield from nv.pwrite(fd, b"NEW", 0)
 
     env.run_process(body())
-    env2, kernel2, _report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, _report = crash_and_recover(env, kernel, ssd, nvmm)
     data = read_file(env2, kernel2, "/j", 64)
     assert data == b"NEW"
     assert b"GARBAGE" not in data
@@ -77,7 +77,7 @@ def test_truncate_replayed_in_order():
 
     env.run_process(body())
     assert nv.log.used() >= 2  # the op entry + the new write
-    env2, kernel2, report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, report = crash_and_recover(env, kernel, ssd, nvmm)
     assert report.namespace_ops_replayed == 1
     assert read_file(env2, kernel2, "/f", 64) == b"AB23"
 
@@ -94,7 +94,7 @@ def test_open_trunc_replayed():
         yield from nv.pwrite(fd, b"new", 0)
 
     env.run_process(body())
-    env2, kernel2, _report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, _report = crash_and_recover(env, kernel, ssd, nvmm)
     assert read_file(env2, kernel2, "/f", 64) == b"new"
 
 
@@ -108,7 +108,7 @@ def test_rename_replayed():
         yield from nv.rename("/manifest.tmp", "/MANIFEST")
 
     env.run_process(body())
-    env2, kernel2, report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, report = crash_and_recover(env, kernel, ssd, nvmm)
     assert report.namespace_ops_replayed == 1
     assert read_file(env2, kernel2, "/MANIFEST", 64) == b"table list v2"
 
@@ -159,7 +159,7 @@ def test_writes_through_an_open_fd_follow_its_rename(mode):
         return (yield from nv.pwrite(fd, b"after", 32))
 
     assert env.run_process(body()) == 5
-    env2, kernel2, _report = crash_and_recover(env, kernel, ssd, nvmm,
+    env2, kernel2, _nvmm2, _report = crash_and_recover(env, kernel, ssd, nvmm,
                                                config=config)
     assert read_file(env2, kernel2, "/b", 128) == (
         b"acked-before-rename" + bytes(13) + b"after" + bytes(27))
@@ -188,7 +188,7 @@ def test_log_rotation_with_the_new_log_open(mode):
         return (yield from nv.pwrite(fd, b"log", 8))
 
     assert env.run_process(body()) == 3
-    env2, kernel2, _report = crash_and_recover(env, kernel, ssd, nvmm,
+    env2, kernel2, _nvmm2, _report = crash_and_recover(env, kernel, ssd, nvmm,
                                                config=config)
     assert read_file(env2, kernel2, "/log", 64) == b"rotated log"
     assert read_file(env2, kernel2, "/log.old", 64) == b"old log"
@@ -207,7 +207,7 @@ def test_deferred_close_keeps_fd_binding_for_recovery():
 
     env.run_process(body())
     assert nv.tables.deferred_close
-    env2, kernel2, report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, report = crash_and_recover(env, kernel, ssd, nvmm)
     assert report.entries_applied == 1
     assert read_file(env2, kernel2, "/pending", 64) == b"survives close+crash"
 
@@ -226,6 +226,6 @@ def test_retired_fd_not_replayed():
 
     env.run_process(body())
     assert nv.log.paths.bound() == {}
-    env2, kernel2, report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, report = crash_and_recover(env, kernel, ssd, nvmm)
     assert report.entries_applied == 0
     assert read_file(env2, kernel2, "/done", 64) == b"already on disk"

@@ -6,11 +6,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import NvcacheConfig, NvmmLog, recover
+from repro.core import COMMIT_FREE, Nvcache, NvcacheConfig, NvmmLog, recover
 from repro.faults import power_cut
 from repro.harness.systems import build_stack
 from repro.kernel import O_CREAT, O_RDONLY, O_WRONLY
-from repro.nvmm import NvmmDevice
 
 CFG = NvcacheConfig(log_entries=128, entry_data_size=512, read_cache_pages=16,
                     batch_min=4, batch_max=32, fd_max=32, path_max=64,
@@ -27,11 +26,12 @@ def fresh_stack(config=CFG, start_cleanup=True):
 
 def crash_and_recover(env, kernel, ssd, nvmm, config=CFG,
                       rng=None, eviction_probability=0.0):
-    """Simulate power loss and reboot; returns (env2, kernel2, report)."""
+    """Simulate power loss and reboot; returns (env2, kernel2, nvmm2,
+    report), ``nvmm2`` being the rebooted device recovery wrote through."""
     image = nvmm.crash_image(rng=rng, eviction_probability=eviction_probability)
     env2, kernel2, nvmm2 = power_cut(kernel, [ssd], nvmm, image)
     report = env2.run_process(recover(env2, kernel2, nvmm2, config))
-    return env2, kernel2, report
+    return env2, kernel2, nvmm2, report
 
 
 def read_file(env, kernel, path, size):
@@ -52,7 +52,7 @@ def test_committed_write_survives_crash():
         yield from nv.pwrite(fd, b"must-survive", 0)
 
     env.run_process(body())
-    env2, kernel2, report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, report = crash_and_recover(env, kernel, ssd, nvmm)
     assert report.entries_applied == 1
     assert report.files_reopened == 1
     assert read_file(env2, kernel2, "/f", 12) == b"must-survive"
@@ -67,7 +67,7 @@ def test_recovery_applies_in_write_order():
         yield from nv.pwrite(fd, b"BB", 1)  # overlapping later write wins
 
     env.run_process(body())
-    env2, kernel2, _report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, _report = crash_and_recover(env, kernel, ssd, nvmm)
     assert read_file(env2, kernel2, "/f", 4) == b"ABBA"
 
 
@@ -82,7 +82,7 @@ def test_uncommitted_entry_ignored_by_recovery():
         yield from nv.log.fill_entry(seq, fd, 100, b"never-committed")
 
     env.run_process(body())
-    env2, kernel2, report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, report = crash_and_recover(env, kernel, ssd, nvmm)
     assert report.entries_applied == 1
     # The uncommitted leader's commit word is 0, indistinguishable from a
     # free slot — recovery steps right over it (fixed-size entries).
@@ -100,7 +100,7 @@ def test_group_write_is_all_or_nothing_committed():
         yield from nv.pwrite(fd, big, 0)
 
     env.run_process(body())
-    env2, kernel2, report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, report = crash_and_recover(env, kernel, ssd, nvmm)
     assert report.entries_applied == 3
     assert read_file(env2, kernel2, "/f", len(big)) == big
 
@@ -119,7 +119,7 @@ def test_group_with_uncommitted_leader_fully_ignored():
         # no commit_leader -> crash
 
     env.run_process(body())
-    env2, kernel2, report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, report = crash_and_recover(env, kernel, ssd, nvmm)
     assert report.entries_applied == 0
     assert read_file(env2, kernel2, "/f", 512) == b""
 
@@ -142,7 +142,7 @@ def test_recovery_after_partial_cleanup():
 
     env.run_process(body())
     assert nvmm and nv.log.used() == 2
-    env2, kernel2, report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, report = crash_and_recover(env, kernel, ssd, nvmm)
     assert report.entries_applied == 2
     data = read_file(env2, kernel2, "/f", 21 * 512)
     assert data[:6] == b"tail-2"
@@ -151,21 +151,42 @@ def test_recovery_after_partial_cleanup():
 
 
 def test_recovered_log_is_empty_and_reusable():
-    env, kernel, ssd, nvmm, nv = fresh_stack(start_cleanup=False)
+    env, kernel, ssd, nvmm, nv = fresh_stack()
 
     def body():
         fd = yield from nv.open("/f", O_CREAT | O_WRONLY)
-        yield from nv.pwrite(fd, b"once", 0)
+        for i in range(6):
+            yield from nv.pwrite(fd, bytes([65 + i]) * 512, i * 512)
+        yield nv.cleanup.request_drain()
+        nv.cleanup.stop()
+        # Left in the ring, behind a persistent tail past zero.
+        yield from nv.pwrite(fd, b"live", 0)
 
     env.run_process(body())
-    env2, kernel2, _report = crash_and_recover(env, kernel, ssd, nvmm)
-    # Second life: a new NVCache on the recovered NVMM must start clean.
-    image = nvmm.crash_image()
-    nvmm3 = NvmmDevice.from_image(env2, image)
-    # recover() wrote through nvmm2; rebuild from nvmm2's state instead.
-    # (We just verify a fresh log parses as empty.)
-    log = NvmmLog(env2, nvmm3, CFG)
-    assert log.persistent_tail() == 0 or log.persistent_tail() > 0  # parses
+    assert nv.log.persistent_tail() > 0 and nv.log.used() == 1
+    env2, kernel2, nvmm2, report = crash_and_recover(env, kernel, ssd, nvmm)
+    assert report.entries_applied == 1
+
+    # The rebooted device holds a pristine log: tail parked at zero, every
+    # commit word free, no fd bound to a path.
+    log = NvmmLog(env2, nvmm2, CFG)
+    assert log.persistent_tail() == 0
+    assert [seq for seq in range(CFG.log_entries)
+            if log.read_header(seq)[0] != COMMIT_FREE] == []
+    assert log.paths.bound() == {}
+
+    # Second life: a fresh NVCache over it writes, crashes and recovers.
+    nv2 = Nvcache(env2, kernel2, nvmm2, CFG, start_cleanup=False)
+
+    def second_life():
+        fd = yield from nv2.open("/f", O_WRONLY)
+        yield from nv2.pwrite(fd, b"again", 512)
+
+    env2.run_process(second_life())
+    env3, kernel3, _nvmm3, report = crash_and_recover(env2, kernel2, ssd, nvmm2)
+    assert report.entries_applied == 1
+    assert read_file(env3, kernel3, "/f", 1024) == \
+        b"live" + b"A" * 508 + b"again" + b"B" * 507
 
 
 def test_multiple_files_recovered():
@@ -179,7 +200,7 @@ def test_multiple_files_recovered():
         yield from nv.pwrite(fd1, b"more-a", 100)
 
     env.run_process(body())
-    env2, kernel2, report = crash_and_recover(env, kernel, ssd, nvmm)
+    env2, kernel2, _nvmm2, report = crash_and_recover(env, kernel, ssd, nvmm)
     assert report.files_reopened == 2
     assert read_file(env2, kernel2, "/a", 6) == b"file-a"
     assert read_file(env2, kernel2, "/dir-less-b", 6) == b"file-b"
@@ -209,7 +230,7 @@ def test_property_prefix_durability(writes, crash_after, seed):
 
     env.run_process(body())
     rng = random.Random(seed)
-    env2, kernel2, _report = crash_and_recover(
+    env2, kernel2, _nvmm2, _report = crash_and_recover(
         env, kernel, ssd, nvmm, rng=rng, eviction_probability=0.3)
 
     expected = bytearray()
@@ -245,7 +266,7 @@ def test_property_durability_with_cleanup_running(count, drain_at, seed):
                 yield nv.cleanup.request_drain()
 
     env.run_process(body())
-    env2, kernel2, _report = crash_and_recover(
+    env2, kernel2, _nvmm2, _report = crash_and_recover(
         env, kernel, ssd, nvmm, rng=rng, eviction_probability=0.5)
 
     expected = bytearray()

@@ -7,7 +7,6 @@ from repro.fs import DmWriteCache, Ext4, Ext4Dax, Nova, Tmpfs
 from repro.harness.systems import SYSTEM_NAMES, Scale, build_stack
 from repro.kernel import Kernel, KernelError, O_CREAT, O_DIRECT, O_RDONLY, O_RDWR, O_SYNC, O_WRONLY
 from repro.kernel.errno import ENOSPC
-from repro.nvmm import NvmmDevice
 from repro.sim import Environment
 from repro.units import MIB
 
@@ -51,11 +50,11 @@ def test_tmpfs_roundtrip(env):
 
 
 def test_nova_roundtrip(env):
-    write_read_roundtrip(env, Nova(env, NvmmDevice(env, size=64 * MIB)))
+    write_read_roundtrip(env, Nova(env, 64 * MIB))
 
 
 def test_ext4dax_roundtrip(env):
-    write_read_roundtrip(env, Ext4Dax(env, NvmmDevice(env, size=64 * MIB)))
+    write_read_roundtrip(env, Ext4Dax(env, 64 * MIB))
 
 
 def test_dm_writecache_roundtrip(env):
@@ -86,8 +85,8 @@ FILESYSTEMS = {
     "ext4": lambda env: Ext4(env, SsdDevice(env, size=256 * MIB)),
     "dm-writecache": lambda env: Ext4(env, DmWriteCache(
         env, SsdDevice(env, size=256 * MIB), cache_size=16 * MIB)),
-    "ext4-dax": lambda env: Ext4Dax(env, NvmmDevice(env, size=64 * MIB)),
-    "nova": lambda env: Nova(env, NvmmDevice(env, size=64 * MIB)),
+    "ext4-dax": lambda env: Ext4Dax(env, 64 * MIB),
+    "nova": lambda env: Nova(env, 64 * MIB),
     "tmpfs": Tmpfs,
 }
 
@@ -108,7 +107,7 @@ def test_shrink_then_extend_on_every_stack(system):
 
 
 def test_page_store_truncate_frees_pages_and_keeps_the_head(env):
-    fs = Nova(env, NvmmDevice(env, size=1 * MIB))
+    fs = Nova(env, 1 * MIB)
     kernel = make_kernel(env, fs)
 
     def body():
@@ -250,7 +249,7 @@ def test_tmpfs_is_fastest(env):
 
 def test_nova_capacity_limit(env):
     """Table I: NOVA cannot store more than the NVMM size."""
-    fs = Nova(env, NvmmDevice(env, size=1 * MIB))
+    fs = Nova(env, 1 * MIB)
     kernel = make_kernel(env, fs)
 
     def body():
@@ -264,7 +263,7 @@ def test_nova_capacity_limit(env):
 
 
 def test_nova_overwrite_does_not_leak_capacity(env):
-    fs = Nova(env, NvmmDevice(env, size=1 * MIB))
+    fs = Nova(env, 1 * MIB)
     kernel = make_kernel(env, fs)
 
     def body():
@@ -278,7 +277,7 @@ def test_nova_overwrite_does_not_leak_capacity(env):
 
 def test_nova_write_durable_without_fsync(env):
     """NOVA (cow_data) provides synchronous durability by default."""
-    fs = Nova(env, NvmmDevice(env, size=16 * MIB))
+    fs = Nova(env, 16 * MIB)
     kernel = make_kernel(env, fs)
 
     def body():
@@ -297,7 +296,7 @@ def test_nova_write_durable_without_fsync(env):
 
 
 def test_ext4dax_capacity_limit(env):
-    fs = Ext4Dax(env, NvmmDevice(env, size=1 * MIB))
+    fs = Ext4Dax(env, 1 * MIB)
     kernel = make_kernel(env, fs)
 
     def body():
@@ -328,8 +327,8 @@ def test_nova_faster_than_ext4dax_for_sync_writes():
 
         return env.run_process(body())
 
-    nova_rate = timed(lambda e: Nova(e, NvmmDevice(e, size=64 * MIB)))
-    dax_rate = timed(lambda e: Ext4Dax(e, NvmmDevice(e, size=64 * MIB)))
+    nova_rate = timed(lambda e: Nova(e, 64 * MIB))
+    dax_rate = timed(lambda e: Ext4Dax(e, 64 * MIB))
     assert nova_rate > 1.8 * dax_rate
 
 

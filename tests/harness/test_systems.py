@@ -11,6 +11,7 @@ from repro.harness import (
     nvcache_config,
 )
 from repro.kernel import O_CREAT, O_RDWR
+from repro.nvmm import NvmmDevice
 from repro.units import GIB, MIB
 
 SMALL = Scale(4096)
@@ -30,6 +31,22 @@ def test_every_stack_does_io(name):
         return data
 
     assert stack.env.run_process(body()) == b"probe-data"
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_the_only_nvmm_device_is_the_cache_log(name):
+    """The paper puts one thing in NVMM, the cache's log: NOVA and
+    Ext4-DAX are cost models over an ``NvmmTiming`` and build no device."""
+    stack = build_stack(name, SMALL)
+    reachable = list(stack.devices.values())
+    for _mountpoint, filesystem in stack.kernel.vfs.mounts():
+        reachable.extend(vars(filesystem).values())
+    nvmm = [item for item in reachable if isinstance(item, NvmmDevice)]
+    if stack.nvcache is None:
+        assert nvmm == []
+    else:
+        assert len(nvmm) == 1 and nvmm[0] is stack.nvcache.nvmm
+        assert nvmm[0].name == "pmem0"
 
 
 def test_unknown_stack_rejected():

@@ -12,16 +12,19 @@ deterministically.
 """
 
 import gc
+import mmap
 import sys
 
 import pytest
 
-from repro.nvmm import NvmmDevice, device as device_module
-from repro.nvmm.sparse import CHUNK_SIZE, SparseBytes
+from repro.nvmm import NvmmDevice
 from repro.sim import Environment
-from repro.units import CACHE_LINE_SIZE
+from repro.units import CACHE_LINE_SIZE, MIB
 
-SIZE = 4 * CHUNK_SIZE
+#: Base of the range under test; unrelated dirty runs sit below it and
+#: from twice it up.
+STRIDE = 1 * MIB
+SIZE = 4 * STRIDE
 
 
 def _steps(fn, calls=None) -> int:
@@ -61,18 +64,15 @@ def _steps(fn, calls=None) -> int:
     return count
 
 
-@pytest.fixture(params=["flat", "sparse"])
-def make_device(request, monkeypatch):
+@pytest.fixture(params=["flat"])
+def make_device():
     def make() -> NvmmDevice:
         device = NvmmDevice(Environment(), size=SIZE)
-        assert isinstance(device._image, SparseBytes) == \
-            (request.param == "sparse")
+        assert isinstance(device._image, mmap.mmap)
         # An unrelated dirty line, so the device is never all clean.
         device.store(0, b"x")
         return device
 
-    if request.param == "sparse":
-        monkeypatch.setattr(device_module, "FLAT_LIMIT", 0)
     return make
 
 
@@ -94,13 +94,12 @@ def _write_cycle_steps(device: NvmmDevice, addr: int, lines: int) -> int:
     return steps
 
 
-# A chunk-aligned range keeps the 16,384-line (1 MiB) case inside one
-# sparse chunk, like every log entry; the unaligned one adds two
-# partially-covered edge lines.
+# The aligned 16,384-line (1 MiB) range fills the whole stride; the
+# unaligned one adds two partially-covered edge lines.
 @pytest.mark.parametrize("offset", [0, 8])
 def test_write_cycle_cost_is_independent_of_range_length(make_device, offset):
-    short = _write_cycle_steps(make_device(), CHUNK_SIZE + offset, 2)
-    long = _write_cycle_steps(make_device(), CHUNK_SIZE + offset,
+    short = _write_cycle_steps(make_device(), STRIDE + offset, 2)
+    long = _write_cycle_steps(make_device(), STRIDE + offset,
                               16_384 - (1 if offset else 0))
     assert short == long
 
@@ -110,12 +109,12 @@ def test_partially_dirty_range_costs_per_run_not_per_line(make_device):
         device = make_device()
         stride = 2 * lines_per_run * CACHE_LINE_SIZE
         for run in range(3):  # three dirty runs with clean gaps between
-            device.store(CHUNK_SIZE + run * stride,
+            device.store(STRIDE + run * stride,
                          b"\xcd" * (lines_per_run * CACHE_LINE_SIZE))
 
         def cycle():
-            device.load(CHUNK_SIZE, 3 * stride)
-            device.pwb_range(CHUNK_SIZE, 3 * stride)
+            device.load(STRIDE, 3 * stride)
+            device.pwb_range(STRIDE, 3 * stride)
             assert device.pfence() == 6 * lines_per_run
 
         count = _steps(cycle)
@@ -127,7 +126,7 @@ def test_partially_dirty_range_costs_per_run_not_per_line(make_device):
 
 def test_dirty_line_count_is_constant_time(make_device):
     few, many = make_device(), make_device()
-    many.store(CHUNK_SIZE, b"\xef" * (9_999 * CACHE_LINE_SIZE))
+    many.store(STRIDE, b"\xef" * (9_999 * CACHE_LINE_SIZE))
     assert (few.dirty_line_count(), many.dirty_line_count()) == (1, 10_000)
     assert _steps(few.dirty_line_count) == _steps(many.dirty_line_count)
 
@@ -140,13 +139,13 @@ def test_pfence_cost_is_independent_of_unrelated_dirty_runs(make_device,
         # One-line dirty runs with clean gaps, half below and half above
         # the range under test: ``runs`` undo records it must not visit.
         for run in range(runs):
-            base = CACHE_LINE_SIZE if run % 2 else 2 * CHUNK_SIZE
+            base = CACHE_LINE_SIZE if run % 2 else 2 * STRIDE
             device.store(base + run * 2 * CACHE_LINE_SIZE, b"\x01")
-        device.store(CHUNK_SIZE, b"\xcd" * (4 * CACHE_LINE_SIZE))
+        device.store(STRIDE, b"\xcd" * (4 * CACHE_LINE_SIZE))
         if fenced == "whole_record":
-            fence = (CHUNK_SIZE, 4 * CACHE_LINE_SIZE)
+            fence = (STRIDE, 4 * CACHE_LINE_SIZE)
         else:
-            fence = (CHUNK_SIZE + CACHE_LINE_SIZE, CACHE_LINE_SIZE)
+            fence = (STRIDE + CACHE_LINE_SIZE, CACHE_LINE_SIZE)
 
         def cycle():
             device.pwb_range(*fence)

@@ -9,11 +9,11 @@ demands *byte-identical* behaviour: every load, every fence's drained
 count (distinct lines, however the ``pwb``s overlapped), every crash
 image (randomized eviction consumes the rng in ascending line-address
 order; ``keep_lines`` is intersected with the dirty lines), the dirty
-line enumeration, and every NvmmStats counter — for every backing the
-constructor can choose.
+line enumeration, and every NvmmStats counter.
 """
 
 import itertools
+import mmap
 import random
 from dataclasses import asdict
 
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nvmm import NvmmDevice, device as device_module, sparse
+from repro.nvmm import NvmmDevice
 from repro.nvmm.device import NvmmStats
 from repro.sim import Environment
 from repro.units import CACHE_LINE_SIZE
@@ -122,21 +122,13 @@ operations = st.lists(
     max_size=60,
 )
 
-def _build(sparse_backed: bool, image: bytes) -> NvmmDevice:
-    with pytest.MonkeyPatch.context() as patch:
-        if sparse_backed:
-            patch.setattr(device_module, "FLAT_LIMIT", SIZE - 1)
-        device = NvmmDevice.from_image(Environment(), image)
-    assert isinstance(device._image, sparse.SparseBytes) == sparse_backed
-    return device
-
-
-def _apply(ops, data_seed, sparse_backed):
+def _apply(ops, data_seed):
     payload_rng = random.Random(data_seed)
     # A recovered device over non-zero media: undo records must hold the
     # persisted bytes, not zeros.
     image = payload_rng.randbytes(SIZE)
-    device = _build(sparse_backed, image)
+    device = NvmmDevice.from_image(Environment(), image)
+    assert isinstance(device._image, mmap.mmap)
     reference = PerLineReference(SIZE)
     reference.media[:] = image
 
@@ -164,8 +156,8 @@ def _apply(ops, data_seed, sparse_backed):
     return device, reference
 
 
-def _check_equivalence(sparse_backed, ops, data_seed, crash_seed, keep):
-    device, reference = _apply(ops, data_seed, sparse_backed)
+def _check_equivalence(ops, data_seed, crash_seed, keep):
+    device, reference = _apply(ops, data_seed)
 
     assert asdict(device.stats) == asdict(reference.stats)
     assert device._undrained_lines == reference.undrained
@@ -205,28 +197,14 @@ examples = dict(
 @settings(max_examples=60, deadline=None)
 @given(**examples)
 def test_flat_overlay_matches_per_line_model(ops, data_seed, crash_seed, keep):
-    _check_equivalence(False, ops, data_seed, crash_seed, keep)
-
-
-# The stock 1 MiB chunk holds the whole device; 32-byte chunks make
-# every line, most stores and both line-state maps straddle chunks.
-@pytest.mark.parametrize("chunk_shift", [sparse.CHUNK_SHIFT, 5])
-@settings(max_examples=60, deadline=None)
-@given(**examples)
-def test_sparse_backing_matches_per_line_model(chunk_shift, ops, data_seed,
-                                               crash_seed, keep):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sparse, "CHUNK_SHIFT", chunk_shift)
-        patch.setattr(sparse, "CHUNK_SIZE", 1 << chunk_shift)
-        patch.setattr(sparse, "_CHUNK_MASK", (1 << chunk_shift) - 1)
-        _check_equivalence(True, ops, data_seed, crash_seed, keep)
+    _check_equivalence(ops, data_seed, crash_seed, keep)
 
 
 # -- targeted undo-record shapes ---------------------------------------------
 
 L = CACHE_LINE_SIZE
-backings = pytest.mark.parametrize("sparse_backed", [False, True],
-                                   ids=["flat", "sparse"])
+#: The device's one backing (anonymous ``mmap``s), named in the test ids.
+flat = pytest.mark.parametrize("backing", ["flat"])
 
 #: name -> (ops, undo records left): shapes the random sequences reach
 #: only by luck.
@@ -252,20 +230,20 @@ TARGETED = {
 }
 
 
-@backings
+@flat
 @pytest.mark.parametrize("name", sorted(TARGETED))
-def test_targeted_undo_shapes_match_per_line_model(sparse_backed, name):
+def test_targeted_undo_shapes_match_per_line_model(backing, name):
     ops, records = TARGETED[name]
-    device, _reference = _apply(ops, 7, sparse_backed)
+    device, _reference = _apply(ops, 7)
     assert len(device._undo) == records
-    _check_equivalence(sparse_backed, ops, 7, 11, [3, 5, 8, 21])
+    _check_equivalence(ops, 7, 11, [3, 5, 8, 21])
 
 
-@backings
-def test_every_subset_of_a_split_record_crashes_like_the_model(sparse_backed):
+@flat
+def test_every_subset_of_a_split_record_crashes_like_the_model(backing):
     # Lines 1-6 are one record until fencing line 3 splits it in two.
     ops = [("store", L + 9, 6 * L - 9), ("pwb", 3 * L, 0), ("pfence", 0, 0)]
-    device, reference = _apply(ops, 3, sparse_backed)
+    device, reference = _apply(ops, 3)
     assert sorted(device._undo) == [1, 4]
     dirty = device.dirty_lines()
     assert dirty == (1, 2, 4, 5, 6)

@@ -13,13 +13,13 @@ too: no layer under the cache picks a code path by what is attached.
 
 import functools
 import hashlib
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro.core import CACHE_MODES
 from repro.faults.recorder import CrashPointRecorder
-from repro.harness import SYSTEM_NAMES, Scale, build_stack
+from repro.harness import SYSTEM_NAMES, Scale, build_stack, nvcache_config
 from repro.workloads import FioJob, run_fio
 
 SCALE = Scale(4096)
@@ -39,7 +39,8 @@ OBSERVERS = {
 @functools.lru_cache(maxsize=None)
 def run(mode, observer=None, recorded=False):
     """(simulated results, crash-point stream or None) of one run."""
-    stack = build_stack("nvcache+ssd", SCALE, cache_mode=mode,
+    stack = build_stack("nvcache+ssd", SCALE,
+                        config=replace(nvcache_config(SCALE), cache_mode=mode),
                         **OBSERVERS.get(observer, {}))
     nvmm, ssd = stack.devices["log_nvmm"], stack.devices["ssd"]
     recorder = None

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import os
 import pathlib
 import re
@@ -38,15 +39,18 @@ from repro.block import SsdDevice  # noqa: E402
 from repro.cli import print_json  # noqa: E402
 from repro.faults import BlockFaultInjector  # noqa: E402
 from repro.fuzz import FuzzEngine  # noqa: E402
-from repro.harness.systems import Scale, build_stack  # noqa: E402
+from repro.harness.systems import Scale, build_stack, nvcache_config  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
 from repro.parallel import register_engine_metrics  # noqa: E402
 from repro.sim import Environment, SEGMENT_NAMES, SPAN_NAMES  # noqa: E402
 
 
+SCALE = Scale(4096)
+
+
 def _stack(system="nvcache+ssd", **options):
     """Registry of an instrumented evaluated stack."""
-    return lambda: build_stack(system, Scale(4096), metrics=True,
+    return lambda: build_stack(system, SCALE, metrics=True,
                                **options).metrics
 
 
@@ -85,7 +89,8 @@ NAMESPACES = (
      _fresh(register_engine_metrics)),
     (("fuzz",), "FUZZING.md",
      _fresh(lambda registry: FuzzEngine(registry=registry))),
-    (("core.paging",), "POLICIES.md", _stack(cache_mode="paging")),
+    (("core.paging",), "POLICIES.md", _stack(config=dataclasses.replace(
+        nvcache_config(SCALE), cache_mode="paging"))),
 )
 
 #: Scanned docs, in table order; their union is the documented set.
