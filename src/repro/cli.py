@@ -1,7 +1,7 @@
 """The pieces ``tools/*.py`` shared as verbatim copies, kept once.
 
 Only what was duplicated word for word lives here: the ``--jobs``
-parser, ``print_json``/``dump_metrics``, the ``by_invariant`` tally,
+parser, the range-checked argparse types, ``print_json``/``dump_metrics``,
 the fio flag block and stack prologue of the two dashboard tools, and
 the exit-2 boundary. Each tool keeps its own flags, report code and
 ``main(argv) -> int``; the ``tools/`` scripts stay the only entry points.
@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from collections import Counter
-from typing import Dict
 
 
 def jobs_count(text) -> int:
@@ -26,6 +25,23 @@ def jobs_count(text) -> int:
         raise argparse.ArgumentTypeError(
             f"{jobs} is negative (use 0 for all cores)")
     return jobs or os.cpu_count() or 1
+
+
+def bounded(kind, least=None, above=None):
+    """An argparse ``type``: parse with ``kind`` and refuse an infinite
+    value, one below ``least`` or one not above ``above`` (argparse
+    exits 2 naming the flag)."""
+    def parse(text):
+        value = kind(text)
+        if abs(value) == math.inf:
+            raise argparse.ArgumentTypeError(f"{value} is not finite")
+        if least is not None and value < least:
+            raise argparse.ArgumentTypeError(f"{value} is below {least}")
+        if above is not None and not value > above:
+            raise argparse.ArgumentTypeError(
+                f"{value} is not above {above}")
+        return value
+    return parse
 
 
 def add_jobs_argument(parser, default: int, help: str) -> None:
@@ -43,11 +59,6 @@ def dump_metrics(registry, prefix: str) -> None:
     """``prefix.*`` metrics to stderr, one ``name = value`` per line."""
     for metric in registry.collect(prefix):
         print(f"{metric.name} = {metric.value():g}", file=sys.stderr)
-
-
-def by_invariant(violations) -> Dict[str, int]:
-    """Violation count per invariant name."""
-    return dict(Counter(violation.invariant for violation in violations))
 
 
 def exit_boundary(*harness_errors):
@@ -78,11 +89,12 @@ def add_fio_arguments(parser, size_mib: float) -> None:
     parser.add_argument("--rw", default="randwrite",
                         choices=["write", "randwrite", "read", "randread",
                                  "randrw"])
-    parser.add_argument("--size-mib", type=float, default=size_mib,
+    parser.add_argument("--size-mib", type=bounded(float, above=0),
+                        default=size_mib,
                         help="bytes transferred by the job (MiB)")
-    parser.add_argument("--fsync", type=int, default=1,
+    parser.add_argument("--fsync", type=bounded(int, least=0), default=1,
                         help="fsync every N writes (0 = never)")
-    parser.add_argument("--scale", type=int, default=4096,
+    parser.add_argument("--scale", type=bounded(int, least=1), default=4096,
                         help="Scale.factor dividing the paper's sizes")
 
 

@@ -32,6 +32,7 @@ deterministic, which is a harness bug worth failing loudly on.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -108,6 +109,10 @@ class ExplorationResult:
     def ok(self) -> bool:
         return not self.violations
 
+    def by_invariant(self) -> Dict[str, int]:
+        """Violation count per invariant name."""
+        return dict(Counter(v.invariant for v in self.violations))
+
     def site_histogram(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for point in self.points:
@@ -123,12 +128,8 @@ class ExplorationResult:
         for site, count in sorted(self.site_histogram().items()):
             lines.append(f"  {site:28s} {count}")
         if self.violations:
-            by_invariant: Dict[str, int] = {}
-            for violation in self.violations:
-                by_invariant[violation.invariant] = \
-                    by_invariant.get(violation.invariant, 0) + 1
             lines.append("violations by invariant:")
-            for name, count in sorted(by_invariant.items()):
+            for name, count in sorted(self.by_invariant().items()):
                 lines.append(f"  {name:28s} {count}")
         return "\n".join(lines)
 

@@ -30,9 +30,6 @@ from typing import Dict, Generator, Optional, Set, Tuple
 from ..kernel.fd_table import O_ACCMODE, O_APPEND, O_CREAT, O_RDONLY, O_TRUNC
 from ..libc import NvcacheLibc
 
-#: ops that change the namespace rather than file bytes
-_NAMESPACE_KINDS = frozenset({"open", "unlink", "rename", "ftruncate"})
-
 
 @dataclass
 class OracleOp:
@@ -56,6 +53,15 @@ class OracleOp:
         if self.kind == "ftruncate":
             return f"ftruncate {self.path} to {self.size}"
         return f"{self.kind} {self.path}"
+
+
+def _namespace_paths(op: OracleOp) -> Tuple[str, ...]:
+    """The paths a namespace op (unlink, rename, ftruncate or an
+    ``O_TRUNC`` open) touches; none for an op on file bytes."""
+    if op.kind in ("unlink", "rename", "ftruncate") \
+            or (op.kind == "open" and op.flags & O_TRUNC):
+        return tuple(path for path in (op.path, op.path2) if path)
+    return ()
 
 
 class FileModelOracle:
@@ -98,16 +104,8 @@ class FileModelOracle:
     # -- model application -------------------------------------------------
 
     def _note(self, op: OracleOp) -> None:
-        if op.path:
-            self.ever.add(op.path)
-        if op.path2:
-            self.ever.add(op.path2)
-        if op.kind in ("unlink", "rename", "ftruncate"):
-            self.ns_paths.add(op.path)
-            if op.path2:
-                self.ns_paths.add(op.path2)
-        elif op.kind == "open" and op.flags & O_TRUNC:
-            self.ns_paths.add(op.path)
+        self.ever.update(path for path in (op.path, op.path2) if path)
+        self.ns_paths.update(_namespace_paths(op))
 
     @staticmethod
     def _writable(flags: int) -> bool:
@@ -148,13 +146,8 @@ class FileModelOracle:
         """Paths touched by namespace ops, including the in-flight one
         (``_note`` only runs at ack time)."""
         paths = set(self.ns_paths)
-        op = self.inflight
-        if op is not None and (op.kind in ("unlink", "rename", "ftruncate")
-                               or (op.kind == "open" and op.flags & O_TRUNC)):
-            if op.path:
-                paths.add(op.path)
-            if op.path2:
-                paths.add(op.path2)
+        if self.inflight is not None:
+            paths.update(_namespace_paths(self.inflight))
         return paths
 
     def paths_of_interest(self) -> Set[str]:
@@ -193,85 +186,58 @@ class TrackedNvcacheLibc(NvcacheLibc):
         self.oracle = oracle
         self._paths: Dict[int, str] = {}
 
-    def open(self, path, flags=0, mode=0o644) -> Generator:
-        self.oracle.begin(OracleOp("open", path=path, flags=flags))
+    def _narrate(self, op: OracleOp, call: Generator) -> Generator:
+        """Run ``call`` as the oracle's in-flight ``op``: begun at entry,
+        acknowledged at return, aborted if the call raises."""
+        self.oracle.begin(op)
         try:
-            fd = yield from self.nvcache.open(path, flags, mode)
+            result = yield from call
         except BaseException:
             self.oracle.abort()
             raise
-        self._paths[fd] = path
-        self.oracle.ack()
-        return fd
-
-    def close(self, fd) -> Generator:
-        self.oracle.begin(OracleOp("close", path=self._paths.get(fd, "")))
-        try:
-            result = yield from self.nvcache.close(fd)
-        except BaseException:
-            self.oracle.abort()
-            raise
-        self._paths.pop(fd, None)
         self.oracle.ack()
         return result
 
-    def _entries_for(self, data: bytes) -> int:
+    def open(self, path, flags=0, mode=0o644) -> Generator:
+        fd = yield from self._narrate(OracleOp("open", path=path, flags=flags),
+                                      self.nvcache.open(path, flags, mode))
+        self._paths[fd] = path
+        return fd
+
+    def close(self, fd) -> Generator:
+        result = yield from self._narrate(
+            OracleOp("close", path=self._paths.get(fd, "")),
+            self.nvcache.close(fd))
+        self._paths.pop(fd, None)
+        return result
+
+    def _write_op(self, fd, data, offset) -> OracleOp:
         chunk = self.oracle.entry_data_size
-        return max(1, (len(data) + chunk - 1) // chunk)
+        return OracleOp("pwrite", path=self._paths.get(fd, ""),
+                        offset=offset, data=bytes(data),
+                        entries=max(1, (len(data) + chunk - 1) // chunk))
 
     def pwrite(self, fd, data, offset) -> Generator:
-        self.oracle.begin(OracleOp(
-            "pwrite", path=self._paths.get(fd, ""), offset=offset,
-            data=bytes(data), entries=self._entries_for(data)))
-        try:
-            written = yield from self.nvcache.pwrite(fd, data, offset)
-        except BaseException:
-            self.oracle.abort()
-            raise
-        self.oracle.ack()
-        return written
+        return (yield from self._narrate(
+            self._write_op(fd, data, offset),
+            self.nvcache.pwrite(fd, data, offset)))
 
     def write(self, fd, data) -> Generator:
         handle = self.nvcache._handle(fd)
         offset = handle.file.size if handle.flags & O_APPEND else handle.cursor
-        self.oracle.begin(OracleOp(
-            "pwrite", path=self._paths.get(fd, ""), offset=offset,
-            data=bytes(data), entries=self._entries_for(data)))
-        try:
-            written = yield from self.nvcache.write(fd, data)
-        except BaseException:
-            self.oracle.abort()
-            raise
-        self.oracle.ack()
-        return written
+        return (yield from self._narrate(self._write_op(fd, data, offset),
+                                         self.nvcache.write(fd, data)))
 
     def unlink(self, path) -> Generator:
-        self.oracle.begin(OracleOp("unlink", path=path))
-        try:
-            result = yield from self.nvcache.unlink(path)
-        except BaseException:
-            self.oracle.abort()
-            raise
-        self.oracle.ack()
-        return result
+        return (yield from self._narrate(OracleOp("unlink", path=path),
+                                         self.nvcache.unlink(path)))
 
     def rename(self, old, new) -> Generator:
-        self.oracle.begin(OracleOp("rename", path=old, path2=new))
-        try:
-            result = yield from self.nvcache.rename(old, new)
-        except BaseException:
-            self.oracle.abort()
-            raise
-        self.oracle.ack()
-        return result
+        return (yield from self._narrate(
+            OracleOp("rename", path=old, path2=new),
+            self.nvcache.rename(old, new)))
 
     def ftruncate(self, fd, size) -> Generator:
-        self.oracle.begin(OracleOp(
-            "ftruncate", path=self._paths.get(fd, ""), size=size))
-        try:
-            result = yield from self.nvcache.ftruncate(fd, size)
-        except BaseException:
-            self.oracle.abort()
-            raise
-        self.oracle.ack()
-        return result
+        return (yield from self._narrate(
+            OracleOp("ftruncate", path=self._paths.get(fd, ""), size=size),
+            self.nvcache.ftruncate(fd, size)))

@@ -16,7 +16,7 @@ Entry points: ``tools/fuzz.py`` (run / triage / compare) and
 from .corpus import Corpus, corpus_digest
 from .coverage import CoverageCollector
 from .engine import (CampaignResult, CampaignStats, FuzzConfig, FuzzEngine,
-                     register_campaign_metrics)
+                     FuzzShardError, register_campaign_metrics)
 from .executor import collector, crash_indices, run_case_task
 from .report import (compare_campaigns, render_compare_text, render_html,
                      render_text, repro_command)
@@ -31,6 +31,7 @@ __all__ = [
     "FuzzCase",
     "FuzzConfig",
     "FuzzEngine",
+    "FuzzShardError",
     "build_fuzz_run",
     "collector",
     "compare_campaigns",

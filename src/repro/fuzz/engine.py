@@ -6,9 +6,11 @@ Generation/batch discipline — the determinism contract:
    the corpus-so-far, **before executing any of them**. The candidate
    stream is a pure function of (seed, ingested history), never of
    worker timing.
-2. Evaluate the batch — in-process at ``jobs <= 1``, or fanned out over
-   :func:`repro.parallel.fuzz.evaluate_batch` (one task per case,
-   merged back in batch order).
+2. Evaluate the batch — one :meth:`~repro.parallel.ShardEngine.map`
+   call per batch, one worker call per case, merged back in batch order
+   (in-process at ``jobs=1``). A batch with a case that did not finish
+   raises :class:`FuzzShardError`: a campaign with holes in its case
+   stream proves nothing and would fork the corpus state.
 3. Ingest outcomes in batch order: grow coverage, admit novel-coverage
    cases to the corpus, dedupe + minimize findings.
 
@@ -38,7 +40,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..parallel.fuzz import evaluate_batch
+from ..parallel.engine import ShardEngine, raise_unfinished
 from ..workloads import FUZZ_SEED_MIXES
 from .corpus import corpus_digest
 from .executor import reproduces, run_case_task
@@ -47,6 +49,10 @@ from .schedule import MIN_OPS, FuzzCase, fresh_case, mutate, seed_cases
 #: Fraction of candidates generated from scratch rather than mutated
 #: from a parent (keeps the search from collapsing onto one lineage).
 FRESH_RATE = 0.15
+
+
+class FuzzShardError(RuntimeError):
+    """One or more cases of a batch did not complete."""
 
 
 @dataclass(frozen=True)
@@ -148,9 +154,9 @@ class FuzzEngine:
     """One campaign: seed, search, dedupe, minimize."""
 
     def __init__(self, config: FuzzConfig = FuzzConfig(),
-                 engine=None, registry=None):
+                 engine: ShardEngine = ShardEngine(jobs=1), registry=None):
         self.config = config
-        self.engine = engine  # repro.parallel ShardEngine, or None
+        self.engine = engine
         self.rng = random.Random(f"fuzz:{config.seed}")
         self.stats = CampaignStats()
         self.coverage: Set[str] = set()
@@ -311,10 +317,12 @@ class FuzzEngine:
             while len(queue) < size:
                 queue.append(self._candidate())
             batch, queue = queue[:size], queue[size:]
-            outcomes = evaluate_batch(
-                [case.to_fields() for case, _ in batch], self.engine)
+            outcomes = self.engine.map(
+                "repro.fuzz.executor:run_case_task",
+                [(case.to_fields(),) for case, _ in batch])
+            raise_unfinished(outcomes, "fuzz case", FuzzShardError)
             for (case, origin), outcome in zip(batch, outcomes):
-                self._ingest(case, origin, outcome)
+                self._ingest(case, origin, outcome.value)
         return CampaignResult(
             config=config, stats=self.stats, coverage=self.coverage,
             corpus=self.corpus, findings=self.findings,

@@ -1,14 +1,14 @@
 """Case execution: one FuzzCase in, one picklable outcome dict out.
 
-``run_case_task`` is the worker entry point (referenced by name from
-``repro.parallel.fuzz``, mirroring ``repro.parallel.crash.run_shard``):
-it rebuilds the case, enumerates its crash-point stream once, maps the
-case's crash fractions onto concrete point indices, runs each armed
-crash + double recovery under the coverage collector, and returns
-edges + invariant violations as primitives. Worker processes keep one
-:class:`~repro.faults.explorer.CrashExplorer` per *stack digest*
-(schedule + fault plan), so the many cases that only move the crash
-point or reshuffle survivors pay the enumeration pass once.
+``run_case_task`` is the worker entry point (mapped by name over each
+batch by :class:`~repro.fuzz.FuzzEngine`, mirroring
+``repro.parallel.crash.run_shard``): it rebuilds the case, enumerates
+its crash-point stream once, maps the case's crash fractions onto
+concrete point indices, runs each armed crash + double recovery under
+the coverage collector, and returns edges + invariant violations as
+primitives. Each process keeps the explorer of its 32 most recent
+*(schedule, fault plan)* pairs, so the many cases that only move the
+crash point or reshuffle survivors pay the enumeration pass once.
 
 The traced scope (``repro.core`` + ``repro.fs``) is imported eagerly
 below: first-touch module imports must never happen inside a capture
@@ -19,8 +19,8 @@ stop merging byte-identically.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List
+import functools
+from typing import Dict, List, Tuple
 
 # Eager-import the whole coverage scope (see module docstring).
 from ..core import (cleanup, config, files, log, nvcache,  # noqa: F401
@@ -31,13 +31,6 @@ from ..faults.explorer import CrashExplorer, ExplorationError
 from ..sim.core import SimulationError
 from .coverage import CoverageCollector
 from .schedule import FuzzCase, build_fuzz_run
-
-#: Per-process explorer cache, keyed by stack digest. Bounded: fuzz
-#: campaigns see an unbounded stream of distinct schedules (unlike
-#: crash sweeps' handful of specs), and each explorer pins a full
-#: enumeration run.
-_EXPLORERS: "OrderedDict[str, CrashExplorer]" = OrderedDict()
-_EXPLORER_CACHE_CAP = 32
 
 _COLLECTOR: CoverageCollector = None
 
@@ -50,19 +43,15 @@ def collector() -> CoverageCollector:
     return _COLLECTOR
 
 
-def _explorer_for(case: FuzzCase) -> CrashExplorer:
-    key = case.stack_digest()
-    explorer = _EXPLORERS.get(key)
-    if explorer is not None:
-        _EXPLORERS.move_to_end(key)
-        return explorer
-
-    explorer = CrashExplorer(build_fuzz_run(case),
-                             drop_subsets=0, include_end_of_run=False)
-    _EXPLORERS[key] = explorer
-    while len(_EXPLORERS) > _EXPLORER_CACHE_CAP:
-        _EXPLORERS.popitem(last=False)
-    return explorer
+@functools.lru_cache(maxsize=32)
+def _explorer_for(schedule: Tuple[Tuple, ...],
+                  fault_plan: Tuple[Tuple, ...]) -> CrashExplorer:
+    """The explorer of one simulated run. Crash selection and survivor
+    seed do not change the run, so they are not part of the key; a
+    campaign's stream of schedules is unbounded, hence the cap."""
+    return CrashExplorer(
+        build_fuzz_run(FuzzCase(schedule, fault_plan=fault_plan)),
+        drop_subsets=0, include_end_of_run=False)
 
 
 def crash_indices(case: FuzzCase, total_points: int) -> List[int]:
@@ -93,7 +82,7 @@ def run_case_task(fields: Dict) -> Dict:
                      "violations": [], "error": None}
     edges = set()
     try:
-        explorer = _explorer_for(case)
+        explorer = _explorer_for(case.schedule, case.fault_plan)
         points = explorer.enumerate_points()
         outcome["points"] = len(points)
         edges.update(f"site:{point.site}" for point in points)

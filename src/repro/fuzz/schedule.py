@@ -97,17 +97,6 @@ class FuzzCase:
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
-    def stack_digest(self) -> str:
-        """Identity of the *simulated machine run* — schedule + fault
-        plan only. Cases differing only in crash selection or survivor
-        seed replay the same run, so per-worker explorer caches key on
-        this (the enumeration pass is the dominant per-case cost)."""
-        canonical = json.dumps(
-            [[list(op) for op in self.schedule],
-             [list(entry) for entry in self.fault_plan]],
-            sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
 
 # -- generation -------------------------------------------------------------
 

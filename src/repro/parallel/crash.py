@@ -14,19 +14,20 @@ of worker count.
 Workloads are named (keys of :data:`repro.faults.workloads.WORKLOADS`),
 never passed as callables: a :class:`SweepSpec` is a handful of
 primitives, which is what makes shards picklable and replayable after a
-worker death. Each worker process keeps one explorer per spec so the
-enumeration pass is paid once per worker, not once per shard.
+worker death. One cached explorer per spec and process
+(:func:`cached_explorer`) pays the enumeration pass once, before the
+pool forks, not once per shard.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults.explorer import (CaseResult, CrashExplorer, ExplorationError,
                                ExplorationResult)
 from ..faults.workloads import WORKLOADS
-from ..cli import by_invariant
 from .engine import CELL_TIMEOUT, ShardEngine, chunked, raise_unfinished
 
 #: Shards per worker slot: small shards amortize pool startup while
@@ -67,59 +68,45 @@ def make_explorer(spec: SweepSpec) -> CrashExplorer:
                          trace=spec.trace)
 
 
-#: Per-worker-process explorer cache (spec -> explorer with its
-#: enumeration pass already done). Lives in module state on purpose:
-#: worker processes are long-lived and re-enumeration is the dominant
-#: per-shard overhead.
-_EXPLORERS: Dict[SweepSpec, CrashExplorer] = {}
-
-
-def _cached_explorer(spec: SweepSpec) -> CrashExplorer:
-    explorer = _EXPLORERS.get(spec)
-    if explorer is None:
-        explorer = _EXPLORERS[spec] = make_explorer(spec)
-        explorer.enumerate_points()
+@functools.lru_cache(maxsize=None)
+def cached_explorer(spec: SweepSpec) -> CrashExplorer:
+    """The process's explorer for ``spec``, its enumeration pass done.
+    Re-enumeration is the dominant per-shard overhead; building through
+    here before the pool forks hands the enumeration to every worker.
+    A test that patches the stack calls ``cache_clear()`` around it."""
+    explorer = make_explorer(spec)
+    explorer.enumerate_points()
     return explorer
 
 
 def run_shard(spec_fields: Dict,
               cases: Sequence[Tuple[Optional[int], int]]) -> List[CaseResult]:
     """Worker entry point: run one contiguous slice of the case plan."""
-    explorer = _cached_explorer(SweepSpec(**spec_fields))
+    explorer = cached_explorer(SweepSpec(**spec_fields))
     return [explorer.run_case(index, variant=variant)
             for index, variant in cases]
 
 
-def parallel_explore(spec: SweepSpec, jobs: Optional[int] = None,
-                     registry=None, engine: Optional[ShardEngine] = None,
-                     shard_timeout: float = CELL_TIMEOUT,
-                     explorer: Optional[CrashExplorer] = None
+def parallel_explore(spec: SweepSpec, engine: ShardEngine,
+                     shard_timeout: float = CELL_TIMEOUT
                      ) -> ExplorationResult:
-    """Run the sweep described by ``spec`` across ``jobs`` processes.
+    """Run the sweep described by ``spec`` across ``engine``'s workers.
 
-    ``jobs <= 1`` (or a host that cannot fork) degrades to the plain
-    sequential :meth:`~repro.faults.CrashExplorer.explore`, so callers
-    get one code path with identical results either way. A shard that
-    still fails after the engine's bounded retries raises
+    The result equals :meth:`~repro.faults.CrashExplorer.explore`'s
+    field for field at any ``jobs``. A shard that still fails after the
+    engine's bounded retries raises
     :class:`~repro.faults.ExplorationError` — a crash sweep with holes
     in it proves nothing, so partial reports are never merged.
     """
-    if explorer is None:
-        explorer = make_explorer(spec)
-    if engine is None:
-        engine = ShardEngine(jobs=jobs, registry=registry)
-    plan = explorer.case_plan()
-    if engine.jobs <= 1 or not plan:
-        engine.mode = "sequential"
-        return explorer.explore()
+    explorer = cached_explorer(spec)
     spec_fields = asdict(spec)
-    shards = chunked(plan, engine.jobs * SHARDS_PER_JOB)
+    shards = chunked(explorer.case_plan(), engine.jobs * SHARDS_PER_JOB)
     outcomes = engine.map("repro.parallel.crash:run_shard",
                           [(spec_fields, shard) for shard in shards],
                           timeout=shard_timeout)
     raise_unfinished(outcomes, "shard", ExplorationError)
     result = explorer.result_shell()
-    for outcome in outcomes:  # sorted by shard index == plan order
+    for outcome in outcomes:  # in shard order == plan order
         result.cases.extend(outcome.value)
     return result
 
@@ -139,18 +126,15 @@ def run_seed_cell(spec_fields: Dict) -> Dict:
         "explored": len(result.selected),
         "cases": len(result.cases),
         "violations": len(result.violations),
-        "by_invariant": by_invariant(result.violations),
+        "by_invariant": result.by_invariant(),
     }
 
 
 def seed_matrix(spec: SweepSpec, seeds: Sequence[int],
-                jobs: Optional[int] = None, registry=None,
-                engine: Optional[ShardEngine] = None) -> List[Dict]:
+                engine: ShardEngine) -> List[Dict]:
     """Run the same sweep under each survivor-sampling seed, one cell
     per seed, merged in seed order. The cell summaries are deterministic
     (no wall-clock fields), so the matrix report is byte-stable too."""
-    if engine is None:
-        engine = ShardEngine(jobs=jobs, registry=registry)
     seeds = sorted(set(seeds))
     outcomes = engine.map("repro.parallel.crash:run_seed_cell",
                           [(asdict(replace(spec, seed=seed)),)

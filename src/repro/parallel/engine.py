@@ -1,45 +1,45 @@
 """The generic multi-process shard engine.
 
-A *task* names a worker function by dotted path (``pkg.module:func``)
-plus picklable arguments and a sortable key. The engine runs tasks on a
-pool of long-lived worker processes connected by pipes, enforcing three
+:meth:`ShardEngine.map` runs one worker function, named by dotted path
+(``pkg.module:func``), once per tuple of picklable arguments, on a pool
+of long-lived worker processes connected by pipes. It enforces three
 contracts the validation sweeps rely on:
 
-- **per-task timeout** — a worker that exceeds its task's deadline is
+- **per-call timeout** — a worker that exceeds its call's deadline is
   terminated (the simulation may be wedged; there is no safe in-process
   interrupt) and a fresh worker takes its place;
-- **bounded retry** — a task whose worker died or timed out is retried
-  up to ``max_attempts`` times, then recorded as ``timeout``/``crashed``
-  rather than raised, so one poisoned shard cannot sink a sweep. A task
-  that raises a *Python exception* is recorded as ``failed`` without
-  retry — exceptions are deterministic and retrying them wastes a slot;
-- **deterministic merge** — :meth:`ShardEngine.run` returns results
-  sorted by task key, never by completion order.
+- **bounded retry** — a call whose worker died or timed out is
+  dispatched up to :data:`MAX_ATTEMPTS` times, then recorded as
+  ``timeout``/``crashed`` rather than raised, so one poisoned shard
+  cannot sink a sweep. A call that raises a *Python exception* is
+  recorded as ``failed`` without retry — exceptions are deterministic
+  and retrying them wastes a slot;
+- **deterministic merge** — outcome ``i`` belongs to argument tuple
+  ``i``, never to whichever worker finished first.
 
-If the pool cannot be started at all (``jobs <= 1``, fork/spawn refused
-by the host, or ``force_sequential``) the engine degrades to an
-in-process sequential loop with identical result records and statuses —
-except that timeouts cannot be enforced without process isolation, so
-sequential tasks run to completion. Callers that need the exit-code
-semantics (``tools/ci_run.py``) get them unchanged either way.
+At ``jobs=1``, or when the host refuses to start a worker process, the
+engine runs every call in-process, in order, with identical result
+records and statuses — except that timeouts cannot be enforced without
+process isolation, so in-process calls run to completion. That is the
+one sequential path: callers keep none of their own.
 
 Worker functions must be importable top-level callables; arguments and
-return values must pickle. Closures are out — that is what keeps tasks
-replayable across worker deaths and start methods.
+return values must pickle. Closures are out — that is what keeps calls
+replayable across worker deaths. Workers start by ``fork`` where the
+host has it, so they inherit what the parent cached before the map.
 """
 
 from __future__ import annotations
 
 import importlib
 import multiprocessing
-import os
 import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Task terminal statuses.
+#: Call terminal statuses.
 DONE = "done"          # worker returned a value
 FAILED = "failed"      # worker raised a Python exception (not retried)
 TIMEOUT = "timeout"    # exceeded its deadline on every attempt
@@ -50,39 +50,29 @@ CRASHED = "crashed"    # worker process died on every attempt
 #: minutes is wedged, not slow.
 CELL_TIMEOUT = 600.0
 
+#: Dispatches of one call before a worker death or timeout is terminal.
+MAX_ATTEMPTS = 2
+
 #: How long the dispatcher sleeps in ``connection.wait`` when no
 #: deadline is nearer (seconds). Small enough to notice dead workers
 #: promptly, large enough not to spin.
 _POLL_INTERVAL = 0.05
 
+#: Fork where the host has it (workers inherit the parent's caches),
+#: else the platform's default start method.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
-class PoolUnavailable(RuntimeError):
-    """The host refused to start worker processes (used internally to
-    trigger the sequential fallback; surfaces only via ``mode``)."""
 
-
-@dataclass(frozen=True)
-class Task:
-    """One unit of shardable work.
-
-    ``key`` orders the merged results and must be unique within a run;
-    ``fn`` is a ``module.path:callable`` dotted reference resolved inside
-    the worker; ``timeout`` (seconds) bounds one attempt in parallel
-    mode.
-    """
-
-    key: Tuple
-    fn: str
-    args: Tuple = ()
-    kwargs: Optional[Dict] = None
-    timeout: Optional[float] = None
+class _PoolUnavailable(RuntimeError):
+    """The host refused to start a worker process."""
 
 
 @dataclass
 class TaskResult:
-    """Terminal outcome of one task (one record per task, always)."""
+    """Terminal outcome of one mapped call (one record per call, always)."""
 
-    key: Tuple
+    position: int                    # index into the map's arg_tuples
     status: str                      # done | failed | timeout | crashed
     value: object = None
     error: str = ""
@@ -94,7 +84,7 @@ class TaskResult:
         return self.status == DONE
 
 
-def resolve_worker(fn: str):
+def _resolve(fn: str):
     """``pkg.module:callable`` -> the callable (import on demand)."""
     module_name, sep, attr = fn.partition(":")
     if not sep or not module_name or not attr:
@@ -102,33 +92,37 @@ def resolve_worker(fn: str):
     return getattr(importlib.import_module(module_name), attr)
 
 
-def _worker_main(conn) -> None:
-    """Worker process loop: receive a task, run it, send the outcome.
+def _call(fn: str, args: Tuple) -> Tuple[str, object, str, float]:
+    """Run one call: ``(status, value, error, wall seconds)``. A raise
+    is ``failed`` with its traceback as the error."""
+    started = time.perf_counter()
+    try:
+        outcome = (DONE, _resolve(fn)(*args), "")
+    except Exception:
+        outcome = (FAILED, None, traceback.format_exc())
+    return outcome + (time.perf_counter() - started,)
 
-    Runs until the pipe closes or a ``None`` sentinel arrives. Any
-    exception — including an unpicklable return value — is reported as
-    an error tuple rather than killing the worker.
-    """
+
+def _worker_main(conn, fn: str) -> None:
+    """Worker process loop: receive ``(position, args)``, call ``fn``,
+    send ``(position, *outcome)``. Runs until the pipe closes or a
+    ``None`` sentinel arrives; an unpicklable result is reported as a
+    failed call rather than killing the worker."""
     while True:
         try:
-            task = conn.recv()
+            message = conn.recv()
         except (EOFError, OSError):
             return
-        if task is None:
+        if message is None:
             return
-        started = time.perf_counter()
+        position, args = message
+        reply = (position,) + _call(fn, args)
         try:
-            value = resolve_worker(task.fn)(*task.args, **(task.kwargs or {}))
-            message = (task.key, DONE, value, "")
-        except BaseException:
-            message = (task.key, FAILED, None, traceback.format_exc())
-        wall = time.perf_counter() - started
-        try:
-            conn.send(message + (wall,))
+            conn.send(reply)
         except Exception:
-            # The value would not pickle; report that instead of dying.
-            conn.send((task.key, FAILED, None,
-                       f"result of task {task.key!r} is not picklable", wall))
+            conn.send((position, FAILED, None,
+                       f"result of call {position} is not picklable",
+                       reply[-1]))
 
 
 METRIC_SPECS = (
@@ -186,143 +180,106 @@ class _Null:
 class _Worker:
     process: multiprocessing.Process
     conn: object
-    task: Optional[Task] = None
+    position: Optional[int] = None
     attempt: int = 0
     deadline: Optional[float] = None
 
     @property
     def busy(self) -> bool:
-        return self.task is not None
+        return self.position is not None
 
-
-@dataclass
-class _Pending:
-    task: Task
-    attempt: int = 1
+    def idle(self) -> None:
+        self.position = None
+        self.deadline = None
 
 
 class ShardEngine:
-    """Runs a batch of :class:`Task` over ``jobs`` worker processes.
+    """Maps worker calls over ``jobs`` worker processes (``jobs=1``:
+    in-process). ``registry`` (a :class:`repro.obs.MetricsRegistry`)
+    enables the ``parallel.engine.*`` metrics."""
 
-    ``jobs=None`` means ``os.cpu_count()``. ``max_attempts`` bounds how
-    often one task is dispatched after worker deaths/timeouts.
-    ``registry`` (a :class:`repro.obs.MetricsRegistry`) enables the
-    ``parallel.engine.*`` metrics. ``force_sequential`` skips the pool
-    entirely — the degradation path, callable on purpose.
-    """
-
-    def __init__(self, jobs: Optional[int] = None, max_attempts: int = 2,
-                 registry=None, force_sequential: bool = False,
-                 start_method: Optional[str] = None):
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        self.max_attempts = max_attempts
-        self.force_sequential = force_sequential
-        self.mode: str = "unset"   # "parallel" | "sequential" after run()
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(start_method)
+    def __init__(self, jobs: int, registry=None):
+        if jobs < 1:
+            raise ValueError("jobs must be at least 1")
+        self.jobs = jobs
         if registry is not None:
             self._metrics = register_engine_metrics(registry)
         else:
             null = _Null()
             self._metrics = {name: null for _, name, _, _ in METRIC_SPECS}
 
-    # -- public -------------------------------------------------------------
-
-    def run(self, tasks: Sequence[Task]) -> List[TaskResult]:
-        """Run every task to a terminal status; results sorted by key."""
-        tasks = list(tasks)
-        keys = [task.key for task in tasks]
-        if len(set(keys)) != len(keys):
-            raise ValueError("task keys must be unique within a run")
-        self._metrics["parallel.engine.jobs"].set(self.jobs)
-        if not tasks:
-            self.mode = "sequential"
-            return []
-        if self.jobs <= 1 or self.force_sequential:
-            return self._run_sequential(tasks)
-        try:
-            results = self._run_parallel(tasks)
-        except PoolUnavailable:
-            self._metrics["parallel.engine.sequential_fallbacks"].inc()
-            return self._run_sequential(tasks)
-        return results
-
     def map(self, fn: str, arg_tuples: Sequence[Tuple],
             timeout: Optional[float] = CELL_TIMEOUT) -> List[TaskResult]:
-        """Run worker ``fn`` once per argument tuple; outcome ``i``
-        belongs to ``arg_tuples[i]`` whatever order workers finish in."""
-        return self.run([Task(key=(position,), fn=fn, args=tuple(args),
-                              timeout=timeout)
-                         for position, args in enumerate(arg_tuples)])
-
-    # -- sequential fallback ------------------------------------------------
-
-    def _run_sequential(self, tasks: Sequence[Task]) -> List[TaskResult]:
-        self.mode = "sequential"
-        results = []
-        for task in tasks:
-            self._metrics["parallel.engine.tasks_dispatched"].inc()
-            started = time.perf_counter()
+        """Call worker ``fn`` once per argument tuple, each to a terminal
+        status; outcome ``i`` belongs to ``arg_tuples[i]``. ``timeout``
+        (seconds, ``None`` for none) bounds one attempt in a worker."""
+        calls = [tuple(args) for args in arg_tuples]
+        self._metrics["parallel.engine.jobs"].set(self.jobs)
+        if self.jobs > 1 and calls:
             try:
-                value = resolve_worker(task.fn)(*task.args,
-                                                **(task.kwargs or {}))
-                result = TaskResult(task.key, DONE, value=value)
-                self._metrics["parallel.engine.tasks_completed"].inc()
-            except Exception:
-                result = TaskResult(task.key, FAILED,
-                                    error=traceback.format_exc())
-                self._metrics["parallel.engine.tasks_failed"].inc()
-            result.wall_seconds = time.perf_counter() - started
-            self._metrics["parallel.engine.shard_wall_seconds"].observe(
-                result.wall_seconds)
-            results.append(result)
-        return sorted(results, key=lambda r: r.key)
+                return self._map_parallel(fn, calls, timeout)
+            except _PoolUnavailable:
+                self._metrics["parallel.engine.sequential_fallbacks"].inc()
+        return self._map_in_process(fn, calls)
 
-    # -- parallel path ------------------------------------------------------
+    # -- in-process ---------------------------------------------------------
 
-    def _spawn_worker(self) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe()
+    def _map_in_process(self, fn: str,
+                        calls: List[Tuple]) -> List[TaskResult]:
+        results = []
+        for position, args in enumerate(calls):
+            self._metrics["parallel.engine.tasks_dispatched"].inc()
+            results.append(self._finish(position, 1, *_call(fn, args)))
+        return results
+
+    def _finish(self, position: int, attempts: int, status: str,
+                value: object, error: str, wall: float) -> TaskResult:
+        """Count a call that ran to its end and make its record."""
+        self._metrics["parallel.engine.tasks_completed" if status == DONE
+                      else "parallel.engine.tasks_failed"].inc()
+        self._metrics["parallel.engine.shard_wall_seconds"].observe(wall)
+        return TaskResult(position, status, value, error, attempts, wall)
+
+    # -- worker pool --------------------------------------------------------
+
+    def _spawn_worker(self, fn: str) -> _Worker:
+        parent_conn, child_conn = _CONTEXT.Pipe()
         try:
-            process = self._ctx.Process(target=_worker_main,
-                                        args=(child_conn,), daemon=True)
+            process = _CONTEXT.Process(target=_worker_main,
+                                       args=(child_conn, fn), daemon=True)
             process.start()
         except (OSError, ValueError) as exc:
             parent_conn.close()
             child_conn.close()
-            raise PoolUnavailable(f"cannot start worker process: {exc}")
+            raise _PoolUnavailable(f"cannot start worker process: {exc}")
         child_conn.close()
         self._metrics["parallel.engine.workers_spawned"].inc()
         return _Worker(process=process, conn=parent_conn)
 
-    def _assign(self, worker: _Worker, pending: _Pending) -> None:
-        worker.task = pending.task
-        worker.attempt = pending.attempt
-        worker.deadline = (time.monotonic() + pending.task.timeout
-                           if pending.task.timeout else None)
+    def _assign(self, worker: _Worker, position: int, attempt: int,
+                args: Tuple, timeout: Optional[float]) -> None:
+        worker.position = position
+        worker.attempt = attempt
+        worker.deadline = time.monotonic() + timeout if timeout else None
         self._metrics["parallel.engine.tasks_dispatched"].inc()
-        worker.conn.send(pending.task)
+        worker.conn.send((position, args))
 
     def _retry_or_record(self, worker: _Worker, status: str, error: str,
-                         queue: List[_Pending],
-                         results: Dict[Tuple, TaskResult]) -> None:
-        """A worker died or blew its deadline mid-task: either requeue
-        the task or record its terminal status."""
-        task, attempt = worker.task, worker.attempt
-        worker.task = None
-        worker.deadline = None
-        if attempt < self.max_attempts:
+                         queue: List[Tuple[int, int]],
+                         results: Dict[int, TaskResult]) -> None:
+        """A worker died or blew its deadline mid-call: either requeue
+        the call or record its terminal status."""
+        position, attempt = worker.position, worker.attempt
+        worker.idle()
+        if attempt < MAX_ATTEMPTS:
             self._metrics["parallel.engine.tasks_retried"].inc()
-            queue.append(_Pending(task, attempt + 1))
+            queue.append((position, attempt + 1))
             return
         if status == TIMEOUT:
             self._metrics["parallel.engine.tasks_timed_out"].inc()
         else:
             self._metrics["parallel.engine.tasks_failed"].inc()
-        results[task.key] = TaskResult(task.key, status, error=error,
+        results[position] = TaskResult(position, status, error=error,
                                        attempts=attempt)
 
     def _kill(self, worker: _Worker) -> None:
@@ -334,42 +291,42 @@ class ShardEngine:
             worker.process.kill()
             worker.process.join(timeout=5.0)
 
-    def _run_parallel(self, tasks: Sequence[Task]) -> List[TaskResult]:
-        queue: List[_Pending] = [_Pending(task) for task in tasks]
-        results: Dict[Tuple, TaskResult] = {}
-        workers: List[_Worker] = []
-        total = len(tasks)
+    def _map_parallel(self, fn: str, calls: List[Tuple],
+                      timeout: Optional[float]) -> List[TaskResult]:
+        queue: List[Tuple[int, int]] = [(position, 1)
+                                        for position in range(len(calls))]
+        results: Dict[int, TaskResult] = {}
         # The first worker failing to start means no pool at all ->
-        # PoolUnavailable propagates and run() falls back. Later spawn
-        # failures just shrink the pool.
-        workers.append(self._spawn_worker())
-        self.mode = "parallel"
+        # _PoolUnavailable propagates and map() runs in-process. Later
+        # spawn failures just shrink the pool.
+        workers: List[_Worker] = [self._spawn_worker(fn)]
         try:
-            for _ in range(min(self.jobs, total) - 1):
+            for _ in range(min(self.jobs, len(calls)) - 1):
                 try:
-                    workers.append(self._spawn_worker())
-                except PoolUnavailable:
+                    workers.append(self._spawn_worker(fn))
+                except _PoolUnavailable:
                     break
-            while len(results) < total:
+            while len(results) < len(calls):
                 for worker in workers:
                     if (not worker.busy and queue
                             and worker.process.is_alive()):
-                        self._assign(worker, queue.pop(0))
+                        position, attempt = queue.pop(0)
+                        self._assign(worker, position, attempt,
+                                     calls[position], timeout)
                 busy = [w for w in workers if w.busy]
                 if not busy:
                     if queue:  # every worker died; respawn or bail
                         workers = [w for w in workers if w.process.is_alive()]
                         if not workers:
-                            workers.append(self._spawn_worker())
+                            workers.append(self._spawn_worker(fn))
                         continue
                     break  # nothing busy, nothing queued: all terminal
-                timeout = _POLL_INTERVAL
+                wait = _POLL_INTERVAL
                 now = time.monotonic()
                 for worker in busy:
                     if worker.deadline is not None:
-                        timeout = min(timeout, max(worker.deadline - now, 0.0))
-                ready = _connection_wait([w.conn for w in busy],
-                                         timeout=timeout)
+                        wait = min(wait, max(worker.deadline - now, 0.0))
+                ready = _connection_wait([w.conn for w in busy], timeout=wait)
                 for worker in busy:
                     if worker.conn in ready:
                         self._collect(worker, results)
@@ -378,21 +335,18 @@ class ShardEngine:
                     if not worker.busy:
                         continue
                     if worker.deadline is not None and now > worker.deadline:
-                        self._kill(worker)
-                        self._retry_or_record(
-                            worker, TIMEOUT,
-                            f"exceeded {worker.task.timeout}s deadline",
-                            queue, results)
-                        workers[index] = self._replace(worker)
+                        status, error = (TIMEOUT,
+                                         f"exceeded {timeout}s deadline")
                     elif not worker.process.is_alive():
                         self._metrics["parallel.engine.worker_crashes"].inc()
-                        exitcode = worker.process.exitcode
-                        self._kill(worker)
-                        self._retry_or_record(
-                            worker, CRASHED,
-                            f"worker died (exit code {exitcode})",
-                            queue, results)
-                        workers[index] = self._replace(worker)
+                        status, error = (CRASHED, "worker died (exit code "
+                                         f"{worker.process.exitcode})")
+                    else:
+                        continue
+                    self._kill(worker)
+                    self._retry_or_record(worker, status, error, queue,
+                                          results)
+                    workers[index] = self._replace(worker, fn)
         finally:
             for worker in workers:
                 try:
@@ -400,35 +354,27 @@ class ShardEngine:
                 except (BrokenPipeError, OSError):
                     pass
                 self._kill(worker)
-        return sorted(results.values(), key=lambda r: r.key)
+        return [results[position] for position in range(len(calls))]
 
-    def _replace(self, dead: _Worker) -> _Worker:
+    def _replace(self, dead: _Worker, fn: str) -> _Worker:
         try:
-            return self._spawn_worker()
-        except PoolUnavailable:
+            return self._spawn_worker(fn)
+        except _PoolUnavailable:
             # Keep the dead handle; the dispatch loop skips non-alive
             # idle workers and the remaining pool carries the queue.
-            dead.task = None
-            dead.deadline = None
+            dead.idle()
             return dead
 
     def _collect(self, worker: _Worker,
-                 results: Dict[Tuple, TaskResult]) -> None:
+                 results: Dict[int, TaskResult]) -> None:
         try:
-            key, status, value, error, wall = worker.conn.recv()
+            position, *outcome = worker.conn.recv()
         except (EOFError, OSError):
             return  # death handled by the liveness check
-        if worker.task is None or key != worker.task.key:
-            return  # stale message from a task already recorded
-        if status == DONE:
-            self._metrics["parallel.engine.tasks_completed"].inc()
-        else:
-            self._metrics["parallel.engine.tasks_failed"].inc()
-        self._metrics["parallel.engine.shard_wall_seconds"].observe(wall)
-        results[key] = TaskResult(key, status, value=value, error=error,
-                                  attempts=worker.attempt, wall_seconds=wall)
-        worker.task = None
-        worker.deadline = None
+        if position != worker.position:
+            return  # stale message from a call already recorded
+        results[position] = self._finish(position, worker.attempt, *outcome)
+        worker.idle()
 
 
 def raise_unfinished(outcomes: Sequence[TaskResult], noun: str, exc_type,
@@ -440,7 +386,7 @@ def raise_unfinished(outcomes: Sequence[TaskResult], noun: str, exc_type,
     if not failed:
         return
     details = "; ".join(
-        f"{noun} {labels[outcome.key[0]] if labels else outcome.key[0]} "
+        f"{noun} {labels[outcome.position] if labels else outcome.position} "
         f"{outcome.status}: "
         f"{outcome.error.strip().splitlines()[-1] if outcome.error else ''}"
         for outcome in failed)

@@ -3,8 +3,8 @@ in docs/CRASH_TESTING.md, and the ``--minimize`` report format.
 
 The failing-sweep half plants an *unconditionally* leaky group commit
 (commit word stored and queued, final ``psync`` skipped) behind a
-monkeypatch; ``--jobs 1`` sweeps run in-process (the ShardEngine
-sequential path), so the patched log is the one the CLI explores.
+monkeypatch; ``--jobs 1`` sweeps run in the ShardEngine's in-process
+mode, so the patched log is the one the CLI explores.
 """
 
 import importlib.util
@@ -15,6 +15,7 @@ import sys
 import pytest
 
 import repro.core.log as log_mod
+from repro.parallel import cached_explorer
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -37,6 +38,15 @@ def crash_tool():
     sys.modules["crash_explore_tool"] = module
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(autouse=True)
+def fresh_explorers():
+    """Some sweeps here run on a patched log: an enumeration cached by
+    one test must never serve another."""
+    cached_explorer.cache_clear()
+    yield
+    cached_explorer.cache_clear()
 
 
 def plant_always_leaky_commit(monkeypatch) -> None:

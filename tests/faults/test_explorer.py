@@ -114,7 +114,7 @@ def test_sequential_sharded_and_traced_sweeps_are_equal(jobs, trace):
     """Every case is an independent run from ``t=0``, so where it runs
     and whether a tracer watches it change nothing: same points, same
     recovered bytes, case for case."""
-    from repro.parallel.crash import SweepSpec, parallel_explore
+    from repro.parallel import ShardEngine, SweepSpec, parallel_explore
 
     def dump(result):
         return ([str(p) for p in result.points], result.selected,
@@ -127,7 +127,8 @@ def test_sequential_sharded_and_traced_sweeps_are_equal(jobs, trace):
 
     reference = explorer_for("fio", budget=12, drop_subsets=1).explore()
     spec = SweepSpec("fio", budget=12, subsets=1, trace=trace)
-    assert dump(parallel_explore(spec, jobs=jobs)) == dump(reference)
+    sharded = parallel_explore(spec, ShardEngine(jobs=jobs))
+    assert dump(sharded) == dump(reference)
 
 
 def test_budget_samples_early_middle_and_late_points():

@@ -85,10 +85,11 @@ def plant_leaky_commit(monkeypatch) -> None:
 def leaky_commit_stack(monkeypatch):
     plant_leaky_commit(monkeypatch)
     # The executor caches explorers (with enumerated crash points) by
-    # case digest; patched and unpatched enumerations must never mix.
-    executor._EXPLORERS.clear()
+    # schedule and fault plan; patched and unpatched enumerations must
+    # never mix.
+    executor._explorer_for.cache_clear()
     yield
-    executor._EXPLORERS.clear()
+    executor._explorer_for.cache_clear()
 
 
 def campaign(feedback: bool):
@@ -120,12 +121,12 @@ def test_found_case_is_clean_on_the_fixed_stack():
     found case with the patches lifted recovers clean."""
     with pytest.MonkeyPatch.context() as patches:
         plant_leaky_commit(patches)
-        executor._EXPLORERS.clear()
+        executor._explorer_for.cache_clear()
         result = campaign(feedback=True)
         finding = next(
             fields for (invariant, _), fields in sorted(result.findings.items())
             if invariant == "durable_after_ack")
-    executor._EXPLORERS.clear()
+    executor._explorer_for.cache_clear()
     case = FuzzCase.from_fields(finding["case"])
     outcome = run_case_task(case.to_fields())
     assert outcome["error"] is None

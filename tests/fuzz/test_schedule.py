@@ -31,12 +31,22 @@ def test_digest_is_stable_and_field_sensitive():
     assert replace(case, crash_fracs=(0.5,)).digest() != case.digest()
 
 
-def test_stack_digest_ignores_crash_selection():
+def test_explorer_cache_ignores_crash_selection():
     from dataclasses import replace
+    from repro.fuzz.executor import _explorer_for
+
+    def explorer(case):
+        return _explorer_for(case.schedule, case.fault_plan)
+
     case = some_case()
-    assert replace(case, crash_fracs=(0.9,),
-                   survivor_seed=0).stack_digest() == case.stack_digest()
-    assert replace(case, fault_plan=()).stack_digest() != case.stack_digest()
+    _explorer_for.cache_clear()
+    first = explorer(case)
+    assert explorer(replace(case, crash_fracs=(0.9,),
+                            survivor_seed=0)) is first
+    assert _explorer_for.cache_info().misses == 1
+    assert explorer(replace(case, fault_plan=())) is not first
+    assert _explorer_for.cache_info().misses == 2
+    _explorer_for.cache_clear()
 
 
 def test_fresh_cases_are_deterministic_per_rng_seed():

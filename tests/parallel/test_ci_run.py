@@ -101,7 +101,7 @@ def test_exit_codes_survive_the_sequential_fallback():
     failing = [sys.executable, "-c", "import sys; sys.exit(3)"]
     fn, cells = "repro.parallel.procs:run_command", [(failing,)]
     parallel = ShardEngine(jobs=2).map(fn, cells)
-    sequential = ShardEngine(jobs=2, force_sequential=True).map(fn, cells)
+    sequential = ShardEngine(jobs=1).map(fn, cells)
     assert parallel[0].value["returncode"] == 3
     assert sequential[0].value["returncode"] == 3
 

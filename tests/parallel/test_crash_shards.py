@@ -32,7 +32,7 @@ def case_fields(result):
 
 def test_parallel_explore_equals_sequential_explore():
     sequential = make_explorer(SPEC).explore()
-    parallel = parallel_explore(SPEC, jobs=4)
+    parallel = parallel_explore(SPEC, ShardEngine(jobs=4))
     assert parallel.points == sequential.points
     assert parallel.selected == sequential.selected
     assert case_fields(parallel) == case_fields(sequential)
@@ -127,15 +127,15 @@ def test_lost_shard_raises_instead_of_merging_partial_sweep(monkeypatch):
 
     # Workers fork after the patch, so they inherit the broken worker fn.
     monkeypatch.setattr(crash_mod, "run_shard", explode)
-    engine = ShardEngine(jobs=2, max_attempts=1)
+    engine = ShardEngine(jobs=2)
     with pytest.raises(ExplorationError, match="shards did not complete"):
-        parallel_explore(SPEC, engine=engine)
+        parallel_explore(SPEC, engine)
 
 
 def test_seed_matrix_is_deterministic_and_seed_ordered():
     spec = SweepSpec(workload="fio", budget=5, subsets=1, seed=0)
-    cells_parallel = seed_matrix(spec, [2, 0, 1], jobs=3)
-    cells_sequential = seed_matrix(spec, [0, 1, 2], jobs=1)
+    cells_parallel = seed_matrix(spec, [2, 0, 1], ShardEngine(jobs=3))
+    cells_sequential = seed_matrix(spec, [0, 1, 2], ShardEngine(jobs=1))
     assert cells_parallel == cells_sequential
     assert [cell["seed"] for cell in cells_parallel] == [0, 1, 2]
     assert all(cell["violations"] == 0 for cell in cells_parallel)

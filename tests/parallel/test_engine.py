@@ -1,6 +1,7 @@
-"""Contract tests for the generic shard engine: deterministic merge,
-bounded retry on worker death, per-task timeouts, and the sequential
-fallback. Worker functions live in ``tests/parallel/workers.py``."""
+"""Contract tests for the generic shard engine's one API, ``map``:
+deterministic merge, bounded retry on worker death, per-call timeouts,
+and the in-process path. Worker functions live in
+``tests/parallel/workers.py``."""
 
 import multiprocessing
 import time
@@ -8,10 +9,10 @@ import time
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.parallel import (PoolUnavailable, ShardEngine, Task,
-                            register_engine_metrics)
-from repro.parallel.engine import (CRASHED, DONE, FAILED, TIMEOUT, chunked,
-                                   resolve_worker)
+from repro.parallel import ShardEngine, register_engine_metrics
+from repro.parallel import engine as engine_module
+from repro.parallel.engine import (CRASHED, DONE, FAILED, MAX_ATTEMPTS,
+                                   TIMEOUT, chunked)
 
 W = "tests.parallel.workers"
 
@@ -20,55 +21,66 @@ needs_fork = pytest.mark.skipif(
     reason="fork start method unavailable")
 
 
-def make_tasks(n=8):
-    return [Task(key=(i,), fn=f"{W}:square", args=(i,)) for i in range(n)]
+def squares(n=8):
+    return [(i,) for i in range(n)]
 
 
-def test_parallel_results_are_sorted_by_key_and_correct():
-    engine = ShardEngine(jobs=3)
-    results = engine.run(make_tasks(10))
-    assert engine.mode == "parallel"
-    assert [r.key for r in results] == [(i,) for i in range(10)]
+def spawned(registry) -> float:
+    return registry.get("parallel.engine.workers_spawned").value()
+
+
+def test_parallel_results_are_in_position_order_and_correct():
+    registry = MetricsRegistry()
+    results = ShardEngine(jobs=3, registry=registry).map(
+        f"{W}:square", squares(10))
+    assert spawned(registry) > 0
+    assert [r.position for r in results] == list(range(10))
     assert [r.value for r in results] == [i * i for i in range(10)]
     assert all(r.status == DONE for r in results)
 
 
 def test_sequential_fallback_produces_identical_records():
-    parallel = ShardEngine(jobs=2).run(make_tasks(6))
-    sequential = ShardEngine(jobs=2, force_sequential=True).run(make_tasks(6))
-    strip = [(r.key, r.status, r.value) for r in parallel]
-    assert strip == [(r.key, r.status, r.value) for r in sequential]
+    parallel = ShardEngine(jobs=2).map(f"{W}:square", squares(6))
+    sequential = ShardEngine(jobs=1).map(f"{W}:square", squares(6))
+    strip = [(r.position, r.status, r.value) for r in parallel]
+    assert strip == [(r.position, r.status, r.value) for r in sequential]
 
 
 def test_jobs_one_runs_in_process():
-    engine = ShardEngine(jobs=1)
-    results = engine.run(make_tasks(3))
-    assert engine.mode == "sequential"
+    registry = MetricsRegistry()
+    results = ShardEngine(jobs=1, registry=registry).map(
+        f"{W}:square", squares(3))
+    assert spawned(registry) == 0
     assert [r.value for r in results] == [0, 1, 4]
 
 
 def test_worker_exception_is_failed_not_retried_and_does_not_sink_the_run():
-    tasks = make_tasks(4) + [Task(key=(99,), fn=f"{W}:boom",
-                                  args=("kaboom",))]
-    results = ShardEngine(jobs=2).run(tasks)
-    by_key = {r.key: r for r in results}
-    assert by_key[(99,)].status == FAILED
-    assert "kaboom" in by_key[(99,)].error
-    assert by_key[(99,)].attempts == 1
-    assert all(by_key[(i,)].status == DONE for i in range(4))
+    results = ShardEngine(jobs=2).map(
+        f"{W}:pick", [("square", i) for i in range(4)]
+        + [("boom", "kaboom")])
+    assert results[4].status == FAILED
+    assert "kaboom" in results[4].error
+    assert results[4].attempts == 1
+    assert [r.status for r in results[:4]] == [DONE] * 4
+
+
+def test_malformed_worker_reference_is_a_failed_call():
+    for jobs in (1, 2):
+        results = ShardEngine(jobs=jobs).map("no_colon_here", [(), ()])
+        assert [r.status for r in results] == [FAILED, FAILED]
+        assert "not 'module:callable'" in results[0].error
 
 
 @needs_fork
 def test_killed_worker_is_retried_then_succeeds(tmp_path):
     marker = tmp_path / "died-once"
     registry = MetricsRegistry()
-    tasks = make_tasks(4) + [Task(key=(50,), fn=f"{W}:die_once",
-                                  args=(str(marker), 42))]
-    results = ShardEngine(jobs=2, registry=registry).run(tasks)
-    by_key = {r.key: r for r in results}
-    assert by_key[(50,)].status == DONE
-    assert by_key[(50,)].value == 42
-    assert by_key[(50,)].attempts == 2
+    results = ShardEngine(jobs=2, registry=registry).map(
+        f"{W}:pick", [("square", i) for i in range(4)]
+        + [("die_once", str(marker), 42)])
+    assert results[4].status == DONE
+    assert results[4].value == 42
+    assert results[4].attempts == 2
     assert registry.get("parallel.engine.tasks_retried").value() == 1
     assert registry.get("parallel.engine.worker_crashes").value() >= 1
 
@@ -76,29 +88,26 @@ def test_killed_worker_is_retried_then_succeeds(tmp_path):
 @needs_fork
 def test_persistently_dying_worker_is_reported_not_raised():
     registry = MetricsRegistry()
-    tasks = make_tasks(4) + [Task(key=(50,), fn=f"{W}:die")]
-    results = ShardEngine(jobs=2, max_attempts=2,
-                          registry=registry).run(tasks)
-    by_key = {r.key: r for r in results}
-    assert by_key[(50,)].status == CRASHED
-    assert by_key[(50,)].attempts == 2
-    assert "died" in by_key[(50,)].error
-    # The healthy tasks all completed despite the worker deaths.
-    assert all(by_key[(i,)].status == DONE for i in range(4))
+    results = ShardEngine(jobs=2, registry=registry).map(
+        f"{W}:pick", [("square", i) for i in range(4)] + [("die",)])
+    assert results[4].status == CRASHED
+    assert results[4].attempts == MAX_ATTEMPTS
+    assert "died" in results[4].error
+    # The healthy calls all completed despite the worker deaths.
+    assert [r.status for r in results[:4]] == [DONE] * 4
 
 
 def test_hung_worker_is_timed_out_without_stalling_the_sweep():
-    tasks = [Task(key=(0,), fn=f"{W}:sleepy", args=(60.0,), timeout=0.4)]
-    tasks += [Task(key=(i,), fn=f"{W}:square", args=(i,))
-              for i in range(1, 5)]
     registry = MetricsRegistry()
     started = time.perf_counter()
-    results = ShardEngine(jobs=2, max_attempts=1,
-                          registry=registry).run(tasks)
+    results = ShardEngine(jobs=2, registry=registry).map(
+        f"{W}:pick", [("sleepy", 60.0)] + [("square", i)
+                                           for i in range(1, 5)],
+        timeout=0.4)
     assert time.perf_counter() - started < 30.0
-    by_key = {r.key: r for r in results}
-    assert by_key[(0,)].status == TIMEOUT
-    assert all(by_key[(i,)].status == DONE for i in range(1, 5))
+    assert results[0].status == TIMEOUT
+    assert results[0].attempts == MAX_ATTEMPTS
+    assert [r.status for r in results[1:]] == [DONE] * 4
     assert registry.get("parallel.engine.tasks_timed_out").value() == 1
 
 
@@ -106,37 +115,25 @@ def test_pool_failure_degrades_to_sequential(monkeypatch):
     registry = MetricsRegistry()
     engine = ShardEngine(jobs=4, registry=registry)
 
-    def refuse(self):
-        raise PoolUnavailable("no processes today")
+    def refuse(*args, **kwargs):
+        raise OSError("no processes today")
 
-    monkeypatch.setattr(ShardEngine, "_spawn_worker", refuse)
-    results = engine.run(make_tasks(5))
-    assert engine.mode == "sequential"
+    monkeypatch.setattr(engine_module._CONTEXT, "Process", refuse)
+    results = engine.map(f"{W}:square", squares(5))
+    assert spawned(registry) == 0
     assert [r.value for r in results] == [i * i for i in range(5)]
     assert registry.get(
         "parallel.engine.sequential_fallbacks").value() == 1
 
 
 def test_unpicklable_result_is_an_error_not_a_hang():
-    results = ShardEngine(jobs=2).run(
-        [Task(key=(0,), fn=f"{W}:unpicklable")])
+    results = ShardEngine(jobs=2).map(f"{W}:unpicklable", [()])
     assert results[0].status == FAILED
     assert "picklable" in results[0].error
 
 
-def test_duplicate_keys_rejected():
-    with pytest.raises(ValueError, match="unique"):
-        ShardEngine(jobs=1).run([Task(key=(0,), fn=f"{W}:square", args=(1,)),
-                                 Task(key=(0,), fn=f"{W}:square", args=(2,))])
-
-
-def test_empty_run():
-    assert ShardEngine(jobs=4).run([]) == []
-
-
-def test_resolve_worker_rejects_malformed_references():
-    with pytest.raises(ValueError):
-        resolve_worker("no_colon_here")
+def test_empty_map():
+    assert ShardEngine(jobs=4).map(f"{W}:square", []) == []
 
 
 def test_chunked_partitions_in_order():

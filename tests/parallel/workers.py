@@ -5,13 +5,19 @@ inside the worker process, so everything here must be a top-level,
 picklable-argument function — that constraint is exactly what the tests
 exercise. The pathological ones simulate the failure modes the engine
 must survive: Python exceptions, hung simulations, and workers dying
-mid-task (once, or persistently).
+mid-task (once, or persistently). ``map`` calls one function per run,
+so :func:`pick` lets one run mix them.
 """
 
 from __future__ import annotations
 
 import os
 import time
+
+
+def pick(name: str, *args):
+    """Call this module's worker ``name`` with ``args``."""
+    return globals()[name](*args)
 
 
 def square(x: int) -> int:

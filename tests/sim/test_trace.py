@@ -10,7 +10,10 @@ from repro.fs import Ext4
 from repro.kernel import Kernel, O_CREAT, O_WRONLY
 from repro.nvmm import NvmmDevice
 from repro.sim import Environment, Tracer
+from repro.sim.trace import ATTRIBUTION_SCHEMA, attribution_payload, to_ps
 from repro.units import MIB
+
+PS_PER_S = 10 ** 12
 
 
 def record(env, tracer, layer, name, duration, track="main", **args):
@@ -139,3 +142,25 @@ def test_summary_is_readable():
     assert "n=2" in text
     assert "total=0.00ms mean=2.0us" in text
 
+
+class TestQuantization:
+    """Picosecond quantization of attribution segments (``to_ps``)."""
+
+    def test_to_ps_is_integer_picoseconds(self):
+        assert to_ps(1.0) == PS_PER_S
+        assert to_ps(1.5e-6) == 1_500_000
+        assert isinstance(to_ps(0.123456), int)
+
+    def test_quantization_error_is_subpicosecond(self):
+        value = 3.141592653589793e-3
+        assert abs(to_ps(value) / PS_PER_S - value) < 1.0 / PS_PER_S
+
+
+class TestAttributionPayload:
+    """The machine form of an attribution (``attribution_payload``)."""
+
+    def test_schema_and_exact_total(self):
+        payload = attribution_payload({"b.y": 2, "a.x": 1}, source="test")
+        assert payload["schema"] == ATTRIBUTION_SCHEMA
+        assert list(payload["segments_ps"]) == ["a.x", "b.y"]  # sorted
+        assert payload["total_ps"] == 3

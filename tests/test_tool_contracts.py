@@ -48,6 +48,13 @@ MALFORMED = [
     ("fuzz.py", ["run", "--time-budget", "-1", "--check"], "--time-budget"),
     ("fuzz.py", ["run", "--time-budget", "0"], "--time-budget"),
     ("fuzz.py", ["run", "--max-ops", "3"], "--max-ops"),
+    ("metrics_report.py", ["--scale", "0"], "--scale"),
+    ("trace_report.py", ["--scale", "0"], "--scale"),
+    ("metrics_report.py", ["--size-mib", "-1"], "--size-mib"),
+    ("trace_report.py", ["--size-mib", "0"], "--size-mib"),
+    ("trace_report.py", ["--size-mib", "inf"], "--size-mib"),
+    ("metrics_report.py", ["--fsync", "-2"], "--fsync"),
+    ("trace_report.py", ["--slowest", "-3"], "--slowest"),
 ]
 
 

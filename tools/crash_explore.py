@@ -32,13 +32,13 @@ import sys
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.cli import (add_jobs_argument, by_invariant,  # noqa: E402
-                       dump_metrics, exit_boundary, print_json)
+from repro.cli import (add_jobs_argument, dump_metrics,  # noqa: E402
+                       exit_boundary, print_json)
 from repro.faults import (WORKLOADS, CrashExplorer,  # noqa: E402
                           ExplorationError)
 from repro.obs import MetricsRegistry  # noqa: E402
 from repro.parallel import (CELL_TIMEOUT, ShardEngine,  # noqa: E402
-                            SweepSpec, make_explorer, parallel_explore,
+                            SweepSpec, cached_explorer, parallel_explore,
                             seed_matrix)
 
 
@@ -148,14 +148,14 @@ def json_summary(workload: str, result) -> dict:
         "cases": len(result.cases),
         "violations": len(result.violations),
         "by_site": result.site_histogram(),
-        "by_invariant": by_invariant(result.violations),
+        "by_invariant": result.by_invariant(),
         "failing_cases": failing,
     }
 
 
 def run_matrix(args, spec: SweepSpec, engine: ShardEngine) -> int:
     seeds = parse_seeds(args.seeds)
-    cells = seed_matrix(spec, seeds, engine=engine)
+    cells = seed_matrix(spec, seeds, engine)
     total = sum(cell["violations"] for cell in cells)
     if args.json:
         print_json({"workload": args.workload, "seeds": seeds,
@@ -181,17 +181,15 @@ def main(argv=None) -> int:
                      budget=args.budget, subsets=args.subsets,
                      seed=args.seed, trace=args.trace)
     engine = ShardEngine(jobs=args.jobs, registry=registry)
-    explorer = make_explorer(spec)
     if args.list_points:
-        list_points(explorer)
+        list_points(cached_explorer(spec))
         return 0
     if args.seeds is not None:
         code = run_matrix(args, spec, engine)
         if args.metrics:
             dump_metrics(registry, "parallel")
         return code
-    result = parallel_explore(spec, engine=engine, explorer=explorer,
-                              shard_timeout=args.shard_timeout)
+    result = parallel_explore(spec, engine, args.shard_timeout)
     if args.metrics:
         dump_metrics(registry, "parallel")
     if args.json:
@@ -202,7 +200,7 @@ def main(argv=None) -> int:
             print("tracing: enabled")
         print(result.summary())
         if result.violations:
-            report_violations(result, explorer, args.minimize)
+            report_violations(result, cached_explorer(spec), args.minimize)
     if result.violations and args.check:
         return 1
     return 0

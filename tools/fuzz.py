@@ -36,11 +36,12 @@ sys.path.insert(0, os.path.join(
 from repro.cli import (add_jobs_argument, dump_metrics,  # noqa: E402
                        exit_boundary, print_json)
 from repro.fuzz import (Corpus, FuzzCase, FuzzConfig,  # noqa: E402
-                        FuzzEngine, compare_campaigns, render_compare_text,
-                        render_html, render_text, run_case_task)
+                        FuzzEngine, FuzzShardError, compare_campaigns,
+                        render_compare_text, render_html, render_text,
+                        run_case_task)
 from repro.fuzz.report import corpus_case_rows  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
-from repro.parallel import FuzzShardError, ShardEngine  # noqa: E402
+from repro.parallel import ShardEngine  # noqa: E402
 from repro.workloads import FUZZ_SEED_MIXES  # noqa: E402
 
 
@@ -170,10 +171,8 @@ def cmd_run(args) -> int:
         feedback=not args.no_feedback, families=families,
         max_ops=args.max_ops, minimize=not args.no_minimize,
         time_budget=args.time_budget)
-    engine = None
     registry = MetricsRegistry()
-    if args.jobs != 1:
-        engine = ShardEngine(jobs=args.jobs, registry=registry)
+    engine = ShardEngine(jobs=args.jobs, registry=registry)
     fuzzer = FuzzEngine(config, engine=engine, registry=registry)
     if args.reuse_corpus:
         reuse_corpus_seeds(fuzzer, args.corpus)

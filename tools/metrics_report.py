@@ -31,7 +31,7 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.cli import add_fio_arguments, fio_stack  # noqa: E402
+from repro.cli import add_fio_arguments, exit_boundary, fio_stack  # noqa: E402
 from repro.harness.reporting import (  # noqa: E402
     format_metrics_by_layer, mib_per_s, sparkline)
 from repro.obs import Sampler, to_json_text, to_prometheus_text  # noqa: E402
@@ -52,6 +52,7 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
+@exit_boundary()
 def main(argv=None) -> int:
     args = parse_args(argv)
     stack, job, run = fio_stack(args, tracing=args.trace)

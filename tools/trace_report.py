@@ -16,8 +16,9 @@ the recorded causal span trees (docs/OBSERVABILITY.md, Tracing):
 - ``--export trace.json`` the whole recording as Perfetto/Chrome JSON
   (load it at https://ui.perfetto.dev), ``--json`` a machine summary.
 
-Exit codes: 0 success, 2 usage or runtime error (1 is reserved for
-check-style gates, which this tool does not run).
+Exit codes: 0 success, 2 usage error (an out-of-range flag, an
+unwritable ``--export`` path, an unrecorded ``--trace`` ID). A fault in
+the simulation is a traceback, never reported as a usage error.
 
 Usage::
 
@@ -38,8 +39,8 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.cli import (add_fio_arguments, exit_boundary,  # noqa: E402
-                       fio_stack, print_json)
+from repro.cli import (add_fio_arguments, bounded,  # noqa: E402
+                       exit_boundary, fio_stack, print_json)
 from repro.sim.trace import attribution_payload, to_ps  # noqa: E402
 from repro.units import fmt_time  # noqa: E402
 
@@ -56,7 +57,8 @@ def parse_args(argv):
                         help="print every recorded root span, then exit")
     parser.add_argument("--trace", type=int, default=None, metavar="ID",
                         help="print one trace as an indented span tree")
-    parser.add_argument("--slowest", type=int, default=None, metavar="N",
+    parser.add_argument("--slowest", type=bounded(int, least=1),
+                        default=None, metavar="N",
                         help="print the N slowest root spans")
     parser.add_argument("--attribution", action="store_true",
                         help="print only the critical-path attribution table")
@@ -161,7 +163,7 @@ def json_summary(args, tracer, result) -> dict:
     }
 
 
-@exit_boundary(Exception)
+@exit_boundary()
 def main(argv=None) -> int:
     args = parse_args(argv)
     stack, job, run = fio_stack(args, tracing=True,
