@@ -53,14 +53,14 @@ class NvcacheConfig:
     batch_max: int = 10_000              # max entries drained per fsync batch
     fd_max: int = 4_096                  # size of the persistent fd->path table
     path_max: int = 256                  # bytes reserved per path in NVMM
-    cleanup_idle_flush: float = 50 * MS  # drain a short log after this idle time
+    cleanup_idle_flush: float = 50 * MS  # drain a short log (paging: flush a
+                                         # short dirty set) after this idle time
     # Cache design point, a CACHE_MODES name (docs/POLICIES.md): logging
     # is the paper's NVMM log + DRAM read cache; paging is the
     # page-grained NVMM cache (page table + dirty-page writeback).
     cache_mode: str = "logging"
     paging_slots: int = 4_096            # NVMM page slots in paging mode
     paging_batch_pages: int = 64         # pages written back per sync batch
-    paging_idle_flush: float = 50 * MS   # flush a short dirty set after idle
 
     def __post_init__(self):
         if self.page_size & (self.page_size - 1):

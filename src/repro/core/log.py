@@ -235,7 +235,7 @@ class NvmmLog:
         recorder = self.env.crash_points
         if recorder is not None:
             # Post-psync: the write is acknowledged as durable from here
-            # on — durable-after-ack starts binding at this boundary.
+            # on — the crash judge holds it to that from this boundary.
             recorder.hit("core.log.committed", f"seq {seq}")
 
     # -- reader side (cleanup thread, dirty miss, recovery) ---------------------

@@ -918,7 +918,7 @@ class WritebackThread(DrainThread):
                       or dirty >= self.high_slots
                       or len(self.tables.deferred_close) > 64
                       or (self.env.now - self._last_progress
-                          >= self.config.paging_idle_flush))
+                          >= self.config.cleanup_idle_flush))
             if not urgent:
                 yield self.env.timeout(_TICK)
                 continue

@@ -8,8 +8,8 @@ Three cooperating pieces (docs/CRASH_TESTING.md):
   attached the hooks are semantically invisible;
 - the **crash explorer** — enumerates every boundary a workload passes
   through, crashes at each one (with seeded cache-line drop subsets),
-  runs recovery, and checks the durability invariants against an
-  in-memory oracle;
+  runs recovery, and judges the recovered state against an in-memory
+  oracle (one judge, two properties);
 - the **block fault injector** — deterministic write errors, torn
   writes, and dropped flushes on any block device.
 
@@ -18,13 +18,10 @@ it); its importers are ``repro.fuzz``, ``repro.parallel``, the tools
 built on those, and the tests.
 """
 
-from .explorer import (CaseResult, CrashExplorer, END_OF_RUN_SITE,
-                       ExplorationError, ExplorationResult, power_cut)
+from .explorer import (CrashExplorer, END_OF_RUN_SITE, ExplorationError,
+                       ExplorationResult, power_cut)
 from .injector import BlockFaultInjector
-from .invariants import (CrashCase, DEFAULT_INVARIANTS, DurableAfterAck,
-                         GroupCommitAtomicity, Invariant, NamespaceReplay,
-                         PrefixSemantics, RecoveryIdempotence, Violation,
-                         check_case)
+from .invariants import CrashCase, Violation, judge
 from .oracle import FileModelOracle, OracleOp, TrackedNvcacheLibc
 from .recorder import CrashPoint, CrashPointRecorder
 from .workloads import (SMALL_CONFIG, WORKLOADS, CrashWorkload,
@@ -33,32 +30,24 @@ from .workloads import (SMALL_CONFIG, WORKLOADS, CrashWorkload,
 
 __all__ = [
     "BlockFaultInjector",
-    "CaseResult",
     "CrashCase",
     "CrashExplorer",
     "CrashPoint",
     "CrashPointRecorder",
     "CrashWorkload",
-    "DEFAULT_INVARIANTS",
-    "DurableAfterAck",
     "END_OF_RUN_SITE",
     "ExplorationError",
     "ExplorationResult",
     "FileModelOracle",
-    "GroupCommitAtomicity",
-    "Invariant",
-    "NamespaceReplay",
     "OracleOp",
-    "PrefixSemantics",
-    "RecoveryIdempotence",
     "SMALL_CONFIG",
     "TrackedNvcacheLibc",
     "Violation",
     "WORKLOADS",
-    "check_case",
     "db_bench_phased",
     "fio_mixed_workload",
     "fio_write_phased",
+    "judge",
     "kvstore_phased",
     "power_cut",
     "run_workload",

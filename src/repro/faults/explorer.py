@@ -20,7 +20,7 @@ Protocol (two passes per workload):
    then reboots the machine (fresh environment, recovered NVMM image,
    surviving disk), ``core.recovery.recover`` runs, recovered file
    state is read back, recovery runs a *second* time (idempotence), and
-   the invariant suite judges the case.
+   :func:`~repro.faults.invariants.judge` checks the case.
 
 Determinism is the load-bearing property: workloads are seeded, the
 simulation is deterministic, so hit N in the armed run is the exact
@@ -44,7 +44,7 @@ from ..kernel.errno import ENOENT
 from ..kernel.fd_table import O_RDONLY
 from ..nvmm import NvmmDevice
 from ..sim import Environment, Tracer
-from .invariants import (CrashCase, DEFAULT_INVARIANTS, Violation, check_case)
+from .invariants import CrashCase, Violation, judge
 from .recorder import CrashPoint, CrashPointRecorder
 from .workloads import CrashWorkload, ExplorationError, run_workload
 
@@ -81,25 +81,10 @@ def power_cut(kernel: Kernel, devices: Iterable, nvmm: NvmmDevice,
 
 
 @dataclass
-class CaseResult:
-    """Outcome of one (crash point, drop subset) exploration."""
-
-    point: CrashPoint
-    variant: str
-    keep_lines: Tuple[int, ...]
-    violations: List[Violation]
-    case: CrashCase
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
 class ExplorationResult:
     points: List[CrashPoint]
     selected: List[int]
-    cases: List[CaseResult] = field(default_factory=list)
+    cases: List[CrashCase] = field(default_factory=list)
 
     @property
     def violations(self) -> List[Violation]:
@@ -110,7 +95,7 @@ class ExplorationResult:
         return not self.violations
 
     def by_invariant(self) -> Dict[str, int]:
-        """Violation count per invariant name."""
+        """Violation count per property name."""
         return dict(Counter(v.invariant for v in self.violations))
 
     def site_histogram(self) -> Dict[str, int]:
@@ -155,14 +140,13 @@ class CrashExplorer:
 
     def __init__(self, workload: CrashWorkload,
                  budget: Optional[int] = None, drop_subsets: int = 1,
-                 seed: int = 0, invariants: Sequence = DEFAULT_INVARIANTS,
-                 include_end_of_run: bool = True, trace: bool = False):
+                 seed: int = 0, include_end_of_run: bool = True,
+                 trace: bool = False):
         self.workload = workload
         self.trace = trace
         self.budget = budget
         self.drop_subsets = drop_subsets
         self.seed = seed
-        self.invariants = tuple(invariants)
         self.include_end_of_run = include_end_of_run
         self._points: Optional[List[CrashPoint]] = None
         self._end_dirty = 0
@@ -203,10 +187,10 @@ class CrashExplorer:
 
     def run_case(self, index: Optional[int], variant: int = 0,
                  keep_lines: Optional[Sequence[int]] = None,
-                 survivor_seed: Optional[int] = None) -> CaseResult:
+                 survivor_seed: Optional[int] = None) -> CrashCase:
         """Crash at point ``index`` (None = end of run), drop all dirty
         lines except ``keep_lines`` (or a seeded subset for
-        ``variant > 0``), recover twice, check invariants.
+        ``variant > 0``), recover twice, and return the judged case.
         ``survivor_seed`` overrides the explorer-wide survivor-sampling
         seed for this one case — the fuzzer uses it to vary survivor
         subsets per case without building a new explorer (and without
@@ -232,7 +216,6 @@ class CrashExplorer:
             captured["before"] = before
             captured["after"] = after
             captured["inflight"] = oracle.inflight
-            captured["ns_paths"] = oracle.namespace_paths()
             captured["paths"] = oracle.paths_of_interest()
 
         if index is None:
@@ -273,16 +256,13 @@ class CrashExplorer:
             point=point, variant=variant_name,
             keep_lines=tuple(captured["keep"]),
             before=captured["before"], after=captured["after"],
-            inflight=captured["inflight"], ns_paths=captured["ns_paths"],
-            state=state, state2=state2,
+            inflight=captured["inflight"], state=state, state2=state2,
             applied=report.entries_applied,
             applied2=report2.entries_applied,
             ns_replayed2=(report2.namespace_ops_replayed
                           + report2.creates_replayed))
-        violations = check_case(case, self.invariants)
-        return CaseResult(point=point, variant=variant_name,
-                          keep_lines=tuple(captured["keep"]),
-                          violations=violations, case=case)
+        case.violations = judge(case)
+        return case
 
     # -- pass 2: the full sweep --------------------------------------------
 
@@ -328,7 +308,7 @@ class CrashExplorer:
 
     # -- shrinking ----------------------------------------------------------
 
-    def minimize(self, failing: CaseResult) -> CaseResult:
+    def minimize(self, failing: CrashCase) -> CrashCase:
         """Greedily shrink a failing case's survivor set: drop kept lines
         one at a time, keeping each removal that still fails. The result
         is a minimal reproducer (often ``keep=()``, the pure power cut)."""

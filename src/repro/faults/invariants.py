@@ -1,30 +1,20 @@
-"""The pluggable invariant suite the crash explorer checks.
+"""The one judge of a crash case: DESIGN.md §3's durability contract as
+two properties.
 
-Each invariant inspects one :class:`CrashCase` — the oracle's two legal
-states at the crash point, the state actually recovered from the crash
-image, and the result of a *second* recovery — and returns human-readable
-violation messages (empty list = holds).
-
-The five shipped invariants restate DESIGN.md §3's durability contract:
-
-- **durable-after-ack** — a path no in-flight op touches must come back
-  exactly as acknowledged; acknowledged writes are never lost.
-- **prefix-semantics** — the whole recovered state equals the oracle's
-  *before* or *after* state; the in-flight op is all-or-nothing and no
-  mixed/partial state is visible.
-- **group-commit-atomicity** — specialization of the above for
-  multi-entry (group) writes: the written range is never torn.
-- **namespace-replay** — paths touched by unlink/rename/truncate ops
-  land on a legal side too: no resurrected files, no lost renames, and
-  replay order kept data writes and namespace ops consistent.
-- **recovery-idempotence** — running recovery again on the recovered
+- **durable_linearizability** — the recovered state equals the oracle's
+  *before* state (the in-flight op dropped) or its *after* state (the
+  in-flight op applied): no acknowledged op is lost and the op in flight
+  is all-or-nothing. Each path neither side explains gets one message,
+  naming either the acknowledged byte that was lost or the in-flight op
+  that was half-applied.
+- **recovery_idempotence** — running recovery again on the recovered
   machine applies nothing and changes nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from .oracle import OracleOp
 from .recorder import CrashPoint
@@ -33,8 +23,22 @@ State = Dict[str, Optional[bytes]]
 
 
 @dataclass
+class Violation:
+    """One property failure at one crash case (``where`` is the case's
+    :meth:`CrashCase.describe`)."""
+
+    invariant: str
+    where: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"[{self.invariant}] {self.message}\n    at {self.where}"
+
+
+@dataclass
 class CrashCase:
-    """Everything the invariants need about one (point, image) crash."""
+    """One (point, image) crash: the oracle's two legal states, what the
+    two recoveries produced, and the judge's verdict."""
 
     point: CrashPoint
     variant: str                      # "drop-all", "keep-subset-N", "end-of-run"
@@ -42,12 +46,16 @@ class CrashCase:
     before: State                     # oracle: in-flight op dropped
     after: State                      # oracle: in-flight op applied
     inflight: Optional[OracleOp]      # op in flight at the crash, if any
-    ns_paths: Set[str]                # paths ever touched by namespace ops
     state: State                      # read back after first recovery
     state2: State                     # read back after second recovery
     applied: int = 0                  # report.entries_applied
     applied2: int = 0                 # second recovery: must be 0
     ns_replayed2: int = 0             # second recovery: must be 0
+    violations: List[Violation] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def describe(self) -> str:
         inflight = self.inflight.describe() if self.inflight else "none"
@@ -70,147 +78,62 @@ def _first_diff(got: bytes, want: bytes) -> int:
     return min(len(got), len(want))
 
 
-class Invariant:
-    """Base: ``check`` returns violation messages (empty = holds)."""
-
-    name = "invariant"
-
-    def check(self, case: CrashCase) -> List[str]:
-        raise NotImplementedError
-
-
-class DurableAfterAck(Invariant):
-    """Paths untouched by the in-flight op must match the acked model."""
-
-    name = "durable_after_ack"
-
-    def check(self, case: CrashCase) -> List[str]:
-        out = []
-        for path in sorted(case.before):
-            expected = case.before[path]
-            if expected != case.after.get(path, None):
-                continue  # in-flight op touches it: prefix_semantics' job
-            got = case.state.get(path, None)
-            if got != expected:
-                out.append(
-                    f"{path}: acknowledged state lost — expected "
-                    f"{_show(expected)}, recovered {_show(got)}")
-        return out
+def _lost_byte(case: CrashCase, path: str) -> Optional[int]:
+    """Where ``path`` diverges from its acknowledged (*before*) state,
+    or None when the divergence lies in what the in-flight op writes."""
+    got, want = case.state.get(path), case.before.get(path)
+    at = 0 if got is None or want is None else _first_diff(got, want)
+    # Only an unlink or a rename may remove a file, and for those an
+    # absent file is one of the two legal sides.
+    if got is None or want == case.after.get(path):
+        return at
+    op = case.inflight
+    if op.kind != "pwrite":
+        return None                   # a namespace op: the whole path is in flight
+    start = min(op.offset, len(want or b""))   # a hole it zero-fills counts
+    return None if start <= at < op.offset + len(op.data) else at
 
 
-class PrefixSemantics(Invariant):
-    """Recovered state is exactly *before* or exactly *after*."""
-
-    name = "prefix_semantics"
-
-    def check(self, case: CrashCase) -> List[str]:
-        matches_before = all(case.state.get(p, None) == case.before[p]
-                             for p in case.before)
-        matches_after = all(case.state.get(p, None) == case.after[p]
-                            for p in case.after)
-        if matches_before or matches_after:
-            return []
-        out = []
-        for path in sorted(set(case.before) | set(case.after)):
-            got = case.state.get(path, None)
-            want_b = case.before.get(path, None)
-            want_a = case.after.get(path, None)
-            if got != want_b and got != want_a:
-                out.append(
-                    f"{path}: recovered {_show(got)} matches neither "
-                    f"before {_show(want_b)} nor after {_show(want_a)}")
-        if not out:
-            out.append("recovered state mixes the before- and after-sides "
-                       "across paths (each path legal, combination not)")
-        return out
+def _linearizability(case: CrashCase) -> List[str]:
+    if case.state in (case.before, case.after):
+        return []
+    out = []
+    for path in sorted(case.before.keys() | case.state.keys()):
+        got = case.state.get(path)
+        want_b, want_a = case.before.get(path), case.after.get(path)
+        if got in (want_b, want_a):
+            continue
+        at = _lost_byte(case, path)
+        if at is None:
+            out.append(f"{path}: in-flight ({case.inflight.describe()}) "
+                       f"half-applied — recovered {_show(got)}, legal: "
+                       f"{_show(want_b)} / {_show(want_a)}")
+        else:
+            out.append(f"{path}: acknowledged state lost at byte {at} — "
+                       f"expected {_show(want_b)}, recovered {_show(got)}")
+    if not out:
+        out.append("recovered state mixes the before- and after-sides "
+                   "across paths (each path legal, combination not)")
+    return out
 
 
-class GroupCommitAtomicity(Invariant):
-    """A multi-entry write is never torn mid-group."""
-
-    name = "group_commit_atomicity"
-
-    def check(self, case: CrashCase) -> List[str]:
-        op = case.inflight
-        if op is None or op.kind != "pwrite" or op.entries <= 1:
-            return []
-        path = op.path
-        got = case.state.get(path, None)
-        want_b = case.before.get(path, None)
-        want_a = case.after.get(path, None)
-        if got == want_b or got == want_a:
-            return []
-        detail = ""
-        if got is not None and want_a is not None:
-            offset = _first_diff(got, want_a)
-            detail = f"; first divergence from after-state at byte {offset}"
-        return [f"{path}: group write of {op.entries} entries torn — "
-                f"recovered {_show(got)}{detail}"]
+def _idempotence(case: CrashCase) -> List[str]:
+    out = []
+    if case.applied2 or case.ns_replayed2:
+        out.append(
+            f"second recovery re-applied work: {case.applied2} entries, "
+            f"{case.ns_replayed2} namespace ops (log not emptied)")
+    if case.state2 != case.state:
+        diffs = [p for p in set(case.state) | set(case.state2)
+                 if case.state.get(p, None) != case.state2.get(p, None)]
+        out.append(
+            f"second recovery changed file state on {sorted(diffs)}")
+    return out
 
 
-class NamespaceReplay(Invariant):
-    """Unlink/rename/truncate replay kept the namespace consistent."""
-
-    name = "namespace_replay"
-
-    def check(self, case: CrashCase) -> List[str]:
-        out = []
-        for path in sorted(case.ns_paths):
-            got = case.state.get(path, None)
-            want_b = case.before.get(path, None)
-            want_a = case.after.get(path, None)
-            if got != want_b and got != want_a:
-                kind = "resurrected" if want_b is None and want_a is None \
-                    else "inconsistent"
-                out.append(
-                    f"{path}: namespace-op path {kind} — recovered "
-                    f"{_show(got)}, legal: {_show(want_b)} / {_show(want_a)}")
-        return out
-
-
-class RecoveryIdempotence(Invariant):
-    """recover(recover(image)) == recover(image)."""
-
-    name = "recovery_idempotence"
-
-    def check(self, case: CrashCase) -> List[str]:
-        out = []
-        if case.applied2 or case.ns_replayed2:
-            out.append(
-                f"second recovery re-applied work: {case.applied2} entries, "
-                f"{case.ns_replayed2} namespace ops (log not emptied)")
-        if case.state2 != case.state:
-            diffs = [p for p in set(case.state) | set(case.state2)
-                     if case.state.get(p, None) != case.state2.get(p, None)]
-            out.append(
-                f"second recovery changed file state on {sorted(diffs)}")
-        return out
-
-
-@dataclass
-class Violation:
-    """One invariant failure at one crash case."""
-
-    invariant: str
-    case: CrashCase
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.invariant}] {self.message}\n    at {self.case.describe()}"
-
-
-DEFAULT_INVARIANTS: Tuple[Invariant, ...] = (
-    DurableAfterAck(),
-    PrefixSemantics(),
-    GroupCommitAtomicity(),
-    NamespaceReplay(),
-    RecoveryIdempotence(),
-)
-
-
-def check_case(case: CrashCase, invariants=DEFAULT_INVARIANTS) -> List[Violation]:
-    violations = []
-    for invariant in invariants:
-        for message in invariant.check(case):
-            violations.append(Violation(invariant.name, case, message))
-    return violations
+def judge(case: CrashCase) -> List[Violation]:
+    """Every violation of the two properties at ``case`` (empty = holds)."""
+    return [Violation(name, case.describe(), message)
+            for name, check in (("durable_linearizability", _linearizability),
+                                ("recovery_idempotence", _idempotence))
+            for message in check(case)]

@@ -13,7 +13,7 @@ oracle knows exactly two legal recovered states:
 
 Durable linearizability (DESIGN.md §3) says post-crash recovery must
 produce one of those two states, atomically — nothing in between, and
-never missing an acknowledged op. The invariant suite in
+never missing an acknowledged op. The judge in
 :mod:`repro.faults.invariants` checks recovered state against both.
 
 Scope note: the model tracks path-visible contents only. Workloads that
@@ -42,12 +42,10 @@ class OracleOp:
     data: bytes = b""
     size: int = 0              # ftruncate length
     flags: int = 0             # open flags
-    entries: int = 1           # log entries this op needs (group writes > 1)
 
     def describe(self) -> str:
         if self.kind == "pwrite":
-            return (f"pwrite {self.path}+{self.offset}:{len(self.data)} "
-                    f"({self.entries} entries)")
+            return f"pwrite {self.path}+{self.offset}:{len(self.data)}"
         if self.kind == "rename":
             return f"rename {self.path} -> {self.path2}"
         if self.kind == "ftruncate":
@@ -55,28 +53,15 @@ class OracleOp:
         return f"{self.kind} {self.path}"
 
 
-def _namespace_paths(op: OracleOp) -> Tuple[str, ...]:
-    """The paths a namespace op (unlink, rename, ftruncate or an
-    ``O_TRUNC`` open) touches; none for an op on file bytes."""
-    if op.kind in ("unlink", "rename", "ftruncate") \
-            or (op.kind == "open" and op.flags & O_TRUNC):
-        return tuple(path for path in (op.path, op.path2) if path)
-    return ()
-
-
 class FileModelOracle:
     """Reference model of path-visible file contents."""
 
-    def __init__(self, entry_data_size: int):
-        self.entry_data_size = entry_data_size
+    def __init__(self):
         self.files: Dict[str, bytearray] = {}
         #: every path that ever existed — recovered state is read (and
         #: absence asserted) over this whole set, so a resurrected
         #: unlinked file cannot hide.
         self.ever: Set[str] = set()
-        #: paths touched by namespace ops (unlink/rename/truncate/
-        #: O_TRUNC), for invariant classification.
-        self.ns_paths: Set[str] = set()
         self.inflight: Optional[OracleOp] = None
         self.acked_ops = 0
 
@@ -94,7 +79,7 @@ class FileModelOracle:
             raise RuntimeError("ack() with no op in flight")
         self.inflight = None
         self._apply(self.files, op)
-        self._note(op)
+        self.ever.update(path for path in (op.path, op.path2) if path)
         self.acked_ops += 1
 
     def abort(self) -> None:
@@ -102,10 +87,6 @@ class FileModelOracle:
         self.inflight = None
 
     # -- model application -------------------------------------------------
-
-    def _note(self, op: OracleOp) -> None:
-        self.ever.update(path for path in (op.path, op.path2) if path)
-        self.ns_paths.update(_namespace_paths(op))
 
     @staticmethod
     def _writable(flags: int) -> bool:
@@ -141,14 +122,6 @@ class FileModelOracle:
             raise ValueError(f"unknown oracle op kind {op.kind!r}")
 
     # -- expected states at a crash point ----------------------------------
-
-    def namespace_paths(self) -> Set[str]:
-        """Paths touched by namespace ops, including the in-flight one
-        (``_note`` only runs at ack time)."""
-        paths = set(self.ns_paths)
-        if self.inflight is not None:
-            paths.update(_namespace_paths(self.inflight))
-        return paths
 
     def paths_of_interest(self) -> Set[str]:
         paths = set(self.ever) | set(self.files)
@@ -212,10 +185,8 @@ class TrackedNvcacheLibc(NvcacheLibc):
         return result
 
     def _write_op(self, fd, data, offset) -> OracleOp:
-        chunk = self.oracle.entry_data_size
         return OracleOp("pwrite", path=self._paths.get(fd, ""),
-                        offset=offset, data=bytes(data),
-                        entries=max(1, (len(data) + chunk - 1) // chunk))
+                        offset=offset, data=bytes(data))
 
     def pwrite(self, fd, data, offset) -> Generator:
         return (yield from self._narrate(

@@ -48,11 +48,12 @@ SMALL_CONFIG = NvcacheConfig(
     cleanup_idle_flush=0.01, page_size=4096)
 
 #: Paging-mode sibling of SMALL_CONFIG: few slots (so writes hit the
-#: slot-full / eviction paths), small writeback batches, fast idle flush
-#: (so page_cleaned boundaries appear within short workloads).
+#: slot-full / eviction paths), small writeback batches, and
+#: SMALL_CONFIG's fast idle flush (so page_cleaned boundaries appear
+#: within short workloads).
 SMALL_PAGING_CONFIG = replace(
     SMALL_CONFIG, cache_mode="paging", paging_slots=24,
-    paging_batch_pages=6, paging_idle_flush=0.01)
+    paging_batch_pages=6)
 
 
 class ExplorationError(RuntimeError):
@@ -74,7 +75,7 @@ class CrashWorkload:
         ``config.cache_mode``) whose libc reports every call to the
         oracle, ``stack.libc.oracle``."""
         stack = build_stack("nvcache+ssd", config=self.config)
-        oracle = FileModelOracle(self.config.entry_data_size)
+        oracle = FileModelOracle()
         stack.libc = TrackedNvcacheLibc(stack.nvcache, oracle)
         return stack
 

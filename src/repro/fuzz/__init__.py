@@ -5,7 +5,8 @@ workload*; this package searches the joint space the ROADMAP names —
 (workload schedule × crash point × surviving-line subset × injected
 block faults) — steering mutation with line coverage of
 ``repro.core``/``repro.fs`` plus crash-site coverage, judging every
-case with the five durability invariants and the FileModelOracle, and
+case with ``repro.faults``' one judge (two properties: durable
+linearizability, recovery idempotence) against the FileModelOracle, and
 keeping a deduplicated, minimized corpus on disk. Deterministic end to
 end: same seed ⇒ same corpus, findings, and reports at any ``--jobs``.
 

@@ -25,12 +25,14 @@ parents; with ``feedback=False`` (the ``--no-feedback`` baseline)
 parents stay the seed set and the search is blind — coverage is still
 *recorded* so the two modes are comparable, it just never steers.
 
-Oracle: the five durability invariants + FileModelOracle, inherited
-wholesale from ``repro.faults`` via the executor. Findings are deduped
-by (invariant, crash site) and greedily minimized in-process: drop
-schedule ops left-to-right to a fixpoint, then the fault plan, then the
-survivor seed, then extra crash fractions — accepting a shrink only if
-the same invariant still trips, under a bounded execution budget.
+Oracle: ``repro.faults.judge`` (two properties, durable linearizability
+and recovery idempotence) over the FileModelOracle, inherited wholesale
+via the executor, so one bug is one finding per crash site. Findings
+are deduped by (property, crash site) and greedily minimized
+in-process: drop schedule ops left-to-right to a fixpoint, then the
+fault plan, then the survivor seed, then extra crash fractions —
+accepting a shrink only if the same property still trips, under a
+bounded execution budget.
 """
 
 from __future__ import annotations
@@ -339,10 +341,10 @@ def register_campaign_metrics(registry, engine: FuzzEngine) -> None:
                      fn=lambda: stats.cases_run)
     campaign.counter("harness_errors", unit="cases",
                      help="cases that failed in the harness, not the "
-                          "invariants",
+                          "judge",
                      fn=lambda: stats.harness_errors)
     campaign.counter("findings", unit="findings",
-                     help="unique (invariant, crash site) violations",
+                     help="unique (property, crash site) violations",
                      fn=lambda: stats.findings)
     campaign.counter("duplicate_findings", unit="findings",
                      help="violations deduplicated against an existing "

@@ -297,7 +297,7 @@ CROSSOVER_MIXES: Dict[str, Dict] = {
 
 _CROSSOVER_COMMON = dict(fd_max=128, path_max=64, batch_min=8,
                          batch_max=128, cleanup_idle_flush=0.005,
-                         paging_batch_pages=64, paging_idle_flush=0.005)
+                         paging_batch_pages=64)
 
 
 @dataclass

@@ -25,8 +25,9 @@ import functools
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..faults.explorer import (CaseResult, CrashExplorer, ExplorationError,
+from ..faults.explorer import (CrashExplorer, ExplorationError,
                                ExplorationResult)
+from ..faults.invariants import CrashCase
 from ..faults.workloads import WORKLOADS
 from .engine import CELL_TIMEOUT, ShardEngine, chunked, raise_unfinished
 
@@ -80,7 +81,7 @@ def cached_explorer(spec: SweepSpec) -> CrashExplorer:
 
 
 def run_shard(spec_fields: Dict,
-              cases: Sequence[Tuple[Optional[int], int]]) -> List[CaseResult]:
+              cases: Sequence[Tuple[Optional[int], int]]) -> List[CrashCase]:
     """Worker entry point: run one contiguous slice of the case plan."""
     explorer = cached_explorer(SweepSpec(**spec_fields))
     return [explorer.run_case(index, variant=variant)

@@ -4,7 +4,6 @@ from .db_bench import (
     ALL_BENCHMARKS,
     BenchResult,
     DbBench,
-    MIXED_BENCHMARKS,
     READ_BENCHMARKS,
     WRITE_BENCHMARKS,
     make_key,
@@ -44,7 +43,6 @@ __all__ = [
     "ALL_BENCHMARKS",
     "WRITE_BENCHMARKS",
     "READ_BENCHMARKS",
-    "MIXED_BENCHMARKS",
     "make_key",
     "make_value",
     "FUZZ_SEED_MIXES",

@@ -5,7 +5,6 @@ SQLite with a db_bench port. We reproduce the classic benchmark set:
 
 - write-heavy: ``fillseq``, ``fillrandom``, ``overwrite``
 - read-heavy:  ``readrandom``, ``readseq``
-- mixed:       ``readwhilewriting``
 
 Keys are 16-byte zero-padded decimals and values 100 random-ish bytes,
 db_bench's defaults. "Synchronous mode" (sync=True) makes every write
@@ -25,8 +24,7 @@ VALUE_SIZE = 100
 
 WRITE_BENCHMARKS = ("fillseq", "fillrandom", "overwrite")
 READ_BENCHMARKS = ("readrandom", "readseq")
-MIXED_BENCHMARKS = ("readwhilewriting",)
-ALL_BENCHMARKS = WRITE_BENCHMARKS + READ_BENCHMARKS + MIXED_BENCHMARKS
+ALL_BENCHMARKS = WRITE_BENCHMARKS + READ_BENCHMARKS
 
 
 @dataclass
@@ -141,33 +139,6 @@ class DbBench:
             return self.num, moved
 
         result = yield from self._run("readseq", body)
-        return result
-
-    def readwhilewriting(self) -> Generator:
-        """One writer thread mutating while readers issue point lookups
-        (db_bench's readwhilewriting)."""
-        rng = random.Random(self.seed + 3)
-        writer_done = {"flag": False}
-
-        def writer():
-            wrng = random.Random(self.seed + 4)
-            for _ in range(self.num // 4):
-                key = make_key(wrng.randrange(self.num))
-                yield from self._put(key, make_value(wrng, self.value_size))
-            writer_done["flag"] = True
-
-        def body():
-            writer_process = self.env.spawn(writer(), name="bench-writer")
-            moved = 0
-            for _ in range(self.num):
-                yield self.env.timeout(self.op_overhead)
-                value = yield from self._get(make_key(rng.randrange(self.num)))
-                if value is not None:
-                    moved += len(value)
-            yield writer_process.join()
-            return self.num, moved
-
-        result = yield from self._run("readwhilewriting", body)
         return result
 
     def run(self, benchmark: str) -> Generator:

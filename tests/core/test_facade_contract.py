@@ -47,7 +47,7 @@ from repro.units import MIB
 BASE_CONFIG = NvcacheConfig(
     log_entries=256, read_cache_pages=32, batch_min=4, batch_max=32,
     fd_max=64, cleanup_idle_flush=0.01, paging_slots=64,
-    paging_batch_pages=8, paging_idle_flush=0.01)
+    paging_batch_pages=8)
 
 #: Interval of the poll loop the close-headroom waiter replaced; seeing
 #: it requested by a blocked close would mean the busy-wait is back.

@@ -26,7 +26,7 @@ from repro.units import MIB, US
 PAGING_CONFIG = NvcacheConfig(
     cache_mode="paging", log_entries=64, entry_data_size=512,
     read_cache_pages=8, paging_slots=12, paging_batch_pages=4,
-    paging_idle_flush=0.01, batch_min=4, batch_max=16, fd_max=16,
+    batch_min=4, batch_max=16, fd_max=16,
     path_max=64, cleanup_idle_flush=0.01, page_size=4096)
 
 PAGE = PAGING_CONFIG.page_size

@@ -102,9 +102,12 @@ def test_failing_sweep_json_schema(crash_tool, capsys, monkeypatch):
     assert summary["ok"] is False
     assert summary["violations"] > 0
     assert sum(summary["by_invariant"].values()) == summary["violations"]
-    # On fio's grouped writes the undrained commit word surfaces as a
-    # torn group, not a lost ack.
-    assert "group_commit_atomicity" in summary["by_invariant"]
+    # The undrained commit word loses acknowledged data, even on fio's
+    # grouped writes where an in-flight pwrite rides along.
+    assert "durable_linearizability" in summary["by_invariant"]
+    assert any("acknowledged state lost" in violation["message"]
+               for case in summary["failing_cases"]
+               for violation in case["violations"])
     assert summary["failing_cases"]
     for case in summary["failing_cases"]:
         assert set(case) == FAILING_CASE_KEYS
@@ -122,7 +125,8 @@ def test_minimize_shrinks_failing_survivor_sets(crash_tool, capsys,
     assert code == 1
     out = capsys.readouterr().out
     assert "failing case(s):" in out
-    assert "group_commit_atomicity:" in out
+    assert "durable_linearizability:" in out
+    assert "acknowledged state lost" in out
     # At least one failing survivor-subset case got shrunk, and the
     # report shows the before -> after line counts.
     assert "minimized survivor set:" in out

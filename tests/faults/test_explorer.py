@@ -5,10 +5,10 @@ import pytest
 
 from repro.faults import (
     CrashExplorer,
-    DEFAULT_INVARIANTS,
     END_OF_RUN_SITE,
     ExplorationError,
     CrashWorkload,
+    SMALL_CONFIG,
     WORKLOADS,
 )
 
@@ -73,13 +73,12 @@ def test_fio_enumerates_at_least_100_crash_points():
 def test_fio_exhaustive_exploration_holds_every_invariant():
     """The acceptance sweep: every enumerated point on the fio write
     workload, drop-all plus one seeded survivor subset each, zero
-    violations from all five invariants."""
+    violations from the judge's two properties."""
     explorer = explorer_for("fio", drop_subsets=1, seed=0)
     result = explorer.explore()
     assert len(result.points) >= 100
     assert result.violations == []
     assert len(result.cases) > len(result.points)  # subsets explored too
-    assert len(DEFAULT_INVARIANTS) == 5
 
 
 def test_namespace_workload_holds_under_budget():
@@ -120,9 +119,9 @@ def test_sequential_sharded_and_traced_sweeps_are_equal(jobs, trace):
         return ([str(p) for p in result.points], result.selected,
                 [(c.point.index, c.point.site, c.point.label, c.point.time,
                   c.variant, c.keep_lines,
-                  tuple(sorted(c.case.state.items())),
-                  tuple(sorted(c.case.state2.items())),
-                  c.case.applied, c.case.applied2, c.violations)
+                  tuple(sorted(c.state.items())),
+                  tuple(sorted(c.state2.items())),
+                  c.applied, c.applied2, c.violations)
                  for c in result.cases])
 
     reference = explorer_for("fio", budget=12, drop_subsets=1).explore()
@@ -150,14 +149,14 @@ def test_end_of_run_case_is_explored():
 
 def test_group_commit_cases_are_exercised():
     """fio's 1024-byte writes over 512-byte entries make every write a
-    two-entry commit group, so the group-atomicity invariant sees real
-    multi-entry in-flight ops."""
+    two-entry commit group, so the judge sees real multi-entry in-flight
+    ops."""
     explorer = explorer_for("fio", budget=60, drop_subsets=0)
     result = explorer.explore()
     grouped = [case for case in result.cases
-               if case.case.inflight is not None
-               and case.case.inflight.kind == "pwrite"
-               and case.case.inflight.entries > 1]
+               if case.inflight is not None
+               and case.inflight.kind == "pwrite"
+               and len(case.inflight.data) > SMALL_CONFIG.entry_data_size]
     assert grouped
     assert result.violations == []
 

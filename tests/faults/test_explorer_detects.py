@@ -4,7 +4,7 @@ The mutation reorders the commit protocol: the commit word is stored and
 queued (pwb) but never fenced (no psync) before the write is
 acknowledged. Live execution is indistinguishable — loads see the
 unpersisted stores — but a power cut can now lose acknowledged writes,
-which is exactly what durable-after-ack exists to catch.
+which is exactly what durable linearizability exists to catch.
 """
 
 from repro.core.log import (
@@ -55,7 +55,9 @@ def test_commit_reorder_mutation_is_caught(monkeypatch):
     explorer = CrashExplorer(workload, budget=30, drop_subsets=1, seed=3)
     result = explorer.explore()
     assert result.violations, "explorer failed to catch the lost-ack bug"
-    assert any(v.invariant == "durable_after_ack" for v in result.violations)
+    assert all(v.invariant == "durable_linearizability"
+               and "acknowledged state lost" in v.message
+               for v in result.violations)
 
 
 def test_minimize_shrinks_a_failing_case(monkeypatch):

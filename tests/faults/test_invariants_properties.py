@@ -6,7 +6,7 @@ no writes through stale fds). Each seed yields a different op script;
 the explorer crashes each script at an evenly spaced sample of its
 persistence boundaries and checks the recovered state against the
 oracle's two legal states. Across all seeds this drives well over 200
-independently generated crash cases through the full invariant suite.
+independently generated crash cases through the crash judge.
 """
 
 from repro.faults import (CrashExplorer, CrashWorkload, OracleOp,
@@ -43,7 +43,7 @@ def test_distinct_seeds_generate_distinct_scripts():
 
 
 def test_oracle_tracks_the_two_legal_states_mid_op():
-    """The oracle's before/after split is what the invariants lean on:
+    """The oracle's before/after split is what the judge leans on:
     mid-pwrite they must differ exactly on the written range."""
     def body(run):
         from repro.kernel.fd_table import O_CREAT, O_WRONLY

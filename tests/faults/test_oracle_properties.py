@@ -7,10 +7,10 @@ completion on a fresh crash stack, power-cuts *after* the final drain,
 recovers, and requires the recovered files to agree byte-for-byte with
 the oracle's model of the acknowledged state (the end-of-run crash case
 has nothing in flight, so the oracle's two legal states coincide and
-the invariant suite collapses to exact agreement).
+the judge collapses to exact agreement).
 
 A second property crashes mid-run at a drawn fraction of the case's own
-crash-point stream and checks the full invariant suite — the one-case
+crash-point stream and runs the crash judge on it — the one-case
 version of what a fuzz campaign does thousands of times. When either
 property fails, hypothesis shrinks the schedule to a minimal
 counterexample, which is exactly the triage artifact you want first.

@@ -17,7 +17,7 @@ from repro.fuzz import FuzzCase, build_fuzz_run
 
 BUG9_SCHEDULE = (("append", 0, 3, 1), ("ftruncate", 0, 0), ("unlink", 0),
                  ("pwrite", 0, 1, 0, 0))
-_BROKEN = ("block.write_completed", ["durable_after_ack", "prefix_semantics"])
+_BROKEN = ("block.write_completed", ["durable_linearizability"])
 
 
 class Bug9StillPresent(Exception):

@@ -50,7 +50,7 @@ def test_read_only_access_never_creates_directories(tmp_path):
 def test_finding_round_trips(tmp_path):
     corpus = Corpus(str(tmp_path))
     finding = {"digest": CASE.digest(), "case": CASE.to_fields(),
-               "invariant": "durable_after_ack", "site": "core.log.filled",
+               "invariant": "durable_linearizability", "site": "core.log.filled",
                "variant": 0, "message": "boom"}
     corpus.write_finding(finding)
     assert corpus.load_finding(CASE.digest()) == finding

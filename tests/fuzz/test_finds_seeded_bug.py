@@ -102,7 +102,8 @@ def test_feedback_campaign_finds_the_planted_bug(leaky_commit_stack):
     result = campaign(feedback=True)
     assert result.stats.harness_errors == 0
     invariants = {invariant for invariant, _site in result.findings}
-    assert "durable_after_ack" in invariants, (
+    # One judge, one label: the plant is one finding per crash site.
+    assert invariants == {"durable_linearizability"}, (
         "planted leaky commit not found within the budget; "
         f"findings: {sorted(result.findings)}")
 
@@ -125,7 +126,7 @@ def test_found_case_is_clean_on_the_fixed_stack():
         result = campaign(feedback=True)
         finding = next(
             fields for (invariant, _), fields in sorted(result.findings.items())
-            if invariant == "durable_after_ack")
+            if invariant == "durable_linearizability")
     executor._explorer_for.cache_clear()
     case = FuzzCase.from_fields(finding["case"])
     outcome = run_case_task(case.to_fields())

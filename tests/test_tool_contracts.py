@@ -55,6 +55,8 @@ MALFORMED = [
     ("trace_report.py", ["--size-mib", "inf"], "--size-mib"),
     ("metrics_report.py", ["--fsync", "-2"], "--fsync"),
     ("trace_report.py", ["--slowest", "-3"], "--slowest"),
+    ("ci_run.py", ["--suite", "lint", "--junit", "no-such-dir/ci.xml"],
+     "--junit"),
 ]
 
 

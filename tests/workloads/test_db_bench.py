@@ -91,19 +91,3 @@ def test_unknown_benchmark_rejected():
 
     with pytest.raises(ValueError):
         env.run_process(body())
-
-
-def test_readwhilewriting_interleaves():
-    env, libc = make_env()
-
-    def body():
-        db = yield from MiniRocks.open(libc, "/db", KVOptions(sync=False))
-        bench = DbBench(env, db, num=200)
-        yield from bench.fillseq()
-        result = yield from bench.readwhilewriting()
-        yield from db.close()
-        return result, db.stats.puts
-
-    result, puts = env.run_process(body())
-    assert result.operations == 200
-    assert puts >= 200 + 50  # fill + background writer

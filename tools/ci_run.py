@@ -341,6 +341,9 @@ def main(argv=None) -> int:
     parser.add_argument("--junit", metavar="PATH", default=None,
                         help="write a JUnit XML summary to PATH")
     args = parser.parse_args(argv)
+    if args.junit and not os.path.isdir(
+            os.path.dirname(os.path.abspath(args.junit))):
+        parser.error(f"--junit: no directory to write {args.junit} into")
     steps = [step for suite in args.suite
              for step in suite_steps(suite, args.jobs)]
 
